@@ -66,8 +66,7 @@ impl Encode for DetRankUp {
                 w.put_u8(1);
                 w.put_varint(u64::from(*round));
                 w.put_varint(*n_local);
-                let values: Vec<u64> = tuples.iter().map(|t| t.v).collect();
-                w.put_delta_run(&values);
+                w.put_delta_run(tuples.iter().map(|t| t.v));
                 for t in tuples {
                     w.put_varint(t.g);
                     w.put_varint(t.delta);

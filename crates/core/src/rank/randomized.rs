@@ -120,7 +120,7 @@ impl Encode for RankUp {
                 w.put_varint(summary.n);
                 w.put_varint(summary.levels.len() as u64);
                 for items in &summary.levels {
-                    w.put_delta_run(items);
+                    w.put_delta_run(items.iter().copied());
                 }
             }
         }

@@ -2,7 +2,11 @@
 //! `decode ∘ encode = id` on arbitrary (invariant-respecting) values,
 //! and the measured byte accounting ([`Words::wire_bytes`]) equals the
 //! actual encoded length — the executors charge exactly what a socket
-//! would carry.
+//! would carry. `wire_bytes` is a counting pass over the same `Encode`
+//! impl that `encode_to_vec` stores (`dtrack_sim::wire::measured`), so
+//! the equality is checked for all 16 codecs: the 15 protocol message
+//! types below plus the scalar / tuple / `Vec` / `Option` building
+//! blocks ad-hoc messages are made of.
 //!
 //! The generators respect the encoders' structural invariants — GK
 //! tuple values and KLL level items are sorted (both codecs
@@ -112,8 +116,66 @@ fn rank_up() -> impl Strategy<Value = RankUp> {
     ]
 }
 
+/// The summaries the generators reach only by luck: no tuples / no
+/// levels, a single tuple / item, empty levels between full ones, and
+/// values at both ends of the varint range.
+#[test]
+fn empty_and_single_entry_summaries_measure_exactly() {
+    let tuple = |v| GkTuple { v, g: 1, delta: 0 };
+    for tuples in [
+        vec![],
+        vec![tuple(0)],
+        vec![tuple(u64::MAX)],
+        vec![tuple(7), tuple(7)],
+    ] {
+        let m = DetRankUp::Summary {
+            round: 0,
+            n_local: tuples.len() as u64,
+            tuples,
+        };
+        roundtrip(&m);
+        roundtrip(&WinUp::Inner { epoch: 1, msg: m });
+    }
+    for levels in [
+        vec![],
+        vec![vec![]],
+        vec![vec![0]],
+        vec![vec![u64::MAX]],
+        vec![vec![], vec![], vec![3]],
+        vec![vec![1, 2], vec![], vec![u64::MAX - 1, u64::MAX]],
+    ] {
+        let m = RankUp::Summary {
+            chunk: 0,
+            level: 0,
+            summary: KllSummary { levels, n: 0 },
+        };
+        roundtrip(&m);
+        roundtrip(&WinUp::Inner { epoch: 1, msg: m });
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// The generic building blocks (scalars, pairs, vectors, options):
+    /// their `wire_bytes` is arithmetic or a counting pass, their
+    /// encoding is the byte writer — the two must agree.
+    #[test]
+    fn building_blocks(
+        a in any::<u64>(),
+        b in any::<u64>(),
+        c in any::<u32>(),
+        pairs in proptest::collection::vec((any::<u64>(), any::<u64>()), 0..20),
+    ) {
+        let signed = (a as i64, (b as i64).wrapping_neg());
+        roundtrip(&signed);
+        roundtrip(&(a, c));
+        roundtrip(&(c as usize, a as f64));
+        roundtrip(&pairs);
+        roundtrip(&Some(pairs.clone()));
+        roundtrip(&None::<u64>);
+        roundtrip(&vec![(); pairs.len()]);
+    }
 
     #[test]
     fn det_count_up(n in any::<u64>()) {
@@ -193,6 +255,14 @@ proptest! {
         (any::<u64>(), freq_up()).prop_map(|(epoch, msg)| WinUp::Inner { epoch, msg }),
     ]) {
         roundtrip(&m);
+    }
+
+    /// …and over the two summary-carrying rank messages, whose inner
+    /// bytes are a counting pass while the wrapper's are structural.
+    #[test]
+    fn windowed_rank_up(epoch in any::<u64>(), det in det_rank_up(), rand in rank_up()) {
+        roundtrip(&WinUp::Inner { epoch, msg: det });
+        roundtrip(&WinUp::Inner { epoch, msg: rand });
     }
 
     #[test]

@@ -77,7 +77,7 @@ use crate::protocol::{Coordinator, Site, SiteId};
 use crate::ring::{mpsc, MpscReceiver, MpscSender, WakeCell};
 use crate::snapshot::{snapshot_cell, QueryHandle};
 use crate::stats::CommStats;
-use crate::wire::{encode_to_vec, read_frame, write_frame, WireReader, WireWriter};
+use crate::wire::{encode_into, read_frame, write_frame, WireReader, WireWriter};
 
 /// Frame kinds (the transport-level routing byte of
 /// [`crate::wire::write_frame`]; message tags live inside payloads).
@@ -360,6 +360,8 @@ pub struct TcpSiteLink<U, D> {
     urgent_w: TcpStream,
     events: crossbeam_channel::Receiver<SiteEvent<D>>,
     reader: Option<JoinHandle<()>>,
+    /// Encode buffer reused by every `send_up`.
+    scratch: Vec<u8>,
     _up: PhantomData<fn(U)>,
 }
 
@@ -411,6 +413,7 @@ impl<U: Encode, D: Decode + Send + 'static> TcpSiteLink<U, D> {
             urgent_w: urgent,
             events: rx,
             reader: Some(reader),
+            scratch: Vec::new(),
             _up: PhantomData,
         })
     }
@@ -418,13 +421,13 @@ impl<U: Encode, D: Decode + Send + 'static> TcpSiteLink<U, D> {
 
 impl<U: Encode, D> SiteLink<U, D> for TcpSiteLink<U, D> {
     fn send_up(&mut self, up: U, urgent: bool) -> io::Result<()> {
-        let payload = encode_to_vec(&up);
+        encode_into(&up, &mut self.scratch);
         let stream = if urgent {
             &mut self.urgent_w
         } else {
             &mut self.data_w
         };
-        write_frame(stream, kind::UP, &payload)
+        write_frame(stream, kind::UP, &self.scratch)
     }
 
     fn pong(&mut self, nonce: u64) -> io::Result<()> {
@@ -469,6 +472,9 @@ pub struct TcpCoordLink<U, D> {
     wake: Arc<WakeCell>,
     registered: bool,
     writers: Vec<FrameSender<WriterCmd>>,
+    /// Payload buffers the writer threads have written out, handed back
+    /// for `send_down` to encode into (at most one per frame in flight).
+    spent: crossbeam_channel::Receiver<Vec<u8>>,
     /// Read-half clones, shut down on drop so reader threads unblock.
     read_halves: Vec<TcpStream>,
     threads: Vec<JoinHandle<()>>,
@@ -530,6 +536,7 @@ impl<U: Decode + Send + 'static, D: Encode> TcpCoordLink<U, D> {
         let (ordinary_tx, ordinary_rx) = mpsc::<CoordEvent<U>>(Arc::clone(&wake));
         let (urgent_tx, urgent_rx) = mpsc::<CoordEvent<U>>(Arc::clone(&wake));
         let mut writers = Vec::with_capacity(k);
+        let (spent_tx, spent) = unbounded::<Vec<u8>>();
         let mut read_halves = Vec::with_capacity(2 * k);
         let mut threads = Vec::with_capacity(3 * k);
 
@@ -541,11 +548,13 @@ impl<U: Decode + Send + 'static, D: Encode> TcpCoordLink<U, D> {
             let mut write_half = data.try_clone()?;
             let (wtx, wrx) = unbounded::<WriterCmd>();
             writers.push(wtx);
+            let spent_tx = spent_tx.clone();
             threads.push(std::thread::spawn(move || {
                 while let Ok(Some((frame_kind, payload))) = wrx.recv() {
                     if write_frame(&mut write_half, frame_kind, &payload).is_err() {
                         return;
                     }
+                    let _ = spent_tx.send(payload);
                 }
             }));
 
@@ -597,6 +606,7 @@ impl<U: Decode + Send + 'static, D: Encode> TcpCoordLink<U, D> {
             wake,
             registered: false,
             writers,
+            spent,
             read_halves,
             threads,
             _down: PhantomData,
@@ -610,8 +620,10 @@ impl<U, D: Encode> CoordLink<U, D> for TcpCoordLink<U, D> {
     }
 
     fn send_down(&mut self, to: SiteId, down: D) -> io::Result<()> {
+        let mut payload = self.spent.try_recv().unwrap_or_default();
+        encode_into(&down, &mut payload);
         self.writers[to]
-            .send(Some((kind::DOWN, encode_to_vec(&down))))
+            .send(Some((kind::DOWN, payload)))
             .map_err(|_| io::Error::new(io::ErrorKind::BrokenPipe, "writer thread gone"))
     }
 

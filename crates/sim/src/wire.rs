@@ -66,10 +66,14 @@ impl std::fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-/// Byte sink for [`Encode`] impls.
+/// Sink for [`Encode`] impls. One encoder, two sinks: a writer from
+/// [`WireWriter::new`] stores the bytes; the counting writer behind
+/// [`measured`] runs the same `encode` calls and only sums their lengths.
 #[derive(Debug, Default)]
 pub struct WireWriter {
     buf: Vec<u8>,
+    /// `Some(n)` on the counting writer: `n` bytes so far, `buf` unused.
+    count: Option<usize>,
 }
 
 impl WireWriter {
@@ -78,7 +82,7 @@ impl WireWriter {
         Self::default()
     }
 
-    /// The bytes written so far.
+    /// The bytes written so far (none on the counting writer).
     pub fn as_bytes(&self) -> &[u8] {
         &self.buf
     }
@@ -90,21 +94,28 @@ impl WireWriter {
 
     /// Bytes written so far.
     pub fn len(&self) -> usize {
-        self.buf.len()
+        self.count.unwrap_or(self.buf.len())
     }
 
     /// Whether nothing has been written.
     pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
+        self.len() == 0
     }
 
     /// One raw byte (enum variant tags).
     pub fn put_u8(&mut self, b: u8) {
-        self.buf.push(b);
+        match &mut self.count {
+            Some(n) => *n += 1,
+            None => self.buf.push(b),
+        }
     }
 
     /// Unsigned LEB128 varint: 7 bits per byte, high bit = continuation.
     pub fn put_varint(&mut self, mut v: u64) {
+        if let Some(n) = &mut self.count {
+            *n += varint_len(v) as usize;
+            return;
+        }
         loop {
             let byte = (v & 0x7F) as u8;
             v >>= 7;
@@ -123,7 +134,10 @@ impl WireWriter {
 
     /// IEEE-754 double, 8 bytes little-endian (doubles don't varint).
     pub fn put_f64(&mut self, v: f64) {
-        self.buf.extend_from_slice(&v.to_bits().to_le_bytes());
+        match &mut self.count {
+            Some(n) => *n += 8,
+            None => self.buf.extend_from_slice(&v.to_bits().to_le_bytes()),
+        }
     }
 
     /// A **sorted** run of values as a varint length, the first value
@@ -133,19 +147,18 @@ impl WireWriter {
     ///
     /// Debug-asserts sortedness — an unsorted run would still round-trip
     /// through [`WireReader::delta_run`] only if non-decreasing.
-    pub fn put_delta_run(&mut self, values: &[u64]) {
-        debug_assert!(
-            values.windows(2).all(|w| w[0] <= w[1]),
-            "delta runs require sorted input"
-        );
+    pub fn put_delta_run<I>(&mut self, values: I)
+    where
+        I: IntoIterator<Item = u64>,
+        I::IntoIter: ExactSizeIterator,
+    {
+        let values = values.into_iter();
         self.put_varint(values.len() as u64);
+        // The first value is its own gap from zero.
         let mut prev = 0u64;
-        for (i, &v) in values.iter().enumerate() {
-            if i == 0 {
-                self.put_varint(v);
-            } else {
-                self.put_varint(v - prev);
-            }
+        for v in values {
+            debug_assert!(prev <= v, "delta runs require sorted input");
+            self.put_varint(v - prev);
             prev = v;
         }
     }
@@ -253,18 +266,37 @@ impl<'a> WireReader<'a> {
 
 /// Encode `v` into a fresh byte vector.
 pub fn encode_to_vec<T: Encode + ?Sized>(v: &T) -> Vec<u8> {
-    let mut w = WireWriter::new();
+    let mut buf = Vec::new();
+    encode_into(v, &mut buf);
+    buf
+}
+
+/// Encode `v` into `buf`, replacing its contents and keeping its
+/// allocation — the socket links reuse one buffer per link.
+pub fn encode_into<T: Encode + ?Sized>(v: &T, buf: &mut Vec<u8>) {
+    buf.clear();
+    let mut w = WireWriter {
+        buf: std::mem::take(buf),
+        count: None,
+    };
     v.encode(&mut w);
-    w.into_bytes()
+    *buf = w.buf;
 }
 
 /// Measured wire size of `v` in bytes under the byte codec. This is
 /// what [`Words::wire_bytes`] overrides report for messages with a
 /// codec, and what the byte columns in `CommStats` accumulate.
 ///
+/// A counting pass over `v`'s own [`Encode`] impl: nothing is stored or
+/// allocated, and the result is the length [`encode_to_vec`] would
+/// produce because it is the same code that produces it.
+///
 /// [`Words::wire_bytes`]: crate::message::Words::wire_bytes
 pub fn measured<T: Encode + ?Sized>(v: &T) -> u64 {
-    let mut w = WireWriter::new();
+    let mut w = WireWriter {
+        buf: Vec::new(),
+        count: Some(0),
+    };
     v.encode(&mut w);
     w.len() as u64
 }
@@ -295,12 +327,18 @@ pub const MAX_FRAME_LEN: usize = 1 << 24;
 /// Write one frame: a 1-byte kind, a 4-byte little-endian payload
 /// length, then the payload. The kind byte is transport-level routing
 /// (data vs. control), distinct from the message tag *inside* the
-/// payload.
+/// payload. A payload past [`MAX_FRAME_LEN`] is refused with
+/// `InvalidInput` before anything is written.
 pub fn write_frame<W: Write>(w: &mut W, kind: u8, payload: &[u8]) -> io::Result<()> {
-    assert!(
-        payload.len() <= MAX_FRAME_LEN,
-        "frame exceeds MAX_FRAME_LEN"
-    );
+    if payload.len() > MAX_FRAME_LEN {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!(
+                "frame payload of {} bytes exceeds cap {MAX_FRAME_LEN}",
+                payload.len()
+            ),
+        ));
+    }
     let mut header = [0u8; 5];
     header[0] = kind;
     header[1..5].copy_from_slice(&(payload.len() as u32).to_le_bytes());
@@ -404,7 +442,7 @@ mod tests {
     fn delta_run_round_trips_and_compresses_gaps() {
         let run: Vec<u64> = (0..100).map(|i| 1_000_000 + 3 * i).collect();
         let mut w = WireWriter::new();
-        w.put_delta_run(&run);
+        w.put_delta_run(run.iter().copied());
         // 1 length byte + 3 bytes for the first value + 1 byte per gap.
         assert!(w.len() < 110, "gap compression failed: {} bytes", w.len());
         let mut r = WireReader::new(w.as_bytes());
@@ -415,10 +453,72 @@ mod tests {
     #[test]
     fn empty_delta_run_is_one_byte() {
         let mut w = WireWriter::new();
-        w.put_delta_run(&[]);
+        w.put_delta_run([]);
         assert_eq!(w.len(), 1);
         let mut r = WireReader::new(w.as_bytes());
         assert!(r.delta_run().unwrap().is_empty());
+    }
+
+    /// One encoder, two sinks: on every primitive the counting writer
+    /// reports exactly the length the byte writer produces.
+    #[test]
+    fn counting_writer_agrees_with_byte_writer_on_every_primitive() {
+        fn agree(what: &str, put: impl Fn(&mut WireWriter)) {
+            let mut bytes = WireWriter::new();
+            let mut count = WireWriter {
+                buf: Vec::new(),
+                count: Some(0),
+            };
+            // Twice: lengths must accumulate, not overwrite.
+            for _ in 0..2 {
+                put(&mut bytes);
+                put(&mut count);
+            }
+            assert_eq!(count.len(), bytes.as_bytes().len(), "{what}");
+            assert_eq!(count.is_empty(), bytes.is_empty(), "{what}");
+            assert!(
+                count.as_bytes().is_empty(),
+                "{what}: counting stores nothing"
+            );
+        }
+        agree("nothing", |_| {});
+        for b in [0u8, 0x7F, 0x80, 0xFF] {
+            agree("put_u8", |w| w.put_u8(b));
+        }
+        for shift in 0..64 {
+            for near in [-1i64, 0, 1] {
+                let v = (1u64 << shift).wrapping_add(near as u64);
+                agree("put_varint", |w| w.put_varint(v));
+                agree("put_signed", |w| w.put_signed(v as i64));
+                agree("put_signed", |w| w.put_signed((v as i64).wrapping_neg()));
+            }
+        }
+        for v in [0.0, -0.0, 1.5, f64::NAN, f64::INFINITY] {
+            agree("put_f64", |w| w.put_f64(v));
+        }
+        let runs: [&[u64]; 5] = [
+            &[],
+            &[0],
+            &[u64::MAX],
+            &[5, 5, 6, 1 << 20, 1 << 62, u64::MAX],
+            &[127, 128, 255, 256, 16_383, 16_384],
+        ];
+        for run in runs {
+            agree("put_delta_run", |w| w.put_delta_run(run.iter().copied()));
+        }
+        let long: Vec<u64> = (0..300).map(|i| i * i).collect(); // 2-byte length
+        agree("put_delta_run", |w| w.put_delta_run(long.iter().copied()));
+    }
+
+    #[test]
+    fn encode_into_reuses_the_buffer_and_replaces_its_contents() {
+        let mut buf = Vec::with_capacity(64);
+        buf.extend_from_slice(b"stale");
+        let ptr = buf.as_ptr();
+        encode_into(&vec![1u64, 300], &mut buf);
+        assert_eq!(buf, encode_to_vec(&vec![1u64, 300]));
+        assert_eq!(buf.as_ptr(), ptr, "no reallocation within capacity");
+        assert_eq!(measured(&vec![1u64, 300]), buf.len() as u64);
     }
 
     #[test]
@@ -501,5 +601,17 @@ mod tests {
         let mut cursor = io::Cursor::new(pipe);
         let err = read_frame(&mut cursor).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    #[test]
+    fn oversized_payload_is_refused_before_writing() {
+        let payload = vec![0u8; MAX_FRAME_LEN + 1];
+        let mut pipe = Vec::new();
+        let err = write_frame(&mut pipe, 1, &payload).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert!(pipe.is_empty(), "nothing written for a refused frame");
+        // The cap itself is still a legal frame.
+        write_frame(&mut pipe, 1, &payload[..MAX_FRAME_LEN]).unwrap();
+        assert_eq!(pipe.len(), 5 + MAX_FRAME_LEN);
     }
 }

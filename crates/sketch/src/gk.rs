@@ -92,11 +92,12 @@ impl GkSummary {
             return;
         }
         let budget = (2.0 * self.epsilon * self.n as f64).floor() as u64;
-        let mut out: Vec<GkTuple> = Vec::with_capacity(self.tuples.len());
-        out.push(self.tuples[0]);
         // Scan left→right; greedily merge the accumulated run into the next
-        // tuple when allowed. First and last tuples stay exact.
+        // tuple when allowed. First and last tuples stay exact. Survivors
+        // are written back over the scanned prefix (`kept ≤ i`, so the
+        // look-ahead at `i + 1` always reads an untouched tuple).
         let last = self.tuples.len() - 1;
+        let mut kept = 1;
         let mut pending_g = 0u64; // g mass of tuples merged into successor
         for i in 1..=last {
             let t = self.tuples[i];
@@ -106,15 +107,16 @@ impl GkSummary {
                 // Merge t into its successor.
                 pending_g += t.g;
             } else {
-                out.push(GkTuple {
+                self.tuples[kept] = GkTuple {
                     v: t.v,
                     g: t.g + pending_g,
                     delta: t.delta,
-                });
+                };
+                kept += 1;
                 pending_g = 0;
             }
         }
-        self.tuples = out;
+        self.tuples.truncate(kept);
     }
 
     /// Rank estimate: number of elements `< x`, within `±εn`.
@@ -185,8 +187,61 @@ impl GkSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::rngs::SmallRng;
     use rand::{seq::SliceRandom, SeedableRng};
+
+    /// `compress` as it was before it compacted in place (a fresh output
+    /// vector per call), kept as the reference the in-place version is
+    /// compared against.
+    fn compress_reference(tuples: &[GkTuple], epsilon: f64, n: u64) -> Vec<GkTuple> {
+        if tuples.len() < 3 {
+            return tuples.to_vec();
+        }
+        let budget = (2.0 * epsilon * n as f64).floor() as u64;
+        let mut out = vec![tuples[0]];
+        let last = tuples.len() - 1;
+        let mut pending_g = 0u64;
+        for i in 1..=last {
+            let t = tuples[i];
+            if i < last && pending_g + t.g + tuples[i + 1].g + tuples[i + 1].delta <= budget {
+                pending_g += t.g;
+            } else {
+                out.push(GkTuple {
+                    v: t.v,
+                    g: t.g + pending_g,
+                    delta: t.delta,
+                });
+                pending_g = 0;
+            }
+        }
+        out
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// In-place `compress` yields exactly the reference's tuples on
+        /// the states an arbitrary stream reaches, called as often as
+        /// every insert (`DetRankSite` compresses before every report).
+        #[test]
+        fn in_place_compress_matches_reference(
+            stream in proptest::collection::vec(any::<u64>(), 0..600),
+            eps_milli in 2u64..400,
+            every in 1usize..40,
+        ) {
+            let epsilon = eps_milli as f64 / 1000.0;
+            let mut gk = GkSummary::new(epsilon);
+            for (i, &v) in stream.iter().enumerate() {
+                gk.insert(v);
+                if i % every == 0 {
+                    let want = compress_reference(&gk.tuples, gk.epsilon, gk.n);
+                    gk.compress();
+                    prop_assert_eq!(&gk.tuples, &want, "after {} inserts", i + 1);
+                }
+            }
+        }
+    }
 
     fn check_all_ranks(gk: &GkSummary, sorted: &[u64], eps: f64) {
         let n = sorted.len() as f64;

@@ -17,6 +17,13 @@
 //!   [`KllSketch::with_error`];
 //! * summary size `O(1/ε)` independent of `n` (up to a small additive
 //!   `O(log(n))` term from the minimum per-level capacity).
+//!
+//! Per-level capacities depend only on `k` and the hierarchy height, so
+//! they are cached (`caps`) instead of recomputed per insert. Invariant:
+//! `caps[l] == max(MIN_CAP, ⌈k·(2/3)^(height−1−l)⌉)` for every level, so
+//! every code path that grows the hierarchy — a top-level compaction,
+//! and `merge` with a taller sketch — refreshes the cache before the
+//! next capacity check.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -35,6 +42,8 @@ const CAP_CONST: f64 = 2.0;
 pub struct KllSketch {
     /// `compactors[l]` holds items of weight `2^l`, unsorted.
     compactors: Vec<Vec<u64>>,
+    /// `caps[l]` is level `l`'s capacity at the current height.
+    caps: Vec<usize>,
     /// Top-level capacity parameter `k`.
     k: usize,
     n: u64,
@@ -44,9 +53,11 @@ pub struct KllSketch {
 impl KllSketch {
     /// New sketch with top-level capacity `k ≥ 8`.
     pub fn new(k: usize, seed: u64) -> Self {
+        let k = k.max(MIN_CAP);
         Self {
             compactors: vec![Vec::new()],
-            k: k.max(MIN_CAP),
+            caps: vec![k],
+            k,
             n: 0,
             rng: SmallRng::seed_from_u64(seed),
         }
@@ -62,11 +73,15 @@ impl KllSketch {
         Self::new((CAP_CONST / e).ceil() as usize, seed)
     }
 
-    /// Capacity of level `l` given the current hierarchy height.
-    fn capacity(&self, l: usize) -> usize {
-        let height = self.compactors.len();
-        let depth = (height - 1 - l) as i32;
-        ((self.k as f64 * DECAY.powi(depth)).ceil() as usize).max(MIN_CAP)
+    /// Append an empty top level; every level below is now one step
+    /// deeper, so all capacities are recomputed (level `l` sits at depth
+    /// `height − 1 − l`).
+    fn grow(&mut self) {
+        self.compactors.push(Vec::new());
+        let (k, height) = (self.k as f64, self.compactors.len() as i32);
+        let cap = |depth| ((k * DECAY.powi(depth)).ceil() as usize).max(MIN_CAP);
+        self.caps.clear();
+        self.caps.extend((0..height).rev().map(cap));
     }
 
     /// Insert one element.
@@ -80,7 +95,7 @@ impl KllSketch {
     fn compact_cascade(&mut self) {
         let mut l = 0;
         while l < self.compactors.len() {
-            if self.compactors[l].len() > self.capacity(l) {
+            if self.compactors[l].len() > self.caps[l] {
                 self.compact_level(l);
                 // A compaction can overflow level l+1; continue upward.
             }
@@ -92,13 +107,15 @@ impl KllSketch {
     /// promote the survivors to level `l+1`.
     fn compact_level(&mut self, l: usize) {
         if self.compactors.len() == l + 1 {
-            self.compactors.push(Vec::new());
+            self.grow();
         }
-        let mut buf = std::mem::take(&mut self.compactors[l]);
+        let (lower, upper) = self.compactors.split_at_mut(l + 1);
+        let buf = &mut lower[l];
         buf.sort_unstable();
         let offset = usize::from(self.rng.gen::<bool>());
-        let survivors = buf.iter().copied().skip(offset).step_by(2);
-        self.compactors[l + 1].extend(survivors);
+        upper[0].extend(buf.iter().skip(offset).step_by(2));
+        // Emptied in place: the level keeps its allocation.
+        buf.clear();
     }
 
     /// Elements inserted.
@@ -131,7 +148,7 @@ impl KllSketch {
     /// Merge another sketch into this one (mergeability per \[1\]).
     pub fn merge(&mut self, other: &KllSketch) {
         while self.compactors.len() < other.compactors.len() {
-            self.compactors.push(Vec::new());
+            self.grow();
         }
         for (l, items) in other.compactors.iter().enumerate() {
             self.compactors[l].extend_from_slice(items);
@@ -348,6 +365,115 @@ mod tests {
             assert!((q - phi * 10_000.0).abs() < 400.0, "phi {phi} → {q}");
         }
         assert_eq!(KllSketch::new(8, 0).quantile(0.5), None);
+    }
+
+    /// Seed-independent input for the golden test: 16-bit values.
+    fn golden_value(i: u64) -> u64 {
+        i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 48
+    }
+
+    /// Exact summaries recorded from the implementation before the
+    /// capacity cache and in-place compaction: the hot-loop rewrite must
+    /// keep scan order, compaction decisions and RNG draws, so every item
+    /// at every level is pinned — across heights 3, 7 and 10 and a
+    /// `merge` into a shorter sketch that cascades to a new top level.
+    #[test]
+    fn summaries_are_bit_identical_to_recorded_goldens() {
+        let golden: [&[&[u64]]; 3] = [
+            &[
+                &[6771, 16333, 31804, 56836],
+                &[8166, 10423, 23637, 25894, 39108, 41365, 50927, 54579],
+                &[5909, 21380, 40503, 55974],
+            ],
+            &[
+                &[23559, 39030, 48592, 64063],
+                &[2179, 11741, 27211, 42682, 58153],
+                &[],
+                &[3574, 19045, 34516, 46335, 61806],
+                &[],
+                &[],
+                &[8166, 12477, 25691, 39563, 52980],
+            ],
+            &[
+                &[18471, 33942, 43504, 58974],
+                &[6652, 22123, 37594, 53065],
+                &[],
+                &[13957, 29428, 41246, 56717],
+                &[],
+                &[1276, 10837, 24051, 34475, 47359, 58849],
+                &[288, 10053, 23267, 37343, 50886, 65494],
+                &[114, 14441, 28469, 39348, 45132, 56951],
+                &[],
+                &[10394, 24140, 38109, 51197, 59441],
+            ],
+        ];
+        let mut a = KllSketch::new(8, 42);
+        let mut fed = 0u64;
+        for (n, want) in [40u64, 400, 4_000].into_iter().zip(golden) {
+            while fed < n {
+                a.insert(golden_value(fed));
+                fed += 1;
+            }
+            let got = a.summary();
+            assert_eq!(got.n, n);
+            assert_eq!(got.levels, want, "levels at n = {n}");
+        }
+
+        let mut b = KllSketch::new(8, 43);
+        for i in 0..1_000u64 {
+            b.insert(golden_value(10_000 + i));
+        }
+        assert_eq!(b.compactors.len(), 8, "shorter than `a` before the merge");
+        b.merge(&a);
+        let merged: &[&[u64]] = &[
+            &[18471, 33942, 43504, 49534, 58974],
+            &[6652, 9031, 18592, 22123, 34063, 37594, 53065, 53187],
+            &[6774, 22245, 37716, 50929],
+            &[],
+            &[],
+            &[],
+            &[],
+            &[],
+            &[],
+            &[],
+            &[10394, 24140, 38109, 51197, 59441],
+        ];
+        let got = b.summary();
+        assert_eq!(got.n, 5_000);
+        assert_eq!(got.levels, merged, "levels after merge");
+    }
+
+    /// The cache invariant, at every height a growing sketch passes
+    /// through and after a `merge` that grows it by several levels.
+    #[test]
+    fn cached_capacities_match_the_formula_at_every_height() {
+        fn check(s: &KllSketch) {
+            let height = s.compactors.len();
+            assert_eq!(s.caps.len(), height);
+            for (l, &cap) in s.caps.iter().enumerate() {
+                let depth = (height - 1 - l) as i32;
+                let formula =
+                    ((s.k as f64 * (2.0f64 / 3.0).powi(depth)).ceil() as usize).max(MIN_CAP);
+                assert_eq!(cap, formula, "level {l} at height {height}");
+            }
+        }
+        let mut heights = std::collections::BTreeSet::new();
+        let mut s = KllSketch::new(50, 9);
+        check(&s);
+        for i in 0..20_000u64 {
+            s.insert(golden_value(i));
+            if heights.insert(s.compactors.len()) {
+                check(&s);
+            }
+        }
+        assert!(heights.len() >= 8, "heights reached: {heights:?}");
+        check(&s);
+
+        let mut short = KllSketch::new(50, 10);
+        short.insert(1);
+        short.merge(&s);
+        assert!(short.compactors.len() >= s.compactors.len());
+        check(&short);
     }
 
     #[test]
