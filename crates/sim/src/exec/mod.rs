@@ -177,7 +177,11 @@ pub trait Executor<P: Protocol> {
     ///   never a torn intermediate);
     /// * answers lag ingest by **at most one snapshot epoch**: the
     ///   lock-step and event executors publish at element/arrival
-    ///   boundaries, the channel runtime after every coordinator apply;
+    ///   boundaries; the channel runtime — like any
+    ///   [`CoordHalf`](crate::transport::CoordHalf), whose cadence it is —
+    ///   publishes when the coordinator catches up with its lanes, at
+    ///   least every [`PUBLISH_EVERY`](crate::transport::PUBLISH_EVERY)
+    ///   applies under sustained load, and when a quiesce settles;
     /// * immediately after [`Executor::quiesce`], a handle read is
     ///   bit-identical to [`Executor::query`] on the same state;
     /// * installing a handle changes **no protocol behavior** — message

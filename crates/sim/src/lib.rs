@@ -31,8 +31,10 @@
 //!   at-least-once retransmission, duplicate delivery, site churn, and
 //!   straggler links — every fault seeded and replayable,
 //! * [`runtime::ChannelRuntime`], a genuinely concurrent executor (one OS
-//!   thread per site) built on the lock-free rings and queues in [`ring`],
-//!   used for robustness tests and throughput measurement,
+//!   thread per site): `k` [`SiteHalf`]s and one [`CoordHalf`] from
+//!   [`transport`] — the same two pieces that deploy over TCP — on the
+//!   lock-free rings and queues in [`ring`], used for robustness tests
+//!   and throughput measurement,
 //! * [`snapshot`], lock-free epoch-stamped snapshot cells: every executor
 //!   exposes a [`QueryHandle`] ([`Executor::query_handle`]) so unboundedly
 //!   many reader threads answer queries while ingest continues,

@@ -1,4 +1,5 @@
-//! Lock-free transport primitives for [`crate::runtime::ChannelRuntime`].
+//! Lock-free transport primitives for [`crate::runtime::ChannelRuntime`]
+//! and the in-process links of [`crate::transport`].
 //!
 //! Three building blocks, all `std`-only:
 //!
@@ -12,7 +13,7 @@
 //! * [`mpsc`] — an unbounded MPSC linked queue (Vyukov's non-intrusive
 //!   design, one heap node per message). Used for the control lanes,
 //!   where the sender (the coordinator) must **never** block — that is
-//!   the deadlock-freedom argument of the runtime, see its module docs.
+//!   the deadlock-freedom argument in [`crate::transport`]'s module docs.
 //! * [`WakeCell`] — the spin-then-park idle protocol shared by every
 //!   consumer thread. Producers publish, then wake; consumers spin
 //!   briefly, then publish a parked flag, re-check, and `thread::park`.
@@ -138,9 +139,12 @@ impl WakeCell {
     }
 
     /// Bind the cell to the calling thread. Must be called by the
-    /// consumer before its first `park_while`.
+    /// consumer before its first `park_while`; later calls are a single
+    /// load, so a consumer may simply register before every park.
     pub fn register(&self) {
-        let _ = self.thread.set(std::thread::current());
+        if self.thread.get().is_none() {
+            let _ = self.thread.set(std::thread::current());
+        }
     }
 
     /// Wake the consumer if it is parked (or about to park). Call after

@@ -1,7 +1,6 @@
 //! Concurrent channel-based runtime.
 //!
-//! One OS thread per site plus one coordinator thread, wired with the
-//! lock-free rings and queues from [`crate::ring`]. Unlike
+//! One OS thread per site plus one coordinator thread. Unlike
 //! [`crate::Runner`], communication here is *not* instant — messages are
 //! genuinely in flight while new elements arrive — so this runtime tests
 //! that the protocols degrade gracefully off the paper's idealized
@@ -9,140 +8,63 @@
 //! ingest throughput. [`ChannelRuntime::quiesce`] restores a consistent
 //! cut for querying.
 //!
-//! ## Lanes
+//! The runtime is a composition, not an implementation of either role:
+//! each site thread owns a [`SiteHalf`], the coordinator thread owns the
+//! [`CoordHalf`], and they talk over [`in_process_links`] — the site
+//! step, the apply loop, urgent routing, the fairness credit, snapshot
+//! publication, the quiesce barrier and all word/byte accounting are
+//! [`crate::transport`]'s (see its module docs for the delivery,
+//! fairness and deadlock-freedom arguments). What this module adds:
 //!
 //! ```text
-//!                    data lane: bounded lock-free ring (backpressure)
-//!   producers ═══════════════════════════════════════════▶ site thread
-//!                                                            │    ▲
-//!                 up lanes: unbounded lock-free MPSC         │    │ control lane:
-//!              ┌──────────────────────────◀─────────────────┘    │ unbounded MPSC,
-//!              ▼              (urgent lane jumps the queue)       │ drained before
-//!        coordinator ═════════════════════════════════════════▶──┘ every element
+//!              data ring (bounded, backpressure)        in-process link
+//!   producers ══════════════════════════════▶ site thread ◀────────▶ coordinator
+//!   feed / feed_batch / feed_at               pop → SiteHalf::feed     thread
+//!                                                                        ▲
+//!   with_coord / query_handle / stats / quiesce / shutdown ── command lane
 //! ```
 //!
-//! * **Data lane** (producer → site): a bounded ring with atomic
-//!   head/tail cursors and per-slot sequence stamps. Stream elements
-//!   travel raw — no per-element enum wrapping, boxing, or `Vec` — and
-//!   the batched ingest path moves whole staging buffers into the ring
-//!   with one tail-CAS per run of free slots. A full ring blocks the
-//!   producer (spin, then park): real backpressure, relied on so
-//!   unbounded producer speed cannot exhaust memory.
-//! * **Control lane** (coordinator → site) and **up lanes** (site →
-//!   coordinator, an ordinary and an urgent one): unbounded lock-free
-//!   MPSC queues, so neither endpoint ever blocks the other. Each lane
-//!   is FIFO per sender.
+//! * **Data rings** (producer → site): one bounded [`crate::ring`] ring
+//!   per site, built on the site link's wake cell so one park covers
+//!   both inputs. Elements travel raw — no per-element enum wrapping,
+//!   boxing, or `Vec` — and the batched path moves whole staging buffers
+//!   in with one tail-CAS per run of free slots. A full ring blocks the
+//!   producer (spin, then park): real backpressure. A site that exits
+//!   (even by panic) closes its ring, which releases past and future
+//!   producers with an error instead of a hang.
+//! * **`processed` cursors**: each site publishes how many elements it
+//!   has fully processed (ups on the wire); quiesce and shutdown wait
+//!   for the cursor to reach the ring's pushed count, and bail out if
+//!   the site thread has exited — no wait on a dead counterparty.
+//! * **Command lane** (runtime handle → coordinator thread): an
+//!   unbounded queue on the coordinator link's wake cell carrying
+//!   closures to run against the [`CoordHalf`]. The thread takes a
+//!   command, applies what was queued on the link ([`CoordHalf::pump`]),
+//!   then serves it: a command observes every up sent before its issue.
 //!
-//! ## Delivery guarantees
-//!
-//! Lanes are reliable: every message sent is delivered **exactly once**,
-//! and each lane preserves per-sender FIFO order (the only nondeterminism
-//! is cross-site interleaving from thread scheduling). This runtime
-//! injects no faults — loss, duplication, stragglers, and churn live in
-//! the deterministic event executor ([`crate::exec::event`], scenario
-//! suffixes `+loss`/`+dup`/`+churn`/`+straggle`), where they are
-//! reproducible from the seed.
-//!
-//! ## Idle strategy: spin-then-park (no polling)
-//!
-//! Every thread in the runtime waits through a [`WakeCell`]: spin
-//! briefly (to bridge the handoff gap to a peer running on another
-//! core), then publish a parked flag, re-check, and `thread::park`.
-//! Whoever publishes work — a producer pushing an element, the
-//! coordinator shipping a down or releasing fairness credit, a site
-//! reporting an up — wakes the relevant cell after publishing. `SeqCst`
-//! fences make flag-publish/work-check a store-load pair, so a wakeup is
-//! never lost and an idle site or coordinator costs zero CPU: there is
-//! no `recv_timeout` poll loop anywhere, and no `Mutex`/`Condvar` on the
-//! per-element data path.
-//!
-//! ## Fairness: out-of-band control + a per-site credit cap
-//!
-//! A naive thread-per-site transport lets a site race arbitrarily far
-//! ahead of the coordinator's view of it: coordinator messages queue
-//! *behind* thousands of buffered stream elements, and a site can absorb
-//! its whole backlog before the coordinator processes a single report.
-//! For whole-stream protocols that is harmless (they are robust to
-//! delivery lag), but it breaks epoch-based adapters — a windowed
-//! epoch's *content* could overrun its recorded heartbeat range. Two
-//! mechanisms, both transport-level (no protocol messages are added, so
-//! lock-step/event runs are bit-identical), bound the skew:
-//!
-//! * **Out-of-band control lane.** Coordinator → site messages travel on
-//!   the dedicated unbounded lane that the site drains *before every
-//!   data element* — a `Seal` (or any broadcast) jumps ahead of queued
-//!   elements instead of waiting behind them. Site → coordinator
-//!   messages flagged [`Words::urgent`] (windowed `Tick`/`SealAck`)
-//!   likewise travel on a priority lane drained before ordinary reports.
-//! * **Credit cap.** A site may have at most [`SITE_CREDIT`] sent-but-
-//!   unprocessed up-messages outstanding — a single atomic counter,
-//!   charged by the site on send and released by the coordinator after
-//!   processing. At the cap the site pauses *element* processing
-//!   (control messages still flow; the coordinator's release wakes the
-//!   parked site) until the coordinator catches up. Since
-//!   heartbeat-driven protocols send an up every `tick_every` elements,
-//!   this caps how many elements a site can process between heartbeat
-//!   acknowledgements — the coordinator's reconstructed clock can lag a
-//!   site by at most `SITE_CREDIT × (elements per up)`.
-//!
-//! ## Deadlock freedom
-//!
-//! Every potential wait has a live counterpart and no wait holds a lock:
-//!
-//! * The **coordinator never blocks**: both its outbound control lanes
-//!   and its inbound up lanes are unbounded, so it always makes progress
-//!   on whatever is queued, and it parks only when both inbound lanes
-//!   are empty (any up wakes it).
-//! * A **credit-paused site** keeps draining its control lane and parks
-//!   only with its wake registered; the coordinator's credit release —
-//!   which must eventually come, because the coordinator never blocks
-//!   and the site's outstanding ups are already queued — wakes it.
-//! * A **producer blocked on a full data ring** parks only after
-//!   registering in the ring's waiter list; the consumer site wakes the
-//!   registry on every pop, and a site that exits (even by panic) closes
-//!   its ring, which releases past and future producers with an error
-//!   instead of a hang.
-//! * **Quiesce/shutdown drains** wait on monotone per-site cursors
-//!   (`processed` vs. elements pushed) and bail out if the watched site
-//!   thread has died, so they cannot wait on a counterparty that no
-//!   longer exists.
-//! * **Snapshot publication adds no waits.** Live queries
-//!   ([`ChannelRuntime::query_handle`]) are served by an epoch-stamped
-//!   snapshot cell (`crate::snapshot`): at apply boundaries (coalesced —
-//!   on catch-up, at least every `PUBLISH_EVERY` applies under load, and
-//!   on flush), the coordinator clones its state, swaps the new snapshot
-//!   in with one atomic pointer swap, and reclaims replaced snapshots
-//!   with a wait-free hazard-pointer scan. Readers never block the coordinator
-//!   (a stalled reader can at most delay reclamation of the snapshots it
-//!   pinned, bounded by one per reader) and the coordinator never blocks
-//!   readers (a reader retries its pointer load only while a publish
-//!   races it). Publication happens strictly after an apply and touches
-//!   no lane, credit, or cursor state, so every argument above carries
-//!   over unchanged.
+//! No thread polls: a site parks while its ring and control lane are
+//! both empty, the coordinator while its up lanes and command lane are,
+//! and every writer of those queues wakes the cell after publishing.
 
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crossbeam_channel::{bounded, Sender};
+use crossbeam_channel::bounded;
 
-use crate::message::Words;
-use crate::net::{Dest, Net, Outbox};
-use crate::protocol::{Coordinator, Protocol, Site, SiteId};
-use crate::ring::{
-    mpsc, ring, CachePadded, MpscReceiver, MpscSender, RingConsumer, RingProducer, WakeCell,
-};
-use crate::snapshot::{snapshot_cell, CellRef, QueryHandle};
+use crate::protocol::{Protocol, Site, SiteId};
+use crate::ring::{mpsc, ring, CachePadded, MpscSender, RingConsumer, RingProducer};
+use crate::snapshot::QueryHandle;
 use crate::stats::{CommStats, SpaceStats};
+use crate::transport::{in_process_links, CoordHalf, InProcCoordLink, InProcSiteLink, SiteHalf};
 
 /// Capacity of each site's inbound *data* ring. Once a site falls this
 /// many elements behind, producers ([`ChannelRuntime::feed`] and
-/// [`ChannelRuntime::feed_batch`]) block until it catches up — real
-/// backpressure, relied on by the batched ingest path so unbounded
-/// producer speed cannot exhaust memory. Control messages bypass this
-/// ring entirely (see the module docs), which rules out deadlock
-/// cycles.
+/// [`ChannelRuntime::feed_batch`]) block until it catches up, so
+/// unbounded producer speed cannot exhaust memory. Control messages
+/// bypass this ring entirely (they travel the link), which rules out
+/// deadlock cycles.
 const SITE_QUEUE_CAP: usize = 1024;
 
 /// Elements per staging-buffer flush on the batched ingest path. Small
@@ -150,125 +72,26 @@ const SITE_QUEUE_CAP: usize = 1024;
 /// to amortize the per-run claim CAS.
 const BATCH_CHUNK: usize = 256;
 
-/// Maximum sent-but-unprocessed up-messages a site may have outstanding
-/// before it pauses element processing (control messages keep flowing).
-///
-/// This is the transport's fairness credit: a site cannot run more than
-/// `SITE_CREDIT × (elements per up-message)` elements ahead of the
-/// coordinator's processed view of it. For the windowed adapter (one
-/// heartbeat per `tick_every` elements) that bounds how far a bucket's
-/// content can overrun its recorded heartbeat range even if the OS
-/// starves the coordinator thread.
-pub const SITE_CREDIT: u64 = 64;
-
-/// Lock-free mirror of [`CommStats`] shared by all threads. Increments
-/// are `Relaxed` (independent monotone counters); [`AtomicStats::snapshot`]
-/// is taken after a quiesce or join, which supplies the synchronization.
-#[derive(Default)]
-struct AtomicStats {
-    up_msgs: AtomicU64,
-    up_words: AtomicU64,
-    up_bytes: AtomicU64,
-    down_msgs: AtomicU64,
-    down_words: AtomicU64,
-    down_bytes: AtomicU64,
-    broadcast_events: AtomicU64,
-    elements: AtomicU64,
-}
-
-impl AtomicStats {
-    fn snapshot(&self) -> CommStats {
-        CommStats {
-            up_msgs: self.up_msgs.load(Ordering::SeqCst),
-            up_words: self.up_words.load(Ordering::SeqCst),
-            up_bytes: self.up_bytes.load(Ordering::SeqCst),
-            down_msgs: self.down_msgs.load(Ordering::SeqCst),
-            down_words: self.down_words.load(Ordering::SeqCst),
-            down_bytes: self.down_bytes.load(Ordering::SeqCst),
-            broadcast_events: self.broadcast_events.load(Ordering::SeqCst),
-            elements: self.elements.load(Ordering::SeqCst),
-        }
-    }
-}
-
-/// Per-site fairness credit: outstanding up-messages, bounded by
-/// [`SITE_CREDIT`]. A bare atomic — the site thread charges on send,
-/// the coordinator releases after processing and then wakes the site's
-/// [`WakeCell`] (the same cell that guards its lanes), so a site parked
-/// at the cap resumes without any mutex or condvar. Padded to a cache
-/// line so sites do not false-share their counters.
-#[repr(align(64))]
-#[derive(Default)]
-struct Credit {
-    outstanding: AtomicI64,
-}
-
-impl Credit {
-    fn charge(&self) {
-        self.outstanding.fetch_add(1, Ordering::SeqCst);
-    }
-
-    fn release(&self) {
-        self.outstanding.fetch_sub(1, Ordering::SeqCst);
-    }
-
-    fn exhausted(&self) -> bool {
-        self.outstanding.load(Ordering::SeqCst) >= SITE_CREDIT as i64
-    }
-}
-
-/// Control-lane messages: delivered out-of-band, ahead of queued data.
-enum SiteCtrl<D> {
-    Down(D),
-    Stop,
-}
-
-/// A live-query publish hook, run by the coordinator thread at apply
-/// boundaries (see [`ChannelRuntime::query_handle`]).
-type PublishHook<C> = Box<dyn FnMut(&C) + Send>;
-
-/// Constructor for a [`PublishHook`], run once on the coordinator thread
-/// against the current state so the snapshot cell is fresh at creation.
-type InstallHook<C> = Box<dyn FnOnce(&C) -> PublishHook<C> + Send>;
-
-/// Under sustained load the coordinator publishes a snapshot at least
-/// every this many applies; when it catches up (both lanes empty) it
-/// publishes immediately. Coalescing bounds the publish cost — one
-/// coordinator clone per `PUBLISH_EVERY` applies worst case — which
-/// matters for heavyweight coordinators (a windowed histogram clones
-/// its whole bucket set); publishing on idle keeps the common lightly
-/// loaded case fresh to the latest apply.
-pub const PUBLISH_EVERY: u32 = 64;
-
-enum CoordMsg<U, C> {
-    Up(SiteId, U),
-    Flush(Sender<()>),
-    Query(Box<dyn FnOnce(&C) + Send>),
-    /// Install a live-query publish hook. The closure builds the hook
-    /// from the coordinator's current state, so the snapshot cell is
-    /// fresh at creation.
-    Install(InstallHook<C>),
-    Stop,
-}
-
 type SiteItem<P> = <<P as Protocol>::Site as Site>::Item;
 type SiteUp<P> = <<P as Protocol>::Site as Site>::Up;
 type SiteDown<P> = <<P as Protocol>::Site as Site>::Down;
-type CoordTx<P> = MpscSender<CoordMsg<SiteUp<P>, <P as Protocol>::Coord>>;
-type UrgentTx<P> = MpscSender<(SiteId, SiteUp<P>)>;
+/// The coordinator half as the coordinator thread runs it.
+type Half<P> = CoordHalf<<P as Protocol>::Coord, InProcCoordLink<SiteUp<P>, SiteDown<P>>>;
 
-/// Flips a site's alive flag on the way out of its thread — including a
-/// panicking unwind — so the runtime's drain waits never hang on a dead
-/// site.
-struct AliveGuard {
-    alive: Arc<Vec<AtomicBool>>,
-    id: usize,
+/// What the runtime handle asks of the coordinator thread.
+enum Cmd<H> {
+    Run(Box<dyn FnOnce(&mut H) + Send>),
+    Stop,
 }
 
-impl Drop for AliveGuard {
-    fn drop(&mut self) {
-        self.alive[self.id].store(false, Ordering::SeqCst);
-    }
+/// What a site thread shares with the runtime handle.
+#[derive(Default)]
+struct SiteProgress {
+    /// Fully processed elements: stored *after* `SiteHalf::feed`
+    /// returned, i.e. after the element's ups are on the wire.
+    processed: AtomicU64,
+    /// Peak `space_words`, sampled after every step.
+    space_peak: AtomicU64,
 }
 
 /// Concurrent executor: `k` site threads and one coordinator thread.
@@ -281,23 +104,11 @@ where
     <P::Site as Site>::Down: Send + 'static,
 {
     data_txs: Vec<RingProducer<SiteItem<P>>>,
-    ctrl_txs: Vec<MpscSender<SiteCtrl<SiteDown<P>>>>,
-    coord_tx: CoordTx<P>,
-    /// Held (unused) so the urgent lane never reads as disconnected
-    /// while the runtime is alive.
-    _urgent_tx: UrgentTx<P>,
-    handles: Vec<JoinHandle<()>>,
-    stats: Arc<AtomicStats>,
-    /// Messages sent but not yet processed (both directions).
-    in_flight: Arc<AtomicI64>,
-    /// Per-site peak space, self-reported by the site threads.
-    space_peaks: Arc<Vec<AtomicU64>>,
-    /// Per-site count of fully processed elements (incremented *after*
-    /// `on_item` and the resulting ups are on the wire). Compared against
-    /// the ring's pushed cursor by the quiesce/shutdown drains.
-    processed: Arc<Vec<CachePadded<AtomicU64>>>,
-    /// Per-site thread liveness, cleared on exit (even by panic).
-    alive: Arc<Vec<AtomicBool>>,
+    cmd_tx: MpscSender<Cmd<Half<P>>>,
+    site_threads: Vec<JoinHandle<()>>,
+    /// Yields the coordinator half's accounting; `None` once joined.
+    coord_thread: Option<JoinHandle<CommStats>>,
+    progress: Arc<Vec<CachePadded<SiteProgress>>>,
     /// Per-site staging buffers reused across [`ChannelRuntime::feed_batch`]
     /// calls — the batched path allocates nothing in steady state.
     staging: Vec<Vec<SiteItem<P>>>,
@@ -306,140 +117,39 @@ where
     /// Wall-clock instant of schedule tick 0, anchored lazily by the
     /// first `feed_at` call.
     pace_anchor: Option<Instant>,
-    /// Cached reference to the live-query snapshot cell, if
-    /// [`ChannelRuntime::query_handle`] installed one.
-    live: Option<CellRef<P::Coord>>,
 }
 
-/// State owned by one site thread. Parameterized over the site and
-/// coordinator types directly (not the protocol) so spawning does not
-/// force a `'static` bound onto the protocol factory itself.
-struct SiteWorker<S: Site, C> {
-    id: SiteId,
-    site: S,
-    data_rx: RingConsumer<S::Item>,
-    ctrl_rx: MpscReceiver<SiteCtrl<S::Down>>,
-    coord_tx: MpscSender<CoordMsg<S::Up, C>>,
-    urgent_tx: MpscSender<(SiteId, S::Up)>,
-    /// This thread's idle gate; data pushes, control sends, and credit
-    /// releases all wake it.
-    wake: Arc<WakeCell>,
-    stats: Arc<AtomicStats>,
-    in_flight: Arc<AtomicI64>,
-    space_peaks: Arc<Vec<AtomicU64>>,
-    credit: Arc<Vec<Credit>>,
-    processed: Arc<Vec<CachePadded<AtomicU64>>>,
-    out: Outbox<S::Up>,
-}
-
-impl<S: Site, C> SiteWorker<S, C> {
-    /// Ship queued ups (urgent ones on the priority lane) and record the
-    /// space peak; called after every event that touches the site state.
-    fn flush(&mut self) {
-        self.space_peaks[self.id].fetch_max(self.site.space_words(), Ordering::Relaxed);
-        for up in self.out.drain() {
-            self.stats.up_msgs.fetch_add(1, Ordering::Relaxed);
-            self.stats.up_words.fetch_add(up.words(), Ordering::Relaxed);
-            self.stats
-                .up_bytes
-                .fetch_add(up.wire_bytes(), Ordering::Relaxed);
-            self.in_flight.fetch_add(1, Ordering::SeqCst);
-            self.credit[self.id].charge();
-            if up.urgent() {
-                self.urgent_tx.send((self.id, up));
-            } else {
-                self.coord_tx.send(CoordMsg::Up(self.id, up));
-            }
+/// One site thread: pop the data ring into [`SiteHalf::feed`]; when the
+/// ring is empty, serve control until an element arrives or the
+/// coordinator says stop. Returning drops `data_rx`, which closes the
+/// ring: any producer parked on it (or arriving later) gets an error,
+/// not a hang.
+fn run_site<S: Site>(
+    mut half: SiteHalf<S, InProcSiteLink<S::Up, S::Down>>,
+    mut data_rx: RingConsumer<S::Item>,
+    progress: &SiteProgress,
+) {
+    let (mut processed, mut peak) = (0u64, 0u64);
+    loop {
+        let item = data_rx.try_pop();
+        let served = match &item {
+            Some(item) => half.feed(item),
+            None => half.pump(),
+        };
+        if served.is_err() || half.stopped() {
+            return;
         }
-    }
-
-    /// Apply one control message. Returns `false` on `Stop`.
-    fn on_ctrl(&mut self, msg: SiteCtrl<S::Down>) -> bool {
-        match msg {
-            SiteCtrl::Down(d) => {
-                self.site.on_message(&d, &mut self.out);
-                self.flush();
-                // Decrement only after any response ups are counted:
-                // `in_flight` must never transiently read zero while
-                // causally-pending work exists, or quiesce would return
-                // mid-conversation.
-                self.in_flight.fetch_sub(1, Ordering::SeqCst);
-                true
-            }
-            SiteCtrl::Stop => false,
+        let space = half.site().space_words();
+        if space > peak {
+            peak = space;
+            progress.space_peak.store(peak, Ordering::Relaxed);
         }
-    }
-
-    /// Drain every queued control message. Returns `false` on `Stop`.
-    fn drain_ctrl(&mut self) -> bool {
-        while let Some(msg) = self.ctrl_rx.try_recv() {
-            if !self.on_ctrl(msg) {
-                return false;
-            }
+        if item.is_some() {
+            processed += 1;
+            progress.processed.store(processed, Ordering::Release);
+        } else if !half.link().park_until(|| !data_rx.is_empty()) {
+            return; // coordinator gone
         }
-        true
-    }
-
-    /// Process one stream element, honoring control-lane priority and
-    /// the fairness credit. Returns `false` on `Stop`.
-    fn ingest(&mut self, item: S::Item) -> bool {
-        // Control first: a pending Seal/broadcast precedes this element.
-        if !self.drain_ctrl() {
-            return false;
-        }
-        // Fairness: pause (still serving control) until the coordinator
-        // has processed enough of our earlier ups. The coordinator's
-        // release wakes us; so does any control message.
-        while self.credit[self.id].exhausted() {
-            if self.ctrl_rx.is_disconnected() && self.ctrl_rx.is_empty() {
-                return false; // runtime gone: credit will never release
-            }
-            let credit = &self.credit[self.id];
-            let ctrl = &self.ctrl_rx;
-            self.wake
-                .park_while(|| credit.exhausted() && ctrl.is_empty() && !ctrl.is_disconnected());
-            if !self.drain_ctrl() {
-                return false;
-            }
-        }
-        self.site.on_item(&item, &mut self.out);
-        self.flush();
-        // Publish only after the element's ups are on the wire (and in
-        // `in_flight`), so a drain observing this cursor sees a
-        // consistent cut.
-        self.processed[self.id].0.fetch_add(1, Ordering::Release);
-        true
-    }
-
-    fn run(mut self) {
-        self.wake.register();
-        loop {
-            if !self.drain_ctrl() {
-                return;
-            }
-            match self.data_rx.try_pop() {
-                Some(item) => {
-                    if !self.ingest(item) {
-                        return;
-                    }
-                }
-                None => {
-                    if self.ctrl_rx.is_disconnected()
-                        && self.ctrl_rx.is_empty()
-                        && self.data_rx.is_empty()
-                    {
-                        return; // runtime dropped without Stop
-                    }
-                    let data = &self.data_rx;
-                    let ctrl = &self.ctrl_rx;
-                    self.wake.park_while(|| {
-                        data.is_empty() && ctrl.is_empty() && !ctrl.is_disconnected()
-                    });
-                }
-            }
-        }
-        // On return, dropping `data_rx` closes the ring: any producer
-        // parked on it (or arriving later) gets an error, not a hang.
     }
 }
 
@@ -455,219 +165,61 @@ where
     pub fn new(protocol: &P, master_seed: u64) -> Self {
         let (sites, coord) = protocol.build(master_seed);
         let k = sites.len();
-        let stats = Arc::new(AtomicStats::default());
-        let in_flight = Arc::new(AtomicI64::new(0));
-        let space_peaks = Arc::new((0..k).map(|_| AtomicU64::new(0)).collect::<Vec<_>>());
-        let credit = Arc::new((0..k).map(|_| Credit::default()).collect::<Vec<_>>());
-        let processed = Arc::new(
-            (0..k)
-                .map(|_| CachePadded(AtomicU64::new(0)))
-                .collect::<Vec<_>>(),
-        );
-        let alive = Arc::new((0..k).map(|_| AtomicBool::new(true)).collect::<Vec<_>>());
+        let (site_links, coord_link) = in_process_links::<SiteUp<P>, SiteDown<P>>(k);
+        let progress: Arc<Vec<CachePadded<SiteProgress>>> =
+            Arc::new((0..k).map(|_| CachePadded::default()).collect());
 
-        // Both coordinator-inbound lanes share the coordinator's wake
-        // cell; each site's data ring and control lane share that site's.
-        let coord_wake = Arc::new(WakeCell::new());
-        let (coord_tx, coord_rx) = mpsc::<CoordMsg<SiteUp<P>, P::Coord>>(Arc::clone(&coord_wake));
-        let (urgent_tx, urgent_rx) = mpsc::<(SiteId, SiteUp<P>)>(Arc::clone(&coord_wake));
-
-        let site_wakes: Vec<Arc<WakeCell>> = (0..k).map(|_| Arc::new(WakeCell::new())).collect();
         let mut data_txs = Vec::with_capacity(k);
-        let mut ctrl_txs = Vec::with_capacity(k);
-        let mut site_rxs = Vec::with_capacity(k);
-        for wake in &site_wakes {
-            // Data lane bounded: producers block when a site falls
-            // behind. Control lane unbounded: the coordinator must never
-            // block on a site (deadlock freedom, see module docs).
-            let (dtx, drx) = ring(SITE_QUEUE_CAP, Arc::clone(wake));
-            let (ctx, crx) = mpsc(Arc::clone(wake));
-            data_txs.push(dtx);
-            ctrl_txs.push(ctx);
-            site_rxs.push((drx, crx));
-        }
-
-        let mut handles = Vec::with_capacity(k + 1);
-
-        // Site threads.
-        for (id, (site, (data_rx, ctrl_rx))) in sites.into_iter().zip(site_rxs).enumerate() {
-            let worker: SiteWorker<P::Site, P::Coord> = SiteWorker {
-                id,
-                site,
-                data_rx,
-                ctrl_rx,
-                coord_tx: coord_tx.clone(),
-                urgent_tx: urgent_tx.clone(),
-                wake: Arc::clone(&site_wakes[id]),
-                stats: Arc::clone(&stats),
-                in_flight: Arc::clone(&in_flight),
-                space_peaks: Arc::clone(&space_peaks),
-                credit: Arc::clone(&credit),
-                processed: Arc::clone(&processed),
-                out: Outbox::new(),
-            };
-            let alive = Arc::clone(&alive);
-            handles.push(std::thread::spawn(move || {
-                let _guard = AliveGuard { alive, id };
-                worker.run();
+        let mut site_threads = Vec::with_capacity(k);
+        for (id, (site, link)) in sites.into_iter().zip(site_links).enumerate() {
+            // The ring shares the link's wake cell: a push wakes the same
+            // thread a down does.
+            let (data_tx, data_rx) = ring(SITE_QUEUE_CAP, link.wake_cell());
+            data_txs.push(data_tx);
+            let half = SiteHalf::new(site, link);
+            let progress = Arc::clone(&progress);
+            site_threads.push(std::thread::spawn(move || {
+                run_site(half, data_rx, &progress[id].0)
             }));
         }
 
-        // Coordinator thread.
-        {
-            let ctrl_txs = ctrl_txs.clone();
-            let stats = Arc::clone(&stats);
-            let in_flight = Arc::clone(&in_flight);
-            let credit = Arc::clone(&credit);
-            let site_wakes = site_wakes.clone();
-            let coord_wake = Arc::clone(&coord_wake);
-            let mut coord = coord;
-            let mut coord_rx = coord_rx;
-            let mut urgent_rx = urgent_rx;
-            handles.push(std::thread::spawn(move || {
-                coord_wake.register();
-                let mut net = Net::new();
-                // Process one up and ship the resulting downs on the
-                // sites' control lanes (unbounded — never blocks).
-                let process_up = |coord: &mut P::Coord,
-                                  net: &mut Net<SiteDown<P>>,
-                                  from: SiteId,
-                                  up: SiteUp<P>| {
-                    credit[from].release();
-                    // The release may un-gate a credit-parked site.
-                    site_wakes[from].wake();
-                    coord.on_message(from, &up, net);
-                    let downs: Vec<(Dest, SiteDown<P>)> = net.drain().collect();
-                    for (dest, d) in downs {
-                        match dest {
-                            Dest::Site(to) => {
-                                stats.down_msgs.fetch_add(1, Ordering::Relaxed);
-                                stats.down_words.fetch_add(d.words(), Ordering::Relaxed);
-                                stats
-                                    .down_bytes
-                                    .fetch_add(d.wire_bytes(), Ordering::Relaxed);
-                                in_flight.fetch_add(1, Ordering::SeqCst);
-                                ctrl_txs[to].send(SiteCtrl::Down(d));
-                            }
-                            Dest::Broadcast => {
-                                stats.broadcast_events.fetch_add(1, Ordering::Relaxed);
-                                let kk = ctrl_txs.len() as u64;
-                                stats.down_msgs.fetch_add(kk, Ordering::Relaxed);
-                                stats
-                                    .down_words
-                                    .fetch_add(kk * d.words(), Ordering::Relaxed);
-                                stats
-                                    .down_bytes
-                                    .fetch_add(kk * d.wire_bytes(), Ordering::Relaxed);
-                                in_flight.fetch_add(ctrl_txs.len() as i64, Ordering::SeqCst);
-                                for tx in &ctrl_txs {
-                                    tx.send(SiteCtrl::Down(d.clone()));
-                                }
-                            }
-                        }
+        let (cmd_tx, mut cmd_rx) = mpsc::<Cmd<Half<P>>>(coord_link.wake_cell());
+        let coord_thread = std::thread::spawn(move || {
+            let mut half = CoordHalf::new(coord, coord_link);
+            loop {
+                // Take the command first, then apply what is queued
+                // (`pump` covers a full credit window): whatever was sent
+                // before the command was issued is applied before it is
+                // served — a `Stop` finishes the backlog, a query sees it.
+                let cmd = cmd_rx.try_recv();
+                if half.pump().is_err() {
+                    break; // a site died; dropping the half releases the rest
+                }
+                match cmd {
+                    Some(Cmd::Run(f)) => f(&mut half),
+                    Some(Cmd::Stop) => {
+                        let _ = half.stop();
+                        break;
                     }
-                    // Decrement after the resulting downs are counted
-                    // (mirrors the site side): `in_flight == 0` then
-                    // means genuinely settled, not mid-apply.
-                    in_flight.fetch_sub(1, Ordering::SeqCst);
-                };
-                // Live-query publish hook; `None` until a QueryHandle is
-                // installed, so runs without readers pay nothing. Applies
-                // mark the snapshot dirty; publication is coalesced (see
-                // [`PUBLISH_EVERY`]): on catch-up, every PUBLISH_EVERY
-                // applies under sustained load, and always on Flush —
-                // each published state is a whole coordinator between two
-                // applies, so every cadence keeps prefix consistency.
-                let mut hook: Option<PublishHook<P::Coord>> = None;
-                let mut dirty_applies = 0u32;
-                loop {
-                    // Priority lane first: urgent ups (heartbeats, seal
-                    // acks) jump any backlog of ordinary reports. The
-                    // cadence check runs inside the drain too — a
-                    // continuously non-empty urgent lane must not defer
-                    // publication past PUBLISH_EVERY applies.
-                    while let Some((from, up)) = urgent_rx.try_recv() {
-                        process_up(&mut coord, &mut net, from, up);
-                        dirty_applies += 1;
-                        if dirty_applies >= PUBLISH_EVERY {
-                            if let Some(publish) = hook.as_mut() {
-                                publish(&coord);
-                            }
-                            dirty_applies = 0;
-                        }
-                    }
-                    if dirty_applies >= PUBLISH_EVERY {
-                        if let Some(publish) = hook.as_mut() {
-                            publish(&coord);
-                        }
-                        dirty_applies = 0;
-                    }
-                    match coord_rx.try_recv() {
-                        Some(CoordMsg::Up(from, up)) => {
-                            process_up(&mut coord, &mut net, from, up);
-                            dirty_applies += 1;
-                        }
-                        Some(CoordMsg::Flush(ack)) => {
-                            // Publish before acking so a caller returning
-                            // from quiesce() reads a snapshot at least as
-                            // fresh as the flushed state. Skipped when no
-                            // apply happened since the last publish — the
-                            // snapshot is already current.
-                            if dirty_applies > 0 {
-                                if let Some(publish) = hook.as_mut() {
-                                    publish(&coord);
-                                }
-                                dirty_applies = 0;
-                            }
-                            let _ = ack.send(());
-                        }
-                        Some(CoordMsg::Query(f)) => f(&coord),
-                        Some(CoordMsg::Install(make)) => hook = Some(make(&coord)),
-                        Some(CoordMsg::Stop) => break,
-                        None => {
-                            // Caught up: flush any pending snapshot before
-                            // parking so idle readers see the latest apply.
-                            if dirty_applies > 0 {
-                                if let Some(publish) = hook.as_mut() {
-                                    publish(&coord);
-                                }
-                                dirty_applies = 0;
-                                continue; // messages may have raced the publish
-                            }
-                            if coord_rx.is_disconnected()
-                                && urgent_rx.is_disconnected()
-                                && coord_rx.is_empty()
-                                && urgent_rx.is_empty()
-                            {
-                                break; // runtime dropped without Stop
-                            }
-                            let (crx, urx) = (&coord_rx, &urgent_rx);
-                            coord_wake.park_while(|| {
-                                crx.is_empty()
-                                    && urx.is_empty()
-                                    && !(crx.is_disconnected() && urx.is_disconnected())
-                            });
+                    None => {
+                        if !half.link().park_until(|| !cmd_rx.is_empty()) {
+                            break; // every site gone
                         }
                     }
                 }
-            }));
-        }
+            }
+            half.into_parts().1
+        });
 
         Self {
             data_txs,
-            ctrl_txs,
-            coord_tx,
-            _urgent_tx: urgent_tx,
-            handles,
-            stats,
-            in_flight,
-            space_peaks,
-            processed,
-            alive,
+            cmd_tx,
+            site_threads,
+            coord_thread: Some(coord_thread),
+            progress,
             staging: (0..k).map(|_| Vec::new()).collect(),
             tick: Duration::from_micros(1),
             pace_anchor: None,
-            live: None,
         }
     }
 
@@ -687,7 +239,6 @@ where
     /// Asynchronously deliver an element to a site. Blocks only if the
     /// site's ring is full (`SITE_QUEUE_CAP` elements behind).
     pub fn feed(&self, site: SiteId, item: SiteItem<P>) {
-        self.stats.elements.fetch_add(1, Ordering::Relaxed);
         let _ = self.data_txs[site].push(item);
     }
 
@@ -707,13 +258,8 @@ where
         let anchor = *self.pace_anchor.get_or_insert_with(Instant::now);
         // Saturate instead of wrapping: u64::MAX ticks is "never", and a
         // saturated deadline simply means "as late as we can express".
-        let due = anchor
-            + Duration::from_nanos(
-                self.tick
-                    .as_nanos()
-                    .saturating_mul(at as u128)
-                    .min(u64::MAX as u128) as u64,
-            );
+        let nanos = self.tick.as_nanos().saturating_mul(at as u128);
+        let due = anchor + Duration::from_nanos(nanos.min(u64::MAX as u128) as u64);
         let now = Instant::now();
         if due > now {
             std::thread::sleep(due - now);
@@ -734,48 +280,66 @@ where
             let buf = &mut self.staging[site];
             buf.push(item);
             if buf.len() >= BATCH_CHUNK {
-                self.stats
-                    .elements
-                    .fetch_add(buf.len() as u64, Ordering::Relaxed);
                 let _ = self.data_txs[site].push_many(buf);
             }
         }
-        for (site, buf) in self.staging.iter_mut().enumerate() {
-            if !buf.is_empty() {
-                self.stats
-                    .elements
-                    .fetch_add(buf.len() as u64, Ordering::Relaxed);
-                let _ = self.data_txs[site].push_many(buf);
-            }
+        for (tx, buf) in self.data_txs.iter().zip(&mut self.staging) {
+            let _ = tx.push_many(buf); // no-op on an empty buffer
         }
     }
 
-    /// Snapshot of communication statistics.
+    /// Run `f` against the coordinator half on its thread, once every
+    /// up sent before this call has been applied, and return its result.
+    fn on_coord<R, F>(&self, f: F) -> R
+    where
+        R: Send + 'static,
+        F: FnOnce(&mut Half<P>) -> R + Send + 'static,
+    {
+        let (tx, rx) = bounded(1);
+        self.cmd_tx.send(Cmd::Run(Box::new(move |half| {
+            let _ = tx.send(f(half));
+        })));
+        rx.recv().expect("coordinator thread terminated")
+    }
+
+    /// Elements fed so far (the rings' pushed cursors; exact while no
+    /// push is in progress).
+    fn fed(&self) -> u64 {
+        self.data_txs.iter().map(|tx| tx.pushed()).sum()
+    }
+
+    /// Communication statistics as the coordinator half has accounted
+    /// them — ups applied, downs sent — plus the elements fed. Quiesce
+    /// first for settled totals.
     pub fn stats(&self) -> CommStats {
-        self.stats.snapshot()
+        let mut stats = self.on_coord(|half| half.stats().clone());
+        stats.elements = self.fed();
+        stats
     }
 
     /// Snapshot of peak per-site space, as self-reported by the site
-    /// threads after every event. Quiesce first for a consistent cut.
+    /// threads after every step. Quiesce first for a consistent cut.
     pub fn space(&self) -> SpaceStats {
         SpaceStats::from_peaks(
-            self.space_peaks
+            self.progress
                 .iter()
-                .map(|p| p.load(Ordering::SeqCst))
+                .map(|p| p.0.space_peak.load(Ordering::Relaxed))
                 .collect(),
         )
     }
 
     /// Wait until `site` has fully processed every element pushed to its
     /// ring (its `processed` cursor reaches the ring's pushed cursor).
-    /// If the site thread has died: panic when `must_drain` (the caller
-    /// needs the cut to be meaningful — quiesce), else give up (shutdown
-    /// drains are best-effort for dead sites).
+    /// If the site thread has exited (even by panic) it never will:
+    /// panic when `must_drain` (the caller needs the cut to be meaningful
+    /// — quiesce), else give up (shutdown drains are best-effort for
+    /// dead sites).
     fn wait_site_drained(&self, site: usize, must_drain: bool) {
         let target = self.data_txs[site].pushed();
+        let processed = &self.progress[site].0.processed;
         let mut spins = 0u32;
-        while self.processed[site].0.load(Ordering::Acquire) < target {
-            if !self.alive[site].load(Ordering::SeqCst) {
+        while processed.load(Ordering::Acquire) < target {
+            if self.site_threads[site].is_finished() {
                 assert!(
                     !must_drain,
                     "site {site} thread died with elements still queued"
@@ -793,43 +357,18 @@ where
 
     /// Block until all queued elements and all in-flight messages have been
     /// fully processed — i.e. until the system reaches the state the
-    /// lock-step model would be in. Returns the number of flush sweeps.
+    /// lock-step model would be in. Returns the number of barrier rounds.
+    ///
+    /// Two steps: wait for every site's `processed` cursor (the ups of
+    /// every fed element are then on the wire), then run
+    /// [`CoordHalf::quiesce`]'s ping/pong barrier on the coordinator
+    /// thread. No items may be fed during quiesce (caller contract).
     pub fn quiesce(&self) -> u32 {
-        let mut sweeps = 0;
-        loop {
-            sweeps += 1;
-            // Drain sites first: once a site's processed cursor reaches
-            // its pushed cursor, the ups for those elements are on the
-            // wire (counted in `in_flight` before the cursor advanced).
-            for site in 0..self.data_txs.len() {
-                self.wait_site_drained(site, true);
-            }
-            // Flush the coordinator so those ups are processed and downs
-            // sent. The marker queues behind every up observed above.
-            let (cack_tx, cack_rx) = bounded(1);
-            self.coord_tx.send(CoordMsg::Flush(cack_tx));
-            let _ = cack_rx.recv();
-            if self.in_flight.load(Ordering::SeqCst) == 0 {
-                // Settled: nothing queued and nothing mid-apply (both
-                // endpoints count their responses before decrementing
-                // the trigger), and nothing new may appear because no
-                // items are being fed during quiesce (caller contract).
-                // The applies that settled the system may have landed
-                // *after* this sweep's flush published, though — e.g. a
-                // site's reply to a down that the flushed state had only
-                // just emitted. One final flush republishes so a live
-                // handle read after quiesce is bit-identical to a
-                // stop-the-world query.
-                let (fack_tx, fack_rx) = bounded(1);
-                self.coord_tx.send(CoordMsg::Flush(fack_tx));
-                let _ = fack_rx.recv();
-                return sweeps;
-            }
-            assert!(sweeps < 10_000, "channel runtime failed to quiesce");
-            // Downs are still being digested by the sites; give their
-            // threads a scheduling slot before sweeping again.
-            std::thread::yield_now();
+        for site in 0..self.data_txs.len() {
+            self.wait_site_drained(site, true);
         }
+        self.on_coord(|half| half.quiesce())
+            .unwrap_or_else(|e| panic!("channel runtime failed to quiesce: {e}"))
     }
 
     /// Run a query closure against the coordinator state and return its
@@ -839,85 +378,54 @@ where
         R: Send + 'static,
         F: FnOnce(&P::Coord) -> R + Send + 'static,
     {
-        let (tx, rx) = bounded(1);
-        self.coord_tx.send(CoordMsg::Query(Box::new(move |c| {
-            let _ = tx.send(f(c));
-        })));
-        rx.recv().expect("coordinator thread terminated")
+        self.on_coord(move |half| f(half.coord()))
     }
 
     /// Create (or clone) a lock-free live-query handle over the
-    /// coordinator. The coordinator thread publishes an epoch-stamped
-    /// immutable snapshot at apply boundaries — whenever it catches up
-    /// with its message lanes, at least every [`PUBLISH_EVERY`] applies
-    /// under sustained load, and on every flush — so any number of
-    /// reader threads answer queries while ingest continues: no lock on
-    /// either side, and every answer reflects a whole coordinator state
-    /// between two applies (a prefix of the applied updates, never a
-    /// torn intermediate). Immediately after [`ChannelRuntime::quiesce`],
-    /// a handle read is bit-identical to [`ChannelRuntime::with_coord`].
-    ///
-    /// Installing a handle never changes protocol behavior: no messages
-    /// are added and no words are charged; the coordinator merely clones
-    /// its state into the snapshot cell at publish boundaries.
+    /// coordinator: [`CoordHalf::query_handle`] (which states the publish
+    /// cadence), run on the coordinator thread. Immediately after
+    /// [`ChannelRuntime::quiesce`] a handle read is bit-identical to
+    /// [`ChannelRuntime::with_coord`].
     pub fn query_handle(&mut self) -> QueryHandle<P::Coord>
     where
         P::Coord: Clone + Sync,
     {
-        if let Some(cell) = &self.live {
-            return cell.handle();
-        }
-        let (tx, rx) = bounded(1);
-        self.coord_tx
-            .send(CoordMsg::Install(Box::new(move |coord: &P::Coord| {
-                let (mut publisher, handle) = snapshot_cell(coord.clone());
-                let _ = tx.send(handle);
-                Box::new(move |coord: &P::Coord| publisher.publish(coord.clone()))
-            })));
-        let handle = rx.recv().expect("coordinator thread terminated");
-        self.live = Some(handle.cell_ref());
-        handle
+        self.on_coord(|half| half.query_handle())
     }
 
     /// Stop all threads and join them, returning final statistics.
     ///
     /// Queued *elements* are processed before the sites exit (so the
-    /// returned statistics account for every fed element), but messages
-    /// still in flight at that point are dropped — call
-    /// [`ChannelRuntime::quiesce`] first when a fully settled cut
+    /// returned statistics account for every fed element and every up
+    /// it produced), but downs still in flight at that point are dropped
+    /// — call [`ChannelRuntime::quiesce`] first when a fully settled cut
     /// matters.
     pub fn shutdown(mut self) -> CommStats {
-        self.do_shutdown();
-        self.stats.snapshot()
+        self.do_shutdown()
     }
 
-    fn do_shutdown(&mut self) {
-        // Ship anything still staged (feed_batch drains its staging
-        // buffers before returning, so this is defensive).
-        for (site, buf) in self.staging.iter_mut().enumerate() {
-            if !buf.is_empty() {
-                self.stats
-                    .elements
-                    .fetch_add(buf.len() as u64, Ordering::Relaxed);
-                let _ = self.data_txs[site].push_many(buf);
-            }
-        }
-        // `Stop` travels the control lane, which overtakes queued data —
-        // sent cold, it would silently discard elements a caller already
-        // fed. Wait for each site's processed cursor to reach its pushed
-        // cursor instead (tolerating sites that already died).
+    fn do_shutdown(&mut self) -> CommStats {
+        // `Stop` reaches the sites on the control lane, which overtakes
+        // queued data — sent cold, it would silently discard elements a
+        // caller already fed. Wait for each site's processed cursor to
+        // reach its pushed cursor instead (tolerating sites that already
+        // died).
         for site in 0..self.data_txs.len() {
             self.wait_site_drained(site, false);
         }
-        for tx in &self.ctrl_txs {
-            tx.send(SiteCtrl::Stop);
-        }
-        // Queued behind every up the sites produced above, so the
-        // coordinator finishes the backlog before exiting.
-        self.coord_tx.send(CoordMsg::Stop);
-        for h in self.handles.drain(..) {
+        // The coordinator applies every up the sites produced above
+        // before it relays the stop.
+        self.cmd_tx.send(Cmd::Stop);
+        for h in self.site_threads.drain(..) {
             let _ = h.join();
         }
+        let mut stats = self
+            .coord_thread
+            .take()
+            .and_then(|h| h.join().ok())
+            .unwrap_or_default();
+        stats.elements = self.fed();
+        stats
     }
 }
 
@@ -930,7 +438,7 @@ where
     <P::Site as Site>::Down: Send + 'static,
 {
     fn drop(&mut self) {
-        if !self.handles.is_empty() {
+        if self.coord_thread.is_some() {
             self.do_shutdown();
         }
     }
@@ -939,6 +447,10 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::message::Words;
+    use crate::net::{Net, Outbox};
+    use crate::protocol::Coordinator;
+    use crate::transport::SITE_CREDIT;
 
     /// Echo protocol: site forwards every item's value; coordinator sums.
     struct EchoSite;

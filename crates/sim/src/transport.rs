@@ -1,28 +1,28 @@
-//! Deployment frontends: site-half / coordinator-half over a transport.
+//! The two roles of the model, once: [`SiteHalf`] and [`CoordHalf`].
 //!
-//! [`crate::runtime::ChannelRuntime`] composes `k` site threads and a
-//! coordinator thread *inside one process*, hard-wired to the lock-free
-//! lanes of [`crate::ring`]. This module splits that composition into
-//! its two halves and makes the lanes pluggable, so the same protocol
-//! state machines deploy as separate OS processes:
+//! The paper's model has a site, which turns an element or a down into
+//! ups, and a coordinator, which turns an up into downs. Everything
+//! that runs those two roles over a real transport — threads of one
+//! process or separate OS processes — runs *this* code:
 //!
-//! * [`SiteHalf`] — one site's ingest loop: control lane drained before
-//!   every element (a pending broadcast or seal overtakes queued data,
-//!   exactly like the channel runtime), ups flushed with urgent routing
-//!   ([`Words::urgent`]), word *and* byte accounting charged on send.
-//! * [`CoordHalf`] — the coordinator's apply loop: urgent lane drained
-//!   first, downs fanned out (a broadcast charges `k ×`), optional
-//!   lock-free live queries via an epoch-stamped snapshot cell
-//!   ([`CoordHalf::query_handle`]), and a distributed quiesce barrier
+//! * [`SiteHalf`] — one site's step: control drained before every
+//!   element (a pending broadcast or seal overtakes queued data), the
+//!   link's fairness gate honored, ups flushed with urgent routing
+//!   ([`Words::urgent`]), words *and* bytes charged on send.
+//! * [`CoordHalf`] — the coordinator's apply loop: events taken urgent
+//!   lane first, each up applied and its downs fanned out (a broadcast
+//!   charges `k ×`), live-query snapshots published on one cadence
+//!   ([`CoordHalf::query_handle`]), and the ping/pong quiesce barrier
 //!   ([`CoordHalf::quiesce`]).
 //!
 //! Both halves are generic over a pair of link traits — [`SiteLink`] /
 //! [`CoordLink`] — with two implementations:
 //!
-//! * **In-process** ([`in_process_links`]): the existing lock-free MPSC
-//!   lanes and [`WakeCell`] parking from [`crate::ring`] — the same
-//!   primitives the channel runtime runs on — for running both halves
-//!   on threads of one process.
+//! * **In-process** ([`in_process_links`]): lock-free MPSC lanes and
+//!   [`WakeCell`] parking from [`crate::ring`], plus the per-site
+//!   fairness credit. [`crate::runtime::ChannelRuntime`] is `k` site
+//!   halves and one coordinator half over these links, one thread each;
+//!   it adds only the data rings that carry elements to the sites.
 //! * **Sockets** ([`TcpSiteLink`] / [`TcpCoordLink`]): `std::net`
 //!   TCP streams carrying length-prefixed frames
 //!   ([`crate::wire::write_frame`]). Each site opens **two** streams —
@@ -32,6 +32,11 @@
 //!   per stream plus one writer thread per peer (a slow site's TCP
 //!   window can never block the coordinator's apply loop; downs queue
 //!   in the writer's unbounded buffer instead).
+//!
+//! Links are reliable — every message is delivered **exactly once**,
+//! FIFO per lane and sender; the only nondeterminism is cross-site
+//! interleaving. Faults (loss, duplication, stragglers, churn) live in
+//! the deterministic event executor ([`crate::exec::event`]).
 //!
 //! ## Frame vocabulary
 //!
@@ -62,10 +67,53 @@
 //! count, whose coordinator sums last-per-site reports) therefore
 //! answer **bit-identically** over sockets, in-process links, and the
 //! channel runtime.
+//!
+//! ## Fairness: out-of-band control + a per-site credit cap
+//!
+//! Unchecked, a site thread can absorb its whole backlog before the
+//! coordinator processes one report, with downs queued *behind*
+//! thousands of elements. Whole-stream protocols tolerate that lag;
+//! epoch-based adapters do not — a windowed epoch's *content* could
+//! overrun its recorded heartbeat range. Two transport-level mechanisms
+//! (no protocol message is added, so lock-step/event runs stay
+//! bit-identical) bound the skew:
+//!
+//! * **Out-of-band control.** Downs travel their own lane, drained by
+//!   [`SiteHalf::feed`] *before every element*; ups flagged
+//!   [`Words::urgent`] (windowed `Tick`/`SealAck`) travel a priority
+//!   lane the coordinator drains before ordinary reports.
+//! * **Credit cap** (in-process links; TCP's window is the sockets'
+//!   backpressure). A site has at most [`SITE_CREDIT`] ups outstanding:
+//!   charged in [`SiteLink::send_up`], released when the coordinator
+//!   link hands the up to its half. At the cap [`SiteLink::gate`] pauses
+//!   *element* processing — control still flows — so the coordinator's
+//!   view lags a site by at most `SITE_CREDIT × (elements per up)`.
+//!
+//! ## Deadlock freedom (in-process links)
+//!
+//! Every wait has a live counterpart and no wait holds a lock:
+//!
+//! * The **coordinator never blocks on a site**: every lane is
+//!   unbounded, so it always makes progress on whatever is queued, and
+//!   it parks only when both up lanes are empty (any up or pong wakes
+//!   it).
+//! * A **credit-capped site** keeps serving control — pings included, so
+//!   the barrier never waits on a site that waits on credit — and parks
+//!   with its wake cell registered; the release, which must come because
+//!   the site's outstanding ups are already queued, wakes it.
+//! * **Quiesce** waits only for pongs, which a live site always sends.
+//!   A dropped site end (thread finished or panicked) sends
+//!   [`CoordEvent::Closed`], failing the round instead of hanging it; a
+//!   dropped coordinator end disconnects the control lanes, which ends
+//!   [`SiteLink::recv`]/[`SiteLink::gate`] the same way.
+//! * **Snapshot publication adds no waits**: it happens between two
+//!   applies, touches no lane or credit, and readers never block the
+//!   publisher (`crate::snapshot`).
 
 use std::io::{self};
 use std::marker::PhantomData;
 use std::net::{Shutdown, TcpListener, TcpStream, ToSocketAddrs};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
@@ -75,9 +123,9 @@ use crate::message::{Decode, Encode, Words};
 use crate::net::{Dest, Net, Outbox};
 use crate::protocol::{Coordinator, Site, SiteId};
 use crate::ring::{mpsc, MpscReceiver, MpscSender, WakeCell};
-use crate::snapshot::{snapshot_cell, QueryHandle};
+use crate::snapshot::{snapshot_cell, CellRef, PublishFn, QueryHandle};
 use crate::stats::CommStats;
-use crate::wire::{encode_into, read_frame, write_frame, WireReader, WireWriter};
+use crate::wire::{decode_exact, encode_into, encode_to_vec, read_frame, write_frame};
 
 /// Frame kinds (the transport-level routing byte of
 /// [`crate::wire::write_frame`]; message tags live inside payloads).
@@ -92,8 +140,8 @@ mod kind {
 }
 
 /// Stream roles announced by the HELLO frame.
-const LANE_DATA: u64 = 0;
-const LANE_URGENT: u64 = 1;
+const LANE_DATA: usize = 0;
+const LANE_URGENT: usize = 1;
 
 /// Every pong is emitted once per lane, so a quiesce round completes a
 /// site after this many pongs (both link implementations have two
@@ -101,8 +149,26 @@ const LANE_URGENT: u64 = 1;
 const PONGS_PER_SITE: u8 = 2;
 
 /// Upper bound on quiesce rounds before concluding the protocol cannot
-/// settle (mirrors the channel runtime's sweep cap).
+/// settle.
 const MAX_QUIESCE_ROUNDS: u32 = 10_000;
+
+/// Maximum sent-but-unreceived ups a site may have outstanding on an
+/// in-process link before [`SiteLink::gate`] pauses element processing:
+/// the fairness credit of the module docs. For the windowed adapter
+/// (one heartbeat per `tick_every` elements) it bounds how far a
+/// bucket's content can overrun its recorded heartbeat range even if
+/// the OS starves the coordinator thread.
+pub const SITE_CREDIT: u64 = 64;
+
+/// Under sustained load a [`CoordHalf`] with a live-query handle
+/// publishes a snapshot at least every this many applies; when it
+/// catches up (nothing queued) it publishes immediately. Coalescing
+/// bounds the publish cost — one coordinator clone per `PUBLISH_EVERY`
+/// applies worst case — which matters for heavyweight coordinators (a
+/// windowed histogram clones its whole bucket set); publishing on
+/// catch-up keeps the common lightly loaded case fresh to the latest
+/// apply.
+pub const PUBLISH_EVERY: u32 = 64;
 
 /// What a site receives from its coordinator link.
 #[derive(Debug)]
@@ -125,7 +191,8 @@ pub enum CoordEvent<U> {
     Pong(SiteId, u64),
     /// The site's local stream is exhausted.
     Eos(SiteId),
-    /// The site's link died (disconnect, decode failure).
+    /// The site's link died (disconnect, decode failure, site end
+    /// dropped).
     Closed(SiteId),
 }
 
@@ -146,12 +213,20 @@ pub trait SiteLink<U, D> {
     fn try_recv(&mut self) -> Option<SiteEvent<D>>;
     /// Blocking receive; `None` when the link is gone.
     fn recv(&mut self) -> Option<SiteEvent<D>>;
+    /// Fairness gate, asked by [`SiteHalf::feed`] before every element:
+    /// `Ok(None)` when the site may process it. A link that caps how far
+    /// a site runs ahead blocks here while the cap holds and hands back
+    /// any control event that arrives meanwhile (the site serves it and
+    /// asks again). The default never holds a site back.
+    fn gate(&mut self) -> io::Result<Option<SiteEvent<D>>> {
+        Ok(None)
+    }
 }
 
 /// Coordinator-side endpoint over all `k` sites.
 ///
 /// `recv`/`try_recv` must drain the urgent lane before the ordinary
-/// one — the same priority discipline as the channel runtime.
+/// one.
 pub trait CoordLink<U, D> {
     /// Number of connected sites.
     fn k(&self) -> usize;
@@ -168,67 +243,163 @@ pub trait CoordLink<U, D> {
     fn recv(&mut self) -> Option<CoordEvent<U>>;
 }
 
+/// Sender of one coordinator-inbound lane.
+type LaneTx<U> = MpscSender<CoordEvent<U>>;
+
+/// The coordinator-inbound lanes of either link implementation: an
+/// ordinary and an urgent lock-free queue sharing the coordinator
+/// thread's [`WakeCell`]. The one urgent-first receive body.
+struct UpLanes<U> {
+    ordinary: MpscReceiver<CoordEvent<U>>,
+    urgent: MpscReceiver<CoordEvent<U>>,
+    wake: Arc<WakeCell>,
+}
+
+/// Build the lanes and their (ordinary, urgent) senders.
+fn up_lanes<U>() -> (LaneTx<U>, LaneTx<U>, UpLanes<U>) {
+    let wake = Arc::new(WakeCell::new());
+    let (ordinary_tx, ordinary) = mpsc(Arc::clone(&wake));
+    let (urgent_tx, urgent) = mpsc(Arc::clone(&wake));
+    let lanes = UpLanes {
+        ordinary,
+        urgent,
+        wake,
+    };
+    (ordinary_tx, urgent_tx, lanes)
+}
+
+impl<U> UpLanes<U> {
+    fn try_recv(&mut self) -> Option<CoordEvent<U>> {
+        self.urgent.try_recv().or_else(|| self.ordinary.try_recv())
+    }
+
+    fn recv(&mut self) -> Option<CoordEvent<U>> {
+        while self.park_until(|| false) {
+            if let Some(ev) = self.try_recv() {
+                return Some(ev);
+            }
+        }
+        None
+    }
+
+    /// Spin-then-park the calling (coordinator) thread until an event is
+    /// queued or `ready()` holds; `false` once every sender is gone and
+    /// nothing is left queued. `ready` may only watch state whose
+    /// writers wake [`UpLanes::wake`].
+    fn park_until(&self, ready: impl Fn() -> bool) -> bool {
+        let (urx, orx) = (&self.urgent, &self.ordinary);
+        let idle = || urx.is_empty() && orx.is_empty();
+        let open = || !(urx.is_disconnected() && orx.is_disconnected());
+        // Disconnection first: every send happens before its sender's drop.
+        if !open() && idle() {
+            return false;
+        }
+        self.wake.register();
+        self.wake.park_while(|| idle() && open() && !ready());
+        true
+    }
+}
+
 // ---------------------------------------------------------------------
-// In-process links: the channel runtime's lock-free lanes, repackaged.
+// In-process links: lock-free lanes, WakeCell parking, fairness credit.
 // ---------------------------------------------------------------------
+
+/// One site's fairness credit: ups sent but not yet handed to the
+/// coordinator half, bounded by [`SITE_CREDIT`]. A bare atomic — the
+/// site link charges on send, the coordinator link releases on receive
+/// and then wakes the site's cell (the one that guards its control
+/// lane), so a site parked at the cap resumes without any mutex or
+/// condvar. Padded to a cache line so sites do not false-share.
+#[repr(align(64))]
+struct Credit {
+    outstanding: AtomicU64,
+    site_wake: Arc<WakeCell>,
+}
+
+impl Credit {
+    fn exhausted(&self) -> bool {
+        self.outstanding.load(Ordering::SeqCst) >= SITE_CREDIT
+    }
+}
 
 /// Site end of an in-process link pair (see [`in_process_links`]).
 pub struct InProcSiteLink<U, D> {
     id: SiteId,
-    ordinary_tx: MpscSender<CoordEvent<U>>,
-    urgent_tx: MpscSender<CoordEvent<U>>,
+    ordinary_tx: LaneTx<U>,
+    urgent_tx: LaneTx<U>,
     ctrl_rx: MpscReceiver<SiteEvent<D>>,
-    wake: Arc<WakeCell>,
-    registered: bool,
+    credit: Arc<Credit>,
 }
 
 /// Coordinator end of the in-process links (see [`in_process_links`]).
 pub struct InProcCoordLink<U, D> {
-    ordinary_rx: MpscReceiver<CoordEvent<U>>,
-    urgent_rx: MpscReceiver<CoordEvent<U>>,
+    lanes: UpLanes<U>,
     ctrl_txs: Vec<MpscSender<SiteEvent<D>>>,
-    wake: Arc<WakeCell>,
-    registered: bool,
+    credits: Vec<Arc<Credit>>,
 }
 
-/// Build matched in-process link halves for `k` sites, wired on the
-/// same unbounded lock-free MPSC lanes (and [`WakeCell`] spin-then-park
-/// idling) the channel runtime uses: one ordinary and one urgent
-/// site→coordinator lane shared by all sites, one control lane per
-/// site.
+/// Build matched in-process link halves for `k` sites on unbounded
+/// lock-free MPSC lanes with [`WakeCell`] spin-then-park idling: one
+/// ordinary and one urgent site→coordinator lane shared by all sites,
+/// one control lane and one [`SITE_CREDIT`] counter per site.
 pub fn in_process_links<U, D>(k: usize) -> (Vec<InProcSiteLink<U, D>>, InProcCoordLink<U, D>) {
-    let coord_wake = Arc::new(WakeCell::new());
-    let (ordinary_tx, ordinary_rx) = mpsc::<CoordEvent<U>>(Arc::clone(&coord_wake));
-    let (urgent_tx, urgent_rx) = mpsc::<CoordEvent<U>>(Arc::clone(&coord_wake));
+    let (ordinary_tx, urgent_tx, lanes) = up_lanes();
     let mut sites = Vec::with_capacity(k);
     let mut ctrl_txs = Vec::with_capacity(k);
+    let mut credits = Vec::with_capacity(k);
     for id in 0..k {
-        let wake = Arc::new(WakeCell::new());
-        let (ctx, crx) = mpsc::<SiteEvent<D>>(Arc::clone(&wake));
-        ctrl_txs.push(ctx);
+        let site_wake = Arc::new(WakeCell::new());
+        let (ctrl_tx, ctrl_rx) = mpsc(Arc::clone(&site_wake));
+        let credit = Arc::new(Credit {
+            outstanding: AtomicU64::new(0),
+            site_wake,
+        });
+        ctrl_txs.push(ctrl_tx);
+        credits.push(Arc::clone(&credit));
         sites.push(InProcSiteLink {
             id,
             ordinary_tx: ordinary_tx.clone(),
             urgent_tx: urgent_tx.clone(),
-            ctrl_rx: crx,
-            wake,
-            registered: false,
+            ctrl_rx,
+            credit,
         });
     }
-    (
-        sites,
-        InProcCoordLink {
-            ordinary_rx,
-            urgent_rx,
-            ctrl_txs,
-            wake: coord_wake,
-            registered: false,
-        },
-    )
+    let coord = InProcCoordLink {
+        lanes,
+        ctrl_txs,
+        credits,
+    };
+    (sites, coord)
+}
+
+impl<U, D> InProcSiteLink<U, D> {
+    /// The cell that wakes this site's thread. A caller that multiplexes
+    /// another queue onto the thread (the channel runtime's data ring)
+    /// builds that queue on this cell and waits through
+    /// [`InProcSiteLink::park_until`].
+    pub fn wake_cell(&self) -> Arc<WakeCell> {
+        Arc::clone(&self.credit.site_wake)
+    }
+
+    /// Spin-then-park the calling (site) thread until a control event is
+    /// queued or `ready()` holds; `false` once the coordinator end is
+    /// gone and nothing is left queued. `ready` may only watch state
+    /// whose writers wake [`InProcSiteLink::wake_cell`].
+    pub fn park_until(&self, ready: impl Fn() -> bool) -> bool {
+        let rx = &self.ctrl_rx;
+        if rx.is_disconnected() && rx.is_empty() {
+            return false;
+        }
+        let wake = &self.credit.site_wake;
+        wake.register();
+        wake.park_while(|| rx.is_empty() && !rx.is_disconnected() && !ready());
+        true
+    }
 }
 
 impl<U, D> SiteLink<U, D> for InProcSiteLink<U, D> {
     fn send_up(&mut self, up: U, urgent: bool) -> io::Result<()> {
+        self.credit.outstanding.fetch_add(1, Ordering::SeqCst);
         let tx = if urgent {
             &self.urgent_tx
         } else {
@@ -254,20 +425,61 @@ impl<U, D> SiteLink<U, D> for InProcSiteLink<U, D> {
     }
 
     fn recv(&mut self) -> Option<SiteEvent<D>> {
-        loop {
+        while self.park_until(|| false) {
             if let Some(ev) = self.ctrl_rx.try_recv() {
                 return Some(ev);
             }
-            if self.ctrl_rx.is_disconnected() && self.ctrl_rx.is_empty() {
-                return None;
+        }
+        None
+    }
+
+    fn gate(&mut self) -> io::Result<Option<SiteEvent<D>>> {
+        while self.credit.exhausted() {
+            if let Some(ev) = self.ctrl_rx.try_recv() {
+                return Ok(Some(ev));
             }
-            if !self.registered {
-                self.wake.register();
-                self.registered = true;
+            let credit = &self.credit;
+            if !self.park_until(|| !credit.exhausted()) {
+                return Err(io::Error::new(
+                    io::ErrorKind::ConnectionAborted,
+                    "coordinator link closed with ups outstanding",
+                ));
             }
-            let rx = &self.ctrl_rx;
-            self.wake
-                .park_while(|| rx.is_empty() && !rx.is_disconnected());
+        }
+        Ok(None)
+    }
+}
+
+/// Dropping the site end closes the link: the coordinator sees
+/// [`CoordEvent::Closed`] — as it does when a TCP stream dies — so a
+/// barrier waiting on this site's pong fails instead of hanging.
+impl<U, D> Drop for InProcSiteLink<U, D> {
+    fn drop(&mut self) {
+        self.ordinary_tx.send(CoordEvent::Closed(self.id));
+    }
+}
+
+impl<U, D> InProcCoordLink<U, D> {
+    /// The cell that wakes the coordinator's thread (see
+    /// [`InProcSiteLink::wake_cell`]; the channel runtime builds its
+    /// command lane on it).
+    pub fn wake_cell(&self) -> Arc<WakeCell> {
+        Arc::clone(&self.lanes.wake)
+    }
+
+    /// [`InProcSiteLink::park_until`] for the coordinator's thread:
+    /// `false` once every site end is gone and nothing is left queued.
+    pub fn park_until(&self, ready: impl Fn() -> bool) -> bool {
+        self.lanes.park_until(ready)
+    }
+
+    /// Handing an up to the half releases its sender's credit and wakes
+    /// the sender, which may be parked at the cap.
+    fn release(&self, ev: &CoordEvent<U>) {
+        if let CoordEvent::Up(from, _) = ev {
+            let credit = &self.credits[*from];
+            credit.outstanding.fetch_sub(1, Ordering::SeqCst);
+            credit.site_wake.wake();
         }
     }
 }
@@ -297,31 +509,11 @@ impl<U, D> CoordLink<U, D> for InProcCoordLink<U, D> {
     }
 
     fn try_recv(&mut self) -> Option<CoordEvent<U>> {
-        self.urgent_rx
-            .try_recv()
-            .or_else(|| self.ordinary_rx.try_recv())
+        self.lanes.try_recv().inspect(|ev| self.release(ev))
     }
 
     fn recv(&mut self) -> Option<CoordEvent<U>> {
-        loop {
-            if let Some(ev) = self.try_recv() {
-                return Some(ev);
-            }
-            let gone = |rx: &MpscReceiver<CoordEvent<U>>| rx.is_disconnected() && rx.is_empty();
-            if gone(&self.urgent_rx) && gone(&self.ordinary_rx) {
-                return None;
-            }
-            if !self.registered {
-                self.wake.register();
-                self.registered = true;
-            }
-            let (urx, orx) = (&self.urgent_rx, &self.ordinary_rx);
-            self.wake.park_while(|| {
-                urx.is_empty()
-                    && orx.is_empty()
-                    && !(urx.is_disconnected() && orx.is_disconnected())
-            });
-        }
+        self.lanes.recv().inspect(|ev| self.release(ev))
     }
 }
 
@@ -329,27 +521,12 @@ impl<U, D> CoordLink<U, D> for InProcCoordLink<U, D> {
 // Socket links: length-prefixed frames over std::net TCP.
 // ---------------------------------------------------------------------
 
-fn hello_payload(site: SiteId, lane: u64) -> Vec<u8> {
-    let mut w = WireWriter::new();
-    w.put_varint(site as u64);
-    w.put_varint(lane);
-    w.into_bytes()
+fn hello_payload(site: SiteId, lane: usize) -> Vec<u8> {
+    encode_to_vec(&(site, lane))
 }
 
-fn varint_payload(v: u64) -> Vec<u8> {
-    let mut w = WireWriter::new();
-    w.put_varint(v);
-    w.into_bytes()
-}
-
-fn decode_varint(payload: &[u8]) -> io::Result<u64> {
-    let mut r = WireReader::new(payload);
-    let v = r
-        .varint()
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-    r.finish()
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-    Ok(v)
+fn invalid(msg: impl Into<Box<dyn std::error::Error + Send + Sync>>) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, msg)
 }
 
 /// Site end of the TCP transport: two streams to the coordinator (an
@@ -381,32 +558,8 @@ impl<U: Encode, D: Decode + Send + 'static> TcpSiteLink<U, D> {
 
         let (tx, rx) = unbounded::<SiteEvent<D>>();
         let mut read_half = data.try_clone()?;
-        let reader = std::thread::spawn(move || loop {
-            match read_frame(&mut read_half) {
-                Ok(Some((kind::DOWN, payload))) => {
-                    let mut r = WireReader::new(&payload);
-                    let Ok(d) = D::decode(&mut r) else { return };
-                    if r.finish().is_err() {
-                        return;
-                    }
-                    if tx.send(SiteEvent::Down(d)).is_err() {
-                        return;
-                    }
-                }
-                Ok(Some((kind::PING, payload))) => {
-                    let Ok(nonce) = decode_varint(&payload) else {
-                        return;
-                    };
-                    if tx.send(SiteEvent::Ping(nonce)).is_err() {
-                        return;
-                    }
-                }
-                Ok(Some((kind::STOP, _))) => {
-                    let _ = tx.send(SiteEvent::Stop);
-                    return;
-                }
-                Ok(Some(_)) | Ok(None) | Err(_) => return,
-            }
+        let reader = std::thread::spawn(move || {
+            let _ = read_downs(&mut read_half, &tx);
         });
         Ok(Self {
             data_w: data,
@@ -416,6 +569,25 @@ impl<U: Encode, D: Decode + Send + 'static> TcpSiteLink<U, D> {
             scratch: Vec::new(),
             _up: PhantomData,
         })
+    }
+}
+
+/// The site link's reader thread: decode frames off the data stream
+/// into `tx`. Ends on STOP, on a closed or failed stream, on an
+/// undecodable or unexpected frame, or when the link is dropped; the
+/// link then reads as gone.
+fn read_downs<D: Decode>(stream: &mut TcpStream, tx: &FrameSender<SiteEvent<D>>) -> io::Result<()> {
+    loop {
+        let ev = match read_frame(stream)? {
+            Some((kind::DOWN, payload)) => SiteEvent::Down(decode_exact(&payload)?),
+            Some((kind::PING, payload)) => SiteEvent::Ping(decode_exact(&payload)?),
+            Some((kind::STOP, _)) => SiteEvent::Stop,
+            Some(_) | None => return Ok(()),
+        };
+        let last = matches!(ev, SiteEvent::Stop);
+        if tx.send(ev).is_err() || last {
+            return Ok(());
+        }
     }
 }
 
@@ -431,7 +603,7 @@ impl<U: Encode, D> SiteLink<U, D> for TcpSiteLink<U, D> {
     }
 
     fn pong(&mut self, nonce: u64) -> io::Result<()> {
-        let payload = varint_payload(nonce);
+        let payload = encode_to_vec(&nonce);
         write_frame(&mut self.data_w, kind::PONG, &payload)?;
         write_frame(&mut self.urgent_w, kind::PONG, &payload)
     }
@@ -467,17 +639,15 @@ type WriterCmd = Option<(u8, Vec<u8>)>;
 /// slow site never blocks the apply loop), one reader thread per
 /// inbound stream feeding the urgent / ordinary lock-free lanes.
 pub struct TcpCoordLink<U, D> {
-    ordinary_rx: MpscReceiver<CoordEvent<U>>,
-    urgent_rx: MpscReceiver<CoordEvent<U>>,
-    wake: Arc<WakeCell>,
-    registered: bool,
+    lanes: UpLanes<U>,
     writers: Vec<FrameSender<WriterCmd>>,
     /// Payload buffers the writer threads have written out, handed back
     /// for `send_down` to encode into (at most one per frame in flight).
     spent: crossbeam_channel::Receiver<Vec<u8>>,
     /// Read-half clones, shut down on drop so reader threads unblock.
     read_halves: Vec<TcpStream>,
-    threads: Vec<JoinHandle<()>>,
+    writer_threads: Vec<JoinHandle<()>>,
+    reader_threads: Vec<JoinHandle<()>>,
     _down: PhantomData<fn(D)>,
 }
 
@@ -487,69 +657,42 @@ impl<U: Decode + Send + 'static, D: Encode> TcpCoordLink<U, D> {
     /// Blocks until all `2k` expected streams have connected and sent
     /// their HELLO frames. Site ids must be unique and `< k`.
     pub fn accept(listener: &TcpListener, k: usize) -> io::Result<Self> {
-        let mut data_streams: Vec<Option<TcpStream>> = (0..k).map(|_| None).collect();
-        let mut urgent_streams: Vec<Option<TcpStream>> = (0..k).map(|_| None).collect();
+        // Per site, the [data, urgent] stream pair, filled as HELLOs arrive.
+        let mut streams: Vec<[Option<TcpStream>; 2]> = (0..k).map(|_| [None, None]).collect();
         let mut pending = 2 * k;
         while pending > 0 {
             let (mut stream, _) = listener.accept()?;
             stream.set_nodelay(true)?;
             let Some((kind::HELLO, payload)) = read_frame(&mut stream)? else {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    "peer did not start with HELLO",
-                ));
+                return Err(invalid("peer did not start with HELLO"));
             };
-            let mut r = WireReader::new(&payload);
-            let hello = (|| -> Result<(u64, u64), crate::wire::WireError> {
-                let site = r.varint()?;
-                let lane = r.varint()?;
-                Ok((site, lane))
-            })()
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-            let (site, lane) = hello;
-            if site >= k as u64 {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("site id {site} out of range (k = {k})"),
-                ));
-            }
-            let slot = match lane {
-                LANE_DATA => &mut data_streams[site as usize],
-                LANE_URGENT => &mut urgent_streams[site as usize],
-                other => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("unknown lane {other}"),
-                    ))
-                }
-            };
+            let (site, lane): (usize, usize) = decode_exact(&payload)?;
+            let slot = streams
+                .get_mut(site)
+                .and_then(|pair| pair.get_mut(lane))
+                .ok_or_else(|| invalid(format!("no site {site} lane {lane} (k = {k})")))?;
             if slot.replace(stream).is_some() {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("duplicate connection for site {site}"),
-                ));
+                return Err(invalid(format!("duplicate connection for site {site}")));
             }
             pending -= 1;
         }
 
-        let wake = Arc::new(WakeCell::new());
-        let (ordinary_tx, ordinary_rx) = mpsc::<CoordEvent<U>>(Arc::clone(&wake));
-        let (urgent_tx, urgent_rx) = mpsc::<CoordEvent<U>>(Arc::clone(&wake));
+        let (ordinary_tx, urgent_tx, lanes) = up_lanes::<U>();
         let mut writers = Vec::with_capacity(k);
         let (spent_tx, spent) = unbounded::<Vec<u8>>();
         let mut read_halves = Vec::with_capacity(2 * k);
-        let mut threads = Vec::with_capacity(3 * k);
+        let mut writer_threads = Vec::with_capacity(k);
+        let mut reader_threads = Vec::with_capacity(2 * k);
 
-        for site in 0..k {
-            let data = data_streams[site].take().expect("filled above");
-            let urgent = urgent_streams[site].take().expect("filled above");
+        for (site, pair) in streams.into_iter().enumerate() {
+            let [data, urgent] = pair.map(|stream| stream.expect("filled above"));
 
             // Per-peer writer thread: downs / pings / stop for this site.
             let mut write_half = data.try_clone()?;
             let (wtx, wrx) = unbounded::<WriterCmd>();
             writers.push(wtx);
             let spent_tx = spent_tx.clone();
-            threads.push(std::thread::spawn(move || {
+            writer_threads.push(std::thread::spawn(move || {
                 while let Ok(Some((frame_kind, payload))) = wrx.recv() {
                     if write_frame(&mut write_half, frame_kind, &payload).is_err() {
                         return;
@@ -566,51 +709,43 @@ impl<U: Decode + Send + 'static, D: Encode> TcpCoordLink<U, D> {
             ] {
                 read_halves.push(stream.try_clone()?);
                 let mut read_half = stream;
-                threads.push(std::thread::spawn(move || loop {
-                    match read_frame(&mut read_half) {
-                        Ok(Some((kind::UP, payload))) => {
-                            let mut r = WireReader::new(&payload);
-                            let Ok(up) = U::decode(&mut r) else {
-                                tx.send(CoordEvent::Closed(site));
-                                return;
-                            };
-                            if r.finish().is_err() {
-                                tx.send(CoordEvent::Closed(site));
-                                return;
-                            }
-                            tx.send(CoordEvent::Up(site, up));
-                        }
-                        Ok(Some((kind::PONG, payload))) => {
-                            let Ok(nonce) = decode_varint(&payload) else {
-                                tx.send(CoordEvent::Closed(site));
-                                return;
-                            };
-                            tx.send(CoordEvent::Pong(site, nonce));
-                        }
-                        Ok(Some((kind::EOS, _))) if !urgent_lane => {
-                            tx.send(CoordEvent::Eos(site));
-                        }
-                        Ok(None) => return, // clean close after STOP
-                        Ok(Some(_)) | Err(_) => {
-                            tx.send(CoordEvent::Closed(site));
-                            return;
-                        }
+                reader_threads.push(std::thread::spawn(move || {
+                    // Anything but a clean close takes the link down.
+                    if read_ups(&mut read_half, site, urgent_lane, &tx).is_err() {
+                        tx.send(CoordEvent::Closed(site));
                     }
                 }));
             }
         }
 
         Ok(Self {
-            ordinary_rx,
-            urgent_rx,
-            wake,
-            registered: false,
+            lanes,
             writers,
             spent,
             read_halves,
-            threads,
+            writer_threads,
+            reader_threads,
             _down: PhantomData,
         })
+    }
+}
+
+/// One coordinator-side reader thread: decode frames off one inbound
+/// stream of `site` into its lane. `Ok` is a clean close (after STOP).
+fn read_ups<U: Decode>(
+    stream: &mut TcpStream,
+    site: SiteId,
+    urgent_lane: bool,
+    tx: &LaneTx<U>,
+) -> io::Result<()> {
+    loop {
+        tx.send(match read_frame(stream)? {
+            Some((kind::UP, payload)) => CoordEvent::Up(site, decode_exact(&payload)?),
+            Some((kind::PONG, payload)) => CoordEvent::Pong(site, decode_exact(&payload)?),
+            Some((kind::EOS, _)) if !urgent_lane => CoordEvent::Eos(site),
+            None => return Ok(()),
+            Some((other, _)) => return Err(invalid(format!("unexpected frame kind {other}"))),
+        });
     }
 }
 
@@ -629,7 +764,7 @@ impl<U, D: Encode> CoordLink<U, D> for TcpCoordLink<U, D> {
 
     fn ping(&mut self, nonce: u64) -> io::Result<()> {
         for w in &self.writers {
-            w.send(Some((kind::PING, varint_payload(nonce))))
+            w.send(Some((kind::PING, encode_to_vec(&nonce))))
                 .map_err(|_| io::Error::new(io::ErrorKind::BrokenPipe, "writer thread gone"))?;
         }
         Ok(())
@@ -640,35 +775,21 @@ impl<U, D: Encode> CoordLink<U, D> for TcpCoordLink<U, D> {
             let _ = w.send(Some((kind::STOP, Vec::new())));
             let _ = w.send(None);
         }
+        // Wait until every queued frame — the STOP last — is handed to
+        // the kernel: a caller may drop the link or exit right after,
+        // and a site that never sees its STOP reports a dead coordinator.
+        for h in self.writer_threads.drain(..) {
+            let _ = h.join();
+        }
         Ok(())
     }
 
     fn try_recv(&mut self) -> Option<CoordEvent<U>> {
-        self.urgent_rx
-            .try_recv()
-            .or_else(|| self.ordinary_rx.try_recv())
+        self.lanes.try_recv()
     }
 
     fn recv(&mut self) -> Option<CoordEvent<U>> {
-        loop {
-            if let Some(ev) = self.try_recv() {
-                return Some(ev);
-            }
-            let gone = |rx: &MpscReceiver<CoordEvent<U>>| rx.is_disconnected() && rx.is_empty();
-            if gone(&self.urgent_rx) && gone(&self.ordinary_rx) {
-                return None;
-            }
-            if !self.registered {
-                self.wake.register();
-                self.registered = true;
-            }
-            let (urx, orx) = (&self.urgent_rx, &self.ordinary_rx);
-            self.wake.park_while(|| {
-                urx.is_empty()
-                    && orx.is_empty()
-                    && !(urx.is_disconnected() && orx.is_disconnected())
-            });
-        }
+        self.lanes.recv()
     }
 }
 
@@ -680,7 +801,8 @@ impl<U, D> Drop for TcpCoordLink<U, D> {
         for s in &self.read_halves {
             let _ = s.shutdown(Shutdown::Both);
         }
-        for h in self.threads.drain(..) {
+        let threads = self.writer_threads.drain(..);
+        for h in threads.chain(self.reader_threads.drain(..)) {
             let _ = h.join();
         }
     }
@@ -690,10 +812,8 @@ impl<U, D> Drop for TcpCoordLink<U, D> {
 // The halves.
 // ---------------------------------------------------------------------
 
-/// One site's deployment frontend: feed it the site's local stream;
-/// it drains pending control before every element (downs and seals
-/// overtake queued data, like the channel runtime's control lane),
-/// ships ups with urgent routing, and answers quiesce probes.
+/// One site's role (see the module docs): feed it the site's local
+/// stream.
 pub struct SiteHalf<S: Site, L> {
     site: S,
     link: L,
@@ -714,9 +834,14 @@ impl<S: Site, L: SiteLink<S::Up, S::Down>> SiteHalf<S, L> {
         }
     }
 
-    /// Process one stream element (after draining pending control).
+    /// Process one stream element: pending control first, then — while
+    /// the link's fairness gate holds — whatever control arrives, then
+    /// the element, then its ups.
     pub fn feed(&mut self, item: &S::Item) -> io::Result<()> {
         self.pump()?;
+        while let Some(ev) = self.link.gate()? {
+            self.handle(ev)?;
+        }
         self.stats.elements += 1;
         self.site.on_item(item, &mut self.out);
         self.flush()
@@ -725,10 +850,10 @@ impl<S: Site, L: SiteLink<S::Up, S::Down>> SiteHalf<S, L> {
     /// Drain every control message currently queued.
     pub fn pump(&mut self) -> io::Result<()> {
         while !self.stopped {
-            match self.link.try_recv() {
-                Some(ev) => self.handle(ev)?,
-                None => break,
-            }
+            let Some(ev) = self.link.try_recv() else {
+                break;
+            };
+            self.handle(ev)?;
         }
         Ok(())
     }
@@ -740,14 +865,19 @@ impl<S: Site, L: SiteLink<S::Up, S::Down>> SiteHalf<S, L> {
         self.link.eos()
     }
 
-    /// Serve downs and quiesce probes until the coordinator says stop
-    /// (or the link dies).
+    /// Serve downs and quiesce probes until the coordinator says stop.
+    /// A link that closes without a `Stop` is an error
+    /// (`ConnectionAborted`): a site whose coordinator died must not
+    /// report a clean run.
     pub fn run_until_stop(&mut self) -> io::Result<()> {
         while !self.stopped {
-            match self.link.recv() {
-                Some(ev) => self.handle(ev)?,
-                None => break,
-            }
+            let ev = self.link.recv().ok_or_else(|| {
+                io::Error::new(
+                    io::ErrorKind::ConnectionAborted,
+                    "coordinator link closed without a stop",
+                )
+            })?;
+            self.handle(ev)?;
         }
         Ok(())
     }
@@ -789,21 +919,34 @@ impl<S: Site, L: SiteLink<S::Up, S::Down>> SiteHalf<S, L> {
     pub fn site(&self) -> &S {
         &self.site
     }
+
+    /// The link this half runs over.
+    pub fn link(&self) -> &L {
+        &self.link
+    }
+
+    /// Whether the coordinator has said stop.
+    pub fn stopped(&self) -> bool {
+        self.stopped
+    }
 }
 
-/// Callback invoked with the coordinator state after every applied
-/// message (the snapshot publisher behind [`CoordHalf::query_handle`]).
-type PublishFn<C> = Box<dyn FnMut(&C)>;
-
-/// The coordinator's deployment frontend.
+/// The coordinator's role: the one apply loop.
 pub struct CoordHalf<C: Coordinator, L> {
     coord: C,
     link: L,
     net: Net<C::Down>,
     stats: CommStats,
     eos: Vec<bool>,
+    /// Current quiesce round and the pongs it has collected per site.
     nonce: u64,
+    pongs: Vec<u8>,
+    /// Live-query publish hook and its cell; `None` until
+    /// [`CoordHalf::query_handle`], so runs without readers pay nothing.
     publish: Option<PublishFn<C>>,
+    live: Option<CellRef<C>>,
+    /// Applies since the last publish (see [`PUBLISH_EVERY`]).
+    unpublished: u32,
 }
 
 impl<C, L> CoordHalf<C, L>
@@ -822,15 +965,11 @@ where
             stats: CommStats::default(),
             eos: vec![false; k],
             nonce: 0,
+            pongs: vec![0; k],
             publish: None,
+            live: None,
+            unpublished: 0,
         }
-    }
-
-    fn unexpected_close(site: SiteId) -> io::Error {
-        io::Error::new(
-            io::ErrorKind::ConnectionAborted,
-            format!("site {site} link closed unexpectedly"),
-        )
     }
 
     /// Apply one up and fan out the resulting downs (a broadcast is
@@ -840,8 +979,8 @@ where
         self.stats.up_words += up.words();
         self.stats.up_bytes += up.wire_bytes();
         self.coord.on_message(from, &up, &mut self.net);
-        let downs: Vec<(Dest, C::Down)> = self.net.drain().collect();
-        for (dest, d) in downs {
+        let k = self.eos.len();
+        for (dest, d) in self.net.drain() {
             match dest {
                 Dest::Site(to) => {
                     self.stats.down_msgs += 1;
@@ -851,80 +990,117 @@ where
                 }
                 Dest::Broadcast => {
                     self.stats.broadcast_events += 1;
-                    let k = self.eos.len() as u64;
-                    self.stats.down_msgs += k;
-                    self.stats.down_words += k * d.words();
-                    self.stats.down_bytes += k * d.wire_bytes();
-                    for to in 0..self.eos.len() {
+                    self.stats.down_msgs += k as u64;
+                    self.stats.down_words += k as u64 * d.words();
+                    self.stats.down_bytes += k as u64 * d.wire_bytes();
+                    for to in 0..k {
                         self.link.send_down(to, d.clone())?;
                     }
                 }
             }
         }
-        if let Some(publish) = self.publish.as_mut() {
-            publish(&self.coord);
+        // Publication is coalesced: each published state is a whole
+        // coordinator between two applies, so any cadence keeps readers
+        // on a prefix of the applied ups.
+        self.unpublished += 1;
+        if self.unpublished >= PUBLISH_EVERY {
+            self.publish_pending();
+        }
+        Ok(())
+    }
+
+    /// Publish a snapshot if any apply happened since the last one.
+    fn publish_pending(&mut self) {
+        if self.unpublished > 0 {
+            if let Some(publish) = self.publish.as_mut() {
+                publish(&self.coord);
+            }
+            self.unpublished = 0;
+        }
+    }
+
+    fn on_event(&mut self, ev: CoordEvent<C::Up>) -> io::Result<()> {
+        match ev {
+            CoordEvent::Up(from, up) => self.apply(from, up)?,
+            // A pong of an earlier round is stale; drop it.
+            CoordEvent::Pong(site, nonce) if nonce == self.nonce => self.pongs[site] += 1,
+            CoordEvent::Pong(..) => {}
+            CoordEvent::Eos(site) => self.eos[site] = true,
+            CoordEvent::Closed(site) => {
+                return Err(io::Error::new(
+                    io::ErrorKind::ConnectionAborted,
+                    format!("site {site} link closed unexpectedly"),
+                ))
+            }
+        }
+        Ok(())
+    }
+
+    /// Apply what is queued, without blocking — at most one credit
+    /// window of events (per site `SITE_CREDIT` ups, a round's two pongs,
+    /// an eos and a close). On in-process links nothing more can have
+    /// been outstanding when the call was made, and the bound keeps sites
+    /// that refill the lanes as fast as they drain from starving a
+    /// caller with other duties (the channel runtime's command lane).
+    pub fn pump(&mut self) -> io::Result<()> {
+        for _ in 0..self.eos.len() as u64 * (SITE_CREDIT + 4) {
+            let Some(ev) = self.link.try_recv() else {
+                break;
+            };
+            self.on_event(ev)?;
+        }
+        self.publish_pending();
+        Ok(())
+    }
+
+    /// The apply loop, blocking: take and handle events while `more`.
+    /// Catching up (nothing queued) publishes the pending snapshot before
+    /// blocking, so idle readers see the latest apply.
+    fn run_while(&mut self, more: impl Fn(&Self) -> bool) -> io::Result<()> {
+        while more(self) {
+            let ev = match self.link.try_recv() {
+                Some(ev) => ev,
+                None => {
+                    self.publish_pending();
+                    self.link.recv().ok_or_else(|| {
+                        io::Error::new(io::ErrorKind::ConnectionAborted, "all site links closed")
+                    })?
+                }
+            };
+            self.on_event(ev)?;
         }
         Ok(())
     }
 
     /// Apply ups until every site has announced end-of-stream.
     pub fn pump_until_eos(&mut self) -> io::Result<()> {
-        while !self.eos.iter().all(|&done| done) {
-            match self.link.recv() {
-                Some(CoordEvent::Up(from, up)) => self.apply(from, up)?,
-                Some(CoordEvent::Pong(_, _)) => {} // stale quiesce round
-                Some(CoordEvent::Eos(site)) => self.eos[site] = true,
-                Some(CoordEvent::Closed(site)) => return Err(Self::unexpected_close(site)),
-                None => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::ConnectionAborted,
-                        "all site links closed before end-of-stream",
-                    ))
-                }
-            }
-        }
-        Ok(())
+        self.run_while(|half| !half.eos.iter().all(|&done| done))
     }
 
     /// Distributed quiesce: ping/pong rounds until a round applies no
     /// new up and emits no new down (see the module docs for why
     /// per-lane FIFO makes one silent round a settlement proof).
-    /// Returns the number of rounds.
+    /// Returns the number of rounds, or `TimedOut` if the protocol is
+    /// still talking after `MAX_QUIESCE_ROUNDS` of them. On return the
+    /// live-query snapshot, if any, is the settled state.
     pub fn quiesce(&mut self) -> io::Result<u32> {
-        let mut rounds = 0;
-        loop {
-            rounds += 1;
-            assert!(
-                rounds < MAX_QUIESCE_ROUNDS,
-                "transport failed to quiesce within {MAX_QUIESCE_ROUNDS} rounds"
-            );
+        for round in 1..=MAX_QUIESCE_ROUNDS {
+            // A backlog queued before the barrier should not cost a round.
+            self.pump()?;
             let before = (self.stats.up_msgs, self.stats.down_msgs);
             self.nonce += 1;
-            let nonce = self.nonce;
-            self.link.ping(nonce)?;
-            let mut pongs = vec![0u8; self.eos.len()];
-            while pongs.iter().any(|&c| c < PONGS_PER_SITE) {
-                match self.link.recv() {
-                    Some(CoordEvent::Up(from, up)) => self.apply(from, up)?,
-                    Some(CoordEvent::Pong(site, n)) if n == nonce => pongs[site] += 1,
-                    Some(CoordEvent::Pong(_, _)) => {} // stale round
-                    Some(CoordEvent::Eos(site)) => self.eos[site] = true,
-                    Some(CoordEvent::Closed(site)) => return Err(Self::unexpected_close(site)),
-                    None => {
-                        return Err(io::Error::new(
-                            io::ErrorKind::ConnectionAborted,
-                            "all site links closed during quiesce",
-                        ))
-                    }
-                }
-            }
+            self.pongs.fill(0);
+            self.link.ping(self.nonce)?;
+            self.run_while(|half| half.pongs.iter().any(|&c| c < PONGS_PER_SITE))?;
             if (self.stats.up_msgs, self.stats.down_msgs) == before {
-                if let Some(publish) = self.publish.as_mut() {
-                    publish(&self.coord);
-                }
-                return Ok(rounds);
+                self.publish_pending();
+                return Ok(round);
             }
         }
+        Err(io::Error::new(
+            io::ErrorKind::TimedOut,
+            format!("transport failed to quiesce within {MAX_QUIESCE_ROUNDS} rounds"),
+        ))
     }
 
     /// Tell every site to shut down.
@@ -937,6 +1113,11 @@ where
         &self.coord
     }
 
+    /// The link this half runs over.
+    pub fn link(&self) -> &L {
+        &self.link
+    }
+
     /// Consume the half, yielding the coordinator and its accounting.
     pub fn into_parts(self) -> (C, CommStats) {
         (self.coord, self.stats)
@@ -947,18 +1128,24 @@ where
         &self.stats
     }
 
-    /// Lock-free live-query handle: the half publishes an epoch-stamped
-    /// snapshot of the coordinator after every apply, so any number of
-    /// reader threads answer queries while the pump loop runs — the
-    /// multi-process counterpart of
-    /// [`crate::runtime::ChannelRuntime::query_handle`]. Immediately
-    /// after [`CoordHalf::quiesce`], a handle read equals
-    /// [`CoordHalf::coord`].
+    /// Create (or clone) a lock-free live-query handle. The half
+    /// publishes an epoch-stamped snapshot of the coordinator at apply
+    /// boundaries — whenever it catches up with its lanes, at least
+    /// every [`PUBLISH_EVERY`] applies under sustained load, and when
+    /// [`CoordHalf::quiesce`] settles (a handle read then equals
+    /// [`CoordHalf::coord`]) — so reader threads answer queries while
+    /// the loop runs, each from a whole coordinator state between two
+    /// applies. Installing a handle changes no protocol behavior: no
+    /// message is added, no word charged.
     pub fn query_handle(&mut self) -> QueryHandle<C>
     where
         C: Clone + Sync + Send + 'static,
     {
+        if let Some(cell) = &self.live {
+            return cell.handle();
+        }
         let (mut publisher, handle) = snapshot_cell(self.coord.clone());
+        self.live = Some(handle.cell_ref());
         self.publish = Some(Box::new(move |coord: &C| publisher.publish(coord.clone())));
         handle
     }
@@ -968,7 +1155,7 @@ where
 mod tests {
     use super::*;
     use crate::protocol::Coordinator;
-    use crate::wire::encode_to_vec;
+    use crate::wire::{WireReader, WireWriter};
     use std::io::Write;
 
     /// Echo protocol with an urgent flavor: sites forward each item;
@@ -1143,6 +1330,165 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
+    }
+
+    #[test]
+    fn publication_is_coalesced_under_sustained_ups() {
+        // Every site ships exactly one credit window and its eos before
+        // the coordinator takes its first event, so the apply loop never
+        // catches up mid-run: it must publish on the PUBLISH_EVERY
+        // cadence, not once per apply.
+        let k = 4;
+        let (site_links, coord_link) = in_process_links::<EchoUp, u64>(k);
+        let mut sites: Vec<_> = site_links
+            .into_iter()
+            .map(|link| SiteHalf::new(EchoSite, link))
+            .collect();
+        for (id, half) in sites.iter_mut().enumerate() {
+            for i in 0..SITE_CREDIT {
+                half.feed(&(id as u64 * SITE_CREDIT + i)).unwrap();
+            }
+            half.finish_stream().unwrap();
+        }
+        let mut coord = CoordHalf::new(SumCoord { sum: 0, applies: 0 }, coord_link);
+        let live = coord.query_handle();
+        coord.pump_until_eos().unwrap();
+        let handles: Vec<_> = sites
+            .into_iter()
+            .map(|mut half| std::thread::spawn(move || half.run_until_stop().unwrap()))
+            .collect();
+        coord.quiesce().unwrap();
+
+        let applies = coord.stats().up_msgs;
+        assert_eq!(applies, k as u64 * SITE_CREDIT);
+        let epochs = live.epoch();
+        assert!(
+            epochs > 0 && epochs <= applies / u64::from(PUBLISH_EVERY) + 2,
+            "{epochs} epochs for {applies} applies"
+        );
+        assert_eq!(live.read(|s| s.state.sum), coord.coord().sum);
+        assert_eq!(coord.coord().sum, (0..applies).sum::<u64>());
+        coord.stop().unwrap();
+        for h in handles {
+            h.join().unwrap();
+        }
+    }
+
+    #[test]
+    fn credit_caps_a_site_over_bare_halves() {
+        // The runtime's credit test without the runtime: a chatty site
+        // (an up per element) over bare in-process halves may never run
+        // more than SITE_CREDIT + 1 ups ahead of a slow coordinator — the
+        // cap is the link pair's, not the executor's.
+        use std::sync::atomic::AtomicU64 as A;
+        static SENT: A = A::new(0);
+        static APPLIED: A = A::new(0);
+        static MAX_GAP: A = A::new(0);
+
+        struct GapSite;
+        impl Site for GapSite {
+            type Item = u64;
+            type Up = EchoUp;
+            type Down = u64;
+            fn on_item(&mut self, item: &u64, out: &mut Outbox<EchoUp>) {
+                let sent = SENT.fetch_add(1, Ordering::SeqCst) + 1;
+                let gap = sent.saturating_sub(APPLIED.load(Ordering::SeqCst));
+                MAX_GAP.fetch_max(gap, Ordering::SeqCst);
+                out.send(EchoUp(*item));
+            }
+            fn on_message(&mut self, _: &u64, _: &mut Outbox<EchoUp>) {}
+            fn space_words(&self) -> u64 {
+                1
+            }
+        }
+        struct SlowCoord;
+        impl Coordinator for SlowCoord {
+            type Up = EchoUp;
+            type Down = u64;
+            fn on_message(&mut self, _: SiteId, _: &EchoUp, _: &mut Net<u64>) {
+                APPLIED.fetch_add(1, Ordering::SeqCst);
+                std::thread::sleep(std::time::Duration::from_micros(20));
+            }
+        }
+
+        let (mut site_links, coord_link) = in_process_links::<EchoUp, u64>(1);
+        let link = site_links.pop().unwrap();
+        let site = std::thread::spawn(move || {
+            let mut half = SiteHalf::new(GapSite, link);
+            for i in 0..2_000u64 {
+                half.feed(&i).unwrap();
+            }
+            half.finish_stream().unwrap();
+            half.run_until_stop().unwrap();
+        });
+        let mut coord = CoordHalf::new(SlowCoord, coord_link);
+        coord.pump_until_eos().unwrap();
+        coord.quiesce().unwrap();
+        assert_eq!(coord.stats().up_msgs, 2_000);
+        coord.stop().unwrap();
+        site.join().unwrap();
+        // +1: the element being processed when the gap was sampled.
+        let max_gap = MAX_GAP.load(Ordering::SeqCst);
+        assert!(
+            max_gap <= SITE_CREDIT + 1,
+            "site ran {max_gap} ups ahead of the coordinator (credit {SITE_CREDIT})"
+        );
+    }
+
+    #[test]
+    fn quiesce_times_out_on_a_protocol_that_never_settles() {
+        // The site answers every down with an up and the coordinator
+        // every up with a down: no round is ever silent. That is a typed
+        // `TimedOut`, not a panic on the coordinator's thread.
+        struct ChatSite;
+        impl Site for ChatSite {
+            type Item = u64;
+            type Up = EchoUp;
+            type Down = u64;
+            fn on_item(&mut self, item: &u64, out: &mut Outbox<EchoUp>) {
+                out.send(EchoUp(*item));
+            }
+            fn on_message(&mut self, _: &u64, out: &mut Outbox<EchoUp>) {
+                out.send(EchoUp(1));
+            }
+            fn space_words(&self) -> u64 {
+                1
+            }
+        }
+        struct ChatCoord;
+        impl Coordinator for ChatCoord {
+            type Up = EchoUp;
+            type Down = u64;
+            fn on_message(&mut self, from: SiteId, _: &EchoUp, net: &mut Net<u64>) {
+                net.send(from, 0);
+            }
+        }
+
+        let (mut site_links, coord_link) = in_process_links::<EchoUp, u64>(1);
+        let link = site_links.pop().unwrap();
+        let site = std::thread::spawn(move || {
+            let mut half = SiteHalf::new(ChatSite, link);
+            half.feed(&1).unwrap();
+            half.finish_stream().unwrap();
+            half.run_until_stop().unwrap();
+        });
+        let mut coord = CoordHalf::new(ChatCoord, coord_link);
+        coord.pump_until_eos().unwrap();
+        let err = coord.quiesce().unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::TimedOut);
+        coord.stop().unwrap();
+        site.join().unwrap();
+    }
+
+    #[test]
+    fn a_link_closed_without_stop_is_not_a_clean_run() {
+        // The coordinator end dies (dropped) without ever saying stop.
+        let (mut site_links, coord_link) = in_process_links::<EchoUp, u64>(1);
+        let mut half = SiteHalf::new(EchoSite, site_links.pop().unwrap());
+        half.feed(&7).unwrap();
+        drop(coord_link);
+        let err = half.run_until_stop().unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::ConnectionAborted);
     }
 
     #[test]

@@ -66,6 +66,13 @@ impl std::fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
+/// Undecodable bytes off a socket are `InvalidData` to the transport.
+impl From<WireError> for io::Error {
+    fn from(e: WireError) -> Self {
+        io::Error::new(io::ErrorKind::InvalidData, e)
+    }
+}
+
 /// Sink for [`Encode`] impls. One encoder, two sinks: a writer from
 /// [`WireWriter::new`] stores the bytes; the counting writer behind
 /// [`measured`] runs the same `encode` calls and only sums their lengths.

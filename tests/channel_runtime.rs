@@ -114,3 +114,65 @@ fn concurrent_feeding_from_multiple_producers() {
     );
     assert_eq!(rt.stats().elements, total);
 }
+
+#[test]
+fn runtime_and_bare_halves_agree_bit_for_bit() {
+    // `ChannelRuntime` is k `SiteHalf`s and a `CoordHalf` over
+    // `in_process_links()`; driving those pieces by hand on the same
+    // per-site streams must give the same answer and the same
+    // accounting. Deterministic count is one-way and its coordinator
+    // sums last-per-site reports, so the comparison is exact whatever
+    // the cross-site interleaving.
+    use dtrack::core::count::DeterministicCount;
+    use dtrack::sim::{in_process_links, CoordHalf, Protocol, SiteHalf};
+
+    let (k, eps, seed) = (4usize, 0.05, 11u64);
+    let proto = DeterministicCount::new(TrackingConfig::new(k, eps));
+    // Uneven streams: site i sees 3000·(i+1) elements.
+    let per_site = |site: usize| 3_000 * (site as u64 + 1);
+
+    let mut rt: ChannelRuntime<DeterministicCount> = ChannelRuntime::new(&proto, seed);
+    let batch: Vec<(usize, u64)> = (0..k)
+        .flat_map(|site| (0..per_site(site)).map(move |t| (site, t)))
+        .collect();
+    rt.feed_batch(batch);
+    rt.quiesce();
+    let runtime_est = rt.with_coord(|c| c.estimate());
+    let runtime_stats = rt.shutdown();
+
+    let (site_links, coord_link) = in_process_links(k);
+    let mut coord = CoordHalf::new(proto.build_coord(seed), coord_link);
+    let sites: Vec<_> = site_links
+        .into_iter()
+        .enumerate()
+        .map(|(site, link)| {
+            let mut half = SiteHalf::new(proto.build_site(seed, site), link);
+            std::thread::spawn(move || {
+                for t in 0..per_site(site) {
+                    half.feed(&t).unwrap();
+                }
+                half.finish_stream().unwrap();
+                half.run_until_stop().unwrap();
+            })
+        })
+        .collect();
+    coord.pump_until_eos().unwrap();
+    coord.quiesce().unwrap();
+    let halves_est = coord.coord().estimate();
+    coord.stop().unwrap();
+    for h in sites {
+        h.join().unwrap();
+    }
+    let (_, halves_stats) = coord.into_parts();
+
+    assert_eq!(runtime_est.to_bits(), halves_est.to_bits());
+    let cost = |s: &dtrack::sim::CommStats| {
+        (
+            [s.up_msgs, s.up_words, s.up_bytes],
+            [s.down_msgs, s.down_words, s.down_bytes],
+        )
+    };
+    assert_eq!(cost(&runtime_stats), cost(&halves_stats));
+    assert!(runtime_stats.up_msgs > 0);
+    assert_eq!(runtime_stats.elements, (0..k).map(per_site).sum::<u64>());
+}
