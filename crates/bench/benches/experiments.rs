@@ -4,7 +4,7 @@
 //! run. The full-scale tables come from the `dtrack-bench` binaries.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use dtrack_bench::measure::{count_run, frequency_run, rank_run, CountAlgo, FreqAlgo, RankAlgo};
+use dtrack_bench::measure::{run, Algo, Problem};
 use dtrack_bounds::SamplingProblem;
 use dtrack_sim::{DeliveryPolicy, ExecConfig};
 
@@ -14,13 +14,23 @@ fn bench_experiment_smoke(c: &mut Criterion) {
 
     let exec = ExecConfig::lockstep();
     g.bench_function("table1_count_row", |b| {
-        b.iter(|| count_run(exec, CountAlgo::Randomized, 16, 0.05, 50_000, 1))
+        b.iter(|| run(exec, Problem::Count, Algo::Randomized, 16, 0.05, 50_000, 1))
     });
     g.bench_function("table1_frequency_row", |b| {
-        b.iter(|| frequency_run(exec, FreqAlgo::Randomized, 16, 0.05, 50_000, 1))
+        b.iter(|| {
+            run(
+                exec,
+                Problem::Frequency,
+                Algo::Randomized,
+                16,
+                0.05,
+                50_000,
+                1,
+            )
+        })
     });
     g.bench_function("table1_rank_row", |b| {
-        b.iter(|| rank_run(exec, RankAlgo::Randomized, 16, 0.05, 50_000, 1))
+        b.iter(|| run(exec, Problem::Rank, Algo::Randomized, 16, 0.05, 50_000, 1))
     });
     g.bench_function("figure1_point", |b| {
         b.iter(|| SamplingProblem::new(1_000).failure_rate(100, 500, 1))
@@ -44,7 +54,7 @@ fn bench_executor_matrix(c: &mut Criterion) {
         ("channel", ExecConfig::channel()),
     ] {
         g.bench_function(name, |b| {
-            b.iter(|| count_run(exec, CountAlgo::Randomized, 16, 0.05, 50_000, 1))
+            b.iter(|| run(exec, Problem::Count, Algo::Randomized, 16, 0.05, 50_000, 1))
         });
     }
     g.finish();

@@ -5,11 +5,14 @@
 //! nothing used to catch a regression landing between two PRs. This
 //! module gives the `perf_baseline` binary its machinery:
 //!
-//! * [`measure_cells`] runs a small fixed matrix — the seven Table-1
-//!   protocol cells on their standard workloads plus two sliding-window
-//!   cells (count and frequency, lock-step executor), plus one windowed
-//!   cell on the *channel* runtime — and records the **median words**
-//!   and **median wall time** per cell.
+//! * [`measure_cells`] runs the protocol matrix through
+//!   [`measure::run`](crate::measure::run), each scenario once per seed
+//!   — the seven Table-1 protocol cells on their standard workloads, two
+//!   sliding-window cells (count and frequency, lock-step executor) and
+//!   one windowed cell on the *channel* runtime — and carves two panels
+//!   out of those runs: **median words** + **median wall time** per
+//!   scenario, and the wire-format panel (`bytes/*`: total codec bytes
+//!   of each lock-step scenario, advisory).
 //! * [`measure_throughput_cells`] runs the separate ingest-throughput
 //!   panel: the channel runtime fed [`THROUGHPUT_ELEMS`] elements
 //!   through the coalesced `feed_batch` path and the per-element `feed`
@@ -47,12 +50,9 @@
 
 use std::time::Instant;
 
-use dtrack_sim::ExecConfig;
+use dtrack_sim::{ExecConfig, ExecMode, TreeSpec};
 
-use crate::measure::{
-    count_run, frequency_run, rank_run, tree_count_run, CountAlgo, FreqAlgo, RankAlgo,
-};
-use dtrack_sim::TreeSpec;
+use crate::measure::{median, run, Algo, Problem};
 
 /// Baseline parameters of one measurement matrix.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -118,163 +118,100 @@ pub struct Cell {
 }
 
 /// Median of a small vector (by partial order; NaN-free inputs).
-fn med_u64(mut v: Vec<u64>) -> u64 {
-    v.sort_unstable();
-    v[v.len() / 2]
-}
-
 fn med_f64(mut v: Vec<f64>) -> f64 {
     v.sort_by(|a, b| a.partial_cmp(b).unwrap());
     v[v.len() / 2]
 }
 
-/// Run the measurement matrix and return one [`Cell`] per protocol.
-/// Exact cells run `p.seeds` seeds and store the median words; inexact
-/// cells run `max(p.seeds, INEXACT_SEEDS)` seeds and additionally store
-/// the min/max of the words distribution.
-pub fn measure_cells(p: Params) -> Vec<Cell> {
-    let exec = ExecConfig::lockstep();
-    let timed = |f: &dyn Fn(u64) -> u64, seeds: u64| -> (u64, u64, u64, f64) {
-        let mut words = Vec::new();
-        let mut millis = Vec::new();
-        for seed in 0..seeds {
-            let t0 = Instant::now();
-            words.push(f(seed));
-            millis.push(t0.elapsed().as_secs_f64() * 1e3);
-        }
-        let (lo, hi) = (
-            *words.iter().min().expect("≥1 seed"),
-            *words.iter().max().expect("≥1 seed"),
-        );
-        (lo, med_u64(words), hi, med_f64(millis))
-    };
+/// One cell from its per-seed `words` samples: median, min and max.
+fn cell(id: String, exact: bool, words: Vec<u64>, millis: f64, rate: Option<f64>) -> Cell {
+    Cell {
+        id,
+        exact,
+        words_min: *words.iter().min().expect("≥1 seed"),
+        words_max: *words.iter().max().expect("≥1 seed"),
+        words: median(words),
+        millis,
+        elems_per_sec: rate,
+    }
+}
 
-    type CellFn<'a> = (&'a str, bool, Box<dyn Fn(u64) -> u64>);
-    let (n, k, eps) = (p.n, p.k, p.eps);
-    const EXACT: bool = true;
-    let cells: Vec<CellFn> = vec![
-        (
-            "count/deterministic",
-            EXACT,
-            Box::new(move |s| {
-                count_run(exec, CountAlgo::Deterministic, k, eps, n, s)
-                    .0
-                    .words
-            }),
-        ),
-        (
-            "count/randomized",
-            EXACT,
-            Box::new(move |s| count_run(exec, CountAlgo::Randomized, k, eps, n, s).0.words),
-        ),
-        (
-            "count/sampling",
-            EXACT,
-            Box::new(move |s| count_run(exec, CountAlgo::Sampling, k, eps, n, s).0.words),
-        ),
+/// Run the protocol matrix — each scenario **once per seed** — and
+/// return `(word cells, byte cells)`, both carved out of the same runs.
+///
+/// * **Word cells**, one per scenario: the seven Table-1 protocol cells,
+///   two sliding-window cells on the lock-step executor, and the same
+///   windowed count on the channel runtime. Lock-step cells are `exact`:
+///   they run `p.seeds` seeds and gate on the median words. The channel
+///   cell is not: it runs `max(p.seeds, INEXACT_SEEDS)` seeds and records
+///   the min/max of its words distribution.
+/// * **Byte cells** (`bytes/<id>`), one per lock-step scenario: total
+///   **codec bytes** (`CommSpace::bytes` — every message's measured size
+///   under `dtrack_sim::wire`) of the very same runs, in the cell's
+///   `words` slot. They are **advisory** (`exact: false`) by design: the
+///   byte totals are deterministic on the lock-step executor, but the
+///   codec is an encoding choice, not protocol behavior — varint width
+///   tuning or a tag reshuffle must not demand the hard-gate ritual
+///   reserved for word (≡ algorithm) changes. The word cells stay the
+///   proof obligation; these watch the bytes-per-word ratio against the
+///   recorded range.
+pub fn measure_cells(p: Params) -> (Vec<Cell>, Vec<Cell>) {
+    use Algo::{Deterministic, Randomized, Sampling};
+    use Problem::{Count, Frequency, Rank};
+    let lockstep = ExecConfig::lockstep();
+    // Sliding-window scenarios (window = n/4): words include the epoch
+    // restarts and heartbeat/seal traffic, so these cells guard the
+    // window subsystem's communication behavior. The frequency one pins
+    // the corrected digest path: the −d/p corrections are
+    // coordinator-local, so its words are exactly the pre-correction
+    // words.
+    let windowed = lockstep.windowed(p.n / 4);
+    // The same windowed count on the thread-per-site channel runtime —
+    // the measurement-grade concurrent path. Thread interleaving makes
+    // its word count non-deterministic, so the cell is advisory: it
+    // guards against order-of-magnitude communication blowups (e.g. a
+    // seal storm), not single words.
+    let channel = ExecConfig::channel().windowed(p.n / 4);
+    let scenarios = [
+        ("count/deterministic", lockstep, Count, Deterministic),
+        ("count/randomized", lockstep, Count, Randomized),
+        ("count/sampling", lockstep, Count, Sampling),
         (
             "frequency/deterministic",
-            EXACT,
-            Box::new(move |s| {
-                frequency_run(exec, FreqAlgo::Deterministic, k, eps, n, s)
-                    .0
-                    .words
-            }),
+            lockstep,
+            Frequency,
+            Deterministic,
         ),
-        (
-            "frequency/randomized",
-            EXACT,
-            Box::new(move |s| {
-                frequency_run(exec, FreqAlgo::Randomized, k, eps, n, s)
-                    .0
-                    .words
-            }),
-        ),
-        (
-            "rank/deterministic",
-            EXACT,
-            Box::new(move |s| {
-                rank_run(exec, RankAlgo::Deterministic, k, eps, n, s)
-                    .0
-                    .words
-            }),
-        ),
-        (
-            "rank/randomized",
-            EXACT,
-            Box::new(move |s| rank_run(exec, RankAlgo::Randomized, k, eps, n, s).0.words),
-        ),
-        // Sliding-window scenario: the randomized count protocol under
-        // the Windowed adapter (window = n/4). Words include the epoch
-        // restarts and heartbeat/seal traffic, so this cell guards the
-        // window subsystem's communication behavior.
-        (
-            "count/windowed",
-            EXACT,
-            Box::new(move |s| {
-                count_run(exec.windowed(n / 4), CountAlgo::Randomized, k, eps, n, s)
-                    .0
-                    .words
-            }),
-        ),
-        // The corrected windowed frequency path (epoch digests carrying
-        // the −d/p correction terms). The corrections are
-        // coordinator-local — no protocol messages change — so words
-        // here are exactly the pre-correction words; the cell pins that,
-        // and regression-gates windowed frequency like every other
-        // scenario cell.
-        (
-            "frequency/windowed",
-            EXACT,
-            Box::new(move |s| {
-                frequency_run(exec.windowed(n / 4), FreqAlgo::Randomized, k, eps, n, s)
-                    .0
-                    .words
-            }),
-        ),
-        // The same windowed scenario on the thread-per-site channel
-        // runtime — the measurement-grade concurrent path. Thread
-        // interleaving makes its word count non-deterministic, so the
-        // cell is advisory: it guards against order-of-magnitude
-        // communication blowups (e.g. a seal storm), not single words.
-        (
-            "window/channel",
-            !EXACT,
-            Box::new(move |s| {
-                count_run(
-                    ExecConfig::channel().windowed(n / 4),
-                    CountAlgo::Randomized,
-                    k,
-                    eps,
-                    n,
-                    s,
-                )
-                .0
-                .words
-            }),
-        ),
+        ("frequency/randomized", lockstep, Frequency, Randomized),
+        ("rank/deterministic", lockstep, Rank, Deterministic),
+        ("rank/randomized", lockstep, Rank, Randomized),
+        ("count/windowed", windowed, Count, Randomized),
+        ("frequency/windowed", windowed, Frequency, Randomized),
+        ("window/channel", channel, Count, Randomized),
     ];
-
-    cells
-        .into_iter()
-        .map(|(id, exact, f)| {
-            let seeds = if exact {
-                p.seeds
-            } else {
-                p.seeds.max(INEXACT_SEEDS)
-            };
-            let (words_min, words, words_max, millis) = timed(&*f, seeds);
-            Cell {
-                id: id.to_string(),
-                words,
-                millis,
-                exact,
-                words_min,
-                words_max,
-                elems_per_sec: None,
-            }
-        })
-        .collect()
+    let (mut word_cells, mut byte_cells) = (Vec::new(), Vec::new());
+    for (id, exec, problem, algo) in scenarios {
+        let exact = exec.mode == ExecMode::LockStep;
+        let seeds = if exact {
+            p.seeds
+        } else {
+            p.seeds.max(INEXACT_SEEDS)
+        };
+        let (mut words, mut bytes, mut millis) = (Vec::new(), Vec::new(), Vec::new());
+        for seed in 0..seeds {
+            let t0 = Instant::now();
+            let cost = run(exec, problem, algo, p.k, p.eps, p.n, seed).cost;
+            millis.push(t0.elapsed().as_secs_f64() * 1e3);
+            words.push(cost.words);
+            bytes.push(cost.bytes);
+        }
+        let millis = med_f64(millis);
+        word_cells.push(cell(id.to_string(), exact, words, millis, None));
+        if exact {
+            byte_cells.push(cell(format!("bytes/{id}"), false, bytes, millis, None));
+        }
+    }
+    (word_cells, byte_cells)
 }
 
 /// Fanout of the topology panel's tree: binary, so the default CI
@@ -301,8 +238,19 @@ pub const TOPOLOGY_DEPTH: usize = 4;
 /// re-baseline. Like every advisory cell, `--bootstrap` refreshes the
 /// wall-times and `--check` compares words against the recorded range.
 pub fn measure_topology_cells(p: Params) -> Vec<Cell> {
-    let exec = ExecConfig::lockstep();
-    let spec = TreeSpec::new(TOPOLOGY_FANOUT).with_depth(TOPOLOGY_DEPTH);
+    let flat = ExecConfig::lockstep();
+    let tree = flat.with_tree(TreeSpec::new(TOPOLOGY_FANOUT).with_depth(TOPOLOGY_DEPTH));
+    let count = |exec, seed| {
+        run(
+            exec,
+            Problem::Count,
+            Algo::Randomized,
+            p.k,
+            p.eps,
+            p.n,
+            seed,
+        )
+    };
     let seeds = p.seeds.max(INEXACT_SEEDS);
     // One timed flat run + one timed tree run per seed; every cell of
     // the panel is carved out of the same runs.
@@ -313,14 +261,10 @@ pub fn measure_topology_cells(p: Params) -> Vec<Cell> {
     let mut level_words: Vec<Vec<u64>> = vec![Vec::new(); TOPOLOGY_DEPTH - 1];
     for seed in 0..seeds {
         let t0 = Instant::now();
-        flat_words.push(
-            count_run(exec, CountAlgo::Randomized, p.k, p.eps, p.n, seed)
-                .0
-                .words,
-        );
+        flat_words.push(count(flat, seed).cost.words);
         flat_ms.push(t0.elapsed().as_secs_f64() * 1e3);
         let t1 = Instant::now();
-        let run = tree_count_run(exec, spec, CountAlgo::Randomized, p.k, p.eps, p.n, seed);
+        let run = count(tree, seed);
         tree_ms.push(t1.elapsed().as_secs_f64() * 1e3);
         leaf_words.push(run.leaf_words);
         assert_eq!(
@@ -332,136 +276,23 @@ pub fn measure_topology_cells(p: Params) -> Vec<Cell> {
             level_words[l].push(load.total_words());
         }
     }
-    let cell = |id: String, words: Vec<u64>, millis: f64| -> Cell {
-        let (lo, hi) = (
-            *words.iter().min().expect("≥1 seed"),
-            *words.iter().max().expect("≥1 seed"),
-        );
-        Cell {
-            id,
-            words: med_u64(words),
-            millis,
-            exact: false,
-            words_min: lo,
-            words_max: hi,
-            elems_per_sec: None,
-        }
-    };
     let flat_ms = med_f64(flat_ms);
     let tree_ms = med_f64(tree_ms);
     let mut cells = vec![
-        cell("topology/flat_root".into(), flat_words, flat_ms),
-        cell("topology/leaf".into(), leaf_words, tree_ms),
+        cell(
+            "topology/flat_root".into(),
+            false,
+            flat_words,
+            flat_ms,
+            None,
+        ),
+        cell("topology/leaf".into(), false, leaf_words, tree_ms, None),
     ];
     for (l, words) in level_words.into_iter().enumerate() {
-        cells.push(cell(format!("topology/level{}", l + 1), words, tree_ms));
+        let id = format!("topology/level{}", l + 1);
+        cells.push(cell(id, false, words, tree_ms, None));
     }
     cells
-}
-
-/// Measure the wire-codec panel: the same nine protocol scenarios as
-/// [`measure_cells`]'s exact word cells, but recording total **codec
-/// bytes** (`CommSpace::bytes` — every message's measured size under
-/// `dtrack_sim::wire`) in the cell's `words` slot, under ids prefixed
-/// `bytes/`.
-///
-/// The cells are **advisory** (`exact: false`) by design: the byte
-/// totals are deterministic on the lock-step executor, but the codec is
-/// an encoding choice, not protocol behavior — varint width tuning or a
-/// tag reshuffle must not demand the hard-gate ritual reserved for word
-/// (≡ algorithm) changes. The words cells stay the proof obligation;
-/// these watch the bytes-per-word ratio against the recorded range.
-pub fn measure_wire_cells(p: Params) -> Vec<Cell> {
-    let exec = ExecConfig::lockstep();
-    let (n, k, eps) = (p.n, p.k, p.eps);
-    type ByteFn<'a> = (&'a str, Box<dyn Fn(u64) -> u64>);
-    let cells: Vec<ByteFn> = vec![
-        (
-            "bytes/count/deterministic",
-            Box::new(move |s| {
-                count_run(exec, CountAlgo::Deterministic, k, eps, n, s)
-                    .0
-                    .bytes
-            }),
-        ),
-        (
-            "bytes/count/randomized",
-            Box::new(move |s| count_run(exec, CountAlgo::Randomized, k, eps, n, s).0.bytes),
-        ),
-        (
-            "bytes/count/sampling",
-            Box::new(move |s| count_run(exec, CountAlgo::Sampling, k, eps, n, s).0.bytes),
-        ),
-        (
-            "bytes/frequency/deterministic",
-            Box::new(move |s| {
-                frequency_run(exec, FreqAlgo::Deterministic, k, eps, n, s)
-                    .0
-                    .bytes
-            }),
-        ),
-        (
-            "bytes/frequency/randomized",
-            Box::new(move |s| {
-                frequency_run(exec, FreqAlgo::Randomized, k, eps, n, s)
-                    .0
-                    .bytes
-            }),
-        ),
-        (
-            "bytes/rank/deterministic",
-            Box::new(move |s| {
-                rank_run(exec, RankAlgo::Deterministic, k, eps, n, s)
-                    .0
-                    .bytes
-            }),
-        ),
-        (
-            "bytes/rank/randomized",
-            Box::new(move |s| rank_run(exec, RankAlgo::Randomized, k, eps, n, s).0.bytes),
-        ),
-        (
-            "bytes/count/windowed",
-            Box::new(move |s| {
-                count_run(exec.windowed(n / 4), CountAlgo::Randomized, k, eps, n, s)
-                    .0
-                    .bytes
-            }),
-        ),
-        (
-            "bytes/frequency/windowed",
-            Box::new(move |s| {
-                frequency_run(exec.windowed(n / 4), FreqAlgo::Randomized, k, eps, n, s)
-                    .0
-                    .bytes
-            }),
-        ),
-    ];
-    cells
-        .into_iter()
-        .map(|(id, f)| {
-            let mut bytes = Vec::new();
-            let mut millis = Vec::new();
-            for seed in 0..p.seeds {
-                let t0 = Instant::now();
-                bytes.push(f(seed));
-                millis.push(t0.elapsed().as_secs_f64() * 1e3);
-            }
-            let (lo, hi) = (
-                *bytes.iter().min().expect("≥1 seed"),
-                *bytes.iter().max().expect("≥1 seed"),
-            );
-            Cell {
-                id: id.to_string(),
-                words: med_u64(bytes),
-                millis: med_f64(millis),
-                exact: false,
-                words_min: lo,
-                words_max: hi,
-                elems_per_sec: None,
-            }
-        })
-        .collect()
 }
 
 /// Elements fed per throughput cell when the `perf_baseline` binary
@@ -520,19 +351,8 @@ pub fn measure_throughput_cells(p: Params, n: u64) -> Vec<Cell> {
             words.push(w);
             rates.push(rate);
         }
-        let (lo, hi) = (
-            *words.iter().min().expect("≥1 run"),
-            *words.iter().max().expect("≥1 run"),
-        );
-        Cell {
-            id: id.to_string(),
-            words: med_u64(words),
-            millis: med_f64(millis),
-            exact: false,
-            words_min: lo,
-            words_max: hi,
-            elems_per_sec: Some(med_f64(rates)),
-        }
+        let rate = Some(med_f64(rates));
+        cell(id.to_string(), false, words, med_f64(millis), rate)
     };
     vec![
         mk("throughput/channel", false),
@@ -630,19 +450,8 @@ pub fn measure_query_cells(p: Params, n: u64) -> Vec<Cell> {
             words.push(w);
             rates.push(rate);
         }
-        let (lo, hi) = (
-            *words.iter().min().expect("≥1 run"),
-            *words.iter().max().expect("≥1 run"),
-        );
-        Cell {
-            id: id.to_string(),
-            words: med_u64(words),
-            millis: med_f64(millis),
-            exact: false,
-            words_min: lo,
-            words_max: hi,
-            elems_per_sec: Some(med_f64(rates)),
-        }
+        let rate = Some(med_f64(rates));
+        cell(id.to_string(), false, words, med_f64(millis), rate)
     };
     vec![
         mk("queries/single", 1),
@@ -1216,8 +1025,8 @@ mod tests {
             eps: 0.2,
             seeds: 1,
         };
-        let a = measure_cells(p);
-        let b = measure_cells(p);
+        let (a, a_bytes) = measure_cells(p);
+        let (b, b_bytes) = measure_cells(p);
         assert_eq!(a.len(), 10);
         assert_eq!(a.iter().filter(|c| !c.exact).count(), 1);
         for (x, y) in a.iter().zip(&b) {
@@ -1241,6 +1050,20 @@ mod tests {
                     x.words_max
                 );
             }
+        }
+        // The byte panel is carved out of the same runs: one advisory
+        // `bytes/<id>` cell per exact cell, in matrix order, and just as
+        // deterministic.
+        let want: Vec<String> = a
+            .iter()
+            .filter(|c| c.exact)
+            .map(|c| format!("bytes/{}", c.id))
+            .collect();
+        let got: Vec<&str> = a_bytes.iter().map(|c| c.id.as_str()).collect();
+        assert_eq!(got, want);
+        for (x, y) in a_bytes.iter().zip(&b_bytes) {
+            assert!(!x.exact && x.words > 0, "{}", x.id);
+            assert_eq!(x.words, y.words, "{}", x.id);
         }
     }
 }

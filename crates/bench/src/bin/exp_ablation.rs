@@ -143,30 +143,8 @@ fn ablate_windowed_digest(exec: ExecConfig, n: u64, seeds: u64) {
     let (k, eps) = (8, 0.1);
     let w = (n / 4).max(2);
     let truth = w as f64 / (2 * WINDOWED_BIAS_DOMAIN) as f64;
-    let corrected = windowed_frequency_bias(
-        ExecConfig {
-            window: None,
-            ..exec
-        },
-        true,
-        k,
-        eps,
-        n,
-        w,
-        seeds,
-    );
-    let uncorrected = windowed_frequency_bias(
-        ExecConfig {
-            window: None,
-            ..exec
-        },
-        false,
-        k,
-        eps,
-        n,
-        w,
-        seeds,
-    );
+    let bias = |corrected| windowed_frequency_bias(exec.windowed(w), corrected, k, eps, n, seeds);
+    let (corrected, uncorrected) = (bias(true), bias(false));
     let mut t = Table::new(["windowed digest", "mean signed rare-item err", "× (eps·W)"]);
     for (name, bias) in [
         ("with −d/p corrections", corrected),

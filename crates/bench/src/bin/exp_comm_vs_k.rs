@@ -11,7 +11,7 @@
 
 use dtrack_bench::cli::{arg, banner, exec_arg};
 use dtrack_bench::fit::loglog_slope;
-use dtrack_bench::measure::{count_run, frequency_run, rank_run, CountAlgo, FreqAlgo, RankAlgo};
+use dtrack_bench::measure::{median, run, Algo, Problem};
 use dtrack_bench::table::{fmt_num, Table};
 
 fn main() {
@@ -31,40 +31,23 @@ fn main() {
         "k", "cnt-det", "cnt-NEW", "freq-det", "freq-NEW", "rank-det", "rank-NEW",
     ]);
     let mut series: Vec<Vec<f64>> = vec![Vec::new(); 6];
-    let med = |f: &dyn Fn(u64) -> u64| -> f64 {
-        let mut v: Vec<u64> = (0..seeds).map(f).collect();
-        v.sort_unstable();
-        v[v.len() / 2] as f64
-    };
+    // One column per (problem, algo), in header order.
+    let columns = [
+        (Problem::Count, Algo::Deterministic),
+        (Problem::Count, Algo::Randomized),
+        (Problem::Frequency, Algo::Deterministic),
+        (Problem::Frequency, Algo::Randomized),
+        (Problem::Rank, Algo::Deterministic),
+        (Problem::Rank, Algo::Randomized),
+    ];
     for &k in &ks {
-        let vals = [
-            med(&|s| {
-                count_run(exec, CountAlgo::Deterministic, k, eps, n, s)
-                    .0
-                    .words
-            }),
-            med(&|s| count_run(exec, CountAlgo::Randomized, k, eps, n, s).0.words),
-            med(&|s| {
-                frequency_run(exec, FreqAlgo::Deterministic, k, eps, n, s)
-                    .0
-                    .words
-            }),
-            med(&|s| {
-                frequency_run(exec, FreqAlgo::Randomized, k, eps, n, s)
-                    .0
-                    .words
-            }),
-            med(&|s| {
-                rank_run(exec, RankAlgo::Deterministic, k, rank_eps, rank_n, s)
-                    .0
-                    .words
-            }),
-            med(&|s| {
-                rank_run(exec, RankAlgo::Randomized, k, rank_eps, rank_n, s)
-                    .0
-                    .words
-            }),
-        ];
+        let vals = columns.map(|(problem, algo)| {
+            let (eps, n) = match problem {
+                Problem::Rank => (rank_eps, rank_n),
+                _ => (eps, n),
+            };
+            median((0..seeds).map(|s| run(exec, problem, algo, k, eps, n, s).cost.words)) as f64
+        });
         for (i, v) in vals.iter().enumerate() {
             series[i].push(*v);
         }

@@ -6,7 +6,7 @@
 //! Usage: `exp_comm_vs_n [K] [EPS] [SEEDS] [EXEC]`
 
 use dtrack_bench::cli::{arg, banner, exec_arg};
-use dtrack_bench::measure::{count_run, frequency_run, CountAlgo, FreqAlgo};
+use dtrack_bench::measure::{median, run, Algo, Problem};
 use dtrack_bench::table::{fmt_num, Table};
 
 fn main() {
@@ -20,10 +20,13 @@ fn main() {
         &format!("k={k}, eps={eps}, N in {ns:?}, seeds={seeds}, exec={exec}"),
     );
 
-    let med = |f: &dyn Fn(u64) -> u64| -> f64 {
-        let mut v: Vec<u64> = (0..seeds).map(f).collect();
-        v.sort_unstable();
-        v[v.len() / 2] as f64
+    let med = |problem: Problem, n: u64| -> f64 {
+        let words = |s| {
+            run(exec, problem, Algo::Randomized, k, eps, n, s)
+                .cost
+                .words
+        };
+        median((0..seeds).map(words)) as f64
     };
 
     let mut t = Table::new([
@@ -35,12 +38,8 @@ fn main() {
     ]);
     let mut ratios = Vec::new();
     for &n in &ns {
-        let c = med(&|s| count_run(exec, CountAlgo::Randomized, k, eps, n, s).0.words);
-        let f = med(&|s| {
-            frequency_run(exec, FreqAlgo::Randomized, k, eps, n, s)
-                .0
-                .words
-        });
+        let c = med(Problem::Count, n);
+        let f = med(Problem::Frequency, n);
         let l = (n as f64).log2();
         ratios.push(c / l);
         t.row([

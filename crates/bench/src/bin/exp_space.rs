@@ -7,7 +7,7 @@
 //! Usage: `exp_space [N] [SEEDS] [EXEC]`
 
 use dtrack_bench::cli::{arg, banner, exec_arg};
-use dtrack_bench::measure::{count_run, frequency_run, rank_run, CountAlgo, FreqAlgo, RankAlgo};
+use dtrack_bench::measure::{median, run, Algo, Problem};
 use dtrack_bench::table::{fmt_num, Table};
 
 fn main() {
@@ -20,10 +20,11 @@ fn main() {
         &format!("N={n} (rank {rank_n}), seeds={seeds}, exec={exec}"),
     );
 
-    let med = |f: &dyn Fn(u64) -> u64| -> f64 {
-        let mut v: Vec<u64> = (0..seeds).map(f).collect();
-        v.sort_unstable();
-        v[v.len() / 2] as f64
+    // Median peak words per site over the seed set, formatted.
+    let space = |problem: Problem, algo: Algo, k: usize, eps: f64| -> String {
+        let n = if problem == Problem::Rank { rank_n } else { n };
+        let peak = |s| run(exec, problem, algo, k, eps, n, s).cost.max_space;
+        fmt_num(median((0..seeds).map(peak)) as f64)
     };
 
     println!("-- frequency space vs k (eps = 0.01): NEW should shrink ~1/√k --");
@@ -39,27 +40,11 @@ fn main() {
         let eps = 0.01;
         t.row([
             k.to_string(),
-            fmt_num(med(&|s| {
-                frequency_run(exec, FreqAlgo::Randomized, k, eps, n, s)
-                    .0
-                    .max_space
-            })),
+            space(Problem::Frequency, Algo::Randomized, k, eps),
             fmt_num(1.0 / (eps * (k as f64).sqrt())),
-            fmt_num(med(&|s| {
-                frequency_run(exec, FreqAlgo::Deterministic, k, eps, n, s)
-                    .0
-                    .max_space
-            })),
-            fmt_num(med(&|s| {
-                count_run(exec, CountAlgo::Randomized, k, eps, n, s)
-                    .0
-                    .max_space
-            })),
-            fmt_num(med(&|s| {
-                count_run(exec, CountAlgo::Sampling, k, eps, n, s)
-                    .0
-                    .max_space
-            })),
+            space(Problem::Frequency, Algo::Deterministic, k, eps),
+            space(Problem::Count, Algo::Randomized, k, eps),
+            space(Problem::Count, Algo::Sampling, k, eps),
         ]);
     }
     t.print();
@@ -72,26 +57,10 @@ fn main() {
         let reps = eps.max(0.02);
         t2.row([
             format!("{eps}"),
-            fmt_num(med(&|s| {
-                frequency_run(exec, FreqAlgo::Randomized, k, eps, n, s)
-                    .0
-                    .max_space
-            })),
-            fmt_num(med(&|s| {
-                frequency_run(exec, FreqAlgo::Deterministic, k, eps, n, s)
-                    .0
-                    .max_space
-            })),
-            fmt_num(med(&|s| {
-                rank_run(exec, RankAlgo::Randomized, k, reps, rank_n, s)
-                    .0
-                    .max_space
-            })),
-            fmt_num(med(&|s| {
-                rank_run(exec, RankAlgo::Deterministic, k, reps, rank_n, s)
-                    .0
-                    .max_space
-            })),
+            space(Problem::Frequency, Algo::Randomized, k, eps),
+            space(Problem::Frequency, Algo::Deterministic, k, eps),
+            space(Problem::Rank, Algo::Randomized, k, reps),
+            space(Problem::Rank, Algo::Deterministic, k, reps),
         ]);
     }
     t2.print();

@@ -19,19 +19,9 @@
 //! Usage: `exp_topology [N] [EPS] [SEEDS] [EXEC]`
 
 use dtrack_bench::cli::{arg, banner, exec_arg};
-use dtrack_bench::measure::{
-    count_run, frequency_run, rank_run, tree_count_run, tree_frequency_run, tree_rank_run,
-    CountAlgo, FreqAlgo, RankAlgo, TreeRun,
-};
+use dtrack_bench::measure::{median, run, Algo, Problem, Run};
 use dtrack_bench::table::{fmt_num, Table};
 use dtrack_sim::TreeSpec;
-
-/// Median over `seeds` of a `u64` measurement.
-fn med(seeds: u64, f: &dyn Fn(u64) -> u64) -> f64 {
-    let mut v: Vec<u64> = (0..seeds).map(f).collect();
-    v.sort_unstable();
-    v[v.len() / 2] as f64
-}
 
 /// Balanced two-level shape for `k` leaves: fanout ⌈√k⌉, depth 2.
 fn depth2(k: usize) -> TreeSpec {
@@ -40,7 +30,7 @@ fn depth2(k: usize) -> TreeSpec {
 
 struct Row {
     k: usize,
-    algo: &'static str,
+    algo: String,
     flat_words: f64,
     tree_words: f64,
     flat_root: f64,
@@ -52,7 +42,7 @@ impl Row {
     fn print_into(&self, t: &mut Table) {
         t.row([
             self.k.to_string(),
-            self.algo.to_string(),
+            self.algo.clone(),
             fmt_num(self.flat_words),
             fmt_num(self.tree_words),
             fmt_num(self.flat_root),
@@ -108,100 +98,64 @@ fn main() {
         "exp_topology applies its own tree shapes; pass a plain executor spec"
     );
 
-    // The flat star's root sees every word in the system: its root load
-    // IS the run's total. The tree's root load is the top boundary.
-    let flat =
-        |f: &dyn Fn(u64) -> u64, seeds: u64| -> (f64, f64) { (med(seeds, f), med(seeds, f)) };
-    let tree = |f: &dyn Fn(u64) -> TreeRun, seeds: u64| -> (f64, f64, f64) {
-        let words = med(seeds, &|s| f(s).cost.words);
-        let root = med(seeds, &|s| f(s).root_words());
-        let err = {
-            let mut v: Vec<f64> = (0..seeds).map(|s| f(s).err).collect();
-            v.sort_by(|a, b| a.partial_cmp(b).expect("finite errors"));
-            v[v.len() / 2]
-        };
-        (words, root, err)
-    };
-
+    // One section per problem: (problem, title, short name, ks, ε, n).
+    let sections = [
+        (
+            Problem::Count,
+            "count (round-robin stream)",
+            "cnt",
+            &[16usize, 256, 4096][..],
+            eps,
+            n,
+        ),
+        (
+            Problem::Frequency,
+            "frequency (zipf stream, hottest + absent probes)",
+            "freq",
+            &[16, 64][..],
+            eps,
+            n,
+        ),
+        (
+            Problem::Rank,
+            "rank (duplicate-free stream, decile probes)",
+            "rank",
+            &[16, 64][..],
+            rank_eps,
+            rank_n,
+        ),
+    ];
     let mut count_rows = Vec::new();
-    for k in [16usize, 256, 4096] {
-        for (algo, name) in [
-            (CountAlgo::Deterministic, "cnt-det"),
-            (CountAlgo::Randomized, "cnt-NEW"),
-        ] {
-            let (flat_words, flat_root) =
-                flat(&|s| count_run(exec, algo, k, eps, n, s).0.words, seeds);
-            let (tree_words, tree_root, err) = tree(
-                &|s| tree_count_run(exec, depth2(k), algo, k, eps, n, s),
-                seeds,
-            );
-            count_rows.push(Row {
-                k,
-                algo: name,
-                flat_words,
-                tree_words,
-                flat_root,
-                tree_root,
-                err,
-            });
+    for (problem, title, short, ks, eps, n) in sections {
+        let mut rows = Vec::new();
+        for &k in ks {
+            for (algo, suffix) in [(Algo::Deterministic, "det"), (Algo::Randomized, "NEW")] {
+                // The flat star's root sees every word in the system:
+                // its root load IS the run's total. The tree's root load
+                // is the top boundary.
+                let flat = |s| run(exec, problem, algo, k, eps, n, s).cost.words;
+                let flat_words = median((0..seeds).map(flat)) as f64;
+                let tree: Vec<_> = (0..seeds)
+                    .map(|s| run(exec.with_tree(depth2(k)), problem, algo, k, eps, n, s))
+                    .collect();
+                let mut errs: Vec<f64> = tree.iter().map(|r| r.err).collect();
+                errs.sort_by(|a, b| a.partial_cmp(b).expect("finite errors"));
+                rows.push(Row {
+                    k,
+                    algo: format!("{short}-{suffix}"),
+                    flat_words,
+                    tree_words: median(tree.iter().map(|r| r.cost.words)) as f64,
+                    flat_root: flat_words,
+                    tree_root: median(tree.iter().map(Run::root_words)) as f64,
+                    err: errs[errs.len() / 2],
+                });
+            }
+        }
+        section(title, &rows);
+        if problem == Problem::Count {
+            count_rows = rows;
         }
     }
-    section("count (round-robin stream)", &count_rows);
-
-    let mut freq_rows = Vec::new();
-    for k in [16usize, 64] {
-        for (algo, name) in [
-            (FreqAlgo::Deterministic, "freq-det"),
-            (FreqAlgo::Randomized, "freq-NEW"),
-        ] {
-            let (flat_words, flat_root) =
-                flat(&|s| frequency_run(exec, algo, k, eps, n, s).0.words, seeds);
-            let (tree_words, tree_root, err) = tree(
-                &|s| tree_frequency_run(exec, depth2(k), algo, k, eps, n, s),
-                seeds,
-            );
-            freq_rows.push(Row {
-                k,
-                algo: name,
-                flat_words,
-                tree_words,
-                flat_root,
-                tree_root,
-                err,
-            });
-        }
-    }
-    section(
-        "frequency (zipf stream, hottest + absent probes)",
-        &freq_rows,
-    );
-
-    let mut rank_rows = Vec::new();
-    for k in [16usize, 64] {
-        for (algo, name) in [
-            (RankAlgo::Deterministic, "rank-det"),
-            (RankAlgo::Randomized, "rank-NEW"),
-        ] {
-            let (flat_words, flat_root) = flat(
-                &|s| rank_run(exec, algo, k, rank_eps, rank_n, s).0.words,
-                seeds,
-            );
-            let (tree_words, tree_root, err) = tree(
-                &|s| tree_rank_run(exec, depth2(k), algo, k, rank_eps, rank_n, s),
-                seeds,
-            );
-            rank_rows.push(Row {
-                k,
-                algo: name,
-                flat_words,
-                tree_words,
-                flat_root,
-                tree_root,
-                err,
-            });
-        }
-    }
-    section("rank (duplicate-free stream, decile probes)", &rank_rows);
 
     // The headline claim, asserted: at the largest k the depth-2 root
     // load is strictly below the flat star's, for both count protocols.

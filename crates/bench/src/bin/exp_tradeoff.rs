@@ -12,7 +12,7 @@
 //! Usage: `exp_tradeoff [N] [K] [SEEDS] [EXEC]`
 
 use dtrack_bench::cli::{arg, banner, exec_arg};
-use dtrack_bench::measure::{frequency_run, FreqAlgo};
+use dtrack_bench::measure::{median, run, Algo, Problem};
 use dtrack_bench::table::{fmt_num, Table};
 
 fn main() {
@@ -25,10 +25,12 @@ fn main() {
         &format!("N={n}, k={k}, seeds={seeds}, exec={exec}"),
     );
 
-    let med = |f: &dyn Fn(u64) -> (u64, u64)| -> (f64, f64) {
-        let mut v: Vec<(u64, u64)> = (0..seeds).map(f).collect();
-        v.sort_unstable();
-        let (c, m) = v[v.len() / 2];
+    // Median (words, peak words/site) pair over the seed set.
+    let med = |algo: Algo, eps: f64| -> (f64, f64) {
+        let (c, m) = median((0..seeds).map(|s| {
+            let cs = run(exec, Problem::Frequency, algo, k, eps, n, s).cost;
+            (cs.words, cs.max_space)
+        }));
         (c as f64, m as f64)
     };
 
@@ -42,30 +44,20 @@ fn main() {
     ]);
     for &eps in &[0.02, 0.01, 0.005] {
         let bound = (n as f64).log2() / (eps * eps);
-        let (c, m) = med(&|s| {
-            let (cs, _) = frequency_run(exec, FreqAlgo::Randomized, k, eps, n, s);
-            (cs.words, cs.max_space)
-        });
-        t.row([
-            format!("{eps}"),
-            "NEW randomized".into(),
-            fmt_num(c),
-            fmt_num(m),
-            fmt_num(c * m),
-            fmt_num(bound),
-        ]);
-        let (c, m) = med(&|s| {
-            let (cs, _) = frequency_run(exec, FreqAlgo::Sampling, k, eps, n, s);
-            (cs.words, cs.max_space)
-        });
-        t.row([
-            format!("{eps}"),
-            "sampling [9]".into(),
-            fmt_num(c),
-            fmt_num(m),
-            fmt_num(c * m),
-            fmt_num(bound),
-        ]);
+        for (algo, label) in [
+            (Algo::Randomized, "NEW randomized"),
+            (Algo::Sampling, "sampling [9]"),
+        ] {
+            let (c, m) = med(algo, eps);
+            t.row([
+                format!("{eps}"),
+                label.into(),
+                fmt_num(c),
+                fmt_num(m),
+                fmt_num(c * m),
+                fmt_num(bound),
+            ]);
+        }
     }
     t.print();
     println!();

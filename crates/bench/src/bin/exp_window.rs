@@ -24,11 +24,9 @@
 
 use dtrack_bench::cli::{arg, banner, exec_arg};
 use dtrack_bench::measure::{
-    count_run, frequency_run, rank_run, windowed_frequency_bias, CountAlgo, FreqAlgo, RankAlgo,
-    WINDOWED_BIAS_DOMAIN,
+    median_run, run, windowed_frequency_bias, Algo, Problem, WINDOWED_BIAS_DOMAIN,
 };
 use dtrack_bench::table::{fmt_num, Table};
-use dtrack_bench::CommSpace;
 use dtrack_sim::ExecConfig;
 
 fn main() {
@@ -40,6 +38,10 @@ fn main() {
     let exec = exec_arg(5);
     if exec.window.is_some() {
         eprintln!("error: exp_window adds the window itself; pass a bare exec spec");
+        std::process::exit(2);
+    }
+    if exec.tree.is_some() {
+        eprintln!("error: exp_window windows every row, and +tree does not combine with +window");
         std::process::exit(2);
     }
     let rank_n = n.min(200_000); // rank protocols are heavier per element
@@ -62,123 +64,52 @@ fn main() {
         "err/W(window)",
     ]);
 
-    let med = |f: &dyn Fn(u64) -> (CommSpace, f64)| {
-        let mut runs: Vec<(CommSpace, f64)> = (0..seeds).map(f).collect();
-        runs.sort_by_key(|r| r.0.words);
-        runs[runs.len() / 2]
-    };
-
-    type RowFn = Box<dyn Fn(u64, bool) -> (CommSpace, f64)>;
-    let win = move |on: bool, w: u64| {
-        if on {
-            exec.windowed(w)
-        } else {
-            exec
-        }
-    };
-    let rows: Vec<(&str, &str, RowFn)> = vec![
+    // Fixed cross-check row, independent of the EXEC argument: the
+    // windowed randomized count on the *channel* runtime. Since the
+    // transport grew its fairness mechanisms (out-of-band seal
+    // delivery + per-site credit cap) this row's err/W meets the
+    // same ε target as the deterministic executors — compare it
+    // against the "NEW randomized" row above to see the real-thread
+    // path holding the bound.
+    let channel = ExecConfig::channel();
+    let rows = [
+        (exec, Problem::Count, Algo::Deterministic, "trivial (det)"),
+        (exec, Problem::Count, Algo::Randomized, "NEW randomized"),
+        (exec, Problem::Count, Algo::Sampling, "sampling [9]"),
         (
-            "count",
-            "trivial (det)",
-            Box::new(move |s, on| count_run(win(on, w), CountAlgo::Deterministic, k, eps, n, s)),
-        ),
-        (
-            "count",
-            "NEW randomized",
-            Box::new(move |s, on| count_run(win(on, w), CountAlgo::Randomized, k, eps, n, s)),
-        ),
-        (
-            "count",
-            "sampling [9]",
-            Box::new(move |s, on| count_run(win(on, w), CountAlgo::Sampling, k, eps, n, s)),
-        ),
-        (
-            "frequency",
+            exec,
+            Problem::Frequency,
+            Algo::Deterministic,
             "[29]-style det",
-            Box::new(move |s, on| frequency_run(win(on, w), FreqAlgo::Deterministic, k, eps, n, s)),
         ),
+        (exec, Problem::Frequency, Algo::Randomized, "NEW randomized"),
+        (exec, Problem::Rank, Algo::Deterministic, "[6]-style det"),
+        (exec, Problem::Rank, Algo::Randomized, "NEW randomized"),
+        (exec, Problem::Rank, Algo::Sampling, "sampling [9]"),
         (
-            "frequency",
-            "NEW randomized",
-            Box::new(move |s, on| frequency_run(win(on, w), FreqAlgo::Randomized, k, eps, n, s)),
-        ),
-        (
-            "rank",
-            "[6]-style det",
-            Box::new(move |s, on| {
-                rank_run(
-                    win(on, rank_w),
-                    RankAlgo::Deterministic,
-                    k,
-                    eps.max(0.02),
-                    rank_n,
-                    s,
-                )
-            }),
-        ),
-        (
-            "rank",
-            "NEW randomized",
-            Box::new(move |s, on| {
-                rank_run(
-                    win(on, rank_w),
-                    RankAlgo::Randomized,
-                    k,
-                    eps.max(0.02),
-                    rank_n,
-                    s,
-                )
-            }),
-        ),
-        (
-            "rank",
-            "sampling [9]",
-            Box::new(move |s, on| {
-                rank_run(
-                    win(on, rank_w),
-                    RankAlgo::Sampling,
-                    k,
-                    eps.max(0.02),
-                    rank_n,
-                    s,
-                )
-            }),
-        ),
-        // Fixed cross-check row, independent of the EXEC argument: the
-        // windowed randomized count on the *channel* runtime. Since the
-        // transport grew its fairness mechanisms (out-of-band seal
-        // delivery + per-site credit cap) this row's err/W meets the
-        // same ε target as the deterministic executors — compare it
-        // against the "NEW randomized" row above to see the real-thread
-        // path holding the bound.
-        (
-            "count",
+            channel,
+            Problem::Count,
+            Algo::Randomized,
             "NEW rand @channel",
-            Box::new(move |s, on| {
-                let exec = ExecConfig::channel();
-                count_run(
-                    if on { exec.windowed(w) } else { exec },
-                    CountAlgo::Randomized,
-                    k,
-                    eps,
-                    n,
-                    s,
-                )
-            }),
         ),
     ];
 
-    for (problem, algo, f) in rows {
-        let (whole_cs, whole_err) = med(&|s| f(s, false));
-        let (win_cs, win_err) = med(&|s| f(s, true));
+    for (exec, problem, algo, label) in rows {
+        let (eps, n, w) = match problem {
+            Problem::Rank => (eps.max(0.02), rank_n, rank_w),
+            _ => (eps, n, w),
+        };
+        let med = |exec| median_run(seeds, |s| run(exec, problem, algo, k, eps, n, s));
+        let (whole, win) = (med(exec), med(exec.windowed(w)));
+        let (whole_words, win_words) = (whole.cost.words, win.cost.words);
         t.row([
             problem.to_string(),
-            algo.to_string(),
-            fmt_num(whole_cs.words as f64),
-            fmt_num(win_cs.words as f64),
-            fmt_num(win_cs.words as f64 / whole_cs.words.max(1) as f64),
-            fmt_num(whole_err),
-            fmt_num(win_err),
+            label.to_string(),
+            fmt_num(whole_words as f64),
+            fmt_num(win_words as f64),
+            fmt_num(win_words as f64 / whole_words.max(1) as f64),
+            fmt_num(whole.err),
+            fmt_num(win.err),
         ]);
     }
     t.print();
@@ -192,30 +123,9 @@ fn main() {
     let (bk, beps) = (8usize, 0.1f64);
     let bn = n.min(40_000);
     let bw = (bn / 4).max(2);
-    let corrected = windowed_frequency_bias(
-        ExecConfig {
-            window: None,
-            ..exec
-        },
-        true,
-        bk,
-        beps,
-        bn,
-        bw,
-        bias_seeds,
-    );
-    let uncorrected = windowed_frequency_bias(
-        ExecConfig {
-            window: None,
-            ..exec
-        },
-        false,
-        bk,
-        beps,
-        bn,
-        bw,
-        bias_seeds,
-    );
+    let bias =
+        |corrected| windowed_frequency_bias(exec.windowed(bw), corrected, bk, beps, bn, bias_seeds);
+    let (corrected, uncorrected) = (bias(true), bias(false));
     let mut bt = Table::new(["windowed digest", "mean signed rare-item err", "× (eps·W)"]);
     for (name, bias) in [
         ("with −d/p corrections", corrected),

@@ -20,7 +20,7 @@
 //! Usage: `exp_wire [N] [EPS] [SEEDS] [EXEC]`
 
 use dtrack_bench::cli::{arg, banner, exec_arg};
-use dtrack_bench::measure::{count_run, frequency_run, rank_run, CountAlgo, FreqAlgo, RankAlgo};
+use dtrack_bench::measure::{median, run, Algo, Problem};
 use dtrack_bench::table::{fmt_num, Table};
 
 fn main() {
@@ -42,62 +42,22 @@ fn main() {
         &format!("N={n} (rank {rank_n}), eps={eps}, k in {ks:?}, seeds={seeds}, exec={exec}"),
     );
 
-    // Median (words, bytes) over the seed set.
-    let med = |f: &dyn Fn(u64) -> (u64, u64)| -> (f64, f64) {
-        let mut ws: Vec<u64> = Vec::new();
-        let mut bs: Vec<u64> = Vec::new();
-        for s in 0..seeds {
-            let (w, b) = f(s);
-            ws.push(w);
-            bs.push(b);
-        }
-        ws.sort_unstable();
-        bs.sort_unstable();
-        (ws[ws.len() / 2] as f64, bs[bs.len() / 2] as f64)
+    // Median words and median bytes over the seed set, each read off
+    // the same runs.
+    let med = |problem: Problem, algo: Algo, k: usize| -> (f64, f64) {
+        let n = if problem == Problem::Rank { rank_n } else { n };
+        let (ws, bs): (Vec<u64>, Vec<u64>) = (0..seeds)
+            .map(|s| run(exec, problem, algo, k, eps, n, s).cost)
+            .map(|cs| (cs.words, cs.bytes))
+            .unzip();
+        (median(ws) as f64, median(bs) as f64)
     };
 
     // (problem, det bytes, rand bytes) at the largest k, for the
     // ordering check.
-    let mut at_kmax: Vec<(&str, f64, f64)> = Vec::new();
+    let mut at_kmax: Vec<(Problem, f64, f64)> = Vec::new();
 
-    type RunFn<'a> = Box<dyn Fn(usize, u64) -> (u64, u64) + 'a>;
-    let problems: Vec<(&str, RunFn, RunFn)> = vec![
-        (
-            "count",
-            Box::new(|k, s| {
-                let cs = count_run(exec, CountAlgo::Deterministic, k, eps, n, s).0;
-                (cs.words, cs.bytes)
-            }),
-            Box::new(|k, s| {
-                let cs = count_run(exec, CountAlgo::Randomized, k, eps, n, s).0;
-                (cs.words, cs.bytes)
-            }),
-        ),
-        (
-            "frequency",
-            Box::new(|k, s| {
-                let cs = frequency_run(exec, FreqAlgo::Deterministic, k, eps, n, s).0;
-                (cs.words, cs.bytes)
-            }),
-            Box::new(|k, s| {
-                let cs = frequency_run(exec, FreqAlgo::Randomized, k, eps, n, s).0;
-                (cs.words, cs.bytes)
-            }),
-        ),
-        (
-            "rank",
-            Box::new(|k, s| {
-                let cs = rank_run(exec, RankAlgo::Deterministic, k, eps, rank_n, s).0;
-                (cs.words, cs.bytes)
-            }),
-            Box::new(|k, s| {
-                let cs = rank_run(exec, RankAlgo::Randomized, k, eps, rank_n, s).0;
-                (cs.words, cs.bytes)
-            }),
-        ),
-    ];
-
-    for (name, det, rand) in &problems {
+    for problem in [Problem::Count, Problem::Frequency, Problem::Rank] {
         let mut t = Table::new([
             "k",
             "det-words",
@@ -108,8 +68,8 @@ fn main() {
             "rand-B/W",
         ]);
         for &k in &ks {
-            let (dw, db) = med(&|s| det(k, s));
-            let (rw, rb) = med(&|s| rand(k, s));
+            let (dw, db) = med(problem, Algo::Deterministic, k);
+            let (rw, rb) = med(problem, Algo::Randomized, k);
             t.row(vec![
                 k.to_string(),
                 fmt_num(dw),
@@ -120,20 +80,20 @@ fn main() {
                 format!("{:.2}", rb / rw.max(1.0)),
             ]);
             if k == *ks.last().unwrap() {
-                at_kmax.push((name, db, rb));
+                at_kmax.push((problem, db, rb));
             }
         }
-        println!("{name}:");
+        println!("{problem}:");
         t.print();
         println!();
     }
 
     let mut ok = true;
-    for (name, det_bytes, rand_bytes) in &at_kmax {
+    for (problem, det_bytes, rand_bytes) in &at_kmax {
         let preserved = rand_bytes < det_bytes;
         ok &= preserved;
         println!(
-            "{name}: randomized {} deterministic in bytes at k={} ({} vs {}) {}",
+            "{problem}: randomized {} deterministic in bytes at k={} ({} vs {}) {}",
             if preserved { "<" } else { ">=" },
             ks.last().unwrap(),
             fmt_num(*rand_bytes),

@@ -24,7 +24,8 @@
 //! from lock-free snapshots while ingest runs) and the
 //! hierarchical-topology panel (`topology/*` cells: flat-star vs
 //! binary-tree root-load words per level, advisory) and the wire-format
-//! panel (`bytes/*` cells: total codec bytes per protocol, advisory —
+//! panel (`bytes/*` cells: total codec bytes per protocol, read off the
+//! same runs as the word cells, advisory —
 //! byte totals are deterministic on lock-step but the codec is an
 //! encoding choice, not protocol behavior, so tuning it must not trip
 //! the hard word gate). Their rates
@@ -40,8 +41,7 @@
 
 use dtrack_bench::baseline::{
     bootstrap, compare, measure_cells, measure_query_cells, measure_throughput_cells,
-    measure_topology_cells, measure_wire_cells, parse_json, to_json, Params, QUERY_STORM_ELEMS,
-    THROUGHPUT_ELEMS,
+    measure_topology_cells, parse_json, to_json, Params, QUERY_STORM_ELEMS, THROUGHPUT_ELEMS,
 };
 use dtrack_bench::cli::banner;
 
@@ -73,11 +73,12 @@ fn main() {
         ),
     );
 
-    let mut cells = measure_cells(params);
+    // Committed cell order: words, throughput, queries, topology, bytes.
+    let (mut cells, wire_cells) = measure_cells(params);
     cells.extend(measure_throughput_cells(params, THROUGHPUT_ELEMS));
     cells.extend(measure_query_cells(params, QUERY_STORM_ELEMS));
     cells.extend(measure_topology_cells(params));
-    cells.extend(measure_wire_cells(params));
+    cells.extend(wire_cells);
     for c in &cells {
         let range = if c.exact {
             String::new()

@@ -17,7 +17,7 @@
 //! (`EXEC` picks the executor + delivery policy, e.g. `event:random:1:32`)
 
 use dtrack_bench::cli::{arg, banner, exec_arg};
-use dtrack_bench::measure::{count_run, frequency_run, rank_run, CountAlgo, FreqAlgo, RankAlgo};
+use dtrack_bench::measure::{median_run, run, Algo, Problem, Run};
 use dtrack_bench::table::{fmt_num, Table};
 
 fn main() {
@@ -42,83 +42,36 @@ fn main() {
         "max err/n",
     ]);
 
-    let med = |f: &dyn Fn(u64) -> (dtrack_bench::CommSpace, f64)| {
-        let mut runs: Vec<(dtrack_bench::CommSpace, f64)> = (0..seeds).map(f).collect();
-        runs.sort_by_key(|r| r.0.words);
-        runs[runs.len() / 2]
-    };
-
-    type RowFn = Box<dyn Fn(u64) -> (dtrack_bench::CommSpace, f64)>;
-    let rows: Vec<(&str, &str, RowFn, u64)> = vec![
-        (
-            "count",
-            "trivial (det)",
-            Box::new(move |s| count_run(exec, CountAlgo::Deterministic, k, eps, n, s)),
-            n,
-        ),
-        (
-            "count",
-            "NEW randomized",
-            Box::new(move |s| count_run(exec, CountAlgo::Randomized, k, eps, n, s)),
-            n,
-        ),
-        (
-            "count",
-            "sampling [9]",
-            Box::new(move |s| count_run(exec, CountAlgo::Sampling, k, eps, n, s)),
-            n,
-        ),
-        (
-            "frequency",
-            "[29]-style det",
-            Box::new(move |s| frequency_run(exec, FreqAlgo::Deterministic, k, eps, n, s)),
-            n,
-        ),
-        (
-            "frequency",
-            "NEW randomized",
-            Box::new(move |s| frequency_run(exec, FreqAlgo::Randomized, k, eps, n, s)),
-            n,
-        ),
-        (
-            "frequency",
-            "sampling [9]",
-            Box::new(move |s| frequency_run(exec, FreqAlgo::Sampling, k, eps, n, s)),
-            n,
-        ),
-        (
-            "rank",
-            "[6]-style det",
-            Box::new(move |s| rank_run(exec, RankAlgo::Deterministic, k, eps.max(0.02), rank_n, s)),
-            rank_n,
-        ),
-        (
-            "rank",
-            "NEW randomized",
-            Box::new(move |s| rank_run(exec, RankAlgo::Randomized, k, eps.max(0.02), rank_n, s)),
-            rank_n,
-        ),
-        (
-            "rank",
-            "sampling [9]",
-            Box::new(move |s| rank_run(exec, RankAlgo::Sampling, k, eps.max(0.02), rank_n, s)),
-            rank_n,
-        ),
+    let rows = [
+        (Problem::Count, Algo::Deterministic, "trivial (det)"),
+        (Problem::Count, Algo::Randomized, "NEW randomized"),
+        (Problem::Count, Algo::Sampling, "sampling [9]"),
+        (Problem::Frequency, Algo::Deterministic, "[29]-style det"),
+        (Problem::Frequency, Algo::Randomized, "NEW randomized"),
+        (Problem::Frequency, Algo::Sampling, "sampling [9]"),
+        (Problem::Rank, Algo::Deterministic, "[6]-style det"),
+        (Problem::Rank, Algo::Randomized, "NEW randomized"),
+        (Problem::Rank, Algo::Sampling, "sampling [9]"),
     ];
 
     // The sampling baseline keeps raw samples, not a mergeable digest,
     // so it has no tree composition — under a +tree scenario its rows
     // are skipped (with a note) rather than aborting the whole table.
     let mut skipped_sampling = false;
-    for (problem, algo, f, rows_n) in rows {
-        if exec.tree.is_some() && algo.starts_with("sampling") {
+    for (problem, algo, label) in rows {
+        if exec.tree.is_some() && algo == Algo::Sampling {
             skipped_sampling = true;
             continue;
         }
-        let (cs, err) = med(&*f);
+        let (eps, rows_n) = match problem {
+            Problem::Rank => (eps.max(0.02), rank_n),
+            _ => (eps, n),
+        };
+        let Run { cost: cs, err, .. } =
+            median_run(seeds, |s| run(exec, problem, algo, k, eps, rows_n, s));
         t.row([
             problem.to_string(),
-            algo.to_string(),
+            label.to_string(),
             fmt_num(cs.max_space as f64),
             fmt_num(cs.msgs as f64),
             fmt_num(cs.words as f64),

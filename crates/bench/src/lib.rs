@@ -26,4 +26,4 @@ pub mod fit;
 pub mod measure;
 pub mod table;
 
-pub use measure::{CommSpace, CountAlgo, FreqAlgo, RankAlgo};
+pub use measure::{Algo, CommSpace, Problem, Run};

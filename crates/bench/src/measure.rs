@@ -1,35 +1,38 @@
 //! Instrumented end-to-end protocol runs over standard workloads.
 //!
-//! Every run function takes an [`ExecConfig`] scenario selecting the
-//! executor and delivery policy (lock-step runner, deterministic event
-//! scheduler with instant/fixed/random/adversarial delivery, or the
-//! concurrent channel runtime) **and** optionally a sliding window, so a
-//! single experiment definition measures the whole scenario matrix.
-//! When the scenario carries `window: Some(w)` (spec suffix
-//! `+window:W`), the run functions wrap the protocol in
-//! [`dtrack_core::window::Windowed`] and score answers against the
-//! *exact sliding-window* truth over the last `w` elements (errors
-//! normalized by `w`, the windowed analogue of `n`); otherwise they
-//! track the whole stream exactly as before.
+//! The paper's evidence is one experiment repeated over a grid — count /
+//! frequency / rank × {randomized, deterministic baseline, continuous
+//! sampling} — and [`run`] is that experiment: it takes the grid cell as
+//! data ([`Problem`], [`Algo`]) and an [`ExecConfig`] scenario selecting
+//! the executor and delivery policy (lock-step runner, deterministic
+//! event scheduler, concurrent channel runtime), link faults, and a
+//! shape — the paper's flat star, `+window:W`, or `+tree:F[:D]`. Three
+//! steps, each written once:
 //!
-//! Elements are ingested through the executors' batched fast path;
-//! queries go through [`Executor::query`] after a [`Executor::quiesce`]
-//! (a consistent cut — under delayed delivery this is the state the
-//! idealized model would have reached).
+//! 1. the problem's standard workload and its exact answers — over the
+//!    whole stream, or over the last `w` arrivals under `+window:w`
+//!    (errors then normalize by `w`, the windowed analogue of `n`);
+//! 2. the shape: the protocol bare, wrapped in
+//!    [`dtrack_core::window::Windowed`], or wrapped in
+//!    [`dtrack_sim::Tree`] — a shape the run cannot honour is refused;
+//! 3. feed → quiesce → ask. Elements go through the executors' batched
+//!    fast path; answers are read through the `dtrack_core::query`
+//!    traits after a [`Executor::quiesce`] (a consistent cut — under
+//!    delayed delivery this is the state the idealized model would have
+//!    reached), so the same query text serves every protocol and shape.
 
-use dtrack_core::boost::{median, Replicated, ReplicatedCoord};
-use dtrack_core::count::{DetCountCoord, DeterministicCount, RandCountCoord, RandomizedCount};
-use dtrack_core::frequency::{
-    DetFreqCoord, DeterministicFrequency, RandFreqCoord, RandomizedFrequency, UncorrectedFrequency,
-};
-use dtrack_core::rank::{DetRankCoord, DeterministicRank, RandRankCoord, RandomizedRank};
-use dtrack_core::sampling::{ContinuousSampling, SamplingCoord};
-use dtrack_core::window::{WinCoord, Windowed};
+use dtrack_core::boost::Replicated;
+use dtrack_core::count::{DeterministicCount, RandomizedCount};
+use dtrack_core::frequency::{DeterministicFrequency, RandomizedFrequency};
+use dtrack_core::query::{CountQuery, FrequencyQuery, RankQuery};
+use dtrack_core::rank::{DeterministicRank, RandomizedRank};
+use dtrack_core::sampling::ContinuousSampling;
+use dtrack_core::window::Windowed;
 use dtrack_core::TrackingConfig;
-use dtrack_sim::{ExecConfig, Executor, LevelLoad, Protocol, Tree, TreeCoord, TreeSpec};
+use dtrack_sim::{ExecConfig, Executor, LevelLoad, Protocol, Site, Tree};
 use dtrack_sketch::exact::{ExactCounts, ExactRanks};
 use dtrack_workload::items::{DistinctSeq, ItemGen, ZipfItems};
-use dtrack_workload::{Arrival, RoundRobin, SiteAssign, UniformSites, Workload};
+use dtrack_workload::{RoundRobin, SiteAssign, UniformSites, Workload};
 
 /// Communication + space outcome of one run.
 #[derive(Debug, Clone, Copy, Default)]
@@ -65,172 +68,341 @@ impl CommSpace {
     }
 }
 
-/// Count-tracking algorithm selector.
+/// Which function of the stream is tracked (the paper's §2–§4).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CountAlgo {
-    /// §2.1 randomized protocol (Theorem 2.1).
+pub enum Problem {
+    /// §2: the number of elements, over a round-robin stream; error
+    /// `|n̂ − n|/n`.
+    Count,
+    /// §3: per-item frequencies, over zipf(1.1) items on a 10⁴ domain
+    /// with a uniformly random site per element; error `|f̂ − f|/n` at
+    /// the 20 hottest items plus 5 absent ones.
+    Frequency,
+    /// §4: ranks, over a duplicate-free round-robin stream; error
+    /// `|rank̂ − rank|/n` at the nine deciles.
+    Rank,
+}
+
+/// Which algorithm tracks it (the paper's Table 1).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Algo {
+    /// The paper's randomized protocol (Theorems 2.1 / 3.1 / 4.1).
     Randomized,
-    /// Trivial (1+ε)-threshold baseline.
+    /// The deterministic baseline: the trivial (1+ε)-threshold counter,
+    /// the \[29\]-style frequency tracker, the \[6\]-style GK rank tracker.
     Deterministic,
-    /// Continuous sampling baseline \[9\].
+    /// Continuous sampling \[9\] — one protocol, all three problems.
     Sampling,
 }
 
-/// Frequency-tracking algorithm selector.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FreqAlgo {
-    /// §3.1 randomized protocol (Theorem 3.1).
-    Randomized,
-    /// \[29\]-style deterministic baseline.
-    Deterministic,
-    /// Continuous sampling baseline \[9\].
-    Sampling,
-}
-
-/// Rank-tracking algorithm selector.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RankAlgo {
-    /// §4 randomized protocol (Theorem 4.1).
-    Randomized,
-    /// \[6\]-style deterministic GK baseline.
-    Deterministic,
-    /// Continuous sampling baseline \[9\].
-    Sampling,
-}
-
-/// Round-robin `(site, item)` batch of `n` elements with `item = t`.
-fn round_robin_batch(k: usize, n: u64) -> Vec<(usize, u64)> {
-    (0..n).map(|t| ((t % k as u64) as usize, t)).collect()
-}
-
-/// The duplicate-free round-robin rank workload — one definition shared
-/// by [`rank_run`] and [`windowed_rank_run`], so `exp_window`'s
-/// whole-stream and windowed rows measure the *same* stream.
-fn rank_batch(k: usize, n: u64, seed: u64) -> Vec<(usize, u64)> {
-    let mut items = DistinctSeq::new(seed ^ 0xBEEF);
-    let mut assign = RoundRobin::new(k);
-    let mut wl_rng = dtrack_sim::rng::rng_from_seed(seed);
-    (0..n)
-        .map(|_| {
-            let site = assign.next_site(&mut wl_rng);
-            let item = items.next_item(&mut wl_rng);
-            (site, item)
+impl std::fmt::Display for Problem {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            Problem::Count => "count",
+            Problem::Frequency => "frequency",
+            Problem::Rank => "rank",
         })
-        .collect()
+    }
 }
 
-/// Frequency probes: the 20 globally hottest zipf items plus 5 absent
-/// ones — shared by [`frequency_run`] and [`windowed_frequency_run`].
-fn freq_probes() -> Vec<u64> {
-    (0..20u64).chain(2_000_000..2_000_005).collect()
+/// Outcome of one [`run`].
+#[derive(Debug, Clone)]
+pub struct Run {
+    /// Combined accounting: the executor's `CommStats` (the site ↔
+    /// coordinator boundary — under `+tree`, the leaf boundary) **plus**
+    /// every internal aggregator boundary.
+    pub cost: CommSpace,
+    /// The problem's error metric: the maximum of `errs`.
+    pub err: f64,
+    /// Error per probe, in probe order — one entry for count, the 25
+    /// frequency probes hottest first (so `errs[0]` is the per-query
+    /// error on the hottest item, the quantity the paper's per-instant
+    /// 0.9 guarantee of Theorem 3.1 speaks about; `err`, a maximum over
+    /// a union of probes, is necessarily worse), the deciles for rank.
+    pub errs: Vec<f64>,
+    /// Words on the site ↔ coordinator boundary alone (the executor's
+    /// accounting, before internal boundaries are folded in).
+    pub leaf_words: u64,
+    /// Internal boundaries, one per aggregator level (empty without
+    /// `+tree`, and at depth 1).
+    pub internal: Vec<LevelLoad>,
 }
 
-/// Run count-tracking over a round-robin stream of `n` elements.
-/// Returns cost and the final relative error `|n̂ − n|/n` — or, for a
-/// `+window:W` scenario, the windowed estimate's error
-/// `|n̂_W − min(n, W)|/W` against the exact sliding-window count.
-pub fn count_run(
+impl Run {
+    /// Words crossing the root's own links — the bottleneck metric the
+    /// topology exists to shrink. On a flat star (and at depth 1) the
+    /// root *is* the coordinator, so the leaf boundary is the root
+    /// boundary.
+    pub fn root_words(&self) -> u64 {
+        self.internal
+            .last()
+            .map(LevelLoad::total_words)
+            .unwrap_or(self.leaf_words)
+    }
+}
+
+/// What one run feeds and asks: the `(site, item)` batch, and per probe
+/// the query point with its exact answer.
+type Asked = (Vec<(usize, u64)>, Vec<(u64, f64)>);
+
+/// The standard workload of `problem` and its exact answers over the
+/// whole stream — or, under `window: Some(w)`, over the last `w`
+/// arrivals, which is all `+window` changes on the scoring side (the
+/// stream itself is the same, so whole-stream and windowed rows of one
+/// table measure the same arrivals).
+fn workload(problem: Problem, k: usize, n: u64, seed: u64, window: Option<u64>) -> Asked {
+    let batch: Vec<(usize, u64)> = match problem {
+        Problem::Count => (0..n).map(|t| ((t % k as u64) as usize, t)).collect(),
+        Problem::Frequency => Workload::new(
+            ZipfItems::new(10_000, 1.1),
+            UniformSites::new(k),
+            n,
+            seed ^ 0xF00D,
+        )
+        .map(|a| (a.site, a.item))
+        .collect(),
+        Problem::Rank => {
+            let mut items = DistinctSeq::new(seed ^ 0xBEEF);
+            let mut assign = RoundRobin::new(k);
+            let mut rng = dtrack_sim::rng::rng_from_seed(seed);
+            (0..n)
+                .map(|_| {
+                    let site = assign.next_site(&mut rng);
+                    (site, items.next_item(&mut rng))
+                })
+                .collect()
+        }
+    };
+    let scored = &batch[window.map_or(0, |w| batch.len().saturating_sub(w as usize))..];
+    let probes = match problem {
+        Problem::Count => vec![(0, scored.len() as f64)],
+        Problem::Frequency => {
+            let mut exact = ExactCounts::new();
+            scored.iter().for_each(|&(_, item)| exact.observe(item));
+            // The 20 globally hottest zipf items plus 5 absent ones.
+            (0..20u64)
+                .chain(2_000_000..2_000_005)
+                .map(|j| (j, exact.frequency(j) as f64))
+                .collect()
+        }
+        Problem::Rank => {
+            let mut exact = ExactRanks::new();
+            scored.iter().for_each(|&(_, item)| exact.insert(item));
+            (1..10)
+                .map(|d| {
+                    let x = exact.quantile(d as f64 / 10.0).expect("non-empty stream");
+                    (x, exact.rank(x) as f64)
+                })
+                .collect()
+        }
+    };
+    (batch, probes)
+}
+
+/// What [`drive`] brings back: the executor's accounting, the estimate
+/// at each query point, and the tree's internal boundaries (if any).
+struct Driven {
+    leaf: CommSpace,
+    answers: Vec<f64>,
+    internal: Vec<LevelLoad>,
+}
+
+/// The measured body, generic over the (already shaped) protocol: build
+/// the scenario's executor, feed the batch, quiesce, ask `est` at every
+/// point.
+fn drive<P>(
     exec: ExecConfig,
-    algo: CountAlgo,
+    proto: &P,
+    seed: u64,
+    batch: Vec<(usize, u64)>,
+    points: Vec<u64>,
+    est: fn(&P::Coord, u64) -> f64,
+    loads: fn(&P::Coord) -> Vec<LevelLoad>,
+) -> Driven
+where
+    P: Protocol,
+    P::Site: Site<Item = u64> + Send + 'static,
+    P::Coord: Send + 'static,
+    <P::Site as Site>::Up: Send + 'static,
+    <P::Site as Site>::Down: Send + 'static,
+{
+    let mut ex = exec.mode.build_faulty(exec.faults, proto, seed);
+    ex.feed_batch(batch);
+    ex.quiesce();
+    let (answers, internal) =
+        ex.query(move |c| (points.iter().map(|&x| est(c, x)).collect(), loads(c)));
+    Driven {
+        leaf: CommSpace::from_exec(&ex),
+        answers,
+        internal,
+    }
+}
+
+/// Panic message for `+tree` over the one baseline with no
+/// [`dtrack_sim::TreeProtocol`] impl (continuous sampling keeps raw
+/// samples, not a mergeable digest, so there is nothing to re-stream
+/// level over level).
+const NO_TREE_SUPPORT: &str = "+tree is not supported for the continuous-sampling baseline: \
+     ContinuousSampling has no TreeProtocol impl (its coordinator keeps \
+     raw samples, not a mergeable digest) — use the randomized or \
+     deterministic protocols, or drop the +tree suffix";
+
+/// The one place a scenario's shape is applied: [`drive`] `$proto` bare,
+/// under `+window:W` wrapped in [`Windowed`], under `+tree:F[:D]`
+/// wrapped in [`Tree`] (`tree:` marks the protocols that have a
+/// `TreeProtocol` impl). Both halves wrap the *protocol*, so they change
+/// its type and the dispatch has to be a macro; a shape it cannot honour
+/// panics instead of measuring something else — the scenario parser
+/// rejects the same shapes, this catches the programmatic route.
+macro_rules! drive_shaped {
+    (tree: $exec:expr, $proto:expr, $($arg:expr),+) => {
+        match $exec.tree {
+            Some(spec) if $exec.window.is_none() => drive(
+                $exec,
+                &Tree::new($proto, spec),
+                $($arg),+,
+                |c| c.internal_loads().to_vec(),
+            ),
+            _ => drive_shaped!($exec, $proto, $($arg),+),
+        }
+    };
+    ($exec:expr, $proto:expr, $($arg:expr),+) => {
+        match ($exec.tree, $exec.window) {
+            (Some(_), Some(_)) => panic!(
+                "+tree does not combine with +window yet (a windowed tree \
+                 needs per-level epoch alignment): {}",
+                $exec
+            ),
+            (Some(_), None) => panic!("{NO_TREE_SUPPORT}"),
+            (None, Some(w)) => drive($exec, &Windowed::new($proto, w), $($arg),+, |_| Vec::new()),
+            (None, None) => drive($exec, &$proto, $($arg),+, |_| Vec::new()),
+        }
+    };
+}
+
+/// Run `algo` on `problem`'s standard workload (see [`Problem`]) of `n`
+/// elements over `k` sites under the scenario `exec`, and score it.
+///
+/// Under `+window:W` the protocol tracks, and is scored on, the last
+/// `W` arrivals (errors normalized by `W`); under `+tree:F[:D]` it is
+/// answered at the tree root and [`Run::cost`] includes the internal
+/// boundaries.
+///
+/// # Panics
+///
+/// Panics on `+tree` combined with `+window`, and on `+tree` with
+/// [`Algo::Sampling`] (no `TreeProtocol` impl) — shapes the run cannot
+/// honour are refused, not silently dropped.
+pub fn run(
+    exec: ExecConfig,
+    problem: Problem,
+    algo: Algo,
     k: usize,
     eps: f64,
     n: u64,
     seed: u64,
-) -> (CommSpace, f64) {
-    if let Some(w) = exec.window {
-        return windowed_count_run(
-            ExecConfig {
-                window: None,
-                ..exec
-            },
-            algo,
-            k,
-            eps,
-            n,
-            w,
-            seed,
-        );
-    }
-    if let Some(spec) = exec.tree {
-        let run = tree_count_run(
-            ExecConfig { tree: None, ..exec },
-            spec,
-            algo,
-            k,
-            eps,
-            n,
-            seed,
-        );
-        return (run.cost, run.err);
-    }
+) -> Run {
     let cfg = TrackingConfig::new(k, eps);
-    let batch = round_robin_batch(k, n);
-    macro_rules! run {
-        ($proto:expr, $est:expr) => {{
-            let mut ex = exec.build(&$proto, seed);
-            ex.feed_batch(batch);
-            ex.quiesce();
-            let est: f64 = ex.query($est);
-            let err = (est - n as f64).abs() / n as f64;
-            (CommSpace::from_exec(&ex), err)
-        }};
+    let (batch, probes) = workload(problem, k, n, seed, exec.window);
+    let points: Vec<u64> = probes.iter().map(|&(x, _)| x).collect();
+    macro_rules! per_algo {
+        ($rand:ident, $det:ident, $est:expr) => {
+            match algo {
+                Algo::Randomized => {
+                    drive_shaped!(tree: exec, $rand::new(cfg), seed, batch, points, $est)
+                }
+                Algo::Deterministic => {
+                    drive_shaped!(tree: exec, $det::new(cfg), seed, batch, points, $est)
+                }
+                Algo::Sampling => {
+                    drive_shaped!(exec, ContinuousSampling::new(cfg), seed, batch, points, $est)
+                }
+            }
+        };
     }
-    match algo {
-        CountAlgo::Randomized => {
-            run!(RandomizedCount::new(cfg), |c: &RandCountCoord| c.estimate())
+    let driven = match problem {
+        Problem::Count => per_algo!(RandomizedCount, DeterministicCount, |c, _| c.count()),
+        Problem::Frequency => {
+            per_algo!(RandomizedFrequency, DeterministicFrequency, |c, j| c
+                .frequency(j))
         }
-        CountAlgo::Deterministic => {
-            run!(DeterministicCount::new(cfg), |c: &DetCountCoord| c
-                .estimate())
-        }
-        CountAlgo::Sampling => {
-            run!(ContinuousSampling::new(cfg), |c: &SamplingCoord| c
-                .estimate_count())
-        }
+        Problem::Rank => per_algo!(RandomizedRank, DeterministicRank, |c, x| c.rank(x)),
+    };
+    let norm = exec.window.unwrap_or(n) as f64;
+    let errs: Vec<f64> = driven
+        .answers
+        .iter()
+        .zip(&probes)
+        .map(|(est, (_, truth))| (est - truth).abs() / norm)
+        .collect();
+    let mut cost = driven.leaf;
+    for l in &driven.internal {
+        cost.msgs += l.total_msgs();
+        cost.words += l.total_words();
+    }
+    Run {
+        cost,
+        err: errs.iter().copied().reduce(f64::max).expect("≥ 1 probe"),
+        errs,
+        leaf_words: driven.leaf.words,
+        internal: driven.internal,
     }
 }
 
-/// Run *windowed* count-tracking: the protocol wrapped in
-/// [`Windowed`] with window `w`, scored against the exact sliding
-/// count `min(n, w)`. Called by [`count_run`] for `+window:W`
-/// scenarios; callable directly with the window already separate —
-/// `w` governs, any `+window` suffix in `exec` is ignored.
-pub fn windowed_count_run(
+/// Upper median (`sorted[len / 2]`) of a seed set's samples — the
+/// statistic every table cell and baseline cell reports.
+pub fn median<T: Ord + Copy>(samples: impl IntoIterator<Item = T>) -> T {
+    let mut v: Vec<T> = samples.into_iter().collect();
+    v.sort_unstable();
+    v[v.len() / 2]
+}
+
+/// The median-words run among `run_seed(0..seeds)` — the run a table
+/// row prints, so its cost and its error come from one execution.
+pub fn median_run(seeds: u64, run_seed: impl Fn(u64) -> Run) -> Run {
+    let mut runs: Vec<Run> = (0..seeds).map(run_seed).collect();
+    runs.sort_by_key(|r| r.cost.words);
+    runs.swap_remove(runs.len() / 2)
+}
+
+/// Relative count error `|n̂ − t|/t` at each of `checkpoints` (element
+/// counts `t`, increasing) of a round-robin stream — the loop behind
+/// [`count_error_trace`] and [`count_boosted_max_error`]. Each
+/// checkpoint forces a quiesce, so the queried state is a consistent cut
+/// even under delayed delivery.
+fn checkpoint_errors<P>(
     exec: ExecConfig,
-    algo: CountAlgo,
-    k: usize,
-    eps: f64,
+    proto: &P,
     n: u64,
-    w: u64,
     seed: u64,
-) -> (CommSpace, f64) {
-    let cfg = TrackingConfig::new(k, eps);
-    let batch = round_robin_batch(k, n);
-    let truth = n.min(w) as f64;
-    macro_rules! run {
-        ($inner:expr, $coord:ty) => {{
-            let proto = Windowed::new($inner, w);
-            let mut ex = exec.mode.build_faulty(exec.faults, &proto, seed);
-            ex.feed_batch(batch);
+    checkpoints: &[u64],
+    est: fn(&P::Coord) -> f64,
+) -> Vec<f64>
+where
+    P: Protocol,
+    P::Site: Site<Item = u64> + Send + 'static,
+    P::Coord: Send + 'static,
+    <P::Site as Site>::Up: Send + 'static,
+    <P::Site as Site>::Down: Send + 'static,
+{
+    let k = proto.k() as u64;
+    let mut ex = exec.build(proto, seed);
+    let mut out = Vec::with_capacity(checkpoints.len());
+    for t in 0..n {
+        ex.feed((t % k) as usize, t);
+        while out.len() < checkpoints.len() && t + 1 == checkpoints[out.len()] {
             ex.quiesce();
-            let est: f64 = ex.query(|c: &WinCoord<$coord>| c.windowed_count());
-            let err = (est - truth).abs() / w as f64;
-            (CommSpace::from_exec(&ex), err)
-        }};
+            let est: f64 = ex.query(est);
+            out.push((est - (t + 1) as f64).abs() / (t + 1) as f64);
+        }
     }
-    match algo {
-        CountAlgo::Randomized => run!(RandomizedCount::new(cfg), RandomizedCount),
-        CountAlgo::Deterministic => run!(DeterministicCount::new(cfg), DeterministicCount),
-        CountAlgo::Sampling => run!(ContinuousSampling::new(cfg), ContinuousSampling),
-    }
+    out
 }
 
 /// Relative count error at geometric checkpoints (for all-times plots).
-/// Each checkpoint forces a quiesce, so the queried state is a
-/// consistent cut even under delayed delivery.
 pub fn count_error_trace(
     exec: ExecConfig,
-    algo: CountAlgo,
+    algo: Algo,
     k: usize,
     eps: f64,
     n: u64,
@@ -238,36 +410,20 @@ pub fn count_error_trace(
     checkpoints: &[u64],
 ) -> Vec<f64> {
     let cfg = TrackingConfig::new(k, eps);
-    let mut out = Vec::with_capacity(checkpoints.len());
-    macro_rules! trace {
-        ($proto:expr, $est:expr) => {{
-            let mut ex = exec.build(&$proto, seed);
-            let mut ci = 0;
-            for t in 0..n {
-                ex.feed((t % k as u64) as usize, t);
-                while ci < checkpoints.len() && t + 1 == checkpoints[ci] {
-                    ex.quiesce();
-                    let est: f64 = ex.query($est);
-                    out.push((est - (t + 1) as f64).abs() / (t + 1) as f64);
-                    ci += 1;
-                }
-            }
-        }};
-    }
     match algo {
-        CountAlgo::Randomized => {
-            trace!(RandomizedCount::new(cfg), |c: &RandCountCoord| c.estimate())
+        Algo::Randomized => {
+            let proto = RandomizedCount::new(cfg);
+            checkpoint_errors(exec, &proto, n, seed, checkpoints, |c| c.count())
         }
-        CountAlgo::Deterministic => {
-            trace!(DeterministicCount::new(cfg), |c: &DetCountCoord| c
-                .estimate())
+        Algo::Deterministic => {
+            let proto = DeterministicCount::new(cfg);
+            checkpoint_errors(exec, &proto, n, seed, checkpoints, |c| c.count())
         }
-        CountAlgo::Sampling => {
-            trace!(ContinuousSampling::new(cfg), |c: &SamplingCoord| c
-                .estimate_count())
+        Algo::Sampling => {
+            let proto = ContinuousSampling::new(cfg);
+            checkpoint_errors(exec, &proto, n, seed, checkpoints, |c| c.count())
         }
     }
-    out
 }
 
 /// Median-boosted randomized count tracking: returns the *maximum*
@@ -281,158 +437,12 @@ pub fn count_boosted_max_error(
     seed: u64,
     checkpoints: &[u64],
 ) -> f64 {
-    let cfg = TrackingConfig::new(k, eps);
-    let proto = Replicated::new(RandomizedCount::new(cfg), copies);
-    let mut ex = exec.build(&proto, seed);
-    let mut worst = 0.0f64;
-    let mut ci = 0;
-    for t in 0..n {
-        ex.feed((t % k as u64) as usize, t);
-        while ci < checkpoints.len() && t + 1 == checkpoints[ci] {
-            ex.quiesce();
-            let est = ex.query(|c: &ReplicatedCoord<RandCountCoord>| c.median_by(|i| i.estimate()));
-            worst = worst.max((est - (t + 1) as f64).abs() / (t + 1) as f64);
-            ci += 1;
-        }
-    }
-    worst
-}
-
-/// The standard frequency workload: zipf(1.1) items over a 10⁴ domain,
-/// uniformly random site per element.
-fn freq_workload(k: usize, n: u64, seed: u64) -> Vec<Arrival> {
-    Workload::new(ZipfItems::new(10_000, 1.1), UniformSites::new(k), n, seed).collect_vec()
-}
-
-/// Run frequency-tracking; returns cost and the maximum `|f̂ − f|/n` over
-/// the 20 most frequent items plus 5 absent probes — or, for a
-/// `+window:W` scenario, the same maximum against the items' exact
-/// counts within the last `w` arrivals, normalized by `w`.
-pub fn frequency_run(
-    exec: ExecConfig,
-    algo: FreqAlgo,
-    k: usize,
-    eps: f64,
-    n: u64,
-    seed: u64,
-) -> (CommSpace, f64) {
-    if let Some(w) = exec.window {
-        return windowed_frequency_run(
-            ExecConfig {
-                window: None,
-                ..exec
-            },
-            algo,
-            k,
-            eps,
-            n,
-            w,
-            seed,
-        );
-    }
-    if let Some(spec) = exec.tree {
-        let run = tree_frequency_run(
-            ExecConfig { tree: None, ..exec },
-            spec,
-            algo,
-            k,
-            eps,
-            n,
-            seed,
-        );
-        return (run.cost, run.err);
-    }
-    let cfg = TrackingConfig::new(k, eps);
-    let arrivals = freq_workload(k, n, seed ^ 0xF00D);
-    let mut exact = ExactCounts::new();
-    let batch: Vec<(usize, u64)> = arrivals
-        .iter()
-        .map(|a| {
-            exact.observe(a.item);
-            (a.site, a.item)
-        })
-        .collect();
-    let probes = freq_probes();
-    macro_rules! run {
-        ($proto:expr, $est:expr) => {{
-            let mut ex = exec.build(&$proto, seed);
-            ex.feed_batch(batch);
-            ex.quiesce();
-            let est = $est;
-            let worst = probes
-                .iter()
-                .map(|&j| {
-                    let estimate: f64 = ex.query(move |c| est(c, j));
-                    (estimate - exact.frequency(j) as f64).abs() / n as f64
-                })
-                .fold(0.0f64, f64::max);
-            (CommSpace::from_exec(&ex), worst)
-        }};
-    }
-    match algo {
-        FreqAlgo::Randomized => {
-            run!(RandomizedFrequency::new(cfg), |c: &RandFreqCoord, j| c
-                .estimate_frequency(j))
-        }
-        FreqAlgo::Deterministic => {
-            run!(DeterministicFrequency::new(cfg), |c: &DetFreqCoord, j| c
-                .estimate_frequency(j))
-        }
-        FreqAlgo::Sampling => {
-            run!(ContinuousSampling::new(cfg), |c: &SamplingCoord, j| c
-                .estimate_frequency(j))
-        }
-    }
-}
-
-/// Run *windowed* frequency-tracking over the standard zipf workload:
-/// the protocol wrapped in [`Windowed`] with window `w`, scored by the
-/// maximum `|f̂_W − f_W|/w` over the 20 globally hottest items plus 5
-/// absent probes, where `f_W` is the item's exact count within the last
-/// `w` arrivals.
-pub fn windowed_frequency_run(
-    exec: ExecConfig,
-    algo: FreqAlgo,
-    k: usize,
-    eps: f64,
-    n: u64,
-    w: u64,
-    seed: u64,
-) -> (CommSpace, f64) {
-    let cfg = TrackingConfig::new(k, eps);
-    let arrivals = freq_workload(k, n, seed ^ 0xF00D);
-    let batch: Vec<(usize, u64)> = arrivals.iter().map(|a| (a.site, a.item)).collect();
-    // Exact truth over the last w arrivals only.
-    let mut exact_window = ExactCounts::new();
-    let tail_start = arrivals.len().saturating_sub(w as usize);
-    for a in &arrivals[tail_start..] {
-        exact_window.observe(a.item);
-    }
-    let probes = freq_probes();
-    macro_rules! run {
-        ($inner:expr, $coord:ty) => {{
-            let proto = Windowed::new($inner, w);
-            let mut ex = exec.mode.build_faulty(exec.faults, &proto, seed);
-            ex.feed_batch(batch);
-            ex.quiesce();
-            let worst = probes
-                .iter()
-                .map(|&j| {
-                    let estimate: f64 =
-                        ex.query(move |c: &WinCoord<$coord>| c.windowed_frequency(j));
-                    (estimate - exact_window.frequency(j) as f64).abs() / w as f64
-                })
-                .fold(0.0f64, f64::max);
-            (CommSpace::from_exec(&ex), worst)
-        }};
-    }
-    match algo {
-        FreqAlgo::Randomized => run!(RandomizedFrequency::new(cfg), RandomizedFrequency),
-        FreqAlgo::Deterministic => {
-            run!(DeterministicFrequency::new(cfg), DeterministicFrequency)
-        }
-        FreqAlgo::Sampling => run!(ContinuousSampling::new(cfg), ContinuousSampling),
-    }
+    let proto = Replicated::new(RandomizedCount::new(TrackingConfig::new(k, eps)), copies);
+    checkpoint_errors(exec, &proto, n, seed, checkpoints, |c| {
+        c.median_by(CountQuery::count)
+    })
+    .into_iter()
+    .fold(0.0, f64::max)
 }
 
 /// Number of rare probe items in the [`windowed_frequency_bias`]
@@ -457,463 +467,60 @@ pub fn windowed_bias_item(t: u64) -> u64 {
 
 /// Mean **signed** rare-item windowed frequency error, in elements per
 /// item — the windowed bias harness. Runs `Windowed<RandomizedFrequency>`
-/// over the [`windowed_bias_item`] workload and averages
-/// `f̂_W(j) − f_W(j)` over all rare probes and `seeds` seeds (signed, so
-/// unbiased noise cancels and only systematic bias survives — the same
-/// ablation discipline as `exp_ablation`'s whole-stream arm 2).
+/// over the [`windowed_bias_item`] workload under the `+window:W`
+/// scenario `exec` and averages `f̂_W(j) − f_W(j)` over all rare probes
+/// and `seeds` seeds (signed, so unbiased noise cancels and only
+/// systematic bias survives — the same ablation discipline as
+/// `exp_ablation`'s whole-stream arm 2).
 ///
 /// `corrected` selects the real protocol (epoch digests carry the
 /// per-item `−d/p` correction terms) or the
-/// [`UncorrectedFrequency`] ablation arm (digests flattened to the
-/// tracked table — no correction terms at all). Corrected digests center the
-/// mean at 0 within the window machinery's heartbeat slack
-/// (`granularity/2` elements, pro-rated by the item's rate);
-/// uncorrected digests sit measurably above it.
+/// [`dtrack_core::frequency::UncorrectedFrequency`] ablation arm (digests
+/// flattened to the tracked table — no correction terms at all).
+/// Corrected digests center the mean at 0 within the window machinery's
+/// heartbeat slack (`granularity/2` elements, pro-rated by the item's
+/// rate); uncorrected digests sit measurably above it.
+///
+/// # Panics
+///
+/// Panics unless `exec` carries a window, and — like [`run`] — on a
+/// `+tree` scenario.
 pub fn windowed_frequency_bias(
     exec: ExecConfig,
     corrected: bool,
     k: usize,
     eps: f64,
     n: u64,
-    w: u64,
     seeds: u64,
 ) -> f64 {
-    let cfg = TrackingConfig::new(k, eps);
+    let w = exec.window.expect("the windowed bias needs +window:W");
+    let proto = RandomizedFrequency::new(TrackingConfig::new(k, eps));
     let domain = WINDOWED_BIAS_DOMAIN;
     let truth = w as f64 / (2 * domain) as f64;
     let batch: Vec<(usize, u64)> = (0..n)
         .map(|t| ((t % k as u64) as usize, windowed_bias_item(t)))
         .collect();
+    let rare: Vec<u64> = (1..=domain).collect();
     let mut signed = 0.0;
-    macro_rules! run {
-        ($inner:expr, $coord:ty) => {{
-            for seed in 0..seeds {
-                let proto = Windowed::new($inner, w);
-                let mut ex = exec.mode.build_faulty(exec.faults, &proto, seed);
-                ex.feed_batch(batch.clone());
-                ex.quiesce();
-                for j in 1..=domain {
-                    let est: f64 = ex.query(move |c: &WinCoord<$coord>| c.windowed_frequency(j));
-                    signed += est - truth;
-                }
-            }
-        }};
-    }
-    if corrected {
-        run!(RandomizedFrequency::new(cfg), RandomizedFrequency);
-    } else {
-        run!(
-            RandomizedFrequency::new(cfg).ablation_uncorrected_digests(),
-            UncorrectedFrequency
-        );
+    for seed in 0..seeds {
+        let (batch, rare) = (batch.clone(), rare.clone());
+        let driven = if corrected {
+            drive_shaped!(exec, proto, seed, batch, rare, |c, j| c.frequency(j))
+        } else {
+            let proto = proto.ablation_uncorrected_digests();
+            drive_shaped!(exec, proto, seed, batch, rare, |c, j| c.frequency(j))
+        };
+        for est in driven.answers {
+            signed += est - truth;
+        }
     }
     signed / (seeds * domain) as f64
-}
-
-/// Per-query error on a single probe (the hottest zipf item): this is
-/// the quantity the paper's per-instant 0.9 guarantee (Theorem 3.1)
-/// speaks about — unlike [`frequency_run`], which takes the max over 25
-/// probes (a union, so necessarily worse than the per-query bound).
-pub fn frequency_single_probe_error(
-    exec: ExecConfig,
-    algo: FreqAlgo,
-    k: usize,
-    eps: f64,
-    n: u64,
-    seed: u64,
-) -> f64 {
-    let cfg = TrackingConfig::new(k, eps);
-    let arrivals = freq_workload(k, n, seed ^ 0xF00D);
-    let mut exact = ExactCounts::new();
-    let batch: Vec<(usize, u64)> = arrivals
-        .iter()
-        .map(|a| {
-            exact.observe(a.item);
-            (a.site, a.item)
-        })
-        .collect();
-    if let Some(spec) = exec.tree {
-        let exec = ExecConfig { tree: None, ..exec };
-        macro_rules! tree_run {
-            ($proto:expr, $ty:ty) => {{
-                let proto = Tree::new($proto, spec);
-                let mut ex = exec.build(&proto, seed);
-                ex.feed_batch(batch);
-                ex.quiesce();
-                let est: f64 = ex.query(|c: &TreeCoord<$ty>| c.root().estimate_frequency(0));
-                (est - exact.frequency(0) as f64).abs() / n as f64
-            }};
-        }
-        return match algo {
-            FreqAlgo::Randomized => tree_run!(RandomizedFrequency::new(cfg), RandomizedFrequency),
-            FreqAlgo::Deterministic => {
-                tree_run!(DeterministicFrequency::new(cfg), DeterministicFrequency)
-            }
-            FreqAlgo::Sampling => panic!("{NO_TREE_SUPPORT}"),
-        };
-    }
-    macro_rules! run {
-        ($proto:expr, $est:expr) => {{
-            let mut ex = exec.build(&$proto, seed);
-            ex.feed_batch(batch);
-            ex.quiesce();
-            let est: f64 = ex.query($est);
-            (est - exact.frequency(0) as f64).abs() / n as f64
-        }};
-    }
-    match algo {
-        FreqAlgo::Randomized => {
-            run!(RandomizedFrequency::new(cfg), |c: &RandFreqCoord| c
-                .estimate_frequency(0))
-        }
-        FreqAlgo::Deterministic => {
-            run!(DeterministicFrequency::new(cfg), |c: &DetFreqCoord| c
-                .estimate_frequency(0))
-        }
-        FreqAlgo::Sampling => {
-            run!(ContinuousSampling::new(cfg), |c: &SamplingCoord| c
-                .estimate_frequency(0))
-        }
-    }
-}
-
-/// Run rank-tracking over a duplicate-free round-robin stream; returns
-/// cost and the maximum `|rank̂ − rank|/n` over the deciles — or, for a
-/// `+window:W` scenario, the same maximum over the *window's* deciles
-/// against the exact ranks within the last `w` arrivals, normalized by
-/// `w`.
-pub fn rank_run(
-    exec: ExecConfig,
-    algo: RankAlgo,
-    k: usize,
-    eps: f64,
-    n: u64,
-    seed: u64,
-) -> (CommSpace, f64) {
-    if let Some(w) = exec.window {
-        return windowed_rank_run(
-            ExecConfig {
-                window: None,
-                ..exec
-            },
-            algo,
-            k,
-            eps,
-            n,
-            w,
-            seed,
-        );
-    }
-    if let Some(spec) = exec.tree {
-        let run = tree_rank_run(
-            ExecConfig { tree: None, ..exec },
-            spec,
-            algo,
-            k,
-            eps,
-            n,
-            seed,
-        );
-        return (run.cost, run.err);
-    }
-    let cfg = TrackingConfig::new(k, eps);
-    let batch = rank_batch(k, n, seed);
-    let mut exact = ExactRanks::new();
-    for &(_, item) in &batch {
-        exact.insert(item);
-    }
-    macro_rules! run {
-        ($proto:expr, $est:expr) => {{
-            let mut ex = exec.build(&$proto, seed);
-            ex.feed_batch(batch);
-            ex.quiesce();
-            let est = $est;
-            let worst = (1..10)
-                .map(|d| {
-                    let x = exact.quantile(d as f64 / 10.0).unwrap();
-                    let truth = exact.rank(x) as f64;
-                    let estimate: f64 = ex.query(move |c| est(c, x));
-                    (estimate - truth).abs() / n as f64
-                })
-                .fold(0.0f64, f64::max);
-            (CommSpace::from_exec(&ex), worst)
-        }};
-    }
-    match algo {
-        RankAlgo::Randomized => {
-            run!(RandomizedRank::new(cfg), |c: &RandRankCoord, x| c
-                .estimate_rank(x))
-        }
-        RankAlgo::Deterministic => {
-            run!(DeterministicRank::new(cfg), |c: &DetRankCoord, x| c
-                .estimate_rank(x))
-        }
-        RankAlgo::Sampling => {
-            run!(ContinuousSampling::new(cfg), |c: &SamplingCoord, x| c
-                .estimate_rank(x))
-        }
-    }
-}
-
-/// Run *windowed* rank-tracking over the same duplicate-free stream as
-/// [`rank_run`]: the protocol wrapped in [`Windowed`] with window `w`,
-/// scored by the maximum `|rank̂_W − rank_W|/w` over the window's
-/// deciles, where `rank_W` counts only the last `w` arrivals.
-pub fn windowed_rank_run(
-    exec: ExecConfig,
-    algo: RankAlgo,
-    k: usize,
-    eps: f64,
-    n: u64,
-    w: u64,
-    seed: u64,
-) -> (CommSpace, f64) {
-    let cfg = TrackingConfig::new(k, eps);
-    let batch = rank_batch(k, n, seed);
-    // Exact truth over the last w arrivals only.
-    let mut exact_window = ExactRanks::new();
-    let tail_start = batch.len().saturating_sub(w as usize);
-    for &(_, item) in &batch[tail_start..] {
-        exact_window.insert(item);
-    }
-    macro_rules! run {
-        ($inner:expr, $coord:ty) => {{
-            let proto = Windowed::new($inner, w);
-            let mut ex = exec.mode.build_faulty(exec.faults, &proto, seed);
-            ex.feed_batch(batch);
-            ex.quiesce();
-            let worst = (1..10)
-                .map(|d| {
-                    let x = exact_window.quantile(d as f64 / 10.0).unwrap();
-                    let truth = exact_window.rank(x) as f64;
-                    let estimate: f64 = ex.query(move |c: &WinCoord<$coord>| c.windowed_rank(x));
-                    (estimate - truth).abs() / w as f64
-                })
-                .fold(0.0f64, f64::max);
-            (CommSpace::from_exec(&ex), worst)
-        }};
-    }
-    match algo {
-        RankAlgo::Randomized => run!(RandomizedRank::new(cfg), RandomizedRank),
-        RankAlgo::Deterministic => run!(DeterministicRank::new(cfg), DeterministicRank),
-        RankAlgo::Sampling => run!(ContinuousSampling::new(cfg), ContinuousSampling),
-    }
-}
-
-/// Outcome of one hierarchical (tree) run: the combined cost/error
-/// (what [`count_run`] and friends return for `+tree` scenarios) plus
-/// the per-boundary breakdown `exp_topology` tables.
-#[derive(Debug, Clone)]
-pub struct TreeRun {
-    /// Combined accounting: leaf-boundary traffic (the executor's
-    /// `CommStats`) **plus** every internal aggregator boundary.
-    pub cost: CommSpace,
-    /// The problem's error metric at the tree root (same definition as
-    /// the flat run's).
-    pub err: f64,
-    /// Words on the leaf ↔ level-1 boundary alone (the executor's
-    /// accounting, before internal boundaries are folded in).
-    pub leaf_words: u64,
-    /// Internal boundaries, one per aggregator level (empty at depth 1).
-    pub internal: Vec<LevelLoad>,
-}
-
-impl TreeRun {
-    /// Words crossing the root's own links — the bottleneck metric the
-    /// topology exists to shrink. At depth 1 the root *is* the flat
-    /// coordinator, so the leaf boundary is the root boundary.
-    pub fn root_words(&self) -> u64 {
-        self.internal
-            .last()
-            .map(LevelLoad::total_words)
-            .unwrap_or(self.leaf_words)
-    }
-}
-
-/// Fold internal-boundary traffic into the executor's leaf accounting.
-fn tree_run_outcome(leaf: CommSpace, err: f64, internal: Vec<LevelLoad>) -> TreeRun {
-    let mut cost = leaf;
-    for l in &internal {
-        cost.msgs += l.total_msgs();
-        cost.words += l.total_words();
-    }
-    TreeRun {
-        cost,
-        err,
-        leaf_words: leaf.words,
-        internal,
-    }
-}
-
-/// Panic message for the baselines with no [`dtrack_sim::TreeProtocol`]
-/// impl (continuous sampling keeps raw samples, not a mergeable digest,
-/// so there is nothing to re-stream level over level).
-const NO_TREE_SUPPORT: &str = "+tree is not supported for the continuous-sampling baseline: \
-     ContinuousSampling has no TreeProtocol impl (its coordinator keeps \
-     raw samples, not a mergeable digest) — use the randomized or \
-     deterministic protocols, or drop the +tree suffix";
-
-/// [`count_run`] under a hierarchical topology: the protocol wrapped in
-/// [`Tree`] with shape `spec`, queried at the root. Called by
-/// [`count_run`] for `+tree:F[:D]` scenarios; callable directly when
-/// the per-boundary breakdown ([`TreeRun::internal`],
-/// [`TreeRun::root_words`]) is wanted — `spec` governs, `exec.tree`
-/// must be `None`.
-///
-/// # Panics
-///
-/// Panics for [`CountAlgo::Sampling`] (no `TreeProtocol` impl) and on
-/// a windowed `exec` (`+tree`+`+window` needs per-level epoch
-/// alignment; the scenario parser rejects the combination).
-pub fn tree_count_run(
-    exec: ExecConfig,
-    spec: TreeSpec,
-    algo: CountAlgo,
-    k: usize,
-    eps: f64,
-    n: u64,
-    seed: u64,
-) -> TreeRun {
-    assert!(exec.tree.is_none(), "pass the tree shape via `spec`");
-    assert!(exec.window.is_none(), "+tree does not combine with +window");
-    let cfg = TrackingConfig::new(k, eps);
-    let batch = round_robin_batch(k, n);
-    macro_rules! run {
-        ($proto:expr, $ty:ty, $est:expr) => {{
-            let proto = Tree::new($proto, spec);
-            let mut ex = exec.build(&proto, seed);
-            ex.feed_batch(batch);
-            ex.quiesce();
-            let est: f64 = ex.query(|c: &TreeCoord<$ty>| $est(c.root()));
-            let err = (est - n as f64).abs() / n as f64;
-            let internal = ex.query(|c: &TreeCoord<$ty>| c.internal_loads().to_vec());
-            tree_run_outcome(CommSpace::from_exec(&ex), err, internal)
-        }};
-    }
-    match algo {
-        CountAlgo::Randomized => {
-            run!(
-                RandomizedCount::new(cfg),
-                RandomizedCount,
-                |c: &RandCountCoord| c.estimate()
-            )
-        }
-        CountAlgo::Deterministic => {
-            run!(
-                DeterministicCount::new(cfg),
-                DeterministicCount,
-                |c: &DetCountCoord| c.estimate()
-            )
-        }
-        CountAlgo::Sampling => panic!("{NO_TREE_SUPPORT}"),
-    }
-}
-
-/// [`frequency_run`] under a hierarchical topology (see
-/// [`tree_count_run`] for the contract): maximum `|f̂ − f|/n` over the
-/// standard probes, answered at the tree root.
-pub fn tree_frequency_run(
-    exec: ExecConfig,
-    spec: TreeSpec,
-    algo: FreqAlgo,
-    k: usize,
-    eps: f64,
-    n: u64,
-    seed: u64,
-) -> TreeRun {
-    assert!(exec.tree.is_none(), "pass the tree shape via `spec`");
-    assert!(exec.window.is_none(), "+tree does not combine with +window");
-    let cfg = TrackingConfig::new(k, eps);
-    let arrivals = freq_workload(k, n, seed ^ 0xF00D);
-    let mut exact = ExactCounts::new();
-    let batch: Vec<(usize, u64)> = arrivals
-        .iter()
-        .map(|a| {
-            exact.observe(a.item);
-            (a.site, a.item)
-        })
-        .collect();
-    let probes = freq_probes();
-    macro_rules! run {
-        ($proto:expr, $ty:ty) => {{
-            let proto = Tree::new($proto, spec);
-            let mut ex = exec.build(&proto, seed);
-            ex.feed_batch(batch);
-            ex.quiesce();
-            let worst = probes
-                .iter()
-                .map(|&j| {
-                    let estimate: f64 =
-                        ex.query(move |c: &TreeCoord<$ty>| c.root().estimate_frequency(j));
-                    (estimate - exact.frequency(j) as f64).abs() / n as f64
-                })
-                .fold(0.0f64, f64::max);
-            let internal = ex.query(|c: &TreeCoord<$ty>| c.internal_loads().to_vec());
-            tree_run_outcome(CommSpace::from_exec(&ex), worst, internal)
-        }};
-    }
-    match algo {
-        FreqAlgo::Randomized => run!(RandomizedFrequency::new(cfg), RandomizedFrequency),
-        FreqAlgo::Deterministic => run!(DeterministicFrequency::new(cfg), DeterministicFrequency),
-        FreqAlgo::Sampling => panic!("{NO_TREE_SUPPORT}"),
-    }
-}
-
-/// [`rank_run`] under a hierarchical topology (see [`tree_count_run`]
-/// for the contract): maximum `|rank̂ − rank|/n` over the deciles,
-/// answered at the tree root.
-pub fn tree_rank_run(
-    exec: ExecConfig,
-    spec: TreeSpec,
-    algo: RankAlgo,
-    k: usize,
-    eps: f64,
-    n: u64,
-    seed: u64,
-) -> TreeRun {
-    assert!(exec.tree.is_none(), "pass the tree shape via `spec`");
-    assert!(exec.window.is_none(), "+tree does not combine with +window");
-    let cfg = TrackingConfig::new(k, eps);
-    let batch = rank_batch(k, n, seed);
-    let mut exact = ExactRanks::new();
-    for &(_, item) in &batch {
-        exact.insert(item);
-    }
-    macro_rules! run {
-        ($proto:expr, $ty:ty) => {{
-            let proto = Tree::new($proto, spec);
-            let mut ex = exec.build(&proto, seed);
-            ex.feed_batch(batch);
-            ex.quiesce();
-            let worst = (1..10)
-                .map(|d| {
-                    let x = exact.quantile(d as f64 / 10.0).unwrap();
-                    let truth = exact.rank(x) as f64;
-                    let estimate: f64 =
-                        ex.query(move |c: &TreeCoord<$ty>| c.root().estimate_rank(x));
-                    (estimate - truth).abs() / n as f64
-                })
-                .fold(0.0f64, f64::max);
-            let internal = ex.query(|c: &TreeCoord<$ty>| c.internal_loads().to_vec());
-            tree_run_outcome(CommSpace::from_exec(&ex), worst, internal)
-        }};
-    }
-    match algo {
-        RankAlgo::Randomized => run!(RandomizedRank::new(cfg), RandomizedRank),
-        RankAlgo::Deterministic => run!(DeterministicRank::new(cfg), DeterministicRank),
-        RankAlgo::Sampling => panic!("{NO_TREE_SUPPORT}"),
-    }
-}
-
-/// Median over seeds of a per-seed scalar measurement.
-pub fn median_over_seeds<F: Fn(u64) -> f64>(seeds: std::ops::Range<u64>, f: F) -> f64 {
-    median(seeds.map(f).collect())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dtrack_sim::DeliveryPolicy;
+    use dtrack_sim::{DeliveryPolicy, TreeSpec};
 
     const EXECS: [ExecConfig; 3] = [
         ExecConfig::lockstep(),
@@ -921,15 +528,13 @@ mod tests {
         ExecConfig::channel(),
     ];
 
+    const ALGOS: [Algo; 3] = [Algo::Randomized, Algo::Deterministic, Algo::Sampling];
+
     #[test]
     fn count_runs_all_algos_on_all_executors() {
         for exec in EXECS {
-            for algo in [
-                CountAlgo::Randomized,
-                CountAlgo::Deterministic,
-                CountAlgo::Sampling,
-            ] {
-                let (cs, err) = count_run(exec, algo, 4, 0.2, 20_000, 1);
+            for algo in ALGOS {
+                let Run { cost: cs, err, .. } = run(exec, Problem::Count, algo, 4, 0.2, 20_000, 1);
                 assert!(cs.msgs > 0);
                 assert!(cs.words >= cs.msgs);
                 // The wire codec never does worse than a tag byte plus a
@@ -945,27 +550,35 @@ mod tests {
 
     #[test]
     fn frequency_runs_all_algos() {
-        for algo in [
-            FreqAlgo::Randomized,
-            FreqAlgo::Deterministic,
-            FreqAlgo::Sampling,
-        ] {
-            let (cs, err) = frequency_run(ExecConfig::lockstep(), algo, 4, 0.2, 20_000, 2);
-            assert!(cs.msgs > 0);
-            assert!(err < 0.5, "{algo:?} err {err}");
+        for algo in ALGOS {
+            let r = run(
+                ExecConfig::lockstep(),
+                Problem::Frequency,
+                algo,
+                4,
+                0.2,
+                20_000,
+                2,
+            );
+            assert!(r.cost.msgs > 0);
+            assert!(r.err < 0.5, "{algo:?} err {}", r.err);
         }
     }
 
     #[test]
     fn rank_runs_all_algos() {
-        for algo in [
-            RankAlgo::Randomized,
-            RankAlgo::Deterministic,
-            RankAlgo::Sampling,
-        ] {
-            let (cs, err) = rank_run(ExecConfig::lockstep(), algo, 4, 0.2, 20_000, 3);
-            assert!(cs.msgs > 0);
-            assert!(err < 0.5, "{algo:?} err {err}");
+        for algo in ALGOS {
+            let r = run(
+                ExecConfig::lockstep(),
+                Problem::Rank,
+                algo,
+                4,
+                0.2,
+                20_000,
+                3,
+            );
+            assert!(r.cost.msgs > 0);
+            assert!(r.err < 0.5, "{algo:?} err {}", r.err);
         }
     }
 
@@ -973,8 +586,25 @@ mod tests {
     fn windowed_count_runs_on_all_executors() {
         for exec in EXECS {
             let exec = exec.windowed(4_096);
-            let (cs, err) = count_run(exec, CountAlgo::Randomized, 4, 0.1, 20_000, 1);
-            assert!(cs.msgs > 0);
+            // The channel leg is thread-timed (which heartbeat range a
+            // bucket's contents land in depends on the interleaving), so
+            // a single seed under CPU contention is a coin with a thin
+            // bad edge: judge it on the median of 5 seeds. The lock-step
+            // and event legs are deterministic — one seed is the test.
+            let seeds = if exec.mode == dtrack_sim::ExecMode::Channel {
+                1..6
+            } else {
+                1..2
+            };
+            let mut errs: Vec<f64> = seeds
+                .map(|seed| {
+                    let r = run(exec, Problem::Count, Algo::Randomized, 4, 0.1, 20_000, seed);
+                    assert!(r.cost.msgs > 0);
+                    r.err
+                })
+                .collect();
+            errs.sort_by(f64::total_cmp);
+            let err = errs[errs.len() / 2];
             // All three executors meet the same target now: the channel
             // runtime's fairness mechanisms (out-of-band seal delivery +
             // per-site credit cap) keep bucket contents aligned with
@@ -986,12 +616,20 @@ mod tests {
     #[test]
     fn windowed_frequency_and_rank_score_against_window_truth() {
         let exec = ExecConfig::lockstep().windowed(8_192);
-        let (fcs, ferr) = frequency_run(exec, FreqAlgo::Randomized, 4, 0.1, 30_000, 2);
-        assert!(fcs.msgs > 0);
-        assert!(ferr < 0.25, "freq err {ferr}");
-        let (rcs, rerr) = rank_run(exec, RankAlgo::Deterministic, 4, 0.1, 30_000, 3);
-        assert!(rcs.msgs > 0);
-        assert!(rerr < 0.25, "rank err {rerr}");
+        let f = run(
+            exec,
+            Problem::Frequency,
+            Algo::Randomized,
+            4,
+            0.1,
+            30_000,
+            2,
+        );
+        assert!(f.cost.msgs > 0);
+        assert!(f.err < 0.25, "freq err {}", f.err);
+        let r = run(exec, Problem::Rank, Algo::Deterministic, 4, 0.1, 30_000, 3);
+        assert!(r.cost.msgs > 0);
+        assert!(r.err < 0.25, "rank err {}", r.err);
     }
 
     #[test]
@@ -1000,9 +638,9 @@ mod tests {
         // the protocol's view lags, but after quiesce the estimate must
         // still be in the right ballpark (count conservation of ups).
         let exec = ExecConfig::event(DeliveryPolicy::FixedLatency(64));
-        let (cs, err) = count_run(exec, CountAlgo::Randomized, 8, 0.1, 40_000, 5);
-        assert!(cs.msgs > 0);
-        assert!(err < 0.5, "err {err}");
+        let r = run(exec, Problem::Count, Algo::Randomized, 8, 0.1, 40_000, 5);
+        assert!(r.cost.msgs > 0);
+        assert!(r.err < 0.5, "err {}", r.err);
     }
 
     #[test]
@@ -1019,7 +657,7 @@ mod tests {
         let cps = vec![100, 1000, 5000];
         let t = count_error_trace(
             ExecConfig::lockstep(),
-            CountAlgo::Randomized,
+            Algo::Randomized,
             4,
             0.2,
             5000,
@@ -1027,5 +665,187 @@ mod tests {
             &cps,
         );
         assert_eq!(t.len(), 3);
+    }
+
+    // The fold's own proof. `run` replaced nine per-cell functions
+    // (`count_run` / `frequency_run` / `rank_run`, their `windowed_*`
+    // and `tree_*` twins) and `frequency_single_probe_error`; the values
+    // below were recorded from those functions at the parent commit, on
+    // the lock-step executor at (k, ε, n, seed) = PIN_AT, window
+    // PIN_WINDOW, tree `+tree:2:2`.
+    const PIN_AT: (usize, f64, u64, u64) = (4, 0.1, 6_000, 7);
+    const PIN_WINDOW: u64 = 2_048;
+
+    #[derive(Debug, Clone, Copy)]
+    enum Shape {
+        Flat,
+        Window,
+        Tree,
+    }
+    use Shape::{Flat, Tree as InTree, Window};
+
+    fn pinned(shape: Shape) -> ExecConfig {
+        let flat = ExecConfig::lockstep();
+        match shape {
+            Flat => flat,
+            Window => flat.windowed(PIN_WINDOW),
+            InTree => flat.with_tree(TreeSpec::new(2).with_depth(2)),
+        }
+    }
+
+    /// `(problem, algo, shape, msgs, words, bytes, err.to_bits())`.
+    #[rustfmt::skip]
+    const PINS: [(Problem, Algo, Shape, u64, u64, u64, u64); 24] = [
+        (Problem::Count, Algo::Randomized, Flat, 395, 395, 901, 0x3fa72015d867c3ed),
+        (Problem::Frequency, Algo::Randomized, Flat, 639, 658, 1416, 0x3fb70a3d70a3d70a),
+        (Problem::Rank, Algo::Randomized, Flat, 1416, 7470, 48195, 0x3f9747682cc86e40),
+        (Problem::Count, Algo::Deterministic, Flat, 232, 232, 332, 0x3facac083126e979),
+        (Problem::Frequency, Algo::Deterministic, Flat, 1132, 2172, 3616, 0x3f996de8ca11bfd4),
+        (Problem::Rank, Algo::Deterministic, Flat, 2324, 185077, 670276, 0x3f6cac083126e979),
+        (Problem::Count, Algo::Sampling, Flat, 2003, 3994, 5857, 0x3f9f671529a485cd),
+        (Problem::Frequency, Algo::Sampling, Flat, 2004, 3996, 4683, 0x3f826e978d4fdf3b),
+        (Problem::Rank, Algo::Sampling, Flat, 2003, 3994, 20879, 0x3facac083126e979),
+        (Problem::Count, Algo::Randomized, Window, 12189, 22886, 42396, 0x3f8ff00000000000),
+        (Problem::Frequency, Algo::Randomized, Window, 20018, 38760, 77306, 0x3f72c00000000000),
+        (Problem::Rank, Algo::Randomized, Window, 23996, 103460, 361680, 0x3f79800000000000),
+        (Problem::Count, Algo::Deterministic, Window, 6372, 11252, 16876, 0x3fac800000000000),
+        (Problem::Frequency, Algo::Deterministic, Window, 11451, 27410, 47833, 0x3f63c00000000000),
+        (Problem::Rank, Algo::Deterministic, Window, 13872, 109296, 342855, 0x3f79800000000000),
+        (Problem::Count, Algo::Sampling, Window, 7492, 19492, 32108, 0x3f80000000000000),
+        (Problem::Frequency, Algo::Sampling, Window, 7492, 19492, 28249, 0x3f63c00000000000),
+        (Problem::Rank, Algo::Sampling, Window, 7492, 19492, 77213, 0x3f79800000000000),
+        (Problem::Count, Algo::Randomized, InTree, 877, 877, 1316, 0x3f90624dd2f1a9fc),
+        (Problem::Frequency, Algo::Randomized, InTree, 2213, 2488, 2663, 0x3fbf0fb38a94d243),
+        (Problem::Rank, Algo::Randomized, InTree, 4892, 30206, 122795, 0x3f88b483198da4dd),
+        (Problem::Count, Algo::Deterministic, InTree, 628, 628, 596, 0x3f9999999999999a),
+        (Problem::Frequency, Algo::Deterministic, InTree, 3283, 6430, 6770, 0x3f8e098ead65b7a3),
+        (Problem::Rank, Algo::Deterministic, InTree, 5501, 819276, 1672734, 0x3f8604189374bc6a),
+    ];
+
+    #[test]
+    fn run_is_bit_identical_to_the_per_cell_functions_it_replaced() {
+        let (k, eps, n, seed) = PIN_AT;
+        for (problem, algo, shape, msgs, words, bytes, err_bits) in PINS {
+            let r = run(pinned(shape), problem, algo, k, eps, n, seed);
+            assert_eq!(
+                (r.cost.msgs, r.cost.words, r.cost.bytes, r.err.to_bits()),
+                (msgs, words, bytes, err_bits),
+                "{problem}/{algo:?} {shape:?}: err {}",
+                r.err
+            );
+        }
+        // Every (problem, algo, shape) the run can honour is pinned: the
+        // full 3 × 3 × 3 grid minus sampling under +tree.
+        assert_eq!(PINS.len(), 3 * 3 * 3 - 3);
+    }
+
+    #[test]
+    fn first_probe_error_is_the_single_probe_error_it_replaced() {
+        // `frequency_single_probe_error` at the parent, same parameters.
+        let (k, eps, n, seed) = PIN_AT;
+        let pins = [
+            (Algo::Randomized, Flat, 0x3fb70a3d70a3d70a_u64),
+            (Algo::Deterministic, Flat, 0x3f996de8ca11bfd4),
+            (Algo::Sampling, Flat, 0x3f60624dd2f1a9fc),
+            (Algo::Randomized, InTree, 0x3fb5e353f7ced917),
+            (Algo::Deterministic, InTree, 0x3f84d242e6bdc805),
+        ];
+        for (algo, shape, bits) in pins {
+            let r = run(pinned(shape), Problem::Frequency, algo, k, eps, n, seed);
+            assert_eq!(r.errs.len(), 25, "20 hot + 5 absent probes");
+            assert_eq!(r.errs[0].to_bits(), bits, "{algo:?} {shape:?}");
+            assert!(r.errs.iter().all(|&e| e <= r.err), "err is the max probe");
+        }
+    }
+
+    #[test]
+    fn tree_runs_break_cost_down_by_boundary() {
+        // `tree_count_run`'s breakdown at the parent, same parameters.
+        let (k, eps, n, seed) = PIN_AT;
+        let r = run(
+            pinned(InTree),
+            Problem::Count,
+            Algo::Randomized,
+            k,
+            eps,
+            n,
+            seed,
+        );
+        assert_eq!(
+            (r.leaf_words, r.root_words(), r.internal.len()),
+            (553, 324, 1)
+        );
+        assert_eq!(r.cost.words, r.leaf_words + r.internal[0].total_words());
+        let flat = run(
+            pinned(Flat),
+            Problem::Count,
+            Algo::Randomized,
+            k,
+            eps,
+            n,
+            seed,
+        );
+        assert!(flat.internal.is_empty());
+        assert_eq!(
+            flat.root_words(),
+            flat.cost.words,
+            "a flat root sees every word"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "+tree does not combine with +window")]
+    fn tree_with_window_is_refused_not_run_flat() {
+        // Constructible programmatically (only the string parser rejects
+        // it); the parent ran a *flat* windowed protocol here.
+        let exec = pinned(InTree).windowed(PIN_WINDOW);
+        let _ = run(exec, Problem::Count, Algo::Randomized, 4, 0.1, 1_000, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "+tree does not combine with +window")]
+    fn windowed_bias_refuses_a_tree_scenario() {
+        let exec = pinned(InTree).windowed(512);
+        let _ = windowed_frequency_bias(exec, true, 4, 0.1, 1_000, 1);
+    }
+
+    #[test]
+    fn checkpoint_and_bias_harnesses_match_the_parent_bit_for_bit() {
+        // Recorded from the parent's `windowed_frequency_bias`,
+        // `count_error_trace` and `count_boosted_max_error`.
+        let flat = ExecConfig::lockstep();
+        let bias =
+            |corrected| windowed_frequency_bias(flat.windowed(2_000), corrected, 8, 0.1, 8_000, 3);
+        assert_eq!(bias(true).to_bits(), 0xbfcd097b425ed0ab);
+        assert_eq!(bias(false).to_bits(), 0x3ff7555555555550);
+        let cps = [100, 1000, 5000];
+        let trace = |algo| -> Vec<u64> {
+            count_error_trace(flat, algo, 4, 0.2, 5000, 5, &cps)
+                .iter()
+                .map(|e| e.to_bits())
+                .collect()
+        };
+        assert_eq!(
+            trace(Algo::Randomized),
+            [
+                4589708452245819884,
+                4597634787589991956,
+                4590212855404085379
+            ]
+        );
+        assert_eq!(
+            trace(Algo::Deterministic),
+            [
+                4593311331947716280,
+                4594500282249342091,
+                4592907809421103884
+            ]
+        );
+        assert_eq!(
+            trace(Algo::Sampling),
+            [0, 4582574750436065018, 4583497087639750495]
+        );
+        let boosted = count_boosted_max_error(flat, 8, 0.15, 5_000, 5, 11, &cps);
+        assert_eq!(boosted.to_bits(), 0x3fa26e978d4fdf3b);
     }
 }

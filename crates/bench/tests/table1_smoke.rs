@@ -1,13 +1,11 @@
 //! Smoke test for the `table1` experiment harness: runs the binary's
-//! core measurement path (`count_run` / `frequency_run` / `rank_run`,
-//! exactly what `table1` medians over) at tiny N and asserts the
+//! core measurement path (`measure::run`, exactly what `table1` medians
+//! over) at tiny N and asserts the
 //! orderings Table 1 predicts — the randomized √k protocols beat the
 //! deterministic k baselines on total words. Catches regressions in the
 //! experiment harness itself, which previously had no golden outputs.
 
-use dtrack_bench::measure::{
-    count_run, frequency_run, rank_run, CommSpace, CountAlgo, FreqAlgo, RankAlgo,
-};
+use dtrack_bench::measure::{median_run, run, Algo, Problem};
 use dtrack_sim::ExecConfig;
 
 const K: usize = 64;
@@ -15,19 +13,18 @@ const EPS: f64 = 0.05;
 const N: u64 = 20_000;
 const SEEDS: u64 = 3;
 
-/// Median-by-words over seeds, like the binary's `med` helper.
-fn median_words(f: impl Fn(u64) -> (CommSpace, f64)) -> (u64, f64) {
-    let mut runs: Vec<(CommSpace, f64)> = (0..SEEDS).map(f).collect();
-    runs.sort_by_key(|r| r.0.words);
-    let mid = runs[runs.len() / 2];
-    (mid.0.words, mid.1)
+/// Median-by-words run over seeds, like the binary's: `(words, err)`
+/// on the lock-step executor.
+fn median_words(problem: Problem, algo: Algo, k: usize) -> (u64, f64) {
+    let exec = ExecConfig::lockstep();
+    let mid = median_run(SEEDS, |s| run(exec, problem, algo, k, EPS, N, s));
+    (mid.cost.words, mid.err)
 }
 
 #[test]
 fn randomized_count_beats_deterministic_words() {
-    let exec = ExecConfig::lockstep();
-    let (rand, rand_err) = median_words(|s| count_run(exec, CountAlgo::Randomized, K, EPS, N, s));
-    let (det, det_err) = median_words(|s| count_run(exec, CountAlgo::Deterministic, K, EPS, N, s));
+    let (rand, rand_err) = median_words(Problem::Count, Algo::Randomized, K);
+    let (det, det_err) = median_words(Problem::Count, Algo::Deterministic, K);
     assert!(
         rand < det,
         "√k ordering violated: randomized {rand} ≥ deterministic {det}"
@@ -37,11 +34,8 @@ fn randomized_count_beats_deterministic_words() {
 
 #[test]
 fn randomized_frequency_beats_deterministic_words() {
-    let exec = ExecConfig::lockstep();
-    let (rand, rand_err) =
-        median_words(|s| frequency_run(exec, FreqAlgo::Randomized, K, EPS, N, s));
-    let (det, det_err) =
-        median_words(|s| frequency_run(exec, FreqAlgo::Deterministic, K, EPS, N, s));
+    let (rand, rand_err) = median_words(Problem::Frequency, Algo::Randomized, K);
+    let (det, det_err) = median_words(Problem::Frequency, Algo::Deterministic, K);
     assert!(
         rand < det,
         "√k ordering violated: randomized {rand} ≥ deterministic {det}"
@@ -51,9 +45,8 @@ fn randomized_frequency_beats_deterministic_words() {
 
 #[test]
 fn randomized_rank_beats_deterministic_words() {
-    let exec = ExecConfig::lockstep();
-    let (rand, rand_err) = median_words(|s| rank_run(exec, RankAlgo::Randomized, K, EPS, N, s));
-    let (det, det_err) = median_words(|s| rank_run(exec, RankAlgo::Deterministic, K, EPS, N, s));
+    let (rand, rand_err) = median_words(Problem::Rank, Algo::Randomized, K);
+    let (det, det_err) = median_words(Problem::Rank, Algo::Deterministic, K);
     assert!(
         rand < det,
         "√k ordering violated: randomized {rand} ≥ deterministic {det}"
@@ -65,9 +58,8 @@ fn randomized_rank_beats_deterministic_words() {
 fn sampling_words_are_roughly_k_independent() {
     // The [9] baseline costs O(1/ε²·logN) words regardless of k: growing
     // k by 16× must not grow its cost by more than a small factor.
-    let exec = ExecConfig::lockstep();
-    let (small_k, _) = median_words(|s| count_run(exec, CountAlgo::Sampling, 4, EPS, N, s));
-    let (large_k, _) = median_words(|s| count_run(exec, CountAlgo::Sampling, K, EPS, N, s));
+    let (small_k, _) = median_words(Problem::Count, Algo::Sampling, 4);
+    let (large_k, _) = median_words(Problem::Count, Algo::Sampling, K);
     let ratio = large_k as f64 / small_k.max(1) as f64;
     assert!(
         ratio < 3.0,

@@ -1,12 +1,12 @@
 //! Smoke test for the `exp_window` experiment harness: runs its core
-//! measurement path (the windowed run functions, exactly what the
+//! measurement path (`measure::run` under `+window:W`, exactly what the
 //! binary medians over) at tiny N on **all three executors** and
 //! asserts the invariants the windowed-vs-whole comparison relies on:
 //! the table can be produced end-to-end everywhere, windowing costs
 //! extra words (epoch restarts + heartbeats), and the windowed error is
 //! measured against the sliding truth (finite, sane).
 
-use dtrack_bench::measure::{count_run, frequency_run, rank_run, CountAlgo, FreqAlgo, RankAlgo};
+use dtrack_bench::measure::{run, Algo, Problem, Run};
 use dtrack_sim::{DeliveryPolicy, ExecConfig};
 
 const K: usize = 8;
@@ -26,8 +26,10 @@ fn execs() -> [ExecConfig; 3] {
 #[test]
 fn windowed_count_emits_on_all_three_executors() {
     for exec in execs() {
-        let (whole, whole_err) = count_run(exec, CountAlgo::Randomized, K, EPS, N, SEED);
-        let (win, win_err) = count_run(exec.windowed(W), CountAlgo::Randomized, K, EPS, N, SEED);
+        let count = |exec| run(exec, Problem::Count, Algo::Randomized, K, EPS, N, SEED);
+        let (whole, win) = (count(exec), count(exec.windowed(W)));
+        let (whole_err, win_err) = (whole.err, win.err);
+        let (whole, win) = (whole.cost, win.cost);
         assert!(whole.words > 0 && win.words > 0, "{exec}");
         assert!(
             win.words > whole.words,
@@ -47,9 +49,26 @@ fn windowed_count_emits_on_all_three_executors() {
 #[test]
 fn windowed_frequency_and_rank_emit_on_the_deterministic_executors() {
     for exec in execs().into_iter().take(2) {
-        let (fcs, ferr) = frequency_run(exec.windowed(W), FreqAlgo::Deterministic, K, EPS, N, SEED);
+        let exec = exec.windowed(W);
+        let Run {
+            cost: fcs,
+            err: ferr,
+            ..
+        } = run(
+            exec,
+            Problem::Frequency,
+            Algo::Deterministic,
+            K,
+            EPS,
+            N,
+            SEED,
+        );
         assert!(fcs.words > 0 && ferr < 0.25, "{exec} freq err {ferr}");
-        let (rcs, rerr) = rank_run(exec.windowed(W), RankAlgo::Sampling, K, EPS, N, SEED);
+        let Run {
+            cost: rcs,
+            err: rerr,
+            ..
+        } = run(exec, Problem::Rank, Algo::Sampling, K, EPS, N, SEED);
         assert!(rcs.words > 0 && rerr < 0.25, "{exec} rank err {rerr}");
     }
 }
@@ -59,27 +78,24 @@ fn lockstep_and_event_windowed_runs_agree_bit_for_bit() {
     // The windowed adapter must preserve the exec layer's equivalence
     // guarantee: identical accounting and identical answers under
     // instant delivery.
-    let a = count_run(
-        ExecConfig::lockstep().windowed(W),
-        CountAlgo::Randomized,
-        K,
-        EPS,
-        N,
-        SEED,
-    );
-    let b = count_run(
-        ExecConfig::event(DeliveryPolicy::Instant).windowed(W),
-        CountAlgo::Randomized,
-        K,
-        EPS,
-        N,
-        SEED,
-    );
-    assert_eq!(a.0.words, b.0.words);
-    assert_eq!(a.0.msgs, b.0.msgs);
+    let count = |exec: ExecConfig| {
+        run(
+            exec.windowed(W),
+            Problem::Count,
+            Algo::Randomized,
+            K,
+            EPS,
+            N,
+            SEED,
+        )
+    };
+    let a = count(ExecConfig::lockstep());
+    let b = count(ExecConfig::event(DeliveryPolicy::Instant));
+    assert_eq!(a.cost.words, b.cost.words);
+    assert_eq!(a.cost.msgs, b.cost.msgs);
     assert_eq!(
-        a.1.to_bits(),
-        b.1.to_bits(),
+        a.err.to_bits(),
+        b.err.to_bits(),
         "windowed answers must be bit-identical"
     );
 }

@@ -24,7 +24,9 @@
 //! `p = Θ(√k/(εn))`) and [`config`]. [`boost`] turns the per-time-instant
 //! 0.9 success probability into "correct at all times" via independent
 //! copies and medians (§1.2), and [`reduction`] derives frequency answers
-//! from a rank tracker (§1.2). [`window`] goes beyond the paper: it
+//! from a rank tracker (§1.2). [`query`] is the answer surface — one
+//! trait per tracked function, implemented by every coordinator and by
+//! the window / tree wrappers. [`window`] goes beyond the paper: it
 //! restricts any protocol to the **last `W` elements** (sliding-window
 //! tracking) by running epoch-restarted copies under an
 //! exponential-histogram of digests.
@@ -53,6 +55,7 @@ pub mod coarse;
 pub mod config;
 pub mod count;
 pub mod frequency;
+pub mod query;
 pub mod rank;
 pub mod reduction;
 pub mod sampling;

@@ -9,25 +9,7 @@
 //! per-occurrence tie-breaker `y = site + k·seq` is unique across sites
 //! without coordination.
 
-use crate::rank::{DetRankCoord, RandRankCoord};
-
-/// Anything that answers rank queries — both rank coordinators do.
-pub trait RankQuery {
-    /// Estimate of `|{e ∈ A(t) : e < x}|`.
-    fn rank(&self, x: u64) -> f64;
-}
-
-impl RankQuery for RandRankCoord {
-    fn rank(&self, x: u64) -> f64 {
-        self.estimate_rank(x)
-    }
-}
-
-impl RankQuery for DetRankCoord {
-    fn rank(&self, x: u64) -> f64 {
-        self.estimate_rank(x)
-    }
-}
+pub use crate::query::RankQuery;
 
 /// Encode the pair `(item, tie)` as a single orderable element.
 pub fn encode(item: u32, tie: u32) -> u64 {

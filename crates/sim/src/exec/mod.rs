@@ -31,7 +31,7 @@
 //! — a sliding window wraps the **protocol** (see `dtrack_core`'s
 //! `window::Windowed` adapter), not the executor, so generic code cannot
 //! apply it without changing the protocol type. Callers that support
-//! windowed scenarios (the `dtrack-bench` run functions, `exp_window`)
+//! windowed scenarios (`dtrack-bench`'s `measure::run`, the examples)
 //! read [`ExecConfig::window`], wrap their protocol, and build via
 //! [`ExecMode::build`]. [`ExecConfig::build`] panics on a windowed
 //! scenario rather than silently measuring the wrong thing.
@@ -517,14 +517,15 @@ impl std::str::FromStr for ExecMode {
 /// Like the window half, the tree half wraps the **protocol** (in
 /// [`topology::Tree`]) rather than the executor: callers that support
 /// tree scenarios read [`ExecConfig::tree`], wrap, and build via
-/// [`ExecMode::build`] — the `dtrack-bench` run functions do this.
+/// [`ExecMode::build`] — `dtrack-bench`'s `measure::run` does this, in
+/// one place for every problem and algorithm.
 /// `+tree` does not (yet) combine with `+window`: the combination is
 /// rejected at parse time rather than measuring an unsupported stack
 /// (a windowed tree needs per-level epoch alignment, a documented
-/// deferral). When `window` is set, the run functions in `dtrack-bench`
-/// wrap the protocol in `dtrack_core::window::Windowed` and report
-/// sliding-window answers; when it is `None` they track the whole
-/// stream, exactly as before.
+/// deferral), and `measure::run` refuses a config built in code with
+/// both set. When `window` is set, `measure::run` wraps the protocol in
+/// `dtrack_core::window::Windowed` and reports sliding-window answers;
+/// when it is `None` it tracks the whole stream.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExecConfig {
     /// Which executor (and delivery policy) runs the protocol.
@@ -596,8 +597,8 @@ impl ExecConfig {
     /// the protocol (`dtrack_core::window::Windowed`,
     /// [`topology::Tree`]), not the executor, so generic code cannot
     /// apply them here without changing the protocol type. Wrap the
-    /// protocol yourself and build via [`ExecMode::build`] (or use the
-    /// `dtrack-bench` run functions, which do exactly that).
+    /// protocol yourself and build via [`ExecMode::build`] (or use
+    /// `dtrack-bench`'s `measure::run`, which does exactly that).
     pub fn build<P: Protocol>(self, protocol: &P, master_seed: u64) -> AnyExec<P>
     where
         P::Site: Send + 'static,
@@ -610,13 +611,13 @@ impl ExecConfig {
             self.window.is_none(),
             "ExecConfig::build cannot apply a window:W scenario — wrap the \
              protocol in dtrack_core::window::Windowed and build with \
-             ExecMode::build_faulty (the dtrack-bench run functions do this)"
+             ExecMode::build_faulty (dtrack-bench's measure::run does this)"
         );
         assert!(
             self.tree.is_none(),
             "ExecConfig::build cannot apply a tree:F scenario — wrap the \
              protocol in dtrack_sim::exec::topology::Tree and build with \
-             ExecMode::build_faulty (the dtrack-bench run functions do this)"
+             ExecMode::build_faulty (dtrack-bench's measure::run does this)"
         );
         self.mode.build_faulty(self.faults, protocol, master_seed)
     }

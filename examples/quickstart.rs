@@ -20,9 +20,10 @@
 //! ```
 
 use dtrack::core::count::{DeterministicCount, RandomizedCount};
-use dtrack::core::window::{WinCoord, Windowed};
+use dtrack::core::query::CountQuery;
+use dtrack::core::window::Windowed;
 use dtrack::core::TrackingConfig;
-use dtrack::sim::{ExecConfig, Executor, Tree, TreeCoord};
+use dtrack::sim::{ExecConfig, Executor, Tree};
 
 fn main() {
     let exec: ExecConfig = std::env::args()
@@ -35,15 +36,16 @@ fn main() {
     let cfg = TrackingConfig::new(k, eps);
     let batch: Vec<(usize, u64)> = (0..n).map(|t| ((t % k as u64) as usize, t)).collect();
 
-    // (estimate, truth, msgs, words, space) per protocol, whole-stream
-    // or windowed depending on the scenario.
-    let run = |randomized: bool| -> (f64, f64, u64, u64, u64) {
+    // (estimate, msgs, words, space) per protocol. Every coordinator —
+    // flat, windowed, tree — answers through `CountQuery`: the sliding
+    // estimate under `+window`, the root's under `+tree`.
+    let run = |randomized: bool| -> (f64, u64, u64, u64) {
         macro_rules! drive {
-            ($proto:expr, $query:expr) => {{
+            ($proto:expr) => {{
                 let mut ex = exec.mode.build_faulty(exec.faults, &$proto, 42);
                 ex.feed_batch(batch.clone());
                 ex.quiesce();
-                let est: f64 = ex.query($query);
+                let est: f64 = ex.query(|c| c.count());
                 let stats = ex.stats();
                 (
                     est,
@@ -53,58 +55,27 @@ fn main() {
                 )
             }};
         }
-        // `+tree` and `+window` are mutually exclusive (the scenario
-        // parser rejects the combination), so dispatching on tree first
-        // loses nothing.
-        if let Some(spec) = exec.tree {
-            return if randomized {
-                let (est, m, w, s) = drive!(
-                    Tree::new(RandomizedCount::new(cfg), spec),
-                    |c: &TreeCoord<RandomizedCount>| c.root().estimate()
-                );
-                (est, n as f64, m, w, s)
-            } else {
-                let (est, m, w, s) = drive!(
-                    Tree::new(DeterministicCount::new(cfg), spec),
-                    |c: &TreeCoord<DeterministicCount>| c.root().estimate()
-                );
-                (est, n as f64, m, w, s)
+        // The scenario's shape wraps the protocol (`+tree` and `+window`
+        // are mutually exclusive — the parser rejects the combination).
+        macro_rules! shaped {
+            ($proto:expr) => {
+                match (exec.tree, exec.window) {
+                    (Some(spec), _) => drive!(Tree::new($proto, spec)),
+                    (None, Some(win)) => drive!(Windowed::new($proto, win)),
+                    (None, None) => drive!($proto),
+                }
             };
         }
-        match (randomized, exec.window) {
-            (true, None) => {
-                let (est, m, w, s) = drive!(
-                    RandomizedCount::new(cfg),
-                    |c: &dtrack::core::count::RandCountCoord| c.estimate()
-                );
-                (est, n as f64, m, w, s)
-            }
-            (false, None) => {
-                let (est, m, w, s) = drive!(
-                    DeterministicCount::new(cfg),
-                    |c: &dtrack::core::count::DetCountCoord| c.estimate()
-                );
-                (est, n as f64, m, w, s)
-            }
-            (true, Some(win)) => {
-                let (est, m, w, s) = drive!(
-                    Windowed::new(RandomizedCount::new(cfg), win),
-                    |c: &WinCoord<RandomizedCount>| c.windowed_count()
-                );
-                (est, n.min(win) as f64, m, w, s)
-            }
-            (false, Some(win)) => {
-                let (est, m, w, s) = drive!(
-                    Windowed::new(DeterministicCount::new(cfg), win),
-                    |c: &WinCoord<DeterministicCount>| c.windowed_count()
-                );
-                (est, n.min(win) as f64, m, w, s)
-            }
+        if randomized {
+            shaped!(RandomizedCount::new(cfg))
+        } else {
+            shaped!(DeterministicCount::new(cfg))
         }
     };
 
-    let (rand_est, truth, rand_msgs, rand_words, rand_space) = run(true);
-    let (det_est, _, det_msgs, det_words, det_space) = run(false);
+    let truth = exec.window.map_or(n, |w| n.min(w)) as f64;
+    let (rand_est, rand_msgs, rand_words, rand_space) = run(true);
+    let (det_est, det_msgs, det_words, det_space) = run(false);
 
     println!("scenario              : {exec}");
     match exec.window {

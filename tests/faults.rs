@@ -34,9 +34,7 @@ use dtrack::sim::exec::{DeliveryPolicy, EventRuntime};
 use dtrack::sim::{ExecConfig, Executor, FaultPlan, Protocol, Site};
 use dtrack::workload::items::DistinctSeq;
 use dtrack::workload::{AdaptiveSites, SiteAssign, UniformSites, Workload, ZipfItems};
-use dtrack_bench::measure::{
-    count_run, frequency_run, frequency_single_probe_error, rank_run, CountAlgo, FreqAlgo, RankAlgo,
-};
+use dtrack_bench::measure::{run, Algo, Problem};
 
 const K: usize = 8;
 
@@ -408,7 +406,7 @@ fn assert_mean_error_le_eps<F: Fn(u64) -> f64>(name: &str, eps: f64, seeds: u64,
 
 /// All seven Table-1 protocols meet the mean-error-≤-ε bound under the
 /// acceptance scenario `+loss:0.05+dup:0.05+churn:0.1` (and the per-
-/// protocol error metric each run function scores — count relative
+/// protocol error metric `measure::run` scores — count relative
 /// error, frequency per-query error on the hottest item per Theorem
 /// 3.1, rank max-over-deciles error).
 #[test]
@@ -419,23 +417,17 @@ fn assert_mean_error_le_eps<F: Fn(u64) -> f64>(name: &str, eps: f64, seeds: u64,
 fn all_protocols_meet_epsilon_under_the_acceptance_fault_mix() {
     let exec: ExecConfig = "event+loss:0.05+dup:0.05+churn:0.1".parse().unwrap();
     let (eps, seeds, n, rank_n) = (0.1, 20, 30_000u64, 8_000u64);
-    for algo in [
-        CountAlgo::Deterministic,
-        CountAlgo::Randomized,
-        CountAlgo::Sampling,
-    ] {
+    for algo in [Algo::Deterministic, Algo::Randomized, Algo::Sampling] {
         assert_mean_error_le_eps(&format!("count/{algo:?}"), eps, seeds, |seed| {
-            count_run(exec, algo, K, eps, n, seed).1
+            run(exec, Problem::Count, algo, K, eps, n, seed).err
         });
     }
-    for algo in [FreqAlgo::Deterministic, FreqAlgo::Randomized] {
+    for algo in [Algo::Deterministic, Algo::Randomized] {
         assert_mean_error_le_eps(&format!("frequency/{algo:?}"), eps, seeds, |seed| {
-            frequency_single_probe_error(exec, algo, K, eps, n, seed)
+            run(exec, Problem::Frequency, algo, K, eps, n, seed).errs[0]
         });
-    }
-    for algo in [RankAlgo::Deterministic, RankAlgo::Randomized] {
         assert_mean_error_le_eps(&format!("rank/{algo:?}"), eps, seeds, |seed| {
-            rank_run(exec, algo, K, eps, rank_n, seed).1
+            run(exec, Problem::Rank, algo, K, eps, rank_n, seed).err
         });
     }
 }
@@ -451,10 +443,28 @@ fn windowed_meets_epsilon_under_the_acceptance_fault_mix() {
     let exec: ExecConfig = "event+loss:0.05+dup:0.05+churn:0.1".parse().unwrap();
     let (eps, seeds, n, w) = (0.1, 20, 30_000u64, 6_144u64);
     assert_mean_error_le_eps("windowed count", eps, seeds, |seed| {
-        count_run(exec.windowed(w), CountAlgo::Randomized, K, eps, n, seed).1
+        run(
+            exec.windowed(w),
+            Problem::Count,
+            Algo::Randomized,
+            K,
+            eps,
+            n,
+            seed,
+        )
+        .err
     });
     assert_mean_error_le_eps("windowed frequency", eps, seeds, |seed| {
-        frequency_run(exec.windowed(w), FreqAlgo::Randomized, K, eps, n, seed).1
+        run(
+            exec.windowed(w),
+            Problem::Frequency,
+            Algo::Randomized,
+            K,
+            eps,
+            n,
+            seed,
+        )
+        .err
     });
 }
 
@@ -475,10 +485,10 @@ fn each_single_fault_meets_epsilon() {
     ] {
         let exec: ExecConfig = spec.parse().unwrap();
         assert_mean_error_le_eps(&format!("{spec} count"), eps, seeds, |seed| {
-            count_run(exec, CountAlgo::Randomized, K, eps, n, seed).1
+            run(exec, Problem::Count, Algo::Randomized, K, eps, n, seed).err
         });
         assert_mean_error_le_eps(&format!("{spec} frequency"), eps, seeds, |seed| {
-            frequency_single_probe_error(exec, FreqAlgo::Randomized, K, eps, n, seed)
+            run(exec, Problem::Frequency, Algo::Randomized, K, eps, n, seed).errs[0]
         });
     }
 }

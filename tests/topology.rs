@@ -26,9 +26,7 @@ use dtrack::sim::exec::{DeliveryPolicy, EventRuntime};
 use dtrack::sim::{ExecConfig, Executor, Runner, Site, Tree, TreeCoord, TreeSpec};
 use dtrack::workload::items::DistinctSeq;
 use dtrack::workload::{UniformSites, Workload, ZipfItems};
-use dtrack_bench::measure::{
-    count_run, tree_count_run, tree_frequency_run, tree_rank_run, CountAlgo, FreqAlgo, RankAlgo,
-};
+use dtrack_bench::measure::{run, Algo, Problem, Run};
 
 const K: usize = 8;
 const N: u64 = 6_000;
@@ -218,7 +216,8 @@ fn smoke_tree_scenarios_run_on_every_executor() {
         "channel+tree:4:2",
     ] {
         let exec: ExecConfig = spec.parse().expect("scenario must parse");
-        let (cs, err) = count_run(exec, CountAlgo::Deterministic, K, 0.1, N, SEED);
+        let Run { cost: cs, err, .. } =
+            run(exec, Problem::Count, Algo::Deterministic, K, 0.1, N, SEED);
         assert!(cs.msgs > 0, "{spec}: no messages");
         assert!(cs.words >= cs.msgs, "{spec}: words < msgs");
         assert!(err < 0.2, "{spec}: err {err}");
@@ -232,7 +231,7 @@ fn smoke_tree_scenarios_run_on_every_executor() {
 fn smoke_tree_composes_with_faults() {
     let exec: ExecConfig = "event+tree:4:2+loss:0.2+dup:0.2".parse().unwrap();
     assert_eq!(exec.tree, Some(TreeSpec::new(4).with_depth(2)));
-    let (cs, err) = count_run(exec, CountAlgo::Deterministic, K, 0.1, N, SEED);
+    let Run { cost: cs, err, .. } = run(exec, Problem::Count, Algo::Deterministic, K, 0.1, N, SEED);
     assert!(cs.msgs > 0);
     assert!(err < 0.2, "err {err}");
 }
@@ -243,7 +242,7 @@ fn smoke_tree_composes_with_faults() {
 #[should_panic(expected = "no TreeProtocol impl")]
 fn sampling_under_tree_panics_with_a_pointer() {
     let exec: ExecConfig = "lockstep+tree:4:2".parse().unwrap();
-    let _ = count_run(exec, CountAlgo::Sampling, K, 0.1, 100, SEED);
+    let _ = run(exec, Problem::Count, Algo::Sampling, K, 0.1, 100, SEED);
 }
 
 /// Live queries work at the tree root: a [`QueryHandle`] installed on an
@@ -322,22 +321,17 @@ fn assert_mean_error_le_eps<F: Fn(u64) -> f64>(name: &str, eps: f64, seeds: u64,
     ignore = "20-seed release-gated acceptance suite; covered by release CI"
 )]
 fn tree_protocols_meet_epsilon_at_depth_2() {
-    let exec = ExecConfig::lockstep();
-    let spec = TreeSpec::new(4).with_depth(2);
+    let exec = ExecConfig::lockstep().with_tree(TreeSpec::new(4).with_depth(2));
     let (k, eps, seeds, n, rank_n) = (16, 0.1, 20, 30_000u64, 8_000u64);
-    for algo in [CountAlgo::Deterministic, CountAlgo::Randomized] {
+    for algo in [Algo::Deterministic, Algo::Randomized] {
         assert_mean_error_le_eps(&format!("tree count/{algo:?}"), eps, seeds, |seed| {
-            tree_count_run(exec, spec, algo, k, eps, n, seed).err
+            run(exec, Problem::Count, algo, k, eps, n, seed).err
         });
-    }
-    for algo in [FreqAlgo::Deterministic, FreqAlgo::Randomized] {
         assert_mean_error_le_eps(&format!("tree frequency/{algo:?}"), eps, seeds, |seed| {
-            tree_frequency_run(exec, spec, algo, k, eps, n, seed).err
+            run(exec, Problem::Frequency, algo, k, eps, n, seed).err
         });
-    }
-    for algo in [RankAlgo::Deterministic, RankAlgo::Randomized] {
         assert_mean_error_le_eps(&format!("tree rank/{algo:?}"), eps, seeds, |seed| {
-            tree_rank_run(exec, spec, algo, k, eps, rank_n, seed).err
+            run(exec, Problem::Rank, algo, k, eps, rank_n, seed).err
         });
     }
 }
@@ -354,23 +348,31 @@ fn tree_protocols_meet_epsilon_at_depth_2() {
     ignore = "20-seed release-gated acceptance suite; covered by release CI"
 )]
 fn tree_protocols_meet_epsilon_at_depth_4() {
-    let exec = ExecConfig::lockstep();
-    let spec = TreeSpec::new(2).with_depth(4);
+    let exec = ExecConfig::lockstep().with_tree(TreeSpec::new(2).with_depth(4));
     let (k, eps, seeds, n) = (16, 0.1, 20, 30_000u64);
     let budget = (1.0_f64 + eps / 4.0).powi(4) - 1.0;
-    for algo in [CountAlgo::Deterministic, CountAlgo::Randomized] {
+    for algo in [Algo::Deterministic, Algo::Randomized] {
         assert_mean_error_le_eps(
             &format!("deep tree count/{algo:?}"),
             budget,
             seeds,
-            |seed| tree_count_run(exec, spec, algo, k, eps, n, seed).err,
+            |seed| run(exec, Problem::Count, algo, k, eps, n, seed).err,
         );
     }
     assert_mean_error_le_eps("deep tree frequency/Randomized", budget, seeds, |seed| {
-        tree_frequency_run(exec, spec, FreqAlgo::Randomized, k, eps, n, seed).err
+        run(exec, Problem::Frequency, Algo::Randomized, k, eps, n, seed).err
     });
     assert_mean_error_le_eps("deep tree rank/Deterministic", budget, seeds, |seed| {
-        tree_rank_run(exec, spec, RankAlgo::Deterministic, k, eps, 8_000, seed).err
+        run(
+            exec,
+            Problem::Rank,
+            Algo::Deterministic,
+            k,
+            eps,
+            8_000,
+            seed,
+        )
+        .err
     });
 }
 
@@ -384,13 +386,13 @@ fn tree_protocols_meet_epsilon_at_depth_4() {
 )]
 fn tree_meets_epsilon_under_the_acceptance_fault_mix() {
     let exec: ExecConfig = "event+loss:0.05+dup:0.05+churn:0.1".parse().unwrap();
-    let spec = TreeSpec::new(4).with_depth(2);
+    let exec = exec.with_tree(TreeSpec::new(4).with_depth(2));
     let (k, eps, seeds, n) = (16, 0.1, 20, 30_000u64);
     assert_mean_error_le_eps("faulty tree count", eps, seeds, |seed| {
-        tree_count_run(exec, spec, CountAlgo::Randomized, k, eps, n, seed).err
+        run(exec, Problem::Count, Algo::Randomized, k, eps, n, seed).err
     });
     assert_mean_error_le_eps("faulty tree frequency", eps, seeds, |seed| {
-        tree_frequency_run(exec, spec, FreqAlgo::Randomized, k, eps, n, seed).err
+        run(exec, Problem::Frequency, Algo::Randomized, k, eps, n, seed).err
     });
 }
 
@@ -406,10 +408,10 @@ fn tree_meets_epsilon_under_the_acceptance_fault_mix() {
 fn depth2_root_load_undercuts_the_flat_star() {
     let exec = ExecConfig::lockstep();
     let (k, eps, n) = (64, 0.05, 100_000u64);
-    let spec = TreeSpec::new(8).with_depth(2);
-    for algo in [CountAlgo::Deterministic, CountAlgo::Randomized] {
-        let flat_root = count_run(exec, algo, k, eps, n, SEED).0.words;
-        let tree = tree_count_run(exec, spec, algo, k, eps, n, SEED);
+    let in_tree = exec.with_tree(TreeSpec::new(8).with_depth(2));
+    for algo in [Algo::Deterministic, Algo::Randomized] {
+        let flat_root = run(exec, Problem::Count, algo, k, eps, n, SEED).root_words();
+        let tree = run(in_tree, Problem::Count, algo, k, eps, n, SEED);
         assert!(
             tree.root_words() < flat_root,
             "{algo:?}: tree root load {} ≥ flat root load {flat_root}",
