@@ -1,28 +1,20 @@
-//! Perf-regression harness: a committed JSON baseline of words + wall
-//! time per protocol/workload cell, and a `--check` comparator.
+//! Word/byte regression gate: a committed JSON baseline of words (and
+//! codec bytes) per protocol/workload cell, and a `--check` comparator.
 //!
-//! The criterion stand-in reports honest medians but has no memory, so
-//! nothing used to catch a regression landing between two PRs. This
-//! module gives the `perf_baseline` binary its machinery:
+//! The paper's cost model is communication, and on the lock-step executor
+//! that count is deterministic — so the gate is machine-independent:
+//! `perf_baseline` writes or checks words and bytes, identically on every
+//! machine; `bash benchmark/run.sh` measures time. Nothing in this module
+//! reads a clock.
 //!
 //! * [`measure_cells`] runs the protocol matrix through
 //!   [`measure::run`](crate::measure::run), each scenario once per seed
 //!   — the seven Table-1 protocol cells on their standard workloads, two
 //!   sliding-window cells (count and frequency, lock-step executor) and
 //!   one windowed cell on the *channel* runtime — and carves two panels
-//!   out of those runs: **median words** + **median wall time** per
-//!   scenario, and the wire-format panel (`bytes/*`: total codec bytes
-//!   of each lock-step scenario, advisory).
-//! * [`measure_throughput_cells`] runs the separate ingest-throughput
-//!   panel: the channel runtime fed [`THROUGHPUT_ELEMS`] elements
-//!   through the coalesced `feed_batch` path and the per-element `feed`
-//!   path, recording median **elements/second** alongside the words
-//!   distribution. Rates are machine-dependent like wall time, so they
-//!   are bootstrapped per machine and compared advisorily.
-//! * [`measure_query_cells`] runs the live-query panel: reader threads
-//!   answering count queries from lock-free snapshot cells while the
-//!   channel runtime ingests, recording aggregate **queries/second**
-//!   (advisory, machine-dependent like the throughput rates).
+//!   out of those runs: **median words** per scenario, and the
+//!   wire-format panel (`bytes/*`: total codec bytes of each lock-step
+//!   scenario, advisory).
 //! * [`measure_topology_cells`] runs the hierarchical-topology panel:
 //!   the randomized count protocol on the flat star vs a binary
 //!   depth-4 aggregation tree, recording root-load words **per level**
@@ -34,8 +26,8 @@
 //!   so a single median would be a pretense of precision: the cell
 //!   records a words **distribution** (min/median/max over
 //!   [`INEXACT_SEEDS`] seeds) and the comparator checks the current
-//!   median against that recorded range. Its drift (like all wall-time
-//!   drift) is **advisory** — printed, but never failing the build.
+//!   median against that recorded range. Its drift is **advisory** —
+//!   printed, but never failing the build.
 //! * [`to_json`] / [`parse_json`] serialize the baseline without any
 //!   external dependency: the format is a flat, versioned JSON document
 //!   written and read only by this module.
@@ -43,12 +35,8 @@
 //!   hard and advisory findings.
 //!
 //! Workflow: `cargo run --release -p dtrack-bench --bin perf_baseline`
-//! rewrites `BENCH_baseline.json`; `… -- --bootstrap` regenerates only
-//! the machine-dependent wall-times in place (CI does this on the runner
-//! so its timing comparisons are same-machine); `… -- --check` exits
-//! non-zero on hard findings only.
-
-use std::time::Instant;
+//! rewrites `BENCH_baseline.json`; `… -- --check` exits non-zero on hard
+//! findings only.
 
 use dtrack_sim::{ExecConfig, ExecMode, TreeSpec};
 
@@ -92,8 +80,6 @@ pub struct Cell {
     pub id: String,
     /// Median total words over the seed set.
     pub words: u64,
-    /// Median wall time in milliseconds (machine-dependent).
-    pub millis: f64,
     /// Whether `words` is deterministic given the seed set (true for
     /// every lock-step cell). Exact cells fail the check on any word
     /// drift; inexact cells (the channel-runtime cell) record a words
@@ -108,31 +94,16 @@ pub struct Cell {
     pub words_min: u64,
     /// Maximum words over the seed set (see `words_min`).
     pub words_max: u64,
-    /// Median ingest throughput in elements per second, recorded only
-    /// for the `throughput/*` cells produced by
-    /// [`measure_throughput_cells`]. Machine-dependent like `millis`, so
-    /// the comparator treats drift here as **advisory** and
-    /// [`bootstrap`] refreshes it alongside wall-times. `None` for the
-    /// protocol/words cells, whose JSON omits the field entirely.
-    pub elems_per_sec: Option<f64>,
-}
-
-/// Median of a small vector (by partial order; NaN-free inputs).
-fn med_f64(mut v: Vec<f64>) -> f64 {
-    v.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    v[v.len() / 2]
 }
 
 /// One cell from its per-seed `words` samples: median, min and max.
-fn cell(id: String, exact: bool, words: Vec<u64>, millis: f64, rate: Option<f64>) -> Cell {
+fn cell(id: String, exact: bool, words: Vec<u64>) -> Cell {
     Cell {
         id,
         exact,
         words_min: *words.iter().min().expect("≥1 seed"),
         words_max: *words.iter().max().expect("≥1 seed"),
         words: median(words),
-        millis,
-        elems_per_sec: rate,
     }
 }
 
@@ -197,18 +168,15 @@ pub fn measure_cells(p: Params) -> (Vec<Cell>, Vec<Cell>) {
         } else {
             p.seeds.max(INEXACT_SEEDS)
         };
-        let (mut words, mut bytes, mut millis) = (Vec::new(), Vec::new(), Vec::new());
+        let (mut words, mut bytes) = (Vec::new(), Vec::new());
         for seed in 0..seeds {
-            let t0 = Instant::now();
             let cost = run(exec, problem, algo, p.k, p.eps, p.n, seed).cost;
-            millis.push(t0.elapsed().as_secs_f64() * 1e3);
             words.push(cost.words);
             bytes.push(cost.bytes);
         }
-        let millis = med_f64(millis);
-        word_cells.push(cell(id.to_string(), exact, words, millis, None));
+        word_cells.push(cell(id.to_string(), exact, words));
         if exact {
-            byte_cells.push(cell(format!("bytes/{id}"), false, bytes, millis, None));
+            byte_cells.push(cell(format!("bytes/{id}"), false, bytes));
         }
     }
     (word_cells, byte_cells)
@@ -235,8 +203,8 @@ pub const TOPOLOGY_DEPTH: usize = 4;
 /// watch the load *profile* — a restream blow-up at some level — not to
 /// hard-pin single words, and keeping it advisory means tuning the
 /// ε-split or the replay cursors doesn't demand a lockstep
-/// re-baseline. Like every advisory cell, `--bootstrap` refreshes the
-/// wall-times and `--check` compares words against the recorded range.
+/// re-baseline. Like every advisory cell, `--check` compares words
+/// against the recorded range.
 pub fn measure_topology_cells(p: Params) -> Vec<Cell> {
     let flat = ExecConfig::lockstep();
     let tree = flat.with_tree(TreeSpec::new(TOPOLOGY_FANOUT).with_depth(TOPOLOGY_DEPTH));
@@ -252,20 +220,14 @@ pub fn measure_topology_cells(p: Params) -> Vec<Cell> {
         )
     };
     let seeds = p.seeds.max(INEXACT_SEEDS);
-    // One timed flat run + one timed tree run per seed; every cell of
-    // the panel is carved out of the same runs.
+    // One flat run + one tree run per seed; every cell of the panel is
+    // carved out of the same runs.
     let mut flat_words = Vec::new();
-    let mut flat_ms = Vec::new();
-    let mut tree_ms = Vec::new();
     let mut leaf_words = Vec::new();
     let mut level_words: Vec<Vec<u64>> = vec![Vec::new(); TOPOLOGY_DEPTH - 1];
     for seed in 0..seeds {
-        let t0 = Instant::now();
         flat_words.push(count(flat, seed).cost.words);
-        flat_ms.push(t0.elapsed().as_secs_f64() * 1e3);
-        let t1 = Instant::now();
         let run = count(tree, seed);
-        tree_ms.push(t1.elapsed().as_secs_f64() * 1e3);
         leaf_words.push(run.leaf_words);
         assert_eq!(
             run.internal.len(),
@@ -276,194 +238,25 @@ pub fn measure_topology_cells(p: Params) -> Vec<Cell> {
             level_words[l].push(load.total_words());
         }
     }
-    let flat_ms = med_f64(flat_ms);
-    let tree_ms = med_f64(tree_ms);
     let mut cells = vec![
-        cell(
-            "topology/flat_root".into(),
-            false,
-            flat_words,
-            flat_ms,
-            None,
-        ),
-        cell("topology/leaf".into(), false, leaf_words, tree_ms, None),
+        cell("topology/flat_root".into(), false, flat_words),
+        cell("topology/leaf".into(), false, leaf_words),
     ];
     for (l, words) in level_words.into_iter().enumerate() {
-        let id = format!("topology/level{}", l + 1);
-        cells.push(cell(id, false, words, tree_ms, None));
+        cells.push(cell(format!("topology/level{}", l + 1), false, words));
     }
     cells
 }
 
-/// Elements fed per throughput cell when the `perf_baseline` binary
-/// measures ingest rates. Large enough that ring wraparound, credit
-/// stalls, and park/unpark cycles all happen thousands of times; small
-/// enough that three runs of two cells stay in CI budget.
-pub const THROUGHPUT_ELEMS: u64 = 2_000_000;
-
-/// One timed ingest through the channel runtime: build the executor,
-/// pre-build the round-robin batch *outside* the timer, then time
-/// ingest + quiesce. `per_element` selects the `feed` loop (one ring
-/// push per element) instead of the coalesced `feed_batch` fast path.
-fn throughput_run(k: usize, eps: f64, n: u64, seed: u64, per_element: bool) -> (u64, f64) {
-    use dtrack_core::count::RandomizedCount;
-    use dtrack_core::TrackingConfig;
-    use dtrack_sim::Executor;
-
-    let proto = RandomizedCount::new(TrackingConfig::new(k, eps));
-    let batch: Vec<(usize, u64)> = (0..n).map(|t| ((t % k as u64) as usize, t)).collect();
-    let mut ex = ExecConfig::channel().build(&proto, seed);
-    let t0 = Instant::now();
-    if per_element {
-        for (site, item) in batch {
-            ex.feed(site, item);
-        }
-    } else {
-        ex.feed_batch(batch);
-    }
-    ex.quiesce();
-    let secs = t0.elapsed().as_secs_f64();
-    let st = ex.stats();
-    (st.up_words + st.down_words, n as f64 / secs)
-}
-
-/// Measure the ingest-throughput panel: the channel runtime fed `n`
-/// elements through the coalesced batch path (`throughput/channel`) and
-/// through the per-element `feed` path (`throughput/channel_feed`).
-///
-/// Kept separate from [`measure_cells`] because these cells answer a
-/// different question — "how fast does the concurrent ingest path move
-/// elements" rather than "how many words does a protocol send" — and
-/// their headline number ([`Cell::elems_per_sec`]) is machine-dependent.
-/// Words are still recorded (as a distribution — thread interleaving
-/// makes them inexact) so the cells also guard against communication
-/// blowups on the ingest path.
-pub fn measure_throughput_cells(p: Params, n: u64) -> Vec<Cell> {
-    const RUNS: u64 = 3;
-    let mk = |id: &str, per_element: bool| -> Cell {
-        let mut words = Vec::new();
-        let mut rates = Vec::new();
-        let mut millis = Vec::new();
-        for seed in 0..RUNS {
-            let t0 = Instant::now();
-            let (w, rate) = throughput_run(p.k, p.eps, n, seed, per_element);
-            millis.push(t0.elapsed().as_secs_f64() * 1e3);
-            words.push(w);
-            rates.push(rate);
-        }
-        let rate = Some(med_f64(rates));
-        cell(id.to_string(), false, words, med_f64(millis), rate)
-    };
-    vec![
-        mk("throughput/channel", false),
-        mk("throughput/channel_feed", true),
-    ]
-}
-
-/// Elements fed per query-storm cell. Smaller than
-/// [`THROUGHPUT_ELEMS`]: the measurement window only has to be long
-/// enough that readers observe thousands of distinct snapshot epochs,
-/// and each cell runs `RUNS × readers` threads.
-pub const QUERY_STORM_ELEMS: u64 = 1_000_000;
-
-/// Reader threads driven by the aggregate `queries/storm` cell (the
-/// acceptance scenario: ≥ 4 concurrent readers against live ingest).
-pub const QUERY_STORM_READERS: usize = 4;
-
-/// One query-storm run: spawn `readers` threads each hammering its own
-/// clone of the executor's [`QueryHandle`] while the main thread feeds
-/// `n` elements through the channel runtime's coalesced batch path,
-/// then quiesces. Readers check snapshot self-consistency (finite
-/// estimate, monotone epochs) on every read. Returns `(words, queries,
-/// aggregate queries/sec over the ingest window)`.
-///
-/// Shared between [`measure_query_cells`] and the `query_storm` binary
-/// so the committed advisory cells and the interactive storm measure
-/// the same thing.
-///
-/// [`QueryHandle`]: dtrack_sim::snapshot::QueryHandle
-pub fn query_storm_run(k: usize, eps: f64, n: u64, readers: usize, seed: u64) -> (u64, u64, f64) {
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::Arc;
-
-    use dtrack_core::count::RandomizedCount;
-    use dtrack_core::TrackingConfig;
-    use dtrack_sim::Executor;
-
-    let proto = RandomizedCount::new(TrackingConfig::new(k, eps));
-    let batch: Vec<(usize, u64)> = (0..n).map(|t| ((t % k as u64) as usize, t)).collect();
-    let mut ex = ExecConfig::channel().build(&proto, seed);
-    let handle = ex.query_handle();
-    let stop = Arc::new(AtomicBool::new(false));
-    let joins: Vec<_> = (0..readers)
-        .map(|_| {
-            let h = handle.clone();
-            let stop = Arc::clone(&stop);
-            std::thread::spawn(move || {
-                let mut queries = 0u64;
-                let mut last_epoch = 0u64;
-                while !stop.load(Ordering::Relaxed) {
-                    let (epoch, est) = h.read(|s| (s.epoch, s.state.estimate()));
-                    assert!(est.is_finite(), "live estimate must be finite");
-                    assert!(epoch >= last_epoch, "snapshot epoch went backwards");
-                    last_epoch = epoch;
-                    queries += 1;
-                }
-                queries
-            })
-        })
-        .collect();
-    let t0 = Instant::now();
-    ex.feed_batch(batch);
-    ex.quiesce();
-    let secs = t0.elapsed().as_secs_f64();
-    stop.store(true, Ordering::Relaxed);
-    let queries: u64 = joins
-        .into_iter()
-        .map(|j| j.join().expect("reader thread panicked"))
-        .sum();
-    let st = ex.stats();
-    (st.up_words + st.down_words, queries, queries as f64 / secs)
-}
-
-/// Measure the live-query panel: reader threads answering count queries
-/// from published snapshots while the channel runtime ingests at full
-/// speed. `queries/single` runs one reader (per-handle rate);
-/// `queries/storm` runs [`QUERY_STORM_READERS`] readers (aggregate
-/// rate — hazard-pointer reads scale because readers never contend).
-///
-/// Like the `throughput/*` panel, the headline number
-/// ([`Cell::elems_per_sec`], here *queries*/second) is machine-dependent:
-/// `--bootstrap` refreshes it and `--check` compares it advisorily.
-/// Words still guard the ingest path's communication behavior (as a
-/// distribution — thread interleaving makes them inexact).
-pub fn measure_query_cells(p: Params, n: u64) -> Vec<Cell> {
-    const RUNS: u64 = 3;
-    let mk = |id: &str, readers: usize| -> Cell {
-        let mut words = Vec::new();
-        let mut rates = Vec::new();
-        let mut millis = Vec::new();
-        for seed in 0..RUNS {
-            let t0 = Instant::now();
-            let (w, _queries, rate) = query_storm_run(p.k, p.eps, n, readers, seed);
-            millis.push(t0.elapsed().as_secs_f64() * 1e3);
-            words.push(w);
-            rates.push(rate);
-        }
-        let rate = Some(med_f64(rates));
-        cell(id.to_string(), false, words, med_f64(millis), rate)
-    };
-    vec![
-        mk("queries/single", 1),
-        mk("queries/storm", QUERY_STORM_READERS),
-    ]
-}
+/// Schema version [`to_json`] writes and [`parse_json`] accepts. Version
+/// 1 also carried wall-times and rates; those live in `benchmark/` now.
+const VERSION: u32 = 2;
 
 /// Serialize a baseline document.
 pub fn to_json(p: Params, cells: &[Cell]) -> String {
     let mut s = String::new();
     s.push_str("{\n");
-    s.push_str("  \"version\": 1,\n");
+    s.push_str(&format!("  \"version\": {VERSION},\n"));
     s.push_str(&format!(
         "  \"params\": {{\"n\": {}, \"k\": {}, \"eps\": {}, \"seeds\": {}}},\n",
         p.n, p.k, p.eps, p.seeds
@@ -481,18 +274,12 @@ pub fn to_json(p: Params, cells: &[Cell]) -> String {
                 c.words_min, c.words_max
             )
         };
-        let rate = match c.elems_per_sec {
-            Some(r) => format!(", \"elems_per_sec\": {r:.0}"),
-            None => String::new(),
-        };
         s.push_str(&format!(
-            "    {{\"id\": \"{}\", \"words\": {}, \"millis\": {:.3}, \"exact\": {}{}{}}}{}\n",
+            "    {{\"id\": \"{}\", \"words\": {}, \"exact\": {}{}}}{}\n",
             c.id,
             c.words,
-            c.millis,
             c.exact,
             range,
-            rate,
             if i + 1 < cells.len() { "," } else { "" }
         ));
     }
@@ -524,15 +311,17 @@ fn unquote(s: &str) -> Result<&str, String> {
 
 /// Parse a document produced by [`to_json`]. This is deliberately *not*
 /// a general JSON parser — it accepts exactly the flat schema this
-/// module writes (and errors loudly on anything else). The `exact` cell
-/// field defaults to `true` when absent, so pre-`exact` baselines still
-/// parse (their cells were all lock-step).
+/// module writes, at its current version (and errors loudly on anything
+/// else). A cell without an `exact` field is a lock-step word cell:
+/// `exact` defaults to `true` and the range to the median.
 pub fn parse_json(s: &str) -> Result<(Params, Vec<Cell>), String> {
     let version: u32 = field(s, "version")?
         .parse()
         .map_err(|e| format!("bad version: {e}"))?;
-    if version != 1 {
-        return Err(format!("unsupported baseline version {version}"));
+    if version != VERSION {
+        return Err(format!(
+            "unsupported baseline version {version} (this build reads version {VERSION})"
+        ));
     }
     let pstart = s
         .find("\"params\"")
@@ -583,19 +372,12 @@ pub fn parse_json(s: &str) -> Result<(Params, Vec<Cell>), String> {
         cells.push(Cell {
             id: unquote(field(obj, "id")?)?.to_string(),
             words,
-            millis: field(obj, "millis")?
-                .parse()
-                .map_err(|e| format!("bad millis: {e}"))?,
             exact: match field(obj, "exact") {
                 Ok(v) => v.parse().map_err(|e| format!("bad exact: {e}"))?,
                 Err(_) => true,
             },
             words_min: opt("words_min")?,
             words_max: opt("words_max")?,
-            elems_per_sec: match field(obj, "elems_per_sec") {
-                Ok(v) => Some(v.parse().map_err(|e| format!("bad elems_per_sec: {e}"))?),
-                Err(_) => None,
-            },
         });
         rest = &rest[close + 1..];
     }
@@ -612,8 +394,9 @@ pub struct Comparison {
     /// Deterministic signals — word drift on an exact cell, a missing or
     /// unknown cell. CI fails on any of these.
     pub hard: Vec<String>,
-    /// Noisy signals — wall-time drift anywhere, word drift on inexact
-    /// (thread-timed) cells. Printed, never failing.
+    /// Advisory signals — a median outside the recorded range on an
+    /// inexact cell (thread-timed words, `topology/*`, `bytes/*`).
+    /// Printed, never failing.
     pub advisory: Vec<String>,
 }
 
@@ -636,15 +419,7 @@ impl Comparison {
 ///   widened by ±`loose_word_tol` (relative) on each edge; outside that
 ///   it is reported advisorily. (A median pretending to be exact was
 ///   the old behavior — a thread-timed cell never deserves a hard gate.)
-/// * `millis` beyond `time_factor`× the baseline is always advisory —
-///   wall time is machine- and load-dependent even after a same-machine
-///   bootstrap.
-pub fn compare(
-    baseline: &[Cell],
-    current: &[Cell],
-    loose_word_tol: f64,
-    time_factor: f64,
-) -> Comparison {
+pub fn compare(baseline: &[Cell], current: &[Cell], loose_word_tol: f64) -> Comparison {
     let mut out = Comparison::default();
     for b in baseline {
         let Some(c) = current.iter().find(|c| c.id == b.id) else {
@@ -677,27 +452,6 @@ pub fn compare(
                 drift * 1e2
             ));
         }
-        if c.millis > b.millis * time_factor {
-            out.advisory.push(format!(
-                "{}: wall time {:.2}ms -> {:.2}ms (> {:.1}x baseline)",
-                b.id, b.millis, c.millis, time_factor
-            ));
-        }
-        // Ingest throughput is machine- and load-dependent exactly like
-        // wall time, so a drop past the same factor is advisory: loud
-        // enough to notice a serialized fast path, never build-failing.
-        if let (Some(br), Some(cr)) = (b.elems_per_sec, c.elems_per_sec) {
-            if cr * time_factor < br {
-                out.advisory.push(format!(
-                    "{}: throughput {:.2}M elem/s -> {:.2}M elem/s \
-                     (< baseline/{:.1})",
-                    b.id,
-                    br / 1e6,
-                    cr / 1e6,
-                    time_factor
-                ));
-            }
-        }
     }
     for c in current {
         if !baseline.iter().any(|b| b.id == c.id) {
@@ -705,33 +459,6 @@ pub fn compare(
                 "{}: new cell not in baseline (re-run without --check)",
                 c.id
             ));
-        }
-    }
-    out
-}
-
-/// Produce the bootstrap of `stored` for this machine: keep the stored
-/// (committed) words and exactness — they are the cross-machine signal —
-/// but replace every wall-time (and recorded ingest throughput) with
-/// the one just measured here, so a subsequent [`compare`] judges
-/// timing against *this* machine's speed rather than whichever machine
-/// wrote the baseline.
-///
-/// Cells measured now but absent from the stored baseline are
-/// deliberately **not** added: the bootstrapped file must stay
-/// cell-for-cell identical to the committed one so that `--check`'s
-/// "new cell not in baseline" hard finding still fires — appending them
-/// here would quietly launder an un-baselined cell past CI.
-pub fn bootstrap(stored: &[Cell], measured: &[Cell]) -> Vec<Cell> {
-    let mut out: Vec<Cell> = stored.to_vec();
-    for cell in &mut out {
-        if let Some(m) = measured.iter().find(|m| m.id == cell.id) {
-            cell.millis = m.millis;
-            // Throughput is machine-dependent like wall time; refresh it
-            // so the subsequent check compares against this machine.
-            if cell.elems_per_sec.is_some() && m.elems_per_sec.is_some() {
-                cell.elems_per_sec = m.elems_per_sec;
-            }
         }
     }
     out
@@ -746,40 +473,34 @@ mod tests {
             Cell {
                 id: "count/randomized".into(),
                 words: 1234,
-                millis: 5.125,
                 exact: true,
                 words_min: 1234,
                 words_max: 1234,
-                elems_per_sec: None,
             },
             Cell {
                 id: "rank/deterministic".into(),
                 words: 99,
-                millis: 0.75,
                 exact: true,
                 words_min: 99,
                 words_max: 99,
-                elems_per_sec: None,
             },
             Cell {
                 id: "window/channel".into(),
                 words: 5000,
-                millis: 2.5,
                 exact: false,
                 words_min: 4600,
                 words_max: 5400,
-                elems_per_sec: None,
-            },
-            Cell {
-                id: "throughput/channel".into(),
-                words: 800,
-                millis: 120.0,
-                exact: false,
-                words_min: 700,
-                words_max: 900,
-                elems_per_sec: Some(5_000_000.0),
             },
         ]
+    }
+
+    /// The committed file is exactly what [`to_json`] writes: no field
+    /// this module does not know, no hand edit.
+    #[test]
+    fn committed_baseline_is_canonical() {
+        const STORED: &str = include_str!("../../../BENCH_baseline.json");
+        let (params, cells) = parse_json(STORED).unwrap();
+        assert_eq!(to_json(params, &cells), STORED);
     }
 
     #[test]
@@ -793,40 +514,42 @@ mod tests {
 
     #[test]
     fn parse_defaults_exact_for_legacy_cells() {
-        let legacy = "{\n  \"version\": 1,\n  \"params\": {\"n\": 10, \"k\": 2, \
+        let legacy = "{\n  \"version\": 2,\n  \"params\": {\"n\": 10, \"k\": 2, \
                       \"eps\": 0.1, \"seeds\": 1},\n  \"cells\": [\n    \
-                      {\"id\": \"count/randomized\", \"words\": 7, \"millis\": 1.0}\n  ]\n}\n";
+                      {\"id\": \"count/randomized\", \"words\": 7}\n  ]\n}\n";
         let (_, cells) = parse_json(legacy).unwrap();
         assert!(cells[0].exact, "legacy cells are all lock-step → exact");
         assert_eq!(cells[0].words_min, 7, "absent range defaults to median");
         assert_eq!(cells[0].words_max, 7, "absent range defaults to median");
-        assert_eq!(cells[0].elems_per_sec, None, "absent rate stays None");
     }
 
     #[test]
     fn parse_rejects_garbage() {
         assert!(parse_json("").is_err());
         assert!(parse_json("{\"version\": 2}").is_err());
-        assert!(parse_json("{\"version\": 1, \"cells\": []}").is_err());
+        let no_cells = to_json(Params::default_ci(), &[]);
+        assert!(parse_json(&no_cells).unwrap_err().contains("no cells"));
+        // A version-1 document (the schema that also carried wall-times)
+        // is refused by name, not half-read.
+        let v1 = to_json(Params::default_ci(), &sample_cells())
+            .replace(&format!("\"version\": {VERSION}"), "\"version\": 1");
+        assert!(parse_json(&v1).unwrap_err().contains("version 1"));
     }
 
     #[test]
     fn compare_splits_hard_and_advisory_findings() {
         let base = sample_cells();
         let mut cur = sample_cells();
-        assert!(compare(&base, &cur, 0.25, 3.0).is_empty());
+        assert!(compare(&base, &cur, 0.25).is_empty());
         cur[0].words = 1235; // exact cell: off by one word → hard
-        cur[1].millis = 10.0; // 13x → advisory
         cur[2].words = 7000; // inexact: above max·1.25 = 6750 → advisory
-        let c = compare(&base, &cur, 0.25, 3.0);
+        let c = compare(&base, &cur, 0.25);
         assert_eq!(c.hard.len(), 1, "{c:?}");
         assert!(c.hard[0].contains("count/randomized"));
-        assert_eq!(c.advisory.len(), 2, "{c:?}");
-        assert!(c.advisory.iter().any(|f| f.contains("wall time")));
-        assert!(c
-            .advisory
-            .iter()
-            .any(|f| f.contains("window/channel") && f.contains("recorded range")));
+        assert_eq!(c.advisory.len(), 1, "{c:?}");
+        assert!(
+            c.advisory[0].contains("window/channel") && c.advisory[0].contains("recorded range")
+        );
     }
 
     #[test]
@@ -834,26 +557,13 @@ mod tests {
         let base = sample_cells();
         let mut cur = sample_cells();
         cur[2].words = 4600; // at the range's low edge: fine
-        assert!(compare(&base, &cur, 0.25, 3.0).is_empty());
+        assert!(compare(&base, &cur, 0.25).is_empty());
         cur[2].words = 6700; // above max but within max·1.25: fine
-        assert!(compare(&base, &cur, 0.25, 3.0).is_empty());
+        assert!(compare(&base, &cur, 0.25).is_empty());
         cur[2].words = 3400; // below min·0.75 = 3450 → advisory
-        let c = compare(&base, &cur, 0.25, 3.0);
+        let c = compare(&base, &cur, 0.25);
         assert_eq!(c.hard.len(), 0, "{c:?}");
         assert_eq!(c.advisory.len(), 1, "{c:?}");
-    }
-
-    #[test]
-    fn compare_flags_throughput_collapse_advisorily() {
-        let base = sample_cells();
-        let mut cur = sample_cells();
-        cur[3].elems_per_sec = Some(2_000_000.0); // > baseline/3: fine
-        assert!(compare(&base, &cur, 0.25, 3.0).is_empty());
-        cur[3].elems_per_sec = Some(1_000_000.0); // < 5M/3 → advisory
-        let c = compare(&base, &cur, 0.25, 3.0);
-        assert_eq!(c.hard.len(), 0, "throughput never fails the build: {c:?}");
-        assert_eq!(c.advisory.len(), 1, "{c:?}");
-        assert!(c.advisory[0].contains("throughput"), "{c:?}");
     }
 
     #[test]
@@ -864,116 +574,14 @@ mod tests {
             Cell {
                 id: "novel/cell".into(),
                 words: 1,
-                millis: 1.0,
                 exact: true,
                 words_min: 1,
                 words_max: 1,
-                elems_per_sec: None,
             },
         ];
-        let c = compare(&base, &cur, 0.25, 3.0);
+        let c = compare(&base, &cur, 0.25);
         assert!(c.hard.iter().any(|f| f.contains("missing")));
         assert!(c.hard.iter().any(|f| f.contains("not in baseline")));
-    }
-
-    #[test]
-    fn bootstrap_keeps_words_and_refreshes_millis() {
-        let stored = sample_cells();
-        let mut measured = sample_cells();
-        measured[0].words = 9999; // must NOT leak into the bootstrap
-        measured[0].millis = 42.0; // must replace the stored timing
-        measured.push(Cell {
-            id: "brand/new".into(),
-            words: 5,
-            millis: 0.5,
-            exact: true,
-            words_min: 5,
-            words_max: 5,
-            elems_per_sec: None,
-        });
-        let rate_at = measured
-            .iter()
-            .position(|c| c.id == "throughput/channel")
-            .unwrap();
-        measured[rate_at].elems_per_sec = Some(7_500_000.0);
-        let b = bootstrap(&stored, &measured);
-        let first = b.iter().find(|c| c.id == "count/randomized").unwrap();
-        assert_eq!(first.words, 1234, "stored words survive bootstrap");
-        assert_eq!(first.millis, 42.0, "millis refreshed from this machine");
-        let rate = b.iter().find(|c| c.id == "throughput/channel").unwrap();
-        assert_eq!(
-            rate.elems_per_sec,
-            Some(7_500_000.0),
-            "throughput refreshed from this machine like wall time"
-        );
-        // An un-baselined cell must NOT be smuggled into the bootstrapped
-        // file — `--check` has to keep flagging it as a hard finding.
-        assert!(
-            !b.iter().any(|c| c.id == "brand/new"),
-            "bootstrap must not append cells missing from the baseline"
-        );
-        let c = compare(&b, &measured, 0.25, 1_000.0);
-        assert!(
-            c.hard.iter().any(|f| f.contains("brand/new")),
-            "post-bootstrap check still hard-flags the new cell: {c:?}"
-        );
-    }
-
-    #[test]
-    fn throughput_cells_record_rates_and_word_ranges() {
-        let p = Params {
-            n: 4_000,
-            k: 4,
-            eps: 0.2,
-            seeds: 1,
-        };
-        // Tiny n: this smoke-checks the panel's plumbing, not its rates.
-        let cells = measure_throughput_cells(p, 20_000);
-        assert_eq!(cells.len(), 2);
-        assert_eq!(cells[0].id, "throughput/channel");
-        assert_eq!(cells[1].id, "throughput/channel_feed");
-        for c in &cells {
-            assert!(!c.exact, "{}: thread-timed words are never exact", c.id);
-            let rate = c.elems_per_sec.expect("throughput cells carry a rate");
-            assert!(rate > 0.0, "{}: rate {rate}", c.id);
-            assert!(
-                c.words_min <= c.words && c.words <= c.words_max,
-                "{}: median {} outside own range [{}, {}]",
-                c.id,
-                c.words,
-                c.words_min,
-                c.words_max
-            );
-        }
-    }
-
-    #[test]
-    fn query_cells_record_rates_and_word_ranges() {
-        let p = Params {
-            n: 4_000,
-            k: 4,
-            eps: 0.2,
-            seeds: 1,
-        };
-        // Tiny n: this smoke-checks the panel's plumbing (threads spawn,
-        // handles clone, reads stay consistent), not its rates.
-        let cells = measure_query_cells(p, 20_000);
-        assert_eq!(cells.len(), 2);
-        assert_eq!(cells[0].id, "queries/single");
-        assert_eq!(cells[1].id, "queries/storm");
-        for c in &cells {
-            assert!(!c.exact, "{}: thread-timed words are never exact", c.id);
-            let rate = c.elems_per_sec.expect("query cells carry a rate");
-            assert!(rate > 0.0, "{}: rate {rate}", c.id);
-            assert!(
-                c.words_min <= c.words && c.words <= c.words_max,
-                "{}: median {} outside own range [{}, {}]",
-                c.id,
-                c.words,
-                c.words_min,
-                c.words_max
-            );
-        }
     }
 
     #[test]

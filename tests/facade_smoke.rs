@@ -102,12 +102,12 @@ fn continuous_sampling_via_facade() {
 #[test]
 fn sibling_facades_resolve() {
     use dtrack::bounds::SamplingProblem;
-    use dtrack::sketch::MisraGries;
+    use dtrack::sketch::GkSummary;
     use dtrack::workload::{UniformItems, UniformSites, Workload};
 
-    let mut mg = MisraGries::new(4);
-    mg.observe(1);
-    assert_eq!(mg.estimate(1), 1);
+    let mut gk = GkSummary::new(0.25);
+    gk.insert(1);
+    assert_eq!(gk.n(), 1);
 
     let wl = Workload::new(UniformItems::new(10), UniformSites::new(3), 5, 1);
     assert_eq!(wl.collect_vec().len(), 5);
