@@ -22,6 +22,58 @@
 //!   producer observes the parked flag and unparks, or the consumer's
 //!   re-check observes the freshly pushed message.
 //!
+//! ## Spin → nap → park: lazy data wakes on the ring
+//!
+//! An `unpark` of a sleeping thread is a futex syscall, about 2 µs of
+//! the *waker's* time here. A consumer that does a few nanoseconds of
+//! work per element is asleep again before the next one arrives, so
+//! with a wake per push the producer pays that syscall every few dozen
+//! elements — it, not the CAS or the fences, was 2/3 of a per-element
+//! push. The ring's own wait, [`RingConsumer::wait_while_empty`], takes
+//! the producer out of that loop:
+//!
+//! 1. **spin** `SPIN_ITERS` iterations, as every wait here does;
+//! 2. **nap**: up to `NAPS` timed parks of `NAP` each, with the ring's
+//!    wake watermark raised to half a ring above `head` — skipped when no
+//!    element was popped since the previous wait (a thread woken for
+//!    control traffic alone goes straight back to 3);
+//! 3. **park** untimed, watermark back at `head`, exactly as before.
+//!
+//! **Which wakes are lazy.** Only ring pushes, and only during 2: a
+//! `push`/`push_many` compares the tail it just published with the
+//! watermark and skips [`WakeCell::wake`] while less than half the ring
+//! (`NAP_BACKLOG_DIV`) is backed up. The elements are in the ring when
+//! `push` returns; the consumer finds them when its nap ends, so the
+//! added delivery delay is at most one nap. The push that takes the
+//! backlog to the watermark wakes after all, so a producer never runs
+//! into a full ring behind a sleeping consumer. Everything else that
+//! wakes the cell — an [`mpsc`] send on a lane sharing it, a credit
+//! release, a [`RingProducer::wake_consumer`] from a thread about to
+//! wait for the consumer — calls `wake()` unconditionally and ends a
+//! nap at once.
+//! A consumer that parks on the cell directly ([`WakeCell::park_while`],
+//! e.g. the coordinator's up lanes) never raises a watermark and is
+//! woken by every push.
+//!
+//! **No lost wakeup.** The watermark is one more Dekker pair in front
+//! of the parked flag's. Producer: publish the slot, `SeqCst` fence,
+//! load the watermark (then, if reached, the parked flag). Consumer:
+//! store the watermark, store the parked flag, `SeqCst` fence, re-check
+//! the ring, block. If the producer's load misses the consumer's latest
+//! watermark store, the two fences order the slot's publication before
+//! the consumer's re-check, which then sees the element and does not
+//! block; if it reads it, the push wakes whenever that watermark says
+//! so. Entering phase 3 the watermark is `head`, which every tail has
+//! passed: a deep-parked consumer is woken by the very next push, as in
+//! the two-state protocol. During phase 2 a push may legitimately read
+//! the raised watermark and stay silent — that is the lazy wake — and
+//! the bound on what it costs is the timer: the nap ends by itself and
+//! the consumer re-checks the ring. (With several producers the slot at
+//! `head` can be published *after* a later slot's push crossed the
+//! watermark and woke the consumer in vain; that too is caught one nap
+//! later at worst.) The flag protocol itself is untouched: a nap is
+//! `park_timeout` where the park phase calls `park`.
+//!
 //! Blocking never happens with a lock held: the only lock in this module
 //! is a [`SpinMutex`] around the parked-producer registry of a full
 //! ring, taken for a few instructions to push/drain a `Thread` handle
@@ -34,12 +86,44 @@ use std::ptr;
 use std::sync::atomic::{fence, AtomicBool, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::thread::Thread;
+use std::time::Duration;
 
 /// Iterations of `spin_loop` a consumer burns before arming the parked
 /// flag, and a producer burns before registering as a waiter. Long
 /// enough to bridge the gap to a running peer on another core, short
 /// enough that a genuinely idle thread reaches `thread::park` quickly.
 const SPIN_ITERS: u32 = 128;
+
+/// Length of one nap of a ring consumer ([`RingConsumer::wait_while_empty`]):
+/// the delivery delay a lazily pushed element can see (Linux adds its
+/// default 50 µs timer slack on top). Long enough that a site fed an
+/// element every 0.2–1 µs sleeps through ~100 of them per timer
+/// interrupt, short next to the ~100 µs a quiesce barrier costs anyway;
+/// 25–200 µs all measured the same feed rate and flush latency.
+const NAP: Duration = Duration::from_micros(50);
+
+/// Naps before a still-idle consumer parks untimed: 16 × (50 µs + slack)
+/// ≈ 1–2 ms, longer than any gap inside a live stream, and a runtime
+/// gone quiet stops taking timer interrupts within that time. 4 and 64
+/// measured the same.
+const NAPS: u32 = 16;
+
+/// Share of the ring (capacity / this) that may back up behind a napping
+/// consumer before a push wakes it after all: half. This is the
+/// backpressure bound, not a latency knob — the consumer is up while the
+/// other half is still free — and it is deliberately far above what
+/// arrives during one nap. A nap lasts 100–300 µs here once timer slack
+/// and scheduling are in it, which is 300–800 elements per site on the
+/// per-element path and 500–1500 on the batched one. A fixed 512 sat in
+/// the middle of that: whether the timer or the producer's futex wake
+/// ended a nap was a race that followed the machine's speed from run to
+/// run (the producer ended 70 % of a batched run's nap phases; at half
+/// the ring ≈ 20 %, behind sites that had lost the CPU, and the batched
+/// workloads read 3–10 % faster and no less steady). Below one nap's
+/// arrivals the producer is back to a futex wake per nap: 128 cost
+/// per-element feed 25 %, 32 cost 45 %. Flush latency does not move with
+/// it (a probe wakes every site whatever its backlog).
+const NAP_BACKLOG_DIV: u64 = 2;
 
 /// Pad to a cache line so hot per-thread cursors (and per-site counters
 /// in the runtime) do not false-share.
@@ -153,6 +237,12 @@ impl WakeCell {
     /// consumer's re-check sees the published work.
     pub fn wake(&self) {
         fence(Ordering::SeqCst);
+        self.wake_fenced();
+    }
+
+    /// [`WakeCell::wake`] for a caller that has already issued the
+    /// `SeqCst` fence after publishing.
+    fn wake_fenced(&self) {
         if self.parked.load(Ordering::Relaxed) && self.parked.swap(false, Ordering::SeqCst) {
             if let Some(t) = self.thread.get() {
                 t.unpark();
@@ -164,21 +254,59 @@ impl WakeCell {
     /// returns `true`. Returns as soon as `idle` is observed `false`.
     /// `idle` must depend only on state whose writers call [`WakeCell::wake`].
     pub fn park_while(&self, idle: impl Fn() -> bool) {
-        for _ in 0..SPIN_ITERS {
-            if !idle() {
-                return;
-            }
-            std::hint::spin_loop();
-        }
-        while idle() {
-            self.parked.store(true, Ordering::SeqCst);
-            fence(Ordering::SeqCst);
-            if idle() {
-                std::thread::park();
-            }
-            self.parked.store(false, Ordering::SeqCst);
+        if spin_while(&idle) {
+            self.park_after_spin(&idle);
         }
     }
+
+    /// The park phase of [`WakeCell::park_while`].
+    fn park_after_spin(&self, idle: &impl Fn() -> bool) {
+        while idle() {
+            self.block_once(idle, None);
+        }
+    }
+
+    /// The timed variant of [`WakeCell::park_while`], without the spin:
+    /// sleep through at most `naps` timed parks of `nap` each while
+    /// `idle` holds, and say whether it still does. A [`WakeCell::wake`]
+    /// ends the current nap at once, so `idle` may *also* watch state
+    /// whose writers do not wake — they are then noticed one nap late at
+    /// worst. A nap cut short counts as a nap.
+    fn nap_while(&self, idle: &impl Fn() -> bool, nap: Duration, naps: u32) -> bool {
+        for _ in 0..naps {
+            if !idle() {
+                return false;
+            }
+            self.block_once(idle, Some(nap));
+        }
+        idle()
+    }
+
+    /// Arm the parked flag, re-check `idle` (the consumer's half of the
+    /// Dekker pair in [`WakeCell::wake`]), block once, disarm.
+    fn block_once(&self, idle: &impl Fn() -> bool, nap: Option<Duration>) {
+        self.parked.store(true, Ordering::SeqCst);
+        fence(Ordering::SeqCst);
+        if idle() {
+            match nap {
+                Some(nap) => std::thread::park_timeout(nap),
+                None => std::thread::park(),
+            }
+        }
+        self.parked.store(false, Ordering::SeqCst);
+    }
+}
+
+/// Burn up to [`SPIN_ITERS`] iterations waiting for `idle` to turn
+/// `false`; `true` if it never did.
+fn spin_while(idle: &impl Fn() -> bool) -> bool {
+    for _ in 0..SPIN_ITERS {
+        if !idle() {
+            return false;
+        }
+        std::hint::spin_loop();
+    }
+    true
 }
 
 // ---------------------------------------------------------------------------
@@ -213,6 +341,17 @@ struct RingShared<T> {
     /// and further pushes fail with [`Closed`].
     closed: AtomicBool,
     consumer: Arc<WakeCell>,
+    /// The wake watermark: a push wakes the consumer once the tail it
+    /// published reaches this position. At or below `head` — where it
+    /// starts and rests — every push wakes, as a deep-parked consumer
+    /// needs; the consumer raises it to `head + nap_backlog` for the
+    /// length of a nap phase ([`RingConsumer::wait_while_empty`]), which
+    /// makes pushes below that backlog lazy. Written by the consumer
+    /// only, on its own line: producers read it on every push.
+    wake_at: CachePadded<AtomicU64>,
+    /// Half the ring (`NAP_BACKLOG_DIV`): a ring that fills has always
+    /// crossed the watermark.
+    nap_backlog: u64,
     /// Producers parked on a full ring. Guarded by the spinlock; the
     /// flag lets the pop path skip the lock when nobody waits.
     prod_waiting: AtomicBool,
@@ -229,6 +368,20 @@ impl<T> RingShared<T> {
     #[inline]
     fn cap(&self) -> u64 {
         self.slots.len() as u64
+    }
+
+    /// Producer half of the idle protocol, after publishing every slot
+    /// below `tail`: wake the consumer unless it is napping with less
+    /// than the watermark's backlog. The fence pairs with the one the
+    /// consumer issues between moving the watermark and re-checking the
+    /// ring (see the module docs).
+    #[inline]
+    fn notify_consumer(&self, tail: u64) {
+        fence(Ordering::SeqCst);
+        let wake_at = self.wake_at.0.load(Ordering::Relaxed);
+        if tail.wrapping_sub(wake_at) as i64 >= 0 {
+            self.consumer.wake_fenced();
+        }
     }
 
     /// Release every parked producer (after freeing a slot or closing).
@@ -290,6 +443,10 @@ impl<T> Clone for RingProducer<T> {
 /// future producers with [`Closed`].
 pub struct RingConsumer<T> {
     shared: Arc<RingShared<T>>,
+    /// An element was popped since the last idle wait: the stream is
+    /// live, so the next wait may nap (see
+    /// [`RingConsumer::wait_while_empty`]).
+    popped: bool,
 }
 
 impl<T> Drop for RingConsumer<T> {
@@ -299,8 +456,9 @@ impl<T> Drop for RingConsumer<T> {
 }
 
 /// Build a bounded ring of at least `capacity` slots (rounded up to a
-/// power of two). Every push wakes `consumer_wake`, so the consumer
-/// thread can share one cell across several queues.
+/// power of two). Pushes wake `consumer_wake` — every one of them,
+/// except while the consumer naps in [`RingConsumer::wait_while_empty`]
+/// — so the consumer thread can share one cell across several queues.
 pub fn ring<T>(
     capacity: usize,
     consumer_wake: Arc<WakeCell>,
@@ -320,6 +478,8 @@ pub fn ring<T>(
         head: CachePadded(AtomicU64::new(0)),
         closed: AtomicBool::new(false),
         consumer: consumer_wake,
+        wake_at: CachePadded(AtomicU64::new(0)),
+        nap_backlog: cap as u64 / NAP_BACKLOG_DIV,
         prod_waiting: AtomicBool::new(false),
         prod_waiters: SpinMutex::new(Vec::new()),
     });
@@ -327,7 +487,10 @@ pub fn ring<T>(
         RingProducer {
             shared: Arc::clone(&shared),
         },
-        RingConsumer { shared },
+        RingConsumer {
+            shared,
+            popped: false,
+        },
     )
 }
 
@@ -356,7 +519,7 @@ impl<T> RingProducer<T> {
                         // this slot until the stamp below publishes it.
                         unsafe { (*slot.value.get()).write(value) };
                         slot.seq.store(pos.wrapping_add(1), Ordering::Release);
-                        s.consumer.wake();
+                        s.notify_consumer(pos.wrapping_add(1));
                         return Ok(());
                     }
                     Err(cur) => pos = cur,
@@ -451,7 +614,7 @@ impl<T> RingProducer<T> {
                     unsafe { (*slot.value.get()).write(value) };
                     slot.seq.store(p.wrapping_add(1), Ordering::Release);
                 }
-                s.consumer.wake();
+                s.notify_consumer(pos.wrapping_add(n as u64));
                 return n;
             }
         }
@@ -479,6 +642,31 @@ impl<T> RingProducer<T> {
         // A stale registry entry only costs one spurious unpark later.
     }
 
+    /// Wake the consumer now, whatever the watermark says: for a caller
+    /// about to wait on the consumer's progress (a napping consumer
+    /// would otherwise finish its nap first).
+    pub fn wake_consumer(&self) {
+        self.shared.consumer.wake();
+    }
+
+    /// Whether the consumer is blocked in the untimed park: armed, and
+    /// not inside a nap phase.
+    #[cfg(test)]
+    pub(crate) fn consumer_deep_parked(&self) -> bool {
+        let s = &*self.shared;
+        let head = s.head.0.load(Ordering::SeqCst);
+        let wake_at = s.wake_at.0.load(Ordering::SeqCst);
+        s.consumer.parked.load(Ordering::SeqCst) && head.wrapping_sub(wake_at) as i64 >= 0
+    }
+
+    /// Whether the consumer is inside a nap phase (pushes are lazy).
+    #[cfg(test)]
+    pub(crate) fn consumer_napping(&self) -> bool {
+        let s = &*self.shared;
+        let head = s.head.0.load(Ordering::SeqCst);
+        (s.wake_at.0.load(Ordering::SeqCst).wrapping_sub(head) as i64) > 0
+    }
+
     /// Total positions claimed so far — a monotone "elements ever
     /// pushed" cursor. With no concurrent pushes in progress this is
     /// exact, which is how the runtime's quiesce/drain paths know when a
@@ -504,6 +692,7 @@ impl<T> RingConsumer<T> {
         slot.seq.store(pos.wrapping_add(s.cap()), Ordering::Release);
         s.head.0.store(pos.wrapping_add(1), Ordering::Release);
         s.wake_producers();
+        self.popped = true;
         Some(value)
     }
 
@@ -514,6 +703,41 @@ impl<T> RingConsumer<T> {
         let pos = s.head.0.load(Ordering::Relaxed);
         let seq = s.slots[(pos & s.mask) as usize].seq.load(Ordering::Acquire);
         (seq.wrapping_sub(pos.wrapping_add(1)) as i64) < 0
+    }
+
+    /// The consumer thread's idle wait: spin → nap → park for as long as
+    /// the ring is empty and `idle()` holds (`idle` covers whatever else
+    /// the thread serves; its writers must wake the ring's cell). During
+    /// the nap phase — at most `NAPS` timed parks of `NAP`, and only if
+    /// an element was popped since the last wait — pushes are lazy: they
+    /// skip the wake until the backlog reaches the watermark, and the
+    /// consumer finds them when its nap ends. Every other waker of the
+    /// cell ends a nap at once. Only this wait naps; a consumer that
+    /// parks on the cell directly is woken by every push. (Module docs:
+    /// the lost-wakeup argument.)
+    pub fn wait_while_empty(&mut self, idle: impl Fn() -> bool) {
+        let live = std::mem::take(&mut self.popped);
+        let s = &*self.shared;
+        let idle = || self.is_empty() && idle();
+        s.consumer.register();
+        if !spin_while(&idle) {
+            return;
+        }
+        if live {
+            // Only the consumer moves `head`, so it is fixed for the wait.
+            let head = s.head.0.load(Ordering::Relaxed);
+            let lazy_below = head.wrapping_add(s.nap_backlog);
+            s.wake_at.0.store(lazy_below, Ordering::SeqCst);
+            let still_idle = s.consumer.nap_while(&idle, NAP, NAPS);
+            // Back to "every push wakes" before the untimed park: the
+            // fence in `block_once` orders this store before the ring's
+            // re-check, so a push either reads it and wakes or is seen.
+            s.wake_at.0.store(head, Ordering::SeqCst);
+            if !still_idle {
+                return;
+            }
+        }
+        s.consumer.park_after_spin(&idle);
     }
 }
 
@@ -669,10 +893,21 @@ impl<T> MpscReceiver<T> {
     }
 }
 
+/// Yield until `cond` holds. The idle-protocol tests (here and in
+/// `runtime.rs`) hand-shake on the consumer's published idle state, not
+/// on sleeps; the deadline only turns a protocol hang into a failure.
+#[cfg(test)]
+pub(crate) fn wait_until(what: &str, cond: impl Fn() -> bool) {
+    let deadline = std::time::Instant::now() + Duration::from_secs(30);
+    while !cond() {
+        assert!(std::time::Instant::now() < deadline, "timed out: {what}");
+        std::thread::yield_now();
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Duration;
 
     fn pop_blocking<T>(rx: &mut RingConsumer<T>, wake: &WakeCell) -> T {
         wake.register();
@@ -787,6 +1022,104 @@ mod tests {
         }
         let got = consumer.join().unwrap();
         assert_eq!(got, (0..1_000u64).collect::<Vec<_>>());
+    }
+
+    /// A consumer thread on the spin → nap → park wait, handing each
+    /// popped value to `got`.
+    fn spawn_waiting_consumer(
+        mut rx: RingConsumer<u64>,
+        got: std::sync::mpsc::Sender<u64>,
+    ) -> std::thread::JoinHandle<()> {
+        std::thread::spawn(move || loop {
+            match rx.try_pop() {
+                Some(u64::MAX) => return,
+                Some(v) => got.send(v).unwrap(),
+                None => rx.wait_while_empty(|| true),
+            }
+        })
+    }
+
+    #[test]
+    fn trailing_element_reaches_a_napping_and_a_deep_parked_consumer() {
+        // One element, then silence: nothing but the consumer's own nap
+        // timer (napping) or the push's wake (deep-parked) can deliver
+        // it. Each round waits for the consumer to publish the idle
+        // state under test before pushing.
+        let wake = Arc::new(WakeCell::new());
+        let (tx, rx) = ring::<u64>(4096, Arc::clone(&wake));
+        let (got_tx, got) = std::sync::mpsc::channel();
+        let consumer = spawn_waiting_consumer(rx, got_tx);
+        let (mut lazy, mut deep) = (0u32, 0u32);
+        for round in 0..200u64 {
+            if round % 2 == 0 {
+                wait_until("consumer idle", || {
+                    tx.consumer_napping() || tx.consumer_deep_parked()
+                });
+            } else {
+                wait_until("consumer deep-parked", || tx.consumer_deep_parked());
+            }
+            // (The state may move on between the look and the push; the
+            // tallies only show both paths were exercised.)
+            lazy += u32::from(tx.consumer_napping());
+            deep += u32::from(tx.consumer_deep_parked());
+            tx.push(round).unwrap();
+            assert_eq!(got.recv_timeout(Duration::from_secs(30)), Ok(round));
+        }
+        assert!(
+            lazy > 0 && deep > 0,
+            "paths not exercised: {lazy} lazy, {deep} deep"
+        );
+        tx.push(u64::MAX).unwrap();
+        consumer.join().unwrap();
+    }
+
+    #[test]
+    fn producer_outrunning_a_napping_consumer_is_never_stranded_on_a_full_ring() {
+        // Bursts of 16× the ring into a consumer that is napping when
+        // each burst starts: the push that crosses the watermark must
+        // wake it, or the producer parks on the full ring with nobody
+        // awake to free a slot. Per-element and batched pushes both.
+        let wake = Arc::new(WakeCell::new());
+        let (tx, rx) = ring::<u64>(64, Arc::clone(&wake));
+        let (got_tx, got) = std::sync::mpsc::channel();
+        let consumer = spawn_waiting_consumer(rx, got_tx);
+        let mut next = 0u64;
+        let mut buf = Vec::new();
+        for burst in 0..100 {
+            wait_until("consumer idle", || {
+                tx.consumer_napping() || tx.consumer_deep_parked()
+            });
+            if burst % 2 == 0 {
+                for v in next..next + 1024 {
+                    tx.push(v).unwrap();
+                }
+            } else {
+                buf.extend(next..next + 1024);
+                tx.push_many(&mut buf).unwrap();
+            }
+            next += 1024;
+        }
+        tx.push(u64::MAX).unwrap();
+        consumer.join().unwrap();
+        assert!(got.try_iter().eq(0..next), "lost or reordered elements");
+    }
+
+    #[test]
+    fn idle_consumer_runs_out_of_naps_and_parks_untimed() {
+        // After its last element the consumer naps a bounded number of
+        // times, then blocks in the untimed park and stays there: 100 nap
+        // lengths later it still has not moved, and a push wakes it.
+        let wake = Arc::new(WakeCell::new());
+        let (tx, rx) = ring::<u64>(8, Arc::clone(&wake));
+        let (got_tx, got) = std::sync::mpsc::channel();
+        let consumer = spawn_waiting_consumer(rx, got_tx);
+        tx.push(1).unwrap();
+        assert_eq!(got.recv_timeout(Duration::from_secs(30)), Ok(1));
+        wait_until("deep park", || tx.consumer_deep_parked());
+        std::thread::sleep(100 * NAP);
+        assert!(tx.consumer_deep_parked());
+        tx.push(u64::MAX).unwrap();
+        consumer.join().unwrap();
     }
 
     #[test]

@@ -33,25 +33,37 @@
 //!   (even by panic) closes its ring, which releases past and future
 //!   producers with an error instead of a hang.
 //! * **`processed` cursors**: each site publishes how many elements it
-//!   has fully processed (ups on the wire); quiesce and shutdown wait
-//!   for the cursor to reach the ring's pushed count, and bail out if
-//!   the site thread has exited — no wait on a dead counterparty.
+//!   has fully processed (ups on the wire); quiesce and shutdown wake
+//!   every site that has a backlog, wait for each cursor to reach the
+//!   ring's pushed count, and bail out if the site thread has exited —
+//!   no wait on a dead counterparty.
 //! * **Command lane** (runtime handle → coordinator thread): an
 //!   unbounded queue on the coordinator link's wake cell carrying
 //!   closures to run against the [`CoordHalf`]. The thread takes a
 //!   command, applies what was queued on the link ([`CoordHalf::pump`]),
 //!   then serves it: a command observes every up sent before its issue.
 //!
-//! No thread polls: a site parks while its ring and control lane are
-//! both empty, the coordinator while its up lanes and command lane are,
-//! and every writer of those queues wakes the cell after publishing.
+//! Idle threads park, and every writer of a queue a thread serves wakes
+//! its cell after publishing — with one exception, made so that `feed`
+//! does not pay a futex syscall per few elements for a site that sleeps
+//! between them. A site whose ring and control lane are both empty
+//! spins, then — if it has popped an element since it last slept —
+//! *polls its ring*: up to 16 timed naps of 50 µs (plus the kernel's
+//! timer slack), during which a data push does not wake it unless the
+//! ring is half full (2048 elements). An element is in the ring when
+//! `feed` returns and is picked up one nap later at worst; after ≈ 1–2 ms
+//! without one the site parks untimed and the next push wakes it as
+//! before, so an idle runtime takes no timer interrupts. Control sends,
+//! credit releases, `quiesce` and `shutdown` wake a napping site at
+//! once ([`crate::ring`]'s module docs have the protocol and its
+//! lost-wakeup argument). The coordinator never naps: it parks while
+//! its up lanes and command lane are empty, and every send wakes it.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::sync_channel;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-use crossbeam_channel::bounded;
 
 use crate::protocol::{Protocol, Site, SiteId};
 use crate::ring::{mpsc, ring, CachePadded, MpscSender, RingConsumer, RingProducer};
@@ -65,7 +77,16 @@ use crate::transport::{in_process_links, CoordHalf, InProcCoordLink, InProcSiteL
 /// unbounded producer speed cannot exhaust memory. Control messages
 /// bypass this ring entirely (they travel the link), which rules out
 /// deadlock cycles.
-const SITE_QUEUE_CAP: usize = 1024;
+///
+/// A push wakes a napping site once half the ring is backed up
+/// ([`crate::ring`]), so the ring must hold twice what a site is allowed
+/// to sleep through: 2048 elements is several naps' arrivals even on the
+/// batched path (≈ 5 M elements/s per site), and the other 2048 keep the
+/// producer pushing while the site gets up instead of meeting the
+/// full-ring park right behind the wake. At 1024 the two collided and
+/// the batched workloads lost 7–10 %; at 4096 they gain.
+/// 64 KiB of `u64` slots per site.
+const SITE_QUEUE_CAP: usize = 4096;
 
 /// Elements per staging-buffer flush on the batched ingest path. Small
 /// enough that capacity-based backpressure still engages, large enough
@@ -147,7 +168,7 @@ fn run_site<S: Site>(
         if item.is_some() {
             processed += 1;
             progress.processed.store(processed, Ordering::Release);
-        } else if !half.link().park_until(|| !data_rx.is_empty()) {
+        } else if !half.link().park_on(&mut data_rx) {
             return; // coordinator gone
         }
     }
@@ -295,7 +316,7 @@ where
         R: Send + 'static,
         F: FnOnce(&mut Half<P>) -> R + Send + 'static,
     {
-        let (tx, rx) = bounded(1);
+        let (tx, rx) = sync_channel(1);
         self.cmd_tx.send(Cmd::Run(Box::new(move |half| {
             let _ = tx.send(f(half));
         })));
@@ -328,12 +349,26 @@ where
         )
     }
 
-    /// Wait until `site` has fully processed every element pushed to its
-    /// ring (its `processed` cursor reaches the ring's pushed cursor).
-    /// If the site thread has exited (even by panic) it never will:
-    /// panic when `must_drain` (the caller needs the cut to be meaningful
-    /// — quiesce), else give up (shutdown drains are best-effort for
-    /// dead sites).
+    /// Wait until every site has fully processed every element pushed to
+    /// its ring. Sites with a backlog are all woken first — a lazily
+    /// pushed backlog may sit behind a nap, and the naps should overlap,
+    /// not run out one site after another — then waited for in turn.
+    fn wait_drained(&self, must_drain: bool) {
+        for (tx, progress) in self.data_txs.iter().zip(self.progress.iter()) {
+            if progress.0.processed.load(Ordering::Acquire) < tx.pushed() {
+                tx.wake_consumer();
+            }
+        }
+        for site in 0..self.data_txs.len() {
+            self.wait_site_drained(site, must_drain);
+        }
+    }
+
+    /// Wait until `site`'s `processed` cursor reaches its ring's pushed
+    /// cursor. If the site thread has exited (even by panic) it never
+    /// will: panic when `must_drain` (the caller needs the cut to be
+    /// meaningful — quiesce), else give up (shutdown drains are
+    /// best-effort for dead sites).
     fn wait_site_drained(&self, site: usize, must_drain: bool) {
         let target = self.data_txs[site].pushed();
         let processed = &self.progress[site].0.processed;
@@ -364,9 +399,7 @@ where
     /// [`CoordHalf::quiesce`]'s ping/pong barrier on the coordinator
     /// thread. No items may be fed during quiesce (caller contract).
     pub fn quiesce(&self) -> u32 {
-        for site in 0..self.data_txs.len() {
-            self.wait_site_drained(site, true);
-        }
+        self.wait_drained(true);
         self.on_coord(|half| half.quiesce())
             .unwrap_or_else(|e| panic!("channel runtime failed to quiesce: {e}"))
     }
@@ -410,9 +443,7 @@ where
         // caller already fed. Wait for each site's processed cursor to
         // reach its pushed cursor instead (tolerating sites that already
         // died).
-        for site in 0..self.data_txs.len() {
-            self.wait_site_drained(site, false);
-        }
+        self.wait_drained(false);
         // The coordinator applies every up the sites produced above
         // before it relays the stop.
         self.cmd_tx.send(Cmd::Stop);
@@ -450,6 +481,7 @@ mod tests {
     use crate::message::Words;
     use crate::net::{Net, Outbox};
     use crate::protocol::Coordinator;
+    use crate::ring::wait_until;
     use crate::transport::SITE_CREDIT;
 
     /// Echo protocol: site forwards every item's value; coordinator sums.
@@ -533,6 +565,60 @@ mod tests {
         let stats = rt.shutdown(); // no quiesce on purpose
         assert_eq!(stats.elements, 5_000);
         assert_eq!(stats.up_msgs, 5_000, "queued elements were discarded");
+    }
+
+    #[test]
+    fn idle_runtime_reaches_deep_park() {
+        // After a burst and a barrier every site runs out of naps and
+        // blocks in the untimed park: an idle runtime takes no timer
+        // interrupts. Still true 100 nap lengths later, and a trailing
+        // element pushed at a parked site is served.
+        let rt = ChannelRuntime::new(&Echo { k: 8 }, 0);
+        for i in 0..8_000u64 {
+            rt.feed((i % 8) as usize, 1);
+        }
+        rt.quiesce();
+        let all_parked = || rt.data_txs.iter().all(|tx| tx.consumer_deep_parked());
+        wait_until("every site deep-parked", all_parked);
+        std::thread::sleep(Duration::from_millis(5));
+        assert!(all_parked(), "a site left the untimed park with no input");
+        rt.feed(3, 1);
+        wait_until("trailing element processed", || {
+            rt.progress[3].0.processed.load(Ordering::Acquire) == 1_001
+        });
+        rt.quiesce();
+        assert_eq!(rt.with_coord(|c| c.sum), 8_001);
+    }
+
+    #[test]
+    fn control_reaches_a_napping_site_without_a_data_wake() {
+        // A ping to a site that is napping — on an empty ring, or on an
+        // element pushed lazily that it has not noticed yet — is answered
+        // because the control send wakes the cell: the barrier is run
+        // straight on the coordinator, without `quiesce`'s data wake.
+        let rt = ChannelRuntime::new(&Echo { k: 1 }, 0);
+        let tx = &rt.data_txs[0];
+        let (mut fed, mut napping) = (0u64, 0u32);
+        for round in 0..100 {
+            // An element, so that the site's next idle wait naps.
+            rt.feed(0, 1);
+            fed += 1;
+            wait_until("element processed", || {
+                rt.progress[0].0.processed.load(Ordering::Acquire) == fed
+            });
+            wait_until("site idle", || {
+                tx.consumer_napping() || tx.consumer_deep_parked()
+            });
+            if round % 2 == 0 {
+                rt.feed(0, 1);
+                fed += 1;
+            }
+            napping += u32::from(tx.consumer_napping());
+            rt.on_coord(|half| half.quiesce()).unwrap();
+        }
+        assert!(napping > 0, "no ping ever met a napping site");
+        rt.quiesce();
+        assert_eq!(rt.with_coord(|c| c.sum), fed);
     }
 
     #[test]

@@ -96,11 +96,20 @@
 //! * The **coordinator never blocks on a site**: every lane is
 //!   unbounded, so it always makes progress on whatever is queued, and
 //!   it parks only when both up lanes are empty (any up or pong wakes
-//!   it).
+//!   it). Its wait is the plain spin-then-park of [`WakeCell`]; it
+//!   never naps.
 //! * A **credit-capped site** keeps serving control — pings included, so
 //!   the barrier never waits on a site that waits on credit — and parks
 //!   with its wake cell registered; the release, which must come because
 //!   the site's outstanding ups are already queued, wakes it.
+//! * A **site idle on its data ring** ([`InProcSiteLink::park_on`], the
+//!   channel runtime's wait) may nap through data pushes, and through
+//!   nothing else: every control send and every credit release calls
+//!   [`WakeCell::wake`] unconditionally, which ends a nap as it ends a
+//!   park. The lazy party is only ever the data producer, its elements
+//!   are found when the nap's timer fires, and the push that fills the
+//!   ring to the backlog threshold wakes eagerly — no wait on this
+//!   side depends on a wake that may be skipped.
 //! * **Quiesce** waits only for pongs, which a live site always sends.
 //!   A dropped site end (thread finished or panicked) sends
 //!   [`CoordEvent::Closed`], failing the round instead of hanging it; a
@@ -122,7 +131,7 @@ use crossbeam_channel::{unbounded, Sender as FrameSender};
 use crate::message::{Decode, Encode, Words};
 use crate::net::{Dest, Net, Outbox};
 use crate::protocol::{Coordinator, Site, SiteId};
-use crate::ring::{mpsc, MpscReceiver, MpscSender, WakeCell};
+use crate::ring::{mpsc, MpscReceiver, MpscSender, RingConsumer, WakeCell};
 use crate::snapshot::{snapshot_cell, CellRef, PublishFn, QueryHandle};
 use crate::stats::CommStats;
 use crate::wire::{decode_exact, encode_into, encode_to_vec, read_frame, write_frame};
@@ -393,6 +402,20 @@ impl<U, D> InProcSiteLink<U, D> {
         let wake = &self.credit.site_wake;
         wake.register();
         wake.park_while(|| rx.is_empty() && !rx.is_disconnected() && !ready());
+        true
+    }
+
+    /// [`InProcSiteLink::park_until`] an element arrives on `data` — a
+    /// ring built on [`InProcSiteLink::wake_cell`] — through the ring's
+    /// spin → nap → park wait ([`RingConsumer::wait_while_empty`]): data
+    /// pushes may be noticed a nap late, control events and credit
+    /// releases wake the cell and are served at once.
+    pub fn park_on<T>(&self, data: &mut RingConsumer<T>) -> bool {
+        let rx = &self.ctrl_rx;
+        if rx.is_disconnected() && rx.is_empty() {
+            return false;
+        }
+        data.wait_while_empty(|| rx.is_empty() && !rx.is_disconnected());
         true
     }
 }

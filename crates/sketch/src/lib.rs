@@ -44,7 +44,6 @@
 //! assert!((r - 5_000.0).abs() <= 5.0 * 0.05 * 10_000.0);
 //! ```
 
-pub mod count_min;
 pub mod exact;
 pub mod gk;
 pub mod hash;
@@ -55,7 +54,6 @@ pub mod sampling;
 pub mod space_saving;
 pub mod sticky;
 
-pub use count_min::CountMin;
 pub use gk::GkSummary;
 pub use kll::{KllSketch, KllSummary};
 pub use lossy::LossyCounting;

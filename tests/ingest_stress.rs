@@ -2,11 +2,12 @@
 //!
 //! The transport under test (`dtrack::sim::ring` + the thread-per-site
 //! runtime built on it) replaces mutex-guarded queues with SPSC rings,
-//! an atomic credit gate, and spin-then-park idling. These tests push
-//! element volumes large enough that every cold path fires thousands of
-//! times — ring wraparound, full-ring producer parking, credit
-//! exhaustion and release, consumer park/unpark — and then check the
-//! one invariant that catches every lost- or duplicated-element bug:
+//! an atomic credit gate, and spin → nap → park idling with lazy data
+//! wakes. These tests push element volumes large enough that every cold
+//! path fires thousands of times — ring wraparound, full-ring producer
+//! parking, credit exhaustion and release, consumer nap/park/unpark —
+//! and then check the one invariant that catches every lost- or
+//! duplicated-element bug:
 //! **exact element accounting** (`stats.elements == n`, per-site sums
 //! reaching the coordinator intact).
 //!
@@ -45,6 +46,49 @@ fn batched_ingest_accounts_for_every_element() {
     let stats = ex.stats();
     assert_eq!(stats.elements, n, "ingest lost or duplicated elements");
     assert!(stats.total_msgs() > 0);
+}
+
+/// Per-element path, one producer: every `feed` is one ring push whose
+/// wake is lazy while the site naps, so over a million elements the
+/// spin → nap → park wait and the watermark wake are crossed thousands
+/// of times, with probes (eager drain wake + barrier) in between. At
+/// `k = 1` the lone site also lives at the credit cap; at `k = 16` each
+/// site sees a sparse stream and naps between most arrivals. A lost
+/// wakeup is a hang (CI bounds the lane), a lost element a wrong count.
+fn per_element_feed_is_exact(k: usize) {
+    // One up per element: `up_msgs` has a single right answer.
+    let (eps, n) = (1e-9, 1_000_000u64);
+    let proto = dtrack::core::count::DeterministicCount::new(TrackingConfig::new(k, eps));
+    let rt = ChannelRuntime::new(&proto, 3);
+    for t in 0..n {
+        rt.feed((t % k as u64) as usize, t);
+        if t % 100_000 == 99_999 {
+            rt.quiesce();
+            assert_eq!(rt.with_coord(|c| c.estimate()), (t + 1) as f64);
+        }
+    }
+    rt.quiesce();
+    let stats = rt.shutdown();
+    assert_eq!(stats.elements, n, "per-element feed lost elements");
+    assert_eq!(stats.up_msgs, n, "per-element feed lost or duplicated ups");
+}
+
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "million-element per-element ingest; covered by release CI"
+)]
+fn per_element_feed_is_exact_at_k1() {
+    per_element_feed_is_exact(1);
+}
+
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "million-element per-element ingest; covered by release CI"
+)]
+fn per_element_feed_is_exact_at_k16() {
+    per_element_feed_is_exact(16);
 }
 
 /// Concurrent producers: several OS threads feeding one runtime through
