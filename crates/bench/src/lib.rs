@@ -1,7 +1,7 @@
 //! # dtrack-bench — the experiment harness
 //!
-//! Regenerates every table and figure of the paper (see DESIGN.md §3 for
-//! the experiment index and EXPERIMENTS.md for paper-vs-measured):
+//! Regenerates every table and figure of the paper. The experiment index
+//! (README.md, "Experiments", has the commands):
 //!
 //! | binary | experiment |
 //! |---|---|

@@ -113,10 +113,6 @@ impl crate::window::EpochProtocol for DeterministicCount {
     fn digest(coord: &DetCountCoord) -> Self::Digest {
         crate::window::ScalarCount(coord.estimate())
     }
-
-    fn merge(a: Self::Digest, b: &Self::Digest) -> Self::Digest {
-        a.merged(b)
-    }
 }
 
 /// Tree aggregation: each level re-runs the deterministic tracker with

@@ -304,10 +304,6 @@ impl crate::window::EpochProtocol for RandomizedCount {
     fn digest(coord: &RandCountCoord) -> Self::Digest {
         crate::window::ScalarCount(coord.estimate())
     }
-
-    fn merge(a: Self::Digest, b: &Self::Digest) -> Self::Digest {
-        a.merged(b)
-    }
 }
 
 /// Tree aggregation: each level re-runs §2.1's tracker over its own

@@ -285,10 +285,6 @@ impl crate::window::EpochProtocol for DeterministicFrequency {
     fn digest(coord: &DetFreqCoord) -> Self::Digest {
         crate::window::ItemCounts::from_pairs(coord.heavy_hitters(f64::NEG_INFINITY))
     }
-
-    fn merge(a: Self::Digest, b: &Self::Digest) -> Self::Digest {
-        a.merged(b)
-    }
 }
 
 /// Tree aggregation: each level re-runs the Misra–Gries tracker with

@@ -465,10 +465,6 @@ impl crate::window::EpochProtocol for RandomizedFrequency {
         }
         crate::window::ItemCounts::with_corrections(tracked, corrections)
     }
-
-    fn merge(a: Self::Digest, b: &Self::Digest) -> Self::Digest {
-        a.merged(b)
-    }
 }
 
 /// Tree aggregation: each level re-runs §3.1's tracker over its own
@@ -539,10 +535,6 @@ impl crate::window::EpochProtocol for UncorrectedFrequency {
 
     fn digest(coord: &RandFreqCoord) -> Self::Digest {
         <RandomizedFrequency as crate::window::EpochProtocol>::digest(coord).uncorrected()
-    }
-
-    fn merge(a: Self::Digest, b: &Self::Digest) -> Self::Digest {
-        a.merged(b)
     }
 }
 

@@ -330,10 +330,6 @@ impl crate::window::EpochProtocol for DeterministicRank {
         }
         crate::window::WeightedValues::from_points(points)
     }
-
-    fn merge(a: Self::Digest, b: &Self::Digest) -> Self::Digest {
-        a.merged(b)
-    }
 }
 
 /// Tree aggregation: each level re-runs the GK-based deterministic tracker with its

@@ -8,8 +8,10 @@
 //!   baseline (\[6\]): each site pushes a Greenwald–Khanna summary on
 //!   `(1+Θ(ε))` local growth, `O(k/ε²·logN)` communication. (The paper's
 //!   own deterministic predecessor \[29\] achieves `O(k/ε·logN·log²(1/ε))`
-//!   with a substantially more intricate protocol; see DESIGN.md §4 for
-//!   why this baseline preserves the k-vs-√k comparison.)
+//!   with a substantially more intricate protocol. Both are linear in
+//!   `k`, so the k-vs-√k scaling comparison holds against either; this
+//!   baseline's extra `1/ε` inflates the absolute gap — ROADMAP
+//!   direction 4 plans the `k/ε` comparator.)
 
 mod deterministic;
 mod randomized;

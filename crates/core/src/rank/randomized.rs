@@ -569,10 +569,6 @@ impl crate::window::EpochProtocol for RandomizedRank {
         }
         crate::window::WeightedValues::from_points(points)
     }
-
-    fn merge(a: Self::Digest, b: &Self::Digest) -> Self::Digest {
-        a.merged(b)
-    }
 }
 
 /// Tree aggregation: each level re-runs the paper's §4 randomized tracker with its

@@ -206,10 +206,6 @@ impl crate::window::EpochProtocol for ContinuousSampling {
         let w = coord.scale();
         crate::window::WeightedValues::from_points(coord.sample().map(|v| (v, w)).collect())
     }
-
-    fn merge(a: Self::Digest, b: &Self::Digest) -> Self::Digest {
-        a.merged(b)
-    }
 }
 
 impl Protocol for ContinuousSampling {

@@ -37,7 +37,7 @@
 //!    [`BUCKETS_PER_CLASS`] buckets of each span class (1, 2, 4, …
 //!    epochs). When a class overflows, its two *oldest* buckets are
 //!    digested ([`EpochProtocol::digest`]) and merged
-//!    ([`EpochProtocol::merge`]) into one bucket of twice the span — so
+//!    ([`MergeDigest::merged`]) into one bucket of twice the span — so
 //!    only `O(BUCKETS_PER_CLASS · log(W/granularity))` instances are
 //!    ever resident.
 //! 4. **Expiry.** A bucket whose newest element is older than `W` is
@@ -170,17 +170,21 @@ pub trait EpochProtocol: Protocol + Clone {
     /// Immutable summary of one closed epoch, extracted from its inner
     /// coordinator. Query capabilities are expressed by the digest type
     /// implementing [`CountDigest`] / [`FrequencyDigest`] /
-    /// [`RankDigest`].
-    type Digest: Clone + Send + 'static;
+    /// [`RankDigest`]; how two epochs combine is the digest's own
+    /// [`MergeDigest::merged`].
+    type Digest: MergeDigest + Clone + Send + 'static;
 
     /// Summarize a (finished or live) inner coordinator.
     fn digest(coord: &Self::Coord) -> Self::Digest;
+}
 
-    /// Combine the digests of two *adjacent* epochs into the digest of
-    /// their concatenation. Count, frequencies, and ranks are all
-    /// sum-decomposable over a stream partition, so this is a sum-like
-    /// merge for every digest in this module.
-    fn merge(a: Self::Digest, b: &Self::Digest) -> Self::Digest;
+/// Digests of *adjacent* epochs combine into the digest of their
+/// concatenation. Count, frequencies, and ranks are all sum-decomposable
+/// over a stream partition, so this is a sum-like merge for every digest
+/// in this module.
+pub trait MergeDigest {
+    /// This (older) epoch's digest followed by `younger`'s.
+    fn merged(self, younger: &Self) -> Self;
 }
 
 /// Digests that answer "how many elements does this epoch hold".
@@ -209,9 +213,9 @@ pub trait RankDigest {
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ScalarCount(pub f64);
 
-impl ScalarCount {
+impl MergeDigest for ScalarCount {
     /// Sum-merge with another epoch's count.
-    pub fn merged(self, other: &Self) -> Self {
+    fn merged(self, other: &Self) -> Self {
         ScalarCount(self.0 + other.0)
     }
 }
@@ -310,18 +314,6 @@ impl ItemCounts {
         }
     }
 
-    /// Sum-merge with another epoch's digest, branch by branch.
-    pub fn merged(self, other: &Self) -> Self {
-        let mut tracked = self.tracked;
-        tracked.extend_from_slice(&other.tracked);
-        let mut corrections = self.corrections;
-        corrections.extend_from_slice(&other.corrections);
-        Self {
-            tracked: normalize_pairs(tracked),
-            corrections: normalize_pairs(corrections),
-        }
-    }
-
     /// This digest with the correction branch dropped entirely — the
     /// **ablation arm**, the windowed analogue of the paper's biased
     /// eq. (2) estimator. (Strictly more biased than the pre-fix
@@ -358,6 +350,20 @@ impl ItemCounts {
     }
 }
 
+impl MergeDigest for ItemCounts {
+    /// Sum-merge with another epoch's digest, branch by branch.
+    fn merged(self, other: &Self) -> Self {
+        let mut tracked = self.tracked;
+        tracked.extend_from_slice(&other.tracked);
+        let mut corrections = self.corrections;
+        corrections.extend_from_slice(&other.corrections);
+        Self {
+            tracked: normalize_pairs(tracked),
+            corrections: normalize_pairs(corrections),
+        }
+    }
+}
+
 impl FrequencyDigest for ItemCounts {
     /// Counter branch plus correction branch: the full eq. (4)
     /// estimator for `item`, 0 only if the epoch neither countered nor
@@ -385,14 +391,6 @@ impl WeightedValues {
         Self(points)
     }
 
-    /// Concatenation-merge with another epoch's points.
-    pub fn merged(self, other: &Self) -> Self {
-        let mut all = self.0;
-        all.extend_from_slice(&other.0);
-        all.sort_unstable_by_key(|&(v, _)| v);
-        Self(all)
-    }
-
     /// Number of stored points.
     pub fn len(&self) -> usize {
         self.0.len()
@@ -408,6 +406,16 @@ impl WeightedValues {
     /// (`crate::topology::CdfCursor`).
     pub fn points(&self) -> &[(u64, f64)] {
         &self.0
+    }
+}
+
+impl MergeDigest for WeightedValues {
+    /// Concatenation-merge with another epoch's points.
+    fn merged(self, other: &Self) -> Self {
+        let mut all = self.0;
+        all.extend_from_slice(&other.0);
+        all.sort_unstable_by_key(|&(v, _)| v);
+        Self(all)
     }
 }
 
@@ -919,12 +927,6 @@ impl<P: EpochProtocol> WinCoord<P> {
         self.closed.len()
     }
 
-    /// The live epoch's inner coordinator, for advanced queries against
-    /// the freshest partial epoch.
-    pub fn live(&self) -> &P::Coord {
-        &self.live
-    }
-
     /// Overlap fraction of a bucket with the current window.
     fn overlap(&self, b: &Bucket<P>) -> f64 {
         let cut = self.n_approx.saturating_sub(self.window);
@@ -1057,7 +1059,7 @@ impl<P: EpochProtocol> WinCoord<P> {
             let younger = self.closed.remove(j).expect("index in range");
             let older = self.closed.remove(i).expect("index in range");
             let (start, end) = (older.start, younger.end);
-            let merged = P::merge(older.into_digest(), &younger.into_digest());
+            let merged = older.into_digest().merged(&younger.into_digest());
             self.closed.insert(
                 i,
                 Bucket {
@@ -1079,15 +1081,6 @@ where
     /// counterpart of the whole-stream `estimate()`.
     pub fn windowed_count(&self) -> f64 {
         self.fold(CountDigest::count)
-    }
-
-    /// Closed-bucket layout as `(start, end, span, digest count)` rows,
-    /// oldest first — for diagnostics and white-box tests.
-    pub fn bucket_layout(&self) -> Vec<(u64, u64, u64, f64)> {
-        self.closed
-            .iter()
-            .map(|b| (b.start, b.end, b.span, b.with_digest(CountDigest::count)))
-            .collect()
     }
 }
 

@@ -87,12 +87,12 @@ use crate::exec::faults::{
     draw_failed_attempts, fault_seed, link_stream, ChurnSchedule, FaultPlan, FaultStats, DUP_LAG,
     RETRY_TICKS, STRAGGLER_SITE,
 };
-use crate::message::Words;
-use crate::net::{Dest, Net, Outbox};
-use crate::protocol::{Coordinator, Protocol, Site, SiteId};
+use crate::net::Outbox;
+use crate::protocol::{Protocol, Site, SiteId};
 use crate::rng::{rng_from_seed, splitmix64};
-use crate::snapshot::{snapshot_cell, CellRef, PublishFn, QueryHandle};
+use crate::snapshot::QueryHandle;
 use crate::stats::{CommStats, SpaceStats};
+use crate::step::CoordCore;
 
 /// When does a message put on the wire reach its destination?
 ///
@@ -135,14 +135,16 @@ enum Ev<I, U, D> {
     /// A coordinator → site message in flight (broadcasts are expanded
     /// into `k` of these when sent, per the model's cost accounting).
     Down(SiteId, u64, D),
-    /// A duplicate copy of up-link message `seq` arriving. It carries no
-    /// payload: the endpoint's sequence dedup necessarily discards it —
-    /// the event exists to exercise and count that discard path
+    /// A duplicate copy of a link message arriving. It carries nothing,
+    /// not even its link: the endpoint's sequence dedup necessarily
+    /// discards it — the event exists to exercise and count that discard
     /// deterministically (and never touches any shared PRNG stream,
     /// which is what keeps dup-on and dup-off runs bit-identical).
-    DupUp(SiteId, u64),
-    /// A duplicate copy of down-link message `seq` arriving.
-    DupDown(SiteId, u64),
+    /// Duplicates are scheduled strictly after their primary, but churn
+    /// can park a down-link primary past its duplicate's tick, so the
+    /// primary is *not* guaranteed to have been seen yet; harmless, the
+    /// primary itself is redelivered at rejoin (at-least-once).
+    Dup,
 }
 
 /// Queue entry: ordered by `(at, seq)` so equal-time events pop FIFO.
@@ -262,16 +264,6 @@ impl<M> LinkModel<M> {
         true
     }
 
-    /// A duplicate copy of `seq` arrived: always dropped. Duplicates are
-    /// scheduled strictly after their primary, but churn can park a
-    /// down-link primary past its duplicate's delivery tick — so the
-    /// primary is *not* guaranteed to have been seen yet. That reorder
-    /// is harmless: the duplicate carries no payload, and the primary
-    /// itself is redelivered at rejoin (at-least-once).
-    fn accept_duplicate(&mut self, _seq: u64, stats: &mut FaultStats) {
-        stats.dup_dropped += 1;
-    }
-
     /// Release the next in-sequence message, if it has arrived.
     fn pop_ready(&mut self) -> Option<M> {
         let msg = self.pending.remove(&self.next_deliver)?;
@@ -299,18 +291,11 @@ struct FaultLayer<U, D> {
 type FaultLayerOf<P> =
     FaultLayer<<<P as Protocol>::Site as Site>::Up, <<P as Protocol>::Site as Site>::Down>;
 
-/// Single-threaded deterministic discrete-event executor.
-///
-/// See the [module docs](self) for the timing model and the fault-layer
-/// delivery guarantees. Like [`crate::Runner`], all accounting is exact:
-/// messages and words are charged when put on the wire, broadcasts are
-/// charged `k` messages, and per-site space is sampled after every event
-/// that touches a site.
-pub struct EventRuntime<P: Protocol> {
-    sites: Vec<P::Site>,
-    coord: P::Coord,
-    stats: CommStats,
-    space: SpaceStats,
+/// The wire between the state machines: the event queue, the virtual
+/// clock, the delivery policy and the fault layer under it. Kept apart
+/// from the sites and the coordinator core so that a step can borrow a
+/// state machine and the wire at once.
+struct Wire<P: Protocol> {
     policy: DeliveryPolicy,
     /// Seeded PRNG driving [`DeliveryPolicy::RandomDelay`] only —
     /// deliberately independent of the protocol's randomness and of
@@ -327,21 +312,98 @@ pub struct EventRuntime<P: Protocol> {
     /// Fault-injection layer; `None` keeps every hot path identical to
     /// the pre-fault runtime (no extra branches consume RNG state).
     faults: Option<Box<FaultLayerOf<P>>>,
-    /// Scratch buffers reused across events to avoid per-event allocation.
+}
+
+impl<P: Protocol> Wire<P> {
+    /// Delay in ticks for the next message put on the wire.
+    fn delay(&mut self) -> u64 {
+        let i = self.msg_seq;
+        self.msg_seq += 1;
+        match self.policy {
+            DeliveryPolicy::Instant => 0,
+            DeliveryPolicy::FixedLatency(d) => d,
+            DeliveryPolicy::RandomDelay { min, max } => {
+                // The vendored rand has no inclusive ranges; clamp so
+                // `max + 1` cannot overflow (a delay of u64::MAX − 1
+                // ticks is already "never" for any real schedule).
+                let max = max.min(u64::MAX - 1);
+                if max <= min {
+                    min
+                } else {
+                    self.delay_rng.gen_range(min..max + 1)
+                }
+            }
+            DeliveryPolicy::AdversarialReorder { window } => {
+                let w = window.max(1);
+                w - (i % w)
+            }
+        }
+    }
+
+    fn push(&mut self, at: u64, ev: EvOf<P>) {
+        let seq = self.seq;
+        self.seq += 1;
+        self.queue.push(Entry { at, seq, ev });
+    }
+
+    /// Put one message on `site`'s up- or down-link: draw its delay,
+    /// stamp and fault-schedule it when a fault layer is active (link
+    /// seq `0` otherwise), and queue `ev(link seq)` — plus the trailing
+    /// duplicate, if the link injects one.
+    fn send(&mut self, up: bool, site: SiteId, ev: impl FnOnce(u64) -> EvOf<P>) {
+        let base = self.delay();
+        let now = self.now;
+        let (seq, at, dup_at) = match self.faults.as_deref_mut() {
+            None => (0, now + base, None),
+            Some(fl) if up => fl.up[site].schedule(&fl.plan, now, base, &mut fl.stats),
+            Some(fl) => fl.down[site].schedule(&fl.plan, now, base, &mut fl.stats),
+        };
+        self.push(at, ev(seq));
+        if let Some(dup_at) = dup_at {
+            self.push(dup_at, Ev::Dup);
+        }
+    }
+
+    /// Where an arrival lands under churn: the addressed site if online,
+    /// else the next online site scanning upward among the `k` (the
+    /// element multiset is preserved — churn moves load, it never drops
+    /// data). Falls back to the addressed site if every site is offline.
+    fn reroute_for_churn(&mut self, site: SiteId, k: usize) -> SiteId {
+        let now = self.now;
+        let Some(fl) = self.faults.as_deref_mut() else {
+            return site;
+        };
+        let Some(ch) = fl.churn.as_mut() else {
+            return site;
+        };
+        if ch.online_at(site, now) {
+            return site;
+        }
+        for off in 1..k {
+            let cand = (site + off) % k;
+            if ch.online_at(cand, now) {
+                fl.stats.rerouted += 1;
+                return cand;
+            }
+        }
+        site
+    }
+}
+
+/// Single-threaded deterministic discrete-event executor.
+///
+/// See the [module docs](self) for the timing model and the fault-layer
+/// delivery guarantees. Like [`crate::Runner`], all accounting is exact:
+/// messages and words are charged when put on the wire, broadcasts are
+/// charged `k` messages, and per-site space is sampled after every event
+/// that touches a site.
+pub struct EventRuntime<P: Protocol> {
+    sites: Vec<P::Site>,
+    core: CoordCore<P::Coord>,
+    space: SpaceStats,
+    wire: Wire<P>,
+    /// Scratch buffer reused across events to avoid per-event allocation.
     outbox: Outbox<<P::Site as Site>::Up>,
-    net: Net<<P::Site as Site>::Down>,
-    /// Live-query publish hook: installed by
-    /// [`EventRuntime::query_handle`], called with the coordinator at
-    /// every arrival boundary (end of `feed`/`feed_at`) whose processing
-    /// reached the coordinator, and after `quiesce` — the event-boundary
-    /// analogue of the lock-step runner's per-apply epochs. `None` until
-    /// a handle exists.
-    publish: Option<PublishFn<P::Coord>>,
-    /// Set when the coordinator applied an up since the last publish;
-    /// arrivals that induce no coordinator traffic republish nothing.
-    coord_dirty: bool,
-    /// Cached reference to the installed snapshot cell.
-    live: Option<CellRef<P::Coord>>,
 }
 
 impl<P: Protocol> EventRuntime<P> {
@@ -359,21 +421,18 @@ impl<P: Protocol> EventRuntime<P> {
         assert_eq!(k, protocol.k(), "protocol built wrong number of sites");
         Self {
             sites,
-            coord,
-            stats: CommStats::default(),
+            core: CoordCore::new(coord),
             space: SpaceStats::new(k),
-            policy,
-            delay_rng: rng_from_seed(splitmix64(master_seed ^ 0x0DE1_1FE7_DE1A_7ED0)),
-            queue: BinaryHeap::new(),
-            now: 0,
-            seq: 0,
-            msg_seq: 0,
-            faults: None,
+            wire: Wire {
+                policy,
+                delay_rng: rng_from_seed(splitmix64(master_seed ^ 0x0DE1_1FE7_DE1A_7ED0)),
+                queue: BinaryHeap::new(),
+                now: 0,
+                seq: 0,
+                msg_seq: 0,
+                faults: None,
+            },
             outbox: Outbox::new(),
-            net: Net::new(),
-            publish: None,
-            coord_dirty: false,
-            live: None,
         }
     }
 
@@ -406,7 +465,7 @@ impl<P: Protocol> EventRuntime<P> {
                 0
             }
         };
-        rt.faults = Some(Box::new(FaultLayer {
+        rt.wire.faults = Some(Box::new(FaultLayer {
             plan,
             up: (0..k)
                 .map(|s| LinkModel::new(master_seed, s, true, extra(s)))
@@ -425,15 +484,11 @@ impl<P: Protocol> EventRuntime<P> {
         self.sites.len()
     }
 
-    /// The delivery policy this runtime was built with.
-    pub fn policy(&self) -> DeliveryPolicy {
-        self.policy
-    }
-
     /// The fault plan this runtime applies ([`FaultPlan::none`] when no
     /// fault layer is active).
     pub fn fault_plan(&self) -> FaultPlan {
-        self.faults
+        self.wire
+            .faults
             .as_ref()
             .map_or_else(FaultPlan::none, |f| f.plan)
     }
@@ -442,7 +497,7 @@ impl<P: Protocol> EventRuntime<P> {
     /// counters are disjoint from [`EventRuntime::stats`] by design —
     /// see the module docs.
     pub fn fault_stats(&self) -> Option<&FaultStats> {
-        self.faults.as_ref().map(|f| &f.stats)
+        self.wire.faults.as_ref().map(|f| &f.stats)
     }
 
     /// Mean scheduled site→coordinator delivery latency of `site`'s
@@ -450,12 +505,12 @@ impl<P: Protocol> EventRuntime<P> {
     /// assignment policies. `None` without a fault layer or before the
     /// link has carried a message.
     pub fn mean_up_latency(&self, site: SiteId) -> Option<f64> {
-        self.faults.as_ref()?.up[site].mean_latency()
+        self.wire.faults.as_ref()?.up[site].mean_latency()
     }
 
     /// Current virtual time in ticks.
     pub fn now(&self) -> u64 {
-        self.now
+        self.wire.now
     }
 
     /// Messages currently in flight (scheduled but not yet delivered).
@@ -464,12 +519,12 @@ impl<P: Protocol> EventRuntime<P> {
     /// non-empty while at least one earlier link message is still
     /// scheduled, so `in_flight() == 0` still implies fully delivered.
     pub fn in_flight(&self) -> usize {
-        self.queue.len()
+        self.wire.queue.len()
     }
 
     /// Communication statistics so far (messages charged when sent).
     pub fn stats(&self) -> &CommStats {
-        &self.stats
+        self.core.stats()
     }
 
     /// Peak per-site space so far.
@@ -482,7 +537,7 @@ impl<P: Protocol> EventRuntime<P> {
     /// messages yet; call [`EventRuntime::quiesce`] first for the state
     /// the idealized model would be in.
     pub fn coord(&self) -> &P::Coord {
-        &self.coord
+        self.core.coord()
     }
 
     /// A site, for white-box tests.
@@ -493,9 +548,9 @@ impl<P: Protocol> EventRuntime<P> {
     /// Deliver one element at the current tick, process everything due,
     /// and advance the clock by one tick.
     pub fn feed(&mut self, site: SiteId, item: <P::Site as Site>::Item) {
-        let at = self.now;
+        let at = self.wire.now;
         self.feed_at(at, site, item);
-        self.now += 1;
+        self.wire.now += 1;
     }
 
     /// Deliver one element at schedule time `at` (ticks). Any in-flight
@@ -511,39 +566,28 @@ impl<P: Protocol> EventRuntime<P> {
     /// semantics. Deterministic in either case.
     pub fn feed_at(&mut self, at: u64, site: SiteId, item: <P::Site as Site>::Item) {
         debug_assert!(site < self.sites.len());
-        let at = at.max(self.now);
-        self.push(at, Ev::Arrive(site, item));
+        let at = at.max(self.wire.now);
+        self.wire.push(at, Ev::Arrive(site, item));
         self.run_until(at);
-        if self.coord_dirty {
-            if let Some(publish) = self.publish.as_mut() {
-                publish(&self.coord);
-            }
-            self.coord_dirty = false;
-        }
+        self.core.publish_stale();
     }
 
     /// Create (or clone) a lock-free live-query handle over the
-    /// coordinator. Once a handle exists, every arrival boundary at which
-    /// the coordinator applied an update (and every
-    /// [`EventRuntime::quiesce`]) publishes a fresh snapshot epoch;
-    /// under a delayed policy the snapshot reflects exactly what the
-    /// coordinator has applied so far, in-flight messages excluded — the
-    /// same staleness [`EventRuntime::coord`] documents. Installing a
+    /// coordinator. Once a handle exists, every arrival boundary (end of
+    /// `feed`/`feed_at`) at which the coordinator applied an update, and
+    /// every [`EventRuntime::quiesce`], publishes a fresh snapshot epoch —
+    /// the event-boundary analogue of the lock-step runner's per-element
+    /// epochs; arrivals that induce no coordinator traffic republish
+    /// nothing. Under a delayed policy the snapshot reflects exactly what
+    /// the coordinator has applied so far, in-flight messages excluded —
+    /// the same staleness [`EventRuntime::coord`] documents. Installing a
     /// handle never changes protocol behavior: messages, words, fault
     /// schedules and coordinator state stay bit-identical.
     pub fn query_handle(&mut self) -> QueryHandle<P::Coord>
     where
         P::Coord: Clone + Send + Sync + 'static,
     {
-        if let Some(cell) = &self.live {
-            return cell.handle();
-        }
-        let (mut publisher, handle) = snapshot_cell(self.coord.clone());
-        self.live = Some(handle.cell_ref());
-        self.publish = Some(Box::new(move |coord: &P::Coord| {
-            publisher.publish(coord.clone())
-        }));
-        handle
+        self.core.query_handle()
     }
 
     /// Deliver every in-flight message, advancing the clock as needed —
@@ -553,7 +597,7 @@ impl<P: Protocol> EventRuntime<P> {
     /// duplicate discarded, every parked delivery replayed).
     pub fn quiesce(&mut self) {
         self.run_until(u64::MAX);
-        if let Some(fl) = &self.faults {
+        if let Some(fl) = &self.wire.faults {
             debug_assert!(
                 fl.up.iter().all(|l| l.pending.is_empty())
                     && fl.down.iter().all(|l| l.pending.is_empty()),
@@ -561,80 +605,7 @@ impl<P: Protocol> EventRuntime<P> {
                  was never delivered"
             );
         }
-        if let Some(publish) = self.publish.as_mut() {
-            publish(&self.coord);
-        }
-        self.coord_dirty = false;
-    }
-
-    /// Delay in ticks for the next message put on the wire.
-    fn delay(&mut self) -> u64 {
-        let i = self.msg_seq;
-        self.msg_seq += 1;
-        match self.policy {
-            DeliveryPolicy::Instant => 0,
-            DeliveryPolicy::FixedLatency(d) => d,
-            DeliveryPolicy::RandomDelay { min, max } => {
-                // The vendored rand has no inclusive ranges; clamp so
-                // `max + 1` cannot overflow (a delay of u64::MAX − 1
-                // ticks is already "never" for any real schedule).
-                let max = max.min(u64::MAX - 1);
-                if max <= min {
-                    min
-                } else {
-                    self.delay_rng.gen_range(min..max + 1)
-                }
-            }
-            DeliveryPolicy::AdversarialReorder { window } => {
-                let w = window.max(1);
-                w - (i % w)
-            }
-        }
-    }
-
-    fn push(&mut self, at: u64, ev: EvOf<P>) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.queue.push(Entry { at, seq, ev });
-    }
-
-    /// Stamp and fault-schedule one link message; the caller pushes the
-    /// returned `(seq, at, dup_at)`. Only called with a fault layer.
-    fn fault_schedule(&mut self, up: bool, site: SiteId, base: u64) -> (u64, u64, Option<u64>) {
-        let now = self.now;
-        let fl = self.faults.as_deref_mut().expect("fault layer");
-        let plan = fl.plan;
-        if up {
-            fl.up[site].schedule(&plan, now, base, &mut fl.stats)
-        } else {
-            fl.down[site].schedule(&plan, now, base, &mut fl.stats)
-        }
-    }
-
-    /// Where an arrival lands under churn: the addressed site if online,
-    /// else the next online site scanning upward (the element multiset
-    /// is preserved — churn moves load, it never drops data). Falls back
-    /// to the addressed site if every site is offline.
-    fn reroute_for_churn(&mut self, site: SiteId) -> SiteId {
-        let k = self.sites.len();
-        let now = self.now;
-        let Some(fl) = self.faults.as_deref_mut() else {
-            return site;
-        };
-        let Some(ch) = fl.churn.as_mut() else {
-            return site;
-        };
-        if ch.online_at(site, now) {
-            return site;
-        }
-        for off in 1..k {
-            let cand = (site + off) % k;
-            if ch.online_at(cand, now) {
-                fl.stats.rerouted += 1;
-                return cand;
-            }
-        }
-        site
+        self.core.publish();
     }
 
     /// Process every queued event with timestamp ≤ `t` in `(at, seq)`
@@ -643,14 +614,15 @@ impl<P: Protocol> EventRuntime<P> {
         // Safety valve against protocols that ping-pong forever: a
         // pending event may legitimately cascade into at most ~64 rounds
         // of ≤ (k+2) messages each (same budget as Runner's
-        // max_rounds_per_event), so total pops are bounded by a multiple
+        // MAX_ROUNDS_PER_EVENT), so total pops are bounded by a multiple
         // of the initial backlog. Fault-layer re-parks are transport
         // deferrals, not protocol cascades, and are excluded from the
         // count.
-        let per_event = 1 + 64 * (self.sites.len() as u64 + 2);
-        let cap = (self.queue.len() as u64 + 1).saturating_mul(per_event);
+        let k = self.sites.len();
+        let per_event = 1 + 64 * (k as u64 + 2);
+        let cap = (self.wire.queue.len() as u64 + 1).saturating_mul(per_event);
         let mut pops = 0u64;
-        while let Some(head) = self.queue.peek() {
+        while let Some(head) = self.wire.queue.peek() {
             if head.at > t {
                 break;
             }
@@ -659,171 +631,99 @@ impl<P: Protocol> EventRuntime<P> {
                 pops <= cap,
                 "protocol failed to quiesce within {cap} events"
             );
-            let Entry { at, ev, .. } = self.queue.pop().expect("peeked");
-            if at > self.now {
-                self.now = at;
+            let Entry { at, ev, .. } = self.wire.queue.pop().expect("peeked");
+            if at > self.wire.now {
+                self.wire.now = at;
             }
             match ev {
                 Ev::Arrive(site, item) => {
-                    let site = self.reroute_for_churn(site);
-                    self.stats.elements += 1;
+                    let site = self.wire.reroute_for_churn(site, k);
+                    self.core.stats_mut().elements += 1;
                     self.sites[site].on_item(&item, &mut self.outbox);
-                    self.space.observe(site, self.sites[site].space_words());
                     self.flush_site(site);
                 }
                 Ev::Up(from, link_seq, up) => {
-                    // `coord_dirty` is set only when an up is actually
-                    // applied: ups the fault layer drops/dedups/defers must
-                    // not burn a publish epoch on unchanged state.
-                    if self.faults.is_some() {
-                        let fl = self.faults.as_deref_mut().expect("fault layer");
+                    // Only an up that is actually applied marks the
+                    // snapshot stale: ups the fault layer drops, dedups or
+                    // defers must not burn a publish epoch on unchanged
+                    // state.
+                    if let Some(fl) = self.wire.faults.as_deref_mut() {
                         if !fl.up[from].accept(link_seq, up, &mut fl.stats) {
                             continue;
                         }
                         loop {
-                            let fl = self.faults.as_deref_mut().expect("fault layer");
+                            let fl = self.wire.faults.as_deref_mut().expect("fault layer");
                             let Some(msg) = fl.up[from].pop_ready() else {
                                 break;
                             };
-                            self.coord_dirty = true;
-                            self.coord.on_message(from, &msg, &mut self.net);
-                            self.flush_coord();
+                            self.apply_up(from, &msg);
                         }
                     } else {
-                        self.coord_dirty = true;
-                        self.coord.on_message(from, &up, &mut self.net);
-                        self.flush_coord();
+                        self.apply_up(from, &up);
                     }
                 }
                 Ev::Down(to, link_seq, down) => {
-                    if self.faults.is_some() {
+                    if let Some(fl) = self.wire.faults.as_deref_mut() {
                         // Park deliveries to an offline site until its
                         // rejoin tick (transport retry, not a cascade).
-                        let park = {
-                            let fl = self.faults.as_deref_mut().expect("fault layer");
-                            match fl.churn.as_mut() {
-                                Some(ch) => {
-                                    if ch.online_at(to, at) {
-                                        None
-                                    } else {
-                                        fl.stats.parked += 1;
-                                        Some(ch.rejoin_after(to, at))
-                                    }
-                                }
-                                None => None,
+                        if let Some(ch) = fl.churn.as_mut() {
+                            if !ch.online_at(to, at) {
+                                fl.stats.parked += 1;
+                                let rejoin = ch.rejoin_after(to, at);
+                                self.wire.push(rejoin, Ev::Down(to, link_seq, down));
+                                pops -= 1;
+                                continue;
                             }
-                        };
-                        if let Some(rejoin) = park {
-                            self.push(rejoin, Ev::Down(to, link_seq, down));
-                            pops -= 1;
-                            continue;
                         }
-                        let fl = self.faults.as_deref_mut().expect("fault layer");
                         if !fl.down[to].accept(link_seq, down, &mut fl.stats) {
                             continue;
                         }
                         loop {
-                            let fl = self.faults.as_deref_mut().expect("fault layer");
+                            let fl = self.wire.faults.as_deref_mut().expect("fault layer");
                             let Some(msg) = fl.down[to].pop_ready() else {
                                 break;
                             };
                             self.sites[to].on_message(&msg, &mut self.outbox);
-                            self.space.observe(to, self.sites[to].space_words());
                             self.flush_site(to);
                         }
                     } else {
                         self.sites[to].on_message(&down, &mut self.outbox);
-                        self.space.observe(to, self.sites[to].space_words());
                         self.flush_site(to);
                     }
                 }
-                Ev::DupUp(from, link_seq) => {
-                    let fl = self.faults.as_deref_mut().expect("dup without faults");
-                    fl.up[from].accept_duplicate(link_seq, &mut fl.stats);
-                }
-                Ev::DupDown(to, link_seq) => {
-                    let fl = self.faults.as_deref_mut().expect("dup without faults");
-                    fl.down[to].accept_duplicate(link_seq, &mut fl.stats);
+                Ev::Dup => {
+                    let fl = self.wire.faults.as_deref_mut().expect("dup without faults");
+                    fl.stats.dup_dropped += 1;
                 }
             }
         }
     }
 
-    /// Put a site's pending upstream messages on the wire.
+    /// After a step of site `from`: sample its space and put its pending
+    /// upstream messages on the wire, charged as sent.
     fn flush_site(&mut self, from: SiteId) {
-        if self.outbox.is_empty() {
-            return;
+        self.space.observe(from, self.sites[from].space_words());
+        for up in self.outbox.drain() {
+            self.core.stats_mut().charge_up(&up);
+            self.wire.send(true, from, |seq| Ev::Up(from, seq, up));
         }
-        let mut outbox = std::mem::take(&mut self.outbox);
-        for up in outbox.drain() {
-            self.stats.up_msgs += 1;
-            self.stats.up_words += up.words();
-            self.stats.up_bytes += up.wire_bytes();
-            let base = self.delay();
-            if self.faults.is_some() {
-                let (seq, at, dup_at) = self.fault_schedule(true, from, base);
-                self.push(at, Ev::Up(from, seq, up));
-                if let Some(d) = dup_at {
-                    self.push(d, Ev::DupUp(from, seq));
-                }
-            } else {
-                let at = self.now + base;
-                self.push(at, Ev::Up(from, 0, up));
-            }
-        }
-        self.outbox = outbox; // hand the (empty) buffer back for reuse
     }
 
-    /// Put the coordinator's pending downstream messages on the wire,
-    /// expanding broadcasts into `k` deliveries (charged `k` messages).
-    fn flush_coord(&mut self) {
-        if self.net.is_empty() {
-            return;
-        }
-        let mut net = std::mem::take(&mut self.net);
-        for (dest, down) in net.drain() {
-            match dest {
-                Dest::Site(to) => {
-                    self.stats.down_msgs += 1;
-                    self.stats.down_words += down.words();
-                    self.stats.down_bytes += down.wire_bytes();
-                    self.send_down(to, down);
-                }
-                Dest::Broadcast => {
-                    self.stats.broadcast_events += 1;
-                    let k = self.sites.len() as u64;
-                    self.stats.down_msgs += k;
-                    self.stats.down_words += k * down.words();
-                    self.stats.down_bytes += k * down.wire_bytes();
-                    for to in 0..self.sites.len() {
-                        self.send_down(to, down.clone());
-                    }
-                }
-            }
-        }
-        self.net = net;
-    }
-
-    /// Schedule one coordinator→site delivery (shared by unicast and
-    /// broadcast expansion).
-    fn send_down(&mut self, to: SiteId, down: <P::Site as Site>::Down) {
-        let base = self.delay();
-        if self.faults.is_some() {
-            let (seq, at, dup_at) = self.fault_schedule(false, to, base);
-            self.push(at, Ev::Down(to, seq, down));
-            if let Some(d) = dup_at {
-                self.push(d, Ev::DupDown(to, seq));
-            }
-        } else {
-            let at = self.now + base;
-            self.push(at, Ev::Down(to, 0, down));
-        }
+    /// Apply one up at the coordinator; its downs go on the wire, one
+    /// delivery per receiving site.
+    fn apply_up(&mut self, from: SiteId, up: &<P::Site as Site>::Up) {
+        let wire = &mut self.wire;
+        self.core.apply(self.sites.len(), from, up, |to, down| {
+            wire.send(false, to, |seq| Ev::Down(to, seq, down.clone()));
+        });
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::net::Net;
+    use crate::protocol::Coordinator;
     use crate::runner::Runner;
 
     /// Toy protocol mirroring the one in `runner::tests`: every 2nd

@@ -188,9 +188,13 @@ pub trait Executor<P: Protocol> {
     ///   counts, words and coordinator state stay bit-identical (the
     ///   executor only clones coordinator state into the cell).
     ///
-    /// Repeated calls return clones of one shared cell. Each clone owns
-    /// its own hazard slot: clone per reader thread rather than sharing
-    /// one handle.
+    /// One hook serves all three — the
+    /// [`LiveQuery`](crate::snapshot::LiveQuery) in each executor's
+    /// [`CoordCore`](crate::step::CoordCore); an executor owns only the
+    /// cadence above. The first call creates the cell (nothing is cloned
+    /// before it), repeated calls return handles of that one cell. Each
+    /// handle owns its own hazard slot: clone per reader thread rather
+    /// than sharing one handle.
     fn query_handle(&mut self) -> QueryHandle<P::Coord>
     where
         P::Coord: Clone + Send + Sync + 'static;

@@ -91,7 +91,7 @@
 use std::collections::VecDeque;
 
 use crate::message::Words;
-use crate::net::{Dest, Net, Outbox};
+use crate::net::{Net, Outbox};
 use crate::protocol::{Coordinator, Protocol, Site, SiteId};
 use crate::rng::splitmix64;
 
@@ -457,7 +457,7 @@ type PendingQueue<P> =
     VecDeque<Pending<<<P as Protocol>::Site as Site>::Up, <<P as Protocol>::Site as Site>::Down>>;
 
 /// Safety valve against protocol-bug message storms, mirroring the
-/// runner's `max_rounds_per_event`: one external apply should settle in
+/// runner's `MAX_ROUNDS_PER_EVENT`: one external apply should settle in
 /// a handful of internal rounds.
 const MAX_INTERNAL_EVENTS: usize = 1 << 20;
 
@@ -582,11 +582,7 @@ impl<P: TreeProtocol> TreeCoord<P> {
             coord.on_message(child, msg, &mut lnet);
         }
         for (dest, down) in lnet.drain() {
-            let targets: Box<dyn Iterator<Item = usize>> = match dest {
-                Dest::Site(c) => Box::new(std::iter::once(c)),
-                Dest::Broadcast => Box::new(0..child_count),
-            };
-            for c in targets {
+            for c in dest.targets(child_count) {
                 if level == 1 {
                     // Children are the real leaf sites: hand the
                     // message to the executor (which accounts the

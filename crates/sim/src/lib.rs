@@ -65,6 +65,7 @@ pub mod runner;
 pub mod runtime;
 pub mod snapshot;
 pub mod stats;
+pub mod step;
 pub mod transport;
 pub mod wire;
 
@@ -76,8 +77,9 @@ pub use message::{Decode, Encode, Words};
 pub use net::{Dest, Net, Outbox};
 pub use protocol::{Coordinator, Protocol, Site, SiteId};
 pub use runner::Runner;
-pub use snapshot::{snapshot_cell, CellRef, QueryHandle, Snapshot, SnapshotPublisher};
+pub use snapshot::{snapshot_cell, LiveQuery, QueryHandle, Snapshot, SnapshotPublisher};
 pub use stats::{CommStats, SpaceStats};
+pub use step::CoordCore;
 pub use transport::{
     in_process_links, CoordHalf, CoordLink, SiteHalf, SiteLink, TcpCoordLink, TcpSiteLink,
 };

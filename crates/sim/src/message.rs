@@ -62,7 +62,7 @@ pub trait Words {
 /// structurally: one varint (or fixed field) per word-model integer,
 /// one varint length prefix per length word, one tag byte per enum
 /// dispatch. `encode ∘ decode = id` is property-tested for every
-/// protocol message type (`tests/proptests.rs`).
+/// protocol message type (`crates/core/tests/wire_roundtrip.rs`).
 pub trait Encode {
     /// Append this value's encoding to `w`.
     fn encode(&self, w: &mut crate::wire::WireWriter);

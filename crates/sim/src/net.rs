@@ -55,6 +55,16 @@ pub enum Dest {
     Broadcast,
 }
 
+impl Dest {
+    /// The sites a send to this destination reaches, among `k`.
+    pub fn targets(self, k: usize) -> std::ops::Range<SiteId> {
+        match self {
+            Dest::Site(to) => to..to + 1,
+            Dest::Broadcast => 0..k,
+        }
+    }
+}
+
 /// Downstream sink: messages the coordinator wants delivered to sites.
 /// `Clone` lets coordinators that embed a scratch `Net` (and the windowed
 /// adapter's `WinCoord`) be cloned into live-query snapshots.
@@ -116,6 +126,13 @@ mod tests {
         let drained: Vec<u64> = o.drain().collect();
         assert_eq!(drained, vec![1, 2]);
         assert!(o.is_empty());
+    }
+
+    #[test]
+    fn targets_are_one_site_or_all_k() {
+        assert_eq!(Dest::Site(3).targets(5), 3..4);
+        assert_eq!(Dest::Broadcast.targets(5), 0..5);
+        assert!(Dest::Broadcast.targets(0).is_empty());
     }
 
     #[test]

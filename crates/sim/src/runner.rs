@@ -5,35 +5,23 @@
 //! down to sites, and any replies those trigger — are delivered to
 //! quiescence before the next element is admitted.
 
-use crate::message::Words;
-use crate::net::{Dest, Net, Outbox};
-use crate::protocol::{Coordinator, Protocol, Site, SiteId};
-use crate::snapshot::{snapshot_cell, CellRef, PublishFn, QueryHandle};
+use crate::net::Outbox;
+use crate::protocol::{Protocol, Site, SiteId};
+use crate::snapshot::QueryHandle;
 use crate::stats::{CommStats, SpaceStats};
+use crate::step::CoordCore;
+
+/// Safety valve against protocols that ping-pong forever: up → down →
+/// reply rounds one element may induce.
+const MAX_ROUNDS_PER_EVENT: u32 = 64;
 
 /// Lock-step executor for a tracking protocol.
 pub struct Runner<P: Protocol> {
     sites: Vec<P::Site>,
-    coord: P::Coord,
-    stats: CommStats,
+    core: CoordCore<P::Coord>,
     space: SpaceStats,
-    /// Scratch buffers reused across events to avoid per-element allocation.
+    /// Scratch buffer reused across events to avoid per-element allocation.
     outbox: Outbox<<P::Site as Site>::Up>,
-    net: Net<<P::Site as Site>::Down>,
-    /// Safety valve against protocols that ping-pong forever.
-    max_rounds_per_event: u32,
-    /// Live-query publish hook: installed by [`Runner::query_handle`],
-    /// called with the coordinator after an element whose drain reached
-    /// the coordinator (one snapshot epoch per coordinator apply). `None`
-    /// until a handle exists — the feed fast paths then pay nothing.
-    publish: Option<PublishFn<P::Coord>>,
-    /// Set by [`Runner::drain_from`] when the coordinator applied at
-    /// least one up since the last publish; elements that induce no
-    /// communication republish nothing (the snapshot is already current).
-    coord_dirty: bool,
-    /// Cached reference to the installed snapshot cell; later
-    /// [`Runner::query_handle`] calls mint fresh handles from it.
-    live: Option<CellRef<P::Coord>>,
 }
 
 impl<P: Protocol> Runner<P> {
@@ -45,15 +33,9 @@ impl<P: Protocol> Runner<P> {
         assert_eq!(k, protocol.k(), "protocol built wrong number of sites");
         Self {
             sites,
-            coord,
-            stats: CommStats::default(),
+            core: CoordCore::new(coord),
             space: SpaceStats::new(k),
             outbox: Outbox::new(),
-            net: Net::new(),
-            max_rounds_per_event: 64,
-            publish: None,
-            coord_dirty: false,
-            live: None,
         }
     }
 
@@ -64,7 +46,7 @@ impl<P: Protocol> Runner<P> {
 
     /// Communication statistics so far.
     pub fn stats(&self) -> &CommStats {
-        &self.stats
+        self.core.stats()
     }
 
     /// Peak per-site space so far.
@@ -74,7 +56,7 @@ impl<P: Protocol> Runner<P> {
 
     /// The coordinator, for protocol-specific queries.
     pub fn coord(&self) -> &P::Coord {
-        &self.coord
+        self.core.coord()
     }
 
     /// A site, for white-box tests.
@@ -85,19 +67,20 @@ impl<P: Protocol> Runner<P> {
     /// Deliver one element to `site` and drain all induced communication.
     pub fn feed(&mut self, site: SiteId, item: &<P::Site as Site>::Item) {
         debug_assert!(site < self.sites.len());
-        self.stats.elements += 1;
+        self.core.stats_mut().elements += 1;
         self.sites[site].on_item(item, &mut self.outbox);
         self.space.observe(site, self.sites[site].space_words());
         self.drain_from(site);
-        self.publish_if_dirty();
+        self.core.publish_stale();
     }
 
     /// Create (or clone) a lock-free live-query handle over the
     /// coordinator. Once a handle exists, every element boundary at which
-    /// the coordinator applied an update publishes a fresh snapshot epoch,
-    /// so readers on other threads lag ingest by at most one element;
-    /// [`Runner::publish_now`] (called by the [`crate::exec::Executor`]
-    /// `quiesce` impl) republishes on demand.
+    /// the coordinator applied an update publishes a fresh snapshot epoch
+    /// (elements that induce no communication republish nothing — the
+    /// snapshot is already current), so readers on other threads lag
+    /// ingest by at most one element; [`Runner::publish_now`] (called by
+    /// the [`crate::exec::Executor`] `quiesce` impl) republishes on demand.
     ///
     /// Installing a handle never changes protocol behavior — messages,
     /// words and coordinator state stay bit-identical; the runner merely
@@ -106,58 +89,13 @@ impl<P: Protocol> Runner<P> {
     where
         P::Coord: Clone + Send + Sync + 'static,
     {
-        if let Some(cell) = &self.live {
-            return cell.handle();
-        }
-        let (mut publisher, handle) = snapshot_cell(self.coord.clone());
-        self.live = Some(handle.cell_ref());
-        self.publish = Some(Box::new(move |coord: &P::Coord| {
-            publisher.publish(coord.clone())
-        }));
-        handle
+        self.core.query_handle()
     }
 
     /// Publish the current coordinator state as a fresh snapshot epoch, if
     /// a live-query handle is installed (no-op otherwise).
     pub fn publish_now(&mut self) {
-        if let Some(publish) = self.publish.as_mut() {
-            publish(&self.coord);
-        }
-        self.coord_dirty = false;
-    }
-
-    /// Publish only if the coordinator changed since the last publish —
-    /// the cadence of every feed path, keeping snapshot epochs aligned
-    /// with coordinator applies (and feed cost at zero clones while the
-    /// protocol stays silent).
-    fn publish_if_dirty(&mut self) {
-        if self.coord_dirty {
-            if let Some(publish) = self.publish.as_mut() {
-                publish(&self.coord);
-            }
-            self.coord_dirty = false;
-        }
-    }
-
-    /// Deliver a stream of `(site, item)` pairs.
-    pub fn feed_stream<'a, I>(&mut self, stream: I)
-    where
-        I: IntoIterator<Item = (SiteId, &'a <P::Site as Site>::Item)>,
-        <P::Site as Site>::Item: 'a,
-    {
-        for (site, item) in stream {
-            self.feed(site, item);
-        }
-    }
-
-    /// Deliver owned `(site, item)` pairs.
-    pub fn feed_stream_owned<I>(&mut self, stream: I)
-    where
-        I: IntoIterator<Item = (SiteId, <P::Site as Site>::Item)>,
-    {
-        for (site, item) in stream {
-            self.feed(site, &item);
-        }
+        self.core.publish();
     }
 
     /// Batched fast path over [`Runner::feed`]: identical message-level
@@ -199,64 +137,41 @@ impl<P: Protocol> Runner<P> {
                     }
                 }
             }
-            self.stats.elements += (i - run_start) as u64;
+            self.core.stats_mut().elements += (i - run_start) as u64;
             self.space.observe(site, self.sites[site].space_words());
             if !self.outbox.is_empty() {
                 self.drain_from(site);
             }
         }
-        self.publish_if_dirty();
+        self.core.publish_stale();
     }
 
     /// Drain messages starting from `origin`'s outbox until the system is
-    /// quiescent. Rounds alternate: ups → coordinator → downs → sites → ups…
+    /// quiescent. Rounds alternate: each up of a round is applied and its
+    /// downs delivered into the sites; their replies are the next round.
     fn drain_from(&mut self, origin: SiteId) {
-        // (site, up-message) queue for the current round.
+        let k = self.sites.len();
+        let (sites, space, outbox) = (&mut self.sites, &mut self.space, &mut self.outbox);
+        // (site, up-message) queues of the current and the next round.
         let mut ups: Vec<(SiteId, <P::Site as Site>::Up)> =
-            self.outbox.drain().map(|m| (origin, m)).collect();
+            outbox.drain().map(|m| (origin, m)).collect();
+        let mut replies = Vec::new();
         let mut rounds = 0;
         while !ups.is_empty() {
             rounds += 1;
             assert!(
-                rounds <= self.max_rounds_per_event,
-                "protocol failed to quiesce within {} rounds",
-                self.max_rounds_per_event
+                rounds <= MAX_ROUNDS_PER_EVENT,
+                "protocol failed to quiesce within {MAX_ROUNDS_PER_EVENT} rounds"
             );
-            // Deliver ups to the coordinator.
             for (from, up) in ups.drain(..) {
-                self.stats.up_msgs += 1;
-                self.stats.up_words += up.words();
-                self.stats.up_bytes += up.wire_bytes();
-                self.coord.on_message(from, &up, &mut self.net);
-                self.coord_dirty = true;
+                self.core.stats_mut().charge_up(&up);
+                self.core.apply(k, from, &up, |to, down| {
+                    sites[to].on_message(down, outbox);
+                    space.observe(to, sites[to].space_words());
+                    replies.extend(outbox.drain().map(|m| (to, m)));
+                });
             }
-            // Deliver downs (unicast/broadcast) to the sites, gathering
-            // any replies for the next round.
-            let downs: Vec<(Dest, <P::Site as Site>::Down)> = self.net.drain().collect();
-            for (dest, down) in downs {
-                match dest {
-                    Dest::Site(to) => {
-                        self.stats.down_msgs += 1;
-                        self.stats.down_words += down.words();
-                        self.stats.down_bytes += down.wire_bytes();
-                        self.sites[to].on_message(&down, &mut self.outbox);
-                        self.space.observe(to, self.sites[to].space_words());
-                        ups.extend(self.outbox.drain().map(|m| (to, m)));
-                    }
-                    Dest::Broadcast => {
-                        self.stats.broadcast_events += 1;
-                        let k = self.sites.len() as u64;
-                        self.stats.down_msgs += k;
-                        self.stats.down_words += k * down.words();
-                        self.stats.down_bytes += k * down.wire_bytes();
-                        for to in 0..self.sites.len() {
-                            self.sites[to].on_message(&down, &mut self.outbox);
-                            self.space.observe(to, self.sites[to].space_words());
-                            ups.extend(self.outbox.drain().map(|m| (to, m)));
-                        }
-                    }
-                }
-            }
+            std::mem::swap(&mut ups, &mut replies);
         }
     }
 }
@@ -264,6 +179,7 @@ impl<P: Protocol> Runner<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::net::Net;
     use crate::protocol::{Coordinator, Protocol, Site};
 
     /// Toy protocol: every c-th element triggers an up; every u-th up

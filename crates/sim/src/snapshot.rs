@@ -56,17 +56,12 @@
 //! and every executor publishes at each update boundary (see
 //! `dtrack_sim::exec`). After `quiesce()` the executors publish once more,
 //! so fresh-after-quiesce answers are bit-identical to a stop-the-world
-//! query.
+//! query. What an executor holds is a [`LiveQuery`] (inside its
+//! [`CoordCore`](crate::step::CoordCore)); it chooses only the cadence.
 
 use std::ptr;
 use std::sync::atomic::{AtomicBool, AtomicPtr, Ordering};
 use std::sync::Arc;
-
-/// A boxed publish callback installed into a single-threaded executor:
-/// called with the coordinator at an apply boundary to clone it into the
-/// snapshot cell. `Sync` as well as `Send` so the executor holding it
-/// stays shareable.
-pub type PublishFn<C> = Box<dyn FnMut(&C) + Send + Sync>;
 
 /// An immutable, epoch-stamped copy of coordinator state.
 #[derive(Debug)]
@@ -163,10 +158,11 @@ pub struct SnapshotPublisher<C> {
     epoch: u64,
 }
 
-// Moved into publish hooks that run on coordinator threads; see `Shared`.
-// `Sync` is sound because the only `&self` method (`epoch`) reads a plain
-// field — all mutation requires `&mut self`, which the borrow checker
-// keeps exclusive.
+// Held by the `LiveQuery` of whatever owns the coordinator, possibly on
+// its own thread; see `Shared`. `Sync` is sound because the `&self`
+// methods read a plain field (`epoch`) or go through the cell's atomics
+// (`handle`) — all mutation requires `&mut self`, which the borrow
+// checker keeps exclusive.
 unsafe impl<C: Send + Sync> Send for SnapshotPublisher<C> {}
 unsafe impl<C: Send + Sync> Sync for SnapshotPublisher<C> {}
 
@@ -195,13 +191,6 @@ impl<C> SnapshotPublisher<C> {
     /// Creates another reader handle for this cell.
     pub fn handle(&self) -> QueryHandle<C> {
         QueryHandle::attach(Arc::clone(&self.shared))
-    }
-
-    /// A `Sync` reference to this cell, for minting handles later.
-    pub fn cell_ref(&self) -> CellRef<C> {
-        CellRef {
-            shared: Arc::clone(&self.shared),
-        }
     }
 
     /// Frees every retired snapshot that no hazard slot currently protects.
@@ -247,6 +236,77 @@ impl<C> Drop for SnapshotPublisher<C> {
                     Err(h) => head = h,
                 }
             }
+        }
+    }
+}
+
+/// The live-query hook of a coordinator's owner: the snapshot cell, once a
+/// reader asked for one, and how many applies the published snapshot is
+/// behind. The owner reports every apply and decides *when* to publish;
+/// until the first [`LiveQuery::handle`] there is no cell and publishing
+/// clones nothing, so runs without readers pay nothing.
+pub struct LiveQuery<C> {
+    cell: Option<LiveCell<C>>,
+    stale: u32,
+}
+
+/// The cell's writer and `C::clone`, captured when the first handle is
+/// minted — the one place `C: Clone` is known.
+struct LiveCell<C> {
+    publisher: SnapshotPublisher<C>,
+    clone: fn(&C) -> C,
+}
+
+impl<C> Default for LiveQuery<C> {
+    fn default() -> Self {
+        Self {
+            cell: None,
+            stale: 0,
+        }
+    }
+}
+
+impl<C> LiveQuery<C> {
+    /// A reader handle: the first call creates the cell, seeded with
+    /// `state` at epoch 0; later calls mint handles of the same cell.
+    pub fn handle(&mut self, state: &C) -> QueryHandle<C>
+    where
+        C: Clone,
+    {
+        if let Some(cell) = &self.cell {
+            return cell.publisher.handle();
+        }
+        let (publisher, handle) = snapshot_cell(state.clone());
+        self.cell = Some(LiveCell {
+            publisher,
+            clone: C::clone,
+        });
+        handle
+    }
+
+    /// One more apply the published snapshot has not seen.
+    pub fn mark_stale(&mut self) {
+        self.stale += 1;
+    }
+
+    /// Applies since the last publish.
+    pub fn stale(&self) -> u32 {
+        self.stale
+    }
+
+    /// Publish `state` as a fresh epoch (nothing without a handle).
+    pub fn publish(&mut self, state: &C) {
+        if let Some(cell) = &mut self.cell {
+            cell.publisher.publish((cell.clone)(state));
+        }
+        self.stale = 0;
+    }
+
+    /// [`LiveQuery::publish`] if an apply happened since the last one —
+    /// epochs follow applies, and a silent protocol costs no clones.
+    pub fn publish_stale(&mut self, state: &C) {
+        if self.stale > 0 {
+            self.publish(state);
         }
     }
 }
@@ -350,37 +410,6 @@ impl<C> QueryHandle<C> {
     pub fn epoch(&self) -> u64 {
         self.read(|s| s.epoch)
     }
-
-    /// A `Sync` reference to this handle's cell, for minting handles
-    /// later (e.g. an executor caching the cell it installed).
-    pub fn cell_ref(&self) -> CellRef<C> {
-        CellRef {
-            shared: Arc::clone(&self.shared),
-        }
-    }
-}
-
-/// A shareable (`Send + Sync`) reference to a snapshot cell that can mint
-/// [`QueryHandle`]s but cannot read — the indirection executors use to
-/// cache their installed cell without giving up `Sync` (a `QueryHandle`
-/// itself is deliberately `!Sync`: its hazard slot serves one thread).
-pub struct CellRef<C> {
-    shared: Arc<Shared<C>>,
-}
-
-impl<C> CellRef<C> {
-    /// Mint a fresh reader handle (its own hazard slot) for the cell.
-    pub fn handle(&self) -> QueryHandle<C> {
-        QueryHandle::attach(Arc::clone(&self.shared))
-    }
-}
-
-impl<C> Clone for CellRef<C> {
-    fn clone(&self) -> Self {
-        CellRef {
-            shared: Arc::clone(&self.shared),
-        }
-    }
 }
 
 impl<C> Clone for QueryHandle<C> {
@@ -471,6 +500,66 @@ mod tests {
         publisher.publish(vec![1u8; 64]);
         drop(publisher);
         assert_eq!(handle.read(|s| s.state[0]), 1);
+        assert_eq!(handle.epoch(), 1);
+    }
+
+    /// A state whose `Clone` counts, to see what the live-query hook copies.
+    struct Counted<'a>(u64, &'a AtomicU64);
+
+    impl Clone for Counted<'_> {
+        fn clone(&self) -> Self {
+            self.1.fetch_add(1, Ordering::Relaxed);
+            Counted(self.0, self.1)
+        }
+    }
+
+    #[test]
+    fn live_query_without_a_handle_clones_nothing() {
+        let clones = AtomicU64::new(0);
+        let mut live = LiveQuery::default();
+        let state = Counted(7, &clones);
+        live.mark_stale();
+        live.publish_stale(&state);
+        live.publish(&state);
+        assert_eq!(clones.load(Ordering::Relaxed), 0);
+        assert_eq!(live.stale(), 0);
+    }
+
+    #[test]
+    fn live_query_first_handle_seeds_epoch_zero_and_later_handles_share_the_cell() {
+        let clones = AtomicU64::new(0);
+        let mut live = LiveQuery::default();
+        live.mark_stale(); // applies before the first handle need no publish
+        let first = live.handle(&Counted(7, &clones));
+        assert_eq!(first.read(|s| (s.epoch, s.state.0)), (0, 7));
+        assert_eq!(clones.load(Ordering::Relaxed), 1);
+
+        // A later handle clones no state: it reads the cell the first made.
+        let second = live.handle(&Counted(8, &clones));
+        assert_eq!(clones.load(Ordering::Relaxed), 1);
+        assert_eq!(second.read(|s| (s.epoch, s.state.0)), (0, 7));
+        live.publish(&Counted(9, &clones));
+        assert_eq!(first.read(|s| (s.epoch, s.state.0)), (1, 9));
+        assert_eq!(second.read(|s| (s.epoch, s.state.0)), (1, 9));
+    }
+
+    #[test]
+    fn live_query_publish_stale_after_no_apply_publishes_nothing() {
+        let clones = AtomicU64::new(0);
+        let mut live = LiveQuery::default();
+        let handle = live.handle(&Counted(1, &clones));
+        live.publish_stale(&Counted(2, &clones));
+        assert_eq!(handle.read(|s| (s.epoch, s.state.0)), (0, 1));
+        assert_eq!(clones.load(Ordering::Relaxed), 1);
+
+        live.mark_stale();
+        live.mark_stale();
+        assert_eq!(live.stale(), 2);
+        live.publish_stale(&Counted(3, &clones));
+        assert_eq!(handle.read(|s| (s.epoch, s.state.0)), (1, 3));
+        assert_eq!(live.stale(), 0);
+        // Published, so current again: nothing more to do.
+        live.publish_stale(&Counted(4, &clones));
         assert_eq!(handle.epoch(), 1);
     }
 

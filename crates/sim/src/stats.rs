@@ -1,5 +1,8 @@
 //! Communication and space accounting.
 
+use crate::message::Words;
+use crate::net::Dest;
+
 /// Exact communication statistics for one protocol execution.
 ///
 /// Upper bounds in the paper are stated in words, the lower bounds in
@@ -54,6 +57,25 @@ impl CommStats {
         } else {
             self.total_words() as f64 / self.elements as f64
         }
+    }
+
+    /// Charge one site → coordinator message.
+    pub fn charge_up<M: Words>(&mut self, msg: &M) {
+        self.up_msgs += 1;
+        self.up_words += msg.words();
+        self.up_bytes += msg.wire_bytes();
+    }
+
+    /// Charge one coordinator → site send among `k` sites: a unicast
+    /// once, a broadcast `k ×` and as one [`CommStats::broadcast_events`].
+    pub fn charge_down<M: Words>(&mut self, msg: &M, dest: Dest, k: usize) {
+        if dest == Dest::Broadcast {
+            self.broadcast_events += 1;
+        }
+        let copies = dest.targets(k).len() as u64;
+        self.down_msgs += copies;
+        self.down_words += copies * msg.words();
+        self.down_bytes += copies * msg.wire_bytes();
     }
 
     /// Accumulate another run's statistics (e.g. independent copies used
@@ -163,6 +185,44 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.total_msgs(), 4);
         assert_eq!(a.elements, 2);
+    }
+
+    #[test]
+    fn charge_down_applies_the_k_times_rule() {
+        // A 3-word message whose codec size (1 length byte + 2 + 1) is
+        // not 8 × words, so words and bytes are checked separately.
+        let msg = vec![300u64, 1];
+        let (words, bytes) = (msg.words(), msg.wire_bytes());
+        assert_eq!((words, bytes), (3, 4));
+
+        let mut s = CommStats::default();
+        s.charge_down(&msg, Dest::Broadcast, 5);
+        let broadcast = CommStats {
+            down_msgs: 5,
+            down_words: 5 * words,
+            down_bytes: 5 * bytes,
+            broadcast_events: 1,
+            ..CommStats::default()
+        };
+        assert_eq!(s, broadcast);
+
+        s.charge_down(&msg, Dest::Site(3), 5);
+        let both = CommStats {
+            down_msgs: 6,
+            down_words: 6 * words,
+            down_bytes: 6 * bytes,
+            ..broadcast
+        };
+        assert_eq!(s, both);
+
+        s.charge_up(&msg);
+        let with_up = CommStats {
+            up_msgs: 1,
+            up_words: words,
+            up_bytes: bytes,
+            ..both
+        };
+        assert_eq!(s, with_up);
     }
 
     #[test]

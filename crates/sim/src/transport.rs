@@ -10,8 +10,9 @@
 //!   link's fairness gate honored, ups flushed with urgent routing
 //!   ([`Words::urgent`]), words *and* bytes charged on send.
 //! * [`CoordHalf`] — the coordinator's apply loop: events taken urgent
-//!   lane first, each up applied and its downs fanned out (a broadcast
-//!   charges `k ×`), live-query snapshots published on one cadence
+//!   lane first, each up applied through the shared coordinator step
+//!   ([`CoordCore::apply`]: a broadcast charges `k ×`) with its downs put
+//!   on the link, live-query snapshots published on one cadence
 //!   ([`CoordHalf::query_handle`]), and the ping/pong quiesce barrier
 //!   ([`CoordHalf::quiesce`]).
 //!
@@ -31,7 +32,10 @@
 //!   backlogs inside one — and the coordinator runs one reader thread
 //!   per stream plus one writer thread per peer (a slow site's TCP
 //!   window can never block the coordinator's apply loop; downs queue
-//!   in the writer's unbounded buffer instead).
+//!   in the writer's unbounded buffer instead). Those buffers, a site's
+//!   decoded events and the spent payloads handed back are
+//!   `std::sync::mpsc` channels; the coordinator-inbound lanes are the
+//!   lock-free ones both link implementations share.
 //!
 //! Links are reliable — every message is delivered **exactly once**,
 //! FIFO per lane and sender; the only nondeterminism is cross-site
@@ -123,17 +127,17 @@ use std::io::{self};
 use std::marker::PhantomData;
 use std::net::{Shutdown, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use crossbeam_channel::{unbounded, Sender as FrameSender};
-
 use crate::message::{Decode, Encode, Words};
-use crate::net::{Dest, Net, Outbox};
+use crate::net::{Dest, Outbox};
 use crate::protocol::{Coordinator, Site, SiteId};
 use crate::ring::{mpsc, MpscReceiver, MpscSender, RingConsumer, WakeCell};
-use crate::snapshot::{snapshot_cell, CellRef, PublishFn, QueryHandle};
+use crate::snapshot::QueryHandle;
 use crate::stats::CommStats;
+use crate::step::CoordCore;
 use crate::wire::{decode_exact, encode_into, encode_to_vec, read_frame, write_frame};
 
 /// Frame kinds (the transport-level routing byte of
@@ -558,7 +562,7 @@ fn invalid(msg: impl Into<Box<dyn std::error::Error + Send + Sync>>) -> io::Erro
 pub struct TcpSiteLink<U, D> {
     data_w: TcpStream,
     urgent_w: TcpStream,
-    events: crossbeam_channel::Receiver<SiteEvent<D>>,
+    events: Receiver<SiteEvent<D>>,
     reader: Option<JoinHandle<()>>,
     /// Encode buffer reused by every `send_up`.
     scratch: Vec<u8>,
@@ -579,7 +583,7 @@ impl<U: Encode, D: Decode + Send + 'static> TcpSiteLink<U, D> {
         urgent.set_nodelay(true)?;
         write_frame(&mut urgent, kind::HELLO, &hello_payload(id, LANE_URGENT))?;
 
-        let (tx, rx) = unbounded::<SiteEvent<D>>();
+        let (tx, rx) = channel::<SiteEvent<D>>();
         let mut read_half = data.try_clone()?;
         let reader = std::thread::spawn(move || {
             let _ = read_downs(&mut read_half, &tx);
@@ -599,7 +603,7 @@ impl<U: Encode, D: Decode + Send + 'static> TcpSiteLink<U, D> {
 /// into `tx`. Ends on STOP, on a closed or failed stream, on an
 /// undecodable or unexpected frame, or when the link is dropped; the
 /// link then reads as gone.
-fn read_downs<D: Decode>(stream: &mut TcpStream, tx: &FrameSender<SiteEvent<D>>) -> io::Result<()> {
+fn read_downs<D: Decode>(stream: &mut TcpStream, tx: &Sender<SiteEvent<D>>) -> io::Result<()> {
     loop {
         let ev = match read_frame(stream)? {
             Some((kind::DOWN, payload)) => SiteEvent::Down(decode_exact(&payload)?),
@@ -663,10 +667,10 @@ type WriterCmd = Option<(u8, Vec<u8>)>;
 /// inbound stream feeding the urgent / ordinary lock-free lanes.
 pub struct TcpCoordLink<U, D> {
     lanes: UpLanes<U>,
-    writers: Vec<FrameSender<WriterCmd>>,
+    writers: Vec<Sender<WriterCmd>>,
     /// Payload buffers the writer threads have written out, handed back
     /// for `send_down` to encode into (at most one per frame in flight).
-    spent: crossbeam_channel::Receiver<Vec<u8>>,
+    spent: Receiver<Vec<u8>>,
     /// Read-half clones, shut down on drop so reader threads unblock.
     read_halves: Vec<TcpStream>,
     writer_threads: Vec<JoinHandle<()>>,
@@ -702,7 +706,7 @@ impl<U: Decode + Send + 'static, D: Encode> TcpCoordLink<U, D> {
 
         let (ordinary_tx, urgent_tx, lanes) = up_lanes::<U>();
         let mut writers = Vec::with_capacity(k);
-        let (spent_tx, spent) = unbounded::<Vec<u8>>();
+        let (spent_tx, spent) = channel::<Vec<u8>>();
         let mut read_halves = Vec::with_capacity(2 * k);
         let mut writer_threads = Vec::with_capacity(k);
         let mut reader_threads = Vec::with_capacity(2 * k);
@@ -712,7 +716,7 @@ impl<U: Decode + Send + 'static, D: Encode> TcpCoordLink<U, D> {
 
             // Per-peer writer thread: downs / pings / stop for this site.
             let mut write_half = data.try_clone()?;
-            let (wtx, wrx) = unbounded::<WriterCmd>();
+            let (wtx, wrx) = channel::<WriterCmd>();
             writers.push(wtx);
             let spent_tx = spent_tx.clone();
             writer_threads.push(std::thread::spawn(move || {
@@ -908,9 +912,8 @@ impl<S: Site, L: SiteLink<S::Up, S::Down>> SiteHalf<S, L> {
     fn handle(&mut self, ev: SiteEvent<S::Down>) -> io::Result<()> {
         match ev {
             SiteEvent::Down(d) => {
-                self.stats.down_msgs += 1;
-                self.stats.down_words += d.words();
-                self.stats.down_bytes += d.wire_bytes();
+                // As received: one unicast, whichever send it was a copy of.
+                self.stats.charge_down(&d, Dest::Site(0), 1);
                 self.site.on_message(&d, &mut self.out);
                 self.flush()
             }
@@ -924,9 +927,7 @@ impl<S: Site, L: SiteLink<S::Up, S::Down>> SiteHalf<S, L> {
 
     fn flush(&mut self) -> io::Result<()> {
         for up in self.out.drain() {
-            self.stats.up_msgs += 1;
-            self.stats.up_words += up.words();
-            self.stats.up_bytes += up.wire_bytes();
+            self.stats.charge_up(&up);
             let urgent = up.urgent();
             self.link.send_up(up, urgent)?;
         }
@@ -956,20 +957,12 @@ impl<S: Site, L: SiteLink<S::Up, S::Down>> SiteHalf<S, L> {
 
 /// The coordinator's role: the one apply loop.
 pub struct CoordHalf<C: Coordinator, L> {
-    coord: C,
+    core: CoordCore<C>,
     link: L,
-    net: Net<C::Down>,
-    stats: CommStats,
     eos: Vec<bool>,
     /// Current quiesce round and the pongs it has collected per site.
     nonce: u64,
     pongs: Vec<u8>,
-    /// Live-query publish hook and its cell; `None` until
-    /// [`CoordHalf::query_handle`], so runs without readers pay nothing.
-    publish: Option<PublishFn<C>>,
-    live: Option<CellRef<C>>,
-    /// Applies since the last publish (see [`PUBLISH_EVERY`]).
-    unpublished: u32,
 }
 
 impl<C, L> CoordHalf<C, L>
@@ -982,64 +975,32 @@ where
     pub fn new(coord: C, link: L) -> Self {
         let k = link.k();
         Self {
-            coord,
+            core: CoordCore::new(coord),
             link,
-            net: Net::new(),
-            stats: CommStats::default(),
             eos: vec![false; k],
             nonce: 0,
             pongs: vec![0; k],
-            publish: None,
-            live: None,
-            unpublished: 0,
         }
     }
 
-    /// Apply one up and fan out the resulting downs (a broadcast is
-    /// charged `k ×` messages/words/bytes, as everywhere else).
+    /// Apply one up, charged as received, and put the resulting downs on
+    /// the link; the first send that fails is the error returned.
     fn apply(&mut self, from: SiteId, up: C::Up) -> io::Result<()> {
-        self.stats.up_msgs += 1;
-        self.stats.up_words += up.words();
-        self.stats.up_bytes += up.wire_bytes();
-        self.coord.on_message(from, &up, &mut self.net);
-        let k = self.eos.len();
-        for (dest, d) in self.net.drain() {
-            match dest {
-                Dest::Site(to) => {
-                    self.stats.down_msgs += 1;
-                    self.stats.down_words += d.words();
-                    self.stats.down_bytes += d.wire_bytes();
-                    self.link.send_down(to, d)?;
-                }
-                Dest::Broadcast => {
-                    self.stats.broadcast_events += 1;
-                    self.stats.down_msgs += k as u64;
-                    self.stats.down_words += k as u64 * d.words();
-                    self.stats.down_bytes += k as u64 * d.wire_bytes();
-                    for to in 0..k {
-                        self.link.send_down(to, d.clone())?;
-                    }
-                }
+        self.core.stats_mut().charge_up(&up);
+        let link = &mut self.link;
+        let mut sent = Ok(());
+        self.core.apply(self.eos.len(), from, &up, |to, down| {
+            if sent.is_ok() {
+                sent = link.send_down(to, down.clone());
             }
-        }
+        });
         // Publication is coalesced: each published state is a whole
         // coordinator between two applies, so any cadence keeps readers
         // on a prefix of the applied ups.
-        self.unpublished += 1;
-        if self.unpublished >= PUBLISH_EVERY {
-            self.publish_pending();
+        if self.core.stale() >= PUBLISH_EVERY {
+            self.core.publish();
         }
-        Ok(())
-    }
-
-    /// Publish a snapshot if any apply happened since the last one.
-    fn publish_pending(&mut self) {
-        if self.unpublished > 0 {
-            if let Some(publish) = self.publish.as_mut() {
-                publish(&self.coord);
-            }
-            self.unpublished = 0;
-        }
+        sent
     }
 
     fn on_event(&mut self, ev: CoordEvent<C::Up>) -> io::Result<()> {
@@ -1072,7 +1033,7 @@ where
             };
             self.on_event(ev)?;
         }
-        self.publish_pending();
+        self.core.publish_stale();
         Ok(())
     }
 
@@ -1084,7 +1045,7 @@ where
             let ev = match self.link.try_recv() {
                 Some(ev) => ev,
                 None => {
-                    self.publish_pending();
+                    self.core.publish_stale();
                     self.link.recv().ok_or_else(|| {
                         io::Error::new(io::ErrorKind::ConnectionAborted, "all site links closed")
                     })?
@@ -1110,13 +1071,13 @@ where
         for round in 1..=MAX_QUIESCE_ROUNDS {
             // A backlog queued before the barrier should not cost a round.
             self.pump()?;
-            let before = (self.stats.up_msgs, self.stats.down_msgs);
+            let before = (self.core.stats().up_msgs, self.core.stats().down_msgs);
             self.nonce += 1;
             self.pongs.fill(0);
             self.link.ping(self.nonce)?;
             self.run_while(|half| half.pongs.iter().any(|&c| c < PONGS_PER_SITE))?;
-            if (self.stats.up_msgs, self.stats.down_msgs) == before {
-                self.publish_pending();
+            if (self.core.stats().up_msgs, self.core.stats().down_msgs) == before {
+                self.core.publish_stale();
                 return Ok(round);
             }
         }
@@ -1133,7 +1094,7 @@ where
 
     /// The coordinator state (quiesce first for a consistent cut).
     pub fn coord(&self) -> &C {
-        &self.coord
+        self.core.coord()
     }
 
     /// The link this half runs over.
@@ -1143,12 +1104,12 @@ where
 
     /// Consume the half, yielding the coordinator and its accounting.
     pub fn into_parts(self) -> (C, CommStats) {
-        (self.coord, self.stats)
+        self.core.into_parts()
     }
 
     /// This half's accounting (ups as received/applied, downs as sent).
     pub fn stats(&self) -> &CommStats {
-        &self.stats
+        self.core.stats()
     }
 
     /// Create (or clone) a lock-free live-query handle. The half
@@ -1164,19 +1125,14 @@ where
     where
         C: Clone + Sync + Send + 'static,
     {
-        if let Some(cell) = &self.live {
-            return cell.handle();
-        }
-        let (mut publisher, handle) = snapshot_cell(self.coord.clone());
-        self.live = Some(handle.cell_ref());
-        self.publish = Some(Box::new(move |coord: &C| publisher.publish(coord.clone())));
-        handle
+        self.core.query_handle()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::net::Net;
     use crate::protocol::Coordinator;
     use crate::wire::{WireReader, WireWriter};
     use std::io::Write;

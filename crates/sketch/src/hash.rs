@@ -6,7 +6,7 @@
 //! within the approved dependency set. HashDoS is not a concern: all
 //! inputs are generated by our own workload module.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
@@ -57,8 +57,6 @@ impl Hasher for FxHasher {
 
 /// `HashMap` with the fast hasher.
 pub type FastMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
-/// `HashSet` with the fast hasher.
-pub type FastSet<K> = HashSet<K, BuildHasherDefault<FxHasher>>;
 
 #[cfg(test)]
 mod tests {

@@ -9,7 +9,9 @@
 //! capacities (Karnin–Lang–Liberty). Unbiasedness comes from the same
 //! mechanism as in \[1\]: every compaction keeps the odd- or even-indexed
 //! survivors with a fair coin, so each discarded element's rank mass is
-//! redistributed without bias. DESIGN.md §4 records this substitution.
+//! redistributed without bias. The protocol uses A only through the
+//! three guarantees below, so any summary that has them substitutes for
+//! the one the paper cites.
 //!
 //! Guarantees (verified empirically in the tests below):
 //! * `E[estimate_rank(x)] = rank(x)` for any fixed query `x`;

@@ -16,8 +16,8 @@
 //!   (\[12\]), used by the deterministic rank baseline.
 //! * [`kll::KllSketch`] — randomized mergeable quantile sketch with
 //!   **unbiased** rank estimates and variance `O((ε·m)²)`; our
-//!   implementation of the paper's black-box "Algorithm A" (\[24\]/\[1\],
-//!   see DESIGN.md §4 for the substitution argument).
+//!   implementation of the paper's black-box "Algorithm A" (\[24\]/\[1\];
+//!   the [`kll`] module docs give the substitution argument).
 //! * [`sampling`] — Bernoulli and reservoir samplers.
 //! * [`exact`] — exact counters/ranks used as ground truth by tests and
 //!   the experiment harness.

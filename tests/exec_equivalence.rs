@@ -9,6 +9,11 @@
 //! 2. The `EventRuntime` under a *seeded random-delay* policy is
 //!    bit-for-bit reproducible: two runs of the same seed agree on every
 //!    statistic and query; a different seed produces a different run.
+//! 3. The cost model's `k ×` broadcast rule charges the same on every
+//!    driver of the coordinator step — `Runner`, `EventRuntime`,
+//!    `ChannelRuntime` and bare `SiteHalf`/`CoordHalf` over in-process
+//!    links — for a toy protocol that mixes unicasts, broadcasts and
+//!    replies to broadcasts.
 
 use dtrack::core::count::{DeterministicCount, RandomizedCount};
 use dtrack::core::frequency::{DeterministicFrequency, RandomizedFrequency};
@@ -16,7 +21,11 @@ use dtrack::core::rank::{DeterministicRank, RandomizedRank};
 use dtrack::core::sampling::ContinuousSampling;
 use dtrack::core::TrackingConfig;
 use dtrack::sim::exec::{DeliveryPolicy, EventRuntime};
-use dtrack::sim::{Protocol, Runner, Site};
+use dtrack::sim::runtime::ChannelRuntime;
+use dtrack::sim::{
+    in_process_links, CommStats, CoordHalf, Coordinator, Net, Outbox, Protocol, Runner, Site,
+    SiteHalf, SiteId, Words,
+};
 use dtrack::workload::items::DistinctSeq;
 use dtrack::workload::{UniformSites, Workload, ZipfItems};
 
@@ -276,4 +285,140 @@ fn adversarial_reorder_is_deterministic_and_sane() {
     // and within half of the true count.
     assert!(est.is_finite());
     assert!((est - N as f64).abs() <= 0.5 * N as f64, "estimate {est}");
+}
+
+/// Toy protocol for the `k ×` rule. A site reports every element
+/// (`[item]`, 2 words) and acks every broadcast it receives (`[]`,
+/// 1 word); the coordinator answers a report with a unicast to its sender
+/// (`[7]`, 2 words) *and* a broadcast (`[300, 1]`, 3 words, 4 bytes — not
+/// 8 × words), and an ack with nothing. Message counts and sizes do not
+/// depend on interleaving, so thread-backed drivers must match exactly.
+struct Chatty;
+
+struct ChattySite;
+
+impl Site for ChattySite {
+    type Item = u64;
+    type Up = Vec<u64>;
+    type Down = Vec<u64>;
+    fn on_item(&mut self, item: &u64, out: &mut Outbox<Vec<u64>>) {
+        out.send(vec![*item]);
+    }
+    fn on_message(&mut self, down: &Vec<u64>, out: &mut Outbox<Vec<u64>>) {
+        if down.len() == 2 {
+            out.send(Vec::new());
+        }
+    }
+    fn space_words(&self) -> u64 {
+        1
+    }
+}
+
+struct ChattyCoord;
+
+impl Coordinator for ChattyCoord {
+    type Up = Vec<u64>;
+    type Down = Vec<u64>;
+    fn on_message(&mut self, from: SiteId, up: &Vec<u64>, net: &mut Net<Vec<u64>>) {
+        if !up.is_empty() {
+            net.send(from, vec![7]);
+            net.broadcast(vec![300, 1]);
+        }
+    }
+}
+
+impl Protocol for Chatty {
+    type Site = ChattySite;
+    type Coord = ChattyCoord;
+    fn k(&self) -> usize {
+        K
+    }
+    fn build(&self, _seed: u64) -> (Vec<ChattySite>, ChattyCoord) {
+        ((0..K).map(|_| ChattySite).collect(), ChattyCoord)
+    }
+}
+
+#[test]
+fn k_times_rule_holds_on_every_driver() {
+    let n = 40u64;
+    let arrivals: Vec<(usize, u64)> = (0..n).map(|i| (i as usize % K, i)).collect();
+    let k = K as u64;
+    let (report, ack) = (vec![0u64], Vec::<u64>::new());
+    let (unicast, broadcast) = (vec![7u64], vec![300u64, 1]);
+    // Every report: one unicast, one broadcast charged k ×, k acks.
+    let want = CommStats {
+        up_msgs: n + n * k,
+        up_words: n * report.words() + n * k * ack.words(),
+        up_bytes: n * report.wire_bytes() + n * k * ack.wire_bytes(),
+        down_msgs: n + n * k,
+        down_words: n * unicast.words() + n * k * broadcast.words(),
+        down_bytes: n * unicast.wire_bytes() + n * k * broadcast.wire_bytes(),
+        broadcast_events: n,
+        elements: n,
+    };
+    assert_ne!(want.down_bytes, 8 * want.down_words);
+
+    let mut runner = Runner::new(&Chatty, SEED);
+    let mut event = EventRuntime::new(&Chatty, SEED);
+    let channel = ChannelRuntime::new(&Chatty, SEED);
+    for &(site, item) in &arrivals {
+        runner.feed(site, &item);
+        event.feed(site, item);
+        channel.feed(site, item);
+    }
+    event.quiesce();
+    channel.quiesce();
+
+    // Bare halves: each site half feeds its own share on its own thread.
+    let (site_links, coord_link) = in_process_links::<Vec<u64>, Vec<u64>>(K);
+    let site_threads: Vec<_> = site_links
+        .into_iter()
+        .enumerate()
+        .map(|(id, link)| {
+            let items: Vec<u64> = arrivals
+                .iter()
+                .filter(|&&(site, _)| site == id)
+                .map(|&(_, item)| item)
+                .collect();
+            std::thread::spawn(move || {
+                let mut half = SiteHalf::new(ChattySite, link);
+                for item in &items {
+                    half.feed(item).unwrap();
+                }
+                half.finish_stream().unwrap();
+                half.run_until_stop().unwrap();
+                half.stats().clone()
+            })
+        })
+        .collect();
+    let mut coord = CoordHalf::new(ChattyCoord, coord_link);
+    coord.pump_until_eos().unwrap();
+    coord.quiesce().unwrap();
+    coord.stop().unwrap();
+    let mut as_sites_saw_it = CommStats::default();
+    for h in site_threads {
+        as_sites_saw_it.merge(&h.join().unwrap());
+    }
+    let halves = CommStats {
+        elements: as_sites_saw_it.elements,
+        ..coord.stats().clone()
+    };
+    // Receivers count each copy of a broadcast once: summed over the
+    // sites that is the k × the coordinator charged on send (only the
+    // sender knows which copies were one broadcast event).
+    let received = CommStats {
+        broadcast_events: 0,
+        ..want.clone()
+    };
+    assert_eq!(as_sites_saw_it, received, "summed SiteHalf views");
+
+    let table = [
+        ("Runner", runner.stats().clone()),
+        ("EventRuntime(Instant)", event.stats().clone()),
+        ("ChannelRuntime", channel.stats()),
+        ("SiteHalf/CoordHalf", halves),
+    ];
+    for (driver, got) in table {
+        assert_eq!(got, want, "{driver}: CommStats differ");
+    }
 }

@@ -340,9 +340,6 @@ fn epoch_seal_builds_exactly_one_site_instance_per_site() {
         fn digest(coord: &Self::Coord) -> Self::Digest {
             <RandomizedCount as EpochProtocol>::digest(coord)
         }
-        fn merge(a: Self::Digest, b: &Self::Digest) -> Self::Digest {
-            <RandomizedCount as EpochProtocol>::merge(a, b)
-        }
     }
 
     let k = 4usize;
