@@ -74,14 +74,21 @@
 //! later at worst.) The flag protocol itself is untouched: a nap is
 //! `park_timeout` where the park phase calls `park`.
 //!
-//! Blocking never happens with a lock held: the only lock in this module
-//! is a [`SpinMutex`] around the parked-producer registry of a full
-//! ring, taken for a few instructions to push/drain a `Thread` handle
-//! (the per-slot-stats `SpinMutex` shape, applied to a waiter list).
+//! ## A full ring is polled, not signalled
+//!
+//! A producer that finds the ring full spins `SPIN_ITERS` tries, then
+//! yields until half the ring is free (the watermark's half-ring
+//! backlog) or the ring is closed. Nobody wakes it:
+//! [`RingConsumer::try_pop`] is two release stores, and there is no lock
+//! in this module. The consumer is awake for the whole wait — the push
+//! that took the backlog to the watermark woke it, and it sleeps only on
+//! an empty ring — and a consumer that goes away closes the ring, which
+//! the poll finds. Waiting for half a ring, not one slot, keeps the two
+//! threads off each other's cache lines; a full ring is met once per
+//! thousands of elements, so few time slices are spent on it.
 
 use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;
-use std::ops::{Deref, DerefMut};
 use std::ptr;
 use std::sync::atomic::{fence, AtomicBool, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -89,9 +96,10 @@ use std::thread::Thread;
 use std::time::Duration;
 
 /// Iterations of `spin_loop` a consumer burns before arming the parked
-/// flag, and a producer burns before registering as a waiter. Long
-/// enough to bridge the gap to a running peer on another core, short
-/// enough that a genuinely idle thread reaches `thread::park` quickly.
+/// flag, and tries a producer makes at a full ring before it starts to
+/// yield. Long enough to bridge the gap to a running peer on another
+/// core, short enough that a genuinely idle thread reaches
+/// `thread::park` quickly.
 const SPIN_ITERS: u32 = 128;
 
 /// Length of one nap of a ring consumer ([`RingConsumer::wait_while_empty`]):
@@ -130,74 +138,6 @@ const NAP_BACKLOG_DIV: u64 = 2;
 #[repr(align(64))]
 #[derive(Default)]
 pub struct CachePadded<T>(pub T);
-
-// ---------------------------------------------------------------------------
-// SpinMutex
-
-/// A minimal test-and-test-and-set spinlock. Only for critical sections
-/// of a few instructions on cold paths (waiter registration); the data
-/// lanes themselves are lock-free.
-pub struct SpinMutex<T> {
-    locked: AtomicBool,
-    value: UnsafeCell<T>,
-}
-
-// SAFETY: the lock provides exclusive access to `value`; `T: Send` is
-// required so the protected value may be accessed from any thread.
-unsafe impl<T: Send> Send for SpinMutex<T> {}
-unsafe impl<T: Send> Sync for SpinMutex<T> {}
-
-impl<T> SpinMutex<T> {
-    /// Wrap `value` in a new unlocked spinlock.
-    pub const fn new(value: T) -> Self {
-        Self {
-            locked: AtomicBool::new(false),
-            value: UnsafeCell::new(value),
-        }
-    }
-
-    /// Spin until the lock is acquired.
-    pub fn lock(&self) -> SpinGuard<'_, T> {
-        loop {
-            if self
-                .locked
-                .compare_exchange_weak(false, true, Ordering::Acquire, Ordering::Relaxed)
-                .is_ok()
-            {
-                return SpinGuard { lock: self };
-            }
-            while self.locked.load(Ordering::Relaxed) {
-                std::hint::spin_loop();
-            }
-        }
-    }
-}
-
-/// RAII guard for [`SpinMutex`]; releases on drop.
-pub struct SpinGuard<'a, T> {
-    lock: &'a SpinMutex<T>,
-}
-
-impl<T> Deref for SpinGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        // SAFETY: the guard holds the lock, so access is exclusive.
-        unsafe { &*self.lock.value.get() }
-    }
-}
-
-impl<T> DerefMut for SpinGuard<'_, T> {
-    fn deref_mut(&mut self) -> &mut T {
-        // SAFETY: as above.
-        unsafe { &mut *self.lock.value.get() }
-    }
-}
-
-impl<T> Drop for SpinGuard<'_, T> {
-    fn drop(&mut self) {
-        self.lock.locked.store(false, Ordering::Release);
-    }
-}
 
 // ---------------------------------------------------------------------------
 // WakeCell
@@ -337,8 +277,9 @@ struct RingShared<T> {
     tail: CachePadded<AtomicU64>,
     /// Next position to pop (single consumer).
     head: CachePadded<AtomicU64>,
-    /// Set when the consumer is dropped; parked producers are released
-    /// and further pushes fail with [`Closed`].
+    /// Set when the consumer is dropped: producers waiting on a full
+    /// ring find it on their next poll, and further pushes fail with
+    /// [`Closed`].
     closed: AtomicBool,
     consumer: Arc<WakeCell>,
     /// The wake watermark: a push wakes the consumer once the tail it
@@ -350,12 +291,9 @@ struct RingShared<T> {
     /// only, on its own line: producers read it on every push.
     wake_at: CachePadded<AtomicU64>,
     /// Half the ring (`NAP_BACKLOG_DIV`): a ring that fills has always
-    /// crossed the watermark.
+    /// crossed the watermark, and a producer that met it full waits
+    /// until the backlog is back down to this.
     nap_backlog: u64,
-    /// Producers parked on a full ring. Guarded by the spinlock; the
-    /// flag lets the pop path skip the lock when nobody waits.
-    prod_waiting: AtomicBool,
-    prod_waiters: SpinMutex<Vec<Thread>>,
 }
 
 // SAFETY: slots are handed between threads via the seq protocol (a slot
@@ -382,28 +320,6 @@ impl<T> RingShared<T> {
         if tail.wrapping_sub(wake_at) as i64 >= 0 {
             self.consumer.wake_fenced();
         }
-    }
-
-    /// Release every parked producer (after freeing a slot or closing).
-    fn wake_producers(&self) {
-        fence(Ordering::SeqCst);
-        if self.prod_waiting.load(Ordering::Relaxed) {
-            let waiters = {
-                let mut w = self.prod_waiters.lock();
-                self.prod_waiting.store(false, Ordering::SeqCst);
-                std::mem::take(&mut *w)
-            };
-            for t in waiters {
-                t.unpark();
-            }
-        }
-    }
-
-    fn close(&self) {
-        self.closed.store(true, Ordering::SeqCst);
-        // Parked producers must observe `closed`; the fence inside
-        // wake_producers orders the store before the flag check.
-        self.wake_producers();
     }
 }
 
@@ -439,7 +355,7 @@ impl<T> Clone for RingProducer<T> {
 }
 
 /// Consumer handle for a bounded ring. Not cloneable — exactly one
-/// thread pops. Dropping it closes the ring and releases any parked or
+/// thread pops. Dropping it closes the ring and releases any waiting or
 /// future producers with [`Closed`].
 pub struct RingConsumer<T> {
     shared: Arc<RingShared<T>>,
@@ -451,7 +367,7 @@ pub struct RingConsumer<T> {
 
 impl<T> Drop for RingConsumer<T> {
     fn drop(&mut self) {
-        self.shared.close();
+        self.shared.closed.store(true, Ordering::SeqCst);
     }
 }
 
@@ -480,8 +396,6 @@ pub fn ring<T>(
         consumer: consumer_wake,
         wake_at: CachePadded(AtomicU64::new(0)),
         nap_backlog: cap as u64 / NAP_BACKLOG_DIV,
-        prod_waiting: AtomicBool::new(false),
-        prod_waiters: SpinMutex::new(Vec::new()),
     });
     (
         RingProducer {
@@ -533,8 +447,8 @@ impl<T> RingProducer<T> {
         }
     }
 
-    /// Blocking push: spin briefly on a full ring, then park until the
-    /// consumer frees a slot. Fails only if the consumer is gone.
+    /// Blocking push: spin briefly on a full ring, then yield until the
+    /// consumer has freed half of it. Fails only if the consumer is gone.
     pub fn push(&self, value: T) -> Result<(), Closed<T>> {
         let mut value = value;
         loop {
@@ -551,7 +465,7 @@ impl<T> RingProducer<T> {
     }
 
     /// Move the entire buffer into the ring, claiming contiguous runs of
-    /// slots with one CAS per run. Blocks (spin, then park) while the
+    /// slots with one CAS per run. Blocks (yielding) while the
     /// ring is full. On success the buffer is left empty with its
     /// capacity intact — the caller reuses it, so steady-state batched
     /// ingest performs no allocation. If the consumer is gone the
@@ -620,26 +534,21 @@ impl<T> RingProducer<T> {
         }
     }
 
-    /// Park until the consumer frees a slot or the ring closes. May
-    /// return spuriously; callers loop around `try_push`.
+    /// Yield until the backlog is down to half the ring or the ring
+    /// closes; callers loop around `try_push`. Nobody signals this wait
+    /// (module docs): it polls the cursors, and the slot's stamp is still
+    /// what hands a freed slot to `try_push`.
     fn wait_for_space(&self) {
         let s = &*self.shared;
-        {
-            let mut w = s.prod_waiters.lock();
-            w.push(std::thread::current());
-            s.prod_waiting.store(true, Ordering::SeqCst);
+        // `head` first, and `Acquire`: the pops it counts each followed
+        // a claim that had advanced `tail`, so the difference is >= 0.
+        let backlog = || {
+            let head = s.head.0.load(Ordering::Acquire);
+            s.tail.0.load(Ordering::Relaxed).wrapping_sub(head)
+        };
+        while backlog() > s.nap_backlog && !s.closed.load(Ordering::SeqCst) {
+            std::thread::yield_now();
         }
-        // Dekker pair with the pop path: either the consumer's flag
-        // check sees us registered, or this re-check sees the slot it
-        // freed (or the close) and we skip the park.
-        fence(Ordering::SeqCst);
-        let pos = s.tail.0.load(Ordering::Relaxed);
-        let seq = s.slots[(pos & s.mask) as usize].seq.load(Ordering::Acquire);
-        let full = (seq.wrapping_sub(pos) as i64) < 0;
-        if full && !s.closed.load(Ordering::SeqCst) {
-            std::thread::park();
-        }
-        // A stale registry entry only costs one spurious unpark later.
     }
 
     /// Wake the consumer now, whatever the watermark says: for a caller
@@ -691,7 +600,6 @@ impl<T> RingConsumer<T> {
         let value = unsafe { (*slot.value.get()).assume_init_read() };
         slot.seq.store(pos.wrapping_add(s.cap()), Ordering::Release);
         s.head.0.store(pos.wrapping_add(1), Ordering::Release);
-        s.wake_producers();
         self.popped = true;
         Some(value)
     }
@@ -1010,7 +918,7 @@ mod tests {
             got
         });
         // Batches far larger than the ring: push_many must claim partial
-        // runs and park on full without losing or reordering anything.
+        // runs and wait on full without losing or reordering anything.
         let mut buf = Vec::new();
         let mut next = 0u64;
         for _ in 0..10 {
@@ -1128,11 +1036,20 @@ mod tests {
         let (tx, rx) = ring::<u64>(2, Arc::clone(&wake));
         tx.push(1).unwrap();
         tx.push(2).unwrap();
-        let blocked = std::thread::spawn(move || tx.push(3));
-        // Give the producer time to spin out and park on the full ring.
+        // Four producers on the full ring: nobody releases them
+        // together, each must find `closed` by its own poll.
+        let blocked: Vec<_> = (3..7u64)
+            .map(|v| {
+                let tx = tx.clone();
+                std::thread::spawn(move || tx.push(v))
+            })
+            .collect();
+        // Give the producers time to spin out and yield on the full ring.
         std::thread::sleep(Duration::from_millis(20));
         drop(rx);
-        assert_eq!(blocked.join().unwrap(), Err(Closed(3)));
+        for (v, blocked) in (3..7u64).zip(blocked) {
+            assert_eq!(blocked.join().unwrap(), Err(Closed(v)));
+        }
     }
 
     #[test]

@@ -29,9 +29,10 @@
 //!   both inputs. Elements travel raw — no per-element enum wrapping,
 //!   boxing, or `Vec` — and the batched path moves whole staging buffers
 //!   in with one tail-CAS per run of free slots. A full ring blocks the
-//!   producer (spin, then park): real backpressure. A site that exits
-//!   (even by panic) closes its ring, which releases past and future
-//!   producers with an error instead of a hang.
+//!   producer (spin, then yield until half of it is free): real
+//!   backpressure. A site that exits (even by panic) closes its ring,
+//!   which releases past and future producers with an error instead of
+//!   a hang.
 //! * **`processed` cursors**: each site publishes how many elements it
 //!   has fully processed (ups on the wire); quiesce and shutdown wake
 //!   every site that has a backlog, wait for each cursor to reach the
@@ -83,7 +84,7 @@ use crate::transport::{in_process_links, CoordHalf, InProcCoordLink, InProcSiteL
 /// to sleep through: 2048 elements is several naps' arrivals even on the
 /// batched path (≈ 5 M elements/s per site), and the other 2048 keep the
 /// producer pushing while the site gets up instead of meeting the
-/// full-ring park right behind the wake. At 1024 the two collided and
+/// full-ring wait right behind the wake. At 1024 the two collided and
 /// the batched workloads lost 7–10 %; at 4096 they gain.
 /// 64 KiB of `u64` slots per site.
 const SITE_QUEUE_CAP: usize = 4096;
@@ -143,7 +144,7 @@ where
 /// One site thread: pop the data ring into [`SiteHalf::feed`]; when the
 /// ring is empty, serve control until an element arrives or the
 /// coordinator says stop. Returning drops `data_rx`, which closes the
-/// ring: any producer parked on it (or arriving later) gets an error,
+/// ring: any producer waiting on it (or arriving later) gets an error,
 /// not a hang.
 fn run_site<S: Site>(
     mut half: SiteHalf<S, InProcSiteLink<S::Up, S::Down>>,
@@ -483,6 +484,7 @@ mod tests {
     use crate::protocol::Coordinator;
     use crate::ring::wait_until;
     use crate::transport::SITE_CREDIT;
+    use std::sync::atomic::AtomicBool;
 
     /// Echo protocol: site forwards every item's value; coordinator sums.
     struct EchoSite;
@@ -551,6 +553,56 @@ mod tests {
         let stats = rt.shutdown();
         assert_eq!(stats.elements, 50_000);
         assert_eq!(stats.up_msgs, 50_000);
+    }
+
+    #[test]
+    #[should_panic(expected = "thread died with elements still queued")]
+    fn site_dying_under_a_blocked_feeder_releases_it_and_fails_quiesce() {
+        // The module docs' promise: a site that exits, even by panic,
+        // closes its ring, and a producer waiting on that ring gets out
+        // with an error instead of hanging. The site holds its first
+        // element until the ring behind it is full — the feeder is then
+        // waiting on it — and panics.
+        struct DoomedSite(Arc<AtomicBool>);
+        impl Site for DoomedSite {
+            type Item = u64;
+            type Up = u64;
+            type Down = u64;
+            fn on_item(&mut self, _: &u64, _: &mut Outbox<u64>) {
+                while !self.0.load(Ordering::SeqCst) {
+                    std::thread::yield_now();
+                }
+                panic!("site dies with its ring full");
+            }
+            fn on_message(&mut self, _: &u64, _: &mut Outbox<u64>) {}
+            fn space_words(&self) -> u64 {
+                1
+            }
+        }
+        struct Doomed(Arc<AtomicBool>);
+        impl Protocol for Doomed {
+            type Site = DoomedSite;
+            type Coord = SumCoord;
+            fn k(&self) -> usize {
+                1
+            }
+            fn build(&self, _: u64) -> (Vec<DoomedSite>, SumCoord) {
+                (vec![DoomedSite(Arc::clone(&self.0))], SumCoord { sum: 0 })
+            }
+        }
+        let ring_full = Arc::new(AtomicBool::new(false));
+        let mut rt = ChannelRuntime::new(&Doomed(Arc::clone(&ring_full)), 0);
+        let tx = rt.data_txs[0].clone();
+        let feeder = std::thread::spawn(move || {
+            rt.feed_batch((0..3 * SITE_QUEUE_CAP as u64).map(|i| (0, i)).collect());
+            rt
+        });
+        // A ring's worth pushed and at most the held element popped:
+        // the feeder cannot get past the wait for half a ring.
+        wait_until("ring full", || tx.pushed() >= SITE_QUEUE_CAP as u64);
+        ring_full.store(true, Ordering::SeqCst);
+        wait_until("feeder released by the dead site", || feeder.is_finished());
+        feeder.join().unwrap().quiesce();
     }
 
     #[test]

@@ -113,7 +113,9 @@
 //!   park. The lazy party is only ever the data producer, its elements
 //!   are found when the nap's timer fires, and the push that fills the
 //!   ring to the backlog threshold wakes eagerly — no wait on this
-//!   side depends on a wake that may be skipped.
+//!   side depends on a wake that may be skipped. The producer's own
+//!   wait, at a full ring, depends on no wake at all: it polls
+//!   ([`crate::ring`]).
 //! * **Quiesce** waits only for pongs, which a live site always sends.
 //!   A dropped site end (thread finished or panicked) sends
 //!   [`CoordEvent::Closed`], failing the round instead of hanging it; a
@@ -1006,8 +1008,12 @@ where
     fn on_event(&mut self, ev: CoordEvent<C::Up>) -> io::Result<()> {
         match ev {
             CoordEvent::Up(from, up) => self.apply(from, up)?,
+            // Saturating: a peer can send any number of them, and the
+            // barrier compares the count with `PONGS_PER_SITE` only.
+            CoordEvent::Pong(site, nonce) if nonce == self.nonce => {
+                self.pongs[site] = self.pongs[site].saturating_add(1)
+            }
             // A pong of an earlier round is stale; drop it.
-            CoordEvent::Pong(site, nonce) if nonce == self.nonce => self.pongs[site] += 1,
             CoordEvent::Pong(..) => {}
             CoordEvent::Eos(site) => self.eos[site] = true,
             CoordEvent::Closed(site) => {
@@ -1535,6 +1541,24 @@ mod tests {
         h.join().unwrap();
     }
 
+    #[test]
+    fn a_pong_flood_saturates_the_barrier_count() {
+        // Every pong carrying the current nonce counts, and the nonce is
+        // 0 before the first round: a site can send 256 of them without
+        // reading a ping. The count saturates instead of overflowing on
+        // the coordinator's thread, and the run behind the flood settles.
+        let (mut site_links, coord_link) = in_process_links::<EchoUp, u64>(1);
+        for _ in 0..128 {
+            site_links[0].pong(0).unwrap(); // one pong per lane
+        }
+        let handles = run_sites(site_links, 10);
+        let (sum, _) = drive_coord(coord_link);
+        assert_eq!(sum, (0..10).sum::<u64>());
+        for h in handles {
+            h.join().unwrap();
+        }
+    }
+
     // -----------------------------------------------------------------
     // Frame-rejection suite: a peer feeding the accept loop malformed
     // bytes must surface as `CoordEvent::Closed` — never a hang, a
@@ -1542,23 +1566,33 @@ mod tests {
     // cases live in `crate::wire`; these drive the full socket path.)
     // -----------------------------------------------------------------
 
-    /// Handshake one well-formed site, then let `client` misbehave on
-    /// the data stream; assert the coordinator observes `Closed(0)`.
-    fn expect_closed_after(client: impl FnOnce(&mut TcpStream) + Send + 'static) {
+    /// A coordinator link whose only site is a raw peer: it handshakes
+    /// well-formed, then `client` writes what it likes on the data
+    /// stream. Join the peer once the link has seen what the test waits
+    /// for — it keeps both streams open until then.
+    fn link_to_raw_peer(
+        client: impl FnOnce(&mut TcpStream) + Send + 'static,
+    ) -> (
+        TcpCoordLink<EchoUp, u64>,
+        std::thread::JoinHandle<(TcpStream, TcpStream)>,
+    ) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
-        let h = std::thread::spawn(move || {
+        let peer = std::thread::spawn(move || {
             let mut data = TcpStream::connect(addr).unwrap();
             write_frame(&mut data, kind::HELLO, &hello_payload(0, LANE_DATA)).unwrap();
             let mut urgent = TcpStream::connect(addr).unwrap();
             write_frame(&mut urgent, kind::HELLO, &hello_payload(0, LANE_URGENT)).unwrap();
             client(&mut data);
-            // Keep both streams open until the link has seen the bad
-            // frame — dropping them returns from this thread, and the
-            // test joins only after `Closed` arrived.
             (data, urgent)
         });
-        let mut link = TcpCoordLink::<EchoUp, u64>::accept(&listener, 1).unwrap();
+        (TcpCoordLink::accept(&listener, 1).unwrap(), peer)
+    }
+
+    /// Let `client` misbehave on the data stream; assert the coordinator
+    /// observes `Closed(0)`.
+    fn expect_closed_after(client: impl FnOnce(&mut TcpStream) + Send + 'static) {
+        let (mut link, h) = link_to_raw_peer(client);
         loop {
             match link.recv() {
                 Some(CoordEvent::Closed(0)) => break,
@@ -1629,19 +1663,11 @@ mod tests {
     fn valid_traffic_before_the_poison_still_arrives() {
         // Ordering: two good ups, then garbage — both ups must be
         // delivered (in order) before the Closed.
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let h = std::thread::spawn(move || {
-            let mut data = TcpStream::connect(addr).unwrap();
-            write_frame(&mut data, kind::HELLO, &hello_payload(0, LANE_DATA)).unwrap();
-            let mut urgent = TcpStream::connect(addr).unwrap();
-            write_frame(&mut urgent, kind::HELLO, &hello_payload(0, LANE_URGENT)).unwrap();
-            write_frame(&mut data, kind::UP, &encode_to_vec(&EchoUp(7))).unwrap();
-            write_frame(&mut data, kind::UP, &encode_to_vec(&EchoUp(9))).unwrap();
-            write_frame(&mut data, 200, &[]).unwrap();
-            (data, urgent)
+        let (mut link, h) = link_to_raw_peer(|data| {
+            write_frame(data, kind::UP, &encode_to_vec(&EchoUp(7))).unwrap();
+            write_frame(data, kind::UP, &encode_to_vec(&EchoUp(9))).unwrap();
+            write_frame(data, 200, &[]).unwrap();
         });
-        let mut link = TcpCoordLink::<EchoUp, u64>::accept(&listener, 1).unwrap();
         let mut ups = Vec::new();
         loop {
             match link.recv() {
@@ -1651,6 +1677,23 @@ mod tests {
             }
         }
         assert_eq!(ups, vec![7, 9]);
+        h.join().unwrap();
+    }
+
+    #[test]
+    fn a_pong_flood_from_a_peer_does_not_panic_the_coordinator() {
+        // 256 PONG frames carrying nonce 0 — the barrier's nonce before
+        // its first round, so the peer need not even read a ping — then
+        // EOS. Bytes from a peer must not be able to overflow the
+        // barrier's per-site count on the coordinator's thread.
+        let (link, h) = link_to_raw_peer(|data| {
+            for _ in 0..256 {
+                write_frame(data, kind::PONG, &encode_to_vec(&0u64)).unwrap();
+            }
+            write_frame(data, kind::EOS, &[]).unwrap();
+        });
+        let mut coord = CoordHalf::new(SumCoord { sum: 0, applies: 0 }, link);
+        coord.pump_until_eos().unwrap();
         h.join().unwrap();
     }
 }

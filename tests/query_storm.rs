@@ -19,9 +19,10 @@
 //! the release lane next to `ingest_stress`); the `smoke_` tests stay
 //! fast enough for the debug fault-matrix smoke lane.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread;
+use std::time::{Duration, Instant};
 
 use dtrack::core::count::{DetCountCoord, DeterministicCount, RandomizedCount};
 use dtrack::core::TrackingConfig;
@@ -132,9 +133,14 @@ fn racing_answers_bounded_between_prefix_truths() {
         let t0 = ex.query(|c: &DetCountCoord| c.estimate());
 
         let stop = Arc::new(AtomicBool::new(false));
+        // The reader's sample count so far: the feed it races starts only
+        // once it has taken one — a freshly spawned thread may get no CPU
+        // before a 50 000-element feed + quiesce is over.
+        let sampled = Arc::new(AtomicU64::new(0));
         let reader = {
             let h = handle.clone();
             let stop = Arc::clone(&stop);
+            let sampled = Arc::clone(&sampled);
             thread::spawn(move || {
                 let mut last_epoch = 0u64;
                 let mut last_est = 0.0f64;
@@ -145,10 +151,16 @@ fn racing_answers_bounded_between_prefix_truths() {
                     assert!(est >= last_est, "count snapshot decreased");
                     (last_epoch, last_est) = (epoch, est);
                     samples += 1;
+                    sampled.store(samples, Ordering::Relaxed);
                 }
                 (samples, last_est)
             })
         };
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while sampled.load(Ordering::Relaxed) == 0 {
+            assert!(Instant::now() < deadline, "seed {seed}: reader never ran");
+            thread::yield_now();
+        }
 
         feed_round_robin(&mut ex, 50_000, 50_000);
         ex.quiesce();
