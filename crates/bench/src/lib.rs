@@ -20,6 +20,8 @@
 //! binary takes a trailing `EXEC` scenario argument (executor + delivery
 //! policy, optionally `+window:W` — see `dtrack_sim::ExecConfig`).
 
+#![forbid(unsafe_code)]
+
 pub mod baseline;
 pub mod cli;
 pub mod fit;

@@ -29,6 +29,8 @@
 //! assert!(many < few);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod hypergeometric;
 pub mod one_bit;
 pub mod one_way;

@@ -50,6 +50,8 @@
 //! assert!(est <= 10_000.0 && 10_000.0 <= est * 1.1 + 1e-9);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod boost;
 pub mod coarse;
 pub mod config;

@@ -337,11 +337,6 @@ impl ItemCounts {
         self.tracked.is_empty()
     }
 
-    /// Number of distinct items carrying an absent-branch correction.
-    pub fn corrections_len(&self) -> usize {
-        self.corrections.len()
-    }
-
     /// The aggregate `−d/p` correction mass this digest carries (≤ 0 for
     /// a single epoch) — the pooled view of the absent branch, for
     /// diagnostics and bias tests. Queries use the per-item terms.
@@ -1292,7 +1287,6 @@ mod tests {
             "never sampled → 0, like the live estimator"
         );
         assert_eq!(d.len(), 1, "only tracked items count");
-        assert_eq!(d.corrections_len(), 2);
         assert_eq!(d.absent_correction(), -2.5);
         // Candidate enumeration stays tracked-only: corrections are ≤ 0.
         assert_eq!(d.items(), vec![1]);

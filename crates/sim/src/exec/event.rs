@@ -484,15 +484,6 @@ impl<P: Protocol> EventRuntime<P> {
         self.sites.len()
     }
 
-    /// The fault plan this runtime applies ([`FaultPlan::none`] when no
-    /// fault layer is active).
-    pub fn fault_plan(&self) -> FaultPlan {
-        self.wire
-            .faults
-            .as_ref()
-            .map_or_else(FaultPlan::none, |f| f.plan)
-    }
-
     /// Link-layer fault accounting, if a fault layer is active. These
     /// counters are disjoint from [`EventRuntime::stats`] by design —
     /// see the module docs.
@@ -572,7 +563,7 @@ impl<P: Protocol> EventRuntime<P> {
         self.core.publish_stale();
     }
 
-    /// Create (or clone) a lock-free live-query handle over the
+    /// Create (or clone) a live-query handle over the
     /// coordinator. Once a handle exists, every arrival boundary (end of
     /// `feed`/`feed_at`) at which the coordinator applied an update, and
     /// every [`EventRuntime::quiesce`], publishes a fresh snapshot epoch —
@@ -1043,7 +1034,6 @@ mod tests {
         let normal = e.mean_up_latency(1).unwrap();
         assert_eq!(normal, 2.0);
         assert_eq!(straggler, 66.0);
-        assert_eq!(e.fault_plan(), plan);
     }
 
     #[test]

@@ -193,8 +193,8 @@ pub trait Executor<P: Protocol> {
     /// [`CoordCore`](crate::step::CoordCore); an executor owns only the
     /// cadence above. The first call creates the cell (nothing is cloned
     /// before it), repeated calls return handles of that one cell. Each
-    /// handle owns its own hazard slot: clone per reader thread rather
-    /// than sharing one handle.
+    /// handle keeps the snapshot it last read: clone per reader thread
+    /// rather than sharing one handle.
     fn query_handle(&mut self) -> QueryHandle<P::Coord>
     where
         P::Coord: Clone + Send + Sync + 'static;

@@ -35,9 +35,9 @@
 //!   [`transport`] — the same two pieces that deploy over TCP — on the
 //!   lock-free rings and queues in [`ring`], used for robustness tests
 //!   and throughput measurement,
-//! * [`snapshot`], lock-free epoch-stamped snapshot cells: every executor
-//!   exposes a [`QueryHandle`] ([`Executor::query_handle`]) so unboundedly
-//!   many reader threads answer queries while ingest continues,
+//! * [`snapshot`], epoch-stamped snapshot cells: every executor exposes a
+//!   [`QueryHandle`] ([`Executor::query_handle`]) so reader threads, one
+//!   handle each, answer queries while ingest continues,
 //! * seeded PRNG utilities ([`rng`]) including the geometric skip sampler
 //!   used to make "report with probability `p`" protocols O(1) amortized.
 //!
@@ -55,10 +55,15 @@
 //! assert!((20..400).contains(&hits)); // ≈ 100 expected successes
 //! ```
 
+// `unsafe_code` is denied here, allowed on `ring` alone, and forbidden in
+// every other crate of the workspace.
+#![deny(unsafe_code)]
+
 pub mod exec;
 pub mod message;
 pub mod net;
 pub mod protocol;
+#[allow(unsafe_code)]
 pub mod ring;
 pub mod rng;
 pub mod runner;

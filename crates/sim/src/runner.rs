@@ -74,7 +74,7 @@ impl<P: Protocol> Runner<P> {
         self.core.publish_stale();
     }
 
-    /// Create (or clone) a lock-free live-query handle over the
+    /// Create (or clone) a live-query handle over the
     /// coordinator. Once a handle exists, every element boundary at which
     /// the coordinator applied an update publishes a fresh snapshot epoch
     /// (elements that induce no communication republish nothing — the

@@ -415,7 +415,7 @@ where
         self.on_coord(move |half| f(half.coord()))
     }
 
-    /// Create (or clone) a lock-free live-query handle over the
+    /// Create (or clone) a live-query handle over the
     /// coordinator: [`CoordHalf::query_handle`] (which states the publish
     /// cadence), run on the coordinator thread. Immediately after
     /// [`ChannelRuntime::quiesce`] a handle read is bit-identical to

@@ -1,50 +1,46 @@
-//! Lock-free, epoch-stamped snapshot cells for live query serving.
+//! Epoch-stamped snapshot cells for live query serving.
 //!
 //! The tracking protocols answer count/frequency/rank queries continuously
 //! while `k` sites stream updates, but a coordinator embedded in an executor
 //! is single-owner mutable state: readers used to have to `quiesce()` the
 //! executor (stop the world) before every query. This module removes that
-//! restriction with a hand-rolled arc-swap: the publisher (the thread that
-//! applies coordinator updates) clones the coordinator into an immutable
-//! [`Snapshot`] and swaps it into an [`AtomicPtr`]; unboundedly many reader
-//! threads load the pointer and answer queries against the frozen state with
-//! no locks on either side.
+//! restriction: the publisher (the thread that applies coordinator updates)
+//! clones the coordinator into an immutable [`Snapshot`] and swaps it into
+//! the cell; any number of reader threads, each with its own
+//! [`QueryHandle`], answer queries against the frozen state while ingest
+//! continues.
 //!
-//! # Reclamation: hazard pointers
+//! # Sharing and reclamation
 //!
-//! The hard part of a hand-rolled arc-swap is freeing the *old* snapshot:
-//! a reader may still be dereferencing it after the swap. We use classic
-//! hazard pointers:
+//! The cell is an `Arc<Snapshot>` behind a mutex, plus the current epoch in
+//! an atomic word. The mutex is a **leaf lock**: the publisher holds it for
+//! one pointer swap, a handle for one reference-count increment, and
+//! nothing else happens under it — no wait, no coordinator clone, no reader
+//! closure, no free (the replaced `Arc` is dropped after the guard). Nothing
+//! under it can panic, so a poisoned guard is simply recovered.
 //!
-//! * Each [`QueryHandle`] owns a **hazard slot** — one `AtomicPtr` in an
-//!   append-only registry shared through the cell.
-//! * A reader publishes the pointer it is about to dereference into its slot
-//!   (`SeqCst`), then re-validates that `current` still equals it (`SeqCst`).
-//!   If not, it retries with the fresh pointer.
-//! * The publisher swaps in the new snapshot (`SeqCst`), pushes the old
-//!   pointer onto a private retired list, then scans all hazard slots
-//!   (`SeqCst` loads of the list head, links, and each hazard) and frees
-//!   every retired snapshot that no slot protects.
+//! A handle keeps the snapshot it last read. A read loads the epoch word
+//! and runs its closure against the kept snapshot; only when a publish the
+//! handle has not seen intervened does it take the lock, once, to fetch the
+//! new `Arc`. So a read costs one atomic load, the lock is taken once per
+//! handle per publish however fast the handle reads, and clones on
+//! different threads do not write to a shared word between publishes. (A
+//! cell without the per-handle snapshot — lock and `Arc::clone` on every
+//! read — was measured: every read becomes a read-modify-write of one
+//! shared line and eight contending readers ran 4× slower.)
 //!
-//! This is Dekker-style store→load communication in both directions, so
-//! *both* sides of *both* pairs must be `SeqCst` — acquire/release alone
-//! permits the classic both-loads-see-stale outcome (the reader re-validates
-//! against the old snapshot while the scan misses its hazard: use-after-
-//! free). With every operation above in the single total order, any
-//! reader/publisher race resolves safely: either the reader's hazard store
-//! precedes the publisher's hazard load (the scan sees the hazard and defers
-//! the free), or the publisher's swap precedes the reader's re-validation
-//! load (the reader observes the new pointer and retries). The slot-list
-//! push in `attach` is a `SeqCst` CAS for the same reason: a slot published
-//! before its first hazard store cannot be skipped by a scan that the
-//! hazard store precedes. Either way a snapshot is never freed while a
-//! reader holds a reference into it.
+//! What follows from that, and callers may rely on or must allow for:
 //!
-//! The retired list is bounded by the number of hazard slots plus one, so
-//! memory use is `O(readers)` snapshots regardless of publish rate. If the
-//! publisher drops while readers still hold hazards, its retired snapshots
-//! are pushed onto a shared orphan stack and freed when the last handle
-//! drops the cell.
+//! * A parked or slow reader closure never delays `publish`: the closure
+//!   runs outside the lock, on the reader's own reference.
+//! * Reads are not lock-free. A handle preempted inside its once-per-publish
+//!   reference-count increment delays the publisher, and other refreshing
+//!   handles, until it is scheduled again.
+//! * An idle handle pins the snapshot it last read until its next read or
+//!   its drop — at most one snapshot per handle beyond the current one, so
+//!   memory is `O(readers)` snapshots regardless of publish rate.
+//! * The last holder frees a snapshot; that may be a reader thread rather
+//!   than the publisher's.
 //!
 //! # Staleness guarantee
 //!
@@ -59,9 +55,9 @@
 //! query. What an executor holds is a [`LiveQuery`] (inside its
 //! [`CoordCore`](crate::step::CoordCore)); it chooses only the cadence.
 
-use std::ptr;
-use std::sync::atomic::{AtomicBool, AtomicPtr, Ordering};
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// An immutable, epoch-stamped copy of coordinator state.
 #[derive(Debug)]
@@ -73,55 +69,28 @@ pub struct Snapshot<C> {
     pub state: C,
 }
 
-/// One hazard slot in the append-only registry. A slot is owned by at most
-/// one live [`QueryHandle`] at a time (`in_use`), and is recycled when the
-/// handle drops. Slots are only deallocated when the whole cell drops.
-struct Slot<C> {
-    hazard: AtomicPtr<Snapshot<C>>,
-    in_use: AtomicBool,
-    next: AtomicPtr<Slot<C>>,
-}
-
-/// Node in the orphan stack: snapshots retired by a publisher that dropped
-/// before it could prove them unhazarded.
-struct Orphan<C> {
-    snap: *mut Snapshot<C>,
-    next: *mut Orphan<C>,
-}
-
 struct Shared<C> {
-    /// The latest published snapshot. Never null.
-    current: AtomicPtr<Snapshot<C>>,
-    /// Head of the append-only hazard-slot registry.
-    slots: AtomicPtr<Slot<C>>,
-    /// Snapshots left behind by a dropped publisher; freed in `Drop`.
-    orphans: AtomicPtr<Orphan<C>>,
+    /// The latest published snapshot, behind the leaf lock.
+    current: Mutex<Arc<Snapshot<C>>>,
+    /// `current`'s epoch, stored (`Release`) after each swap's guard is
+    /// gone and loaded (`Acquire`) by every read: a handle that sees a new
+    /// value here takes the lock after the publisher has left it, and finds
+    /// a snapshot of that epoch or a later one. Written by the publisher
+    /// only.
+    epoch: AtomicU64,
 }
 
-// The raw pointers inside `Shared` manage heap allocations of `Snapshot<C>`
-// and bookkeeping nodes; snapshots move from the publisher thread to reader
-// threads (C: Send) and are dereferenced concurrently by many readers
-// (C: Sync).
-unsafe impl<C: Send + Sync> Send for Shared<C> {}
-unsafe impl<C: Send + Sync> Sync for Shared<C> {}
+impl<C> Shared<C> {
+    fn lock(&self) -> MutexGuard<'_, Arc<Snapshot<C>>> {
+        self.current.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 
-impl<C> Drop for Shared<C> {
-    fn drop(&mut self) {
-        // Runs only once the last publisher/handle is gone, so no thread can
-        // hold a hazard or dereference any snapshot.
-        unsafe {
-            drop(Box::from_raw(self.current.load(Ordering::Relaxed)));
-            let mut orphan = self.orphans.load(Ordering::Relaxed);
-            while !orphan.is_null() {
-                let node = Box::from_raw(orphan);
-                drop(Box::from_raw(node.snap));
-                orphan = node.next;
-            }
-            let mut slot = self.slots.load(Ordering::Relaxed);
-            while !slot.is_null() {
-                let node = Box::from_raw(slot);
-                slot = node.next.load(Ordering::Relaxed);
-            }
+    /// A reader handle starting from the current snapshot.
+    fn handle(self: &Arc<Self>) -> QueryHandle<C> {
+        let seen = Arc::clone(&self.lock());
+        QueryHandle {
+            shared: Arc::clone(self),
+            seen: RefCell::new(seen),
         }
     }
 }
@@ -130,113 +99,45 @@ impl<C> Drop for Shared<C> {
 /// single writer and one reader handle. Additional readers are created by
 /// cloning the handle (or via [`SnapshotPublisher::handle`]).
 pub fn snapshot_cell<C>(initial: C) -> (SnapshotPublisher<C>, QueryHandle<C>) {
-    let first = Box::into_raw(Box::new(Snapshot {
-        epoch: 0,
-        state: initial,
-    }));
     let shared = Arc::new(Shared {
-        current: AtomicPtr::new(first),
-        slots: AtomicPtr::new(ptr::null_mut()),
-        orphans: AtomicPtr::new(ptr::null_mut()),
+        current: Mutex::new(Arc::new(Snapshot {
+            epoch: 0,
+            state: initial,
+        })),
+        epoch: AtomicU64::new(0),
     });
-    let publisher = SnapshotPublisher {
-        shared: Arc::clone(&shared),
-        retired: Vec::new(),
-        epoch: 0,
-    };
-    let handle = QueryHandle::attach(shared);
-    (publisher, handle)
+    let handle = shared.handle();
+    (SnapshotPublisher { shared }, handle)
 }
 
-/// The single writer of a snapshot cell. `publish` swaps in a new snapshot
-/// and reclaims old ones that no reader still protects.
+/// The single writer of a snapshot cell.
 pub struct SnapshotPublisher<C> {
     shared: Arc<Shared<C>>,
-    /// Replaced snapshots not yet proven unhazarded. Bounded by the number
-    /// of hazard slots + 1 (each scan frees everything unprotected).
-    retired: Vec<*mut Snapshot<C>>,
-    epoch: u64,
 }
 
-// Held by the `LiveQuery` of whatever owns the coordinator, possibly on
-// its own thread; see `Shared`. `Sync` is sound because the `&self`
-// methods read a plain field (`epoch`) or go through the cell's atomics
-// (`handle`) — all mutation requires `&mut self`, which the borrow
-// checker keeps exclusive.
-unsafe impl<C: Send + Sync> Send for SnapshotPublisher<C> {}
-unsafe impl<C: Send + Sync> Sync for SnapshotPublisher<C> {}
-
 impl<C> SnapshotPublisher<C> {
-    /// Publishes `state` as the new snapshot at the next epoch. Lock-free;
-    /// never blocks on readers.
+    /// Publishes `state` as the new snapshot at the next epoch. Holds the
+    /// cell's lock for the pointer swap only, so it waits for no reader
+    /// closure — at most for a handle's reference-count increment.
     pub fn publish(&mut self, state: C) {
-        self.epoch += 1;
-        let fresh = Box::into_raw(Box::new(Snapshot {
-            epoch: self.epoch,
-            state,
-        }));
-        // SeqCst, not AcqRel: the swap must take part in the single total
-        // order that the Dekker-style safety argument below relies on
-        // (swap → hazard scan vs. hazard store → current re-load).
-        let old = self.shared.current.swap(fresh, Ordering::SeqCst);
-        self.retired.push(old);
-        self.scan();
+        let epoch = self.epoch() + 1;
+        let fresh = Arc::new(Snapshot { epoch, state });
+        let replaced = std::mem::replace(&mut *self.shared.lock(), fresh);
+        self.shared.epoch.store(epoch, Ordering::Release);
+        // Outside the lock: this frees the old state unless a handle still
+        // reads it.
+        drop(replaced);
     }
 
     /// The epoch of the most recently published snapshot.
     pub fn epoch(&self) -> u64 {
-        self.epoch
+        // `publish(&mut self)` is the only store.
+        self.shared.epoch.load(Ordering::Relaxed)
     }
 
     /// Creates another reader handle for this cell.
     pub fn handle(&self) -> QueryHandle<C> {
-        QueryHandle::attach(Arc::clone(&self.shared))
-    }
-
-    /// Frees every retired snapshot that no hazard slot currently protects.
-    fn scan(&mut self) {
-        self.retired.retain(|&snap| {
-            // The head/next loads are SeqCst so a slot pushed (SeqCst CAS
-            // in `attach`) before a reader's hazard store cannot be missed
-            // by a scan that the hazard store precedes in the total order.
-            let mut slot = self.shared.slots.load(Ordering::SeqCst);
-            while !slot.is_null() {
-                let node = unsafe { &*slot };
-                if node.hazard.load(Ordering::SeqCst) == snap {
-                    return true; // still protected — keep for a later scan
-                }
-                slot = node.next.load(Ordering::SeqCst);
-            }
-            unsafe { drop(Box::from_raw(snap)) };
-            false
-        });
-    }
-}
-
-impl<C> Drop for SnapshotPublisher<C> {
-    fn drop(&mut self) {
-        self.scan();
-        // Whatever is still hazarded outlives us: hand it to the cell, which
-        // frees it when the last handle drops.
-        for &snap in &self.retired {
-            let node = Box::into_raw(Box::new(Orphan {
-                snap,
-                next: ptr::null_mut(),
-            }));
-            let mut head = self.shared.orphans.load(Ordering::Acquire);
-            loop {
-                unsafe { (*node).next = head };
-                match self.shared.orphans.compare_exchange_weak(
-                    head,
-                    node,
-                    Ordering::AcqRel,
-                    Ordering::Acquire,
-                ) {
-                    Ok(_) => break,
-                    Err(h) => head = h,
-                }
-            }
-        }
+        self.shared.handle()
     }
 }
 
@@ -311,99 +212,37 @@ impl<C> LiveQuery<C> {
     }
 }
 
-/// A cloneable, sendable reader of a snapshot cell. Each clone owns its own
-/// hazard slot, so clones on different threads read concurrently without
-/// contending; a single handle is not shareable across threads (`!Sync`) —
-/// clone it instead.
+/// A cloneable, sendable reader of a snapshot cell. Each clone keeps its own
+/// reference to the snapshot it last read, so clones on different threads
+/// read concurrently without contending; a single handle is not shareable
+/// across threads (`!Sync`) — clone it instead.
 pub struct QueryHandle<C> {
     shared: Arc<Shared<C>>,
-    slot: *mut Slot<C>,
+    /// The snapshot the last read ran against; replaced by the first read
+    /// after each publish.
+    seen: RefCell<Arc<Snapshot<C>>>,
 }
 
-// A handle migrates between threads freely (the slot is only touched through
-// atomics), but is !Sync by construction: concurrent `read`s through one
-// slot would corrupt the hazard protocol. Raw-pointer fields already make it
-// !Sync automatically; we only opt back into Send.
-unsafe impl<C: Send + Sync> Send for QueryHandle<C> {}
-
 impl<C> QueryHandle<C> {
-    fn attach(shared: Arc<Shared<C>>) -> Self {
-        // Recycle a free slot if any handle released one, else append.
-        let mut slot = shared.slots.load(Ordering::Acquire);
-        while !slot.is_null() {
-            let node = unsafe { &*slot };
-            if node
-                .in_use
-                .compare_exchange(false, true, Ordering::AcqRel, Ordering::Acquire)
-                .is_ok()
-            {
-                return QueryHandle { shared, slot };
-            }
-            slot = node.next.load(Ordering::Acquire);
-        }
-        let fresh = Box::into_raw(Box::new(Slot {
-            hazard: AtomicPtr::new(ptr::null_mut()),
-            in_use: AtomicBool::new(true),
-            next: AtomicPtr::new(ptr::null_mut()),
-        }));
-        let mut head = shared.slots.load(Ordering::Acquire);
-        loop {
-            unsafe { (*fresh).next.store(head, Ordering::Relaxed) };
-            // SeqCst so the slot's publication is ordered before this
-            // handle's first hazard store in the total order — a scan the
-            // hazard store precedes must traverse through this slot.
-            match shared.slots.compare_exchange_weak(
-                head,
-                fresh,
-                Ordering::SeqCst,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => break,
-                Err(h) => head = h,
-            }
-        }
-        QueryHandle {
-            shared,
-            slot: fresh,
-        }
-    }
-
-    /// Runs `f` against the latest published snapshot. Lock-free: retries
-    /// only if a publish races the hazard acquisition, and never blocks the
-    /// publisher.
+    /// Runs `f` against the latest published snapshot: one atomic load,
+    /// plus the cell's lock for a reference-count increment on the first
+    /// read after a publish. `f` runs outside the lock and never delays the
+    /// publisher; if it panics the handle stays usable.
     ///
     /// Nested reads through the *same* handle (calling `read` from inside
-    /// `f`) observe the outer read's snapshot again rather than acquiring a
-    /// second hazard; clone the handle if you need an independent nested
-    /// read.
+    /// `f`) observe the outer read's snapshot again rather than a newer
+    /// one; clone the handle if you need an independent nested read.
     pub fn read<R>(&self, f: impl FnOnce(&Snapshot<C>) -> R) -> R {
-        let slot = unsafe { &*self.slot };
-        let already = slot.hazard.load(Ordering::Relaxed);
-        if !already.is_null() {
-            // Nested read: the outer `read` holds the hazard; reuse its
-            // snapshot so we neither clobber the slot nor race reclamation.
-            return f(unsafe { &*already });
-        }
-        // Clears the hazard on unwind too: a panicking `f` must not leave
-        // the slot pinned (later reads would take the nested branch and
-        // serve the stale snapshot forever, which could never be freed).
-        struct HazardGuard<'a, C>(&'a Slot<C>);
-        impl<C> Drop for HazardGuard<'_, C> {
-            fn drop(&mut self) {
-                self.0.hazard.store(ptr::null_mut(), Ordering::Release);
+        // Fails only inside an outer read's `f`, which borrows `seen`.
+        if let Ok(mut seen) = self.seen.try_borrow_mut() {
+            if seen.epoch < self.shared.epoch.load(Ordering::Acquire) {
+                // Two statements: the guard is gone before the assignment
+                // drops, and perhaps frees, the snapshot seen so far.
+                let latest = Arc::clone(&self.shared.lock());
+                *seen = latest;
             }
         }
-        let _guard = HazardGuard(slot);
-        let mut snap = self.shared.current.load(Ordering::Acquire);
-        loop {
-            slot.hazard.store(snap, Ordering::SeqCst);
-            let check = self.shared.current.load(Ordering::SeqCst);
-            if check == snap {
-                break;
-            }
-            snap = check;
-        }
-        f(unsafe { &*snap })
+        f(&self.seen.borrow())
     }
 
     /// The epoch of the snapshot a read would currently observe.
@@ -414,15 +253,7 @@ impl<C> QueryHandle<C> {
 
 impl<C> Clone for QueryHandle<C> {
     fn clone(&self) -> Self {
-        QueryHandle::attach(Arc::clone(&self.shared))
-    }
-}
-
-impl<C> Drop for QueryHandle<C> {
-    fn drop(&mut self) {
-        let slot = unsafe { &*self.slot };
-        slot.hazard.store(ptr::null_mut(), Ordering::Release);
-        slot.in_use.store(false, Ordering::Release);
+        self.shared.handle()
     }
 }
 
@@ -437,8 +268,10 @@ impl<C> std::fmt::Debug for QueryHandle<C> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
+    use std::sync::atomic::AtomicBool;
+    use std::sync::mpsc;
     use std::thread;
+    use std::time::Duration;
 
     #[test]
     fn initial_state_is_epoch_zero() {
@@ -456,6 +289,9 @@ mod tests {
         }
     }
 
+    /// (The name predates the `Arc` cell, which has no slots: what it pins
+    /// is that handles minted after a publish, by either route and after
+    /// another handle was dropped, all read the current snapshot.)
     #[test]
     fn clones_see_published_state_and_recycle_slots() {
         let (mut publisher, handle) = snapshot_cell(String::from("a"));
@@ -465,7 +301,6 @@ mod tests {
         assert_eq!(h2.read(|s| s.state.clone()), "b");
         assert_eq!(h3.read(|s| s.state.clone()), "b");
         drop(h2);
-        // A new clone should recycle the freed slot rather than leak one.
         let h4 = handle.clone();
         assert_eq!(h4.read(|s| s.epoch), 1);
     }
@@ -476,8 +311,17 @@ mod tests {
         publisher.publish(2);
         let (outer, inner) = handle.read(|s| (s.state, handle.read(|t| t.state)));
         assert_eq!((outer, inner), (2, 2));
+        // Also when a publish lands between the outer and the inner read.
+        let (outer, inner) = handle.read(|s| {
+            publisher.publish(3);
+            (s.state, handle.read(|t| t.state))
+        });
+        assert_eq!((outer, inner), (2, 2));
+        assert_eq!(handle.read(|s| s.state), 3);
     }
 
+    /// (The name predates the `Arc` cell: what unwinding releases now is
+    /// the handle's borrow of the snapshot it kept.)
     #[test]
     fn panicking_read_releases_hazard() {
         let (mut publisher, handle) = snapshot_cell(1u64);
@@ -485,10 +329,8 @@ mod tests {
             handle.read(|_| panic!("reader closure panicked"))
         }));
         assert!(caught.is_err());
-        // The hazard must have been cleared on unwind: a later read takes
-        // the normal path and observes newly published state, and the
-        // pre-panic snapshot is reclaimable (publish twice so it is both
-        // retired and scanned).
+        // Were the borrow still held, later reads would take the nested
+        // branch and serve the pre-panic snapshot forever.
         publisher.publish(2);
         publisher.publish(3);
         assert_eq!(handle.read(|s| (s.epoch, s.state)), (2, 3));
@@ -601,9 +443,9 @@ mod tests {
         assert!(reads.load(Ordering::Relaxed) >= 4);
     }
 
-    /// Handles churn (clone/drop) while the publisher runs: exercises slot
-    /// recycling and orphan handoff without leaks or UB (run under the
-    /// normal test harness; asan/miri would flag misuse).
+    /// Handles churn (clone/drop) while the publisher runs: minting a
+    /// handle contends for the cell's lock with the publisher and with the
+    /// other churners, and every fresh handle reads a whole snapshot.
     #[test]
     fn handle_churn_races_publisher() {
         const ROUNDS: u64 = if cfg!(debug_assertions) {
@@ -635,5 +477,118 @@ mod tests {
         }
         drop(publisher);
         assert_eq!(handle.read(|s| s.state), ROUNDS);
+    }
+
+    /// A reader blocked *inside* its closure holds no lock: the publisher
+    /// runs on, the closure keeps the snapshot it started with, and the
+    /// handle's next read is current.
+    #[test]
+    fn reader_parked_in_its_closure_does_not_block_publish() {
+        let (mut publisher, handle) = snapshot_cell(0u64);
+        let (parked_tx, parked_rx) = mpsc::channel();
+        let (resume_tx, resume_rx) = mpsc::channel::<()>();
+        let reader = thread::spawn(move || {
+            let parked = handle.read(|s| {
+                parked_tx.send(()).unwrap();
+                resume_rx.recv().unwrap();
+                (s.epoch, s.state)
+            });
+            (parked, handle.read(|s| (s.epoch, s.state)))
+        });
+        parked_rx.recv().unwrap();
+        // On a thread of its own, so that a blocked publish fails the test
+        // instead of hanging it.
+        let (done_tx, done_rx) = mpsc::channel();
+        let publishing = thread::spawn(move || {
+            for e in 1..=1_000u64 {
+                publisher.publish(e * 7);
+            }
+            done_tx.send(()).unwrap();
+        });
+        done_rx
+            .recv_timeout(Duration::from_secs(30))
+            .expect("publish blocked behind a reader parked in its closure");
+        publishing.join().unwrap();
+        resume_tx.send(()).unwrap();
+        let (parked, next) = reader.join().unwrap();
+        assert_eq!(parked, (0, 0));
+        assert_eq!(next, (1_000, 7_000));
+    }
+
+    /// A state that counts its constructions and its drops.
+    struct Tracked<'a> {
+        dropped: &'a AtomicU64,
+    }
+
+    impl<'a> Tracked<'a> {
+        fn new(created: &AtomicU64, dropped: &'a AtomicU64) -> Self {
+            created.fetch_add(1, Ordering::Relaxed);
+            Tracked { dropped }
+        }
+    }
+
+    impl Drop for Tracked<'_> {
+        fn drop(&mut self) {
+            self.dropped.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    /// `R` idle handles, each last read at a different epoch, keep at most
+    /// `R` snapshots alive beside the current one however many publishes
+    /// pass; a handle's next read lets go of its old one; and whichever
+    /// side drops first, every snapshot is freed exactly once.
+    #[test]
+    fn idle_handles_bound_live_snapshots_and_every_snapshot_is_freed_once() {
+        const R: u64 = 3;
+        const P: u64 = 50;
+        for publisher_first in [true, false] {
+            let (created, dropped) = (AtomicU64::new(0), AtomicU64::new(0));
+            let state = || Tracked::new(&created, &dropped);
+            let alive = || created.load(Ordering::Relaxed) - dropped.load(Ordering::Relaxed);
+
+            let (mut publisher, first) = snapshot_cell(state());
+            let mut handles = vec![first];
+            while (handles.len() as u64) < R {
+                publisher.publish(state());
+                handles.push(publisher.handle());
+            }
+            for _ in 0..P {
+                publisher.publish(state());
+                assert!(alive() <= R + 1, "{} snapshots alive", alive());
+            }
+            assert_eq!(created.load(Ordering::Relaxed), R + P);
+            for h in &handles {
+                assert_eq!(h.epoch(), R - 1 + P);
+            }
+            assert_eq!(alive(), 1, "a handle that read the current pins no other");
+            // Leave the handles on an old snapshot for the drops to free.
+            publisher.publish(state());
+
+            if publisher_first {
+                drop(publisher);
+                assert!(alive() >= 1, "handles outlive the publisher");
+                drop(handles);
+            } else {
+                drop(handles);
+                assert_eq!(alive(), 1, "the publisher keeps the current snapshot");
+                drop(publisher);
+            }
+            assert_eq!(
+                dropped.load(Ordering::Relaxed),
+                created.load(Ordering::Relaxed)
+            );
+        }
+    }
+
+    /// Auto traits decide what crosses threads; pin what the executors
+    /// rely on (a handle moves to its reader thread, a publisher lives in
+    /// a coordinator shared by reference).
+    #[test]
+    fn handle_is_send_and_publisher_is_send_and_sync() {
+        fn assert_send<T: Send>() {}
+        fn assert_sync<T: Sync>() {}
+        assert_send::<QueryHandle<u64>>();
+        assert_send::<SnapshotPublisher<u64>>();
+        assert_sync::<SnapshotPublisher<u64>>();
     }
 }

@@ -131,15 +131,6 @@ impl SpaceStats {
     pub fn max_peak(&self) -> u64 {
         self.peaks.iter().copied().max().unwrap_or(0)
     }
-
-    /// Mean peak over all sites.
-    pub fn mean_peak(&self) -> f64 {
-        if self.peaks.is_empty() {
-            0.0
-        } else {
-            self.peaks.iter().sum::<u64>() as f64 / self.peaks.len() as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -234,6 +225,5 @@ mod tests {
         assert_eq!(sp.peak(0), 4);
         assert_eq!(sp.peak(1), 0);
         assert_eq!(sp.max_peak(), 9);
-        assert!((sp.mean_peak() - 13.0 / 3.0).abs() < 1e-12);
     }
 }

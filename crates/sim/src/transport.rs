@@ -1118,7 +1118,7 @@ where
         self.core.stats()
     }
 
-    /// Create (or clone) a lock-free live-query handle. The half
+    /// Create (or clone) a live-query handle. The half
     /// publishes an epoch-stamped snapshot of the coordinator at apply
     /// boundaries — whenever it catches up with its lanes, at least
     /// every [`PUBLISH_EVERY`] applies under sustained load, and when

@@ -44,11 +44,12 @@
 //! assert!((r - 5_000.0).abs() <= 5.0 * 0.05 * 10_000.0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod exact;
 pub mod gk;
 pub mod hash;
 pub mod kll;
-pub mod lossy;
 pub mod misra_gries;
 pub mod sampling;
 pub mod space_saving;
@@ -56,7 +57,6 @@ pub mod sticky;
 
 pub use gk::GkSummary;
 pub use kll::{KllSketch, KllSummary};
-pub use lossy::LossyCounting;
 pub use misra_gries::MisraGries;
 pub use space_saving::SpaceSaving;
 pub use sticky::StickyCounters;

@@ -32,6 +32,8 @@
 //! assert!(arrivals.iter().all(|a| a.site < 8 && a.item < 100));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod adversarial;
 pub mod assign;
 pub mod items;

@@ -80,12 +80,6 @@ impl DriftingItems {
             cdf,
         }
     }
-
-    /// The currently hottest item (rank-0 item of the current phase).
-    pub fn current_hottest(&self) -> u64 {
-        let phase = self.issued / self.phase_len;
-        (phase * self.stride) % self.domain
-    }
 }
 
 impl ItemGen for DriftingItems {
@@ -121,7 +115,6 @@ mod tests {
             *phase0.entry(g.next_item(&mut rng)).or_insert(0u32) += 1;
         }
         // Phase 1: item 10 hottest.
-        assert_eq!(g.current_hottest(), 10);
         let mut phase1 = std::collections::HashMap::new();
         for _ in 0..5_000 {
             *phase1.entry(g.next_item(&mut rng)).or_insert(0u32) += 1;

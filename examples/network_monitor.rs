@@ -313,7 +313,7 @@ fn single_process(args: &[String]) {
     let truth_flows: Vec<u64> = truth.iter().map(|&(f, _)| f).collect();
 
     // The NOC watches the tracker *live*: ingest proceeds in chunks and
-    // a lock-free `QueryHandle` reads the latest published snapshot
+    // a `QueryHandle` reads the latest published snapshot
     // between chunks, without ever stopping the packet stream. The final
     // report reads the same handle after quiesce — bit-identical to a
     // stop-the-world query.

@@ -40,7 +40,7 @@ fn main() {
     let proto = RandomizedRank::new(TrackingConfig::new(k, eps));
     let mut all: Vec<u64> = Vec::with_capacity(n as usize);
 
-    // Quantile queries, whole-stream or windowed, through a lock-free
+    // Quantile queries, whole-stream or windowed, through a
     // live-query handle: the base station reads the latest published
     // snapshot **without stopping ingest** — mid-run answers may lag
     // in-flight readings by at most one snapshot epoch, and the final

@@ -44,6 +44,8 @@
 //! println!("messages: {}", runner.stats().total_msgs());
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use dtrack_bounds as bounds;
 pub use dtrack_core as core;
 pub use dtrack_sim as sim;

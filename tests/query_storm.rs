@@ -1,4 +1,4 @@
-//! Live-query battery for the lock-free snapshot read path.
+//! Live-query battery for the snapshot read path.
 //!
 //! The `Executor::query_handle` contract under test (see
 //! `dtrack::sim::snapshot`):
@@ -62,7 +62,7 @@ fn smoke_handle_reads_match_quiesced_query() {
             truth,
             "{spec}: post-quiesce handle read differs from query"
         );
-        // A clone (fresh hazard slot) sees the same snapshot.
+        // A clone (a handle of its own on the cell) sees the same snapshot.
         assert_eq!(handle.clone().read(|s| s.state.estimate()), truth, "{spec}");
         // Feed more: the live read advances without any quiesce.
         let before = handle.read(|s| (s.epoch, s.state.estimate()));
