@@ -6,7 +6,7 @@
 //! algorithms even with two-way communication [29], which is exactly what
 //! the randomized protocol beats by `√k`.
 
-use dtrack_sim::wire::{WireError, WireReader, WireWriter};
+use dtrack_sim::wire::{WireError, WireReader, WireSink};
 use dtrack_sim::{Coordinator, Decode, Encode, Net, Outbox, Protocol, Site, SiteId, Words};
 
 use crate::config::TrackingConfig;
@@ -26,7 +26,7 @@ impl Words for DetCountUp {
 }
 
 impl Encode for DetCountUp {
-    fn encode(&self, w: &mut WireWriter) {
+    fn encode(&self, w: &mut impl WireSink) {
         w.put_varint(self.0);
     }
 }

@@ -14,7 +14,7 @@ use rand::rngs::SmallRng;
 use rand::Rng;
 
 use dtrack_sim::rng::{flip, rng_from_seed, site_seed, GeometricSkips};
-use dtrack_sim::wire::{WireError, WireReader, WireWriter};
+use dtrack_sim::wire::{WireError, WireReader, WireSink};
 use dtrack_sim::{Coordinator, Decode, Encode, Net, Outbox, Protocol, Site, SiteId, Words};
 
 use crate::coarse::{CoarseCoord, CoarseSite};
@@ -42,7 +42,7 @@ impl Words for CountUp {
 }
 
 impl Encode for CountUp {
-    fn encode(&self, w: &mut WireWriter) {
+    fn encode(&self, w: &mut impl WireSink) {
         match self {
             CountUp::Coarse(n) => {
                 w.put_u8(0);
@@ -92,7 +92,7 @@ impl Words for CountDown {
 }
 
 impl Encode for CountDown {
-    fn encode(&self, w: &mut WireWriter) {
+    fn encode(&self, w: &mut impl WireSink) {
         let CountDown::NewRound { n_bar } = self;
         w.put_varint(*n_bar);
     }

@@ -13,7 +13,7 @@
 //! that Theorem 3.1's randomized protocol beats by `√k`. Space is the
 //! optimal `O(1/ε)` per site.
 
-use dtrack_sim::wire::{WireError, WireReader, WireWriter};
+use dtrack_sim::wire::{WireError, WireReader, WireSink};
 use dtrack_sim::{Coordinator, Decode, Encode, Net, Outbox, Protocol, Site, SiteId, Words};
 use dtrack_sketch::hash::FastMap;
 
@@ -43,7 +43,7 @@ impl Words for DetFreqUp {
 }
 
 impl Encode for DetFreqUp {
-    fn encode(&self, w: &mut WireWriter) {
+    fn encode(&self, w: &mut impl WireSink) {
         match self {
             DetFreqUp::Coarse(n) => {
                 w.put_u8(0);
@@ -89,7 +89,7 @@ impl Words for DetFreqDown {
 }
 
 impl Encode for DetFreqDown {
-    fn encode(&self, w: &mut WireWriter) {
+    fn encode(&self, w: &mut impl WireSink) {
         let DetFreqDown::NewRound { n_bar } = self;
         w.put_varint(*n_bar);
     }

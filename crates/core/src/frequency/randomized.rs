@@ -21,7 +21,7 @@
 use rand::rngs::SmallRng;
 
 use dtrack_sim::rng::{flip, rng_from_seed, site_seed};
-use dtrack_sim::wire::{WireError, WireReader, WireWriter};
+use dtrack_sim::wire::{WireError, WireReader, WireSink};
 use dtrack_sim::{Coordinator, Decode, Encode, Net, Outbox, Protocol, Site, SiteId, Words};
 use dtrack_sketch::hash::FastMap;
 use dtrack_sketch::sticky::{StickyCounters, StickyEvent};
@@ -66,7 +66,7 @@ impl Words for FreqUp {
 }
 
 impl Encode for FreqUp {
-    fn encode(&self, w: &mut WireWriter) {
+    fn encode(&self, w: &mut impl WireSink) {
         match self {
             FreqUp::Coarse(n) => {
                 w.put_u8(0);
@@ -129,7 +129,7 @@ impl Words for FreqDown {
 }
 
 impl Encode for FreqDown {
-    fn encode(&self, w: &mut WireWriter) {
+    fn encode(&self, w: &mut impl WireSink) {
         let FreqDown::NewRound { n_bar } = self;
         w.put_varint(*n_bar);
     }

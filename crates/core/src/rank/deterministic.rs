@@ -9,7 +9,7 @@
 //! the paper attributes to [6] ("O(k/ε²·logN) under certain inputs") and
 //! the natural deterministic comparator for Theorem 4.1's `√k/ε·logN`.
 
-use dtrack_sim::wire::{WireError, WireReader, WireWriter};
+use dtrack_sim::wire::{WireError, WireReader, WireSink};
 use dtrack_sim::{Coordinator, Decode, Encode, Net, Outbox, Protocol, Site, SiteId, Words};
 use dtrack_sketch::gk::{GkSummary, GkTuple};
 
@@ -52,7 +52,7 @@ impl Words for DetRankUp {
 // `dtrack-sim`, so the fields are serialized inline here rather than
 // via an `Encode` impl on the sketch type.
 impl Encode for DetRankUp {
-    fn encode(&self, w: &mut WireWriter) {
+    fn encode(&self, w: &mut impl WireSink) {
         match self {
             DetRankUp::Coarse(n) => {
                 w.put_u8(0);
@@ -122,7 +122,7 @@ impl Words for DetRankDown {
 }
 
 impl Encode for DetRankDown {
-    fn encode(&self, w: &mut WireWriter) {
+    fn encode(&self, w: &mut impl WireSink) {
         let DetRankDown::NewRound { round } = self;
         w.put_varint(u64::from(*round));
     }

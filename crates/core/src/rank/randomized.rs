@@ -20,12 +20,33 @@
 //! variance `O((εn)²)` (the constants below are tuned so the *measured*
 //! standard deviation is ≲ εn; the paper itself rescales ε by a constant
 //! to reach its stated 0.9 success probability).
+//!
+//! ## Answering
+//!
+//! A query costs one binary search per chunk plus the chunk's tail
+//! scan. Each chunk keeps its canonical node summaries flattened into
+//! one sorted item run with the running weight below every position,
+//! so the decomposition's estimate is a single `partition_point`
+//! instead of one search per level of every node summary. The flat run
+//! is built lazily by the first query after a `Summary` changes the
+//! chunk, and lives in a shared cell: a `Summary` replaces the cell
+//! rather than clearing it, so a coordinator and its snapshot clones
+//! share cells, a run a snapshot reader builds is inherited by the next
+//! publish, and a publish copies one pointer per chunk for it.
+//!
+//! The flat answer is bit-identical to summing the node summaries'
+//! estimates one by one: every canonical term is an integer (item
+//! counts times `2^ℓ`) and every partial sum stays below 2^53, where
+//! `f64` addition of integers is exact, so the integer total converts
+//! to the same `f64`.
+
+use std::sync::{Arc, OnceLock};
 
 use rand::rngs::SmallRng;
 use rand::Rng;
 
 use dtrack_sim::rng::{flip, rng_from_seed, site_seed};
-use dtrack_sim::wire::{WireError, WireReader, WireWriter};
+use dtrack_sim::wire::{WireError, WireReader, WireSink};
 use dtrack_sim::{Coordinator, Decode, Encode, Net, Outbox, Protocol, Site, SiteId, Words};
 use dtrack_sketch::hash::FastMap;
 use dtrack_sketch::kll::{KllSketch, KllSummary};
@@ -93,7 +114,7 @@ impl Words for RankUp {
 // `KllSummary::words` = stored + levels + 1: one varint per stored
 // item/level-length/`n`.
 impl Encode for RankUp {
-    fn encode(&self, w: &mut WireWriter) {
+    fn encode(&self, w: &mut impl WireSink) {
         match self {
             RankUp::Coarse(n) => {
                 w.put_u8(0);
@@ -184,7 +205,7 @@ impl Words for RankDown {
 }
 
 impl Encode for RankDown {
-    fn encode(&self, w: &mut WireWriter) {
+    fn encode(&self, w: &mut impl WireSink) {
         let RankDown::NewRound { n_bar } = self;
         w.put_varint(*n_bar);
     }
@@ -369,6 +390,20 @@ struct ChunkView {
     levels: Vec<Vec<KllSummary>>,
     /// Samples not yet covered by a completed leaf block.
     tail: Vec<u64>,
+    /// `levels`' canonical decomposition flattened for queries, built by
+    /// the first query that needs it. A `Summary` installs a fresh cell
+    /// and never clears one in place, so clones share cells safely.
+    flat: Arc<OnceLock<FlatCanonical>>,
+}
+
+/// A chunk's canonical node summaries merged into one sorted run.
+#[derive(Debug, Default)]
+struct FlatCanonical {
+    /// Every item of every canonical node summary, sorted.
+    items: Vec<u64>,
+    /// `below[i]` = total weight (`2^ℓ` per level-ℓ item) of
+    /// `items[..i]`; one longer than `items`, ending in the total.
+    below: Vec<u64>,
 }
 
 impl ChunkView {
@@ -377,25 +412,55 @@ impl ChunkView {
         self.levels.first().map_or(0, |v| v.len() as u64)
     }
 
+    /// The canonical decomposition of the `q` completed blocks (one full
+    /// node per set bit of `q`, largest first) as weighted items
+    /// `(value, 2^ℓ)`, node by node. A node not yet received — summaries
+    /// may arrive out of order — contributes nothing.
+    fn canonical(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
+        let q = self.leaf_count();
+        let mut consumed = 0u64;
+        (0..64 - q.leading_zeros())
+            .rev()
+            .filter_map(move |level| {
+                if (q >> level) & 1 == 0 {
+                    return None;
+                }
+                let idx = (consumed >> level) as usize;
+                consumed += 1 << level;
+                self.levels.get(level as usize)?.get(idx)
+            })
+            .flat_map(|s| {
+                s.levels
+                    .iter()
+                    .enumerate()
+                    .flat_map(|(l, items)| items.iter().map(move |&v| (v, 1u64 << l)))
+            })
+    }
+
+    /// The flattened [`ChunkView::canonical`], built on first use.
+    fn flat(&self) -> &FlatCanonical {
+        self.flat.get_or_init(|| {
+            let mut points: Vec<(u64, u64)> = self.canonical().collect();
+            points.sort_unstable_by_key(|&(v, _)| v);
+            let mut below = Vec::with_capacity(points.len() + 1);
+            let mut total = 0u64;
+            below.push(total);
+            below.extend(points.iter().map(|&(_, w)| {
+                total += w;
+                total
+            }));
+            FlatCanonical {
+                items: points.into_iter().map(|(v, _)| v).collect(),
+                below,
+            }
+        })
+    }
+
     /// Unbiased rank estimate for this chunk: canonical decomposition of
     /// the `q` completed blocks plus the sampled tail.
     fn estimate_rank(&self, x: u64) -> f64 {
-        let q = self.leaf_count();
-        let mut est = 0.0;
-        let mut consumed = 0u64;
-        if q > 0 {
-            for level in (0..64 - q.leading_zeros() as u64).rev() {
-                if (q >> level) & 1 == 1 {
-                    let idx = (consumed >> level) as usize;
-                    if let Some(summaries) = self.levels.get(level as usize) {
-                        if let Some(s) = summaries.get(idx) {
-                            est += s.estimate_rank(x);
-                        }
-                    }
-                    consumed += 1 << level;
-                }
-            }
-        }
+        let flat = self.flat();
+        let mut est = flat.below[flat.items.partition_point(|&v| v < x)] as f64;
         if self.p > 0.0 {
             est += self.tail.iter().filter(|&&v| v < x).count() as f64 / self.p;
         }
@@ -413,26 +478,7 @@ impl ChunkView {
     /// the prefix-sum of these points reproduces [`ChunkView::estimate_rank`]
     /// for every query `x`.
     fn digest_points(&self, out: &mut Vec<(u64, f64)>) {
-        let q = self.leaf_count();
-        let mut consumed = 0u64;
-        if q > 0 {
-            for level in (0..64 - q.leading_zeros() as u64).rev() {
-                if (q >> level) & 1 == 1 {
-                    let idx = (consumed >> level) as usize;
-                    if let Some(s) = self
-                        .levels
-                        .get(level as usize)
-                        .and_then(|summaries| summaries.get(idx))
-                    {
-                        for (l, items) in s.levels.iter().enumerate() {
-                            let w = (1u64 << l) as f64;
-                            out.extend(items.iter().map(|&v| (v, w)));
-                        }
-                    }
-                    consumed += 1 << level;
-                }
-            }
-        }
+        out.extend(self.canonical().map(|(v, w)| (v, w as f64)));
         if self.p > 0.0 {
             out.extend(self.tail.iter().map(|&v| (v, 1.0 / self.p)));
         }
@@ -466,8 +512,7 @@ impl RandRankCoord {
             .entry((site, chunk))
             .or_insert_with(|| ChunkView {
                 p,
-                levels: Vec::new(),
-                tail: Vec::new(),
+                ..ChunkView::default()
             })
     }
 
@@ -523,14 +568,7 @@ impl Coordinator for RandRankCoord {
             RankUp::ChunkStart { chunk, n_bar } => {
                 let x = C_P * self.cfg.sqrt_k() / (self.cfg.epsilon * (*n_bar).max(1) as f64);
                 let p = x.min(1.0);
-                self.chunks
-                    .entry((from, *chunk))
-                    .or_insert_with(|| ChunkView {
-                        p,
-                        levels: Vec::new(),
-                        tail: Vec::new(),
-                    })
-                    .p = p;
+                self.chunks.entry((from, *chunk)).or_default().p = p;
             }
             RankUp::Sample { chunk, value } => {
                 self.view(from, *chunk).tail.push(*value);
@@ -545,6 +583,9 @@ impl Coordinator for RandRankCoord {
                     view.levels.push(Vec::new());
                 }
                 view.levels[*level as usize].push(summary.clone());
+                // A fresh cell, not a cleared one: snapshot clones keep
+                // the cell that matches their own `levels`.
+                view.flat = Arc::default();
                 if *level == 0 {
                     // Samples received so far are covered by completed
                     // blocks; only the (empty) tail remains.
@@ -773,5 +814,245 @@ mod tests {
             }
         }
         assert!(ok >= 17, "ok {ok}/{reps}");
+    }
+
+    // The per-summary walk the flat cells replaced — one
+    // `KllSummary::estimate_rank` per canonical node — kept as the
+    // reference the coordinator's answers must match bit for bit.
+
+    /// One chunk's estimate by the per-summary walk; `gaps` counts the
+    /// canonical nodes read *past* a larger node not yet received (the
+    /// case where the walk's position must still advance over the gap).
+    fn reference_chunk_rank(c: &ChunkView, x: u64, gaps: &mut u64) -> f64 {
+        let q = c.leaf_count();
+        let mut est = 0.0;
+        let mut consumed = 0u64;
+        let mut missing = false;
+        if q > 0 {
+            for level in (0..64 - q.leading_zeros() as u64).rev() {
+                if (q >> level) & 1 == 1 {
+                    let idx = (consumed >> level) as usize;
+                    match c.levels.get(level as usize).and_then(|s| s.get(idx)) {
+                        Some(s) => {
+                            est += s.estimate_rank(x);
+                            *gaps += u64::from(missing);
+                        }
+                        None => missing = true,
+                    }
+                    consumed += 1 << level;
+                }
+            }
+        }
+        if c.p > 0.0 {
+            est += c.tail.iter().filter(|&&v| v < x).count() as f64 / c.p;
+        }
+        est
+    }
+
+    fn reference_rank(coord: &RandRankCoord, x: u64) -> f64 {
+        let mut gaps = 0;
+        coord
+            .chunks
+            .values()
+            .map(|c| reference_chunk_rank(c, x, &mut gaps))
+            .sum()
+    }
+
+    fn reference_gaps(coord: &RandRankCoord) -> u64 {
+        let mut gaps = 0;
+        for c in coord.chunks.values() {
+            reference_chunk_rank(c, 0, &mut gaps);
+        }
+        gaps
+    }
+
+    fn reference_quantile(coord: &RandRankCoord, phi: f64, mut lo: u64, mut hi: u64) -> u64 {
+        let target = phi.clamp(0.0, 1.0) * reference_rank(coord, u64::MAX);
+        while lo + 1 < hi {
+            let mid = lo + (hi - lo) / 2;
+            if reference_rank(coord, mid) < target {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+        lo
+    }
+
+    fn reference_digest(coord: &RandRankCoord) -> crate::window::WeightedValues {
+        let mut points = Vec::new();
+        for c in coord.chunks.values() {
+            let q = c.leaf_count();
+            let mut consumed = 0u64;
+            for level in (0..64 - q.leading_zeros() as u64).rev() {
+                if (q >> level) & 1 == 1 {
+                    let idx = (consumed >> level) as usize;
+                    if let Some(s) = c.levels.get(level as usize).and_then(|s| s.get(idx)) {
+                        for (l, items) in s.levels.iter().enumerate() {
+                            let w = (1u64 << l) as f64;
+                            points.extend(items.iter().map(|&v| (v, w)));
+                        }
+                    }
+                    consumed += 1 << level;
+                }
+            }
+            if c.p > 0.0 {
+                points.extend(c.tail.iter().map(|&v| (v, 1.0 / c.p)));
+            }
+        }
+        crate::window::WeightedValues::from_points(points)
+    }
+
+    /// Query points: 0, `u64::MAX`, a spread of stored items (summary
+    /// items and tail samples) each ± 1, and the quartiles of `fed`.
+    fn query_grid(coord: &RandRankCoord, fed: &[u64]) -> Vec<u64> {
+        let mut stored: Vec<u64> = coord
+            .chunks
+            .values()
+            .flat_map(|c| {
+                c.levels
+                    .iter()
+                    .flatten()
+                    .flat_map(|s| s.levels.iter().flatten())
+                    .chain(&c.tail)
+                    .copied()
+            })
+            .collect();
+        stored.sort_unstable();
+        let step = (stored.len() / 40).max(1);
+        let mut grid = vec![0, u64::MAX];
+        for &v in stored.iter().step_by(step) {
+            grid.extend([v.saturating_sub(1), v, v.saturating_add(1)]);
+        }
+        let mut sorted = fed.to_vec();
+        sorted.sort_unstable();
+        if !sorted.is_empty() {
+            grid.extend((1..4).map(|i| sorted[i * (sorted.len() - 1) / 4]));
+        }
+        grid
+    }
+
+    /// Ranks on the grid and the total equal the reference's bits.
+    fn assert_ranks_match_reference(coord: &RandRankCoord, fed: &[u64], at: &str) {
+        for x in query_grid(coord, fed) {
+            assert_eq!(
+                coord.estimate_rank(x).to_bits(),
+                reference_rank(coord, x).to_bits(),
+                "{at}: rank({x})"
+            );
+        }
+        assert_eq!(
+            coord.estimate_total().to_bits(),
+            reference_rank(coord, u64::MAX).to_bits(),
+            "{at}: total"
+        );
+    }
+
+    /// Every answer the coordinator gives — ranks on the grid, the total,
+    /// three quantiles and the epoch digest — equals the reference's bits.
+    fn assert_matches_reference(coord: &RandRankCoord, fed: &[u64], at: &str) {
+        assert_ranks_match_reference(coord, fed, at);
+        for phi in [0.25, 0.5, 0.75] {
+            assert_eq!(
+                coord.quantile(phi, 0, u64::MAX),
+                reference_quantile(coord, phi, 0, u64::MAX),
+                "{at}: quantile({phi})"
+            );
+        }
+        assert_eq!(
+            <RandomizedRank as crate::window::EpochProtocol>::digest(coord),
+            reference_digest(coord),
+            "{at}: digest"
+        );
+    }
+
+    #[test]
+    fn flat_answers_match_per_summary_walk_at_runner_checkpoints() {
+        let proto = RandomizedRank::new(TrackingConfig::new(8, 0.05));
+        let seq = DistinctSeq::new(3);
+        for seed in 0..5 {
+            let mut r = Runner::new(&proto, seed);
+            let mut fed = Vec::new();
+            for t in 0..12_000u64 {
+                let v = seq.value_at(t);
+                r.feed((t % 8) as usize, &v);
+                fed.push(v);
+                if t % 997 == 0 {
+                    assert_matches_reference(r.coord(), &fed, &format!("seed {seed} t {t}"));
+                }
+            }
+            assert!(
+                r.coord().chunks.values().any(|c| c.levels.len() > 2),
+                "seed {seed}: the stream reached multi-level chunk trees"
+            );
+            assert_matches_reference(r.coord(), &fed, &format!("seed {seed} end"));
+        }
+    }
+
+    #[test]
+    fn flat_answers_match_per_summary_walk_under_adversarial_reorder() {
+        use dtrack_sim::{DeliveryPolicy, EventRuntime};
+        let proto = RandomizedRank::new(TrackingConfig::new(8, 0.05));
+        let seq = DistinctSeq::new(4);
+        let mut gapped = 0;
+        for seed in 0..3 {
+            let policy = DeliveryPolicy::AdversarialReorder { window: 64 };
+            let mut ev = EventRuntime::with_policy(&proto, seed, policy);
+            let mut fed = Vec::new();
+            for t in 0..10_000u64 {
+                let v = seq.value_at(t);
+                ev.feed((t % 8) as usize, v);
+                fed.push(v);
+                // A gapped state lasts a few ticks: look at every one.
+                if reference_gaps(ev.coord()) > 0 {
+                    gapped += 1;
+                    let at = format!("seed {seed} t {t} (gapped)");
+                    assert_ranks_match_reference(ev.coord(), &fed, &at);
+                }
+                if t % 331 == 0 {
+                    assert_matches_reference(ev.coord(), &fed, &format!("seed {seed} t {t}"));
+                }
+            }
+            ev.quiesce();
+            assert_matches_reference(ev.coord(), &fed, &format!("seed {seed} quiesced"));
+        }
+        assert!(
+            gapped > 0,
+            "no state had a node past a missing canonical node"
+        );
+    }
+
+    #[test]
+    fn snapshot_clones_share_flat_cells_and_stay_exact() {
+        let proto = RandomizedRank::new(TrackingConfig::new(8, 0.05));
+        let seq = DistinctSeq::new(5);
+        let mut r = Runner::new(&proto, 17);
+        let mut fed = Vec::new();
+        let feed =
+            |r: &mut Runner<RandomizedRank>, fed: &mut Vec<u64>, ts: std::ops::Range<u64>| {
+                for t in ts {
+                    let v = seq.value_at(t);
+                    r.feed((t % 8) as usize, &v);
+                    fed.push(v);
+                }
+            };
+        feed(&mut r, &mut fed, 0..6_000);
+        let snap = r.coord().clone();
+        let snap_fed = fed.clone();
+        assert_matches_reference(&snap, &snap_fed, "clone");
+        // The clone built its cells; the original shares them.
+        for (key, c) in &r.coord().chunks {
+            assert!(Arc::ptr_eq(&c.flat, &snap.chunks[key].flat), "{key:?}");
+            assert!(c.flat.get().is_some(), "{key:?}: built via the clone");
+        }
+        feed(&mut r, &mut fed, 6_000..12_000);
+        let replaced = snap
+            .chunks
+            .iter()
+            .filter(|(key, c)| !Arc::ptr_eq(&c.flat, &r.coord().chunks[key].flat))
+            .count();
+        assert!(replaced > 0, "later summaries install fresh cells");
+        assert_matches_reference(r.coord(), &fed, "original after more summaries");
+        assert_matches_reference(&snap, &snap_fed, "clone after the original moved on");
     }
 }

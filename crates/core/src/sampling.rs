@@ -17,7 +17,7 @@ use rand::rngs::SmallRng;
 use rand::Rng;
 
 use dtrack_sim::rng::{rng_from_seed, site_seed};
-use dtrack_sim::wire::{WireError, WireReader, WireWriter};
+use dtrack_sim::wire::{WireError, WireReader, WireSink};
 use dtrack_sim::{Coordinator, Decode, Encode, Net, Outbox, Protocol, Site, SiteId, Words};
 
 use crate::config::TrackingConfig;
@@ -45,7 +45,7 @@ impl Words for SampleUp {
 }
 
 impl Encode for SampleUp {
-    fn encode(&self, w: &mut WireWriter) {
+    fn encode(&self, w: &mut impl WireSink) {
         w.put_varint(self.item);
         w.put_varint(u64::from(self.level));
     }
@@ -75,7 +75,7 @@ impl Words for LevelDown {
 }
 
 impl Encode for LevelDown {
-    fn encode(&self, w: &mut WireWriter) {
+    fn encode(&self, w: &mut impl WireSink) {
         w.put_varint(u64::from(self.0));
     }
 }

@@ -147,7 +147,7 @@ use std::collections::BTreeMap;
 use std::collections::VecDeque;
 
 use dtrack_sim::rng::splitmix64;
-use dtrack_sim::wire::{varint_len, WireError, WireReader, WireWriter};
+use dtrack_sim::wire::{varint_len, WireError, WireReader, WireSink};
 use dtrack_sim::{Coordinator, Decode, Encode, Net, Outbox, Protocol, Site, SiteId, Words};
 
 /// Maximum closed buckets per span class before the two oldest merge.
@@ -501,7 +501,7 @@ impl<U: Words> Words for WinUp<U> {
 }
 
 impl<U: Encode> Encode for WinUp<U> {
-    fn encode(&self, w: &mut WireWriter) {
+    fn encode(&self, w: &mut impl WireSink) {
         match self {
             WinUp::Tick => w.put_u8(0),
             WinUp::SealAck { epoch } => {
@@ -576,7 +576,7 @@ impl<D: Words> Words for WinDown<D> {
 }
 
 impl<D: Encode> Encode for WinDown<D> {
-    fn encode(&self, w: &mut WireWriter) {
+    fn encode(&self, w: &mut impl WireSink) {
         match self {
             WinDown::Seal { next } => {
                 w.put_u8(0);

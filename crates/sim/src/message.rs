@@ -63,9 +63,15 @@ pub trait Words {
 /// one varint length prefix per length word, one tag byte per enum
 /// dispatch. `encode ∘ decode = id` is property-tested for every
 /// protocol message type (`crates/core/tests/wire_roundtrip.rs`).
+///
+/// `encode` is generic over its [`WireSink`](crate::wire::WireSink):
+/// the one description of a message serves both the byte writer and
+/// the counter behind [`crate::wire::measured`], each compiled for its
+/// own sink (so `Encode` is not object-safe — nothing needs `dyn
+/// Encode`).
 pub trait Encode {
     /// Append this value's encoding to `w`.
-    fn encode(&self, w: &mut crate::wire::WireWriter);
+    fn encode(&self, w: &mut impl crate::wire::WireSink);
 }
 
 /// Deserialize a message from the byte codec — the inverse of
@@ -183,7 +189,7 @@ impl<T: Words> Words for Option<T> {
 // accounting one varint (or fixed-width field) per word.
 
 impl Encode for u64 {
-    fn encode(&self, w: &mut crate::wire::WireWriter) {
+    fn encode(&self, w: &mut impl crate::wire::WireSink) {
         w.put_varint(*self);
     }
 }
@@ -195,7 +201,7 @@ impl Decode for u64 {
 }
 
 impl Encode for u32 {
-    fn encode(&self, w: &mut crate::wire::WireWriter) {
+    fn encode(&self, w: &mut impl crate::wire::WireSink) {
         w.put_varint(u64::from(*self));
     }
 }
@@ -207,7 +213,7 @@ impl Decode for u32 {
 }
 
 impl Encode for usize {
-    fn encode(&self, w: &mut crate::wire::WireWriter) {
+    fn encode(&self, w: &mut impl crate::wire::WireSink) {
         w.put_varint(*self as u64);
     }
 }
@@ -219,7 +225,7 @@ impl Decode for usize {
 }
 
 impl Encode for i64 {
-    fn encode(&self, w: &mut crate::wire::WireWriter) {
+    fn encode(&self, w: &mut impl crate::wire::WireSink) {
         w.put_signed(*self);
     }
 }
@@ -231,7 +237,7 @@ impl Decode for i64 {
 }
 
 impl Encode for f64 {
-    fn encode(&self, w: &mut crate::wire::WireWriter) {
+    fn encode(&self, w: &mut impl crate::wire::WireSink) {
         w.put_f64(*self);
     }
 }
@@ -243,7 +249,7 @@ impl Decode for f64 {
 }
 
 impl Encode for () {
-    fn encode(&self, _w: &mut crate::wire::WireWriter) {}
+    fn encode(&self, _w: &mut impl crate::wire::WireSink) {}
 }
 
 impl Decode for () {
@@ -253,7 +259,7 @@ impl Decode for () {
 }
 
 impl<A: Encode, B: Encode> Encode for (A, B) {
-    fn encode(&self, w: &mut crate::wire::WireWriter) {
+    fn encode(&self, w: &mut impl crate::wire::WireSink) {
         self.0.encode(w);
         self.1.encode(w);
     }
@@ -266,7 +272,7 @@ impl<A: Decode, B: Decode> Decode for (A, B) {
 }
 
 impl<T: Encode> Encode for Vec<T> {
-    fn encode(&self, w: &mut crate::wire::WireWriter) {
+    fn encode(&self, w: &mut impl crate::wire::WireSink) {
         w.put_varint(self.len() as u64);
         for v in self {
             v.encode(w);
@@ -292,7 +298,7 @@ impl<T: Decode> Decode for Vec<T> {
 }
 
 impl<T: Encode> Encode for Option<T> {
-    fn encode(&self, w: &mut crate::wire::WireWriter) {
+    fn encode(&self, w: &mut impl crate::wire::WireSink) {
         match self {
             Some(v) => {
                 w.put_u8(1);

@@ -1140,7 +1140,7 @@ mod tests {
     use super::*;
     use crate::net::Net;
     use crate::protocol::Coordinator;
-    use crate::wire::{WireReader, WireWriter};
+    use crate::wire::{WireReader, WireSink};
     use std::io::Write;
 
     /// Echo protocol with an urgent flavor: sites forward each item;
@@ -1164,7 +1164,7 @@ mod tests {
     }
 
     impl Encode for EchoUp {
-        fn encode(&self, w: &mut WireWriter) {
+        fn encode(&self, w: &mut impl WireSink) {
             w.put_varint(self.0);
         }
     }

@@ -23,6 +23,17 @@
 //! length-prefixed **frame** layer the socket transport
 //! ([`crate::runtime`]) ships frames through.
 //!
+//! ## One encoder, two sinks
+//!
+//! An `encode` writes to any [`WireSink`]. There are two: [`WireWriter`]
+//! stores the bytes (frames, tests), and a private counter behind
+//! [`measured`] adds up their lengths without storing anything — that
+//! count is what every executor charges as a message's bytes, once per
+//! message. Because the sink is a type parameter rather than a run-time
+//! flag, the counting instance of an `encode` compiles to a length sum
+//! kept in a register, and because both sinks run the same `encode`,
+//! the count cannot drift from the bytes.
+//!
 //! ## Relation to the word model
 //!
 //! The byte codec mirrors the word accounting structurally: wherever
@@ -73,78 +84,25 @@ impl From<WireError> for io::Error {
     }
 }
 
-/// Sink for [`Encode`] impls. One encoder, two sinks: a writer from
-/// [`WireWriter::new`] stores the bytes; the counting writer behind
-/// [`measured`] runs the same `encode` calls and only sums their lengths.
-#[derive(Debug, Default)]
-pub struct WireWriter {
-    buf: Vec<u8>,
-    /// `Some(n)` on the counting writer: `n` bytes so far, `buf` unused.
-    count: Option<usize>,
-}
-
-impl WireWriter {
-    /// Fresh, empty writer.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The bytes written so far (none on the counting writer).
-    pub fn as_bytes(&self) -> &[u8] {
-        &self.buf
-    }
-
-    /// Consume the writer, yielding the encoded bytes.
-    pub fn into_bytes(self) -> Vec<u8> {
-        self.buf
-    }
-
-    /// Bytes written so far.
-    pub fn len(&self) -> usize {
-        self.count.unwrap_or(self.buf.len())
-    }
-
-    /// Whether nothing has been written.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
+/// Sink for [`Encode`] impls: the byte-storing [`WireWriter`], or the
+/// counter behind [`measured`] (module docs, "One encoder, two sinks").
+///
+/// Implementors provide the three raw primitives; the composite ones
+/// are written once, here, in terms of them.
+pub trait WireSink {
     /// One raw byte (enum variant tags).
-    pub fn put_u8(&mut self, b: u8) {
-        match &mut self.count {
-            Some(n) => *n += 1,
-            None => self.buf.push(b),
-        }
-    }
+    fn put_u8(&mut self, b: u8);
 
     /// Unsigned LEB128 varint: 7 bits per byte, high bit = continuation.
-    pub fn put_varint(&mut self, mut v: u64) {
-        if let Some(n) = &mut self.count {
-            *n += varint_len(v) as usize;
-            return;
-        }
-        loop {
-            let byte = (v & 0x7F) as u8;
-            v >>= 7;
-            if v == 0 {
-                self.buf.push(byte);
-                return;
-            }
-            self.buf.push(byte | 0x80);
-        }
-    }
-
-    /// Signed integer, zig-zag mapped then varint encoded.
-    pub fn put_signed(&mut self, v: i64) {
-        self.put_varint(((v << 1) ^ (v >> 63)) as u64);
-    }
+    fn put_varint(&mut self, v: u64);
 
     /// IEEE-754 double, 8 bytes little-endian (doubles don't varint).
-    pub fn put_f64(&mut self, v: f64) {
-        match &mut self.count {
-            Some(n) => *n += 8,
-            None => self.buf.extend_from_slice(&v.to_bits().to_le_bytes()),
-        }
+    fn put_f64(&mut self, v: f64);
+
+    /// Signed integer, zig-zag mapped then varint encoded.
+    #[inline]
+    fn put_signed(&mut self, v: i64) {
+        self.put_varint(((v << 1) ^ (v >> 63)) as u64);
     }
 
     /// A **sorted** run of values as a varint length, the first value
@@ -154,7 +112,8 @@ impl WireWriter {
     ///
     /// Debug-asserts sortedness — an unsorted run would still round-trip
     /// through [`WireReader::delta_run`] only if non-decreasing.
-    pub fn put_delta_run<I>(&mut self, values: I)
+    #[inline]
+    fn put_delta_run<I>(&mut self, values: I)
     where
         I: IntoIterator<Item = u64>,
         I::IntoIter: ExactSizeIterator,
@@ -168,6 +127,86 @@ impl WireWriter {
             self.put_varint(v - prev);
             prev = v;
         }
+    }
+}
+
+/// The byte-storing [`WireSink`].
+#[derive(Debug, Default)]
+pub struct WireWriter {
+    buf: Vec<u8>,
+}
+
+impl WireWriter {
+    /// Fresh, empty writer.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// The bytes written so far.
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.buf
+    }
+
+    /// Consume the writer, yielding the encoded bytes.
+    pub fn into_bytes(self) -> Vec<u8> {
+        self.buf
+    }
+
+    /// Bytes written so far.
+    pub fn len(&self) -> usize {
+        self.buf.len()
+    }
+
+    /// Whether nothing has been written.
+    pub fn is_empty(&self) -> bool {
+        self.buf.is_empty()
+    }
+}
+
+impl WireSink for WireWriter {
+    #[inline]
+    fn put_u8(&mut self, b: u8) {
+        self.buf.push(b);
+    }
+
+    #[inline]
+    fn put_varint(&mut self, mut v: u64) {
+        loop {
+            let byte = (v & 0x7F) as u8;
+            v >>= 7;
+            if v == 0 {
+                self.buf.push(byte);
+                return;
+            }
+            self.buf.push(byte | 0x80);
+        }
+    }
+
+    #[inline]
+    fn put_f64(&mut self, v: f64) {
+        self.buf.extend_from_slice(&v.to_bits().to_le_bytes());
+    }
+}
+
+/// The counting [`WireSink`] behind [`measured`]: stores nothing, and
+/// its running total is exactly the length [`WireWriter`] would reach.
+#[derive(Debug, Default)]
+struct ByteCount(usize);
+
+impl WireSink for ByteCount {
+    #[inline]
+    fn put_u8(&mut self, _b: u8) {
+        self.0 += 1;
+    }
+
+    #[inline]
+    fn put_varint(&mut self, v: u64) {
+        self.0 += varint_len(v) as usize;
+    }
+
+    #[inline]
+    fn put_f64(&mut self, _v: f64) {
+        self.0 += 8;
     }
 }
 
@@ -284,7 +323,6 @@ pub fn encode_into<T: Encode + ?Sized>(v: &T, buf: &mut Vec<u8>) {
     buf.clear();
     let mut w = WireWriter {
         buf: std::mem::take(buf),
-        count: None,
     };
     v.encode(&mut w);
     *buf = w.buf;
@@ -294,21 +332,20 @@ pub fn encode_into<T: Encode + ?Sized>(v: &T, buf: &mut Vec<u8>) {
 /// what [`Words::wire_bytes`] overrides report for messages with a
 /// codec, and what the byte columns in `CommStats` accumulate.
 ///
-/// A counting pass over `v`'s own [`Encode`] impl: nothing is stored or
-/// allocated, and the result is the length [`encode_to_vec`] would
-/// produce because it is the same code that produces it.
+/// `v`'s own [`Encode`] impl run against the counting sink instead of
+/// [`WireWriter`]: nothing is stored or allocated, each varint costs
+/// one [`varint_len`], and the result is the length [`encode_to_vec`]
+/// would produce because it is the same code that produces it.
 ///
 /// [`Words::wire_bytes`]: crate::message::Words::wire_bytes
 pub fn measured<T: Encode + ?Sized>(v: &T) -> u64 {
-    let mut w = WireWriter {
-        buf: Vec::new(),
-        count: Some(0),
-    };
-    v.encode(&mut w);
-    w.len() as u64
+    let mut count = ByteCount::default();
+    v.encode(&mut count);
+    count.0 as u64
 }
 
 /// Number of bytes the varint encoding of `v` occupies (1–10).
+#[inline]
 pub fn varint_len(v: u64) -> u64 {
     (64 - v.max(1).leading_zeros() as u64).div_ceil(7)
 }
@@ -466,42 +503,44 @@ mod tests {
         assert!(r.delta_run().unwrap().is_empty());
     }
 
-    /// One encoder, two sinks: on every primitive the counting writer
+    /// One encoder, two sinks: on every primitive the counting sink
     /// reports exactly the length the byte writer produces.
     #[test]
     fn counting_writer_agrees_with_byte_writer_on_every_primitive() {
-        fn agree(what: &str, put: impl Fn(&mut WireWriter)) {
-            let mut bytes = WireWriter::new();
-            let mut count = WireWriter {
-                buf: Vec::new(),
-                count: Some(0),
-            };
-            // Twice: lengths must accumulate, not overwrite.
-            for _ in 0..2 {
-                put(&mut bytes);
-                put(&mut count);
-            }
-            assert_eq!(count.len(), bytes.as_bytes().len(), "{what}");
-            assert_eq!(count.is_empty(), bytes.is_empty(), "{what}");
-            assert!(
-                count.as_bytes().is_empty(),
-                "{what}: counting stores nothing"
-            );
+        // The primitives are generic, so the body is expanded once per
+        // sink rather than passed as one closure.
+        macro_rules! agree {
+            ($what:expr, |$w:ident| $put:expr) => {{
+                let mut bytes = WireWriter::new();
+                let mut count = ByteCount::default();
+                // Twice: lengths must accumulate, not overwrite.
+                for _ in 0..2 {
+                    {
+                        let $w = &mut bytes;
+                        $put;
+                    }
+                    {
+                        let $w = &mut count;
+                        $put;
+                    }
+                }
+                assert_eq!(count.0, bytes.as_bytes().len(), "{}", $what);
+            }};
         }
-        agree("nothing", |_| {});
+        assert_eq!(ByteCount::default().0, WireWriter::new().len(), "nothing");
         for b in [0u8, 0x7F, 0x80, 0xFF] {
-            agree("put_u8", |w| w.put_u8(b));
+            agree!("put_u8", |w| w.put_u8(b));
         }
         for shift in 0..64 {
             for near in [-1i64, 0, 1] {
                 let v = (1u64 << shift).wrapping_add(near as u64);
-                agree("put_varint", |w| w.put_varint(v));
-                agree("put_signed", |w| w.put_signed(v as i64));
-                agree("put_signed", |w| w.put_signed((v as i64).wrapping_neg()));
+                agree!("put_varint", |w| w.put_varint(v));
+                agree!("put_signed", |w| w.put_signed(v as i64));
+                agree!("put_signed", |w| w.put_signed((v as i64).wrapping_neg()));
             }
         }
         for v in [0.0, -0.0, 1.5, f64::NAN, f64::INFINITY] {
-            agree("put_f64", |w| w.put_f64(v));
+            agree!("put_f64", |w| w.put_f64(v));
         }
         let runs: [&[u64]; 5] = [
             &[],
@@ -511,10 +550,10 @@ mod tests {
             &[127, 128, 255, 256, 16_383, 16_384],
         ];
         for run in runs {
-            agree("put_delta_run", |w| w.put_delta_run(run.iter().copied()));
+            agree!("put_delta_run", |w| w.put_delta_run(run.iter().copied()));
         }
         let long: Vec<u64> = (0..300).map(|i| i * i).collect(); // 2-byte length
-        agree("put_delta_run", |w| w.put_delta_run(long.iter().copied()));
+        agree!("put_delta_run", |w| w.put_delta_run(long.iter().copied()));
     }
 
     #[test]

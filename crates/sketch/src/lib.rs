@@ -6,8 +6,6 @@
 //! * [`misra_gries::MisraGries`] — deterministic heavy hitters, the
 //!   `O(1/ε)`-space structure behind the deterministic frequency baseline
 //!   (MG is reference \[20\] of the paper).
-//! * [`space_saving::SpaceSaving`] — the Metwally et al. alternative
-//!   (\[19\]); same guarantee, overestimating counters.
 //! * [`sticky::StickyCounters`] — the Manku–Motwani sampled counter list
 //!   (\[18\]) used verbatim inside the randomized frequency-tracking
 //!   protocol (§3.1): a counter is *created* with probability `p` and
@@ -52,11 +50,9 @@ pub mod hash;
 pub mod kll;
 pub mod misra_gries;
 pub mod sampling;
-pub mod space_saving;
 pub mod sticky;
 
 pub use gk::GkSummary;
 pub use kll::{KllSketch, KllSummary};
 pub use misra_gries::MisraGries;
-pub use space_saving::SpaceSaving;
 pub use sticky::StickyCounters;

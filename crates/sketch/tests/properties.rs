@@ -1,7 +1,7 @@
 //! Property-based tests of the sketch guarantees on arbitrary streams.
 
 use dtrack_sketch::exact::{ExactCounts, ExactRanks};
-use dtrack_sketch::{GkSummary, KllSketch, MisraGries, SpaceSaving};
+use dtrack_sketch::{GkSummary, KllSketch, MisraGries};
 use proptest::prelude::*;
 
 proptest! {
@@ -27,30 +27,6 @@ proptest! {
             prop_assert!(f - e <= bound, "item {item}: {f}-{e} > {bound}");
         }
         prop_assert!(mg.len() <= capacity);
-    }
-
-    /// SpaceSaving: f ≤ est ≤ f + n/m for tracked items, any stream.
-    #[test]
-    fn space_saving_bounds(
-        stream in proptest::collection::vec(0u64..50, 1..3000),
-        capacity in 2usize..40,
-    ) {
-        let mut ss = SpaceSaving::new(capacity);
-        let mut exact = ExactCounts::new();
-        for &x in &stream {
-            ss.observe(x);
-            exact.observe(x);
-            ss.maybe_compact();
-        }
-        let bound = exact.n() / capacity as u64;
-        for item in 0..50 {
-            let f = exact.frequency(item);
-            let e = ss.estimate(item);
-            if e > 0 {
-                prop_assert!(e >= f, "item {item}: {e} < {f}");
-            }
-            prop_assert!(e <= f + bound, "item {item}: {e} > {f}+{bound}");
-        }
     }
 
     /// GK: every rank query is bracketed by its certified bounds and the
