@@ -816,6 +816,82 @@ mod tests {
         assert!(ok >= 17, "ok {ok}/{reps}");
     }
 
+    /// Every site's peak space, the `CommStats` totals and three quantile
+    /// answers, recorded before `KllSketch` counted its stored items
+    /// instead of summing its levels — peak space reads that count after
+    /// every element.
+    #[test]
+    fn runner_peaks_totals_and_quantiles_match_recorded_goldens() {
+        struct Golden {
+            k: usize,
+            eps: f64,
+            seed: u64,
+            /// Up msgs / words / bytes, down msgs / words / bytes,
+            /// broadcasts, elements.
+            comm: [u64; 8],
+            peaks: &'static [u64],
+            /// At φ = 0.1, 0.5, 0.9.
+            quantiles: [u64; 3],
+        }
+        #[rustfmt::skip]
+        let goldens = [
+            Golden {
+                k: 8, eps: 0.05, seed: 3,
+                comm: [4542, 27074, 180347, 128, 128, 216, 16, 40000],
+                peaks: &[460, 425, 439, 413, 447, 458, 465, 444],
+                quantiles: [1958344393634046235, 9329155607145175042, 16704413843525444589],
+            },
+            Golden {
+                k: 8, eps: 0.05, seed: 4,
+                comm: [4506, 27038, 180288, 128, 128, 216, 16, 40000],
+                peaks: &[451, 430, 434, 422, 426, 462, 407, 417],
+                quantiles: [1840142148977441632, 9325276211501398518, 16424177248946521940],
+            },
+            Golden {
+                k: 64, eps: 0.01, seed: 3,
+                comm: [33920, 189320, 1227796, 1024, 1024, 1728, 16, 40000],
+                peaks: &[
+                    245, 244, 245, 245, 245, 244, 246, 246, 247, 244, 245, 245, 245, 245, 244, 247,
+                    247, 246, 246, 244, 246, 246, 244, 244, 245, 246, 244, 246, 245, 245, 246, 246,
+                    246, 244, 245, 245, 245, 244, 243, 244, 244, 243, 245, 245, 245, 247, 245, 245,
+                    247, 246, 243, 246, 245, 245, 245, 246, 245, 246, 245, 245, 244, 245, 246, 244,
+                ],
+                quantiles: [1826824579103462659, 9225524594886175651, 16598701226638215882],
+            },
+            Golden {
+                k: 64, eps: 0.01, seed: 4,
+                comm: [33889, 189255, 1227330, 1024, 1024, 1728, 16, 40000],
+                peaks: &[
+                    244, 244, 243, 244, 244, 244, 246, 245, 244, 246, 244, 245, 245, 244, 244, 245,
+                    245, 246, 246, 244, 244, 246, 246, 245, 245, 244, 247, 244, 244, 245, 246, 245,
+                    245, 246, 245, 245, 244, 243, 245, 246, 244, 244, 247, 245, 245, 246, 245, 246,
+                    246, 244, 246, 246, 246, 246, 244, 246, 246, 245, 245, 245, 246, 244, 245, 247,
+                ],
+                quantiles: [1863583928379885077, 9217481989985940495, 16591628470648924857],
+            },
+        ];
+        for g in goldens {
+            let at = format!("k = {}, seed = {}", g.k, g.seed);
+            let (r, _) = run(g.k, g.eps, 40_000, g.seed);
+            let s = r.stats();
+            let comm = [
+                s.up_msgs,
+                s.up_words,
+                s.up_bytes,
+                s.down_msgs,
+                s.down_words,
+                s.down_bytes,
+                s.broadcast_events,
+                s.elements,
+            ];
+            assert_eq!(comm, g.comm, "{at}: totals");
+            let peaks: Vec<u64> = (0..g.k).map(|site| r.space().peak(site)).collect();
+            assert_eq!(peaks, g.peaks, "{at}: peak space per site");
+            let quantiles = [0.1, 0.5, 0.9].map(|phi| r.coord().quantile(phi, 0, u64::MAX));
+            assert_eq!(quantiles, g.quantiles, "{at}: quantiles");
+        }
+    }
+
     // The per-summary walk the flat cells replaced — one
     // `KllSummary::estimate_rank` per canonical node — kept as the
     // reference the coordinator's answers must match bit for bit.

@@ -3,9 +3,6 @@
 //! Per-site stream processing substrate for the distributed tracking
 //! protocols of Huang, Yi, Zhang (PODS 2012):
 //!
-//! * [`misra_gries::MisraGries`] — deterministic heavy hitters, the
-//!   `O(1/ε)`-space structure behind the deterministic frequency baseline
-//!   (MG is reference \[20\] of the paper).
 //! * [`sticky::StickyCounters`] — the Manku–Motwani sampled counter list
 //!   (\[18\]) used verbatim inside the randomized frequency-tracking
 //!   protocol (§3.1): a counter is *created* with probability `p` and
@@ -23,23 +20,22 @@
 //! ## Example
 //!
 //! ```
-//! use dtrack_sketch::{KllSketch, MisraGries};
+//! use dtrack_sketch::{GkSummary, KllSketch};
 //!
-//! // Misra–Gries underestimates by at most n/(capacity+1).
-//! let mut mg = MisraGries::new(9);
-//! for x in 0..1_000u64 {
-//!     mg.observe(x % 10);
-//! }
-//! let est = mg.estimate(3); // true frequency: 100
-//! assert!(est <= 100 && 100 - est <= 1_000 / 10);
-//!
-//! // KLL gives unbiased rank estimates from bounded space.
-//! let mut kll = KllSketch::with_error(0.05, /* seed */ 42);
+//! let (mut gk, mut kll) = (GkSummary::new(0.05), KllSketch::with_error(0.05, /* seed */ 42));
 //! for x in 0..10_000u64 {
+//!     gk.insert(x);
 //!     kll.insert(x);
 //! }
+//!
+//! // GK certifies an interval that holds the true rank, at most 2εn wide.
+//! let (lo, hi) = gk.rank_bounds(5_000);
+//! assert!(lo <= 5_000 && 5_000 <= hi && hi - lo <= 1_000);
+//!
+//! // KLL gives unbiased rank estimates from bounded space.
 //! let r = kll.estimate_rank(5_000);
 //! assert!((r - 5_000.0).abs() <= 5.0 * 0.05 * 10_000.0);
+//! assert!(kll.stored() < 1_000);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -48,11 +44,9 @@ pub mod exact;
 pub mod gk;
 pub mod hash;
 pub mod kll;
-pub mod misra_gries;
 pub mod sampling;
 pub mod sticky;
 
 pub use gk::GkSummary;
 pub use kll::{KllSketch, KllSummary};
-pub use misra_gries::MisraGries;
 pub use sticky::StickyCounters;

@@ -9,6 +9,9 @@
 //! Run: `cargo run --release --example sensor_quantiles [EXEC]`
 //! e.g. `… -- lockstep`, `… -- event:fixed:8`,
 //!      `… -- channel+window:100000` (p50/p95 of the last 100k readings)
+//!
+//! Self-checking: exits 1 if the final, post-quiesce median or p95 is
+//! more than ε (2 %) of the tracked readings away from its true rank.
 
 use std::time::Duration;
 
@@ -69,7 +72,7 @@ fn main() {
             }
             ex.quiesce();
             let (p50, p95, total): (u64, u64, f64) = handle.read(|s| query(&s.state));
-            report(&all, exec.window, n, p50, p95, total);
+            let worst = report(&all, exec.window, n, p50, p95, total);
             let stats = ex.stats();
             println!(
                 "\nradio cost: {} messages, {} words total ({:.4} words/reading)",
@@ -77,11 +80,12 @@ fn main() {
                 stats.total_words(),
                 stats.total_words() as f64 / n as f64
             );
+            worst
         }};
     }
 
     println!("scenario: {exec} — bursty schedule (50 readings / 25 ticks)");
-    if let Some(w) = exec.window {
+    let worst = if let Some(w) = exec.window {
         drive!(
             exec.mode.build(&Windowed::new(proto, w), 11),
             |c: &WinCoord<RandomizedRank>| {
@@ -91,7 +95,7 @@ fn main() {
                     c.windowed_total(),
                 )
             }
-        );
+        )
     } else {
         drive!(exec.mode.build(&proto, 11), |c: &RandRankCoord| {
             (
@@ -99,13 +103,22 @@ fn main() {
                 c.quantile(0.95, 0, u64::MAX),
                 c.estimate_total(),
             )
-        });
+        })
+    };
+    if worst > eps {
+        eprintln!(
+            "FAIL: final rank error {:.2}% exceeds ε = {:.2}%",
+            worst * 100.0,
+            eps * 100.0
+        );
+        std::process::exit(1);
     }
 }
 
 /// Compare estimates against the exact quantiles of the tracked scope
-/// (whole stream, or its last `w` readings).
-fn report(all: &[u64], window: Option<u64>, t: u64, p50: u64, p95: u64, total: f64) {
+/// (whole stream, or its last `w` readings); returns the larger of the
+/// two rank errors as a fraction of the scope.
+fn report(all: &[u64], window: Option<u64>, t: u64, p50: u64, p95: u64, total: f64) -> f64 {
     let scope: &[u64] = match window {
         Some(w) => &all[all.len().saturating_sub(w as usize)..],
         None => all,
@@ -117,18 +130,20 @@ fn report(all: &[u64], window: Option<u64>, t: u64, p50: u64, p95: u64, total: f
     let rank_err = |est: u64, truth: u64| {
         let re = sorted.partition_point(|&v| v < est) as f64;
         let rt = sorted.partition_point(|&v| v < truth) as f64;
-        (re - rt).abs() / sorted.len() as f64 * 100.0
+        (re - rt).abs() / sorted.len() as f64
     };
+    let (err50, err95) = (rank_err(p50, true_p50), rank_err(p95, true_p95));
     match window {
         Some(w) => println!("after {t:>7} readings, last {w} (n̂_W = {total:.0}):",),
         None => println!("after {t:>7} readings (n̂ = {total:.0}):"),
     }
     println!(
         "  median ≈ {p50:>20}  (true {true_p50:>20}, rank error {:.2}%)",
-        rank_err(p50, true_p50)
+        err50 * 100.0
     );
     println!(
         "  p95    ≈ {p95:>20}  (true {true_p95:>20}, rank error {:.2}%)",
-        rank_err(p95, true_p95)
+        err95 * 100.0
     );
+    err50.max(err95)
 }

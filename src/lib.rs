@@ -14,8 +14,8 @@
 //! * [`sim`]: the model substrate — sites, coordinator, exact message and
 //!   word accounting, a deterministic lock-step runner and a concurrent
 //!   channel runtime.
-//! * [`sketch`]: per-site streaming summaries (Misra–Gries, sticky
-//!   sampling, Greenwald–Khanna, KLL).
+//! * [`sketch`]: per-site streaming summaries (sticky sampling,
+//!   Greenwald–Khanna, KLL).
 //! * [`workload`]: synthetic stream generators, including the paper's
 //!   adversarial lower-bound inputs.
 //! * [`bounds`]: empirical demonstrators for the lower bounds.
