@@ -228,7 +228,7 @@ pub fn measure_topology_cells(p: Params) -> Vec<Cell> {
     for seed in 0..seeds {
         flat_words.push(count(flat, seed).cost.words);
         let run = count(tree, seed);
-        leaf_words.push(run.leaf_words);
+        leaf_words.push(run.stats.total_words());
         assert_eq!(
             run.internal.len(),
             TOPOLOGY_DEPTH - 1,

@@ -20,20 +20,6 @@ pub fn slope(xs: &[f64], ys: &[f64]) -> f64 {
     cov / var
 }
 
-/// Pearson correlation of `ln y` vs `ln x` — how clean the power law is.
-pub fn loglog_r2(xs: &[f64], ys: &[f64]) -> f64 {
-    let lx: Vec<f64> = xs.iter().map(|&x| x.ln()).collect();
-    let ly: Vec<f64> = ys.iter().map(|&y| y.ln()).collect();
-    let n = lx.len() as f64;
-    let mx = lx.iter().sum::<f64>() / n;
-    let my = ly.iter().sum::<f64>() / n;
-    let cov: f64 = lx.iter().zip(&ly).map(|(&x, &y)| (x - mx) * (y - my)).sum();
-    let vx: f64 = lx.iter().map(|&x| (x - mx) * (x - mx)).sum();
-    let vy: f64 = ly.iter().map(|&y| (y - my) * (y - my)).sum();
-    let r = cov / (vx * vy).sqrt();
-    r * r
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -45,7 +31,6 @@ mod tests {
         let lin: Vec<f64> = xs.iter().map(|x| 0.5 * x).collect();
         assert!((loglog_slope(&xs, &sqrt) - 0.5).abs() < 1e-9);
         assert!((loglog_slope(&xs, &lin) - 1.0).abs() < 1e-9);
-        assert!(loglog_r2(&xs, &sqrt) > 0.999);
     }
 
     #[test]

@@ -29,7 +29,9 @@ use dtrack_core::rank::{DeterministicRank, RandomizedRank};
 use dtrack_core::sampling::ContinuousSampling;
 use dtrack_core::window::Windowed;
 use dtrack_core::TrackingConfig;
-use dtrack_sim::{ExecConfig, Executor, LevelLoad, Protocol, Site, Tree};
+use dtrack_sim::{
+    AnyExec, CommStats, ExecConfig, Executor, FaultStats, LevelLoad, Protocol, Site, Tree,
+};
 use dtrack_sketch::exact::{ExactCounts, ExactRanks};
 use dtrack_workload::items::{DistinctSeq, ItemGen, ZipfItems};
 use dtrack_workload::{RoundRobin, SiteAssign, UniformSites, Workload};
@@ -51,21 +53,6 @@ pub struct CommSpace {
     pub broadcasts: u64,
     /// Peak resident words over all sites.
     pub max_space: u64,
-}
-
-impl CommSpace {
-    /// Snapshot any executor's accounting (quiesce first for a cut that
-    /// includes in-flight messages' effects on space).
-    pub fn from_exec<P: Protocol, E: Executor<P>>(ex: &E) -> Self {
-        let stats = ex.stats();
-        Self {
-            msgs: stats.total_msgs(),
-            words: stats.total_words(),
-            bytes: stats.total_bytes(),
-            broadcasts: stats.broadcast_events,
-            max_space: ex.space().max_peak(),
-        }
-    }
 }
 
 /// Which function of the stream is tracked (the paper's §2–§4).
@@ -105,7 +92,18 @@ impl std::fmt::Display for Problem {
     }
 }
 
-/// Outcome of one [`run`].
+/// Every `(Problem, Algo)` row [`run`] builds: the paper's Table 1,
+/// with continuous sampling answering all three problems. The
+/// equivalence suites loop over these.
+pub fn rows() -> impl Iterator<Item = (Problem, Algo)> {
+    [Problem::Count, Problem::Frequency, Problem::Rank]
+        .into_iter()
+        .flat_map(|p| [Algo::Randomized, Algo::Deterministic, Algo::Sampling].map(|a| (p, a)))
+}
+
+/// Outcome of one [`run`]: what the executor observed after the final
+/// quiesce ([`Run::stats`], [`Run::peaks`], [`Run::faults`],
+/// [`Run::answers`]) and the scores derived from it.
 #[derive(Debug, Clone)]
 pub struct Run {
     /// Combined accounting: the executor's `CommStats` (the site ↔
@@ -120,12 +118,20 @@ pub struct Run {
     /// 0.9 guarantee of Theorem 3.1 speaks about; `err`, a maximum over
     /// a union of probes, is necessarily worse), the deciles for rank.
     pub errs: Vec<f64>,
-    /// Words on the site ↔ coordinator boundary alone (the executor's
-    /// accounting, before internal boundaries are folded in).
-    pub leaf_words: u64,
     /// Internal boundaries, one per aggregator level (empty without
     /// `+tree`, and at depth 1).
     pub internal: Vec<LevelLoad>,
+    /// The executor's own accounting: the site ↔ coordinator boundary
+    /// alone (under `+tree`, the leaf boundary).
+    pub stats: CommStats,
+    /// Peak resident words per site, from the executor's `SpaceStats`.
+    pub peaks: Vec<u64>,
+    /// What the fault layer injected and absorbed; `None` when the
+    /// scenario has no fault suffix.
+    pub faults: Option<FaultStats>,
+    /// The estimate at each probe, before normalising (`errs` are
+    /// `|answer − truth|` over `n`, or over `W` under `+window:W`).
+    pub answers: Vec<f64>,
 }
 
 impl Run {
@@ -136,8 +142,21 @@ impl Run {
     pub fn root_words(&self) -> u64 {
         self.internal
             .last()
-            .map(LevelLoad::total_words)
-            .unwrap_or(self.leaf_words)
+            .map_or(self.stats.total_words(), LevelLoad::total_words)
+    }
+}
+
+/// Two runs are equal when the protocol observed the same run: the same
+/// accounting, per-site space peaks and internal boundaries, and the
+/// same answers bit for bit (`cost` and the errors derive from these).
+/// `faults` is the fault layer's own record and is left out, so a
+/// `+dup` run equals its base exactly when every duplicate was dropped
+/// before a protocol saw it.
+impl PartialEq for Run {
+    fn eq(&self, other: &Self) -> bool {
+        let bits = |r: &Run| r.answers.iter().map(|a| a.to_bits()).collect::<Vec<_>>();
+        (&self.stats, &self.peaks, &self.internal) == (&other.stats, &other.peaks, &other.internal)
+            && bits(self) == bits(other)
     }
 }
 
@@ -199,10 +218,13 @@ fn workload(problem: Problem, k: usize, n: u64, seed: u64, window: Option<u64>) 
     (batch, probes)
 }
 
-/// What [`drive`] brings back: the executor's accounting, the estimate
-/// at each query point, and the tree's internal boundaries (if any).
+/// What [`drive`] brings back: the executor's accounting, space peaks
+/// and fault record, the estimate at each query point, and the tree's
+/// internal boundaries (if any).
 struct Driven {
-    leaf: CommSpace,
+    stats: CommStats,
+    peaks: Vec<u64>,
+    faults: Option<FaultStats>,
     answers: Vec<f64>,
     internal: Vec<LevelLoad>,
 }
@@ -231,8 +253,14 @@ where
     ex.quiesce();
     let (answers, internal) =
         ex.query(move |c| (points.iter().map(|&x| est(c, x)).collect(), loads(c)));
+    let space = ex.space();
     Driven {
-        leaf: CommSpace::from_exec(&ex),
+        stats: ex.stats(),
+        peaks: (0..ex.k()).map(|site| space.peak(site)).collect(),
+        faults: match &ex {
+            AnyExec::Event(ev) => ev.fault_stats().cloned(),
+            _ => None,
+        },
         answers,
         internal,
     }
@@ -328,15 +356,27 @@ pub fn run(
         }
         Problem::Rank => per_algo!(RandomizedRank, DeterministicRank, |c, x| c.rank(x)),
     };
+    let Driven {
+        stats,
+        peaks,
+        faults,
+        answers,
+        internal,
+    } = driven;
     let norm = exec.window.unwrap_or(n) as f64;
-    let errs: Vec<f64> = driven
-        .answers
+    let errs: Vec<f64> = answers
         .iter()
         .zip(&probes)
         .map(|(est, (_, truth))| (est - truth).abs() / norm)
         .collect();
-    let mut cost = driven.leaf;
-    for l in &driven.internal {
+    let mut cost = CommSpace {
+        msgs: stats.total_msgs(),
+        words: stats.total_words(),
+        bytes: stats.total_bytes(),
+        broadcasts: stats.broadcast_events,
+        max_space: peaks.iter().copied().max().unwrap_or(0),
+    };
+    for l in &internal {
         cost.msgs += l.total_msgs();
         cost.words += l.total_words();
     }
@@ -344,8 +384,11 @@ pub fn run(
         cost,
         err: errs.iter().copied().reduce(f64::max).expect("≥ 1 probe"),
         errs,
-        leaf_words: driven.leaf.words,
-        internal: driven.internal,
+        internal,
+        stats,
+        peaks,
+        faults,
+        answers,
     }
 }
 
@@ -365,11 +408,22 @@ pub fn median_run(seeds: u64, run_seed: impl Fn(u64) -> Run) -> Run {
     runs.swap_remove(runs.len() / 2)
 }
 
+/// The acceptance form of an ε bound: the mean of `metric(seed)` over
+/// seeds `0..seeds` must be at most `eps` (one seed's deviation is the
+/// protocol's own randomness; the mean isolates bias). Panics naming
+/// `name`, the mean and the bound.
+pub fn assert_mean_error_le_eps(name: &str, eps: f64, seeds: u64, metric: impl Fn(u64) -> f64) {
+    let mean = (0..seeds).map(metric).sum::<f64>() / seeds as f64;
+    assert!(
+        mean <= eps,
+        "{name}: mean error {mean:.4} over {seeds} seeds exceeds eps {eps}"
+    );
+}
+
 /// Relative count error `|n̂ − t|/t` at each of `checkpoints` (element
 /// counts `t`, increasing) of a round-robin stream — the loop behind
-/// [`count_error_trace`] and [`count_boosted_max_error`]. Each
-/// checkpoint forces a quiesce, so the queried state is a consistent cut
-/// even under delayed delivery.
+/// [`count_boosted_max_error`]. Each checkpoint forces a quiesce, so the
+/// queried state is a consistent cut even under delayed delivery.
 fn checkpoint_errors<P>(
     exec: ExecConfig,
     proto: &P,
@@ -397,33 +451,6 @@ where
         }
     }
     out
-}
-
-/// Relative count error at geometric checkpoints (for all-times plots).
-pub fn count_error_trace(
-    exec: ExecConfig,
-    algo: Algo,
-    k: usize,
-    eps: f64,
-    n: u64,
-    seed: u64,
-    checkpoints: &[u64],
-) -> Vec<f64> {
-    let cfg = TrackingConfig::new(k, eps);
-    match algo {
-        Algo::Randomized => {
-            let proto = RandomizedCount::new(cfg);
-            checkpoint_errors(exec, &proto, n, seed, checkpoints, |c| c.count())
-        }
-        Algo::Deterministic => {
-            let proto = DeterministicCount::new(cfg);
-            checkpoint_errors(exec, &proto, n, seed, checkpoints, |c| c.count())
-        }
-        Algo::Sampling => {
-            let proto = ContinuousSampling::new(cfg);
-            checkpoint_errors(exec, &proto, n, seed, checkpoints, |c| c.count())
-        }
-    }
 }
 
 /// Median-boosted randomized count tracking: returns the *maximum*
@@ -654,16 +681,9 @@ mod tests {
 
     #[test]
     fn trace_has_checkpoint_arity() {
-        let cps = vec![100, 1000, 5000];
-        let t = count_error_trace(
-            ExecConfig::lockstep(),
-            Algo::Randomized,
-            4,
-            0.2,
-            5000,
-            5,
-            &cps,
-        );
+        let proto = RandomizedCount::new(TrackingConfig::new(4, 0.2));
+        let cps = [100, 1000, 5000];
+        let t = checkpoint_errors(ExecConfig::lockstep(), &proto, 5000, 5, &cps, |c| c.count());
         assert_eq!(t.len(), 3);
     }
 
@@ -772,10 +792,13 @@ mod tests {
             seed,
         );
         assert_eq!(
-            (r.leaf_words, r.root_words(), r.internal.len()),
+            (r.stats.total_words(), r.root_words(), r.internal.len()),
             (553, 324, 1)
         );
-        assert_eq!(r.cost.words, r.leaf_words + r.internal[0].total_words());
+        assert_eq!(
+            r.cost.words,
+            r.stats.total_words() + r.internal[0].total_words()
+        );
         let flat = run(
             pinned(Flat),
             Problem::Count,
@@ -812,21 +835,24 @@ mod tests {
     #[test]
     fn checkpoint_and_bias_harnesses_match_the_parent_bit_for_bit() {
         // Recorded from the parent's `windowed_frequency_bias`,
-        // `count_error_trace` and `count_boosted_max_error`.
+        // `count_error_trace` (the checkpoint loop over each count
+        // protocol) and `count_boosted_max_error`.
         let flat = ExecConfig::lockstep();
         let bias =
             |corrected| windowed_frequency_bias(flat.windowed(2_000), corrected, 8, 0.1, 8_000, 3);
         assert_eq!(bias(true).to_bits(), 0xbfcd097b425ed0ab);
         assert_eq!(bias(false).to_bits(), 0x3ff7555555555550);
-        let cps = [100, 1000, 5000];
-        let trace = |algo| -> Vec<u64> {
-            count_error_trace(flat, algo, 4, 0.2, 5000, 5, &cps)
-                .iter()
-                .map(|e| e.to_bits())
-                .collect()
-        };
+        let (cfg, cps) = (TrackingConfig::new(4, 0.2), [100, 1000, 5000]);
+        macro_rules! trace {
+            ($proto:expr) => {
+                checkpoint_errors(flat, &$proto, 5000, 5, &cps, |c| c.count())
+                    .iter()
+                    .map(|e| e.to_bits())
+                    .collect::<Vec<_>>()
+            };
+        }
         assert_eq!(
-            trace(Algo::Randomized),
+            trace!(RandomizedCount::new(cfg)),
             [
                 4589708452245819884,
                 4597634787589991956,
@@ -834,7 +860,7 @@ mod tests {
             ]
         );
         assert_eq!(
-            trace(Algo::Deterministic),
+            trace!(DeterministicCount::new(cfg)),
             [
                 4593311331947716280,
                 4594500282249342091,
@@ -842,7 +868,7 @@ mod tests {
             ]
         );
         assert_eq!(
-            trace(Algo::Sampling),
+            trace!(ContinuousSampling::new(cfg)),
             [0, 4582574750436065018, 4583497087639750495]
         );
         let boosted = count_boosted_max_error(flat, 8, 0.15, 5_000, 5, 11, &cps);

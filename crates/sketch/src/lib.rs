@@ -13,7 +13,7 @@
 //!   **unbiased** rank estimates and variance `O((ε·m)²)`; our
 //!   implementation of the paper's black-box "Algorithm A" (\[24\]/\[1\];
 //!   the [`kll`] module docs give the substitution argument).
-//! * [`sampling`] — Bernoulli and reservoir samplers.
+//! * [`sampling`] — the Bernoulli coin the sticky counters flip.
 //! * [`exact`] — exact counters/ranks used as ground truth by tests and
 //!   the experiment harness.
 //!

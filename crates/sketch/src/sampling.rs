@@ -1,4 +1,5 @@
-//! Random sampling primitives: Bernoulli streams and bounded reservoirs.
+//! Bernoulli sampling: the coin [`crate::sticky::StickyCounters`] flips
+//! to create a counter with probability `p`.
 
 use rand::Rng;
 
@@ -11,232 +12,5 @@ pub fn coin<R: Rng>(rng: &mut R, p: f64) -> bool {
         false
     } else {
         rng.gen::<f64>() < p
-    }
-}
-
-/// Bernoulli sampler that retains each offered element with probability `p`.
-///
-/// Used for the side-sample `d_ij` of the frequency protocol (§3.1) and the
-/// active-block sample of the rank protocol (§4). The sample is kept as a
-/// plain vector; the protocols bound its size by round restarts.
-#[derive(Debug, Clone, Default)]
-pub struct BernoulliSample {
-    p: f64,
-    sample: Vec<u64>,
-    offered: u64,
-}
-
-impl BernoulliSample {
-    /// New sampler with rate `p`.
-    pub fn new(p: f64) -> Self {
-        assert!((0.0..=1.0).contains(&p));
-        Self {
-            p,
-            sample: Vec::new(),
-            offered: 0,
-        }
-    }
-
-    /// Offer one element; returns `true` if it was sampled.
-    pub fn offer<R: Rng>(&mut self, item: u64, rng: &mut R) -> bool {
-        self.offered += 1;
-        if coin(rng, self.p) {
-            self.sample.push(item);
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Sampling rate.
-    pub fn p(&self) -> f64 {
-        self.p
-    }
-
-    /// Elements offered so far.
-    pub fn offered(&self) -> u64 {
-        self.offered
-    }
-
-    /// The retained sample.
-    pub fn sample(&self) -> &[u64] {
-        &self.sample
-    }
-
-    /// Unbiased estimate of the number of offered elements `< x`
-    /// (the Horvitz–Thompson estimator `c/p` from §4).
-    pub fn estimate_below(&self, x: u64) -> f64 {
-        if self.p <= 0.0 {
-            return 0.0;
-        }
-        self.sample.iter().filter(|&&v| v < x).count() as f64 / self.p
-    }
-
-    /// Unbiased estimate of the number of offered copies of `item`.
-    pub fn estimate_count(&self, item: u64) -> f64 {
-        if self.p <= 0.0 {
-            return 0.0;
-        }
-        self.sample.iter().filter(|&&v| v == item).count() as f64 / self.p
-    }
-
-    /// Drop the sample and counters.
-    pub fn clear(&mut self) {
-        self.sample.clear();
-        self.offered = 0;
-    }
-
-    /// Resident size in words.
-    pub fn space_words(&self) -> u64 {
-        self.sample.len() as u64 + 3
-    }
-}
-
-/// Classic size-`s` reservoir sample (Vitter's Algorithm R).
-#[derive(Debug, Clone)]
-pub struct Reservoir {
-    capacity: usize,
-    sample: Vec<u64>,
-    seen: u64,
-}
-
-impl Reservoir {
-    /// New reservoir holding at most `capacity` elements.
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity >= 1);
-        Self {
-            capacity,
-            sample: Vec::with_capacity(capacity),
-            seen: 0,
-        }
-    }
-
-    /// Offer one element.
-    pub fn offer<R: Rng>(&mut self, item: u64, rng: &mut R) {
-        self.seen += 1;
-        if self.sample.len() < self.capacity {
-            self.sample.push(item);
-        } else {
-            let j = rng.gen_range(0..self.seen);
-            if (j as usize) < self.capacity {
-                self.sample[j as usize] = item;
-            }
-        }
-    }
-
-    /// The current sample (uniform without replacement over seen elements).
-    pub fn sample(&self) -> &[u64] {
-        &self.sample
-    }
-
-    /// Elements offered so far.
-    pub fn seen(&self) -> u64 {
-        self.seen
-    }
-
-    /// Estimate the rank (elements `< x`) among all seen elements, scaled
-    /// from the sample.
-    pub fn estimate_rank(&self, x: u64) -> f64 {
-        if self.sample.is_empty() {
-            return 0.0;
-        }
-        let below = self.sample.iter().filter(|&&v| v < x).count() as f64;
-        below / self.sample.len() as f64 * self.seen as f64
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use rand::rngs::SmallRng;
-    use rand::SeedableRng;
-
-    #[test]
-    fn bernoulli_estimates_are_unbiased() {
-        // Mean of estimate_below over many independent samplers ≈ truth.
-        let truth = 400u64; // elements 0..400 are < 400, of 1000 offered
-        let mut total = 0.0;
-        let reps = 3000;
-        for seed in 0..reps {
-            let mut rng = SmallRng::seed_from_u64(seed);
-            let mut b = BernoulliSample::new(0.05);
-            for x in 0..1000u64 {
-                b.offer(x, &mut rng);
-            }
-            total += b.estimate_below(400);
-        }
-        let mean = total / reps as f64;
-        // SE of the mean ≈ sqrt(truth/p)/sqrt(reps) ≈ 1.6
-        assert!((mean - truth as f64).abs() < 8.0, "mean {mean} vs {truth}");
-    }
-
-    #[test]
-    fn bernoulli_count_estimate() {
-        let mut total = 0.0;
-        let reps = 2000;
-        for seed in 0..reps {
-            let mut rng = SmallRng::seed_from_u64(1000 + seed);
-            let mut b = BernoulliSample::new(0.1);
-            for _ in 0..50 {
-                b.offer(7, &mut rng);
-            }
-            for x in 0..50u64 {
-                b.offer(x + 100, &mut rng);
-            }
-            total += b.estimate_count(7);
-        }
-        let mean = total / reps as f64;
-        assert!((mean - 50.0).abs() < 2.0, "mean {mean}");
-    }
-
-    #[test]
-    fn bernoulli_p_zero_estimates_zero() {
-        let b = BernoulliSample::new(0.0);
-        assert_eq!(b.estimate_below(10), 0.0);
-        assert_eq!(b.estimate_count(10), 0.0);
-    }
-
-    #[test]
-    fn reservoir_never_exceeds_capacity() {
-        let mut rng = SmallRng::seed_from_u64(9);
-        let mut r = Reservoir::new(10);
-        for x in 0..1000u64 {
-            r.offer(x, &mut rng);
-            assert!(r.sample().len() <= 10);
-        }
-        assert_eq!(r.seen(), 1000);
-        assert_eq!(r.sample().len(), 10);
-    }
-
-    #[test]
-    fn reservoir_is_roughly_uniform() {
-        // Each element should land in the final sample with prob s/n.
-        // Count how often element 0 (the first) survives.
-        let (s, n, reps) = (10usize, 200u64, 5000u64);
-        let mut hits = 0;
-        for seed in 0..reps {
-            let mut rng = SmallRng::seed_from_u64(seed);
-            let mut r = Reservoir::new(s);
-            for x in 0..n {
-                r.offer(x, &mut rng);
-            }
-            if r.sample().contains(&0) {
-                hits += 1;
-            }
-        }
-        let freq = hits as f64 / reps as f64;
-        let expect = s as f64 / n as f64; // 0.05
-        assert!((freq - expect).abs() < 0.01, "freq {freq} vs {expect}");
-    }
-
-    #[test]
-    fn reservoir_rank_estimate_tracks_truth() {
-        let mut rng = SmallRng::seed_from_u64(10);
-        let mut r = Reservoir::new(500);
-        for x in 0..10_000u64 {
-            r.offer(x, &mut rng);
-        }
-        let est = r.estimate_rank(2_500);
-        assert!((est - 2_500.0).abs() < 600.0, "est {est}");
     }
 }

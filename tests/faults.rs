@@ -11,9 +11,11 @@
 //! 2. **Bit-identity**: a fault-free plan is byte-for-byte the
 //!    pre-fault runtime; `+dup` — whose duplicates every endpoint must
 //!    discard — changes *nothing* observable (CommStats, space,
-//!    coordinator answers compared via `f64::to_bits`) on any of the
-//!    seven Table-1 protocols or `Windowed<P>`; only `FaultStats` sees
-//!    the duplicates. This is "idempotence is a tested property":
+//!    coordinator answers compared via `f64::to_bits`) on any
+//!    `(Problem, Algo)` row of `dtrack_bench::measure::run` — the seven
+//!    Table-1 protocols, sampling on all three problems — or
+//!    `Windowed<P>`; only `FaultStats` sees the duplicates. This is
+//!    "idempotence is a tested property":
 //!    idempotence lives in the transport dedup and the protocols need
 //!    none of their own.
 //! 3. **ε bounds** (release-gated, ≥ 20 seeds): all seven protocols
@@ -25,34 +27,15 @@
 //! link (the mpudp explore/exploit pattern, end to end).
 
 use dtrack::core::count::{DeterministicCount, RandomizedCount};
-use dtrack::core::frequency::{DeterministicFrequency, RandomizedFrequency};
-use dtrack::core::rank::{DeterministicRank, RandomizedRank};
-use dtrack::core::sampling::ContinuousSampling;
+use dtrack::core::frequency::RandomizedFrequency;
 use dtrack::core::window::{WinCoord, Windowed};
 use dtrack::core::TrackingConfig;
 use dtrack::sim::exec::{DeliveryPolicy, EventRuntime};
-use dtrack::sim::{ExecConfig, Executor, FaultPlan, Protocol, Site};
-use dtrack::workload::items::DistinctSeq;
+use dtrack::sim::{ExecConfig, Executor, FaultPlan};
 use dtrack::workload::{AdaptiveSites, SiteAssign, UniformSites, Workload, ZipfItems};
-use dtrack_bench::measure::{run, Algo, Problem};
+use dtrack_bench::measure::{assert_mean_error_le_eps, rows, run, Algo, Problem};
 
 const K: usize = 8;
-
-fn cfg(eps: f64) -> TrackingConfig {
-    TrackingConfig::new(K, eps)
-}
-
-fn zipf_arrivals(n: u64, seed: u64) -> Vec<(usize, u64)> {
-    Workload::new(ZipfItems::new(500, 1.2), UniformSites::new(K), n, seed)
-        .map(|a| (a.site, a.item))
-        .collect()
-}
-
-fn distinct_arrivals(n: u64, seed: u64) -> Vec<(usize, u64)> {
-    Workload::new(DistinctSeq::new(seed), UniformSites::new(K), n, seed)
-        .map(|a| (a.site, a.item))
-        .collect()
-}
 
 /// Parse `spec`, run `DeterministicCount` under it, and require the
 /// baseline's unconditional guarantee after quiesce — the sharpest
@@ -61,7 +44,7 @@ fn smoke_deterministic_count(spec: &str) {
     let exec: ExecConfig = spec.parse().unwrap_or_else(|e| panic!("{e}"));
     let eps = 0.1;
     let n = 4_000u64;
-    let proto = DeterministicCount::new(cfg(eps));
+    let proto = DeterministicCount::new(TrackingConfig::new(K, eps));
     let mut ex = exec.build(&proto, 7);
     for t in 0..n {
         // feed_at spreads arrivals out so churn outages actually hit.
@@ -76,7 +59,7 @@ fn smoke_deterministic_count(spec: &str) {
         est * (1.0 + eps)
     );
     // And a randomized protocol survives the same scenario sanely.
-    let proto = RandomizedCount::new(cfg(eps));
+    let proto = RandomizedCount::new(TrackingConfig::new(K, eps));
     let mut ex = exec.build(&proto, 7);
     for t in 0..n {
         ex.feed_at(t * 8, (t % K as u64) as usize, t);
@@ -122,7 +105,7 @@ fn smoke_windowed_faulty() {
         .parse()
         .unwrap();
     let (n, w) = (6_000u64, 2_048u64);
-    let proto = Windowed::new(RandomizedCount::new(cfg(0.1)), w);
+    let proto = Windowed::new(RandomizedCount::new(TrackingConfig::new(K, 0.1)), w);
     let mut ex = exec.mode.build_faulty(exec.faults, &proto, 3);
     for t in 0..n {
         ex.feed_at(t * 8, (t % K as u64) as usize, t);
@@ -141,8 +124,11 @@ fn smoke_windowed_faulty() {
 /// streams must never touch the delivery-delay stream).
 #[test]
 fn empty_fault_plan_is_bit_identical_to_with_policy() {
-    let proto = RandomizedFrequency::new(cfg(0.1));
-    let arrivals = zipf_arrivals(6_000, 7);
+    let proto = RandomizedFrequency::new(TrackingConfig::new(K, 0.1));
+    let arrivals: Vec<(usize, u64)> =
+        Workload::new(ZipfItems::new(500, 1.2), UniformSites::new(K), 6_000, 7)
+            .map(|a| (a.site, a.item))
+            .collect();
     let policy = DeliveryPolicy::RandomDelay { min: 1, max: 32 };
     let run_plain = {
         let mut ex = EventRuntime::with_policy(&proto, 42, policy);
@@ -173,36 +159,12 @@ fn empty_fault_plan_is_bit_identical_to_with_policy() {
     assert_eq!(run_plain, run_faulty);
 }
 
-/// Run `proto` under `plan`, return every observable the paper's
-/// accounting sees: CommStats, per-site space peaks, and query answers
-/// as exact bit patterns.
-fn observables<P, Q>(
-    proto: &P,
-    arrivals: &[(usize, u64)],
-    policy: DeliveryPolicy,
-    plan: FaultPlan,
-    queries: Q,
-) -> (dtrack::sim::CommStats, Vec<u64>, Vec<u64>)
-where
-    P: Protocol,
-    P::Site: Site<Item = u64>,
-    Q: Fn(&P::Coord) -> Vec<f64>,
-{
-    let mut ex = EventRuntime::with_faults(proto, 42, policy, plan);
-    for &(site, item) in arrivals {
-        ex.feed(site, item);
-    }
-    ex.quiesce();
-    let space: Vec<u64> = (0..K).map(|s| ex.space().peak(s)).collect();
-    let answers: Vec<u64> = queries(ex.coord()).iter().map(|v| v.to_bits()).collect();
-    (ex.stats().clone(), space, answers)
-}
-
 /// The headline idempotence property: turning `+dup` on — alone or on
 /// top of other faults — leaves every protocol observable
-/// **bit-identical**, because the endpoint's sequence-number dedup
-/// discards every duplicate before the protocol sees it. Checked for
-/// all seven Table-1 protocols and `Windowed<P>`.
+/// **bit-identical** (`Run` equality: CommStats, space peaks, answers),
+/// because the endpoint's sequence-number dedup discards every
+/// duplicate before the protocol sees it. Checked for every row `run`
+/// builds and `Windowed<P>`; `window` is the scenario's window suffix.
 ///
 /// Pairings are chosen so the only difference between the two runs is
 /// `+dup` itself: under order-preserving policies (`Instant`,
@@ -211,121 +173,80 @@ where
 /// already active (the fault layer's hold-back buffer upgrades links
 /// to FIFO, so layer-vs-no-layer is not an apples-to-apples pair
 /// there).
-macro_rules! dup_identical_case {
-    ($test:ident, $proto:expr, $arrivals:expr, $queries:expr) => {
-        #[test]
-        fn $test() {
-            let proto = $proto;
-            let arrivals = $arrivals;
-            let queries = $queries;
-            let reorder = DeliveryPolicy::RandomDelay { min: 0, max: 8 };
-            let cases = [
-                (DeliveryPolicy::Instant, FaultPlan::none()),
-                (DeliveryPolicy::FixedLatency(3), FaultPlan::none()),
-                (reorder, FaultPlan::none().with_straggle(2)),
-                (reorder, FaultPlan::none().with_straggle(2).with_loss(0.1)),
-            ];
-            for (policy, base) in cases {
-                let clean = observables(&proto, &arrivals, policy, base, &queries);
-                let dup = observables(&proto, &arrivals, policy, base.with_dup(0.3), &queries);
-                assert_eq!(clean, dup, "duplicates changed an observable");
-            }
-            // The duplicates really were injected and dropped.
-            let mut ex =
-                EventRuntime::with_faults(&proto, 42, reorder, FaultPlan::none().with_dup(0.3));
-            for &(site, item) in &arrivals {
-                ex.feed(site, item);
-            }
-            ex.quiesce();
-            let fs = ex.fault_stats().unwrap();
-            assert!(fs.duplicates > 0, "no duplicates injected: {fs:?}");
-            assert_eq!(fs.duplicates, fs.dup_dropped, "{fs:?}");
+fn assert_dup_invisible(rows: impl IntoIterator<Item = (Problem, Algo)>, window: &str) {
+    for (problem, algo) in rows {
+        let at = |spec: String| run(spec.parse().unwrap(), problem, algo, K, 0.1, 6_000, 42);
+        for base in [
+            "event",
+            "event:fixed:3",
+            "event:random:0:8+straggle:2",
+            "event:random:0:8+straggle:2+loss:0.1",
+        ] {
+            let base = format!("{base}{window}");
+            assert_eq!(
+                at(base.clone()),
+                at(format!("{base}+dup:0.3")),
+                "{base}: duplicates changed an observable of {problem}/{algo:?}"
+            );
         }
-    };
+        // The duplicates really were injected and dropped.
+        let dup_only = at(format!("event:random:0:8{window}+dup:0.3"));
+        let fs = dup_only.faults.expect("a +dup run has a fault layer");
+        assert!(fs.duplicates > 0, "no duplicates injected: {fs:?}");
+        assert_eq!(fs.duplicates, fs.dup_dropped, "{fs:?}");
+    }
 }
 
-dup_identical_case!(
-    dup_bit_identical_randomized_count,
-    RandomizedCount::new(cfg(0.1)),
-    zipf_arrivals(6_000, 7),
-    |c: &dtrack::core::count::RandCountCoord| vec![c.estimate()]
-);
+#[test]
+fn dup_bit_identical_randomized_count() {
+    assert_dup_invisible([(Problem::Count, Algo::Randomized)], "");
+}
 
-dup_identical_case!(
-    dup_bit_identical_deterministic_count,
-    DeterministicCount::new(cfg(0.1)),
-    zipf_arrivals(6_000, 7),
-    |c: &dtrack::core::count::DetCountCoord| vec![c.estimate()]
-);
+#[test]
+fn dup_bit_identical_deterministic_count() {
+    assert_dup_invisible([(Problem::Count, Algo::Deterministic)], "");
+}
 
-dup_identical_case!(
-    dup_bit_identical_randomized_frequency,
-    RandomizedFrequency::new(cfg(0.1)),
-    zipf_arrivals(6_000, 7),
-    |c: &dtrack::core::frequency::RandFreqCoord| {
-        (0..10).map(|j| c.estimate_frequency(j)).collect()
-    }
-);
+#[test]
+fn dup_bit_identical_randomized_frequency() {
+    assert_dup_invisible([(Problem::Frequency, Algo::Randomized)], "");
+}
 
-dup_identical_case!(
-    dup_bit_identical_deterministic_frequency,
-    DeterministicFrequency::new(cfg(0.1)),
-    zipf_arrivals(6_000, 7),
-    |c: &dtrack::core::frequency::DetFreqCoord| {
-        (0..10).map(|j| c.estimate_frequency(j)).collect()
-    }
-);
+#[test]
+fn dup_bit_identical_deterministic_frequency() {
+    assert_dup_invisible([(Problem::Frequency, Algo::Deterministic)], "");
+}
 
-dup_identical_case!(
-    dup_bit_identical_randomized_rank,
-    RandomizedRank::new(cfg(0.1)),
-    distinct_arrivals(6_000, 7),
-    |c: &dtrack::core::rank::RandRankCoord| {
-        [u64::MAX / 4, u64::MAX / 2, u64::MAX / 4 * 3]
-            .iter()
-            .map(|&x| c.estimate_rank(x))
-            .collect()
-    }
-);
+#[test]
+fn dup_bit_identical_randomized_rank() {
+    assert_dup_invisible([(Problem::Rank, Algo::Randomized)], "");
+}
 
-dup_identical_case!(
-    dup_bit_identical_deterministic_rank,
-    DeterministicRank::new(cfg(0.1)),
-    distinct_arrivals(6_000, 7),
-    |c: &dtrack::core::rank::DetRankCoord| {
-        [u64::MAX / 4, u64::MAX / 2, u64::MAX / 4 * 3]
-            .iter()
-            .map(|&x| c.estimate_rank(x))
-            .collect()
-    }
-);
+#[test]
+fn dup_bit_identical_deterministic_rank() {
+    assert_dup_invisible([(Problem::Rank, Algo::Deterministic)], "");
+}
 
-dup_identical_case!(
-    dup_bit_identical_continuous_sampling,
-    ContinuousSampling::new(cfg(0.1)),
-    distinct_arrivals(6_000, 7),
-    |c: &dtrack::core::sampling::SamplingCoord| {
-        vec![
-            c.estimate_count(),
-            c.estimate_frequency(3),
-            c.estimate_rank(u64::MAX / 2),
-        ]
-    }
-);
+/// One protocol, all three problems.
+#[test]
+fn dup_bit_identical_continuous_sampling() {
+    assert_dup_invisible(rows().filter(|&(_, algo)| algo == Algo::Sampling), "");
+}
 
-dup_identical_case!(
-    dup_bit_identical_windowed,
-    Windowed::new(RandomizedCount::new(cfg(0.1)), 2_048),
-    zipf_arrivals(6_000, 7),
-    |c: &WinCoord<RandomizedCount>| vec![c.windowed_count()]
-);
+#[test]
+fn dup_bit_identical_windowed() {
+    assert_dup_invisible([(Problem::Count, Algo::Randomized)], "+window:2048");
+}
 
 /// Every faulty run is bit-for-bit reproducible from its master seed,
 /// and a different seed produces a genuinely different fault schedule.
 #[test]
 fn faulty_runs_replay_exactly_from_the_seed() {
-    let proto = RandomizedCount::new(cfg(0.1));
-    let arrivals = zipf_arrivals(4_000, 3);
+    let proto = RandomizedCount::new(TrackingConfig::new(K, 0.1));
+    let arrivals: Vec<(usize, u64)> =
+        Workload::new(ZipfItems::new(500, 1.2), UniformSites::new(K), 4_000, 3)
+            .map(|a| (a.site, a.item))
+            .collect();
     let plan = FaultPlan::none()
         .with_loss(0.1)
         .with_dup(0.1)
@@ -357,7 +278,7 @@ fn faulty_runs_replay_exactly_from_the_seed() {
 /// `+straggle` site within a few hundred elements.
 #[test]
 fn adaptive_assignment_routes_around_a_straggler_link() {
-    let proto = RandomizedCount::new(cfg(0.1));
+    let proto = RandomizedCount::new(TrackingConfig::new(K, 0.1));
     let plan = FaultPlan::none().with_straggle(64);
     let mut ex = EventRuntime::with_faults(&proto, 11, DeliveryPolicy::FixedLatency(2), plan);
     let mut assign = AdaptiveSites::new(K);
@@ -394,15 +315,6 @@ fn adaptive_assignment_routes_around_a_straggler_link() {
 }
 
 // --- release-gated ε-bound suite (the acceptance criterion) ---
-
-/// Mean error over ≥ 20 seeds of `metric` must be ≤ `eps`.
-fn assert_mean_error_le_eps<F: Fn(u64) -> f64>(name: &str, eps: f64, seeds: u64, metric: F) {
-    let mean = (0..seeds).map(&metric).sum::<f64>() / seeds as f64;
-    assert!(
-        mean <= eps,
-        "{name}: mean error {mean:.4} over {seeds} seeds exceeds eps {eps}"
-    );
-}
 
 /// All seven Table-1 protocols meet the mean-error-≤-ε bound under the
 /// acceptance scenario `+loss:0.05+dup:0.05+churn:0.1` (and the per-

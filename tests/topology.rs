@@ -19,132 +19,41 @@
 //!    whole-tree budget like the module docs claim.
 
 use dtrack::core::count::{DeterministicCount, RandomizedCount};
-use dtrack::core::frequency::RandomizedFrequency;
-use dtrack::core::rank::DeterministicRank;
 use dtrack::core::TrackingConfig;
-use dtrack::sim::exec::{DeliveryPolicy, EventRuntime};
-use dtrack::sim::{ExecConfig, Executor, Runner, Site, Tree, TreeCoord, TreeSpec};
-use dtrack::workload::items::DistinctSeq;
-use dtrack::workload::{UniformSites, Workload, ZipfItems};
-use dtrack_bench::measure::{run, Algo, Problem, Run};
+use dtrack::sim::exec::DeliveryPolicy;
+use dtrack::sim::{ExecConfig, Executor, Protocol, Runner, Tree, TreeCoord, TreeSpec};
+use dtrack_bench::measure::{assert_mean_error_le_eps, rows, run, Algo, Problem, Run};
 
 const K: usize = 8;
 const N: u64 = 6_000;
 const SEED: u64 = 42;
 
-fn cfg() -> TrackingConfig {
-    TrackingConfig::new(K, 0.1)
-}
-
-fn zipf_arrivals() -> Vec<(usize, u64)> {
-    Workload::new(ZipfItems::new(500, 1.2), UniformSites::new(K), N, 7)
-        .map(|a| (a.site, a.item))
-        .collect()
-}
-
-fn distinct_arrivals() -> Vec<(usize, u64)> {
-    Workload::new(DistinctSeq::new(7), UniformSites::new(K), N, 7)
-        .map(|a| (a.site, a.item))
-        .collect()
-}
-
 // --- layer 1: depth-1 identity ---
 
-/// Drive the flat protocol and its depth-1 tree wrapping side by side
-/// on one executor-pair and require identical accounting, space, and
-/// (bit-exact) query answers. The tree coordinator must also report
-/// itself as the degenerate shape: depth 1, no aggregators, no internal
-/// boundaries.
-fn assert_depth1_identity<P, Q>(name: &str, proto: &P, arrivals: &[(usize, u64)], queries: Q)
-where
-    P: dtrack::sim::TreeProtocol + Clone,
-    P::Site: Site<Item = u64>,
-    <P::Site as Site>::Up: Clone,
-    Q: Fn(&P::Coord) -> Vec<f64>,
-{
-    let tree = Tree::new(proto.clone(), TreeSpec::new(4).with_depth(1));
-    let mut flat = Runner::new(proto, SEED);
-    let mut wrapped = Runner::new(&tree, SEED);
-    for &(site, item) in arrivals {
-        flat.feed(site, &item);
-        wrapped.feed(site, &item);
-    }
-    assert_eq!(
-        flat.stats(),
-        wrapped.stats(),
-        "{name}: depth-1 CommStats differ"
-    );
-    for site in 0..K {
-        assert_eq!(
-            flat.space().peak(site),
-            wrapped.space().peak(site),
-            "{name}: depth-1 space peak differs at site {site}"
-        );
-    }
-    assert_eq!(
-        queries(flat.coord()),
-        queries(wrapped.coord().root()),
-        "{name}: depth-1 root answers differ from flat"
-    );
-    assert_eq!(wrapped.coord().depth(), 1);
-    assert_eq!(wrapped.coord().aggregators(), 0);
-    assert!(wrapped.coord().internal_loads().is_empty());
-    assert_eq!(wrapped.coord().root_load(), None);
-
-    // Same identity on the instant event runtime (the two executors are
-    // themselves equivalent — tests/exec_equivalence.rs — so this pins
-    // that the tree layer keeps it that way).
-    let mut ev_flat = EventRuntime::new(proto, SEED);
-    let mut ev_wrapped = EventRuntime::new(&tree, SEED);
-    for &(site, item) in arrivals {
-        ev_flat.feed(site, item);
-        ev_wrapped.feed(site, item);
-    }
-    ev_flat.quiesce();
-    ev_wrapped.quiesce();
-    assert_eq!(
-        ev_flat.stats(),
-        ev_wrapped.stats(),
-        "{name}: depth-1 event CommStats differ"
-    );
-    assert_eq!(
-        queries(ev_flat.coord()),
-        queries(ev_wrapped.coord().root()),
-        "{name}: depth-1 event root answers differ from flat"
-    );
-}
-
+/// Every tree-composable row wrapped in a depth-1 tree runs exactly as
+/// flat, on the lock-step runner and on the instant event runtime:
+/// identical accounting, space peaks and (bit-exact) root answers, and
+/// no internal boundary. The tree coordinator also reports itself as the
+/// degenerate shape: depth 1, no aggregators, no root load.
 #[test]
 fn depth1_tree_is_bit_identical_to_flat() {
-    assert_depth1_identity(
-        "randomized count",
-        &RandomizedCount::new(cfg()),
-        &zipf_arrivals(),
-        |c| vec![c.estimate()],
+    for (problem, algo) in rows().filter(|&(_, algo)| algo != Algo::Sampling) {
+        for exec in ["lockstep", "event"] {
+            let at = |spec: &str| run(spec.parse().unwrap(), problem, algo, K, 0.1, N, SEED);
+            assert_eq!(
+                at(&format!("{exec}+tree:4:1")),
+                at(exec),
+                "{exec}: depth-1 {problem}/{algo:?} differs from flat"
+            );
+        }
+    }
+    let depth1 = Tree::new(
+        RandomizedCount::new(TrackingConfig::new(K, 0.1)),
+        TreeSpec::new(4).with_depth(1),
     );
-    assert_depth1_identity(
-        "deterministic count",
-        &DeterministicCount::new(cfg()),
-        &zipf_arrivals(),
-        |c| vec![c.estimate()],
-    );
-    assert_depth1_identity(
-        "randomized frequency",
-        &RandomizedFrequency::new(cfg()),
-        &zipf_arrivals(),
-        |c| (0..10).map(|j| c.estimate_frequency(j)).collect(),
-    );
-    assert_depth1_identity(
-        "deterministic rank",
-        &DeterministicRank::new(cfg()),
-        &distinct_arrivals(),
-        |c| {
-            [u64::MAX / 4, u64::MAX / 2, u64::MAX / 4 * 3]
-                .iter()
-                .map(|&x| c.estimate_rank(x))
-                .collect()
-        },
-    );
+    let (_, c) = depth1.build(SEED);
+    assert_eq!((c.depth(), c.aggregators(), c.root_load()), (1, 0, None));
+    assert!(c.internal_loads().is_empty());
 }
 
 // --- layer 2: depth ≥ 2 smoke ---
@@ -253,7 +162,10 @@ fn sampling_under_tree_panics_with_a_pointer() {
 /// [`QueryHandle`]: dtrack::sim::QueryHandle
 #[test]
 fn query_handle_serves_live_answers_at_the_tree_root() {
-    let proto = Tree::new(RandomizedCount::new(cfg()), TreeSpec::new(4).with_depth(2));
+    let proto = Tree::new(
+        RandomizedCount::new(TrackingConfig::new(K, 0.1)),
+        TreeSpec::new(4).with_depth(2),
+    );
     let mut ex = ExecConfig::event(DeliveryPolicy::Instant).build(&proto, SEED);
     let handle = ex.query_handle();
     let mut last_epoch = 0;
@@ -281,36 +193,31 @@ fn query_handle_serves_live_answers_at_the_tree_root() {
 /// pinned above).
 #[test]
 fn depth2_randomness_is_independent_of_flat() {
-    let flat = RandomizedCount::new(cfg());
-    let tree = Tree::new(flat, TreeSpec::new(4).with_depth(2));
-    let mut rf = Runner::new(&flat, SEED);
-    let mut rt = Runner::new(&tree, SEED);
-    for t in 0..N {
-        rf.feed((t % K as u64) as usize, &t);
-        rt.feed((t % K as u64) as usize, &t);
-    }
+    let leaf_words = |spec: &str| {
+        let r = run(
+            spec.parse().unwrap(),
+            Problem::Count,
+            Algo::Randomized,
+            K,
+            0.1,
+            N,
+            SEED,
+        );
+        r.stats.total_words()
+    };
     // Leaf-boundary traffic differing is the cheap, deterministic
     // witness: depth 2 runs ε/2 leaf instances on their own seed
     // stream, so reproducing the flat run's exact word count would mean
     // shared randomness (answers alone could coincide by luck).
     assert_ne!(
-        rf.stats().total_words(),
-        rt.stats().total_words(),
+        leaf_words("lockstep"),
+        leaf_words("lockstep+tree:4:2"),
         "depth-2 tree reproduced the flat run's exact leaf traffic — \
          node seeds are not independent of site seeds"
     );
 }
 
 // --- layer 3: release-gated ε bounds (the acceptance criterion) ---
-
-/// Mean error over ≥ 20 seeds of `metric` must be ≤ `eps`.
-fn assert_mean_error_le_eps<F: Fn(u64) -> f64>(name: &str, eps: f64, seeds: u64, metric: F) {
-    let mean = (0..seeds).map(&metric).sum::<f64>() / seeds as f64;
-    assert!(
-        mean <= eps,
-        "{name}: mean error {mean:.4} over {seeds} seeds exceeds eps {eps}"
-    );
-}
 
 /// Count, frequency, and rank meet the mean-error-≤-ε bound through a
 /// depth-2 tree (fanout 4 over k = 16: every node has real merging to

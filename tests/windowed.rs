@@ -12,8 +12,12 @@ use dtrack::core::sampling::ContinuousSampling;
 use dtrack::core::window::{EpochProtocol, WinCoord, Windowed};
 use dtrack::core::TrackingConfig;
 use dtrack::sim::exec::{DeliveryPolicy, EventRuntime};
-use dtrack::sim::{ExecConfig, Executor, Protocol, Runner, Site};
+use dtrack::sim::{ExecConfig, ExecMode, Executor, Protocol, Runner};
 use dtrack::workload::scenarios;
+use dtrack_bench::measure::{
+    assert_mean_error_le_eps, rows, run, windowed_frequency_bias, Algo, Problem,
+    WINDOWED_BIAS_DOMAIN,
+};
 
 /// **Acceptance criterion**: `Windowed<RandomizedCount>` answers over
 /// the last `W` items are within the configured ε of an exact sliding
@@ -22,121 +26,76 @@ use dtrack::workload::scenarios;
 #[test]
 fn windowed_count_mean_error_within_epsilon_over_20_seeds() {
     let (k, eps, n, w) = (8, 0.1, 30_000u64, 6_144u64);
-    let seeds = 20;
-    let mut total_err = 0.0;
-    for seed in 0..seeds {
-        let proto = Windowed::new(RandomizedCount::new(TrackingConfig::new(k, eps)), w);
-        let mut r = Runner::new(&proto, seed);
-        for t in 0..n {
-            r.feed((t % k as u64) as usize, &t);
-        }
-        // Exact sliding-window count after n ≥ W elements is exactly W.
-        total_err += (r.coord().windowed_count() - w as f64).abs() / w as f64;
-    }
-    let mean_err = total_err / seeds as f64;
-    assert!(
-        mean_err <= eps,
-        "mean windowed count error {mean_err:.4} exceeds eps {eps}"
-    );
+    // After n ≥ W elements the exact sliding-window count is exactly W.
+    assert_mean_error_le_eps("windowed count", eps, 20, |seed| {
+        let exec = ExecConfig::lockstep().windowed(w);
+        run(exec, Problem::Count, Algo::Randomized, k, eps, n, seed).err
+    });
 }
 
 /// The adapter is unbiased mid-stream too, not just at the end: check
 /// the mean error at several checkpoints (windows partially filled and
-/// fully rolled over).
+/// fully rolled over). A run of `t` elements is the first `t` of the
+/// stream, so each checkpoint is its own run.
 #[test]
 fn windowed_count_tracks_at_checkpoints() {
-    let (k, eps, n, w) = (4, 0.15, 20_000u64, 4_096u64);
-    let seeds = 20;
-    let checkpoints = [2_048u64, 8_192, 20_000];
-    let mut errs = [0.0f64; 3];
-    for seed in 0..seeds {
-        let proto = Windowed::new(RandomizedCount::new(TrackingConfig::new(k, eps)), w);
-        let mut r = Runner::new(&proto, 100 + seed);
-        let mut ci = 0;
-        for t in 0..n {
-            r.feed((t % k as u64) as usize, &t);
-            if ci < checkpoints.len() && t + 1 == checkpoints[ci] {
-                let truth = (t + 1).min(w) as f64;
-                errs[ci] += (r.coord().windowed_count() - truth).abs() / truth;
-                ci += 1;
-            }
-        }
-    }
-    for (cp, e) in checkpoints.iter().zip(errs) {
-        let mean = e / seeds as f64;
-        assert!(
-            mean <= 1.5 * eps,
-            "checkpoint {cp}: mean error {mean:.4} vs eps {eps}"
-        );
+    let (k, eps, w) = (4, 0.15, 4_096u64);
+    let exec = ExecConfig::lockstep().windowed(w);
+    for t in [2_048u64, 8_192, 20_000] {
+        let truth = t.min(w) as f64;
+        assert_mean_error_le_eps(&format!("checkpoint {t}"), 1.5 * eps, 20, |seed| {
+            let r = run(
+                exec,
+                Problem::Count,
+                Algo::Randomized,
+                k,
+                eps,
+                t,
+                100 + seed,
+            );
+            (r.answers[0] - truth).abs() / truth
+        });
     }
 }
 
-/// Drive `Runner` and instant-`EventRuntime` side by side on the same
-/// windowed protocol and require identical accounting, space, and
-/// windowed answers — the exec layer's equivalence guarantee must
-/// survive the window adapter's epoch machinery (seals, acks, rebuilt
-/// inner instances).
-fn assert_windowed_equivalent<P, Q>(name: &str, proto: &Windowed<P>, n: u64, queries: Q)
-where
-    P: EpochProtocol,
-    P::Site: Site<Item = u64>,
-    Q: Fn(&WinCoord<P>) -> Vec<f64>,
-{
-    let k = proto.k();
-    let mut runner = Runner::new(proto, 42);
-    let mut event = EventRuntime::new(proto, 42);
-    for t in 0..n {
-        let (site, item) = ((t % k as u64) as usize, t);
-        runner.feed(site, &item);
-        event.feed(site, item);
-    }
-    event.quiesce();
-    assert_eq!(runner.stats(), event.stats(), "{name}: CommStats differ");
-    for site in 0..k {
-        assert_eq!(
-            runner.space().peak(site),
-            event.space().peak(site),
-            "{name}: space peak differs at site {site}"
-        );
-    }
-    let qr = queries(runner.coord());
-    let qe = queries(event.coord());
-    assert_eq!(
-        qr.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-        qe.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-        "{name}: windowed answers differ"
-    );
-    assert!(
-        qr.iter().all(|v| v.is_finite()),
-        "{name}: non-finite answer"
-    );
+/// `row` under `lockstep+window:2048` and `event+window:2048` (k = 8,
+/// n = 12 000): identical accounting, space peaks and windowed answers,
+/// bit for bit — the exec layer's equivalence guarantee must survive the
+/// window adapter's epoch machinery (seals, acks, rebuilt inner
+/// instances).
+fn windowed_lockstep_equals_event(row: (Problem, Algo), eps: f64) {
+    let at = |mode: &str| {
+        let exec = format!("{mode}+window:2048").parse().unwrap();
+        run(exec, row.0, row.1, 8, eps, 12_000, 42)
+    };
+    let lockstep = at("lockstep");
+    assert_eq!(lockstep, at("event"), "{row:?}: windowed runs differ");
+    let finite = lockstep.answers.iter().all(|a| a.is_finite());
+    assert!(finite, "{row:?}: non-finite answer");
 }
 
 /// **Acceptance criterion**: bit-identical windowed answers across
-/// `Runner` and `EventRuntime` under instant delivery.
+/// `Runner` and `EventRuntime` under instant delivery — and the same
+/// window state, which `Run` does not carry.
 #[test]
 fn windowed_count_equivalence_across_deterministic_executors() {
+    windowed_lockstep_equals_event((Problem::Count, Algo::Randomized), 0.1);
     let proto = Windowed::new(RandomizedCount::new(TrackingConfig::new(8, 0.1)), 2_048);
-    assert_windowed_equivalent("windowed count", &proto, 12_000, |c| {
-        vec![
-            c.windowed_count(),
-            c.n_approx() as f64,
-            c.epoch() as f64,
-            c.bucket_count() as f64,
-        ]
-    });
+    let state = |mode: ExecMode| {
+        let mut ex = mode.build(&proto, 42);
+        ex.feed_batch((0..12_000u64).map(|t| ((t % 8) as usize, t)).collect());
+        ex.quiesce();
+        ex.query(|c: &WinCoord<RandomizedCount>| (c.n_approx(), c.epoch(), c.bucket_count()))
+    };
+    let instant = ExecMode::Event(DeliveryPolicy::Instant);
+    assert_eq!(state(ExecMode::LockStep), state(instant));
 }
 
 #[test]
 fn windowed_sampling_equivalence_across_deterministic_executors() {
-    let proto = Windowed::new(ContinuousSampling::new(TrackingConfig::new(8, 0.15)), 2_048);
-    assert_windowed_equivalent("windowed sampling", &proto, 12_000, |c| {
-        vec![
-            c.windowed_count(),
-            c.windowed_rank(u64::MAX / 2),
-            c.windowed_frequency(3),
-        ]
-    });
+    for row in rows().filter(|&(_, algo)| algo == Algo::Sampling) {
+        windowed_lockstep_equals_event(row, 0.15);
+    }
 }
 
 /// Same-seed replay under a seeded random-delay policy is bit-exact,
@@ -144,18 +103,13 @@ fn windowed_sampling_equivalence_across_deterministic_executors() {
 /// answers after quiesce).
 #[test]
 fn windowed_random_delay_is_reproducible_and_sane() {
-    let proto = Windowed::new(RandomizedCount::new(TrackingConfig::new(4, 0.1)), 2_048);
-    let policy = DeliveryPolicy::RandomDelay { min: 1, max: 32 };
-    let run = |seed: u64| {
-        let mut e = EventRuntime::with_policy(&proto, seed, policy);
-        for t in 0..10_000u64 {
-            e.feed((t % 4) as usize, t);
-        }
-        e.quiesce();
-        (e.stats().clone(), e.coord().windowed_count())
+    let delayed = || {
+        let exec = "event:random:1:32+window:2048".parse().unwrap();
+        run(exec, Problem::Count, Algo::Randomized, 4, 0.1, 10_000, 7)
     };
-    let (stats, est) = run(7);
-    assert_eq!(run(7), (stats, est), "same seed must replay bit-for-bit");
+    let r = delayed();
+    assert_eq!(delayed(), r, "same seed must replay bit-for-bit");
+    let est = r.answers[0];
     assert!(est.is_finite());
     assert!(
         (est - 2_048.0).abs() <= 1_536.0,
@@ -259,45 +213,23 @@ fn windowed_rank_matches_closed_form_on_climbing_values() {
 #[cfg_attr(debug_assertions, ignore = "20 threaded runs; covered by release CI")]
 fn windowed_count_channel_mean_error_within_epsilon_over_20_seeds() {
     let (k, eps, n, w) = (8, 0.1, 30_000u64, 6_144u64);
-    let seeds = 20;
-    let mut total_err = 0.0;
-    for seed in 0..seeds {
+    assert_mean_error_le_eps("windowed channel-runtime count", eps, 20, |seed| {
         let exec = ExecConfig::channel().windowed(w);
-        let proto = Windowed::new(RandomizedCount::new(TrackingConfig::new(k, eps)), w);
-        let mut ex = exec.mode.build(&proto, seed);
-        let batch: Vec<(usize, u64)> = (0..n).map(|t| ((t % k as u64) as usize, t)).collect();
-        ex.feed_batch(batch);
-        ex.quiesce();
-        let est: f64 = ex.query(|c: &WinCoord<RandomizedCount>| c.windowed_count());
-        total_err += (est - w as f64).abs() / w as f64;
-    }
-    let mean_err = total_err / seeds as f64;
-    assert!(
-        mean_err <= eps,
-        "mean windowed channel-runtime count error {mean_err:.4} exceeds eps {eps}"
-    );
+        run(exec, Problem::Count, Algo::Randomized, k, eps, n, seed).err
+    });
 }
 
 /// Single-seed debug smoke of the same scenario: runs in the fast suite
 /// so a channel-runtime regression is caught before release CI.
 #[test]
 fn windowed_count_channel_single_seed_smoke() {
-    let w = 4_096u64;
-    let exec = ExecConfig::channel().windowed(w);
-    let proto = Windowed::new(RandomizedCount::new(TrackingConfig::new(4, 0.1)), w);
-    let mut ex = exec.mode.build(&proto, 1);
-    let batch: Vec<(usize, u64)> = (0..20_000u64).map(|t| ((t % 4) as usize, t)).collect();
-    ex.feed_batch(batch);
-    ex.quiesce();
-    let est: f64 = ex.query(|c: &WinCoord<RandomizedCount>| c.windowed_count());
+    let exec = ExecConfig::channel().windowed(4_096);
+    let r = run(exec, Problem::Count, Algo::Randomized, 4, 0.1, 20_000, 1);
     // Generous single-seed tolerance (the 20-seed mean above is the real
     // bound); still far tighter than the pre-fairness behavior, where
     // pro-rated answers could be off by integer factors.
-    assert!(
-        (est - w as f64).abs() < 0.5 * w as f64,
-        "single-seed channel windowed estimate {est} vs window {w}"
-    );
-    assert!(ex.stats().total_msgs() > 0);
+    assert!(r.err < 0.5, "single-seed channel windowed error {}", r.err);
+    assert!(r.stats.total_msgs() > 0);
 }
 
 /// Regression guard for the O(k) epoch-seal path: every seal must build
@@ -373,49 +305,6 @@ fn epoch_seal_builds_exactly_one_site_instance_per_site() {
     );
 }
 
-/// The windowed-bias workload, mirroring `dtrack-bench`'s
-/// `windowed_bias_item` (the umbrella test crate cannot depend on the
-/// bench crate): hot item 0 on even positions keeps `p` falling into
-/// the sampling regime; odd positions cycle `domain` rare items, so
-/// each occurs exactly `w / (2 · domain)` times in any aligned window —
-/// the counter-miss regime where the eq. (2)/eq. (4) difference peaks.
-fn bias_item(t: u64, domain: u64) -> u64 {
-    if t.is_multiple_of(2) {
-        0
-    } else {
-        1 + (t / 2) % domain
-    }
-}
-
-/// Mean signed rare-item windowed-frequency error over `seeds` seeds
-/// for a windowed frequency protocol built by `proto`.
-fn mean_signed_rare_err<P>(
-    proto: &Windowed<P>,
-    k: usize,
-    n: u64,
-    w: u64,
-    domain: u64,
-    seeds: u64,
-) -> f64
-where
-    P: EpochProtocol,
-    P::Site: Site<Item = u64>,
-    P::Digest: dtrack::core::window::FrequencyDigest,
-{
-    let truth = w as f64 / (2 * domain) as f64;
-    let mut signed = 0.0;
-    for seed in 0..seeds {
-        let mut r = Runner::new(proto, seed);
-        for t in 0..n {
-            r.feed((t % k as u64) as usize, &bias_item(t, domain));
-        }
-        for j in 1..=domain {
-            signed += r.coord().windowed_frequency(j) - truth;
-        }
-    }
-    signed / (seeds * domain) as f64
-}
-
 /// **Acceptance criterion**: with epoch digests carrying the per-item
 /// `−d/p` correction terms, the mean *signed* rare-item
 /// `windowed_frequency` error over 20 seeds is statistically
@@ -430,14 +319,13 @@ where
 #[test]
 #[cfg_attr(debug_assertions, ignore = "20 windowed runs; covered by release CI")]
 fn windowed_frequency_mean_signed_rare_item_error_centers_at_zero() {
-    let (k, eps, n, w, domain, seeds) = (8usize, 0.1f64, 40_000u64, 8_192u64, 16u64, 20u64);
-    let proto = Windowed::new(RandomizedFrequency::new(TrackingConfig::new(k, eps)), w);
-    let bias = mean_signed_rare_err(&proto, k, n, w, domain, seeds);
+    let (k, eps, n, w) = (8, 0.1, 40_000, 8_192);
+    let bias = windowed_frequency_bias(ExecConfig::lockstep().windowed(w), true, k, eps, n, 20);
     assert!(
         bias.abs() <= 12.0,
         "corrected digests: mean signed rare-item error {bias:+.2} not centered at 0 \
          (slack bound 4 + 3·SE ≈ 12; truth {} per item, eps·W = {})",
-        w / (2 * domain),
+        w / (2 * WINDOWED_BIAS_DOMAIN),
         eps * w as f64
     );
 }
@@ -451,12 +339,8 @@ fn windowed_frequency_mean_signed_rare_item_error_centers_at_zero() {
 #[test]
 #[cfg_attr(debug_assertions, ignore = "20 windowed runs; covered by release CI")]
 fn uncorrected_digests_show_positive_rare_item_bias() {
-    let (k, eps, n, w, domain, seeds) = (8usize, 0.1f64, 40_000u64, 8_192u64, 16u64, 20u64);
-    let proto = Windowed::new(
-        RandomizedFrequency::new(TrackingConfig::new(k, eps)).ablation_uncorrected_digests(),
-        w,
-    );
-    let bias = mean_signed_rare_err(&proto, k, n, w, domain, seeds);
+    let exec = ExecConfig::lockstep().windowed(8_192);
+    let bias = windowed_frequency_bias(exec, false, 8, 0.1, 40_000, 20);
     assert!(
         bias >= 30.0,
         "uncorrected digests: expected measurable positive rare-item bias, got {bias:+.2}"
