@@ -222,6 +222,12 @@ impl WakeCell {
         idle()
     }
 
+    /// Whether the consumer is in, or about to enter, a park.
+    #[cfg(test)]
+    pub(crate) fn is_parked(&self) -> bool {
+        self.parked.load(Ordering::SeqCst)
+    }
+
     /// Arm the parked flag, re-check `idle` (the consumer's half of the
     /// Dekker pair in [`WakeCell::wake`]), block once, disarm.
     fn block_once(&self, idle: &impl Fn() -> bool, nap: Option<Duration>) {
@@ -803,6 +809,12 @@ impl<T> MpscReceiver<T> {
     /// [`MpscReceiver::is_empty`] before treating the lane as finished.
     pub fn is_disconnected(&self) -> bool {
         self.shared.senders.load(Ordering::SeqCst) == 0
+    }
+
+    /// The cell every send wakes (the one given to [`mpsc`]): the
+    /// receiving thread parks on it.
+    pub(crate) fn wake_cell(&self) -> &Arc<WakeCell> {
+        &self.shared.consumer
     }
 }
 

@@ -32,10 +32,23 @@
 //!   backlogs inside one — and the coordinator runs one reader thread
 //!   per stream plus one writer thread per peer (a slow site's TCP
 //!   window can never block the coordinator's apply loop; downs queue
-//!   in the writer's unbounded buffer instead). Those buffers, a site's
-//!   decoded events and the spent payloads handed back are
-//!   `std::sync::mpsc` channels; the coordinator-inbound lanes are the
-//!   lock-free ones both link implementations share.
+//!   in the writer's unbounded buffer instead). Every frame is encoded
+//!   whole — header, then payload — into a reused buffer
+//!   ([`crate::wire::encode_frame_into`]) and leaves in one `write_all`,
+//!   so under `TCP_NODELAY` it is one segment. Every reader thread, on
+//!   both ends, reads through a `BufReader` into one reused payload
+//!   buffer ([`crate::wire::read_frame_into`]), so a header, its payload
+//!   and a run of small frames arrive in one `recv`.
+//!
+//! Both implementations share their lanes. Each coordinator link
+//! receives on the same pair of urgent-first lock-free queues on the
+//! coordinator thread's [`WakeCell`], and each site link on the same
+//! control lane: one lock-free queue on the site thread's cell. In
+//! process the coordinator link sends into that lane; over TCP the
+//! site's reader thread does, and its sender, dropped when the stream
+//! ends, wakes a parked site to report the link gone. What remains of
+//! `std::sync::mpsc` is coordinator-side: the writer threads' queues and
+//! the spent frame buffers they hand back.
 //!
 //! Links are reliable — every message is delivered **exactly once**,
 //! FIFO per lane and sender; the only nondeterminism is cross-site
@@ -120,12 +133,14 @@
 //!   A dropped site end (thread finished or panicked) sends
 //!   [`CoordEvent::Closed`], failing the round instead of hanging it; a
 //!   dropped coordinator end disconnects the control lanes, which ends
-//!   [`SiteLink::recv`]/[`SiteLink::gate`] the same way.
+//!   [`SiteLink::recv`]/[`SiteLink::gate`] the same way (over TCP the
+//!   site's reader thread ends with the stream and drops the lane's one
+//!   sender, whose drop wakes the site).
 //! * **Snapshot publication adds no waits**: it happens between two
 //!   applies, touches no lane or credit, and readers never block the
 //!   publisher (`crate::snapshot`).
 
-use std::io::{self};
+use std::io::{self, BufReader, Read, Write};
 use std::marker::PhantomData;
 use std::net::{Shutdown, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -140,7 +155,9 @@ use crate::ring::{mpsc, MpscReceiver, MpscSender, RingConsumer, WakeCell};
 use crate::snapshot::QueryHandle;
 use crate::stats::CommStats;
 use crate::step::CoordCore;
-use crate::wire::{decode_exact, encode_into, encode_to_vec, read_frame, write_frame};
+use crate::wire::{
+    decode_exact, encode_frame_into, encode_to_vec, read_frame, read_frame_into, write_frame,
+};
 
 /// Frame kinds (the transport-level routing byte of
 /// [`crate::wire::write_frame`]; message tags live inside payloads).
@@ -315,6 +332,77 @@ impl<U> UpLanes<U> {
     }
 }
 
+/// Sender of one site's control lane.
+type CtrlTx<D> = MpscSender<SiteEvent<D>>;
+
+/// A site's control lane in either link implementation: a lock-free
+/// queue of downs, pings and stops on the site thread's [`WakeCell`].
+/// The one site-side receive body, as [`UpLanes`] is the coordinator's.
+struct CtrlLane<D> {
+    rx: MpscReceiver<SiteEvent<D>>,
+}
+
+/// Build a control lane and its sender.
+fn ctrl_lane<D>() -> (CtrlTx<D>, CtrlLane<D>) {
+    let (tx, rx) = mpsc(Arc::new(WakeCell::new()));
+    (tx, CtrlLane { rx })
+}
+
+impl<D> CtrlLane<D> {
+    /// The site thread's cell: every send on the lane wakes it.
+    fn wake(&self) -> &Arc<WakeCell> {
+        self.rx.wake_cell()
+    }
+
+    fn try_recv(&mut self) -> Option<SiteEvent<D>> {
+        self.rx.try_recv()
+    }
+
+    fn recv(&mut self) -> Option<SiteEvent<D>> {
+        while self.park_until(|| false) {
+            if let Some(ev) = self.rx.try_recv() {
+                return Some(ev);
+            }
+        }
+        None
+    }
+
+    /// Every sender is gone and nothing is left queued. Disconnection
+    /// first: every send happens before its sender's drop.
+    fn closed(&self) -> bool {
+        self.rx.is_disconnected() && self.rx.is_empty()
+    }
+
+    /// Nothing queued, and a sender may still queue something.
+    fn idle(&self) -> bool {
+        self.rx.is_empty() && !self.rx.is_disconnected()
+    }
+
+    /// Spin-then-park the calling (site) thread until an event is
+    /// queued or `ready()` holds; `false` once the lane is closed.
+    /// `ready` may only watch state whose writers wake the lane's cell.
+    fn park_until(&self, ready: impl Fn() -> bool) -> bool {
+        if self.closed() {
+            return false;
+        }
+        let wake = self.wake();
+        wake.register();
+        wake.park_while(|| self.idle() && !ready());
+        true
+    }
+
+    /// [`CtrlLane::park_until`] an element arrives on `data`, a ring
+    /// built on the lane's cell, through the ring's spin → nap → park
+    /// wait.
+    fn park_on<T>(&self, data: &mut RingConsumer<T>) -> bool {
+        if self.closed() {
+            return false;
+        }
+        data.wait_while_empty(|| self.idle());
+        true
+    }
+}
+
 // ---------------------------------------------------------------------
 // In-process links: lock-free lanes, WakeCell parking, fairness credit.
 // ---------------------------------------------------------------------
@@ -342,14 +430,14 @@ pub struct InProcSiteLink<U, D> {
     id: SiteId,
     ordinary_tx: LaneTx<U>,
     urgent_tx: LaneTx<U>,
-    ctrl_rx: MpscReceiver<SiteEvent<D>>,
+    ctrl: CtrlLane<D>,
     credit: Arc<Credit>,
 }
 
 /// Coordinator end of the in-process links (see [`in_process_links`]).
 pub struct InProcCoordLink<U, D> {
     lanes: UpLanes<U>,
-    ctrl_txs: Vec<MpscSender<SiteEvent<D>>>,
+    ctrl_txs: Vec<CtrlTx<D>>,
     credits: Vec<Arc<Credit>>,
 }
 
@@ -363,11 +451,10 @@ pub fn in_process_links<U, D>(k: usize) -> (Vec<InProcSiteLink<U, D>>, InProcCoo
     let mut ctrl_txs = Vec::with_capacity(k);
     let mut credits = Vec::with_capacity(k);
     for id in 0..k {
-        let site_wake = Arc::new(WakeCell::new());
-        let (ctrl_tx, ctrl_rx) = mpsc(Arc::clone(&site_wake));
+        let (ctrl_tx, ctrl) = ctrl_lane();
         let credit = Arc::new(Credit {
             outstanding: AtomicU64::new(0),
-            site_wake,
+            site_wake: Arc::clone(ctrl.wake()),
         });
         ctrl_txs.push(ctrl_tx);
         credits.push(Arc::clone(&credit));
@@ -375,7 +462,7 @@ pub fn in_process_links<U, D>(k: usize) -> (Vec<InProcSiteLink<U, D>>, InProcCoo
             id,
             ordinary_tx: ordinary_tx.clone(),
             urgent_tx: urgent_tx.clone(),
-            ctrl_rx,
+            ctrl,
             credit,
         });
     }
@@ -393,7 +480,7 @@ impl<U, D> InProcSiteLink<U, D> {
     /// builds that queue on this cell and waits through
     /// [`InProcSiteLink::park_until`].
     pub fn wake_cell(&self) -> Arc<WakeCell> {
-        Arc::clone(&self.credit.site_wake)
+        Arc::clone(self.ctrl.wake())
     }
 
     /// Spin-then-park the calling (site) thread until a control event is
@@ -401,14 +488,7 @@ impl<U, D> InProcSiteLink<U, D> {
     /// gone and nothing is left queued. `ready` may only watch state
     /// whose writers wake [`InProcSiteLink::wake_cell`].
     pub fn park_until(&self, ready: impl Fn() -> bool) -> bool {
-        let rx = &self.ctrl_rx;
-        if rx.is_disconnected() && rx.is_empty() {
-            return false;
-        }
-        let wake = &self.credit.site_wake;
-        wake.register();
-        wake.park_while(|| rx.is_empty() && !rx.is_disconnected() && !ready());
-        true
+        self.ctrl.park_until(ready)
     }
 
     /// [`InProcSiteLink::park_until`] an element arrives on `data` — a
@@ -417,12 +497,7 @@ impl<U, D> InProcSiteLink<U, D> {
     /// pushes may be noticed a nap late, control events and credit
     /// releases wake the cell and are served at once.
     pub fn park_on<T>(&self, data: &mut RingConsumer<T>) -> bool {
-        let rx = &self.ctrl_rx;
-        if rx.is_disconnected() && rx.is_empty() {
-            return false;
-        }
-        data.wait_while_empty(|| rx.is_empty() && !rx.is_disconnected());
-        true
+        self.ctrl.park_on(data)
     }
 }
 
@@ -450,25 +525,20 @@ impl<U, D> SiteLink<U, D> for InProcSiteLink<U, D> {
     }
 
     fn try_recv(&mut self) -> Option<SiteEvent<D>> {
-        self.ctrl_rx.try_recv()
+        self.ctrl.try_recv()
     }
 
     fn recv(&mut self) -> Option<SiteEvent<D>> {
-        while self.park_until(|| false) {
-            if let Some(ev) = self.ctrl_rx.try_recv() {
-                return Some(ev);
-            }
-        }
-        None
+        self.ctrl.recv()
     }
 
     fn gate(&mut self) -> io::Result<Option<SiteEvent<D>>> {
         while self.credit.exhausted() {
-            if let Some(ev) = self.ctrl_rx.try_recv() {
+            if let Some(ev) = self.ctrl.try_recv() {
                 return Ok(Some(ev));
             }
             let credit = &self.credit;
-            if !self.park_until(|| !credit.exhausted()) {
+            if !self.ctrl.park_until(|| !credit.exhausted()) {
                 return Err(io::Error::new(
                     io::ErrorKind::ConnectionAborted,
                     "coordinator link closed with ups outstanding",
@@ -560,14 +630,14 @@ fn invalid(msg: impl Into<Box<dyn std::error::Error + Send + Sync>>) -> io::Erro
 
 /// Site end of the TCP transport: two streams to the coordinator (an
 /// ordinary and an urgent lane), a reader thread decoding inbound
-/// frames off the data stream.
+/// frames off the data stream into the site's control lane.
 pub struct TcpSiteLink<U, D> {
     data_w: TcpStream,
     urgent_w: TcpStream,
-    events: Receiver<SiteEvent<D>>,
+    ctrl: CtrlLane<D>,
     reader: Option<JoinHandle<()>>,
-    /// Encode buffer reused by every `send_up`.
-    scratch: Vec<u8>,
+    /// Frame buffer reused by every send.
+    frame: Vec<u8>,
     _up: PhantomData<fn(U)>,
 }
 
@@ -585,68 +655,75 @@ impl<U: Encode, D: Decode + Send + 'static> TcpSiteLink<U, D> {
         urgent.set_nodelay(true)?;
         write_frame(&mut urgent, kind::HELLO, &hello_payload(id, LANE_URGENT))?;
 
-        let (tx, rx) = channel::<SiteEvent<D>>();
-        let mut read_half = data.try_clone()?;
+        let (tx, ctrl) = ctrl_lane::<D>();
+        let mut read_half = BufReader::new(data.try_clone()?);
+        // The thread owns the lane's only sender: when it ends, the drop
+        // wakes a parked site to find the lane closed.
         let reader = std::thread::spawn(move || {
             let _ = read_downs(&mut read_half, &tx);
         });
         Ok(Self {
             data_w: data,
             urgent_w: urgent,
-            events: rx,
+            ctrl,
             reader: Some(reader),
-            scratch: Vec::new(),
+            frame: Vec::new(),
             _up: PhantomData,
         })
     }
 }
 
 /// The site link's reader thread: decode frames off the data stream
-/// into `tx`. Ends on STOP, on a closed or failed stream, on an
-/// undecodable or unexpected frame, or when the link is dropped; the
-/// link then reads as gone.
-fn read_downs<D: Decode>(stream: &mut TcpStream, tx: &Sender<SiteEvent<D>>) -> io::Result<()> {
+/// into the control lane. Ends on STOP, on a closed or failed stream, on
+/// an undecodable or unexpected frame, or when the link is dropped
+/// (which shuts the stream down); the link then reads as gone.
+fn read_downs<D: Decode>(stream: &mut impl Read, tx: &CtrlTx<D>) -> io::Result<()> {
+    let mut payload = Vec::new();
     loop {
-        let ev = match read_frame(stream)? {
-            Some((kind::DOWN, payload)) => SiteEvent::Down(decode_exact(&payload)?),
-            Some((kind::PING, payload)) => SiteEvent::Ping(decode_exact(&payload)?),
-            Some((kind::STOP, _)) => SiteEvent::Stop,
+        let ev = match read_frame_into(stream, &mut payload)? {
+            Some(kind::DOWN) => SiteEvent::Down(decode_exact(&payload)?),
+            Some(kind::PING) => SiteEvent::Ping(decode_exact(&payload)?),
+            Some(kind::STOP) => SiteEvent::Stop,
             Some(_) | None => return Ok(()),
         };
         let last = matches!(ev, SiteEvent::Stop);
-        if tx.send(ev).is_err() || last {
+        tx.send(ev);
+        if last {
             return Ok(());
         }
     }
 }
 
+/// Every frame is encoded whole into the link's buffer and leaves in
+/// one `write_all`.
 impl<U: Encode, D> SiteLink<U, D> for TcpSiteLink<U, D> {
     fn send_up(&mut self, up: U, urgent: bool) -> io::Result<()> {
-        encode_into(&up, &mut self.scratch);
+        encode_frame_into(kind::UP, &up, &mut self.frame)?;
         let stream = if urgent {
             &mut self.urgent_w
         } else {
             &mut self.data_w
         };
-        write_frame(stream, kind::UP, &self.scratch)
+        stream.write_all(&self.frame)
     }
 
     fn pong(&mut self, nonce: u64) -> io::Result<()> {
-        let payload = encode_to_vec(&nonce);
-        write_frame(&mut self.data_w, kind::PONG, &payload)?;
-        write_frame(&mut self.urgent_w, kind::PONG, &payload)
+        encode_frame_into(kind::PONG, &nonce, &mut self.frame)?;
+        self.data_w.write_all(&self.frame)?;
+        self.urgent_w.write_all(&self.frame)
     }
 
     fn eos(&mut self) -> io::Result<()> {
-        write_frame(&mut self.data_w, kind::EOS, &[])
+        encode_frame_into(kind::EOS, &(), &mut self.frame)?;
+        self.data_w.write_all(&self.frame)
     }
 
     fn try_recv(&mut self) -> Option<SiteEvent<D>> {
-        self.events.try_recv().ok()
+        self.ctrl.try_recv()
     }
 
     fn recv(&mut self) -> Option<SiteEvent<D>> {
-        self.events.recv().ok()
+        self.ctrl.recv()
     }
 }
 
@@ -660,9 +737,9 @@ impl<U, D> Drop for TcpSiteLink<U, D> {
     }
 }
 
-/// One frame queued to a per-peer writer thread; `None` closes the
-/// stream and ends the thread.
-type WriterCmd = Option<(u8, Vec<u8>)>;
+/// One whole frame queued to a per-peer writer thread; `None` closes
+/// the stream and ends the thread.
+type WriterCmd = Option<Vec<u8>>;
 
 /// Coordinator end of the TCP transport: per-peer writer threads (a
 /// slow site never blocks the apply loop), one reader thread per
@@ -670,8 +747,9 @@ type WriterCmd = Option<(u8, Vec<u8>)>;
 pub struct TcpCoordLink<U, D> {
     lanes: UpLanes<U>,
     writers: Vec<Sender<WriterCmd>>,
-    /// Payload buffers the writer threads have written out, handed back
-    /// for `send_down` to encode into (at most one per frame in flight).
+    /// Frame buffers the writer threads have written out, handed back
+    /// for the next frame to encode into (at most one per frame in
+    /// flight).
     spent: Receiver<Vec<u8>>,
     /// Read-half clones, shut down on drop so reader threads unblock.
     read_halves: Vec<TcpStream>,
@@ -722,11 +800,11 @@ impl<U: Decode + Send + 'static, D: Encode> TcpCoordLink<U, D> {
             writers.push(wtx);
             let spent_tx = spent_tx.clone();
             writer_threads.push(std::thread::spawn(move || {
-                while let Ok(Some((frame_kind, payload))) = wrx.recv() {
-                    if write_frame(&mut write_half, frame_kind, &payload).is_err() {
+                while let Ok(Some(frame)) = wrx.recv() {
+                    if write_half.write_all(&frame).is_err() {
                         return;
                     }
-                    let _ = spent_tx.send(payload);
+                    let _ = spent_tx.send(frame);
                 }
             }));
 
@@ -737,7 +815,7 @@ impl<U: Decode + Send + 'static, D: Encode> TcpCoordLink<U, D> {
                 (urgent, urgent_tx.clone(), true),
             ] {
                 read_halves.push(stream.try_clone()?);
-                let mut read_half = stream;
+                let mut read_half = BufReader::new(stream);
                 reader_threads.push(std::thread::spawn(move || {
                     // Anything but a clean close takes the link down.
                     if read_ups(&mut read_half, site, urgent_lane, &tx).is_err() {
@@ -762,19 +840,32 @@ impl<U: Decode + Send + 'static, D: Encode> TcpCoordLink<U, D> {
 /// One coordinator-side reader thread: decode frames off one inbound
 /// stream of `site` into its lane. `Ok` is a clean close (after STOP).
 fn read_ups<U: Decode>(
-    stream: &mut TcpStream,
+    stream: &mut impl Read,
     site: SiteId,
     urgent_lane: bool,
     tx: &LaneTx<U>,
 ) -> io::Result<()> {
+    let mut payload = Vec::new();
     loop {
-        tx.send(match read_frame(stream)? {
-            Some((kind::UP, payload)) => CoordEvent::Up(site, decode_exact(&payload)?),
-            Some((kind::PONG, payload)) => CoordEvent::Pong(site, decode_exact(&payload)?),
-            Some((kind::EOS, _)) if !urgent_lane => CoordEvent::Eos(site),
+        tx.send(match read_frame_into(stream, &mut payload)? {
+            Some(kind::UP) => CoordEvent::Up(site, decode_exact(&payload)?),
+            Some(kind::PONG) => CoordEvent::Pong(site, decode_exact(&payload)?),
+            Some(kind::EOS) if !urgent_lane => CoordEvent::Eos(site),
             None => return Ok(()),
-            Some((other, _)) => return Err(invalid(format!("unexpected frame kind {other}"))),
+            Some(other) => return Err(invalid(format!("unexpected frame kind {other}"))),
         });
+    }
+}
+
+impl<U, D> TcpCoordLink<U, D> {
+    /// Queue `v` to site `to`'s writer as one whole frame, encoded into
+    /// a spent buffer when one is free.
+    fn send_frame<T: Encode + ?Sized>(&self, to: SiteId, kind: u8, v: &T) -> io::Result<()> {
+        let mut frame = self.spent.try_recv().unwrap_or_default();
+        encode_frame_into(kind, v, &mut frame)?;
+        self.writers[to]
+            .send(Some(frame))
+            .map_err(|_| io::Error::new(io::ErrorKind::BrokenPipe, "writer thread gone"))
     }
 }
 
@@ -784,25 +875,17 @@ impl<U, D: Encode> CoordLink<U, D> for TcpCoordLink<U, D> {
     }
 
     fn send_down(&mut self, to: SiteId, down: D) -> io::Result<()> {
-        let mut payload = self.spent.try_recv().unwrap_or_default();
-        encode_into(&down, &mut payload);
-        self.writers[to]
-            .send(Some((kind::DOWN, payload)))
-            .map_err(|_| io::Error::new(io::ErrorKind::BrokenPipe, "writer thread gone"))
+        self.send_frame(to, kind::DOWN, &down)
     }
 
     fn ping(&mut self, nonce: u64) -> io::Result<()> {
-        for w in &self.writers {
-            w.send(Some((kind::PING, encode_to_vec(&nonce))))
-                .map_err(|_| io::Error::new(io::ErrorKind::BrokenPipe, "writer thread gone"))?;
-        }
-        Ok(())
+        (0..self.writers.len()).try_for_each(|to| self.send_frame(to, kind::PING, &nonce))
     }
 
     fn stop(&mut self) -> io::Result<()> {
-        for w in &self.writers {
-            let _ = w.send(Some((kind::STOP, Vec::new())));
-            let _ = w.send(None);
+        for to in 0..self.writers.len() {
+            let _ = self.send_frame(to, kind::STOP, &());
+            let _ = self.writers[to].send(None);
         }
         // Wait until every queued frame — the STOP last — is handed to
         // the kernel: a caller may drop the link or exit right after,
@@ -1144,8 +1227,10 @@ mod tests {
     use std::io::Write;
 
     /// Echo protocol with an urgent flavor: sites forward each item;
-    /// every 10th up is flagged urgent; the coordinator sums and,
-    /// every 100 applies, broadcasts the running total.
+    /// every 10th up is flagged urgent; the coordinator sums and, every
+    /// 100 applies, broadcasts its apply count — unlike the running sum,
+    /// that does not depend on the interleaving, so down bytes compare
+    /// across links.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
     struct EchoUp(u64);
 
@@ -1201,7 +1286,7 @@ mod tests {
             self.sum += msg.0;
             self.applies += 1;
             if self.applies.is_multiple_of(100) {
-                net.broadcast(self.sum);
+                net.broadcast(self.applies);
             }
         }
     }
@@ -1295,9 +1380,14 @@ mod tests {
         assert_eq!(tcp_stats.up_msgs, inproc_stats.up_msgs);
         assert_eq!(tcp_stats.up_words, inproc_stats.up_words);
         assert_eq!(tcp_stats.up_bytes, inproc_stats.up_bytes);
+        assert_eq!(tcp_stats.broadcast_events, inproc_stats.broadcast_events);
+        assert_eq!(tcp_stats.down_msgs, inproc_stats.down_msgs);
+        assert_eq!(tcp_stats.down_words, inproc_stats.down_words);
+        assert_eq!(tcp_stats.down_bytes, inproc_stats.down_bytes);
         for h in site_threads {
             let site_stats = h.join().unwrap();
             assert_eq!(site_stats.elements, PER_SITE);
+            assert_eq!(site_stats.down_msgs, tcp_stats.broadcast_events);
         }
     }
 
@@ -1474,6 +1564,27 @@ mod tests {
         drop(coord_link);
         let err = half.run_until_stop().unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::ConnectionAborted);
+    }
+
+    #[test]
+    fn a_tcp_site_parked_in_run_until_stop_sees_its_coordinator_die() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let link = TcpSiteLink::<EchoUp, u64>::connect(addr, 0).unwrap();
+        let coord_link = TcpCoordLink::<EchoUp, u64>::accept(&listener, 1).unwrap();
+        let site_wake = Arc::clone(link.ctrl.wake());
+        let (done_tx, done) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let mut half = SiteHalf::new(EchoSite, link);
+            half.feed(&7).unwrap();
+            let _ = done_tx.send(half.run_until_stop().map_err(|e| e.kind()));
+        });
+        // Only `run_until_stop` parks this site: nothing is sent to it.
+        crate::ring::wait_until("site parked", || site_wake.is_parked());
+        drop(coord_link);
+        // A lost wakeup fails here instead of hanging the suite.
+        let ended = done.recv_timeout(std::time::Duration::from_secs(30));
+        assert_eq!(ended, Ok(Err(io::ErrorKind::ConnectionAborted)));
     }
 
     #[test]

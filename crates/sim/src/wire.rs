@@ -21,7 +21,7 @@
 //! [`Words`] in [`crate::message`]; this module provides the writer /
 //! reader primitives, the measured-length helpers, and the
 //! length-prefixed **frame** layer the socket transport
-//! ([`crate::runtime`]) ships frames through.
+//! ([`crate::transport`]) ships frames through.
 //!
 //! ## One encoder, two sinks
 //!
@@ -312,20 +312,9 @@ impl<'a> WireReader<'a> {
 
 /// Encode `v` into a fresh byte vector.
 pub fn encode_to_vec<T: Encode + ?Sized>(v: &T) -> Vec<u8> {
-    let mut buf = Vec::new();
-    encode_into(v, &mut buf);
-    buf
-}
-
-/// Encode `v` into `buf`, replacing its contents and keeping its
-/// allocation — the socket links reuse one buffer per link.
-pub fn encode_into<T: Encode + ?Sized>(v: &T, buf: &mut Vec<u8>) {
-    buf.clear();
-    let mut w = WireWriter {
-        buf: std::mem::take(buf),
-    };
+    let mut w = WireWriter::new();
     v.encode(&mut w);
-    *buf = w.buf;
+    w.buf
 }
 
 /// Measured wire size of `v` in bytes under the byte codec. This is
@@ -368,26 +357,48 @@ pub fn decode_exact<T: Decode>(bytes: &[u8]) -> Result<T, WireError> {
 /// rejected instead of driving an absurd allocation.
 pub const MAX_FRAME_LEN: usize = 1 << 24;
 
+/// A frame's header — kind, then payload length — or `InvalidInput`
+/// for a payload past [`MAX_FRAME_LEN`].
+fn frame_header(kind: u8, len: usize) -> io::Result<[u8; 5]> {
+    if len > MAX_FRAME_LEN {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!("frame payload of {len} bytes exceeds cap {MAX_FRAME_LEN}"),
+        ));
+    }
+    let mut header = [0u8; 5];
+    header[0] = kind;
+    header[1..].copy_from_slice(&(len as u32).to_le_bytes());
+    Ok(header)
+}
+
 /// Write one frame: a 1-byte kind, a 4-byte little-endian payload
 /// length, then the payload. The kind byte is transport-level routing
 /// (data vs. control), distinct from the message tag *inside* the
 /// payload. A payload past [`MAX_FRAME_LEN`] is refused with
 /// `InvalidInput` before anything is written.
 pub fn write_frame<W: Write>(w: &mut W, kind: u8, payload: &[u8]) -> io::Result<()> {
-    if payload.len() > MAX_FRAME_LEN {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidInput,
-            format!(
-                "frame payload of {} bytes exceeds cap {MAX_FRAME_LEN}",
-                payload.len()
-            ),
-        ));
-    }
-    let mut header = [0u8; 5];
-    header[0] = kind;
-    header[1..5].copy_from_slice(&(payload.len() as u32).to_le_bytes());
-    w.write_all(&header)?;
+    w.write_all(&frame_header(kind, payload.len())?)?;
     w.write_all(payload)
+}
+
+/// Encode `v` as one whole frame — the header [`write_frame`] would
+/// write, then the payload — into `buf`, replacing its contents and
+/// keeping its allocation, so the frame goes out in one `write_all`.
+/// The payload is encoded after a placeholder header, whose length is
+/// then patched in. A payload past [`MAX_FRAME_LEN`] is `InvalidInput`.
+pub fn encode_frame_into<T: Encode + ?Sized>(kind: u8, v: &T, buf: &mut Vec<u8>) -> io::Result<()> {
+    let placeholder = frame_header(kind, 0)?;
+    buf.clear();
+    buf.extend_from_slice(&placeholder);
+    let mut w = WireWriter {
+        buf: std::mem::take(buf),
+    };
+    v.encode(&mut w);
+    *buf = w.buf;
+    let header = frame_header(kind, buf.len() - placeholder.len())?;
+    buf[..header.len()].copy_from_slice(&header);
+    Ok(())
 }
 
 /// Read one frame written by [`write_frame`]. Returns `Ok(None)` on a
@@ -395,6 +406,17 @@ pub fn write_frame<W: Write>(w: &mut W, kind: u8, payload: &[u8]) -> io::Result<
 /// `UnexpectedEof` on truncation inside a frame and `InvalidData` on a
 /// length prefix past [`MAX_FRAME_LEN`].
 pub fn read_frame<R: Read>(r: &mut R) -> io::Result<Option<(u8, Vec<u8>)>> {
+    let mut payload = Vec::new();
+    Ok(read_frame_into(r, &mut payload)?.map(|kind| (kind, payload)))
+}
+
+/// [`read_frame`] into a caller's buffer: the payload replaces `payload`'s
+/// contents and the frame's kind is returned. The payload is read
+/// through `take(len)`, so past a first reservation of at most 1/256 of
+/// [`MAX_FRAME_LEN`] (64 KiB) memory follows the bytes that arrive, not
+/// the length the header claims, and a reader looping on one buffer
+/// allocates only when a frame outgrows every earlier one.
+pub fn read_frame_into<R: Read>(r: &mut R, payload: &mut Vec<u8>) -> io::Result<Option<u8>> {
     let mut header = [0u8; 5];
     // Distinguish clean EOF (no bytes at all) from a torn header.
     let mut filled = 0;
@@ -410,23 +432,24 @@ pub fn read_frame<R: Read>(r: &mut R) -> io::Result<Option<(u8, Vec<u8>)>> {
             n => filled += n,
         }
     }
-    let kind = header[0];
-    let len = u32::from_le_bytes(header[1..5].try_into().expect("4 bytes")) as usize;
+    let len = u32::from_le_bytes(header[1..].try_into().expect("4 bytes")) as usize;
     if len > MAX_FRAME_LEN {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
             format!("frame length {len} exceeds cap {MAX_FRAME_LEN}"),
         ));
     }
-    let mut payload = vec![0u8; len];
-    r.read_exact(&mut payload).map_err(|e| {
-        if e.kind() == io::ErrorKind::UnexpectedEof {
-            io::Error::new(io::ErrorKind::UnexpectedEof, "connection closed mid-frame")
-        } else {
-            e
-        }
-    })?;
-    Ok(Some((kind, payload)))
+    payload.clear();
+    // One allocation for a typical frame, instead of doubling up from
+    // `read_to_end`'s 32-byte probe; bounded, so a claim alone pins little.
+    payload.reserve(len.min(MAX_FRAME_LEN / 256));
+    if r.by_ref().take(len as u64).read_to_end(payload)? < len {
+        return Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            "connection closed mid-frame",
+        ));
+    }
+    Ok(Some(header[0]))
 }
 
 #[cfg(test)]
@@ -557,14 +580,15 @@ mod tests {
     }
 
     #[test]
-    fn encode_into_reuses_the_buffer_and_replaces_its_contents() {
+    fn encode_frame_into_reuses_the_buffer_and_replaces_its_contents() {
         let mut buf = Vec::with_capacity(64);
         buf.extend_from_slice(b"stale");
         let ptr = buf.as_ptr();
-        encode_into(&vec![1u64, 300], &mut buf);
-        assert_eq!(buf, encode_to_vec(&vec![1u64, 300]));
+        encode_frame_into(1, &vec![1u64, 300], &mut buf).unwrap();
+        let payload = &buf[5..];
+        assert_eq!(payload, encode_to_vec(&vec![1u64, 300]));
         assert_eq!(buf.as_ptr(), ptr, "no reallocation within capacity");
-        assert_eq!(measured(&vec![1u64, 300]), buf.len() as u64);
+        assert_eq!(measured(&vec![1u64, 300]), payload.len() as u64);
     }
 
     #[test]
@@ -647,6 +671,60 @@ mod tests {
         let mut cursor = io::Cursor::new(pipe);
         let err = read_frame(&mut cursor).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    #[test]
+    fn a_length_claim_does_not_size_the_buffer() {
+        // A header claiming the cap, 10 payload bytes, then EOF: torn,
+        // and the buffer stayed within its first reservation instead of
+        // taking the 16 MiB claim.
+        let mut pipe = vec![1u8];
+        pipe.extend_from_slice(&(MAX_FRAME_LEN as u32).to_le_bytes());
+        pipe.extend_from_slice(&[7; 10]);
+        let mut payload = Vec::new();
+        let err = read_frame_into(&mut io::Cursor::new(pipe), &mut payload).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+        assert!(payload.capacity() < 1 << 20, "{}", payload.capacity());
+    }
+
+    #[test]
+    fn read_frame_into_reuses_one_buffer_across_frames() {
+        let mut pipe = Vec::new();
+        write_frame(&mut pipe, 1, b"a longer payload").unwrap();
+        write_frame(&mut pipe, 2, b"short").unwrap();
+        let mut cursor = io::Cursor::new(pipe);
+        let mut payload = Vec::new();
+        assert_eq!(read_frame_into(&mut cursor, &mut payload).unwrap(), Some(1));
+        assert_eq!(payload, b"a longer payload");
+        let ptr = payload.as_ptr();
+        assert_eq!(read_frame_into(&mut cursor, &mut payload).unwrap(), Some(2));
+        assert_eq!(payload, b"short");
+        assert_eq!(payload.as_ptr(), ptr, "no reallocation within capacity");
+        assert_eq!(read_frame_into(&mut cursor, &mut payload).unwrap(), None);
+    }
+
+    #[test]
+    fn encode_frame_into_is_the_frame_write_frame_writes() {
+        let msg = (300u64, vec![1u64, 2, 3]);
+        let mut frame = Vec::new();
+        encode_frame_into(4, &msg, &mut frame).unwrap();
+        let mut pipe = Vec::new();
+        write_frame(&mut pipe, 4, &encode_to_vec(&msg)).unwrap();
+        assert_eq!(frame, pipe);
+        encode_frame_into(5, &(), &mut frame).unwrap();
+        assert_eq!(frame, [5, 0, 0, 0, 0], "an empty payload is a bare header");
+
+        // A payload past the cap is refused, as write_frame refuses it.
+        struct Blob(usize);
+        impl Encode for Blob {
+            fn encode(&self, w: &mut impl WireSink) {
+                (0..self.0).for_each(|_| w.put_u8(0));
+            }
+        }
+        let err = encode_frame_into(1, &Blob(MAX_FRAME_LEN + 1), &mut frame).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        encode_frame_into(1, &Blob(MAX_FRAME_LEN), &mut frame).unwrap();
+        assert_eq!(frame.len(), 5 + MAX_FRAME_LEN);
     }
 
     #[test]
