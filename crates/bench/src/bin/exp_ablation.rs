@@ -23,6 +23,12 @@
 //! Usage: `exp_ablation [N] [SEEDS] [EXEC]`
 //! (arm 3 probes coordinator state after every element, which requires
 //! the in-process lock-step executor; the other arms honor `EXEC`)
+//!
+//! Each arm asserts its claim and the binary exits 1 naming every arm
+//! whose claim failed. The margins sit at about half of the smallest
+//! value measured over N ∈ {100k, 200k, 400k} × seeds ∈ {10, 20, 40} on
+//! the lock-step executor and at the defaults on `event:fixed:8` and
+//! `channel`; each claim's comment gives the measured range.
 
 use dtrack_bench::cli::{arg, banner, exec_arg};
 use dtrack_bench::table::{fmt_num, Table};
@@ -43,16 +49,33 @@ fn main() {
         &format!("N={n}, seeds={seeds}, exec={exec}"),
     );
 
-    ablate_count_estimator(exec, n, seeds);
-    ablate_frequency_estimator(exec, n, seeds);
-    ablate_rethinning(n, seeds);
-    ablate_rank_tree(exec, n.min(100_000), seeds.min(10));
-    ablate_windowed_digest(exec, n.min(40_000), seeds.max(20));
+    let arms = [
+        ("1", ablate_count_estimator(exec, n, seeds)),
+        ("2", ablate_frequency_estimator(exec, n, seeds)),
+        ("3", ablate_rethinning(n, seeds)),
+        ("4", ablate_rank_tree(exec, n.min(100_000), seeds.min(10))),
+        (
+            "5",
+            ablate_windowed_digest(exec, n.min(40_000), seeds.max(20)),
+        ),
+    ];
+    let failed: Vec<&str> = arms.iter().filter(|a| !a.1).map(|a| a.0).collect();
+    if !failed.is_empty() {
+        eprintln!("ablation claims FAILED: arm {}", failed.join(", arm "));
+        std::process::exit(1);
+    }
+    println!("every arm shows the damage the paper predicts ✓");
+}
+
+/// Print an arm's claim with its verdict, and return the verdict.
+fn claim(what: &str, held: bool) -> bool {
+    println!("claim: {what} {}\n", if held { "✓" } else { "✗" });
+    held
 }
 
 /// Arm 1: the two-case estimator of eq. (1) vs the naive one-case form,
 /// on a workload with many near-silent sites (99% of traffic at site 0).
-fn ablate_count_estimator(exec: ExecConfig, n: u64, seeds: u64) {
+fn ablate_count_estimator(exec: ExecConfig, n: u64, seeds: u64) -> bool {
     let (k, eps) = (64, 0.02);
     let cfg = TrackingConfig::new(k, eps);
     let mut two_case = 0.0;
@@ -86,12 +109,17 @@ fn ablate_count_estimator(exec: ExecConfig, n: u64, seeds: u64) {
     }
     println!("-- arm 1: count eq. (1) two-case estimator (k={k}, eps={eps}, 99% at one site) --");
     t.print();
-    println!("(paper: naive form is biased by Θ(1/p) per silent site)\n");
+    println!("(paper: naive form is biased by Θ(1/p) per silent site)");
+    // Measured: +3.51 to +3.58 eps·n.
+    claim(
+        "the naive estimator's bias exceeds eps·n",
+        naive / seeds as f64 > eps * n as f64,
+    )
 }
 
 /// Arm 2: the unbiased eq. (4) estimator vs the biased eq. (2) form, on
 /// a workload of many items each with frequency Θ(εn/√k).
-fn ablate_frequency_estimator(exec: ExecConfig, n: u64, seeds: u64) {
+fn ablate_frequency_estimator(exec: ExecConfig, n: u64, seeds: u64) -> bool {
     let (k, eps) = (16, 0.05);
     let cfg = TrackingConfig::new(k, eps);
     let domain = 24u64; // per-site item frequency ≈ 1/(2p): peak-bias regime
@@ -127,7 +155,13 @@ fn ablate_frequency_estimator(exec: ExecConfig, n: u64, seeds: u64) {
     }
     println!("-- arm 2: frequency -d/p correction (k={k}, eps={eps}, {domain} mid-items) --");
     t.print();
-    println!("(paper: eq. (2) bias is Θ(εn/√k) per site when f = Θ(εn/√k))\n");
+    println!("(paper: eq. (2) bias is Θ(εn/√k) per site when f = Θ(εn/√k))");
+    // Measured: eq. (2) reads 0.09 to 0.11 eps·n above eq. (4), which
+    // reads −0.02 to +0.05.
+    claim(
+        "eq. (2) is biased above eq. (4) by > 0.05 eps·n",
+        (naive - unbiased) / den > 0.05 * eps * n as f64,
+    )
 }
 
 /// Arm 5: carry the −d/p correction terms through the epoch-digest
@@ -138,7 +172,7 @@ fn ablate_frequency_estimator(exec: ExecConfig, n: u64, seeds: u64) {
 /// corrected arm's residual is bounded by the window machinery's
 /// heartbeat slack (≈ granularity/2 elements, pro-rated by the item's
 /// rate), not by the digests.
-fn ablate_windowed_digest(exec: ExecConfig, n: u64, seeds: u64) {
+fn ablate_windowed_digest(exec: ExecConfig, n: u64, seeds: u64) -> bool {
     use dtrack_bench::measure::{windowed_frequency_bias, WINDOWED_BIAS_DOMAIN};
     let (k, eps) = (8, 0.1);
     let w = (n / 4).max(2);
@@ -163,13 +197,19 @@ fn ablate_windowed_digest(exec: ExecConfig, n: u64, seeds: u64) {
     t.print();
     println!("(flattened digests drop the eq. (4) absent branch: every rare-item");
     println!("windowed estimate inherits a positive bias; carried corrections restore");
-    println!("the live estimator's unbiasedness, bucket by bucket)\n");
+    println!("the live estimator's unbiasedness, bucket by bucket)");
+    // Measured: flattened minus corrected is 0.070 (channel) to 0.099
+    // eps·W.
+    claim(
+        "flattened digests are biased above corrected ones by > 0.05 eps·W",
+        uncorrected - corrected > 0.05 * eps * w as f64,
+    )
 }
 
 /// Arm 3: the p-halving re-thinning step vs keeping stale n̄ᵢ. Probes
 /// coordinator state after every element, so it always runs on the
 /// in-process lock-step executor.
-fn ablate_rethinning(n: u64, seeds: u64) {
+fn ablate_rethinning(n: u64, seeds: u64) -> bool {
     let (k, eps) = (16, 0.05);
     let cfg = TrackingConfig::new(k, eps);
     // Mean |error| sampled 20 elements after each round boundary — the
@@ -213,14 +253,19 @@ fn ablate_rethinning(n: u64, seeds: u64) {
     ]);
     println!("-- arm 3: p-halving re-thinning (k={k}, eps={eps}) --");
     t.print();
-    println!("(stale n̄ᵢ under a halved p is misread by the eq.-(1) estimator)\n");
+    println!("(stale n̄ᵢ under a halved p is misread by the eq.-(1) estimator)");
+    // Measured: 2.0× to 2.3× the re-thinned error.
+    claim(
+        "stale n̄ᵢ err more than 1.5× the re-thinned ones after boundaries",
+        mean(&without) > 1.5 * mean(&with),
+    )
 }
 
 /// Arm 4: remove the §4 block tree and keep only the sampling machinery
 /// at the protocol's own rate `p = C·√k/(εn̄)`: the words drop (no
 /// summaries) but the variance jumps from O((εn)²) to n/p = Θ(εn²/√k) —
 /// the tree is what turns a sample into an ε-guarantee.
-fn ablate_rank_tree(exec: ExecConfig, n: u64, seeds: u64) {
+fn ablate_rank_tree(exec: ExecConfig, n: u64, seeds: u64) -> bool {
     let (k, eps) = (16, 0.01);
     let cfg = TrackingConfig::new(k, eps);
     let seq = DistinctSeq::new(33);
@@ -253,20 +298,29 @@ fn ablate_rank_tree(exec: ExecConfig, n: u64, seeds: u64) {
         samp_se += (below as f64 / q - truth).powi(2);
     }
     let samp_words = (2.0 * q * n as f64) as u64;
+    let (tree_rmse, samp_rmse) = (
+        (tree_se / seeds as f64).sqrt(),
+        (samp_se / seeds as f64).sqrt(),
+    );
     let mut t = Table::new(["variant", "rank RMSE", "× (eps·n)", "words"]);
     t.row([
         "block tree + tail samples (§4)".to_string(),
-        fmt_num((tree_se / seeds as f64).sqrt()),
-        format!("{:.2}", (tree_se / seeds as f64).sqrt() / (eps * n as f64)),
+        fmt_num(tree_rmse),
+        format!("{:.2}", tree_rmse / (eps * n as f64)),
         fmt_num(words as f64),
     ]);
     t.row([
         "samples only (tree ablated)".to_string(),
-        fmt_num((samp_se / seeds as f64).sqrt()),
-        format!("{:.2}", (samp_se / seeds as f64).sqrt() / (eps * n as f64)),
+        fmt_num(samp_rmse),
+        format!("{:.2}", samp_rmse / (eps * n as f64)),
         fmt_num(samp_words as f64),
     ]);
     println!("-- arm 4: rank block tree vs samples-only (k={k}, eps={eps}, N={n}) --");
     t.print();
     println!("(the tree's summaries are what turn a Θ(√k/(εn)) sample into an εn guarantee)");
+    // Measured: 5.4× (channel) to 9.8× the tree's RMSE.
+    claim(
+        "samples-only rank RMSE is above 3× the tree's",
+        samp_rmse > 3.0 * tree_rmse,
+    )
 }

@@ -243,10 +243,7 @@ fn drive<P>(
 ) -> Driven
 where
     P: Protocol,
-    P::Site: Site<Item = u64> + Send + 'static,
-    P::Coord: Send + 'static,
-    <P::Site as Site>::Up: Send + 'static,
-    <P::Site as Site>::Down: Send + 'static,
+    P::Site: Site<Item = u64>,
 {
     let mut ex = exec.mode.build_faulty(exec.faults, proto, seed);
     ex.feed_batch(batch);
@@ -434,10 +431,7 @@ fn checkpoint_errors<P>(
 ) -> Vec<f64>
 where
     P: Protocol,
-    P::Site: Site<Item = u64> + Send + 'static,
-    P::Coord: Send + 'static,
-    <P::Site as Site>::Up: Send + 'static,
-    <P::Site as Site>::Down: Send + 'static,
+    P::Site: Site<Item = u64>,
 {
     let k = proto.k() as u64;
     let mut ex = exec.build(proto, seed);

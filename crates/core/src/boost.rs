@@ -13,7 +13,8 @@
 //! over the same element stream, tagging every message with its copy
 //! index (one extra word — accounted).
 
-use dtrack_sim::{Coordinator, Net, Outbox, Protocol, Site, SiteId, Words};
+use dtrack_sim::rng::instance_seed;
+use dtrack_sim::{Coordinator, Net, Outbox, Protocol, Site, SiteId};
 
 /// Number of copies needed for failure probability `delta` over a whole
 /// tracking period of final count `n_final` with parameter ε, assuming
@@ -50,12 +51,6 @@ impl<P: Protocol> Replicated<P> {
     pub fn new(inner: P, copies: usize) -> Self {
         assert!(copies >= 1);
         Self { inner, copies }
-    }
-
-    /// Seed of copy `c`'s inner instance, derived so that the copies'
-    /// randomness streams are independent.
-    fn copy_seed(master_seed: u64, c: usize) -> u64 {
-        dtrack_sim::rng::splitmix64(master_seed ^ (c as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
     }
 }
 
@@ -130,11 +125,9 @@ impl<C: Coordinator> Coordinator for ReplicatedCoord<C> {
     }
 }
 
-impl<P: Protocol> Protocol for Replicated<P>
-where
-    <P::Site as Site>::Up: Words,
-    <P::Site as Site>::Down: Words + Clone,
-{
+/// Copy `c`'s inner instance is seeded by [`instance_seed`], so the
+/// copies' randomness streams are independent.
+impl<P: Protocol> Protocol for Replicated<P> {
     type Site = ReplicatedSite<P::Site>;
     type Coord = ReplicatedCoord<P::Coord>;
 
@@ -145,8 +138,8 @@ where
     fn build(&self, master_seed: u64) -> (Vec<Self::Site>, Self::Coord) {
         let mut per_copy_sites: Vec<Vec<P::Site>> = Vec::with_capacity(self.copies);
         let mut coords = Vec::with_capacity(self.copies);
-        for c in 0..self.copies {
-            let (sites, coord) = self.inner.build(Self::copy_seed(master_seed, c));
+        for c in 0..self.copies as u64 {
+            let (sites, coord) = self.inner.build(instance_seed(master_seed, c));
             per_copy_sites.push(sites);
             coords.push(coord);
         }
@@ -175,8 +168,8 @@ where
     /// O(copies), not O(copies·k): builds site `me`'s sub-site of every
     /// copy through the inner protocol's own per-site constructor.
     fn build_site(&self, master_seed: u64, me: SiteId) -> Self::Site {
-        let subs = (0..self.copies)
-            .map(|c| self.inner.build_site(Self::copy_seed(master_seed, c), me))
+        let subs = (0..self.copies as u64)
+            .map(|c| self.inner.build_site(instance_seed(master_seed, c), me))
             .collect();
         ReplicatedSite {
             subs,
@@ -185,8 +178,8 @@ where
     }
 
     fn build_coord(&self, master_seed: u64) -> Self::Coord {
-        let subs = (0..self.copies)
-            .map(|c| self.inner.build_coord(Self::copy_seed(master_seed, c)))
+        let subs = (0..self.copies as u64)
+            .map(|c| self.inner.build_coord(instance_seed(master_seed, c)))
             .collect();
         ReplicatedCoord {
             subs,

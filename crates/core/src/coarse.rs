@@ -9,7 +9,38 @@
 //! total, and divides the execution into `O(logN)` rounds. All three
 //! randomized protocols embed this component; it is factored out here as
 //! a pair of plain state machines that the protocols drive from their
-//! message handlers.
+//! message handlers, plus the broadcast itself, [`NewRound`].
+
+use dtrack_sim::wire::{WireError, WireReader, WireSink};
+use dtrack_sim::{Decode, Encode, Words};
+
+/// The coordinator's round broadcast of a new `n̄` — the whole down
+/// vocabulary of every protocol built on this tracker (randomized count,
+/// frequency and rank, and the deterministic frequency baseline): one
+/// word, one varint.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct NewRound {
+    /// The new coarse estimate of `n`.
+    pub n_bar: u64,
+}
+
+impl Words for NewRound {
+    fn words(&self) -> u64 {
+        1
+    }
+}
+
+impl Encode for NewRound {
+    fn encode(&self, w: &mut impl WireSink) {
+        w.put_varint(self.n_bar);
+    }
+}
+
+impl Decode for NewRound {
+    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        Ok(NewRound { n_bar: r.varint()? })
+    }
+}
 
 /// Site-side half of the coarse tracker.
 #[derive(Debug, Clone)]

@@ -19,10 +19,6 @@ impl Words for DetCountUp {
     fn words(&self) -> u64 {
         1
     }
-
-    fn wire_bytes(&self) -> u64 {
-        dtrack_sim::wire::measured(self)
-    }
 }
 
 impl Encode for DetCountUp {

@@ -10,4 +10,4 @@ mod deterministic;
 mod randomized;
 
 pub use deterministic::{DetCountCoord, DetCountSite, DetCountUp, DeterministicCount};
-pub use randomized::{CountDown, CountUp, RandCountCoord, RandCountSite, RandomizedCount};
+pub use randomized::{CountUp, RandCountCoord, RandCountSite, RandomizedCount};

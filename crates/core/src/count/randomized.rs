@@ -17,7 +17,7 @@ use dtrack_sim::rng::{flip, rng_from_seed, site_seed, GeometricSkips};
 use dtrack_sim::wire::{WireError, WireReader, WireSink};
 use dtrack_sim::{Coordinator, Decode, Encode, Net, Outbox, Protocol, Site, SiteId, Words};
 
-use crate::coarse::{CoarseCoord, CoarseSite};
+use crate::coarse::{CoarseCoord, CoarseSite, NewRound};
 use crate::config::TrackingConfig;
 
 /// Site → coordinator messages.
@@ -34,10 +34,6 @@ pub enum CountUp {
 impl Words for CountUp {
     fn words(&self) -> u64 {
         1
-    }
-
-    fn wire_bytes(&self) -> u64 {
-        dtrack_sim::wire::measured(self)
     }
 }
 
@@ -68,39 +64,6 @@ impl Decode for CountUp {
             2 => Ok(CountUp::Adjusted(r.varint()?)),
             t => Err(WireError::BadTag(t)),
         }
-    }
-}
-
-/// Coordinator → site messages.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CountDown {
-    /// Broadcast of a new coarse estimate `n̄` (starts a new round).
-    NewRound {
-        /// The new coarse estimate of `n`.
-        n_bar: u64,
-    },
-}
-
-impl Words for CountDown {
-    fn words(&self) -> u64 {
-        1
-    }
-
-    fn wire_bytes(&self) -> u64 {
-        dtrack_sim::wire::measured(self)
-    }
-}
-
-impl Encode for CountDown {
-    fn encode(&self, w: &mut impl WireSink) {
-        let CountDown::NewRound { n_bar } = self;
-        w.put_varint(*n_bar);
-    }
-}
-
-impl Decode for CountDown {
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(CountDown::NewRound { n_bar: r.varint()? })
     }
 }
 
@@ -184,7 +147,7 @@ impl RandCountSite {
 impl Site for RandCountSite {
     type Item = u64;
     type Up = CountUp;
-    type Down = CountDown;
+    type Down = NewRound;
 
     fn on_item(&mut self, _item: &u64, out: &mut Outbox<CountUp>) {
         if let Some(r) = self.coarse.on_item() {
@@ -196,9 +159,8 @@ impl Site for RandCountSite {
         }
     }
 
-    fn on_message(&mut self, msg: &CountDown, out: &mut Outbox<CountUp>) {
-        let CountDown::NewRound { n_bar } = msg;
-        let p_new = self.cfg.p_for(*n_bar);
+    fn on_message(&mut self, &NewRound { n_bar }: &NewRound, out: &mut Outbox<CountUp>) {
+        let p_new = self.cfg.p_for(n_bar);
         let mut changed = false;
         // p is always a power of two; apply one halving step per factor 2.
         while self.p > p_new * 1.000_001 {
@@ -276,14 +238,14 @@ impl RandCountCoord {
 
 impl Coordinator for RandCountCoord {
     type Up = CountUp;
-    type Down = CountDown;
+    type Down = NewRound;
 
-    fn on_message(&mut self, from: SiteId, msg: &CountUp, net: &mut Net<CountDown>) {
+    fn on_message(&mut self, from: SiteId, msg: &CountUp, net: &mut Net<NewRound>) {
         match msg {
             CountUp::Coarse(ni) => {
                 if let Some(n_bar) = self.coarse.on_report(from, *ni) {
                     self.p = self.cfg.p_for(n_bar);
-                    net.broadcast(CountDown::NewRound { n_bar });
+                    net.broadcast(NewRound { n_bar });
                 }
             }
             CountUp::Report(ni) => {

@@ -17,7 +17,7 @@ use dtrack_sim::wire::{WireError, WireReader, WireSink};
 use dtrack_sim::{Coordinator, Decode, Encode, Net, Outbox, Protocol, Site, SiteId, Words};
 use dtrack_sketch::hash::FastMap;
 
-use crate::coarse::{CoarseCoord, CoarseSite};
+use crate::coarse::{CoarseCoord, CoarseSite, NewRound};
 use crate::config::TrackingConfig;
 
 /// Site → coordinator messages.
@@ -35,10 +35,6 @@ impl Words for DetFreqUp {
             DetFreqUp::Coarse(_) => 1,
             DetFreqUp::Counter(_, _) => 2,
         }
-    }
-
-    fn wire_bytes(&self) -> u64 {
-        dtrack_sim::wire::measured(self)
     }
 }
 
@@ -65,39 +61,6 @@ impl Decode for DetFreqUp {
             1 => Ok(DetFreqUp::Counter(r.varint()?, r.varint()?)),
             t => Err(WireError::BadTag(t)),
         }
-    }
-}
-
-/// Coordinator → site messages.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DetFreqDown {
-    /// Broadcast of a new coarse estimate (updates the granularity).
-    NewRound {
-        /// The new coarse estimate of `n`.
-        n_bar: u64,
-    },
-}
-
-impl Words for DetFreqDown {
-    fn words(&self) -> u64 {
-        1
-    }
-
-    fn wire_bytes(&self) -> u64 {
-        dtrack_sim::wire::measured(self)
-    }
-}
-
-impl Encode for DetFreqDown {
-    fn encode(&self, w: &mut impl WireSink) {
-        let DetFreqDown::NewRound { n_bar } = self;
-        w.put_varint(*n_bar);
-    }
-}
-
-impl Decode for DetFreqDown {
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(DetFreqDown::NewRound { n_bar: r.varint()? })
     }
 }
 
@@ -147,7 +110,7 @@ impl DetFreqSite {
 impl Site for DetFreqSite {
     type Item = u64;
     type Up = DetFreqUp;
-    type Down = DetFreqDown;
+    type Down = NewRound;
 
     fn on_item(&mut self, item: &u64, out: &mut Outbox<DetFreqUp>) {
         let g = self.granularity;
@@ -190,9 +153,8 @@ impl Site for DetFreqSite {
         }
     }
 
-    fn on_message(&mut self, msg: &DetFreqDown, _out: &mut Outbox<DetFreqUp>) {
-        let DetFreqDown::NewRound { n_bar } = msg;
-        let g = self.cfg.epsilon * *n_bar as f64 / (4.0 * self.cfg.k as f64);
+    fn on_message(&mut self, &NewRound { n_bar }: &NewRound, _out: &mut Outbox<DetFreqUp>) {
+        let g = self.cfg.epsilon * n_bar as f64 / (4.0 * self.cfg.k as f64);
         self.granularity = (g.floor() as u64).max(1);
     }
 
@@ -247,14 +209,14 @@ impl DetFreqCoord {
 
 impl Coordinator for DetFreqCoord {
     type Up = DetFreqUp;
-    type Down = DetFreqDown;
+    type Down = NewRound;
 
-    fn on_message(&mut self, from: SiteId, msg: &DetFreqUp, net: &mut Net<DetFreqDown>) {
+    fn on_message(&mut self, from: SiteId, msg: &DetFreqUp, net: &mut Net<NewRound>) {
         match msg {
             DetFreqUp::Coarse(ni) => {
                 if let Some(n_bar) = self.coarse.on_report(from, *ni) {
                     let _ = self.cfg; // granularity is site-side
-                    net.broadcast(DetFreqDown::NewRound { n_bar });
+                    net.broadcast(NewRound { n_bar });
                 }
             }
             DetFreqUp::Counter(item, value) => {

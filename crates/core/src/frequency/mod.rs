@@ -16,10 +16,8 @@ mod deterministic;
 mod randomized;
 pub mod topk;
 
-pub use deterministic::{
-    DetFreqCoord, DetFreqDown, DetFreqSite, DetFreqUp, DeterministicFrequency,
-};
+pub use deterministic::{DetFreqCoord, DetFreqSite, DetFreqUp, DeterministicFrequency};
 pub use randomized::{
-    FreqDown, FreqUp, RandFreqCoord, RandFreqSite, RandomizedFrequency, UncorrectedFrequency,
+    FreqUp, RandFreqCoord, RandFreqSite, RandomizedFrequency, UncorrectedFrequency,
 };
 pub use topk::TopK;

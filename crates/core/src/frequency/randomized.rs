@@ -26,7 +26,7 @@ use dtrack_sim::{Coordinator, Decode, Encode, Net, Outbox, Protocol, Site, SiteI
 use dtrack_sketch::hash::FastMap;
 use dtrack_sketch::sticky::{StickyCounters, StickyEvent};
 
-use crate::coarse::{CoarseCoord, CoarseSite};
+use crate::coarse::{CoarseCoord, CoarseSite, NewRound};
 use crate::config::TrackingConfig;
 
 /// Site → coordinator messages.
@@ -58,10 +58,6 @@ impl Words for FreqUp {
             FreqUp::CounterUpdate(_, _) => 2,
             _ => 1,
         }
-    }
-
-    fn wire_bytes(&self) -> u64 {
-        dtrack_sim::wire::measured(self)
     }
 }
 
@@ -105,39 +101,6 @@ impl Decode for FreqUp {
             5 => Ok(FreqUp::RoundAck(r.varint()?)),
             t => Err(WireError::BadTag(t)),
         }
-    }
-}
-
-/// Coordinator → site messages.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FreqDown {
-    /// Broadcast of a new coarse estimate (starts a new round).
-    NewRound {
-        /// The new coarse estimate of `n`.
-        n_bar: u64,
-    },
-}
-
-impl Words for FreqDown {
-    fn words(&self) -> u64 {
-        1
-    }
-
-    fn wire_bytes(&self) -> u64 {
-        dtrack_sim::wire::measured(self)
-    }
-}
-
-impl Encode for FreqDown {
-    fn encode(&self, w: &mut impl WireSink) {
-        let FreqDown::NewRound { n_bar } = self;
-        w.put_varint(*n_bar);
-    }
-}
-
-impl Decode for FreqDown {
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(FreqDown::NewRound { n_bar: r.varint()? })
     }
 }
 
@@ -185,7 +148,7 @@ impl RandFreqSite {
 impl Site for RandFreqSite {
     type Item = u64;
     type Up = FreqUp;
-    type Down = FreqDown;
+    type Down = NewRound;
 
     fn on_item(&mut self, item: &u64, out: &mut Outbox<FreqUp>) {
         // Virtual-site space cap (§3.1): restart before absorbing the
@@ -216,13 +179,12 @@ impl Site for RandFreqSite {
         }
     }
 
-    fn on_message(&mut self, msg: &FreqDown, out: &mut Outbox<FreqUp>) {
-        let FreqDown::NewRound { n_bar } = msg;
-        self.p = self.cfg.p_for(*n_bar);
+    fn on_message(&mut self, &NewRound { n_bar }: &NewRound, out: &mut Outbox<FreqUp>) {
+        self.p = self.cfg.p_for(n_bar);
         self.segment_cap = (n_bar / self.cfg.k as u64).max(1);
         self.segment_count = 0;
         self.sticky = StickyCounters::new(self.p);
-        out.send(FreqUp::RoundAck(*n_bar));
+        out.send(FreqUp::RoundAck(n_bar));
     }
 
     fn space_words(&self) -> u64 {
@@ -395,16 +357,16 @@ impl RandFreqCoord {
 
 impl Coordinator for RandFreqCoord {
     type Up = FreqUp;
-    type Down = FreqDown;
+    type Down = NewRound;
 
-    fn on_message(&mut self, from: SiteId, msg: &FreqUp, net: &mut Net<FreqDown>) {
+    fn on_message(&mut self, from: SiteId, msg: &FreqUp, net: &mut Net<NewRound>) {
         match msg {
             FreqUp::Coarse(ni) => {
                 if let Some(n_bar) = self.coarse.on_report(from, *ni) {
                     // Announce the round; each site's live segment is
                     // closed when its RoundAck arrives (FIFO-safe).
                     self.p = self.cfg.p_for(n_bar);
-                    net.broadcast(FreqDown::NewRound { n_bar });
+                    net.broadcast(NewRound { n_bar });
                 }
             }
             FreqUp::RoundAck(n_bar) => {

@@ -106,7 +106,6 @@ mod tests {
     fn coord_of<P: Protocol>(proto: &P) -> P::Coord
     where
         P::Site: dtrack_sim::Site<Item = u64>,
-        P::Coord: Clone,
     {
         let mut r = Runner::new(proto, 9);
         for t in 0..5_000u64 {

@@ -39,10 +39,6 @@ impl Words for DetRankUp {
             DetRankUp::Summary { tuples, .. } => 2 + 3 * tuples.len() as u64,
         }
     }
-
-    fn wire_bytes(&self) -> u64 {
-        dtrack_sim::wire::measured(self)
-    }
 }
 
 // GK tuples are encoded columnar: the tuple values `v` form a sorted
@@ -114,10 +110,6 @@ pub enum DetRankDown {
 impl Words for DetRankDown {
     fn words(&self) -> u64 {
         1
-    }
-
-    fn wire_bytes(&self) -> u64 {
-        dtrack_sim::wire::measured(self)
     }
 }
 

@@ -17,4 +17,4 @@ mod deterministic;
 mod randomized;
 
 pub use deterministic::{DetRankCoord, DetRankDown, DetRankSite, DetRankUp, DeterministicRank};
-pub use randomized::{RandRankCoord, RandRankSite, RandomizedRank, RankDown, RankUp};
+pub use randomized::{RandRankCoord, RandRankSite, RandomizedRank, RankUp};

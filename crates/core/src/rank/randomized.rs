@@ -51,7 +51,7 @@ use dtrack_sim::{Coordinator, Decode, Encode, Net, Outbox, Protocol, Site, SiteI
 use dtrack_sketch::hash::FastMap;
 use dtrack_sketch::kll::{KllSketch, KllSummary};
 
-use crate::coarse::{CoarseCoord, CoarseSite};
+use crate::coarse::{CoarseCoord, CoarseSite, NewRound};
 use crate::config::TrackingConfig;
 
 /// Sampling-rate safety factor: `p = min(1, C_P·√k/(εn̄))`.
@@ -100,10 +100,6 @@ impl Words for RankUp {
             RankUp::Sample { .. } => 2,
             RankUp::Summary { summary, .. } => 2 + summary.words(),
         }
-    }
-
-    fn wire_bytes(&self) -> u64 {
-        dtrack_sim::wire::measured(self)
     }
 }
 
@@ -181,39 +177,6 @@ impl Decode for RankUp {
             }
             t => Err(WireError::BadTag(t)),
         }
-    }
-}
-
-/// Coordinator → site messages.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RankDown {
-    /// Broadcast of a new coarse estimate (starts a new round).
-    NewRound {
-        /// The new coarse estimate of `n`.
-        n_bar: u64,
-    },
-}
-
-impl Words for RankDown {
-    fn words(&self) -> u64 {
-        1
-    }
-
-    fn wire_bytes(&self) -> u64 {
-        dtrack_sim::wire::measured(self)
-    }
-}
-
-impl Encode for RankDown {
-    fn encode(&self, w: &mut impl WireSink) {
-        let RankDown::NewRound { n_bar } = self;
-        w.put_varint(*n_bar);
-    }
-}
-
-impl Decode for RankDown {
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(RankDown::NewRound { n_bar: r.varint()? })
     }
 }
 
@@ -311,7 +274,7 @@ impl RandRankSite {
 impl Site for RandRankSite {
     type Item = u64;
     type Up = RankUp;
-    type Down = RankDown;
+    type Down = NewRound;
 
     fn on_item(&mut self, item: &u64, out: &mut Outbox<RankUp>) {
         // Chunk rollover: the previous chunk absorbed its n̄/k elements.
@@ -361,12 +324,11 @@ impl Site for RandRankSite {
         }
     }
 
-    fn on_message(&mut self, msg: &RankDown, _out: &mut Outbox<RankUp>) {
-        let RankDown::NewRound { n_bar } = msg;
-        self.n_bar = *n_bar;
-        let x = C_P * self.cfg.sqrt_k() / (self.cfg.epsilon * (*n_bar).max(1) as f64);
+    fn on_message(&mut self, &NewRound { n_bar }: &NewRound, _out: &mut Outbox<RankUp>) {
+        self.n_bar = n_bar;
+        let x = C_P * self.cfg.sqrt_k() / (self.cfg.epsilon * n_bar.max(1) as f64);
         self.p = x.min(1.0);
-        self.geom = ChunkGeometry::for_round(&self.cfg, *n_bar);
+        self.geom = ChunkGeometry::for_round(&self.cfg, n_bar);
         self.chunk_id += 1;
         self.chunk_count = 0;
         self.rebuild_sketches();
@@ -554,15 +516,15 @@ impl RandRankCoord {
 
 impl Coordinator for RandRankCoord {
     type Up = RankUp;
-    type Down = RankDown;
+    type Down = NewRound;
 
-    fn on_message(&mut self, from: SiteId, msg: &RankUp, net: &mut Net<RankDown>) {
+    fn on_message(&mut self, from: SiteId, msg: &RankUp, net: &mut Net<NewRound>) {
         match msg {
             RankUp::Coarse(ni) => {
                 if let Some(n_bar) = self.coarse.on_report(from, *ni) {
                     let x = C_P * self.cfg.sqrt_k() / (self.cfg.epsilon * n_bar.max(1) as f64);
                     self.p = x.min(1.0);
-                    net.broadcast(RankDown::NewRound { n_bar });
+                    net.broadcast(NewRound { n_bar });
                 }
             }
             RankUp::ChunkStart { chunk, n_bar } => {

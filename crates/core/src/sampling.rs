@@ -38,10 +38,6 @@ impl Words for SampleUp {
     fn words(&self) -> u64 {
         2
     }
-
-    fn wire_bytes(&self) -> u64 {
-        dtrack_sim::wire::measured(self)
-    }
 }
 
 impl Encode for SampleUp {
@@ -67,10 +63,6 @@ pub struct LevelDown(pub u32);
 impl Words for LevelDown {
     fn words(&self) -> u64 {
         1
-    }
-
-    fn wire_bytes(&self) -> u64 {
-        dtrack_sim::wire::measured(self)
     }
 }
 

@@ -146,8 +146,8 @@
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
 
-use dtrack_sim::rng::splitmix64;
-use dtrack_sim::wire::{varint_len, WireError, WireReader, WireSink};
+use dtrack_sim::rng::instance_seed;
+use dtrack_sim::wire::{WireError, WireReader, WireSink};
 use dtrack_sim::{Coordinator, Decode, Encode, Net, Outbox, Protocol, Site, SiteId, Words};
 
 /// Maximum closed buckets per span class before the two oldest merge.
@@ -165,14 +165,17 @@ const DEFAULT_EPOCHS_PER_WINDOW: u64 = 32;
 ///
 /// `Clone` is required because every site keeps a copy of the factory to
 /// rebuild its inner site state at each epoch seal (all seven Table-1
-/// protocol factories are `Copy`).
-pub trait EpochProtocol: Protocol + Clone {
+/// protocol factories are `Copy`). The windowed site and coordinator
+/// hold that copy, and the coordinator holds digests, so both are
+/// `Send + Sync + 'static` like the coordinator itself
+/// ([`Coordinator`]'s bounds).
+pub trait EpochProtocol: Protocol + Clone + Send + Sync + 'static {
     /// Immutable summary of one closed epoch, extracted from its inner
     /// coordinator. Query capabilities are expressed by the digest type
     /// implementing [`CountDigest`] / [`FrequencyDigest`] /
     /// [`RankDigest`]; how two epochs combine is the digest's own
     /// [`MergeDigest::merged`].
-    type Digest: MergeDigest + Clone + Send + 'static;
+    type Digest: MergeDigest + Clone + Send + Sync + 'static;
 
     /// Summarize a (finished or live) inner coordinator.
     fn digest(coord: &Self::Coord) -> Self::Digest;
@@ -486,18 +489,6 @@ impl<U: Words> Words for WinUp<U> {
     fn urgent(&self) -> bool {
         matches!(self, WinUp::Tick | WinUp::SealAck { .. })
     }
-
-    /// Structural: one tag byte, the epoch varint where present, plus
-    /// the inner message's own measured bytes — so byte accounting
-    /// composes under only `U: Words`, without requiring a codec on
-    /// the inner message.
-    fn wire_bytes(&self) -> u64 {
-        match self {
-            WinUp::Tick => 1,
-            WinUp::SealAck { epoch } => 1 + varint_len(*epoch),
-            WinUp::Inner { epoch, msg } => 1 + varint_len(*epoch) + msg.wire_bytes(),
-        }
-    }
 }
 
 impl<U: Encode> Encode for WinUp<U> {
@@ -565,14 +556,6 @@ impl<D: Words> Words for WinDown<D> {
     fn urgent(&self) -> bool {
         matches!(self, WinDown::Seal { .. })
     }
-
-    /// Structural, mirroring [`WinUp::wire_bytes`].
-    fn wire_bytes(&self) -> u64 {
-        match self {
-            WinDown::Seal { next } => 1 + varint_len(*next),
-            WinDown::Inner { epoch, msg } => 1 + varint_len(*epoch) + msg.wire_bytes(),
-        }
-    }
 }
 
 impl<D: Encode> Encode for WinDown<D> {
@@ -604,26 +587,22 @@ impl<D: Decode> Decode for WinDown<D> {
     }
 }
 
-/// Seed of epoch `e`'s inner protocol instance, derived so that sites
-/// and coordinator agree without communication.
-fn epoch_seed(master_seed: u64, epoch: u64) -> u64 {
-    splitmix64(master_seed ^ epoch.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-}
-
 /// Build site `me`'s inner state for epoch `epoch` via the per-site
 /// constructor [`Protocol::build_site`] — one site instance, not `k`, so
 /// an epoch seal costs `O(1)` constructions per site and `O(k)` across
 /// the system. (All seven Table-1 protocols override `build_site`
 /// directly; a protocol relying on the trait default still gets correct
-/// — merely quadratic — behavior.)
+/// — merely quadratic — behavior.) Each epoch's instance is seeded by
+/// [`instance_seed`], so sites and coordinator agree without
+/// communication.
 fn sub_site<P: EpochProtocol>(proto: &P, master_seed: u64, epoch: u64, me: SiteId) -> P::Site {
-    proto.build_site(epoch_seed(master_seed, epoch), me)
+    proto.build_site(instance_seed(master_seed, epoch), me)
 }
 
 /// Build the inner coordinator for epoch `epoch` via
 /// [`Protocol::build_coord`] — no discarded site constructions.
 fn sub_coord<P: EpochProtocol>(proto: &P, master_seed: u64, epoch: u64) -> P::Coord {
-    proto.build_coord(epoch_seed(master_seed, epoch))
+    proto.build_coord(instance_seed(master_seed, epoch))
 }
 
 /// Sliding-window adapter: tracks `f(last window elements)` by running
@@ -762,6 +741,7 @@ impl<P: EpochProtocol> Site for WinSite<P> {
 }
 
 /// One closed epoch range in the histogram.
+#[derive(Clone)]
 struct Bucket<P: EpochProtocol> {
     /// Coordinator-clock position of the bucket's first element.
     start: u64,
@@ -773,73 +753,13 @@ struct Bucket<P: EpochProtocol> {
     state: BucketState<P>,
 }
 
+#[derive(Clone)]
 enum BucketState<P: EpochProtocol> {
     /// Freshly sealed: the inner coordinator is retained so late
     /// messages (off-model delivery) can still be absorbed.
     Open { epoch: u64, coord: P::Coord },
     /// Digested (by an EH merge): compact and immutable.
     Digested(P::Digest),
-}
-
-// Manual `Clone` impls (derive would demand `P: Clone` only, but the body
-// needs the inner coordinator cloneable): cloning a `WinCoord` freezes the
-// whole histogram — live epoch, in-flight `next_live`, and every closed
-// bucket — at one coordinator-apply boundary. Seals mutate the histogram
-// only inside a single `on_message` call, so a clone taken between applies
-// (which is the only time the executors' live-query snapshots are taken)
-// is always seal-consistent: the bucket set and the live segment belong to
-// the same prefix of the stream.
-impl<P: EpochProtocol> Clone for BucketState<P>
-where
-    P::Coord: Clone,
-{
-    fn clone(&self) -> Self {
-        match self {
-            BucketState::Open { epoch, coord } => BucketState::Open {
-                epoch: *epoch,
-                coord: coord.clone(),
-            },
-            BucketState::Digested(d) => BucketState::Digested(d.clone()),
-        }
-    }
-}
-
-impl<P: EpochProtocol> Clone for Bucket<P>
-where
-    P::Coord: Clone,
-{
-    fn clone(&self) -> Self {
-        Bucket {
-            start: self.start,
-            end: self.end,
-            span: self.span,
-            state: self.state.clone(),
-        }
-    }
-}
-
-impl<P: EpochProtocol> Clone for WinCoord<P>
-where
-    P::Coord: Clone,
-{
-    fn clone(&self) -> Self {
-        WinCoord {
-            proto: self.proto.clone(),
-            master_seed: self.master_seed,
-            window: self.window,
-            granularity: self.granularity,
-            tick_every: self.tick_every,
-            n_approx: self.n_approx,
-            epoch: self.epoch,
-            epoch_start: self.epoch_start,
-            live: self.live.clone(),
-            next_live: self.next_live.clone(),
-            await_acks: self.await_acks,
-            seal_start: self.seal_start,
-            closed: self.closed.clone(),
-            sub_net: self.sub_net.clone(),
-        }
-    }
 }
 
 impl<P: EpochProtocol> Bucket<P> {
@@ -860,6 +780,15 @@ impl<P: EpochProtocol> Bucket<P> {
 
 /// Coordinator state of [`Windowed`]: the live inner coordinator plus
 /// the exponential histogram of closed buckets.
+///
+/// Cloning a `WinCoord` freezes the whole histogram — live epoch,
+/// in-flight `next_live`, and every closed bucket — at one
+/// coordinator-apply boundary. Seals mutate the histogram only inside a
+/// single `on_message` call, so a clone taken between applies (which is
+/// the only time the executors' live-query snapshots are taken) is
+/// always seal-consistent: the bucket set and the live segment belong to
+/// the same prefix of the stream.
+#[derive(Clone)]
 pub struct WinCoord<P: EpochProtocol> {
     proto: P,
     master_seed: u64,
@@ -895,8 +824,10 @@ pub struct WinCoord<P: EpochProtocol> {
     /// Closed buckets, oldest first; spans are non-increasing toward the
     /// back by the EH merge rule.
     closed: VecDeque<Bucket<P>>,
-    /// Scratch buffer for the inner coordinators' outgoing messages.
-    sub_net: Net<<P::Site as Site>::Down>,
+    /// Scratch buffer for the inner coordinators' outgoing messages
+    /// (typed through the coordinator: the derived `Clone` then asks
+    /// nothing of the inner sites).
+    sub_net: Net<<P::Coord as Coordinator>::Down>,
 }
 
 impl<P: EpochProtocol> WinCoord<P> {

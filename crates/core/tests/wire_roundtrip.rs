@@ -3,10 +3,11 @@
 //! and the measured byte accounting ([`Words::wire_bytes`]) equals the
 //! actual encoded length — the executors charge exactly what a socket
 //! would carry. `wire_bytes` is a counting pass over the same `Encode`
-//! impl that `encode_to_vec` stores (`dtrack_sim::wire::measured`), so
-//! the equality is checked for all 16 codecs: the 15 protocol message
-//! types below plus the scalar / tuple / `Vec` / `Option` building
-//! blocks ad-hoc messages are made of.
+//! impl that `encode_to_vec` stores (`dtrack_sim::wire::measured`, the
+//! trait's default, which no message overrides), so the equality is
+//! checked for all 13 codecs: the 12 protocol message types below plus
+//! the scalar / tuple / `Vec` / `Option` building blocks ad-hoc messages
+//! are made of.
 //!
 //! The generators respect the encoders' structural invariants — GK
 //! tuple values and KLL level items are sorted (both codecs
@@ -20,9 +21,10 @@
 //! round-trips cover it with no extra cases; the windowed adapter wraps
 //! inner messages and is exercised here over a non-trivial inner codec.
 
-use dtrack_core::count::{CountDown, CountUp, DetCountUp};
-use dtrack_core::frequency::{DetFreqDown, DetFreqUp, FreqDown, FreqUp};
-use dtrack_core::rank::{DetRankDown, DetRankUp, RankDown, RankUp};
+use dtrack_core::coarse::NewRound;
+use dtrack_core::count::{CountUp, DetCountUp};
+use dtrack_core::frequency::{DetFreqUp, FreqUp};
+use dtrack_core::rank::{DetRankDown, DetRankUp, RankUp};
 use dtrack_core::sampling::{LevelDown, SampleUp};
 use dtrack_core::window::{WinDown, WinUp};
 use dtrack_sim::wire::{decode_exact, encode_to_vec};
@@ -157,9 +159,7 @@ fn empty_and_single_entry_summaries_measure_exactly() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// The generic building blocks (scalars, pairs, vectors, options):
-    /// their `wire_bytes` is arithmetic or a counting pass, their
-    /// encoding is the byte writer — the two must agree.
+    /// The generic building blocks (scalars, pairs, vectors, options).
     #[test]
     fn building_blocks(
         a in any::<u64>(),
@@ -187,9 +187,12 @@ proptest! {
         roundtrip(&m);
     }
 
+    /// The coarse tracker's round broadcast: the one down message of
+    /// randomized count, frequency and rank and of deterministic
+    /// frequency.
     #[test]
     fn rand_count_down(n_bar in any::<u64>()) {
-        roundtrip(&CountDown::NewRound { n_bar });
+        roundtrip(&NewRound { n_bar });
     }
 
     #[test]
@@ -201,18 +204,8 @@ proptest! {
     }
 
     #[test]
-    fn det_freq_down(n_bar in any::<u64>()) {
-        roundtrip(&DetFreqDown::NewRound { n_bar });
-    }
-
-    #[test]
     fn rand_freq_up(m in freq_up()) {
         roundtrip(&m);
-    }
-
-    #[test]
-    fn rand_freq_down(n_bar in any::<u64>()) {
-        roundtrip(&FreqDown::NewRound { n_bar });
     }
 
     #[test]
@@ -228,11 +221,6 @@ proptest! {
     #[test]
     fn rand_rank_up(m in rank_up()) {
         roundtrip(&m);
-    }
-
-    #[test]
-    fn rand_rank_down(n_bar in any::<u64>()) {
-        roundtrip(&RankDown::NewRound { n_bar });
     }
 
     #[test]
@@ -257,8 +245,7 @@ proptest! {
         roundtrip(&m);
     }
 
-    /// …and over the two summary-carrying rank messages, whose inner
-    /// bytes are a counting pass while the wrapper's are structural.
+    /// …and over the two summary-carrying rank messages.
     #[test]
     fn windowed_rank_up(epoch in any::<u64>(), det in det_rank_up(), rand in rank_up()) {
         roundtrip(&WinUp::Inner { epoch, msg: det });
@@ -270,7 +257,7 @@ proptest! {
         any::<u64>().prop_map(|next| WinDown::Seal { next }),
         (any::<u64>(), any::<u64>()).prop_map(|(epoch, n_bar)| WinDown::Inner {
             epoch,
-            msg: FreqDown::NewRound { n_bar },
+            msg: NewRound { n_bar },
         }),
     ]) {
         roundtrip(&m);

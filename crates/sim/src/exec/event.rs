@@ -574,10 +574,7 @@ impl<P: Protocol> EventRuntime<P> {
     /// the same staleness [`EventRuntime::coord`] documents. Installing a
     /// handle never changes protocol behavior: messages, words, fault
     /// schedules and coordinator state stay bit-identical.
-    pub fn query_handle(&mut self) -> QueryHandle<P::Coord>
-    where
-        P::Coord: Clone + Send + Sync + 'static,
-    {
+    pub fn query_handle(&mut self) -> QueryHandle<P::Coord> {
         self.core.query_handle()
     }
 
@@ -744,6 +741,7 @@ mod tests {
             3
         }
     }
+    #[derive(Clone)]
     struct ToyCoord {
         ups: u64,
     }
@@ -908,6 +906,7 @@ mod tests {
                 1
             }
         }
+        #[derive(Clone)]
         struct LoopCoord;
         impl Coordinator for LoopCoord {
             type Up = u64;
@@ -1057,6 +1056,7 @@ mod tests {
                 1
             }
         }
+        #[derive(Clone)]
         struct SeqCoord {
             seen: Vec<u64>,
         }

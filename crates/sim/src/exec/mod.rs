@@ -49,6 +49,7 @@
 //! #     fn on_message(&mut self, _: &u64, _: &mut Outbox<u64>) {}
 //! #     fn space_words(&self) -> u64 { 1 }
 //! # }
+//! # #[derive(Clone)]
 //! # struct SumCoord { sum: u64 }
 //! # impl Coordinator for SumCoord {
 //! #     type Up = u64; type Down = u64;
@@ -195,9 +196,7 @@ pub trait Executor<P: Protocol> {
     /// before it), repeated calls return handles of that one cell. Each
     /// handle keeps the snapshot it last read: clone per reader thread
     /// rather than sharing one handle.
-    fn query_handle(&mut self) -> QueryHandle<P::Coord>
-    where
-        P::Coord: Clone + Send + Sync + 'static;
+    fn query_handle(&mut self) -> QueryHandle<P::Coord>;
 }
 
 impl<P: Protocol> Executor<P> for Runner<P> {
@@ -244,10 +243,7 @@ impl<P: Protocol> Executor<P> for Runner<P> {
         f(Runner::coord(self))
     }
 
-    fn query_handle(&mut self) -> QueryHandle<P::Coord>
-    where
-        P::Coord: Clone + Send + Sync + 'static,
-    {
+    fn query_handle(&mut self) -> QueryHandle<P::Coord> {
         Runner::query_handle(self)
     }
 }
@@ -293,22 +289,12 @@ impl<P: Protocol> Executor<P> for EventRuntime<P> {
         f(EventRuntime::coord(self))
     }
 
-    fn query_handle(&mut self) -> QueryHandle<P::Coord>
-    where
-        P::Coord: Clone + Send + Sync + 'static,
-    {
+    fn query_handle(&mut self) -> QueryHandle<P::Coord> {
         EventRuntime::query_handle(self)
     }
 }
 
-impl<P: Protocol> Executor<P> for ChannelRuntime<P>
-where
-    P::Site: Send + 'static,
-    P::Coord: Send + 'static,
-    <P::Site as Site>::Item: Send + 'static,
-    <P::Site as Site>::Up: Send + 'static,
-    <P::Site as Site>::Down: Send + 'static,
-{
+impl<P: Protocol> Executor<P> for ChannelRuntime<P> {
     fn k(&self) -> usize {
         ChannelRuntime::k(self)
     }
@@ -350,10 +336,7 @@ where
         ChannelRuntime::with_coord(self, f)
     }
 
-    fn query_handle(&mut self) -> QueryHandle<P::Coord>
-    where
-        P::Coord: Clone + Send + Sync + 'static,
-    {
+    fn query_handle(&mut self) -> QueryHandle<P::Coord> {
         ChannelRuntime::query_handle(self)
     }
 }
@@ -386,14 +369,7 @@ pub enum ExecMode {
 
 impl ExecMode {
     /// Build the selected executor for a protocol instance.
-    pub fn build<P: Protocol>(self, protocol: &P, master_seed: u64) -> AnyExec<P>
-    where
-        P::Site: Send + 'static,
-        P::Coord: Send + 'static,
-        <P::Site as Site>::Item: Send + 'static,
-        <P::Site as Site>::Up: Send + 'static,
-        <P::Site as Site>::Down: Send + 'static,
-    {
+    pub fn build<P: Protocol>(self, protocol: &P, master_seed: u64) -> AnyExec<P> {
         self.build_faulty(FaultPlan::none(), protocol, master_seed)
     }
 
@@ -414,14 +390,7 @@ impl ExecMode {
         faults: FaultPlan,
         protocol: &P,
         master_seed: u64,
-    ) -> AnyExec<P>
-    where
-        P::Site: Send + 'static,
-        P::Coord: Send + 'static,
-        <P::Site as Site>::Item: Send + 'static,
-        <P::Site as Site>::Up: Send + 'static,
-        <P::Site as Site>::Down: Send + 'static,
-    {
+    ) -> AnyExec<P> {
         match self {
             ExecMode::Event(policy) => AnyExec::Event(EventRuntime::with_faults(
                 protocol,
@@ -603,14 +572,7 @@ impl ExecConfig {
     /// apply them here without changing the protocol type. Wrap the
     /// protocol yourself and build via [`ExecMode::build`] (or use
     /// `dtrack-bench`'s `measure::run`, which does exactly that).
-    pub fn build<P: Protocol>(self, protocol: &P, master_seed: u64) -> AnyExec<P>
-    where
-        P::Site: Send + 'static,
-        P::Coord: Send + 'static,
-        <P::Site as Site>::Item: Send + 'static,
-        <P::Site as Site>::Up: Send + 'static,
-        <P::Site as Site>::Down: Send + 'static,
-    {
+    pub fn build<P: Protocol>(self, protocol: &P, master_seed: u64) -> AnyExec<P> {
         assert!(
             self.window.is_none(),
             "ExecConfig::build cannot apply a window:W scenario — wrap the \
@@ -764,17 +726,11 @@ impl std::str::FromStr for ExecConfig {
 
 /// Enum dispatch over the three executors, built by [`ExecMode::build`].
 ///
-/// The `Send + 'static` bounds come from the [`ChannelRuntime`] variant
-/// (its sites and messages cross thread boundaries); every protocol in
-/// `dtrack-core` satisfies them.
-pub enum AnyExec<P: Protocol>
-where
-    P::Site: Send + 'static,
-    P::Coord: Send + 'static,
-    <P::Site as Site>::Item: Send + 'static,
-    <P::Site as Site>::Up: Send + 'static,
-    <P::Site as Site>::Down: Send + 'static,
-{
+/// Any protocol runs on any of them: what the [`ChannelRuntime`] variant
+/// needs for its threads (`Send + 'static` sites, elements, messages and
+/// coordinator) is part of the [`Site`], [`Coordinator`](crate::Coordinator)
+/// and [`Words`](crate::Words) traits, so no bound is added here.
+pub enum AnyExec<P: Protocol> {
     /// Lock-step runner.
     LockStep(Runner<P>),
     /// Deterministic event scheduler.
@@ -793,14 +749,7 @@ macro_rules! dispatch {
     };
 }
 
-impl<P: Protocol> Executor<P> for AnyExec<P>
-where
-    P::Site: Send + 'static,
-    P::Coord: Send + 'static,
-    <P::Site as Site>::Item: Send + 'static,
-    <P::Site as Site>::Up: Send + 'static,
-    <P::Site as Site>::Down: Send + 'static,
-{
+impl<P: Protocol> Executor<P> for AnyExec<P> {
     fn k(&self) -> usize {
         dispatch!(self, ex => Executor::<P>::k(ex))
     }
@@ -841,10 +790,7 @@ where
         dispatch!(self, ex => Executor::<P>::query(ex, f))
     }
 
-    fn query_handle(&mut self) -> QueryHandle<P::Coord>
-    where
-        P::Coord: Clone + Send + Sync + 'static,
-    {
+    fn query_handle(&mut self) -> QueryHandle<P::Coord> {
         dispatch!(self, ex => Executor::<P>::query_handle(ex))
     }
 }
@@ -1131,6 +1077,7 @@ mod tests {
                 1
             }
         }
+        #[derive(Clone)]
         struct NopCoord;
         impl Coordinator for NopCoord {
             type Up = u64;
@@ -1167,6 +1114,7 @@ mod tests {
                 1
             }
         }
+        #[derive(Clone)]
         struct NopCoord;
         impl Coordinator for NopCoord {
             type Up = u64;

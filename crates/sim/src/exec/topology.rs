@@ -167,11 +167,17 @@ impl std::fmt::Display for TreeSpec {
 /// needs; everything else (routing, accounting, the flat fallback at
 /// depth 1) is generic. Both operations are *mechanism-only*, like the
 /// rest of the protocol surface: no clocks, no channels.
-pub trait TreeProtocol: Protocol {
+///
+/// The bounds beyond [`Protocol`]'s are those of a [`TreeCoord`], which
+/// is a coordinator (`Clone + Sync + 'static`, see [`Coordinator`])
+/// holding every
+/// aggregator's site and cursor: so sites and cursors are `Clone + Sync`
+/// too, and the derived `Clone` asks `Self: Clone`.
+pub trait TreeProtocol: Protocol<Site: Clone + Sync> + Clone + 'static {
     /// Per-aggregator replay cursor: remembers how much of the node's
     /// coordinator state has already been re-streamed toward its
     /// parent. `Default` is the "nothing replayed yet" state.
-    type Cursor: Default + Clone + Send + 'static;
+    type Cursor: Default + Clone + Send + Sync + 'static;
 
     /// The protocol instance one tree node runs: `children` sites below
     /// it, error budget scaled by `eps_factor` (the tree passes
@@ -294,11 +300,7 @@ fn node_seed(master_seed: u64, level: usize, node: usize) -> u64 {
     )
 }
 
-impl<P> Protocol for Tree<P>
-where
-    P: TreeProtocol,
-    <P::Site as Site>::Up: Clone,
-{
+impl<P: TreeProtocol> Protocol for Tree<P> {
     type Site = P::Site;
     type Coord = TreeCoord<P>;
 
@@ -381,26 +383,14 @@ where
 
 /// One aggregator: coordinator over its children, site half toward its
 /// parent, and the replay cursor between the two.
+#[derive(Clone)]
 struct AggNode<P: TreeProtocol> {
     coord: P::Coord,
     site: P::Site,
     cursor: P::Cursor,
 }
 
-impl<P: TreeProtocol> Clone for AggNode<P>
-where
-    P::Coord: Clone,
-    P::Site: Clone,
-{
-    fn clone(&self) -> Self {
-        Self {
-            coord: self.coord.clone(),
-            site: self.site.clone(),
-            cursor: self.cursor.clone(),
-        }
-    }
-}
-
+#[derive(Clone)]
 enum TreeInner<P: TreeProtocol> {
     /// Depth 1: the flat star, forwarded verbatim (bit-identical to an
     /// unwrapped run, broadcasts included).
@@ -414,27 +404,6 @@ enum TreeInner<P: TreeProtocol> {
         root: P::Coord,
         loads: Vec<LevelLoad>,
     },
-}
-
-impl<P: TreeProtocol> Clone for TreeInner<P>
-where
-    P::Coord: Clone,
-    P::Site: Clone,
-{
-    fn clone(&self) -> Self {
-        match self {
-            TreeInner::Flat(c) => TreeInner::Flat(c.clone()),
-            TreeInner::Layers {
-                layers,
-                root,
-                loads,
-            } => TreeInner::Layers {
-                layers: layers.clone(),
-                root: root.clone(),
-                loads: loads.clone(),
-            },
-        }
-    }
 }
 
 /// Internal message awaiting synchronous delivery inside the tree.
@@ -466,24 +435,11 @@ const MAX_INTERNAL_EVENTS: usize = 1 << 20;
 /// applies *within* the tree exactly as it does on a flat star under
 /// the lock-step runner; executor delivery policies and faults act on
 /// the leaf links).
+#[derive(Clone)]
 pub struct TreeCoord<P: TreeProtocol> {
     fanout: usize,
     leaves: usize,
     inner: TreeInner<P>,
-}
-
-impl<P: TreeProtocol> Clone for TreeCoord<P>
-where
-    P::Coord: Clone,
-    P::Site: Clone,
-{
-    fn clone(&self) -> Self {
-        Self {
-            fanout: self.fanout,
-            leaves: self.leaves,
-            inner: self.inner.clone(),
-        }
-    }
 }
 
 impl<P: TreeProtocol> TreeCoord<P> {
@@ -563,9 +519,7 @@ impl<P: TreeProtocol> TreeCoord<P> {
         msg: &<P::Site as Site>::Up,
         net: &mut Net<<P::Site as Site>::Down>,
         pending: &mut PendingQueue<P>,
-    ) where
-        <P::Site as Site>::Up: Clone,
-    {
+    ) {
         let fanout = self.fanout;
         let child_count = self.child_count(level, node);
         let depth = self.depth();
@@ -687,11 +641,7 @@ impl<P: TreeProtocol> TreeCoord<P> {
     }
 }
 
-impl<P> Coordinator for TreeCoord<P>
-where
-    P: TreeProtocol,
-    <P::Site as Site>::Up: Clone,
-{
+impl<P: TreeProtocol> Coordinator for TreeCoord<P> {
     type Up = <P::Site as Site>::Up;
     type Down = <P::Site as Site>::Down;
 

@@ -6,10 +6,10 @@
 //! so the runtimes can charge the exact cost.
 //!
 //! Next to the abstract word model sits the concrete byte codec
-//! ([`crate::wire`]): messages additionally implement [`Encode`] /
-//! [`Decode`], and [`Words::wire_bytes`] bridges the two cost models —
-//! executors charge measured bytes alongside words without knowing
-//! which messages carry a codec. The two accountings are structurally
+//! ([`crate::wire`]): every message also implements [`Encode`] (a
+//! supertrait of [`Words`]) and, to ship over a socket, [`Decode`];
+//! [`Words::wire_bytes`] is the codec's measured length, so executors
+//! charge bytes alongside words. The two accountings are structurally
 //! aligned (one varint per word-model integer, one varint length prefix
 //! per length word), so `bytes / (8·words)` ratios isolate pure
 //! encoding compression.
@@ -19,7 +19,13 @@
 /// Implementations should count one word per integer / element carried.
 /// A message with no payload (a pure signal) still costs one word — the
 /// lower bounds in the paper count *messages*, so nothing is free.
-pub trait Words {
+///
+/// The supertraits are what the executors do with a message: encode it
+/// (byte accounting, sockets), clone it (a broadcast is one copy per
+/// site), and move or share it across threads (the channel runtime's
+/// lanes; snapshot readers of a coordinator that keeps messages, like
+/// the windowed adapter's scratch [`Net`](crate::net::Net)).
+pub trait Words: Encode + Clone + Send + Sync + 'static {
     /// Number of words this value occupies on the wire. Must be ≥ 1 for a
     /// message (signals cost one word).
     fn words(&self) -> u64;
@@ -43,16 +49,12 @@ pub trait Words {
         false
     }
 
-    /// Measured size of this message in **bytes** under the wire codec.
-    ///
-    /// Message types with an [`Encode`] impl override this with the
-    /// codec's measured length (`crate::wire::measured(self)`); the
-    /// default is the word model's 8-bytes-per-word upper bound, so
-    /// byte accounting stays meaningful for ad-hoc test messages that
-    /// never ship over a socket. Like [`Words::words`], this must never
-    /// depend on transport state — it is a pure function of the value.
+    /// Measured size of this message in **bytes** under the wire codec:
+    /// [`crate::wire::measured`], the message's own [`Encode`] run
+    /// against a counting sink. Like [`Words::words`], a pure function of
+    /// the value, never of transport state.
     fn wire_bytes(&self) -> u64 {
-        8 * self.words()
+        crate::wire::measured(self)
     }
 }
 
@@ -87,19 +89,11 @@ impl Words for u64 {
     fn words(&self) -> u64 {
         1
     }
-
-    fn wire_bytes(&self) -> u64 {
-        crate::wire::measured(self)
-    }
 }
 
 impl Words for u32 {
     fn words(&self) -> u64 {
         1
-    }
-
-    fn wire_bytes(&self) -> u64 {
-        crate::wire::varint_len(u64::from(*self))
     }
 }
 
@@ -107,19 +101,11 @@ impl Words for usize {
     fn words(&self) -> u64 {
         1
     }
-
-    fn wire_bytes(&self) -> u64 {
-        crate::wire::varint_len(*self as u64)
-    }
 }
 
 impl Words for i64 {
     fn words(&self) -> u64 {
         1
-    }
-
-    fn wire_bytes(&self) -> u64 {
-        crate::wire::measured(self)
     }
 }
 
@@ -127,31 +113,19 @@ impl Words for f64 {
     fn words(&self) -> u64 {
         1
     }
-
-    fn wire_bytes(&self) -> u64 {
-        8
-    }
 }
 
+/// A pure signal: one word and no payload bytes — on a framed transport
+/// its entire cost is the frame header, charged by the transport.
 impl Words for () {
     fn words(&self) -> u64 {
         1
-    }
-
-    /// A pure signal carries no payload bytes — on a framed transport
-    /// its entire cost is the frame header, charged by the transport.
-    fn wire_bytes(&self) -> u64 {
-        0
     }
 }
 
 impl<A: Words, B: Words> Words for (A, B) {
     fn words(&self) -> u64 {
         self.0.words() + self.1.words()
-    }
-
-    fn wire_bytes(&self) -> u64 {
-        self.0.wire_bytes() + self.1.wire_bytes()
     }
 }
 
@@ -160,13 +134,6 @@ impl<T: Words> Words for Vec<T> {
         // A length word plus the payload; an empty vector is still a signal.
         1 + self.iter().map(Words::words).sum::<u64>()
     }
-
-    /// The byte mirror of the `1 + Σ` word accounting above: exactly
-    /// one varint length prefix (the length word) plus the payload —
-    /// the codec never charges a structure the word model doesn't.
-    fn wire_bytes(&self) -> u64 {
-        crate::wire::varint_len(self.len() as u64) + self.iter().map(Words::wire_bytes).sum::<u64>()
-    }
 }
 
 impl<T: Words> Words for Option<T> {
@@ -174,13 +141,6 @@ impl<T: Words> Words for Option<T> {
         match self {
             Some(v) => v.words(),
             None => 1,
-        }
-    }
-
-    fn wire_bytes(&self) -> u64 {
-        1 + match self {
-            Some(v) => v.wire_bytes(),
-            None => 0,
         }
     }
 }

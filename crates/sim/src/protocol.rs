@@ -13,13 +13,20 @@ pub type SiteId = usize;
 /// ([`Site::on_message`]). Per the model, a site may only send messages in
 /// direct reaction to one of these events — there is no spontaneous
 /// communication and no clock (paper §2.2).
-pub trait Site {
+///
+/// A site and its elements are `Send + 'static` because the channel
+/// runtime runs every site on a thread of its own and hands it elements
+/// through a ring. Messages' bounds are stated on [`Words`]. A tree
+/// keeps its aggregators' sites inside the coordinator, so
+/// [`TreeProtocol`](crate::exec::topology::TreeProtocol) asks its sites
+/// for `Clone + Sync` as well.
+pub trait Site: Send + 'static {
     /// Stream element type.
-    type Item;
+    type Item: Send + 'static;
     /// Site → coordinator message type.
     type Up: Words;
     /// Coordinator → site message type.
-    type Down: Words + Clone;
+    type Down: Words;
 
     /// Process one arriving stream element, possibly emitting messages.
     fn on_item(&mut self, item: &Self::Item, out: &mut Outbox<Self::Up>);
@@ -39,11 +46,16 @@ pub trait Site {
 /// replies. Queries against the tracked function are protocol-specific
 /// methods on the concrete coordinator type (e.g. `estimate()`), not part
 /// of this trait, since answering a query is local and free in the model.
-pub trait Coordinator {
+///
+/// `Send + 'static` because the channel runtime runs the coordinator on
+/// a thread of its own; `Clone + Sync` because snapshot readers
+/// ([`crate::snapshot`]) answer live queries from clones of it, shared
+/// across their threads. Every executor's `query_handle` relies on both.
+pub trait Coordinator: Clone + Send + Sync + 'static {
     /// Site → coordinator message type.
     type Up: Words;
     /// Coordinator → site message type.
-    type Down: Words + Clone;
+    type Down: Words;
 
     /// Process one upstream message, possibly sending replies.
     fn on_message(&mut self, from: SiteId, msg: &Self::Up, net: &mut Net<Self::Down>);

@@ -2,7 +2,8 @@
 //!
 //! All protocol randomness flows from a single master seed so experiments
 //! replay exactly. Each site gets an independent stream via
-//! [`site_seed`] (a splitmix64 hash of the master seed and the site id).
+//! [`site_seed`] (a splitmix64 hash of the master seed and the site id),
+//! each copy of a protocol a wrapper runs via [`instance_seed`].
 //!
 //! The module also provides [`GeometricSkips`], which turns the paper's
 //! "on every arriving element, report with probability `p`" into an O(1)
@@ -22,14 +23,22 @@ pub fn splitmix64(mut x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Derive the seed for site `site` under copy `copy` of a protocol from the
-/// master seed. Copies are independent protocol instances (median boosting).
-pub fn site_seed(master: u64, site: usize, copy: usize) -> u64 {
+/// Derive the seed of site `site`'s randomness from the master seed.
+/// `stream` tags the protocol drawing it (0 count, 1 frequency, 2 rank,
+/// 3 sampling), so different protocols under one master seed draw
+/// independent streams.
+pub fn site_seed(master: u64, site: usize, stream: usize) -> u64 {
     splitmix64(
         splitmix64(master ^ 0xD1B5_4A32_D192_ED03)
             ^ splitmix64(site as u64)
-            ^ splitmix64((copy as u64).wrapping_mul(0xA24B_AED4_963E_E407)),
+            ^ splitmix64((stream as u64).wrapping_mul(0xA24B_AED4_963E_E407)),
     )
+}
+
+/// Master seed of sub-instance `index` of a wrapper that runs several
+/// independent copies of a protocol: a windowed epoch, a boosted copy.
+pub fn instance_seed(master: u64, index: u64) -> u64 {
+    splitmix64(master ^ index.wrapping_mul(0x9E37_79B9_7F4A_7C15))
 }
 
 /// Construct a fast non-cryptographic PRNG from a 64-bit seed.
@@ -132,8 +141,8 @@ mod tests {
     fn site_seeds_are_distinct() {
         let mut seen = std::collections::HashSet::new();
         for site in 0..100 {
-            for copy in 0..10 {
-                assert!(seen.insert(site_seed(7, site, copy)));
+            for stream in 0..10 {
+                assert!(seen.insert(site_seed(7, site, stream)));
             }
         }
     }

@@ -85,10 +85,7 @@ impl<P: Protocol> Runner<P> {
     /// Installing a handle never changes protocol behavior — messages,
     /// words and coordinator state stay bit-identical; the runner merely
     /// clones the coordinator into the snapshot cell when it changed.
-    pub fn query_handle(&mut self) -> QueryHandle<P::Coord>
-    where
-        P::Coord: Clone + Send + Sync + 'static,
-    {
+    pub fn query_handle(&mut self) -> QueryHandle<P::Coord> {
         self.core.query_handle()
     }
 
@@ -209,6 +206,7 @@ mod tests {
             3
         }
     }
+    #[derive(Clone)]
     struct ToyCoord {
         ups: u64,
         per_broadcast: u64,
@@ -304,6 +302,7 @@ mod tests {
                 1
             }
         }
+        #[derive(Clone)]
         struct LoopCoord;
         impl Coordinator for LoopCoord {
             type Up = u64;

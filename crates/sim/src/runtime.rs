@@ -117,14 +117,7 @@ struct SiteProgress {
 }
 
 /// Concurrent executor: `k` site threads and one coordinator thread.
-pub struct ChannelRuntime<P: Protocol>
-where
-    P::Site: Send + 'static,
-    P::Coord: Send + 'static,
-    <P::Site as Site>::Item: Send + 'static,
-    <P::Site as Site>::Up: Send + 'static,
-    <P::Site as Site>::Down: Send + 'static,
-{
+pub struct ChannelRuntime<P: Protocol> {
     data_txs: Vec<RingProducer<SiteItem<P>>>,
     cmd_tx: MpscSender<Cmd<Half<P>>>,
     site_threads: Vec<JoinHandle<()>>,
@@ -175,14 +168,7 @@ fn run_site<S: Site>(
     }
 }
 
-impl<P: Protocol> ChannelRuntime<P>
-where
-    P::Site: Send + 'static,
-    P::Coord: Send + 'static,
-    <P::Site as Site>::Item: Send + 'static,
-    <P::Site as Site>::Up: Send + 'static,
-    <P::Site as Site>::Down: Send + 'static,
-{
+impl<P: Protocol> ChannelRuntime<P> {
     /// Build the protocol and spawn its threads.
     pub fn new(protocol: &P, master_seed: u64) -> Self {
         let (sites, coord) = protocol.build(master_seed);
@@ -420,10 +406,7 @@ where
     /// cadence), run on the coordinator thread. Immediately after
     /// [`ChannelRuntime::quiesce`] a handle read is bit-identical to
     /// [`ChannelRuntime::with_coord`].
-    pub fn query_handle(&mut self) -> QueryHandle<P::Coord>
-    where
-        P::Coord: Clone + Sync,
-    {
+    pub fn query_handle(&mut self) -> QueryHandle<P::Coord> {
         self.on_coord(|half| half.query_handle())
     }
 
@@ -461,14 +444,7 @@ where
     }
 }
 
-impl<P: Protocol> Drop for ChannelRuntime<P>
-where
-    P::Site: Send + 'static,
-    P::Coord: Send + 'static,
-    <P::Site as Site>::Item: Send + 'static,
-    <P::Site as Site>::Up: Send + 'static,
-    <P::Site as Site>::Down: Send + 'static,
-{
+impl<P: Protocol> Drop for ChannelRuntime<P> {
     fn drop(&mut self) {
         if self.coord_thread.is_some() {
             self.do_shutdown();
@@ -479,7 +455,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::message::Words;
+    use crate::message::{Encode, Words};
     use crate::net::{Net, Outbox};
     use crate::protocol::Coordinator;
     use crate::ring::wait_until;
@@ -500,6 +476,7 @@ mod tests {
             1
         }
     }
+    #[derive(Clone)]
     struct SumCoord {
         sum: u64,
     }
@@ -731,6 +708,7 @@ mod tests {
                 1
             }
         }
+        #[derive(Clone)]
         struct PCoord {
             ups: u64,
             acks: u64,
@@ -812,6 +790,11 @@ mod tests {
                 matches!(self, UUp::Marker)
             }
         }
+        impl Encode for UUp {
+            fn encode(&self, w: &mut impl crate::wire::WireSink) {
+                w.put_u8(u8::from(self.urgent()));
+            }
+        }
         impl Site for USite {
             type Item = u64;
             type Up = UUp;
@@ -828,6 +811,7 @@ mod tests {
                 1
             }
         }
+        #[derive(Clone)]
         struct UCoord {
             reports_before_marker: Option<u64>,
             reports: u64,
@@ -912,6 +896,7 @@ mod tests {
                 1
             }
         }
+        #[derive(Clone)]
         struct CCoord;
         impl Coordinator for CCoord {
             type Up = u64;
@@ -957,6 +942,7 @@ mod tests {
         // parks with no credit left. Each release must then wake it — a
         // lost release-side wakeup would hang the run until the
         // 10k-sweep quiesce guard aborts the test.
+        #[derive(Clone)]
         struct SlowCoord {
             sum: u64,
             ups: u64,

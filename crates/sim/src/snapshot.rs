@@ -147,15 +147,9 @@ impl<C> SnapshotPublisher<C> {
 /// until the first [`LiveQuery::handle`] there is no cell and publishing
 /// clones nothing, so runs without readers pay nothing.
 pub struct LiveQuery<C> {
-    cell: Option<LiveCell<C>>,
+    /// The cell's writer, once a reader asked for one.
+    cell: Option<SnapshotPublisher<C>>,
     stale: u32,
-}
-
-/// The cell's writer and `C::clone`, captured when the first handle is
-/// minted — the one place `C: Clone` is known.
-struct LiveCell<C> {
-    publisher: SnapshotPublisher<C>,
-    clone: fn(&C) -> C,
 }
 
 impl<C> Default for LiveQuery<C> {
@@ -167,21 +161,15 @@ impl<C> Default for LiveQuery<C> {
     }
 }
 
-impl<C> LiveQuery<C> {
+impl<C: Clone> LiveQuery<C> {
     /// A reader handle: the first call creates the cell, seeded with
     /// `state` at epoch 0; later calls mint handles of the same cell.
-    pub fn handle(&mut self, state: &C) -> QueryHandle<C>
-    where
-        C: Clone,
-    {
-        if let Some(cell) = &self.cell {
-            return cell.publisher.handle();
+    pub fn handle(&mut self, state: &C) -> QueryHandle<C> {
+        if let Some(publisher) = &self.cell {
+            return publisher.handle();
         }
         let (publisher, handle) = snapshot_cell(state.clone());
-        self.cell = Some(LiveCell {
-            publisher,
-            clone: C::clone,
-        });
+        self.cell = Some(publisher);
         handle
     }
 
@@ -197,8 +185,8 @@ impl<C> LiveQuery<C> {
 
     /// Publish `state` as a fresh epoch (nothing without a handle).
     pub fn publish(&mut self, state: &C) {
-        if let Some(cell) = &mut self.cell {
-            cell.publisher.publish((cell.clone)(state));
+        if let Some(publisher) = &mut self.cell {
+            publisher.publish(state.clone());
         }
         self.stale = 0;
     }

@@ -77,10 +77,7 @@ impl<C: Coordinator> CoordCore<C> {
     }
 
     /// Create (or clone) the live-query handle ([`LiveQuery::handle`]).
-    pub fn query_handle(&mut self) -> QueryHandle<C>
-    where
-        C: Clone,
-    {
+    pub fn query_handle(&mut self) -> QueryHandle<C> {
         self.live.handle(&self.coord)
     }
 

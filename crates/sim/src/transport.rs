@@ -1050,12 +1050,7 @@ pub struct CoordHalf<C: Coordinator, L> {
     pongs: Vec<u8>,
 }
 
-impl<C, L> CoordHalf<C, L>
-where
-    C: Coordinator,
-    C::Down: Words + Clone,
-    L: CoordLink<C::Up, C::Down>,
-{
+impl<C: Coordinator, L: CoordLink<C::Up, C::Down>> CoordHalf<C, L> {
     /// Wrap a built coordinator over its link.
     pub fn new(coord: C, link: L) -> Self {
         let k = link.k();
@@ -1210,10 +1205,7 @@ where
     /// the loop runs, each from a whole coordinator state between two
     /// applies. Installing a handle changes no protocol behavior: no
     /// message is added, no word charged.
-    pub fn query_handle(&mut self) -> QueryHandle<C>
-    where
-        C: Clone + Sync + Send + 'static,
-    {
+    pub fn query_handle(&mut self) -> QueryHandle<C> {
         self.core.query_handle()
     }
 }
@@ -1241,10 +1233,6 @@ mod tests {
 
         fn urgent(&self) -> bool {
             self.0.is_multiple_of(10)
-        }
-
-        fn wire_bytes(&self) -> u64 {
-            crate::wire::measured(self)
         }
     }
 
@@ -1476,6 +1464,7 @@ mod tests {
                 1
             }
         }
+        #[derive(Clone)]
         struct SlowCoord;
         impl Coordinator for SlowCoord {
             type Up = EchoUp;
@@ -1530,6 +1519,7 @@ mod tests {
                 1
             }
         }
+        #[derive(Clone)]
         struct ChatCoord;
         impl Coordinator for ChatCoord {
             type Up = EchoUp;

@@ -318,8 +318,8 @@ pub fn encode_to_vec<T: Encode + ?Sized>(v: &T) -> Vec<u8> {
 }
 
 /// Measured wire size of `v` in bytes under the byte codec. This is
-/// what [`Words::wire_bytes`] overrides report for messages with a
-/// codec, and what the byte columns in `CommStats` accumulate.
+/// what [`Words::wire_bytes`] defaults to — no message overrides it —
+/// and what the byte columns in `CommStats` accumulate.
 ///
 /// `v`'s own [`Encode`] impl run against the counting sink instead of
 /// [`WireWriter`]: nothing is stored or allocated, each varint costs

@@ -49,8 +49,8 @@ use dtrack::core::frequency::{RandFreqCoord, RandomizedFrequency};
 use dtrack::core::window::{WinCoord, Windowed};
 use dtrack::core::TrackingConfig;
 use dtrack::sim::{
-    CoordHalf, Decode, Encode, ExecConfig, Executor, Protocol, Site, SiteHalf, TcpCoordLink,
-    TcpSiteLink, Tree, TreeCoord,
+    CoordHalf, Decode, ExecConfig, Executor, Protocol, Site, SiteHalf, TcpCoordLink, TcpSiteLink,
+    Tree, TreeCoord,
 };
 use dtrack::sketch::exact::ExactCounts;
 use dtrack::workload::scenarios;
@@ -178,10 +178,8 @@ fn serve<P>(
 ) -> bool
 where
     P: Protocol,
-    P::Coord: Clone + Send + Sync + 'static,
-    P::Site: Site<Item = u64> + Send + 'static,
-    <P::Site as Site>::Up: Decode + Send + 'static,
-    <P::Site as Site>::Down: Encode + Send + 'static,
+    P::Site: Site<Item = u64>,
+    <P::Site as Site>::Up: Decode,
 {
     let listener = std::net::TcpListener::bind(addr).expect("bind");
     println!(
@@ -250,8 +248,7 @@ fn run_site<P>(proto: P, net: &NetArgs, id: usize, addr: &str)
 where
     P: Protocol,
     P::Site: Site<Item = u64>,
-    <P::Site as Site>::Up: Encode,
-    <P::Site as Site>::Down: Decode + Send + 'static,
+    <P::Site as Site>::Down: Decode,
 {
     assert!(id < net.k, "--site {id} out of range for --k {}", net.k);
     let link = TcpSiteLink::connect(addr, id).expect("connect");

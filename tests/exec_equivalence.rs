@@ -170,6 +170,7 @@ impl Site for ChattySite {
     }
 }
 
+#[derive(Clone)]
 struct ChattyCoord;
 
 impl Coordinator for ChattyCoord {

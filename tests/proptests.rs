@@ -3,13 +3,17 @@
 //! the fault-injection layer landed, arbitrary loss/duplication
 //! schedules over randomly assembled scenario strings.
 
-use dtrack::core::count::{DeterministicCount, RandomizedCount};
+use dtrack::core::boost::{Replicated, ReplicatedCoord};
+use dtrack::core::count::{DeterministicCount, RandCountCoord, RandomizedCount};
 use dtrack::core::frequency::{DeterministicFrequency, RandomizedFrequency};
 use dtrack::core::rank::{DeterministicRank, RandomizedRank};
 use dtrack::core::sampling::ContinuousSampling;
+use dtrack::core::window::{WinCoord, Windowed};
 use dtrack::core::TrackingConfig;
 use dtrack::sim::exec::EventRuntime;
-use dtrack::sim::{ExecConfig, Executor, FaultPlan, Protocol, Runner, Site, Tree, TreeSpec};
+use dtrack::sim::{
+    ExecConfig, Executor, FaultPlan, Protocol, Runner, Site, Tree, TreeCoord, TreeSpec,
+};
 use proptest::prelude::*;
 
 /// Snapshot-equivalence harness for the live-query layer (the staleness
@@ -32,10 +36,7 @@ fn assert_snapshot_equivalence<P, Q>(
     queries: Q,
 ) where
     P: Protocol,
-    P::Site: Site<Item = u64> + Send + 'static,
-    P::Coord: Clone + Send + Sync + 'static,
-    <P::Site as Site>::Up: Send + 'static,
-    <P::Site as Site>::Down: Send + 'static,
+    P::Site: Site<Item = u64>,
     Q: Fn(&P::Coord) -> Vec<f64> + Clone + Send + 'static,
 {
     // Lock-step vs instant event executor: identical epochs, identical
@@ -366,6 +367,29 @@ proptest! {
                     c.estimate_frequency(3),
                     c.estimate_rank(u64::MAX / 2),
                 ]
+            },
+        );
+        // The wrappers: a snapshot is a clone of the whole wrapper
+        // coordinator (windowed buckets mid-seal, tree aggregators with
+        // their sites and cursors, every boosted copy), so these pin the
+        // derived `Clone`s.
+        assert_snapshot_equivalence(
+            "windowed randomized frequency",
+            &Windowed::new(RandomizedFrequency::new(cfg), 32), seed, &zipfish,
+            |c: &WinCoord<RandomizedFrequency>| {
+                (0..10).map(|j| c.windowed_frequency(j)).collect()
+            },
+        );
+        assert_snapshot_equivalence(
+            "depth-2 tree randomized count",
+            &Tree::new(RandomizedCount::new(cfg), TreeSpec::new(2).with_depth(2)), seed, &zipfish,
+            |c: &TreeCoord<RandomizedCount>| vec![c.root().estimate()],
+        );
+        assert_snapshot_equivalence(
+            "replicated randomized count",
+            &Replicated::new(RandomizedCount::new(cfg), 3), seed, &zipfish,
+            |c: &ReplicatedCoord<RandCountCoord>| {
+                c.copies().iter().map(RandCountCoord::estimate).collect()
             },
         );
     }
