@@ -36,7 +36,7 @@ use dtrack_core::count::{RandCountCoord, RandomizedCount};
 use dtrack_core::frequency::{RandFreqCoord, RandomizedFrequency};
 use dtrack_core::rank::{RandRankCoord, RandomizedRank};
 use dtrack_core::TrackingConfig;
-use dtrack_sim::{ExecConfig, Executor, Runner};
+use dtrack_sim::{ExecConfig, Runner};
 use dtrack_workload::items::DistinctSeq;
 use rand::Rng;
 

@@ -20,7 +20,6 @@ use dtrack_bench::table::{fmt_num, Table};
 use dtrack_bounds::{OneBitInstance, OneWayThresholds};
 use dtrack_core::count::RandomizedCount;
 use dtrack_core::TrackingConfig;
-use dtrack_sim::Executor;
 use dtrack_workload::SubroundInstance;
 
 fn main() {

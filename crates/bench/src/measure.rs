@@ -17,9 +17,10 @@
 //!    [`dtrack_sim::Tree`] — a shape the run cannot honour is refused;
 //! 3. feed → quiesce → ask. Elements go through the executors' batched
 //!    fast path; answers are read through the `dtrack_core::query`
-//!    traits after a [`Executor::quiesce`] (a consistent cut — under
-//!    delayed delivery this is the state the idealized model would have
-//!    reached), so the same query text serves every protocol and shape.
+//!    traits after an [`AnyExec::quiesce`](dtrack_sim::AnyExec::quiesce)
+//!    (a consistent cut — under delayed delivery this is the state the
+//!    idealized model would have reached), so the same query text serves
+//!    every protocol and shape.
 
 use dtrack_core::boost::Replicated;
 use dtrack_core::count::{DeterministicCount, RandomizedCount};
@@ -29,9 +30,7 @@ use dtrack_core::rank::{DeterministicRank, RandomizedRank};
 use dtrack_core::sampling::ContinuousSampling;
 use dtrack_core::window::Windowed;
 use dtrack_core::TrackingConfig;
-use dtrack_sim::{
-    AnyExec, CommStats, ExecConfig, Executor, FaultStats, LevelLoad, Protocol, Site, Tree,
-};
+use dtrack_sim::{CommStats, ExecConfig, FaultStats, LevelLoad, Protocol, Site, Tree};
 use dtrack_sketch::exact::{ExactCounts, ExactRanks};
 use dtrack_workload::items::{DistinctSeq, ItemGen, ZipfItems};
 use dtrack_workload::{RoundRobin, SiteAssign, UniformSites, Workload};
@@ -245,7 +244,7 @@ where
     P: Protocol,
     P::Site: Site<Item = u64>,
 {
-    let mut ex = exec.mode.build_faulty(exec.faults, proto, seed);
+    let mut ex = exec.mode.build(proto, seed);
     ex.feed_batch(batch);
     ex.quiesce();
     let (answers, internal) =
@@ -254,10 +253,7 @@ where
     Driven {
         stats: ex.stats(),
         peaks: (0..ex.k()).map(|site| space.peak(site)).collect(),
-        faults: match &ex {
-            AnyExec::Event(ev) => ev.fault_stats().cloned(),
-            _ => None,
-        },
+        faults: ex.fault_stats().cloned(),
         answers,
         internal,
     }
@@ -408,12 +404,20 @@ pub fn median_run(seeds: u64, run_seed: impl Fn(u64) -> Run) -> Run {
 /// The acceptance form of an ε bound: the mean of `metric(seed)` over
 /// seeds `0..seeds` must be at most `eps` (one seed's deviation is the
 /// protocol's own randomness; the mean isolates bias). Panics naming
-/// `name`, the mean and the bound.
+/// `name`, the mean, the bound and every seed's value, worst first — so
+/// a failure in a CI log names the seeds to replay.
 pub fn assert_mean_error_le_eps(name: &str, eps: f64, seeds: u64, metric: impl Fn(u64) -> f64) {
-    let mean = (0..seeds).map(metric).sum::<f64>() / seeds as f64;
+    let mut errs: Vec<(u64, f64)> = (0..seeds).map(|seed| (seed, metric(seed))).collect();
+    let mean = errs.iter().map(|&(_, err)| err).sum::<f64>() / seeds as f64;
+    errs.sort_by(|a, b| b.1.total_cmp(&a.1));
     assert!(
         mean <= eps,
-        "{name}: mean error {mean:.4} over {seeds} seeds exceeds eps {eps}"
+        "{name}: mean error {mean:.4} over {seeds} seeds exceeds eps {eps}; \
+         per seed, worst first: {}",
+        errs.iter()
+            .map(|(seed, err)| format!("seed {seed} = {err:.4}"))
+            .collect::<Vec<_>>()
+            .join(", ")
     );
 }
 
@@ -550,6 +554,14 @@ mod tests {
     ];
 
     const ALGOS: [Algo; 3] = [Algo::Randomized, Algo::Deterministic, Algo::Sampling];
+
+    /// A failed ε bound names every seed's value, worst first, so the
+    /// log of a failing run says which seeds to replay.
+    #[test]
+    #[should_panic(expected = "worst first: seed 2 = 0.9000, seed 0 = 0.3000, seed 1 = 0.0000")]
+    fn a_failed_mean_bound_lists_the_seeds_worst_first() {
+        assert_mean_error_le_eps("toy", 0.1, 3, |seed| [0.3, 0.0, 0.9][seed as usize]);
+    }
 
     #[test]
     fn count_runs_all_algos_on_all_executors() {

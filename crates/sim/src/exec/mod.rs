@@ -1,5 +1,5 @@
-//! The unified execution layer: one [`Executor`] abstraction over all
-//! three runtimes.
+//! The unified execution layer: [`AnyExec`], one driving surface over
+//! all three runtimes.
 //!
 //! Protocol code (sites + coordinator state machines) is pure *mechanism*
 //! — it reacts to events and writes messages into sinks. *Policy* — when
@@ -8,38 +8,33 @@
 //! | executor | delivery | determinism | use for |
 //! |---|---|---|---|
 //! | [`Runner`] | instant, lock-step | bit-exact | paper-model measurement, exact accounting |
-//! | [`EventRuntime`] | pluggable [`DeliveryPolicy`] | bit-exact | reproducible off-model stress (latency, reorder) |
+//! | [`EventRuntime`] | pluggable [`DeliveryPolicy`] + [`FaultPlan`] | bit-exact | reproducible off-model stress (latency, reorder, faults) |
 //! | [`ChannelRuntime`] | OS threads + lock-free SPSC rings | nondeterministic | real-concurrency robustness + throughput |
 //!
-//! The [`Executor`] trait exposes the operations every measurement path
-//! needs — `feed`, a batched `feed_batch` fast path, timed `feed_at`
-//! ingest, `quiesce`, `stats`, `space`, and coordinator access — so
-//! experiment harnesses and integration tests are written once and run
-//! against any executor.
+//! [`AnyExec`] drives any of them — `feed`, batched `feed_batch`, timed
+//! `feed_at`, `quiesce`, accounting, coordinator reads and live-query
+//! handles — so harnesses and tests are written once.
 //!
 //! ## Scenario selection
 //!
 //! [`ExecConfig`] is the serializable *scenario* selector used by the
 //! bench CLI and the integration tests. It combines an [`ExecMode`]
-//! (which executor + delivery policy) with an optional sliding-window
-//! size and an optional [`FaultPlan`], and parses from compact specs
-//! like `event:random:1:32`, `lockstep+window:100000`, or
-//! `event+loss:0.05+dup:0.05+churn`. [`AnyExec`] is the enum-dispatched
-//! executor [`ExecConfig::build`] produces.
+//! (which executor + delivery policy, and for the event executor the
+//! [`FaultPlan`] it injects) with an optional sliding-window size or
+//! tree shape, and parses from compact specs like `event:random:1:32`,
+//! `lockstep+window:100000`, or `event+loss:0.05+dup:0.05+churn`.
 //!
-//! The window half of a scenario is *not* applied by [`ExecConfig::build`]
-//! — a sliding window wraps the **protocol** (see `dtrack_core`'s
-//! `window::Windowed` adapter), not the executor, so generic code cannot
-//! apply it without changing the protocol type. Callers that support
-//! windowed scenarios (`dtrack-bench`'s `measure::run`, the examples)
-//! read [`ExecConfig::window`], wrap their protocol, and build via
-//! [`ExecMode::build`]. [`ExecConfig::build`] panics on a windowed
-//! scenario rather than silently measuring the wrong thing.
+//! The shape half of a scenario — a sliding window (`dtrack_core`'s
+//! `window::Windowed`) or a [`Tree`] — wraps the **protocol**, not the
+//! executor, so [`ExecConfig::build`] refuses it. Callers that support
+//! shapes (`dtrack-bench`'s `measure::run`, the examples) wrap their
+//! protocol and build via [`ExecMode::build`], which brings the mode's
+//! fault plan along.
 //!
 //! ## Example
 //!
 //! ```
-//! use dtrack_sim::exec::{DeliveryPolicy, EventRuntime, ExecConfig, Executor};
+//! use dtrack_sim::exec::{DeliveryPolicy, ExecConfig};
 //! # use dtrack_sim::net::{Net, Outbox};
 //! # use dtrack_sim::protocol::{Coordinator, Protocol, Site, SiteId};
 //! # struct EchoSite;
@@ -63,11 +58,12 @@
 //! #         ((0..4).map(|_| EchoSite).collect(), SumCoord { sum: 0 })
 //! #     }
 //! # }
-//! // Same protocol, three execution policies, one driver:
+//! // Same protocol, four execution policies, one driver:
 //! let configs = [
 //!     ExecConfig::lockstep(),
 //!     ExecConfig::event(DeliveryPolicy::FixedLatency(8)),
 //!     "event:reorder:16".parse().unwrap(),
+//!     "event:fixed:8+loss:0.2+dup:0.2".parse().unwrap(),
 //! ];
 //! for config in configs {
 //!     let mut ex = config.build(&Echo, 7);
@@ -98,249 +94,6 @@ use crate::runtime::ChannelRuntime;
 use crate::snapshot::QueryHandle;
 use crate::stats::{CommStats, SpaceStats};
 
-/// Uniform driving interface over the three executors.
-///
-/// The trait is deliberately *owning* on items (unlike `Runner`'s
-/// borrowed `feed`) so that thread-backed executors can move elements
-/// into site queues without cloning.
-///
-/// Contract: [`Executor::query`] (and coordinator reads via
-/// [`Executor::coord`]) observe a consistent cut only after
-/// [`Executor::quiesce`]; between quiesce calls, executors with delayed
-/// delivery may answer from stale coordinator state — that staleness is
-/// exactly what the off-model experiments measure.
-pub trait Executor<P: Protocol> {
-    /// Number of sites.
-    fn k(&self) -> usize;
-
-    /// Deliver one element to a site.
-    fn feed(&mut self, site: SiteId, item: <P::Site as Site>::Item);
-
-    /// Deliver one element at schedule time `at` (in workload ticks,
-    /// non-decreasing). This is how `Workload::timed` schedules drive an
-    /// executor; what a tick *means* is executor-specific:
-    ///
-    /// * [`EventRuntime`] advances its virtual clock to `at`, delivering
-    ///   any in-flight messages due first — arrival gaps interact with
-    ///   message latency exactly as the schedule says (schedule times
-    ///   its clock already passed are delivered late, in order);
-    /// * [`ChannelRuntime`] converts ticks to wall-clock time and sleeps
-    ///   until the arrival is due (see [`ChannelRuntime::set_tick`]), so
-    ///   the same schedule paces real threads;
-    /// * the lock-step [`Runner`] has no clock at all — the default
-    ///   implementation ignores `at` and just feeds (the paper's model,
-    ///   where pacing cannot matter because delivery is instant).
-    fn feed_at(&mut self, at: u64, site: SiteId, item: <P::Site as Site>::Item) {
-        let _ = at;
-        self.feed(site, item);
-    }
-
-    /// Deliver a batch of `(site, item)` pairs. Semantically identical
-    /// to feeding them one by one in order; executors override this with
-    /// genuine fast paths (site-run coalescing, chunked channel sends).
-    fn feed_batch(&mut self, batch: Vec<(SiteId, <P::Site as Site>::Item)>) {
-        for (site, item) in batch {
-            self.feed(site, item);
-        }
-    }
-
-    /// Drive the system to the state the idealized instant-delivery
-    /// model would be in: all queued elements processed, no messages in
-    /// flight. A no-op for executors that are always quiescent.
-    fn quiesce(&mut self);
-
-    /// Snapshot of communication statistics.
-    fn stats(&self) -> CommStats;
-
-    /// Snapshot of peak per-site space.
-    fn space(&self) -> SpaceStats;
-
-    /// Direct coordinator access, if the executor runs it in-process
-    /// (`None` for thread-backed executors — use [`Executor::query`]).
-    fn coord(&self) -> Option<&P::Coord>;
-
-    /// Run a closure against the coordinator state and return its
-    /// result. Call [`Executor::quiesce`] first for a consistent cut.
-    fn query<R, F>(&mut self, f: F) -> R
-    where
-        R: Send + 'static,
-        F: FnOnce(&P::Coord) -> R + Send + 'static;
-
-    /// Create a cloneable, sendable **live-query** handle: reader
-    /// threads answer queries against epoch-stamped immutable snapshots
-    /// of the coordinator (`crate::snapshot`) while ingest continues —
-    /// no quiesce, no locks on either side.
-    ///
-    /// Contract, uniform across executors:
-    ///
-    /// * every answer reflects a **prefix of applied updates** (a whole
-    ///   coordinator state as it existed at some publish boundary —
-    ///   never a torn intermediate);
-    /// * answers lag ingest by **at most one snapshot epoch**: the
-    ///   lock-step and event executors publish at element/arrival
-    ///   boundaries; the channel runtime — like any
-    ///   [`CoordHalf`](crate::transport::CoordHalf), whose cadence it is —
-    ///   publishes when the coordinator catches up with its lanes, at
-    ///   least every [`PUBLISH_EVERY`](crate::transport::PUBLISH_EVERY)
-    ///   applies under sustained load, and when a quiesce settles;
-    /// * immediately after [`Executor::quiesce`], a handle read is
-    ///   bit-identical to [`Executor::query`] on the same state;
-    /// * installing a handle changes **no protocol behavior** — message
-    ///   counts, words and coordinator state stay bit-identical (the
-    ///   executor only clones coordinator state into the cell).
-    ///
-    /// One hook serves all three — the
-    /// [`LiveQuery`](crate::snapshot::LiveQuery) in each executor's
-    /// [`CoordCore`](crate::step::CoordCore); an executor owns only the
-    /// cadence above. The first call creates the cell (nothing is cloned
-    /// before it), repeated calls return handles of that one cell. Each
-    /// handle keeps the snapshot it last read: clone per reader thread
-    /// rather than sharing one handle.
-    fn query_handle(&mut self) -> QueryHandle<P::Coord>;
-}
-
-impl<P: Protocol> Executor<P> for Runner<P> {
-    fn k(&self) -> usize {
-        Runner::k(self)
-    }
-
-    fn feed(&mut self, site: SiteId, item: <P::Site as Site>::Item) {
-        Runner::feed(self, site, &item);
-    }
-
-    // feed_at: the default (ignore `at`) is exact for the lock-step
-    // model — there is no clock against which pacing could be observed.
-
-    fn feed_batch(&mut self, batch: Vec<(SiteId, <P::Site as Site>::Item)>) {
-        Runner::feed_batch(self, &batch);
-    }
-
-    /// The lock-step runner drains every message before `feed` returns,
-    /// so it is always quiescent; with a live-query handle installed it
-    /// still republishes here, keeping snapshot epochs aligned with the
-    /// event executor's quiesce boundary.
-    fn quiesce(&mut self) {
-        Runner::publish_now(self);
-    }
-
-    fn stats(&self) -> CommStats {
-        Runner::stats(self).clone()
-    }
-
-    fn space(&self) -> SpaceStats {
-        Runner::space(self).clone()
-    }
-
-    fn coord(&self) -> Option<&P::Coord> {
-        Some(Runner::coord(self))
-    }
-
-    fn query<R, F>(&mut self, f: F) -> R
-    where
-        R: Send + 'static,
-        F: FnOnce(&P::Coord) -> R + Send + 'static,
-    {
-        f(Runner::coord(self))
-    }
-
-    fn query_handle(&mut self) -> QueryHandle<P::Coord> {
-        Runner::query_handle(self)
-    }
-}
-
-impl<P: Protocol> Executor<P> for EventRuntime<P> {
-    fn k(&self) -> usize {
-        EventRuntime::k(self)
-    }
-
-    fn feed(&mut self, site: SiteId, item: <P::Site as Site>::Item) {
-        EventRuntime::feed(self, site, item);
-    }
-
-    fn feed_at(&mut self, at: u64, site: SiteId, item: <P::Site as Site>::Item) {
-        EventRuntime::feed_at(self, at, site, item);
-    }
-
-    // feed_batch: the trait's default per-element loop is already right
-    // for the event queue — occupancy is bounded by the in-flight
-    // delivery window, so there is nothing to amortize.
-
-    fn quiesce(&mut self) {
-        EventRuntime::quiesce(self);
-    }
-
-    fn stats(&self) -> CommStats {
-        EventRuntime::stats(self).clone()
-    }
-
-    fn space(&self) -> SpaceStats {
-        EventRuntime::space(self).clone()
-    }
-
-    fn coord(&self) -> Option<&P::Coord> {
-        Some(EventRuntime::coord(self))
-    }
-
-    fn query<R, F>(&mut self, f: F) -> R
-    where
-        R: Send + 'static,
-        F: FnOnce(&P::Coord) -> R + Send + 'static,
-    {
-        f(EventRuntime::coord(self))
-    }
-
-    fn query_handle(&mut self) -> QueryHandle<P::Coord> {
-        EventRuntime::query_handle(self)
-    }
-}
-
-impl<P: Protocol> Executor<P> for ChannelRuntime<P> {
-    fn k(&self) -> usize {
-        ChannelRuntime::k(self)
-    }
-
-    fn feed(&mut self, site: SiteId, item: <P::Site as Site>::Item) {
-        ChannelRuntime::feed(self, site, item);
-    }
-
-    fn feed_at(&mut self, at: u64, site: SiteId, item: <P::Site as Site>::Item) {
-        ChannelRuntime::feed_at(self, at, site, item);
-    }
-
-    fn feed_batch(&mut self, batch: Vec<(SiteId, <P::Site as Site>::Item)>) {
-        ChannelRuntime::feed_batch(self, batch);
-    }
-
-    fn quiesce(&mut self) {
-        ChannelRuntime::quiesce(self);
-    }
-
-    fn stats(&self) -> CommStats {
-        ChannelRuntime::stats(self)
-    }
-
-    fn space(&self) -> SpaceStats {
-        ChannelRuntime::space(self)
-    }
-
-    /// The coordinator lives on its own thread — use [`Executor::query`].
-    fn coord(&self) -> Option<&P::Coord> {
-        None
-    }
-
-    fn query<R, F>(&mut self, f: F) -> R
-    where
-        R: Send + 'static,
-        F: FnOnce(&P::Coord) -> R + Send + 'static,
-    {
-        ChannelRuntime::with_coord(self, f)
-    }
-
-    fn query_handle(&mut self) -> QueryHandle<P::Coord> {
-        ChannelRuntime::query_handle(self)
-    }
-}
-
 /// Executor + delivery-policy selector: which runtime runs the protocol.
 ///
 /// Parses from compact specs (case-sensitive, all integers base-10):
@@ -354,71 +107,53 @@ impl<P: Protocol> Executor<P> for ChannelRuntime<P> {
 /// | `event:reorder:W` | adversarial reorder, window `W` |
 /// | `channel` | thread-per-site channel runtime |
 ///
-/// An [`ExecConfig`] pairs a mode with the optional sliding-window half
-/// of a scenario; code that never deals with windows can keep passing a
-/// bare mode around.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// The [`FaultPlan`] lives in the event variant, the one executor that
+/// can replay a seeded fault schedule (the lock-step runner has no wire;
+/// the channel runtime's threads are not deterministic). A bare spec
+/// parses to [`FaultPlan::none`]; an [`ExecConfig`]'s fault suffixes
+/// fill it in.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ExecMode {
     /// The lock-step [`Runner`]: instant delivery, exact accounting.
     LockStep,
-    /// The deterministic [`EventRuntime`] under a delivery policy.
-    Event(DeliveryPolicy),
+    /// The deterministic [`EventRuntime`] under a delivery policy and a
+    /// fault plan ([`FaultPlan::none`]: reliable links).
+    Event(DeliveryPolicy, FaultPlan),
     /// The thread-per-site [`ChannelRuntime`].
     Channel,
 }
 
 impl ExecMode {
-    /// Build the selected executor for a protocol instance.
+    /// Build the selected executor, fault plan included, for a protocol
+    /// instance — bare or wrapped in a shape (`Windowed`, [`Tree`]).
+    /// Panics on a plan [`EventRuntime::with_faults`] refuses, which the
+    /// scenario parser rejects first.
     pub fn build<P: Protocol>(self, protocol: &P, master_seed: u64) -> AnyExec<P> {
-        self.build_faulty(FaultPlan::none(), protocol, master_seed)
-    }
-
-    /// Build the selected executor under a [`FaultPlan`]. A plan with
-    /// every fault disabled is accepted by every mode (and is free: the
-    /// run is bit-identical to [`ExecMode::build`]); an active plan
-    /// requires the event executor — the lock-step runner has no wire to
-    /// inject faults into, and the channel runtime's real threads cannot
-    /// replay a deterministic fault schedule.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an active plan over a non-event mode, or on an invalid
-    /// plan. The scenario parser rejects both earlier with a proper
-    /// error; this backstop catches programmatic misuse.
-    pub fn build_faulty<P: Protocol>(
-        self,
-        faults: FaultPlan,
-        protocol: &P,
-        master_seed: u64,
-    ) -> AnyExec<P> {
         match self {
-            ExecMode::Event(policy) => AnyExec::Event(EventRuntime::with_faults(
+            ExecMode::LockStep => AnyExec::LockStep(Runner::new(protocol, master_seed)),
+            ExecMode::Event(policy, faults) => AnyExec::Event(EventRuntime::with_faults(
                 protocol,
                 master_seed,
                 policy,
                 faults,
             )),
-            ExecMode::LockStep if faults.is_none() => {
-                AnyExec::LockStep(Runner::new(protocol, master_seed))
-            }
-            ExecMode::Channel if faults.is_none() => {
-                AnyExec::Channel(ChannelRuntime::new(protocol, master_seed))
-            }
-            mode => panic!("fault plan {faults} requires the event executor, not {mode}"),
+            ExecMode::Channel => AnyExec::Channel(ChannelRuntime::new(protocol, master_seed)),
         }
     }
 }
 
+/// The executor and delivery policy; an event mode's fault plan renders
+/// with the scenario ([`ExecConfig`]'s `Display`), after its shape.
 impl std::fmt::Display for ExecMode {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ExecMode::LockStep => write!(f, "lockstep"),
-            ExecMode::Event(DeliveryPolicy::Instant) => write!(f, "event:instant"),
-            ExecMode::Event(DeliveryPolicy::FixedLatency(d)) => write!(f, "event:fixed:{d}"),
-            ExecMode::Event(DeliveryPolicy::RandomDelay { min, max }) => {
+            ExecMode::Event(DeliveryPolicy::Instant, _) => write!(f, "event:instant"),
+            ExecMode::Event(DeliveryPolicy::FixedLatency(d), _) => write!(f, "event:fixed:{d}"),
+            ExecMode::Event(DeliveryPolicy::RandomDelay { min, max }, _) => {
                 write!(f, "event:random:{min}:{max}")
             }
-            ExecMode::Event(DeliveryPolicy::AdversarialReorder { window }) => {
+            ExecMode::Event(DeliveryPolicy::AdversarialReorder { window }, _) => {
                 write!(f, "event:reorder:{window}")
             }
             ExecMode::Channel => write!(f, "channel"),
@@ -435,11 +170,12 @@ impl std::str::FromStr for ExecMode {
             p.parse()
                 .map_err(|_| format!("exec spec {s:?}: {p:?} is not an integer"))
         };
+        let event = |policy| Ok(ExecMode::Event(policy, FaultPlan::none()));
         match parts.as_slice() {
             ["lockstep"] | ["runner"] => Ok(ExecMode::LockStep),
             ["channel"] => Ok(ExecMode::Channel),
-            ["event"] | ["event", "instant"] => Ok(ExecMode::Event(DeliveryPolicy::Instant)),
-            ["event", "fixed", d] => Ok(ExecMode::Event(DeliveryPolicy::FixedLatency(num(d)?))),
+            ["event"] | ["event", "instant"] => event(DeliveryPolicy::Instant),
+            ["event", "fixed", d] => event(DeliveryPolicy::FixedLatency(num(d)?)),
             ["event", "random", min, max] => {
                 let (min, max) = (num(min)?, num(max)?);
                 if min > max {
@@ -448,16 +184,14 @@ impl std::str::FromStr for ExecMode {
                 if max == u64::MAX {
                     return Err(format!("exec spec {s:?}: max delay too large"));
                 }
-                Ok(ExecMode::Event(DeliveryPolicy::RandomDelay { min, max }))
+                event(DeliveryPolicy::RandomDelay { min, max })
             }
             ["event", "reorder", w] => {
                 let window = num(w)?;
                 if window == 0 {
                     return Err(format!("exec spec {s:?}: window must be ≥ 1"));
                 }
-                Ok(ExecMode::Event(DeliveryPolicy::AdversarialReorder {
-                    window,
-                }))
+                event(DeliveryPolicy::AdversarialReorder { window })
             }
             _ => Err(format!(
                 "unknown exec spec {s:?} (expected lockstep | channel | \
@@ -468,8 +202,9 @@ impl std::str::FromStr for ExecMode {
     }
 }
 
-/// One execution *scenario*: an [`ExecMode`] plus an optional sliding
-/// window plus a [`FaultPlan`] — the one config value experiment
+/// One execution *scenario*: an [`ExecMode`] (with, on the event
+/// executor, its [`FaultPlan`]) plus an optional shape — a sliding
+/// window or an aggregation tree — the one config value experiment
 /// binaries and integration tests use to pick what to run.
 ///
 /// Parses from `<mode>` followed by `+` suffixes in any order, at most
@@ -486,59 +221,43 @@ impl std::str::FromStr for ExecMode {
 ///
 /// e.g. `lockstep`, `channel+window:65536`, `event:fixed:8+window:4096`,
 /// `event+loss:0.05+dup:0.05+churn`, `lockstep+tree:16:2`. Fault
-/// suffixes require an `event` mode (see [`ExecMode::build_faulty`]).
-/// Like the window half, the tree half wraps the **protocol** (in
-/// [`topology::Tree`]) rather than the executor: callers that support
-/// tree scenarios read [`ExecConfig::tree`], wrap, and build via
-/// [`ExecMode::build`] — `dtrack-bench`'s `measure::run` does this, in
-/// one place for every problem and algorithm.
-/// `+tree` does not (yet) combine with `+window`: the combination is
-/// rejected at parse time rather than measuring an unsupported stack
-/// (a windowed tree needs per-level epoch alignment, a documented
+/// suffixes fill the [`ExecMode::Event`] variant's plan; on `lockstep`
+/// or `channel` an active fault is a parse error. `+tree` does not (yet)
+/// combine with `+window`: the combination is rejected at parse time (a
+/// windowed tree needs per-level epoch alignment, a documented
 /// deferral), and `measure::run` refuses a config built in code with
-/// both set. When `window` is set, `measure::run` wraps the protocol in
-/// `dtrack_core::window::Windowed` and reports sliding-window answers;
-/// when it is `None` it tracks the whole stream.
+/// both set.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExecConfig {
-    /// Which executor (and delivery policy) runs the protocol.
+    /// Which executor runs the protocol (event: policy and fault plan).
     pub mode: ExecMode,
     /// Aggregation-tree shape; `None` = the paper's flat star.
     pub tree: Option<TreeSpec>,
     /// Sliding-window size `W` in elements; `None` = whole stream.
     pub window: Option<u64>,
-    /// Link faults to inject ([`FaultPlan::none`] = reliable links).
-    pub faults: FaultPlan,
 }
 
 impl ExecConfig {
     /// Whole-stream scenario on the lock-step [`Runner`].
     pub const fn lockstep() -> Self {
-        Self {
-            mode: ExecMode::LockStep,
-            tree: None,
-            window: None,
-            faults: FaultPlan::none(),
-        }
+        Self::of(ExecMode::LockStep)
     }
 
-    /// Whole-stream scenario on the [`EventRuntime`] under `policy`.
+    /// Whole-stream scenario on the [`EventRuntime`] under `policy`, reliable links.
     pub const fn event(policy: DeliveryPolicy) -> Self {
-        Self {
-            mode: ExecMode::Event(policy),
-            tree: None,
-            window: None,
-            faults: FaultPlan::none(),
-        }
+        Self::of(ExecMode::Event(policy, FaultPlan::none()))
     }
 
     /// Whole-stream scenario on the thread-per-site [`ChannelRuntime`].
     pub const fn channel() -> Self {
+        Self::of(ExecMode::Channel)
+    }
+
+    const fn of(mode: ExecMode) -> Self {
         Self {
-            mode: ExecMode::Channel,
+            mode,
             tree: None,
             window: None,
-            faults: FaultPlan::none(),
         }
     }
 
@@ -551,13 +270,6 @@ impl ExecConfig {
     /// The same scenario aggregated through a [`topology::Tree`].
     pub const fn with_tree(mut self, spec: TreeSpec) -> Self {
         self.tree = Some(spec);
-        self
-    }
-
-    /// The same scenario with link faults injected (event modes only —
-    /// see [`ExecMode::build_faulty`]).
-    pub const fn faulty(mut self, plan: FaultPlan) -> Self {
-        self.faults = plan;
         self
     }
 
@@ -577,26 +289,21 @@ impl ExecConfig {
             self.window.is_none(),
             "ExecConfig::build cannot apply a window:W scenario — wrap the \
              protocol in dtrack_core::window::Windowed and build with \
-             ExecMode::build_faulty (dtrack-bench's measure::run does this)"
+             ExecMode::build (dtrack-bench's measure::run does this)"
         );
         assert!(
             self.tree.is_none(),
             "ExecConfig::build cannot apply a tree:F scenario — wrap the \
              protocol in dtrack_sim::exec::topology::Tree and build with \
-             ExecMode::build_faulty (dtrack-bench's measure::run does this)"
+             ExecMode::build (dtrack-bench's measure::run does this)"
         );
-        self.mode.build_faulty(self.faults, protocol, master_seed)
+        self.mode.build(protocol, master_seed)
     }
 }
 
 impl From<ExecMode> for ExecConfig {
     fn from(mode: ExecMode) -> Self {
-        Self {
-            mode,
-            tree: None,
-            window: None,
-            faults: FaultPlan::none(),
-        }
+        Self::of(mode)
     }
 }
 
@@ -613,7 +320,10 @@ impl std::fmt::Display for ExecConfig {
         if let Some(w) = self.window {
             write!(f, "+window:{w}")?;
         }
-        write!(f, "{}", self.faults)
+        if let ExecMode::Event(_, plan) = self.mode {
+            write!(f, "{plan}")?;
+        }
+        Ok(())
     }
 }
 
@@ -622,7 +332,7 @@ impl std::str::FromStr for ExecConfig {
 
     fn from_str(s: &str) -> Result<Self, String> {
         let mut parts = s.split('+');
-        let mode: ExecMode = parts.next().unwrap_or("").parse()?;
+        let mut mode: ExecMode = parts.next().unwrap_or("").parse()?;
         let mut tree = None;
         let mut window = None;
         let mut faults = FaultPlan::none();
@@ -702,11 +412,14 @@ impl std::str::FromStr for ExecConfig {
         faults
             .validate()
             .map_err(|e| format!("scenario {s:?}: {e}"))?;
-        if !faults.is_none() && !matches!(mode, ExecMode::Event(_)) {
-            return Err(format!(
-                "scenario {s:?}: fault suffixes (loss/dup/churn/straggle) require \
-                 the event executor, e.g. event:fixed:8{faults}"
-            ));
+        if !faults.is_none() {
+            let ExecMode::Event(_, plan) = &mut mode else {
+                return Err(format!(
+                    "scenario {s:?}: fault suffixes (loss/dup/churn/straggle) require \
+                     the event executor, e.g. event:fixed:8{faults}"
+                ));
+            };
+            *plan = faults;
         }
         if tree.is_some() && window.is_some() {
             return Err(format!(
@@ -715,21 +428,27 @@ impl std::str::FromStr for ExecConfig {
                  deferral; run the halves separately)"
             ));
         }
-        Ok(Self {
-            mode,
-            tree,
-            window,
-            faults,
-        })
+        Ok(Self { mode, tree, window })
     }
 }
 
-/// Enum dispatch over the three executors, built by [`ExecMode::build`].
+/// One driving surface over the three executors, built by
+/// [`ExecMode::build`] or [`ExecConfig::build`].
 ///
 /// Any protocol runs on any of them: what the [`ChannelRuntime`] variant
 /// needs for its threads (`Send + 'static` sites, elements, messages and
 /// coordinator) is part of the [`Site`], [`Coordinator`](crate::Coordinator)
 /// and [`Words`](crate::Words) traits, so no bound is added here.
+///
+/// Items are taken by value (unlike [`Runner::feed`]'s borrow) so that
+/// the thread-backed executor can move elements into site queues
+/// without cloning.
+///
+/// Contract: [`AnyExec::query`] (and coordinator reads via
+/// [`AnyExec::coord`]) observe a consistent cut only after
+/// [`AnyExec::quiesce`]; between quiesce calls, executors with delayed
+/// delivery may answer from stale coordinator state — that staleness is
+/// exactly what the off-model experiments measure.
 pub enum AnyExec<P: Protocol> {
     /// Lock-step runner.
     LockStep(Runner<P>),
@@ -739,59 +458,163 @@ pub enum AnyExec<P: Protocol> {
     Channel(ChannelRuntime<P>),
 }
 
-macro_rules! dispatch {
-    ($self:expr, $ex:ident => $body:expr) => {
-        match $self {
-            AnyExec::LockStep($ex) => $body,
-            AnyExec::Event($ex) => $body,
-            AnyExec::Channel($ex) => $body,
+impl<P: Protocol> AnyExec<P> {
+    /// Number of sites.
+    pub fn k(&self) -> usize {
+        match self {
+            AnyExec::LockStep(ex) => ex.k(),
+            AnyExec::Event(ex) => ex.k(),
+            AnyExec::Channel(ex) => ex.k(),
         }
-    };
-}
-
-impl<P: Protocol> Executor<P> for AnyExec<P> {
-    fn k(&self) -> usize {
-        dispatch!(self, ex => Executor::<P>::k(ex))
     }
 
-    fn feed(&mut self, site: SiteId, item: <P::Site as Site>::Item) {
-        dispatch!(self, ex => Executor::<P>::feed(ex, site, item))
+    /// Deliver one element to a site.
+    pub fn feed(&mut self, site: SiteId, item: <P::Site as Site>::Item) {
+        match self {
+            AnyExec::LockStep(ex) => ex.feed(site, &item),
+            AnyExec::Event(ex) => ex.feed(site, item),
+            AnyExec::Channel(ex) => ex.feed(site, item),
+        }
     }
 
-    fn feed_at(&mut self, at: u64, site: SiteId, item: <P::Site as Site>::Item) {
-        dispatch!(self, ex => Executor::<P>::feed_at(ex, at, site, item))
+    /// Deliver one element at schedule time `at` (in workload ticks,
+    /// non-decreasing). This is how `Workload::timed` schedules drive an
+    /// executor; what a tick *means* is executor-specific:
+    ///
+    /// * [`EventRuntime`] advances its virtual clock to `at`, delivering
+    ///   any in-flight messages due first — arrival gaps interact with
+    ///   message latency exactly as the schedule says (schedule times
+    ///   its clock already passed are delivered late, in order);
+    /// * [`ChannelRuntime`] converts ticks to wall-clock time and sleeps
+    ///   until the arrival is due (see [`ChannelRuntime::set_tick`]), so
+    ///   the same schedule paces real threads;
+    /// * the lock-step [`Runner`] has no clock at all — it ignores `at`
+    ///   and just feeds (the paper's model, where pacing cannot matter
+    ///   because delivery is instant).
+    pub fn feed_at(&mut self, at: u64, site: SiteId, item: <P::Site as Site>::Item) {
+        match self {
+            AnyExec::LockStep(ex) => ex.feed(site, &item),
+            AnyExec::Event(ex) => ex.feed_at(at, site, item),
+            AnyExec::Channel(ex) => ex.feed_at(at, site, item),
+        }
     }
 
-    fn feed_batch(&mut self, batch: Vec<(SiteId, <P::Site as Site>::Item)>) {
-        dispatch!(self, ex => Executor::<P>::feed_batch(ex, batch))
+    /// Deliver a batch of `(site, item)` pairs, as if one by one in
+    /// order. The event runtime does just that (its queue is bounded by
+    /// the in-flight window: nothing to amortize); the others coalesce.
+    pub fn feed_batch(&mut self, batch: Vec<(SiteId, <P::Site as Site>::Item)>) {
+        match self {
+            AnyExec::LockStep(ex) => ex.feed_batch(&batch),
+            AnyExec::Event(ex) => {
+                for (site, item) in batch {
+                    ex.feed(site, item);
+                }
+            }
+            AnyExec::Channel(ex) => ex.feed_batch(batch),
+        }
     }
 
-    fn quiesce(&mut self) {
-        dispatch!(self, ex => Executor::<P>::quiesce(ex))
+    /// Drive the system to the state the idealized instant-delivery
+    /// model would be in: all queued elements processed, no messages in
+    /// flight. The always-quiescent runner just republishes its live
+    /// snapshot, keeping epochs aligned with the event executor's.
+    pub fn quiesce(&mut self) {
+        match self {
+            AnyExec::LockStep(ex) => ex.publish_now(),
+            AnyExec::Event(ex) => ex.quiesce(),
+            AnyExec::Channel(ex) => {
+                ex.quiesce();
+            }
+        }
     }
 
-    fn stats(&self) -> CommStats {
-        dispatch!(self, ex => Executor::<P>::stats(ex))
+    /// Snapshot of communication statistics.
+    pub fn stats(&self) -> CommStats {
+        match self {
+            AnyExec::LockStep(ex) => ex.stats().clone(),
+            AnyExec::Event(ex) => ex.stats().clone(),
+            AnyExec::Channel(ex) => ex.stats(),
+        }
     }
 
-    fn space(&self) -> SpaceStats {
-        dispatch!(self, ex => Executor::<P>::space(ex))
+    /// Snapshot of peak per-site space.
+    pub fn space(&self) -> SpaceStats {
+        match self {
+            AnyExec::LockStep(ex) => ex.space().clone(),
+            AnyExec::Event(ex) => ex.space().clone(),
+            AnyExec::Channel(ex) => ex.space(),
+        }
     }
 
-    fn coord(&self) -> Option<&P::Coord> {
-        dispatch!(self, ex => Executor::<P>::coord(ex))
+    /// What the fault layer injected and absorbed: `None` unless this is
+    /// an event executor with an active [`FaultPlan`].
+    pub fn fault_stats(&self) -> Option<&FaultStats> {
+        match self {
+            AnyExec::Event(ex) => ex.fault_stats(),
+            _ => None,
+        }
     }
 
-    fn query<R, F>(&mut self, f: F) -> R
+    /// Direct coordinator access, if the executor runs it in-process
+    /// (`None` for the channel runtime — use [`AnyExec::query`]).
+    pub fn coord(&self) -> Option<&P::Coord> {
+        match self {
+            AnyExec::LockStep(ex) => Some(ex.coord()),
+            AnyExec::Event(ex) => Some(ex.coord()),
+            AnyExec::Channel(_) => None,
+        }
+    }
+
+    /// Run a closure against the coordinator state and return its
+    /// result. Call [`AnyExec::quiesce`] first for a consistent cut.
+    pub fn query<R, F>(&mut self, f: F) -> R
     where
         R: Send + 'static,
         F: FnOnce(&P::Coord) -> R + Send + 'static,
     {
-        dispatch!(self, ex => Executor::<P>::query(ex, f))
+        match self {
+            AnyExec::LockStep(ex) => f(ex.coord()),
+            AnyExec::Event(ex) => f(ex.coord()),
+            AnyExec::Channel(ex) => ex.with_coord(f),
+        }
     }
 
-    fn query_handle(&mut self) -> QueryHandle<P::Coord> {
-        dispatch!(self, ex => Executor::<P>::query_handle(ex))
+    /// Create a cloneable, sendable **live-query** handle: reader
+    /// threads answer queries against epoch-stamped immutable snapshots
+    /// of the coordinator (`crate::snapshot`) while ingest continues —
+    /// no quiesce, no locks on either side.
+    ///
+    /// Contract, uniform across executors:
+    ///
+    /// * every answer reflects a **prefix of applied updates** (a whole
+    ///   coordinator state as it existed at some publish boundary —
+    ///   never a torn intermediate);
+    /// * answers lag ingest by **at most one snapshot epoch**: the
+    ///   lock-step and event executors publish at element/arrival
+    ///   boundaries; the channel runtime — like any
+    ///   [`CoordHalf`](crate::transport::CoordHalf), whose cadence it is —
+    ///   publishes when the coordinator catches up with its lanes, at
+    ///   least every [`PUBLISH_EVERY`](crate::transport::PUBLISH_EVERY)
+    ///   applies under sustained load, and when a quiesce settles;
+    /// * immediately after [`AnyExec::quiesce`], a handle read is
+    ///   bit-identical to [`AnyExec::query`] on the same state;
+    /// * installing a handle changes **no protocol behavior** — message
+    ///   counts, words and coordinator state stay bit-identical (the
+    ///   executor only clones coordinator state into the cell).
+    ///
+    /// One hook serves all three — the
+    /// [`LiveQuery`](crate::snapshot::LiveQuery) in each executor's
+    /// [`CoordCore`](crate::step::CoordCore); an executor owns only the
+    /// cadence above. The first call creates the cell (nothing is cloned
+    /// before it), repeated calls return handles of that one cell. Each
+    /// handle keeps the snapshot it last read: clone per reader thread
+    /// rather than sharing one handle.
+    pub fn query_handle(&mut self) -> QueryHandle<P::Coord> {
+        match self {
+            AnyExec::LockStep(ex) => ex.query_handle(),
+            AnyExec::Event(ex) => ex.query_handle(),
+            AnyExec::Channel(ex) => ex.query_handle(),
+        }
     }
 }
 
@@ -801,23 +624,21 @@ mod tests {
 
     #[test]
     fn exec_mode_parses_every_spec() {
+        let ev = |policy| ExecMode::Event(policy, FaultPlan::none());
         let cases: Vec<(&str, ExecMode)> = vec![
             ("lockstep", ExecMode::LockStep),
             ("runner", ExecMode::LockStep),
             ("channel", ExecMode::Channel),
-            ("event", ExecMode::Event(DeliveryPolicy::Instant)),
-            ("event:instant", ExecMode::Event(DeliveryPolicy::Instant)),
-            (
-                "event:fixed:12",
-                ExecMode::Event(DeliveryPolicy::FixedLatency(12)),
-            ),
+            ("event", ev(DeliveryPolicy::Instant)),
+            ("event:instant", ev(DeliveryPolicy::Instant)),
+            ("event:fixed:12", ev(DeliveryPolicy::FixedLatency(12))),
             (
                 "event:random:1:32",
-                ExecMode::Event(DeliveryPolicy::RandomDelay { min: 1, max: 32 }),
+                ev(DeliveryPolicy::RandomDelay { min: 1, max: 32 }),
             ),
             (
                 "event:reorder:16",
-                ExecMode::Event(DeliveryPolicy::AdversarialReorder { window: 16 }),
+                ev(DeliveryPolicy::AdversarialReorder { window: 16 }),
             ),
         ];
         for (spec, want) in cases {
@@ -851,31 +672,21 @@ mod tests {
 
     #[test]
     fn scenario_parses_fault_suffixes() {
-        let ev = || ExecConfig::event(DeliveryPolicy::Instant);
+        let at = |policy, plan| ExecConfig::from(ExecMode::Event(policy, plan));
+        let ev = |plan| at(DeliveryPolicy::Instant, plan);
         let cases: Vec<(&str, ExecConfig)> = vec![
-            (
-                "event+loss:0.05",
-                ev().faulty(FaultPlan::none().with_loss(0.05)),
-            ),
-            (
-                "event+dup:0.5",
-                ev().faulty(FaultPlan::none().with_dup(0.5)),
-            ),
+            ("event+loss:0.05", ev(FaultPlan::none().with_loss(0.05))),
+            ("event+dup:0.5", ev(FaultPlan::none().with_dup(0.5))),
             (
                 "event+churn",
-                ev().faulty(FaultPlan::none().with_churn(faults::DEFAULT_CHURN)),
+                ev(FaultPlan::none().with_churn(faults::DEFAULT_CHURN)),
             ),
-            (
-                "event+churn:0.25",
-                ev().faulty(FaultPlan::none().with_churn(0.25)),
-            ),
-            (
-                "event+straggle:64",
-                ev().faulty(FaultPlan::none().with_straggle(64)),
-            ),
+            ("event+churn:0.25", ev(FaultPlan::none().with_churn(0.25))),
+            ("event+straggle:64", ev(FaultPlan::none().with_straggle(64))),
             (
                 "event:fixed:8+loss:0.1+dup:0.1+churn:0.2+straggle:16",
-                ExecConfig::event(DeliveryPolicy::FixedLatency(8)).faulty(
+                at(
+                    DeliveryPolicy::FixedLatency(8),
                     FaultPlan::none()
                         .with_loss(0.1)
                         .with_dup(0.1)
@@ -886,14 +697,15 @@ mod tests {
             // Suffixes compose with +window:W, in any order.
             (
                 "event:random:1:32+window:4096+loss:0.05",
-                ExecConfig::event(DeliveryPolicy::RandomDelay { min: 1, max: 32 })
-                    .windowed(4096)
-                    .faulty(FaultPlan::none().with_loss(0.05)),
+                at(
+                    DeliveryPolicy::RandomDelay { min: 1, max: 32 },
+                    FaultPlan::none().with_loss(0.05),
+                )
+                .windowed(4096),
             ),
             (
                 "event+loss:0.05+window:4096",
-                ev().windowed(4096)
-                    .faulty(FaultPlan::none().with_loss(0.05)),
+                ev(FaultPlan::none().with_loss(0.05)).windowed(4096),
             ),
             // loss:0 etc. is an explicit no-op, accepted on any mode.
             ("lockstep+loss:0", ExecConfig::lockstep()),
@@ -922,9 +734,11 @@ mod tests {
             // the leaf links).
             (
                 "event:fixed:8+tree:4:3+loss:0.05",
-                ExecConfig::event(DeliveryPolicy::FixedLatency(8))
-                    .with_tree(TreeSpec::new(4).with_depth(3))
-                    .faulty(FaultPlan::none().with_loss(0.05)),
+                ExecConfig::from(ExecMode::Event(
+                    DeliveryPolicy::FixedLatency(8),
+                    FaultPlan::none().with_loss(0.05),
+                ))
+                .with_tree(TreeSpec::new(4).with_depth(3)),
             ),
         ];
         for (spec, want) in cases {

@@ -61,11 +61,11 @@
 //!
 //! The entire hierarchy above the leaves lives inside [`TreeCoord`] —
 //! the coordinator type of the [`Tree`] protocol adapter. To every
-//! [`Executor`](super::Executor) the tree is therefore just another
-//! protocol: the lock-step runner, the event runtime (all delivery
-//! policies and fault plans apply to the leaf↔aggregator links), and
-//! the channel runtime run it unmodified, and
-//! [`query_handle`](super::Executor::query_handle) live queries work at
+//! executor behind [`AnyExec`](super::AnyExec) the tree is therefore
+//! just another protocol: the lock-step runner, the event runtime (all
+//! delivery policies and fault plans apply to the leaf↔aggregator
+//! links), and the channel runtime run it unmodified, and
+//! [`query_handle`](super::AnyExec::query_handle) live queries work at
 //! the root because [`TreeCoord`] is `Clone` like any coordinator.
 //! Internal (aggregator↔aggregator and aggregator↔root) traffic is
 //! accounted per level boundary in [`LevelLoad`]s — the executor's own

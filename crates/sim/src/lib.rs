@@ -19,8 +19,9 @@
 //!
 //! * [`Site`] / [`Coordinator`] / [`Protocol`] traits describing a tracking
 //!   protocol,
-//! * [`exec`], the unified execution layer: the [`Executor`] trait and the
-//!   [`ExecConfig`] selector over the three executors below,
+//! * [`exec`], the unified execution layer: [`AnyExec`], one driving
+//!   surface over the three executors below, and the [`ExecConfig`]
+//!   scenario selector that builds it,
 //! * [`Runner`], a deterministic lock-step executor that enforces the
 //!   instant-communication semantics and does exact accounting
 //!   ([`CommStats`]),
@@ -36,7 +37,7 @@
 //!   lock-free rings and queues in [`ring`], used for robustness tests
 //!   and throughput measurement,
 //! * [`snapshot`], epoch-stamped snapshot cells: every executor exposes a
-//!   [`QueryHandle`] ([`Executor::query_handle`]) so reader threads, one
+//!   [`QueryHandle`] ([`AnyExec::query_handle`]) so reader threads, one
 //!   handle each, answer queries while ingest continues,
 //! * seeded PRNG utilities ([`rng`]) including the geometric skip sampler
 //!   used to make "report with probability `p`" protocols O(1) amortized.
@@ -75,8 +76,8 @@ pub mod transport;
 pub mod wire;
 
 pub use exec::{
-    AnyExec, DeliveryPolicy, EventRuntime, ExecConfig, ExecMode, Executor, FaultPlan, FaultStats,
-    LevelLoad, Tree, TreeCoord, TreeProtocol, TreeSpec,
+    AnyExec, DeliveryPolicy, EventRuntime, ExecConfig, ExecMode, FaultPlan, FaultStats, LevelLoad,
+    Tree, TreeCoord, TreeProtocol, TreeSpec,
 };
 pub use message::{Decode, Encode, Words};
 pub use net::{Dest, Net, Outbox};

@@ -80,7 +80,7 @@ impl<P: Protocol> Runner<P> {
     /// (elements that induce no communication republish nothing — the
     /// snapshot is already current), so readers on other threads lag
     /// ingest by at most one element; [`Runner::publish_now`] (called by
-    /// the [`crate::exec::Executor`] `quiesce` impl) republishes on demand.
+    /// [`crate::AnyExec::quiesce`]) republishes on demand.
     ///
     /// Installing a handle never changes protocol behavior — messages,
     /// words and coordinator state stay bit-identical; the runner merely

@@ -12,7 +12,7 @@
 use dtrack::core::boost::{Replicated, ReplicatedCoord};
 use dtrack::core::count::{RandCountCoord, RandomizedCount};
 use dtrack::core::TrackingConfig;
-use dtrack::sim::{DeliveryPolicy, ExecConfig, ExecMode, Executor};
+use dtrack::sim::{DeliveryPolicy, ExecConfig, ExecMode};
 use dtrack::workload::{MuCase, MuDistribution, SubroundInstance};
 
 fn main() {
@@ -82,7 +82,7 @@ fn main() {
     // those scenarios quiesce and check at checkpoints instead.
     let per_element = matches!(
         exec.mode,
-        ExecMode::LockStep | ExecMode::Event(DeliveryPolicy::Instant)
+        ExecMode::LockStep | ExecMode::Event(DeliveryPolicy::Instant, _)
     );
     for t in 0..n {
         // Adversarial: bursty skew toward site 0 with occasional spread.

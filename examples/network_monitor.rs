@@ -49,8 +49,8 @@ use dtrack::core::frequency::{RandFreqCoord, RandomizedFrequency};
 use dtrack::core::window::{WinCoord, Windowed};
 use dtrack::core::TrackingConfig;
 use dtrack::sim::{
-    CoordHalf, Decode, ExecConfig, Executor, Protocol, Site, SiteHalf, TcpCoordLink, TcpSiteLink,
-    Tree, TreeCoord,
+    CoordHalf, Decode, ExecConfig, Protocol, Site, SiteHalf, TcpCoordLink, TcpSiteLink, Tree,
+    TreeCoord,
 };
 use dtrack::sketch::exact::ExactCounts;
 use dtrack::workload::scenarios;
@@ -318,75 +318,52 @@ fn single_process(args: &[String]) {
     let chunk_len = batch.len().div_ceil(CHUNKS);
     println!("scenario: {exec} — hot flows rotate {phases}× over {n} packets");
 
-    // (reported heavy hitters, per-true-flow direct estimates, stats, space).
-    let (reported, estimates, stats, peak) = if let Some(spec) = exec.tree {
-        let mut ex = exec.mode.build(&Tree::new(proto, spec), 7);
-        let handle = ex.query_handle();
-        let mut fed = 0u64;
-        for chunk in batch.chunks(chunk_len) {
-            ex.feed_batch(chunk.to_vec());
-            fed += chunk.len() as u64;
-            let (epoch, live) =
-                handle.read(|s| (s.epoch, s.state.root().heavy_hitters(report_at).len()));
-            println!(
-                "  live @ {fed:>7} pkts: {live:>3} candidate heavy flows (snapshot epoch {epoch})"
-            );
-        }
-        ex.quiesce();
-        let (hh, ests) = handle.read(|s| {
-            let c: &TreeCoord<RandomizedFrequency> = &s.state;
-            let ests: Vec<f64> = truth_flows
-                .iter()
-                .map(|&f| c.root().estimate_frequency(f))
-                .collect();
-            (c.root().heavy_hitters(report_at), ests)
-        });
-        (hh, ests, ex.stats(), ex.space().max_peak())
-    } else if let Some(win) = exec.window {
-        let mut ex = exec.mode.build(&Windowed::new(proto, win), 7);
-        let handle = ex.query_handle();
-        let mut fed = 0u64;
-        for chunk in batch.chunks(chunk_len) {
-            ex.feed_batch(chunk.to_vec());
-            fed += chunk.len() as u64;
-            let (epoch, live) =
-                handle.read(|s| (s.epoch, s.state.windowed_heavy_hitters(report_at).len()));
-            println!(
-                "  live @ {fed:>7} pkts: {live:>3} candidate heavy flows (snapshot epoch {epoch})"
-            );
-        }
-        ex.quiesce();
-        let (hh, ests) = handle.read(|s| {
-            let c: &WinCoord<RandomizedFrequency> = &s.state;
-            let ests: Vec<f64> = truth_flows
-                .iter()
-                .map(|&f| c.windowed_frequency(f))
-                .collect();
-            (c.windowed_heavy_hitters(report_at), ests)
-        });
-        (hh, ests, ex.stats(), ex.space().max_peak())
-    } else {
-        let mut ex = exec.mode.build(&proto, 7);
-        let handle = ex.query_handle();
-        let mut fed = 0u64;
-        for chunk in batch.chunks(chunk_len) {
-            ex.feed_batch(chunk.to_vec());
-            fed += chunk.len() as u64;
-            let (epoch, live) = handle.read(|s| (s.epoch, s.state.heavy_hitters(report_at).len()));
-            println!(
-                "  live @ {fed:>7} pkts: {live:>3} candidate heavy flows (snapshot epoch {epoch})"
-            );
-        }
-        ex.quiesce();
-        let (hh, ests) = handle.read(|s| {
-            let c: &RandFreqCoord = &s.state;
-            let ests: Vec<f64> = truth_flows
-                .iter()
-                .map(|&f| c.estimate_frequency(f))
-                .collect();
-            (c.heavy_hitters(report_at), ests)
-        });
-        (hh, ests, ex.stats(), ex.space().max_peak())
+    // One live-read loop for every shape: `hh` lists the candidate heavy
+    // flows and `freq` estimates one flow's count, each against the
+    // shape's coordinator (flat, windowed, or the tree's root). Returns
+    // (reported heavy hitters, per-true-flow estimates, stats, space).
+    macro_rules! watch {
+        ($proto:expr, $hh:expr, $freq:expr) => {{
+            let (hh, freq) = ($hh, $freq);
+            let mut ex = exec.mode.build(&$proto, 7);
+            let handle = ex.query_handle();
+            let mut fed = 0u64;
+            for chunk in batch.chunks(chunk_len) {
+                ex.feed_batch(chunk.to_vec());
+                fed += chunk.len() as u64;
+                let (epoch, live) = handle.read(|s| (s.epoch, hh(&s.state, report_at).len()));
+                println!(
+                    "  live @ {fed:>7} pkts: {live:>3} candidate heavy flows (snapshot epoch {epoch})"
+                );
+            }
+            ex.quiesce();
+            let (reported, ests) = handle.read(|s| {
+                let ests: Vec<f64> = truth_flows.iter().map(|&f| freq(&s.state, f)).collect();
+                (hh(&s.state, report_at), ests)
+            });
+            (reported, ests, ex.stats(), ex.space().max_peak())
+        }};
+    }
+    // The scenario's shape wraps the protocol (`+tree` and `+window` are
+    // mutually exclusive — the parser rejects the combination).
+    type TreeFreq = TreeCoord<RandomizedFrequency>;
+    type WinFreq = WinCoord<RandomizedFrequency>;
+    let (reported, estimates, stats, peak) = match (exec.tree, exec.window) {
+        (Some(spec), _) => watch!(
+            Tree::new(proto, spec),
+            |c: &TreeFreq, at| c.root().heavy_hitters(at),
+            |c: &TreeFreq, f| c.root().estimate_frequency(f)
+        ),
+        (None, Some(win)) => watch!(
+            Windowed::new(proto, win),
+            |c: &WinFreq, at| c.windowed_heavy_hitters(at),
+            |c: &WinFreq, f| c.windowed_frequency(f)
+        ),
+        (None, None) => watch!(
+            proto,
+            |c: &RandFreqCoord, at| c.heavy_hitters(at),
+            |c: &RandFreqCoord, f| c.estimate_frequency(f)
+        ),
     };
 
     println!(

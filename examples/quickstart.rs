@@ -23,7 +23,7 @@ use dtrack::core::count::{DeterministicCount, RandomizedCount};
 use dtrack::core::query::CountQuery;
 use dtrack::core::window::Windowed;
 use dtrack::core::TrackingConfig;
-use dtrack::sim::{ExecConfig, Executor, Tree};
+use dtrack::sim::{ExecConfig, Tree};
 
 fn main() {
     let exec: ExecConfig = std::env::args()
@@ -42,7 +42,7 @@ fn main() {
     let run = |randomized: bool| -> (f64, u64, u64, u64) {
         macro_rules! drive {
             ($proto:expr) => {{
-                let mut ex = exec.mode.build_faulty(exec.faults, &$proto, 42);
+                let mut ex = exec.mode.build(&$proto, 42);
                 ex.feed_batch(batch.clone());
                 ex.quiesce();
                 let est: f64 = ex.query(|c| c.count());

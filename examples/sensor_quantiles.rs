@@ -7,8 +7,10 @@
 //! allow (the ROADMAP's `Workload::timed` → real-threads pacing).
 //!
 //! Run: `cargo run --release --example sensor_quantiles [EXEC]`
-//! e.g. `… -- lockstep`, `… -- event:fixed:8`,
-//!      `… -- channel+window:100000` (p50/p95 of the last 100k readings)
+//! e.g. `… -- lockstep`, `… -- event:fixed:8+loss:0.05`,
+//!      `… -- channel+window:100000` (p50/p95 of the last 100k readings),
+//!      `… -- channel+tree:5` (readings aggregated through regional
+//!      collectors; the base station answers at the tree's root)
 //!
 //! Self-checking: exits 1 if the final, post-quiesce median or p95 is
 //! more than ε (2 %) of the tracked readings away from its true rank.
@@ -18,7 +20,7 @@ use std::time::Duration;
 use dtrack::core::rank::{RandRankCoord, RandomizedRank};
 use dtrack::core::window::{WinCoord, Windowed};
 use dtrack::core::TrackingConfig;
-use dtrack::sim::{AnyExec, ExecConfig, Executor};
+use dtrack::sim::{AnyExec, ExecConfig, Tree, TreeCoord};
 use dtrack::workload::items::DistinctSeq;
 use dtrack::workload::{Pacing, UniformSites, Workload};
 
@@ -85,7 +87,21 @@ fn main() {
     }
 
     println!("scenario: {exec} — bursty schedule (50 readings / 25 ticks)");
-    let worst = if let Some(w) = exec.window {
+    // The scenario's shape wraps the protocol (`+tree` and `+window` are
+    // mutually exclusive — the parser rejects the combination).
+    let worst = if let Some(spec) = exec.tree {
+        drive!(
+            exec.mode.build(&Tree::new(proto, spec), 11),
+            |c: &TreeCoord<RandomizedRank>| {
+                let root = c.root();
+                (
+                    root.quantile(0.50, 0, u64::MAX),
+                    root.quantile(0.95, 0, u64::MAX),
+                    root.estimate_total(),
+                )
+            }
+        )
+    } else if let Some(w) = exec.window {
         drive!(
             exec.mode.build(&Windowed::new(proto, w), 11),
             |c: &WinCoord<RandomizedRank>| {

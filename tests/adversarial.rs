@@ -11,7 +11,7 @@ use dtrack::core::frequency::RandomizedFrequency;
 use dtrack::core::rank::RandomizedRank;
 use dtrack::core::reduction::{encode, frequency_from_ranks, TieBreaker};
 use dtrack::core::TrackingConfig;
-use dtrack::sim::{DeliveryPolicy, ExecConfig, Executor, Runner};
+use dtrack::sim::{DeliveryPolicy, ExecConfig, Runner};
 use dtrack::workload::{MuCase, MuDistribution, SubroundInstance};
 
 #[test]

@@ -10,7 +10,7 @@ use dtrack::core::frequency::{RandomizedFrequency, TopK};
 use dtrack::core::rank::RandomizedRank;
 use dtrack::core::TrackingConfig;
 use dtrack::sim::exec::EventRuntime;
-use dtrack::sim::{DeliveryPolicy, ExecConfig, Executor, Runner};
+use dtrack::sim::{DeliveryPolicy, ExecConfig, Runner};
 use dtrack::sketch::exact::ExactCounts;
 use dtrack::workload::items::DistinctSeq;
 use dtrack::workload::{DriftingItems, Pacing, RoundRobin, Sequential, Workload};

@@ -31,7 +31,7 @@ use dtrack::core::frequency::RandomizedFrequency;
 use dtrack::core::window::{WinCoord, Windowed};
 use dtrack::core::TrackingConfig;
 use dtrack::sim::exec::{DeliveryPolicy, EventRuntime};
-use dtrack::sim::{ExecConfig, Executor, FaultPlan};
+use dtrack::sim::{CommStats, ExecConfig, FaultPlan, FaultStats, Protocol, Site, Tree, TreeSpec};
 use dtrack::workload::{AdaptiveSites, SiteAssign, UniformSites, Workload, ZipfItems};
 use dtrack_bench::measure::{assert_mean_error_le_eps, rows, run, Algo, Problem};
 
@@ -106,7 +106,7 @@ fn smoke_windowed_faulty() {
         .unwrap();
     let (n, w) = (6_000u64, 2_048u64);
     let proto = Windowed::new(RandomizedCount::new(TrackingConfig::new(K, 0.1)), w);
-    let mut ex = exec.mode.build_faulty(exec.faults, &proto, 3);
+    let mut ex = exec.mode.build(&proto, 3);
     for t in 0..n {
         ex.feed_at(t * 8, (t % K as u64) as usize, t);
     }
@@ -116,6 +116,53 @@ fn smoke_windowed_faulty() {
         est.is_finite() && (est - w as f64).abs() <= 0.75 * w as f64,
         "windowed estimate {est} vs w {w}"
     );
+}
+
+/// A shaped scenario keeps its fault suffixes: `ExecMode::build` over a
+/// `Windowed` or `Tree` protocol — the path every `+window` / `+tree`
+/// driver takes — injects the parsed plan, so the faults show in the
+/// fault record and move the run's accounting off the reliable run's.
+#[test]
+fn shaped_builds_inject_the_parsed_faults() {
+    fn drive<P>(exec: ExecConfig, proto: &P) -> (CommStats, Option<FaultStats>)
+    where
+        P: Protocol,
+        P::Site: Site<Item = u64>,
+    {
+        let mut ex = exec.mode.build(proto, 5);
+        ex.feed_batch(
+            (0..4_000u64)
+                .map(|t| ((t % K as u64) as usize, t))
+                .collect(),
+        );
+        ex.quiesce();
+        (ex.stats(), ex.fault_stats().cloned())
+    }
+    let faulty: ExecConfig = "event+loss:0.2+dup:0.2".parse().unwrap();
+    let reliable: ExecConfig = "event".parse().unwrap();
+    let count = || RandomizedCount::new(TrackingConfig::new(K, 0.1));
+    let windowed = Windowed::new(count(), 1_024);
+    let tree = Tree::new(count(), TreeSpec::new(2));
+    for (shape, (stats, faults), (clean, none)) in [
+        (
+            "window",
+            drive(faulty, &windowed),
+            drive(reliable, &windowed),
+        ),
+        ("tree", drive(faulty, &tree), drive(reliable, &tree)),
+    ] {
+        let fs = faults.unwrap_or_else(|| panic!("+{shape}: no fault layer was built"));
+        assert!(fs.retransmissions > 0, "+{shape}: {fs:?}");
+        assert!(fs.duplicates > 0, "+{shape}: {fs:?}");
+        assert!(
+            none.is_none(),
+            "+{shape}: a reliable run built a fault layer"
+        );
+        assert_ne!(
+            stats, clean,
+            "+{shape}: faults left the accounting untouched"
+        );
+    }
 }
 
 /// `EventRuntime::with_faults` with an empty plan takes the exact

@@ -20,7 +20,7 @@ use std::thread;
 use dtrack::core::count::RandomizedCount;
 use dtrack::core::TrackingConfig;
 use dtrack::sim::runtime::ChannelRuntime;
-use dtrack::sim::{ExecConfig, Executor};
+use dtrack::sim::ExecConfig;
 
 /// Batched fast path: millions of elements through `feed_batch` on the
 /// channel executor. The batch is ~250× the per-site ring capacity, so

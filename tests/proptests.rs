@@ -12,7 +12,8 @@ use dtrack::core::window::{WinCoord, Windowed};
 use dtrack::core::TrackingConfig;
 use dtrack::sim::exec::EventRuntime;
 use dtrack::sim::{
-    ExecConfig, Executor, FaultPlan, Protocol, Runner, Site, Tree, TreeCoord, TreeSpec,
+    DeliveryPolicy, ExecConfig, ExecMode, FaultPlan, Protocol, Runner, Site, Tree, TreeCoord,
+    TreeSpec,
 };
 use proptest::prelude::*;
 
@@ -44,7 +45,7 @@ fn assert_snapshot_equivalence<P, Q>(
     let mut runner = Runner::new(proto, seed);
     let mut event = EventRuntime::new(proto, seed);
     let hr = runner.query_handle();
-    let he = Executor::<P>::query_handle(&mut event);
+    let he = event.query_handle();
     assert_eq!(hr.epoch(), 0, "{name}: runner handle not fresh at epoch 0");
     assert_eq!(he.epoch(), 0, "{name}: event handle not fresh at epoch 0");
     for &(site, item) in arrivals {
@@ -59,7 +60,7 @@ fn assert_snapshot_equivalence<P, Q>(
             a.1
         );
     }
-    Executor::<P>::quiesce(&mut runner);
+    runner.publish_now();
     event.quiesce();
     let a = hr.read(|s| (s.epoch, queries(&s.state)));
     let b = he.read(|s| (s.epoch, queries(&s.state)));
@@ -76,7 +77,7 @@ fn assert_snapshot_equivalence<P, Q>(
     // Channel executor: monotone epochs while real threads race, exact
     // agreement with the stop-the-world query once quiesced.
     let mut ch = ExecConfig::channel().build(proto, seed);
-    let hc = Executor::<P>::query_handle(&mut ch);
+    let hc = ch.query_handle();
     let mut last_epoch = 0u64;
     for &(site, item) in arrivals {
         ch.feed(site, item);
@@ -273,7 +274,7 @@ proptest! {
             .with_churn(churn)
             .with_straggle(straggle);
         prop_assert!(plan.validate().is_ok());
-        let mut cfg = ExecConfig::event(dtrack::sim::DeliveryPolicy::Instant).faulty(plan);
+        let mut cfg = ExecConfig::from(ExecMode::Event(DeliveryPolicy::Instant, plan));
         if window >= 2 {
             cfg = cfg.windowed(window);
         }

@@ -1,6 +1,6 @@
 //! Live-query battery for the snapshot read path.
 //!
-//! The `Executor::query_handle` contract under test (see
+//! The `AnyExec::query_handle` contract under test (see
 //! `dtrack::sim::snapshot`):
 //!
 //! * **Prefix consistency** — every answer comes from a whole coordinator
@@ -27,7 +27,7 @@ use std::time::{Duration, Instant};
 use dtrack::core::count::{DetCountCoord, DeterministicCount, RandomizedCount};
 use dtrack::core::TrackingConfig;
 use dtrack::sim::runtime::ChannelRuntime;
-use dtrack::sim::{ExecConfig, Executor, QueryHandle};
+use dtrack::sim::{AnyExec, ExecConfig, QueryHandle};
 
 const K: usize = 8;
 const EPS: f64 = 0.05;
@@ -37,7 +37,7 @@ fn det_count() -> DeterministicCount {
 }
 
 /// Feed `n` elements round-robin through the batched fast path.
-fn feed_round_robin(ex: &mut impl Executor<DeterministicCount>, n: u64, offset: u64) {
+fn feed_round_robin(ex: &mut AnyExec<DeterministicCount>, n: u64, offset: u64) {
     let batch: Vec<(usize, u64)> = (0..n)
         .map(|t| (((offset + t) % K as u64) as usize, offset + t))
         .collect();

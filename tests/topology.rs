@@ -21,7 +21,7 @@
 use dtrack::core::count::{DeterministicCount, RandomizedCount};
 use dtrack::core::TrackingConfig;
 use dtrack::sim::exec::DeliveryPolicy;
-use dtrack::sim::{ExecConfig, Executor, Protocol, Runner, Tree, TreeCoord, TreeSpec};
+use dtrack::sim::{ExecConfig, Protocol, Runner, Tree, TreeCoord, TreeSpec};
 use dtrack_bench::measure::{assert_mean_error_le_eps, rows, run, Algo, Problem, Run};
 
 const K: usize = 8;

@@ -12,7 +12,7 @@ use dtrack::core::sampling::ContinuousSampling;
 use dtrack::core::window::{EpochProtocol, WinCoord, Windowed};
 use dtrack::core::TrackingConfig;
 use dtrack::sim::exec::{DeliveryPolicy, EventRuntime};
-use dtrack::sim::{ExecConfig, ExecMode, Executor, Protocol, Runner};
+use dtrack::sim::{ExecConfig, ExecMode, FaultPlan, Protocol, Runner};
 use dtrack::workload::scenarios;
 use dtrack_bench::measure::{
     assert_mean_error_le_eps, rows, run, windowed_frequency_bias, Algo, Problem,
@@ -87,7 +87,7 @@ fn windowed_count_equivalence_across_deterministic_executors() {
         ex.quiesce();
         ex.query(|c: &WinCoord<RandomizedCount>| (c.n_approx(), c.epoch(), c.bucket_count()))
     };
-    let instant = ExecMode::Event(DeliveryPolicy::Instant);
+    let instant = ExecMode::Event(DeliveryPolicy::Instant, FaultPlan::none());
     assert_eq!(state(ExecMode::LockStep), state(instant));
 }
 
@@ -347,7 +347,7 @@ fn uncorrected_digests_show_positive_rare_item_bias() {
     );
 }
 
-/// Timed schedules drive every executor through `Executor::feed_at`:
+/// Timed schedules drive every executor through `feed_at`:
 /// the event runtime interprets ticks virtually, and the windowed
 /// answers still come out right on a bursty timeline.
 #[test]
@@ -357,7 +357,7 @@ fn windowed_timed_schedule_drives_the_event_runtime() {
     let mut ex = EventRuntime::with_policy(&proto, 9, DeliveryPolicy::FixedLatency(3));
     let schedule = scenarios::bursty_drifting(k, n, 2, 64, 16, 5);
     for a in schedule {
-        Executor::<Windowed<RandomizedCount>>::feed_at(&mut ex, a.at, a.site, a.item);
+        ex.feed_at(a.at, a.site, a.item);
     }
     ex.quiesce();
     let est = ex.coord().windowed_count();
