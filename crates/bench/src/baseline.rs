@@ -1,20 +1,19 @@
-//! Word/byte regression gate: a committed JSON baseline of words (and
-//! codec bytes) per protocol/workload cell, and a `--check` comparator.
+//! Word regression gate: a committed JSON baseline of words per
+//! protocol/workload cell, and a `--check` comparator.
 //!
 //! The paper's cost model is communication, and on the lock-step executor
 //! that count is deterministic — so the gate is machine-independent:
-//! `perf_baseline` writes or checks words and bytes, identically on every
-//! machine; `bash benchmark/run.sh` measures time. Nothing in this module
-//! reads a clock.
+//! `perf_baseline` writes or checks words, identically on every machine;
+//! `bash benchmark/run.sh` measures time. Codec bytes are pinned exactly
+//! per scenario by `measure`'s tests, and gated per workload by the
+//! benchmark's `bytes_per_kelem`. Nothing in this module reads a clock.
 //!
 //! * [`measure_cells`] runs the protocol matrix through
 //!   [`measure::run`](crate::measure::run), each scenario once per seed
 //!   — the seven Table-1 protocol cells on their standard workloads, two
 //!   sliding-window cells (count and frequency, lock-step executor) and
-//!   one windowed cell on the *channel* runtime — and carves two panels
-//!   out of those runs: **median words** per scenario, and the
-//!   wire-format panel (`bytes/*`: total codec bytes of each lock-step
-//!   scenario, advisory).
+//!   one windowed cell on the *channel* runtime — and records the
+//!   **median words** per scenario.
 //! * [`measure_topology_cells`] runs the hierarchical-topology panel:
 //!   the randomized count protocol on the flat star vs a binary
 //!   depth-4 aggregation tree, recording root-load words **per level**
@@ -107,26 +106,14 @@ fn cell(id: String, exact: bool, words: Vec<u64>) -> Cell {
     }
 }
 
-/// Run the protocol matrix — each scenario **once per seed** — and
-/// return `(word cells, byte cells)`, both carved out of the same runs.
-///
-/// * **Word cells**, one per scenario: the seven Table-1 protocol cells,
-///   two sliding-window cells on the lock-step executor, and the same
-///   windowed count on the channel runtime. Lock-step cells are `exact`:
-///   they run `p.seeds` seeds and gate on the median words. The channel
-///   cell is not: it runs `max(p.seeds, INEXACT_SEEDS)` seeds and records
-///   the min/max of its words distribution.
-/// * **Byte cells** (`bytes/<id>`), one per lock-step scenario: total
-///   **codec bytes** (`CommSpace::bytes` — every message's measured size
-///   under `dtrack_sim::wire`) of the very same runs, in the cell's
-///   `words` slot. They are **advisory** (`exact: false`) by design: the
-///   byte totals are deterministic on the lock-step executor, but the
-///   codec is an encoding choice, not protocol behavior — varint width
-///   tuning or a tag reshuffle must not demand the hard-gate ritual
-///   reserved for word (≡ algorithm) changes. The word cells stay the
-///   proof obligation; these watch the bytes-per-word ratio against the
-///   recorded range.
-pub fn measure_cells(p: Params) -> (Vec<Cell>, Vec<Cell>) {
+/// Run the protocol matrix and return one word cell per scenario: the
+/// seven Table-1 protocol cells, two sliding-window cells on the
+/// lock-step executor, and the same windowed count on the channel
+/// runtime. Lock-step cells are `exact`: they run `p.seeds` seeds and
+/// gate on the median words. The channel cell is not: it runs
+/// `max(p.seeds, INEXACT_SEEDS)` seeds and records the min/max of its
+/// words distribution.
+pub fn measure_cells(p: Params) -> Vec<Cell> {
     use Algo::{Deterministic, Randomized, Sampling};
     use Problem::{Count, Frequency, Rank};
     let lockstep = ExecConfig::lockstep();
@@ -160,26 +147,25 @@ pub fn measure_cells(p: Params) -> (Vec<Cell>, Vec<Cell>) {
         ("frequency/windowed", windowed, Frequency, Randomized),
         ("window/channel", channel, Count, Randomized),
     ];
-    let (mut word_cells, mut byte_cells) = (Vec::new(), Vec::new());
-    for (id, exec, problem, algo) in scenarios {
-        let exact = exec.mode == ExecMode::LockStep;
-        let seeds = if exact {
-            p.seeds
-        } else {
-            p.seeds.max(INEXACT_SEEDS)
-        };
-        let (mut words, mut bytes) = (Vec::new(), Vec::new());
-        for seed in 0..seeds {
-            let cost = run(exec, problem, algo, p.k, p.eps, p.n, seed).cost;
-            words.push(cost.words);
-            bytes.push(cost.bytes);
-        }
-        word_cells.push(cell(id.to_string(), exact, words));
-        if exact {
-            byte_cells.push(cell(format!("bytes/{id}"), false, bytes));
-        }
-    }
-    (word_cells, byte_cells)
+    scenarios
+        .into_iter()
+        .map(|(id, exec, problem, algo)| {
+            let exact = exec.mode == ExecMode::LockStep;
+            let seeds = if exact {
+                p.seeds
+            } else {
+                p.seeds.max(INEXACT_SEEDS)
+            };
+            let words = (0..seeds)
+                .map(|seed| {
+                    run(exec, problem, algo, p.k, p.eps, p.n, seed)
+                        .cost()
+                        .total_words()
+                })
+                .collect();
+            cell(id.to_string(), exact, words)
+        })
+        .collect()
 }
 
 /// Fanout of the topology panel's tree: binary, so the default CI
@@ -226,7 +212,7 @@ pub fn measure_topology_cells(p: Params) -> Vec<Cell> {
     let mut leaf_words = Vec::new();
     let mut level_words: Vec<Vec<u64>> = vec![Vec::new(); TOPOLOGY_DEPTH - 1];
     for seed in 0..seeds {
-        flat_words.push(count(flat, seed).cost.words);
+        flat_words.push(count(flat, seed).cost().total_words());
         let run = count(tree, seed);
         leaf_words.push(run.stats.total_words());
         assert_eq!(
@@ -395,7 +381,7 @@ pub struct Comparison {
     /// unknown cell. CI fails on any of these.
     pub hard: Vec<String>,
     /// Advisory signals — a median outside the recorded range on an
-    /// inexact cell (thread-timed words, `topology/*`, `bytes/*`).
+    /// inexact cell (thread-timed words, `topology/*`).
     /// Printed, never failing.
     pub advisory: Vec<String>,
 }
@@ -633,8 +619,8 @@ mod tests {
             eps: 0.2,
             seeds: 1,
         };
-        let (a, a_bytes) = measure_cells(p);
-        let (b, b_bytes) = measure_cells(p);
+        let a = measure_cells(p);
+        let b = measure_cells(p);
         assert_eq!(a.len(), 10);
         assert_eq!(a.iter().filter(|c| !c.exact).count(), 1);
         for (x, y) in a.iter().zip(&b) {
@@ -658,20 +644,6 @@ mod tests {
                     x.words_max
                 );
             }
-        }
-        // The byte panel is carved out of the same runs: one advisory
-        // `bytes/<id>` cell per exact cell, in matrix order, and just as
-        // deterministic.
-        let want: Vec<String> = a
-            .iter()
-            .filter(|c| c.exact)
-            .map(|c| format!("bytes/{}", c.id))
-            .collect();
-        let got: Vec<&str> = a_bytes.iter().map(|c| c.id.as_str()).collect();
-        assert_eq!(got, want);
-        for (x, y) in a_bytes.iter().zip(&b_bytes) {
-            assert!(!x.exact && x.words > 0, "{}", x.id);
-            assert_eq!(x.words, y.words, "{}", x.id);
         }
     }
 }

@@ -36,7 +36,8 @@ fn main() {
     ];
     for &eps in &epss {
         let vals = columns.map(|(problem, algo)| {
-            median((0..seeds).map(|s| run(exec, problem, algo, k, eps, n, s).cost.words)) as f64
+            median((0..seeds).map(|s| run(exec, problem, algo, k, eps, n, s).cost().total_words()))
+                as f64
         });
         for (i, v) in vals.iter().enumerate() {
             series[i].push(*v);

@@ -46,7 +46,8 @@ fn main() {
                 Problem::Rank => (rank_eps, rank_n),
                 _ => (eps, n),
             };
-            median((0..seeds).map(|s| run(exec, problem, algo, k, eps, n, s).cost.words)) as f64
+            median((0..seeds).map(|s| run(exec, problem, algo, k, eps, n, s).cost().total_words()))
+                as f64
         });
         for (i, v) in vals.iter().enumerate() {
             series[i].push(*v);

@@ -23,8 +23,8 @@ fn main() {
     let med = |problem: Problem, n: u64| -> f64 {
         let words = |s| {
             run(exec, problem, Algo::Randomized, k, eps, n, s)
-                .cost
-                .words
+                .cost()
+                .total_words()
         };
         median((0..seeds).map(words)) as f64
     };

@@ -23,7 +23,7 @@ fn main() {
     // Median peak words per site over the seed set, formatted.
     let space = |problem: Problem, algo: Algo, k: usize, eps: f64| -> String {
         let n = if problem == Problem::Rank { rank_n } else { n };
-        let peak = |s| run(exec, problem, algo, k, eps, n, s).cost.max_space;
+        let peak = |s| run(exec, problem, algo, k, eps, n, s).max_space();
         fmt_num(median((0..seeds).map(peak)) as f64)
     };
 

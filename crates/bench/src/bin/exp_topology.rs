@@ -133,7 +133,7 @@ fn main() {
                 // The flat star's root sees every word in the system:
                 // its root load IS the run's total. The tree's root load
                 // is the top boundary.
-                let flat = |s| run(exec, problem, algo, k, eps, n, s).cost.words;
+                let flat = |s| run(exec, problem, algo, k, eps, n, s).cost().total_words();
                 let flat_words = median((0..seeds).map(flat)) as f64;
                 let tree: Vec<_> = (0..seeds)
                     .map(|s| run(exec.with_tree(depth2(k)), problem, algo, k, eps, n, s))
@@ -144,7 +144,7 @@ fn main() {
                     k,
                     algo: format!("{short}-{suffix}"),
                     flat_words,
-                    tree_words: median(tree.iter().map(|r| r.cost.words)) as f64,
+                    tree_words: median(tree.iter().map(|r| r.cost().total_words())) as f64,
                     flat_root: flat_words,
                     tree_root: median(tree.iter().map(Run::root_words)) as f64,
                     err: errs[errs.len() / 2],

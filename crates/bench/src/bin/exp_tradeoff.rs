@@ -28,8 +28,8 @@ fn main() {
     // Median (words, peak words/site) pair over the seed set.
     let med = |algo: Algo, eps: f64| -> (f64, f64) {
         let (c, m) = median((0..seeds).map(|s| {
-            let cs = run(exec, Problem::Frequency, algo, k, eps, n, s).cost;
-            (cs.words, cs.max_space)
+            let r = run(exec, Problem::Frequency, algo, k, eps, n, s);
+            (r.cost().total_words(), r.max_space())
         }));
         (c as f64, m as f64)
     };

@@ -101,7 +101,7 @@ fn main() {
         };
         let med = |exec| median_run(seeds, |s| run(exec, problem, algo, k, eps, n, s));
         let (whole, win) = (med(exec), med(exec.windowed(w)));
-        let (whole_words, win_words) = (whole.cost.words, win.cost.words);
+        let (whole_words, win_words) = (whole.cost().total_words(), win.cost().total_words());
         t.row([
             problem.to_string(),
             label.to_string(),

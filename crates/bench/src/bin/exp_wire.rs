@@ -17,6 +17,9 @@
 //!   grows as `√k`), and the binary exits non-zero if the ordering is
 //!   violated there.
 //!
+//! Words and bytes both come from `Run::cost()`, so under `+tree` both
+//! cover every link, internal aggregator links included.
+//!
 //! Usage: `exp_wire [N] [EPS] [SEEDS] [EXEC]`
 
 use dtrack_bench::cli::{arg, banner, exec_arg};
@@ -47,8 +50,8 @@ fn main() {
     let med = |problem: Problem, algo: Algo, k: usize| -> (f64, f64) {
         let n = if problem == Problem::Rank { rank_n } else { n };
         let (ws, bs): (Vec<u64>, Vec<u64>) = (0..seeds)
-            .map(|s| run(exec, problem, algo, k, eps, n, s).cost)
-            .map(|cs| (cs.words, cs.bytes))
+            .map(|s| run(exec, problem, algo, k, eps, n, s).cost())
+            .map(|cs| (cs.total_words(), cs.total_bytes()))
             .unzip();
         (median(ws) as f64, median(bs) as f64)
     };

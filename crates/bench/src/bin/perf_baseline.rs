@@ -1,4 +1,4 @@
-//! Word/byte regression gate: write or check `BENCH_baseline.json`.
+//! Word regression gate: write or check `BENCH_baseline.json`.
 //!
 //! * `perf_baseline` — run the fixed protocol/workload matrix and
 //!   (re)write the baseline file wholesale. Do this deliberately when a
@@ -14,13 +14,10 @@
 //! Any other argument prints usage and exits 2 before anything is
 //! measured or written — a typo must not overwrite the committed gate.
 //!
-//! Two advisory panels ride along in both modes: the
-//! hierarchical-topology panel (`topology/*` cells: flat-star vs
-//! binary-tree root-load words per level) and the wire-format panel
-//! (`bytes/*` cells: total codec bytes per protocol, read off the same
-//! runs as the word cells — byte totals are deterministic on lock-step
-//! but the codec is an encoding choice, not protocol behavior, so tuning
-//! it must not trip the hard word gate).
+//! The advisory hierarchical-topology panel rides along in both modes
+//! (`topology/*` cells: flat-star vs binary-tree root-load words per
+//! level). Codec bytes are not cells here: `measure`'s tests pin them
+//! exactly per scenario, and the benchmark gates `bytes_per_kelem`.
 //!
 //! Every number here is a count, identical on every machine (only the
 //! `window/channel` line can differ between two runs); seconds, rates and
@@ -49,7 +46,7 @@ fn main() {
         std::env::var("BENCH_BASELINE").unwrap_or_else(|_| "BENCH_baseline.json".to_string());
     let params = Params::default_ci();
     banner(
-        "PERF — protocol/workload word and byte baseline",
+        "PERF — protocol/workload word baseline",
         &format!(
             "mode={}, file={path}, N={}, k={}, eps={}, seeds={}",
             if check { "check" } else { "write" },
@@ -60,24 +57,16 @@ fn main() {
         ),
     );
 
-    // Committed cell order: words, topology, bytes.
-    let (mut cells, wire_cells) = measure_cells(params);
+    // Committed cell order: words, then topology.
+    let mut cells = measure_cells(params);
     cells.extend(measure_topology_cells(params));
-    cells.extend(wire_cells);
     for c in &cells {
-        let unit = if c.id.starts_with("bytes/") {
-            "bytes"
+        let range = if c.exact {
+            String::new()
         } else {
-            "words"
+            format!("~ in [{}, {}]", c.words_min, c.words_max)
         };
-        if c.exact {
-            println!("{:30} {:>10} {unit}", c.id, c.words);
-        } else {
-            println!(
-                "{:30} {:>10} {unit}~ in [{}, {}]",
-                c.id, c.words, c.words_min, c.words_max
-            );
-        }
+        println!("{:30} {:>10} words{range}", c.id, c.words);
     }
     println!();
 

@@ -17,7 +17,7 @@
 //! (`EXEC` picks the executor + delivery policy, e.g. `event:random:1:32`)
 
 use dtrack_bench::cli::{arg, banner, exec_arg};
-use dtrack_bench::measure::{median_run, run, Algo, Problem, Run};
+use dtrack_bench::measure::{median_run, run, Algo, Problem};
 use dtrack_bench::table::{fmt_num, Table};
 
 fn main() {
@@ -67,16 +67,16 @@ fn main() {
             Problem::Rank => (eps.max(0.02), rank_n),
             _ => (eps, n),
         };
-        let Run { cost: cs, err, .. } =
-            median_run(seeds, |s| run(exec, problem, algo, k, eps, rows_n, s));
+        let r = median_run(seeds, |s| run(exec, problem, algo, k, eps, rows_n, s));
+        let cs = r.cost();
         t.row([
             problem.to_string(),
             label.to_string(),
-            fmt_num(cs.max_space as f64),
-            fmt_num(cs.msgs as f64),
-            fmt_num(cs.words as f64),
-            fmt_num(cs.words as f64 / rows_n as f64),
-            fmt_num(err),
+            fmt_num(r.max_space() as f64),
+            fmt_num(cs.total_msgs() as f64),
+            fmt_num(cs.total_words() as f64),
+            fmt_num(cs.total_words() as f64 / rows_n as f64),
+            fmt_num(r.err),
         ]);
     }
     t.print();

@@ -28,4 +28,4 @@ pub mod fit;
 pub mod measure;
 pub mod table;
 
-pub use measure::{Algo, CommSpace, Problem, Run};
+pub use measure::{Algo, Problem, Run};

@@ -21,6 +21,10 @@
 //!    (a consistent cut — under delayed delivery this is the state the
 //!    idealized model would have reached), so the same query text serves
 //!    every protocol and shape.
+//!
+//! A [`Run`] keeps traffic in [`CommStats`], the one ledger (its docs
+//! list every charge point): the executor's ([`Run::stats`]) and one
+//! per tree boundary ([`Run::internal`]), merged by [`Run::cost`].
 
 use dtrack_core::boost::Replicated;
 use dtrack_core::count::{DeterministicCount, RandomizedCount};
@@ -30,29 +34,10 @@ use dtrack_core::rank::{DeterministicRank, RandomizedRank};
 use dtrack_core::sampling::ContinuousSampling;
 use dtrack_core::window::Windowed;
 use dtrack_core::TrackingConfig;
-use dtrack_sim::{CommStats, ExecConfig, FaultStats, LevelLoad, Protocol, Site, Tree};
+use dtrack_sim::{CommStats, ExecConfig, FaultStats, Protocol, Site, Tree};
 use dtrack_sketch::exact::{ExactCounts, ExactRanks};
 use dtrack_workload::items::{DistinctSeq, ItemGen, ZipfItems};
 use dtrack_workload::{RoundRobin, SiteAssign, UniformSites, Workload};
-
-/// Communication + space outcome of one run.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct CommSpace {
-    /// Total messages, both directions.
-    pub msgs: u64,
-    /// Total words, both directions.
-    pub words: u64,
-    /// Total wire-codec bytes, both directions (the measured size of
-    /// every message under `dtrack_sim::wire` — see
-    /// [`dtrack_sim::Words::wire_bytes`]). For `+tree` scenarios this
-    /// covers the site ↔ coordinator boundary only; internal aggregator
-    /// boundaries are accounted in words.
-    pub bytes: u64,
-    /// Broadcast events.
-    pub broadcasts: u64,
-    /// Peak resident words over all sites.
-    pub max_space: u64,
-}
 
 /// Which function of the stream is tracked (the paper's §2–§4).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -101,14 +86,10 @@ pub fn rows() -> impl Iterator<Item = (Problem, Algo)> {
 }
 
 /// Outcome of one [`run`]: what the executor observed after the final
-/// quiesce ([`Run::stats`], [`Run::peaks`], [`Run::faults`],
-/// [`Run::answers`]) and the scores derived from it.
+/// quiesce ([`Run::stats`], [`Run::internal`], [`Run::peaks`],
+/// [`Run::faults`], [`Run::answers`]) and the scores derived from it.
 #[derive(Debug, Clone)]
 pub struct Run {
-    /// Combined accounting: the executor's `CommStats` (the site ↔
-    /// coordinator boundary — under `+tree`, the leaf boundary) **plus**
-    /// every internal aggregator boundary.
-    pub cost: CommSpace,
     /// The problem's error metric: the maximum of `errs`.
     pub err: f64,
     /// Error per probe, in probe order — one entry for count, the 25
@@ -118,8 +99,8 @@ pub struct Run {
     /// a union of probes, is necessarily worse), the deciles for rank.
     pub errs: Vec<f64>,
     /// Internal boundaries, one per aggregator level (empty without
-    /// `+tree`, and at depth 1).
-    pub internal: Vec<LevelLoad>,
+    /// `+tree`, and at depth 1): [`dtrack_sim::TreeCoord::internal_loads`].
+    pub internal: Vec<CommStats>,
     /// The executor's own accounting: the site ↔ coordinator boundary
     /// alone (under `+tree`, the leaf boundary).
     pub stats: CommStats,
@@ -134,6 +115,20 @@ pub struct Run {
 }
 
 impl Run {
+    /// The whole run's traffic: the executor's [`Run::stats`] merged
+    /// with every internal boundary — under `+tree`, every link of the
+    /// tree, in words and bytes alike.
+    pub fn cost(&self) -> CommStats {
+        let mut cost = self.stats.clone();
+        self.internal.iter().for_each(|l| cost.merge(l));
+        cost
+    }
+
+    /// Peak resident words over all sites — the paper's space per site.
+    pub fn max_space(&self) -> u64 {
+        self.peaks.iter().copied().max().unwrap_or(0)
+    }
+
     /// Words crossing the root's own links — the bottleneck metric the
     /// topology exists to shrink. On a flat star (and at depth 1) the
     /// root *is* the coordinator, so the leaf boundary is the root
@@ -141,13 +136,13 @@ impl Run {
     pub fn root_words(&self) -> u64 {
         self.internal
             .last()
-            .map_or(self.stats.total_words(), LevelLoad::total_words)
+            .map_or(self.stats.total_words(), CommStats::total_words)
     }
 }
 
 /// Two runs are equal when the protocol observed the same run: the same
 /// accounting, per-site space peaks and internal boundaries, and the
-/// same answers bit for bit (`cost` and the errors derive from these).
+/// same answers bit for bit (the cost and the errors derive from these).
 /// `faults` is the fault layer's own record and is left out, so a
 /// `+dup` run equals its base exactly when every duplicate was dropped
 /// before a protocol saw it.
@@ -217,20 +212,9 @@ fn workload(problem: Problem, k: usize, n: u64, seed: u64, window: Option<u64>) 
     (batch, probes)
 }
 
-/// What [`drive`] brings back: the executor's accounting, space peaks
-/// and fault record, the estimate at each query point, and the tree's
-/// internal boundaries (if any).
-struct Driven {
-    stats: CommStats,
-    peaks: Vec<u64>,
-    faults: Option<FaultStats>,
-    answers: Vec<f64>,
-    internal: Vec<LevelLoad>,
-}
-
 /// The measured body, generic over the (already shaped) protocol: build
 /// the scenario's executor, feed the batch, quiesce, ask `est` at every
-/// point.
+/// point. The [`Run`] comes back unscored (`err` 0, no `errs`).
 fn drive<P>(
     exec: ExecConfig,
     proto: &P,
@@ -238,8 +222,8 @@ fn drive<P>(
     batch: Vec<(usize, u64)>,
     points: Vec<u64>,
     est: fn(&P::Coord, u64) -> f64,
-    loads: fn(&P::Coord) -> Vec<LevelLoad>,
-) -> Driven
+    loads: fn(&P::Coord) -> Vec<CommStats>,
+) -> Run
 where
     P: Protocol,
     P::Site: Site<Item = u64>,
@@ -250,12 +234,14 @@ where
     let (answers, internal) =
         ex.query(move |c| (points.iter().map(|&x| est(c, x)).collect(), loads(c)));
     let space = ex.space();
-    Driven {
+    Run {
+        err: 0.0,
+        errs: Vec::new(),
+        internal,
         stats: ex.stats(),
         peaks: (0..ex.k()).map(|site| space.peak(site)).collect(),
         faults: ex.fault_stats().cloned(),
         answers,
-        internal,
     }
 }
 
@@ -306,8 +292,8 @@ macro_rules! drive_shaped {
 ///
 /// Under `+window:W` the protocol tracks, and is scored on, the last
 /// `W` arrivals (errors normalized by `W`); under `+tree:F[:D]` it is
-/// answered at the tree root and [`Run::cost`] includes the internal
-/// boundaries.
+/// answered at the tree root and [`Run::cost`] includes every internal
+/// boundary.
 ///
 /// # Panics
 ///
@@ -341,7 +327,7 @@ pub fn run(
             }
         };
     }
-    let driven = match problem {
+    let mut r = match problem {
         Problem::Count => per_algo!(RandomizedCount, DeterministicCount, |c, _| c.count()),
         Problem::Frequency => {
             per_algo!(RandomizedFrequency, DeterministicFrequency, |c, j| c
@@ -349,40 +335,15 @@ pub fn run(
         }
         Problem::Rank => per_algo!(RandomizedRank, DeterministicRank, |c, x| c.rank(x)),
     };
-    let Driven {
-        stats,
-        peaks,
-        faults,
-        answers,
-        internal,
-    } = driven;
     let norm = exec.window.unwrap_or(n) as f64;
-    let errs: Vec<f64> = answers
+    r.errs = r
+        .answers
         .iter()
         .zip(&probes)
         .map(|(est, (_, truth))| (est - truth).abs() / norm)
         .collect();
-    let mut cost = CommSpace {
-        msgs: stats.total_msgs(),
-        words: stats.total_words(),
-        bytes: stats.total_bytes(),
-        broadcasts: stats.broadcast_events,
-        max_space: peaks.iter().copied().max().unwrap_or(0),
-    };
-    for l in &internal {
-        cost.msgs += l.total_msgs();
-        cost.words += l.total_words();
-    }
-    Run {
-        cost,
-        err: errs.iter().copied().reduce(f64::max).expect("≥ 1 probe"),
-        errs,
-        internal,
-        stats,
-        peaks,
-        faults,
-        answers,
-    }
+    r.err = r.errs.iter().copied().reduce(f64::max).expect("≥ 1 probe");
+    r
 }
 
 /// Upper median (`sorted[len / 2]`) of a seed set's samples — the
@@ -397,7 +358,7 @@ pub fn median<T: Ord + Copy>(samples: impl IntoIterator<Item = T>) -> T {
 /// row prints, so its cost and its error come from one execution.
 pub fn median_run(seeds: u64, run_seed: impl Fn(u64) -> Run) -> Run {
     let mut runs: Vec<Run> = (0..seeds).map(run_seed).collect();
-    runs.sort_by_key(|r| r.cost.words);
+    runs.sort_by_key(|r| r.cost().total_words());
     runs.swap_remove(runs.len() / 2)
 }
 
@@ -567,16 +528,17 @@ mod tests {
     fn count_runs_all_algos_on_all_executors() {
         for exec in EXECS {
             for algo in ALGOS {
-                let Run { cost: cs, err, .. } = run(exec, Problem::Count, algo, 4, 0.2, 20_000, 1);
-                assert!(cs.msgs > 0);
-                assert!(cs.words >= cs.msgs);
+                let r = run(exec, Problem::Count, algo, 4, 0.2, 20_000, 1);
+                let cs = r.cost();
+                assert!(cs.total_msgs() > 0);
+                assert!(cs.total_words() >= cs.total_msgs());
                 // The wire codec never does worse than a tag byte plus a
                 // maximal 10-byte varint per word.
                 assert!(
-                    cs.bytes > 0 && cs.bytes <= 11 * cs.words,
+                    cs.total_bytes() > 0 && cs.total_bytes() <= 11 * cs.total_words(),
                     "{exec:?} {algo:?}"
                 );
-                assert!(err < 0.5, "{exec:?} {algo:?} err {err}");
+                assert!(r.err < 0.5, "{exec:?} {algo:?} err {}", r.err);
             }
         }
     }
@@ -593,7 +555,7 @@ mod tests {
                 20_000,
                 2,
             );
-            assert!(r.cost.msgs > 0);
+            assert!(r.cost().total_msgs() > 0);
             assert!(r.err < 0.5, "{algo:?} err {}", r.err);
         }
     }
@@ -610,7 +572,7 @@ mod tests {
                 20_000,
                 3,
             );
-            assert!(r.cost.msgs > 0);
+            assert!(r.cost().total_msgs() > 0);
             assert!(r.err < 0.5, "{algo:?} err {}", r.err);
         }
     }
@@ -632,7 +594,7 @@ mod tests {
             let mut errs: Vec<f64> = seeds
                 .map(|seed| {
                     let r = run(exec, Problem::Count, Algo::Randomized, 4, 0.1, 20_000, seed);
-                    assert!(r.cost.msgs > 0);
+                    assert!(r.cost().total_msgs() > 0);
                     r.err
                 })
                 .collect();
@@ -658,10 +620,10 @@ mod tests {
             30_000,
             2,
         );
-        assert!(f.cost.msgs > 0);
+        assert!(f.cost().total_msgs() > 0);
         assert!(f.err < 0.25, "freq err {}", f.err);
         let r = run(exec, Problem::Rank, Algo::Deterministic, 4, 0.1, 30_000, 3);
-        assert!(r.cost.msgs > 0);
+        assert!(r.cost().total_msgs() > 0);
         assert!(r.err < 0.25, "rank err {}", r.err);
     }
 
@@ -672,7 +634,7 @@ mod tests {
         // still be in the right ballpark (count conservation of ups).
         let exec = ExecConfig::event(DeliveryPolicy::FixedLatency(64));
         let r = run(exec, Problem::Count, Algo::Randomized, 8, 0.1, 40_000, 5);
-        assert!(r.cost.msgs > 0);
+        assert!(r.cost().total_msgs() > 0);
         assert!(r.err < 0.5, "err {}", r.err);
     }
 
@@ -698,7 +660,9 @@ mod tests {
     // and `tree_*` twins) and `frequency_single_probe_error`; the values
     // below were recorded from those functions at the parent commit, on
     // the lock-step executor at (k, ε, n, seed) = PIN_AT, window
-    // PIN_WINDOW, tree `+tree:2:2`.
+    // PIN_WINDOW, tree `+tree:2:2`. The six tree rows' bytes were
+    // re-recorded when internal tree links started to be charged in
+    // bytes: each is the old leaf-link value plus the internal links'.
     const PIN_AT: (usize, f64, u64, u64) = (4, 0.1, 6_000, 7);
     const PIN_WINDOW: u64 = 2_048;
 
@@ -740,12 +704,12 @@ mod tests {
         (Problem::Count, Algo::Sampling, Window, 7492, 19492, 32108, 0x3f80000000000000),
         (Problem::Frequency, Algo::Sampling, Window, 7492, 19492, 28249, 0x3f63c00000000000),
         (Problem::Rank, Algo::Sampling, Window, 7492, 19492, 77213, 0x3f79800000000000),
-        (Problem::Count, Algo::Randomized, InTree, 877, 877, 1316, 0x3f90624dd2f1a9fc),
-        (Problem::Frequency, Algo::Randomized, InTree, 2213, 2488, 2663, 0x3fbf0fb38a94d243),
-        (Problem::Rank, Algo::Randomized, InTree, 4892, 30206, 122795, 0x3f88b483198da4dd),
-        (Problem::Count, Algo::Deterministic, InTree, 628, 628, 596, 0x3f9999999999999a),
-        (Problem::Frequency, Algo::Deterministic, InTree, 3283, 6430, 6770, 0x3f8e098ead65b7a3),
-        (Problem::Rank, Algo::Deterministic, InTree, 5501, 819276, 1672734, 0x3f8604189374bc6a),
+        (Problem::Count, Algo::Randomized, InTree, 877, 877, 2094, 0x3f90624dd2f1a9fc),
+        (Problem::Frequency, Algo::Randomized, InTree, 2213, 2488, 5357, 0x3fbf0fb38a94d243),
+        (Problem::Rank, Algo::Randomized, InTree, 4892, 30206, 200221, 0x3f88b483198da4dd),
+        (Problem::Count, Algo::Deterministic, InTree, 628, 628, 950, 0x3f9999999999999a),
+        (Problem::Frequency, Algo::Deterministic, InTree, 3283, 6430, 10881, 0x3f8e098ead65b7a3),
+        (Problem::Rank, Algo::Deterministic, InTree, 5501, 819276, 2937460, 0x3f8604189374bc6a),
     ];
 
     #[test]
@@ -753,8 +717,14 @@ mod tests {
         let (k, eps, n, seed) = PIN_AT;
         for (problem, algo, shape, msgs, words, bytes, err_bits) in PINS {
             let r = run(pinned(shape), problem, algo, k, eps, n, seed);
+            let cs = r.cost();
             assert_eq!(
-                (r.cost.msgs, r.cost.words, r.cost.bytes, r.err.to_bits()),
+                (
+                    cs.total_msgs(),
+                    cs.total_words(),
+                    cs.total_bytes(),
+                    r.err.to_bits()
+                ),
                 (msgs, words, bytes, err_bits),
                 "{problem}/{algo:?} {shape:?}: err {}",
                 r.err
@@ -801,10 +771,20 @@ mod tests {
             (r.stats.total_words(), r.root_words(), r.internal.len()),
             (553, 324, 1)
         );
+        let (cost, root) = (r.cost(), &r.internal[0]);
         assert_eq!(
-            r.cost.words,
-            r.stats.total_words() + r.internal[0].total_words()
+            cost.total_words(),
+            r.stats.total_words() + root.total_words()
         );
+        // Internal links are charged like leaf links: in bytes too, and
+        // the root's broadcast to its 2 aggregators `2 ×`.
+        assert_eq!(
+            cost.total_bytes(),
+            r.stats.total_bytes() + root.total_bytes()
+        );
+        assert!(root.total_bytes() > 0);
+        assert!(root.broadcast_events > 0);
+        assert_eq!(root.down_msgs, 2 * root.broadcast_events);
         let flat = run(
             pinned(Flat),
             Problem::Count,
@@ -817,7 +797,7 @@ mod tests {
         assert!(flat.internal.is_empty());
         assert_eq!(
             flat.root_words(),
-            flat.cost.words,
+            flat.cost().total_words(),
             "a flat root sees every word"
         );
     }

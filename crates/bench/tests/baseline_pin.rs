@@ -22,7 +22,7 @@ const STORED: &str = include_str!("../../../BENCH_baseline.json");
 )]
 fn exact_baseline_cells_stay_bit_identical_in_words() {
     let (params, stored) = parse_json(STORED).expect("BENCH_baseline.json must parse");
-    let (measured, _bytes) = measure_cells(params);
+    let measured = measure_cells(params);
     let mut checked = 0usize;
     for cell in stored.iter().filter(|c| c.exact) {
         let now = measured

@@ -18,7 +18,7 @@ const SEEDS: u64 = 3;
 fn median_words(problem: Problem, algo: Algo, k: usize) -> (u64, f64) {
     let exec = ExecConfig::lockstep();
     let mid = median_run(SEEDS, |s| run(exec, problem, algo, k, EPS, N, s));
-    (mid.cost.words, mid.err)
+    (mid.cost().total_words(), mid.err)
 }
 
 #[test]

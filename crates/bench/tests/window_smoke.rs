@@ -6,7 +6,7 @@
 //! extra words (epoch restarts + heartbeats), and the windowed error is
 //! measured against the sliding truth (finite, sane).
 
-use dtrack_bench::measure::{run, Algo, Problem, Run};
+use dtrack_bench::measure::{run, Algo, Problem};
 use dtrack_sim::{DeliveryPolicy, ExecConfig};
 
 const K: usize = 8;
@@ -29,13 +29,11 @@ fn windowed_count_emits_on_all_three_executors() {
         let count = |exec| run(exec, Problem::Count, Algo::Randomized, K, EPS, N, SEED);
         let (whole, win) = (count(exec), count(exec.windowed(W)));
         let (whole_err, win_err) = (whole.err, win.err);
-        let (whole, win) = (whole.cost, win.cost);
-        assert!(whole.words > 0 && win.words > 0, "{exec}");
+        let (whole, win) = (whole.cost().total_words(), win.cost().total_words());
+        assert!(whole > 0 && win > 0, "{exec}");
         assert!(
-            win.words > whole.words,
-            "{exec}: windowing should cost extra words ({} ≤ {})",
-            win.words,
-            whole.words
+            win > whole,
+            "{exec}: windowing should cost extra words ({win} ≤ {whole})"
         );
         assert!(whole_err.is_finite() && win_err.is_finite(), "{exec}");
         // One accuracy bar for all three executors: the channel
@@ -50,11 +48,7 @@ fn windowed_count_emits_on_all_three_executors() {
 fn windowed_frequency_and_rank_emit_on_the_deterministic_executors() {
     for exec in execs().into_iter().take(2) {
         let exec = exec.windowed(W);
-        let Run {
-            cost: fcs,
-            err: ferr,
-            ..
-        } = run(
+        let f = run(
             exec,
             Problem::Frequency,
             Algo::Deterministic,
@@ -63,13 +57,17 @@ fn windowed_frequency_and_rank_emit_on_the_deterministic_executors() {
             N,
             SEED,
         );
-        assert!(fcs.words > 0 && ferr < 0.25, "{exec} freq err {ferr}");
-        let Run {
-            cost: rcs,
-            err: rerr,
-            ..
-        } = run(exec, Problem::Rank, Algo::Sampling, K, EPS, N, SEED);
-        assert!(rcs.words > 0 && rerr < 0.25, "{exec} rank err {rerr}");
+        assert!(
+            f.cost().total_words() > 0 && f.err < 0.25,
+            "{exec} freq err {}",
+            f.err
+        );
+        let r = run(exec, Problem::Rank, Algo::Sampling, K, EPS, N, SEED);
+        assert!(
+            r.cost().total_words() > 0 && r.err < 0.25,
+            "{exec} rank err {}",
+            r.err
+        );
     }
 }
 
@@ -91,8 +89,8 @@ fn lockstep_and_event_windowed_runs_agree_bit_for_bit() {
     };
     let a = count(ExecConfig::lockstep());
     let b = count(ExecConfig::event(DeliveryPolicy::Instant));
-    assert_eq!(a.cost.words, b.cost.words);
-    assert_eq!(a.cost.msgs, b.cost.msgs);
+    assert_eq!(a.cost().total_words(), b.cost().total_words());
+    assert_eq!(a.cost().total_msgs(), b.cost().total_msgs());
     assert_eq!(
         a.err.to_bits(),
         b.err.to_bits(),

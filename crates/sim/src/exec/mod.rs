@@ -86,7 +86,7 @@ pub mod topology;
 
 pub use event::{DeliveryPolicy, EventRuntime, LinkModel};
 pub use faults::{FaultPlan, FaultStats};
-pub use topology::{LevelLoad, Tree, TreeCoord, TreeProtocol, TreeSpec};
+pub use topology::{Tree, TreeCoord, TreeProtocol, TreeSpec};
 
 use crate::protocol::{Protocol, Site, SiteId};
 use crate::runner::Runner;

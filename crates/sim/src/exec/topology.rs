@@ -67,10 +67,11 @@
 //! links), and the channel runtime run it unmodified, and
 //! [`query_handle`](super::AnyExec::query_handle) live queries work at
 //! the root because [`TreeCoord`] is `Clone` like any coordinator.
-//! Internal (aggregator↔aggregator and aggregator↔root) traffic is
-//! accounted per level boundary in [`LevelLoad`]s — the executor's own
-//! [`CommStats`](crate::stats::CommStats) covers the leaf boundary, so
-//! nothing is double-counted.
+//! Traffic is charged to [`CommStats`], the one ledger (its docs list
+//! every charge point): the executor's covers the leaf boundary, and
+//! [`TreeCoord`] keeps one per internal boundary
+//! ([`TreeCoord::internal_loads`]), charged by the same rules. Each link
+//! counts on exactly one boundary, so merging them is the tree's total.
 //!
 //! ## Example
 //!
@@ -90,10 +91,10 @@
 
 use std::collections::VecDeque;
 
-use crate::message::Words;
 use crate::net::{Net, Outbox};
 use crate::protocol::{Coordinator, Protocol, Site, SiteId};
 use crate::rng::splitmix64;
+use crate::stats::CommStats;
 
 /// Shape of an aggregation tree: fanout plus an optional explicit depth.
 ///
@@ -197,35 +198,6 @@ pub trait TreeProtocol: Protocol<Site: Clone + Sync> + Clone + 'static {
         cursor: &mut Self::Cursor,
         emit: &mut dyn FnMut(&<Self::Site as Site>::Item),
     );
-}
-
-/// Word/message accounting for one internal tree boundary (the links
-/// between one level's nodes and their parents). The leaf boundary is
-/// accounted by the executor's own `CommStats`; these cover the
-/// aggregator↔aggregator and aggregator↔root links that exist only
-/// inside [`TreeCoord`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LevelLoad {
-    /// Child → parent messages.
-    pub up_msgs: u64,
-    /// Child → parent words.
-    pub up_words: u64,
-    /// Parent → child messages.
-    pub down_msgs: u64,
-    /// Parent → child words.
-    pub down_words: u64,
-}
-
-impl LevelLoad {
-    /// Total messages crossing this boundary.
-    pub fn total_msgs(&self) -> u64 {
-        self.up_msgs + self.down_msgs
-    }
-
-    /// Total words crossing this boundary.
-    pub fn total_words(&self) -> u64 {
-        self.up_words + self.down_words
-    }
 }
 
 /// The tree adapter: wraps a [`TreeProtocol`] into a [`Protocol`] whose
@@ -375,7 +347,7 @@ impl<P: TreeProtocol> Protocol for Tree<P> {
             inner: TreeInner::Layers {
                 layers,
                 root,
-                loads: vec![LevelLoad::default(); depth - 1],
+                loads: vec![CommStats::default(); depth - 1],
             },
         }
     }
@@ -402,7 +374,7 @@ enum TreeInner<P: TreeProtocol> {
     Layers {
         layers: Vec<Vec<AggNode<P>>>,
         root: P::Coord,
-        loads: Vec<LevelLoad>,
+        loads: Vec<CommStats>,
     },
 }
 
@@ -454,10 +426,7 @@ impl<P: TreeProtocol> TreeCoord<P> {
 
     /// Number of protocol levels (1 = flat).
     pub fn depth(&self) -> usize {
-        match &self.inner {
-            TreeInner::Flat(_) => 1,
-            TreeInner::Layers { loads, .. } => loads.len() + 1,
-        }
+        self.internal_loads().len() + 1
     }
 
     /// Number of aggregator nodes (0 at depth 1; the root and the leaf
@@ -469,12 +438,13 @@ impl<P: TreeProtocol> TreeCoord<P> {
         }
     }
 
-    /// Traffic on the internal boundaries, one [`LevelLoad`] per
+    /// Traffic on the internal boundaries, one [`CommStats`] per
     /// aggregator level: entry `ℓ-1` is the boundary between level ℓ
-    /// and its parent. Empty at depth 1 — there, the executor's
-    /// `CommStats` *is* the root load. The leaf boundary (level 0 ↔
-    /// level 1) is always the executor's `CommStats`.
-    pub fn internal_loads(&self) -> &[LevelLoad] {
+    /// and its parent (up = child → parent; `elements` stays 0). Empty
+    /// at depth 1 — there, the executor's `CommStats` *is* the root
+    /// load. The leaf boundary (level 0 ↔ level 1) is always the
+    /// executor's `CommStats`.
+    pub fn internal_loads(&self) -> &[CommStats] {
         match &self.inner {
             TreeInner::Flat(_) => &[],
             TreeInner::Layers { loads, .. } => loads,
@@ -484,25 +454,25 @@ impl<P: TreeProtocol> TreeCoord<P> {
     /// Traffic crossing the root's own links — the tree's bottleneck
     /// metric. `None` at depth 1, where the executor's `CommStats`
     /// already measures the (flat) root.
-    pub fn root_load(&self) -> Option<LevelLoad> {
-        self.internal_loads().last().copied()
+    pub fn root_load(&self) -> Option<&CommStats> {
+        self.internal_loads().last()
     }
 
     /// Number of children of node `node` at `level` (for broadcast
     /// expansion).
     fn child_count(&self, level: usize, node: usize) -> usize {
-        let TreeInner::Layers { layers, loads, .. } = &self.inner else {
+        let TreeInner::Layers { layers, .. } = &self.inner else {
             unreachable!("child_count is only called on layered trees");
         };
-        let depth = loads.len() + 1;
-        if level == depth {
-            layers[depth - 2].len()
+        let lower_width = if level == 1 {
+            self.leaves
         } else {
-            let lower_width = if level == 1 {
-                self.leaves
-            } else {
-                layers[level - 2].len()
-            };
+            layers[level - 2].len()
+        };
+        // The root aggregates the whole layer below it.
+        if level == self.depth() {
+            lower_width
+        } else {
             (lower_width - node * self.fanout).min(self.fanout)
         }
     }
@@ -522,43 +492,42 @@ impl<P: TreeProtocol> TreeCoord<P> {
     ) {
         let fanout = self.fanout;
         let child_count = self.child_count(level, node);
-        let depth = self.depth();
+        let TreeInner::Layers {
+            layers,
+            root,
+            loads,
+        } = &mut self.inner
+        else {
+            unreachable!("apply_up is only called on layered trees");
+        };
+        let depth = loads.len() + 1;
+        let coord = if level == depth {
+            root
+        } else {
+            &mut layers[level - 1][node].coord
+        };
         let mut lnet: Net<<P::Site as Site>::Down> = Net::new();
-        {
-            let TreeInner::Layers { layers, root, .. } = &mut self.inner else {
-                unreachable!("apply_up is only called on layered trees");
-            };
-            let coord = if level == depth {
-                &mut *root
-            } else {
-                &mut layers[level - 1][node].coord
-            };
-            coord.on_message(child, msg, &mut lnet);
-        }
+        coord.on_message(child, msg, &mut lnet);
         for (dest, down) in lnet.drain() {
-            for c in dest.targets(child_count) {
-                if level == 1 {
-                    // Children are the real leaf sites: hand the
-                    // message to the executor (which accounts the
-                    // words on the leaf boundary).
+            if level == 1 {
+                // Children are the real leaf sites: hand the message to
+                // the executor, which charges the leaf boundary.
+                for c in dest.targets(child_count) {
                     net.send(node * fanout + c, down.clone());
-                } else {
-                    // Internal boundary between this level's children
-                    // and this level: account and queue for
-                    // synchronous delivery.
-                    let TreeInner::Layers { loads, .. } = &mut self.inner else {
-                        unreachable!();
-                    };
-                    let load = &mut loads[level - 2];
-                    load.down_msgs += 1;
-                    load.down_words += down.words();
-                    let child_node = if level == depth { c } else { node * fanout + c };
-                    pending.push_back(Pending::Down {
-                        level: level - 1,
-                        node: child_node,
-                        msg: down.clone(),
-                    });
                 }
+                continue;
+            }
+            // Internal boundary between this level's children and this
+            // level: charge by the model's rules, then queue one
+            // synchronous delivery per child.
+            loads[level - 2].charge_down(&down, dest, child_count);
+            for c in dest.targets(child_count) {
+                let child_node = if level == depth { c } else { node * fanout + c };
+                pending.push_back(Pending::Down {
+                    level: level - 1,
+                    node: child_node,
+                    msg: down.clone(),
+                });
             }
         }
         // The node's tracked state may have advanced: replay the
@@ -571,39 +540,22 @@ impl<P: TreeProtocol> TreeCoord<P> {
     /// Re-stream node (`level`, `node`)'s coordinator advance into its
     /// site half; queue the produced up messages toward the parent.
     fn restream_node(&mut self, level: usize, node: usize, pending: &mut PendingQueue<P>) {
-        let fanout = self.fanout;
         let TreeInner::Layers { layers, loads, .. } = &mut self.inner else {
             unreachable!("restream_node is only called on layered trees");
         };
-        let depth = loads.len() + 1;
         let AggNode {
             coord,
             site,
             cursor,
         } = &mut layers[level - 1][node];
-        let mut out: Outbox<<P::Site as Site>::Up> = Outbox::new();
+        let mut out = Outbox::new();
         {
             // Split borrows: the cursor walk reads `coord`, the replay
             // mutates `site` through the emit closure.
             let out = &mut out;
             P::restream(coord, cursor, &mut |item| site.on_item(item, out));
         }
-        let (parent_level, parent, child_idx) = if level + 1 == depth {
-            (depth, 0, node)
-        } else {
-            (level + 1, node / fanout, node % fanout)
-        };
-        for up in out.drain() {
-            let load = &mut loads[level - 1];
-            load.up_msgs += 1;
-            load.up_words += up.words();
-            pending.push_back(Pending::Up {
-                level: parent_level,
-                node: parent,
-                child: child_idx,
-                msg: up,
-            });
-        }
+        queue_ups::<P>(self.fanout, loads, level, node, &mut out, pending);
     }
 
     /// Deliver a parent → child message to an aggregator's site half;
@@ -615,29 +567,40 @@ impl<P: TreeProtocol> TreeCoord<P> {
         msg: &<P::Site as Site>::Down,
         pending: &mut PendingQueue<P>,
     ) {
-        let fanout = self.fanout;
         let TreeInner::Layers { layers, loads, .. } = &mut self.inner else {
             unreachable!("deliver_down is only called on layered trees");
         };
-        let depth = loads.len() + 1;
-        let mut out: Outbox<<P::Site as Site>::Up> = Outbox::new();
+        let mut out = Outbox::new();
         layers[level - 1][node].site.on_message(msg, &mut out);
-        let (parent_level, parent, child_idx) = if level + 1 == depth {
-            (depth, 0, node)
-        } else {
-            (level + 1, node / fanout, node % fanout)
-        };
-        for up in out.drain() {
-            let load = &mut loads[level - 1];
-            load.up_msgs += 1;
-            load.up_words += up.words();
-            pending.push_back(Pending::Up {
-                level: parent_level,
-                node: parent,
-                child: child_idx,
-                msg: up,
-            });
-        }
+        queue_ups::<P>(self.fanout, loads, level, node, &mut out, pending);
+    }
+}
+
+/// Charge the ups aggregator (`level`, `node`) just produced on its
+/// boundary toward the parent (`loads[level - 1]`), and queue each for
+/// synchronous delivery there.
+fn queue_ups<P: TreeProtocol>(
+    fanout: usize,
+    loads: &mut [CommStats],
+    level: usize,
+    node: usize,
+    out: &mut Outbox<<P::Site as Site>::Up>,
+    pending: &mut PendingQueue<P>,
+) {
+    let depth = loads.len() + 1;
+    let (parent_level, parent, child) = if level + 1 == depth {
+        (depth, 0, node)
+    } else {
+        (level + 1, node / fanout, node % fanout)
+    };
+    for msg in out.drain() {
+        loads[level - 1].charge_up(&msg);
+        pending.push_back(Pending::Up {
+            level: parent_level,
+            node: parent,
+            child,
+            msg,
+        });
     }
 }
 

@@ -76,8 +76,8 @@ pub mod transport;
 pub mod wire;
 
 pub use exec::{
-    AnyExec, DeliveryPolicy, EventRuntime, ExecConfig, ExecMode, FaultPlan, FaultStats, LevelLoad,
-    Tree, TreeCoord, TreeProtocol, TreeSpec,
+    AnyExec, DeliveryPolicy, EventRuntime, ExecConfig, ExecMode, FaultPlan, FaultStats, Tree,
+    TreeCoord, TreeProtocol, TreeSpec,
 };
 pub use message::{Decode, Encode, Words};
 pub use net::{Dest, Net, Outbox};

@@ -11,6 +11,17 @@ use crate::net::Dest;
 /// (paper §1.1: "broadcasting a message costs k times the communication
 /// for a single message"), and additionally counted once in
 /// [`CommStats::broadcast_events`].
+///
+/// This is the only ledger of a run's traffic, charged only through
+/// [`CommStats::charge_up`] and [`CommStats::charge_down`]. Charge points:
+///
+/// * [`Runner`](crate::Runner): ups as applied;
+/// * [`EventRuntime`](crate::exec::EventRuntime): ups as sent;
+/// * [`CoordHalf`](crate::transport::CoordHalf): ups as received;
+/// * [`SiteHalf`](crate::transport::SiteHalf): ups as sent, downs as received;
+/// * [`CoordCore`](crate::step::CoordCore): downs as sent;
+/// * [`TreeCoord`](crate::TreeCoord): each internal tree link, one
+///   `CommStats` per boundary, [merged](CommStats::merge) into a run's total.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct CommStats {
     /// Site → coordinator messages.

@@ -22,7 +22,7 @@ use dtrack::core::count::{DeterministicCount, RandomizedCount};
 use dtrack::core::TrackingConfig;
 use dtrack::sim::exec::DeliveryPolicy;
 use dtrack::sim::{ExecConfig, Protocol, Runner, Tree, TreeCoord, TreeSpec};
-use dtrack_bench::measure::{assert_mean_error_le_eps, rows, run, Algo, Problem, Run};
+use dtrack_bench::measure::{assert_mean_error_le_eps, rows, run, Algo, Problem};
 
 const K: usize = 8;
 const N: u64 = 6_000;
@@ -100,6 +100,7 @@ fn deterministic_count_tree_meets_its_bound_at_depth_2() {
     let loads = c.internal_loads();
     assert_eq!(loads.len(), 1);
     assert!(loads[0].up_words > 0, "no words ever reached the root");
+    assert!(loads[0].up_bytes > 0, "internal links are charged in bytes");
     let root_words = c
         .root_load()
         .expect("depth 2 has a root load")
@@ -125,11 +126,11 @@ fn smoke_tree_scenarios_run_on_every_executor() {
         "channel+tree:4:2",
     ] {
         let exec: ExecConfig = spec.parse().expect("scenario must parse");
-        let Run { cost: cs, err, .. } =
-            run(exec, Problem::Count, Algo::Deterministic, K, 0.1, N, SEED);
-        assert!(cs.msgs > 0, "{spec}: no messages");
-        assert!(cs.words >= cs.msgs, "{spec}: words < msgs");
-        assert!(err < 0.2, "{spec}: err {err}");
+        let r = run(exec, Problem::Count, Algo::Deterministic, K, 0.1, N, SEED);
+        let cs = r.cost();
+        assert!(cs.total_msgs() > 0, "{spec}: no messages");
+        assert!(cs.total_words() >= cs.total_msgs(), "{spec}: words < msgs");
+        assert!(r.err < 0.2, "{spec}: err {}", r.err);
     }
 }
 
@@ -140,9 +141,9 @@ fn smoke_tree_scenarios_run_on_every_executor() {
 fn smoke_tree_composes_with_faults() {
     let exec: ExecConfig = "event+tree:4:2+loss:0.2+dup:0.2".parse().unwrap();
     assert_eq!(exec.tree, Some(TreeSpec::new(4).with_depth(2)));
-    let Run { cost: cs, err, .. } = run(exec, Problem::Count, Algo::Deterministic, K, 0.1, N, SEED);
-    assert!(cs.msgs > 0);
-    assert!(err < 0.2, "err {err}");
+    let r = run(exec, Problem::Count, Algo::Deterministic, K, 0.1, N, SEED);
+    assert!(r.cost().total_msgs() > 0);
+    assert!(r.err < 0.2, "err {}", r.err);
 }
 
 /// The sampling baseline has no tree composition; asking for one dies
