@@ -10,12 +10,12 @@
 //!   codec lands per protocol (small counters varint-pack well; GK/KLL
 //!   summaries benefit from delta runs).
 //! * **ordering preservation** — the paper's `√k` vs `k` separation is
-//!   proved in words; this table checks the *byte* totals preserve the
-//!   randomized-vs-deterministic ordering at every swept `k`, i.e. the
-//!   codec does not hand the deterministic baselines an accidental
-//!   advantage. The largest `k` is the interesting one (separation
-//!   grows as `√k`), and the binary exits non-zero if the ordering is
-//!   violated there.
+//!   proved in words; the binary checks that the *byte* totals preserve
+//!   the randomized-vs-deterministic ordering at the largest swept `k`
+//!   (4096) and exits non-zero if they do not. Smaller `k` rows are
+//!   printed, not checked: the separation grows as `√k`, and below 4096
+//!   the count word gap is too thin to survive deterministic count's
+//!   codec advantage (see `main`).
 //!
 //! Words and bytes both come from `Run::cost()`, so under `+tree` both
 //! cover every link, internal aggregator links included.
@@ -40,6 +40,7 @@ fn main() {
     let exec = exec_arg(3);
     let rank_n = n.min(100_000);
     let ks = [16usize, 256, 4096];
+    let kmax = *ks.last().unwrap();
     banner(
         "WIRE — codec bytes vs model words per protocol",
         &format!("N={n} (rank {rank_n}), eps={eps}, k in {ks:?}, seeds={seeds}, exec={exec}"),
@@ -82,7 +83,7 @@ fn main() {
                 fmt_num(rb),
                 format!("{:.2}", rb / rw.max(1.0)),
             ]);
-            if k == *ks.last().unwrap() {
+            if k == kmax {
                 at_kmax.push((problem, db, rb));
             }
         }
@@ -96,17 +97,16 @@ fn main() {
         let preserved = rand_bytes < det_bytes;
         ok &= preserved;
         println!(
-            "{problem}: randomized {} deterministic in bytes at k={} ({} vs {}) {}",
+            "{problem}: randomized {} deterministic in bytes at k={kmax} ({} vs {}) {}",
             if preserved { "<" } else { ">=" },
-            ks.last().unwrap(),
             fmt_num(*rand_bytes),
             fmt_num(*det_bytes),
             if preserved { "✓" } else { "✗" }
         );
     }
     if !ok {
-        eprintln!("byte totals do NOT preserve the √k-vs-k ordering");
+        eprintln!("byte totals do NOT preserve the √k-vs-k ordering at k={kmax}");
         std::process::exit(1);
     }
-    println!("\nbyte totals preserve the randomized-vs-deterministic ordering at every k ✓");
+    println!("\nbyte totals preserve the randomized-vs-deterministic ordering at k={kmax} ✓");
 }

@@ -135,38 +135,7 @@ impl<P: Protocol> Protocol for Replicated<P> {
         self.inner.k()
     }
 
-    fn build(&self, master_seed: u64) -> (Vec<Self::Site>, Self::Coord) {
-        let mut per_copy_sites: Vec<Vec<P::Site>> = Vec::with_capacity(self.copies);
-        let mut coords = Vec::with_capacity(self.copies);
-        for c in 0..self.copies as u64 {
-            let (sites, coord) = self.inner.build(instance_seed(master_seed, c));
-            per_copy_sites.push(sites);
-            coords.push(coord);
-        }
-        // Transpose: site i holds copy-c sub-sites for all c.
-        let k = self.inner.k();
-        let mut sites: Vec<ReplicatedSite<P::Site>> = (0..k)
-            .map(|_| ReplicatedSite {
-                subs: Vec::with_capacity(self.copies),
-                scratch: Outbox::new(),
-            })
-            .collect();
-        for copy_sites in per_copy_sites {
-            for (i, s) in copy_sites.into_iter().enumerate() {
-                sites[i].subs.push(s);
-            }
-        }
-        (
-            sites,
-            ReplicatedCoord {
-                subs: coords,
-                scratch: Net::new(),
-            },
-        )
-    }
-
-    /// O(copies), not O(copies·k): builds site `me`'s sub-site of every
-    /// copy through the inner protocol's own per-site constructor.
+    /// Site `me`'s sub-site of every copy.
     fn build_site(&self, master_seed: u64, me: SiteId) -> Self::Site {
         let subs = (0..self.copies as u64)
             .map(|c| self.inner.build_site(instance_seed(master_seed, c), me))

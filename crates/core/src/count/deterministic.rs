@@ -134,14 +134,6 @@ impl Protocol for DeterministicCount {
         self.cfg.k
     }
 
-    fn build(&self, master_seed: u64) -> (Vec<DetCountSite>, DetCountCoord) {
-        let sites = (0..self.cfg.k)
-            .map(|i| self.build_site(master_seed, i))
-            .collect();
-        (sites, self.build_coord(master_seed))
-    }
-
-    /// O(1): sites are identical and seedless (epoch seals rely on this).
     fn build_site(&self, _master_seed: u64, _me: SiteId) -> DetCountSite {
         DetCountSite {
             epsilon: self.cfg.epsilon,

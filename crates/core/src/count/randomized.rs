@@ -295,15 +295,6 @@ impl Protocol for RandomizedCount {
         self.cfg.k
     }
 
-    fn build(&self, master_seed: u64) -> (Vec<RandCountSite>, RandCountCoord) {
-        let sites = (0..self.cfg.k)
-            .map(|i| self.build_site(master_seed, i))
-            .collect();
-        (sites, self.build_coord(master_seed))
-    }
-
-    /// O(1): sites draw from independent seed streams, so one can be
-    /// built without the other k−1 (epoch seals rely on this).
     fn build_site(&self, master_seed: u64, me: SiteId) -> RandCountSite {
         RandCountSite::new(self.cfg, self.rethin, site_seed(master_seed, me, 0))
     }

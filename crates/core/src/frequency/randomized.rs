@@ -479,10 +479,6 @@ impl Protocol for UncorrectedFrequency {
         self.0.k()
     }
 
-    fn build(&self, master_seed: u64) -> (Vec<RandFreqSite>, RandFreqCoord) {
-        self.0.build(master_seed)
-    }
-
     fn build_site(&self, master_seed: u64, me: SiteId) -> RandFreqSite {
         self.0.build_site(master_seed, me)
     }
@@ -508,15 +504,6 @@ impl Protocol for RandomizedFrequency {
         self.cfg.k
     }
 
-    fn build(&self, master_seed: u64) -> (Vec<RandFreqSite>, RandFreqCoord) {
-        let sites = (0..self.cfg.k)
-            .map(|i| self.build_site(master_seed, i))
-            .collect();
-        (sites, self.build_coord(master_seed))
-    }
-
-    /// O(1): sites draw from independent seed streams, so one can be
-    /// built without the other k−1 (epoch seals rely on this).
     fn build_site(&self, master_seed: u64, me: SiteId) -> RandFreqSite {
         RandFreqSite::new(self.cfg, site_seed(master_seed, me, 1))
     }

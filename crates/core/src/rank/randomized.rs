@@ -600,15 +600,6 @@ impl Protocol for RandomizedRank {
         self.cfg.k
     }
 
-    fn build(&self, master_seed: u64) -> (Vec<RandRankSite>, RandRankCoord) {
-        let sites = (0..self.cfg.k)
-            .map(|i| self.build_site(master_seed, i))
-            .collect();
-        (sites, self.build_coord(master_seed))
-    }
-
-    /// O(1): sites draw from independent seed streams, so one can be
-    /// built without the other k−1 (epoch seals rely on this).
     fn build_site(&self, master_seed: u64, me: SiteId) -> RandRankSite {
         RandRankSite::new(self.cfg, site_seed(master_seed, me, 2))
     }

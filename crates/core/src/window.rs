@@ -590,11 +590,8 @@ impl<D: Decode> Decode for WinDown<D> {
 /// Build site `me`'s inner state for epoch `epoch` via the per-site
 /// constructor [`Protocol::build_site`] — one site instance, not `k`, so
 /// an epoch seal costs `O(1)` constructions per site and `O(k)` across
-/// the system. (All seven Table-1 protocols override `build_site`
-/// directly; a protocol relying on the trait default still gets correct
-/// — merely quadratic — behavior.) Each epoch's instance is seeded by
-/// [`instance_seed`], so sites and coordinator agree without
-/// communication.
+/// the system. Each epoch's instance is seeded by [`instance_seed`], so
+/// sites and coordinator agree without communication.
 fn sub_site<P: EpochProtocol>(proto: &P, master_seed: u64, epoch: u64, me: SiteId) -> P::Site {
     proto.build_site(instance_seed(master_seed, epoch), me)
 }
@@ -1142,12 +1139,6 @@ impl<P: EpochProtocol> Protocol for Windowed<P> {
 
     fn k(&self) -> usize {
         self.inner.k()
-    }
-
-    fn build(&self, master_seed: u64) -> (Vec<Self::Site>, Self::Coord) {
-        let k = self.inner.k();
-        let sites = (0..k).map(|me| self.build_site(master_seed, me)).collect();
-        (sites, self.build_coord(master_seed))
     }
 
     fn build_site(&self, master_seed: u64, me: SiteId) -> Self::Site {

@@ -767,16 +767,14 @@ mod tests {
         fn k(&self) -> usize {
             self.k
         }
-        fn build(&self, _seed: u64) -> (Vec<ToySite>, ToyCoord) {
-            (
-                (0..self.k)
-                    .map(|_| ToySite {
-                        count: 0,
-                        acked: false,
-                    })
-                    .collect(),
-                ToyCoord { ups: 0 },
-            )
+        fn build_site(&self, _: u64, _: SiteId) -> ToySite {
+            ToySite {
+                count: 0,
+                acked: false,
+            }
+        }
+        fn build_coord(&self, _: u64) -> ToyCoord {
+            ToyCoord { ups: 0 }
         }
     }
 
@@ -922,8 +920,11 @@ mod tests {
             fn k(&self) -> usize {
                 1
             }
-            fn build(&self, _: u64) -> (Vec<LoopSite>, LoopCoord) {
-                (vec![LoopSite], LoopCoord)
+            fn build_site(&self, _: u64, _: SiteId) -> LoopSite {
+                LoopSite
+            }
+            fn build_coord(&self, _: u64) -> LoopCoord {
+                LoopCoord
             }
         }
         let mut e = EventRuntime::new(&Looping, 0);
@@ -1074,8 +1075,11 @@ mod tests {
             fn k(&self) -> usize {
                 1
             }
-            fn build(&self, _: u64) -> (Vec<SeqSite>, SeqCoord) {
-                (vec![SeqSite { n: 0 }], SeqCoord { seen: Vec::new() })
+            fn build_site(&self, _: u64, _: SiteId) -> SeqSite {
+                SeqSite { n: 0 }
+            }
+            fn build_coord(&self, _: u64) -> SeqCoord {
+                SeqCoord { seen: Vec::new() }
             }
         }
         let plan = FaultPlan::none().with_loss(0.4).with_dup(0.4);

@@ -54,9 +54,8 @@
 //! # impl Protocol for Echo {
 //! #     type Site = EchoSite; type Coord = SumCoord;
 //! #     fn k(&self) -> usize { 4 }
-//! #     fn build(&self, _: u64) -> (Vec<EchoSite>, SumCoord) {
-//! #         ((0..4).map(|_| EchoSite).collect(), SumCoord { sum: 0 })
-//! #     }
+//! #     fn build_site(&self, _: u64, _: SiteId) -> EchoSite { EchoSite }
+//! #     fn build_coord(&self, _: u64) -> SumCoord { SumCoord { sum: 0 } }
 //! # }
 //! // Same protocol, four execution policies, one driver:
 //! let configs = [
@@ -905,8 +904,11 @@ mod tests {
             fn k(&self) -> usize {
                 1
             }
-            fn build(&self, _: u64) -> (Vec<NopSite>, NopCoord) {
-                (vec![NopSite], NopCoord)
+            fn build_site(&self, _: u64, _: SiteId) -> NopSite {
+                NopSite
+            }
+            fn build_coord(&self, _: u64) -> NopCoord {
+                NopCoord
             }
         }
         let _ = ExecConfig::lockstep().windowed(16).build(&Nop, 0);
@@ -942,8 +944,11 @@ mod tests {
             fn k(&self) -> usize {
                 1
             }
-            fn build(&self, _: u64) -> (Vec<NopSite>, NopCoord) {
-                (vec![NopSite], NopCoord)
+            fn build_site(&self, _: u64, _: SiteId) -> NopSite {
+                NopSite
+            }
+            fn build_coord(&self, _: u64) -> NopCoord {
+                NopCoord
             }
         }
         let _ = ExecConfig::lockstep()

@@ -280,13 +280,6 @@ impl<P: TreeProtocol> Protocol for Tree<P> {
         self.inner.k()
     }
 
-    fn build(&self, master_seed: u64) -> (Vec<P::Site>, TreeCoord<P>) {
-        let sites = (0..self.k())
-            .map(|i| self.build_site(master_seed, i))
-            .collect();
-        (sites, self.build_coord(master_seed))
-    }
-
     /// O(1), like the wrapped protocol's: a leaf is a site of its
     /// level-1 group's instance. At depth 1 it is a site of the wrapped
     /// protocol itself, with the *same* seed stream — the depth-1 tree

@@ -66,6 +66,14 @@ pub trait Coordinator: Clone + Send + Sync + 'static {
 /// Building is separated from running so that experiment harnesses can
 /// construct many independent copies (for variance measurement and median
 /// boosting) with controlled seeds.
+///
+/// A protocol states one constructor per node: site `me` is built from
+/// `(master_seed, me)` alone (the model's `k` players are independent
+/// parties; a randomized site draws from
+/// [`site_seed`](crate::rng::site_seed)`(master_seed, me, …)`), the
+/// coordinator from `master_seed` alone. [`Protocol::build`] is derived
+/// from the two, so the simulators, epoch seals (which rebuild one site)
+/// and site processes (which build their own) all see the same state.
 pub trait Protocol {
     /// Site state machine type.
     type Site: Site;
@@ -75,45 +83,80 @@ pub trait Protocol {
     /// Number of sites `k`.
     fn k(&self) -> usize;
 
-    /// Construct the `k` sites and the coordinator. `master_seed` fully
-    /// determines all protocol randomness (each site derives an
-    /// independent stream from it — see [`crate::rng::site_seed`]).
-    fn build(&self, master_seed: u64) -> (Vec<Self::Site>, Self::Coord);
+    /// Construct site `me < k()` from `master_seed` and `me` alone.
+    fn build_site(&self, master_seed: u64, me: SiteId) -> Self::Site;
 
-    /// Construct site `me`'s state alone — **bit-identical** to the
-    /// corresponding element of [`Protocol::build`]`(master_seed).0`.
-    ///
-    /// Epoch-restarting adapters (`dtrack_core::window::Windowed`) rebuild
-    /// one site's inner instance at every epoch seal; going through
-    /// `build` there costs `O(k)` constructions per site and `O(k²)`
-    /// across the system per seal. Protocols whose sites are seeded
-    /// independently (all seven Table-1 protocols are — each site draws
-    /// from `site_seed(master_seed, i, …)`) override this with a direct
-    /// `O(1)` constructor.
-    ///
-    /// The default falls back to a full `build` and extracts site `me`,
-    /// which is always correct but keeps the quadratic cost.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `me ≥ k()`.
-    fn build_site(&self, master_seed: u64, me: SiteId) -> Self::Site {
-        let (sites, _) = self.build(master_seed);
-        let k = sites.len();
-        sites
-            .into_iter()
-            .nth(me)
-            .unwrap_or_else(|| panic!("site index {me} out of range for k = {k}"))
+    /// Construct the coordinator from `master_seed` alone.
+    fn build_coord(&self, master_seed: u64) -> Self::Coord;
+
+    /// Construct sites `0..k()`, in order, then the coordinator.
+    fn build(&self, master_seed: u64) -> (Vec<Self::Site>, Self::Coord) {
+        let sites = (0..self.k())
+            .map(|me| self.build_site(master_seed, me))
+            .collect();
+        (sites, self.build_coord(master_seed))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::cell::RefCell;
+
+    /// Records every constructor call as `(master_seed, Some(me))` for a
+    /// site and `(master_seed, None)` for the coordinator.
+    struct Recorder {
+        k: usize,
+        calls: RefCell<Vec<(u64, Option<SiteId>)>>,
     }
 
-    /// Construct the coordinator's state alone — **bit-identical** to
-    /// [`Protocol::build`]`(master_seed).1`.
-    ///
-    /// The epoch-seal counterpart of [`Protocol::build_site`]: the
-    /// windowed coordinator opens a fresh inner coordinator per epoch and
-    /// must not pay for `k` discarded site constructions each time. The
-    /// default falls back to a full `build`.
-    fn build_coord(&self, master_seed: u64) -> Self::Coord {
-        self.build(master_seed).1
+    #[derive(Debug, PartialEq)]
+    struct RecSite(SiteId);
+    impl Site for RecSite {
+        type Item = u64;
+        type Up = u64;
+        type Down = u64;
+        fn on_item(&mut self, _: &u64, _: &mut Outbox<u64>) {}
+        fn on_message(&mut self, _: &u64, _: &mut Outbox<u64>) {}
+        fn space_words(&self) -> u64 {
+            0
+        }
+    }
+
+    #[derive(Clone)]
+    struct RecCoord;
+    impl Coordinator for RecCoord {
+        type Up = u64;
+        type Down = u64;
+        fn on_message(&mut self, _: SiteId, _: &u64, _: &mut Net<u64>) {}
+    }
+
+    impl Protocol for Recorder {
+        type Site = RecSite;
+        type Coord = RecCoord;
+        fn k(&self) -> usize {
+            self.k
+        }
+        fn build_site(&self, master_seed: u64, me: SiteId) -> RecSite {
+            self.calls.borrow_mut().push((master_seed, Some(me)));
+            RecSite(me)
+        }
+        fn build_coord(&self, master_seed: u64) -> RecCoord {
+            self.calls.borrow_mut().push((master_seed, None));
+            RecCoord
+        }
+    }
+
+    #[test]
+    fn derived_build_calls_each_site_constructor_in_order_then_the_coordinator() {
+        let p = Recorder {
+            k: 5,
+            calls: RefCell::new(Vec::new()),
+        };
+        let (sites, _) = p.build(7);
+        assert_eq!(sites, (0..5).map(RecSite).collect::<Vec<_>>());
+        let mut want: Vec<(u64, Option<SiteId>)> = (0..5).map(|me| (7, Some(me))).collect();
+        want.push((7, None));
+        assert_eq!(*p.calls.borrow(), want);
     }
 }

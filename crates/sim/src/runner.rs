@@ -233,20 +233,18 @@ mod tests {
         fn k(&self) -> usize {
             self.k
         }
-        fn build(&self, _seed: u64) -> (Vec<ToySite>, ToyCoord) {
-            (
-                (0..self.k)
-                    .map(|_| ToySite {
-                        count: 0,
-                        every: 2,
-                        acked: false,
-                    })
-                    .collect(),
-                ToyCoord {
-                    ups: 0,
-                    per_broadcast: 3,
-                },
-            )
+        fn build_site(&self, _: u64, _: SiteId) -> ToySite {
+            ToySite {
+                count: 0,
+                every: 2,
+                acked: false,
+            }
+        }
+        fn build_coord(&self, _: u64) -> ToyCoord {
+            ToyCoord {
+                ups: 0,
+                per_broadcast: 3,
+            }
         }
     }
 
@@ -318,8 +316,11 @@ mod tests {
             fn k(&self) -> usize {
                 1
             }
-            fn build(&self, _: u64) -> (Vec<LoopSite>, LoopCoord) {
-                (vec![LoopSite], LoopCoord)
+            fn build_site(&self, _: u64, _: SiteId) -> LoopSite {
+                LoopSite
+            }
+            fn build_coord(&self, _: u64) -> LoopCoord {
+                LoopCoord
             }
         }
         let mut r = Runner::new(&Looping, 0);

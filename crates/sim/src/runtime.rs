@@ -496,8 +496,11 @@ mod tests {
         fn k(&self) -> usize {
             self.k
         }
-        fn build(&self, _: u64) -> (Vec<EchoSite>, SumCoord) {
-            ((0..self.k).map(|_| EchoSite).collect(), SumCoord { sum: 0 })
+        fn build_site(&self, _: u64, _: SiteId) -> EchoSite {
+            EchoSite
+        }
+        fn build_coord(&self, _: u64) -> SumCoord {
+            SumCoord { sum: 0 }
         }
     }
 
@@ -563,8 +566,11 @@ mod tests {
             fn k(&self) -> usize {
                 1
             }
-            fn build(&self, _: u64) -> (Vec<DoomedSite>, SumCoord) {
-                (vec![DoomedSite(Arc::clone(&self.0))], SumCoord { sum: 0 })
+            fn build_site(&self, _: u64, _: SiteId) -> DoomedSite {
+                DoomedSite(Arc::clone(&self.0))
+            }
+            fn build_coord(&self, _: u64) -> SumCoord {
+                SumCoord { sum: 0 }
             }
         }
         let ring_full = Arc::new(AtomicBool::new(false));
@@ -738,15 +744,15 @@ mod tests {
             fn k(&self) -> usize {
                 self.k
             }
-            fn build(&self, _: u64) -> (Vec<PSite>, PCoord) {
-                (
-                    (0..self.k).map(|_| PSite { acked: false }).collect(),
-                    PCoord {
-                        ups: 0,
-                        acks: 0,
-                        broadcasted: false,
-                    },
-                )
+            fn build_site(&self, _: u64, _: SiteId) -> PSite {
+                PSite { acked: false }
+            }
+            fn build_coord(&self, _: u64) -> PCoord {
+                PCoord {
+                    ups: 0,
+                    acks: 0,
+                    broadcasted: false,
+                }
             }
         }
         let rt = ChannelRuntime::new(&P { k: 4 }, 0);
@@ -843,14 +849,14 @@ mod tests {
             fn k(&self) -> usize {
                 1
             }
-            fn build(&self, _: u64) -> (Vec<USite>, UCoord) {
-                (
-                    vec![USite { sent: 0 }],
-                    UCoord {
-                        reports_before_marker: None,
-                        reports: 0,
-                    },
-                )
+            fn build_site(&self, _: u64, _: SiteId) -> USite {
+                USite { sent: 0 }
+            }
+            fn build_coord(&self, _: u64) -> UCoord {
+                UCoord {
+                    reports_before_marker: None,
+                    reports: 0,
+                }
             }
         }
         let rt = ChannelRuntime::new(&U, 0);
@@ -915,8 +921,11 @@ mod tests {
             fn k(&self) -> usize {
                 1
             }
-            fn build(&self, _: u64) -> (Vec<CSite>, CCoord) {
-                (vec![CSite], CCoord)
+            fn build_site(&self, _: u64, _: SiteId) -> CSite {
+                CSite
+            }
+            fn build_coord(&self, _: u64) -> CCoord {
+                CCoord
             }
         }
         let rt = ChannelRuntime::new(&C, 0);
@@ -965,8 +974,11 @@ mod tests {
             fn k(&self) -> usize {
                 1
             }
-            fn build(&self, _: u64) -> (Vec<EchoSite>, SlowCoord) {
-                (vec![EchoSite], SlowCoord { sum: 0, ups: 0 })
+            fn build_site(&self, _: u64, _: SiteId) -> EchoSite {
+                EchoSite
+            }
+            fn build_coord(&self, _: u64) -> SlowCoord {
+                SlowCoord { sum: 0, ups: 0 }
             }
         }
         let rt = ChannelRuntime::new(&Slow, 0);

@@ -190,8 +190,11 @@ impl Protocol for Chatty {
     fn k(&self) -> usize {
         K
     }
-    fn build(&self, _seed: u64) -> (Vec<ChattySite>, ChattyCoord) {
-        ((0..K).map(|_| ChattySite).collect(), ChattyCoord)
+    fn build_site(&self, _: u64, _: SiteId) -> ChattySite {
+        ChattySite
+    }
+    fn build_coord(&self, _: u64) -> ChattyCoord {
+        ChattyCoord
     }
 }
 

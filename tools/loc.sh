@@ -5,7 +5,7 @@
 # test-only accessor does not end the count) — in total, code only (blank
 # lines and `//` comment lines, doc comments included, left out), and
 # lines containing the word `unsafe` (not the `unsafe_code` of a lint
-# attribute), the surface ROADMAP direction 3 has to model-check. Then
+# attribute), the surface ROADMAP direction 7 has to model-check. Then
 # the test code, counted the same way: the in-file test modules the
 # first table skips, the integration suites under `tests/`, and those
 # under `crates/*/tests/`. The numbers ROADMAP's "refactors carry their
