@@ -10,28 +10,25 @@
 //! Indyk–Motwani style, applied to restart-based protocol instances):
 //!
 //! 1. **Epochs.** The coordinator splits the global stream into epochs
-//!    of ≈ `granularity` elements each (the boundary is approximate: the
-//!    coordinator learns the global count from per-site heartbeat
-//!    [`WinUp::Tick`]s, so an epoch may overrun by up to `k · tick` ≤
-//!    `granularity/2` elements). Each epoch is tracked by a **fresh
-//!    instance** of the inner protocol, built from an epoch-specific
-//!    seed — the live epoch's sites run on the real sites, wrapped in
-//!    [`WinSite`].
+//!    of ≈ `granularity` elements each (the seal *cadence* is
+//!    approximate: the coordinator learns the global count from per-site
+//!    heartbeat [`WinUp::Tick`]s, so an epoch may overrun by up to
+//!    `k · tick` ≤ `granularity/2` elements). Each epoch is tracked by a
+//!    **fresh instance** of the inner protocol, built from an
+//!    epoch-specific seed — the live epoch's sites run on the real
+//!    sites, wrapped in [`WinSite`].
 //! 2. **Sealing (two-phase).** When the live epoch fills, the
 //!    coordinator broadcasts [`WinDown::Seal`] and opens the next
 //!    epoch's inner coordinator alongside the sealing one; each site
 //!    replaces its inner site state with a fresh epoch instance and
-//!    replies [`WinUp::SealAck`]. Only when **all `k` acks** are in does
-//!    the finished inner coordinator move into the closed-bucket
-//!    histogram — and the bucket's range ends at the *seal-initiation*
-//!    position: ticks landing mid-handshake are (to within one element
-//!    per site — seals travel out-of-band) elements the switched sites
-//!    fed to the *next* epoch, so the next range opens back at that
-//!    position, under its own mass. (Closing at ack-completion instead
-//!    stretched the old bucket over the new epoch's early elements — a
-//!    windowed overcount that grew with ingest speed; see
-//!    `WinCoord::complete_seal`.) No further seal is initiated while
-//!    one is in flight.
+//!    replies [`WinUp::SealAck`], stamped with the number of elements it
+//!    has consumed. Only when **all `k` acks** are in does the finished
+//!    inner coordinator move into the closed-bucket histogram. Its range
+//!    ends at the sum of the `k` stamps — exactly the elements its sites
+//!    fed it, however late each seal arrived — and the next epoch's
+//!    range opens there. No further seal is initiated while one is in
+//!    flight; if the heartbeat clock crossed the next boundary meanwhile,
+//!    the next seal starts the moment this one completes.
 //! 3. **The histogram invariant.** Closed buckets are kept youngest-to-
 //!    oldest with geometrically growing spans: at most
 //!    [`BUCKETS_PER_CLASS`] buckets of each span class (1, 2, 4, …
@@ -49,17 +46,18 @@
 //!
 //! ## Error model
 //!
-//! Four error sources stack, each bounded by design:
+//! Three error sources stack, each bounded by design:
 //! * the inner protocol's own `ε` per bucket (independent across
 //!   buckets, so they aggregate sub-linearly);
 //! * the straddling bucket's pro-rating, off by at most the arrival
 //!   non-uniformity within one bucket of span ≤ `W/BUCKETS_PER_CLASS`;
-//! * the epoch-boundary slack from heartbeat resolution, ≤
-//!   `granularity/2` elements;
-//! * under a real transport only: the *control-plane skew* between a
-//!   bucket's content and its recorded heartbeat range, bounded by the
-//!   transport's fairness guarantees (below) — identically zero on the
-//!   deterministic executors.
+//! * the window cut's lag: the cut sits `W` behind the heartbeat clock,
+//!   which trails the true stream position by the elements not yet
+//!   covered by a delivered [`WinUp::Tick`] — less than one tick per
+//!   site (`granularity/2` in total) once the ticks are delivered, more
+//!   while they are in flight (see *Off-model behavior*).
+//!
+//! Bucket boundaries add no error: they are the sites' own stamps.
 //!
 //! Digesting itself adds **no estimator bias**: digests preserve the
 //! inner estimator's structure rather than flattening it. In
@@ -79,8 +77,7 @@
 //! With the default `granularity = W/32` the total stays within the
 //! configured `ε` on the standard workloads, as a mean over ≥ 20 seeds —
 //! pinned by the windowed accuracy tests for the lock-step and event
-//! executors *and* (since the channel runtime grew its fairness
-//! mechanism) for real threads.
+//! executors, for real threads, and over sockets.
 //!
 //! ## Off-model behavior
 //!
@@ -91,33 +88,25 @@
 //! executors like every other protocol. Under delayed delivery, sites
 //! keep feeding the sealing epoch until the seal reaches them; those
 //! messages still carry the sealing epoch's tag and are absorbed into
-//! its (still-open) bucket, whose range stretches to the ack-completion
-//! position — so a lagging control plane coarsens the histogram (fewer,
-//! wider, pro-rated buckets) instead of corrupting or dropping window
-//! mass. Messages for already-digested or expired epochs are dropped.
+//! its (still-open) bucket, and the site's stamp counts them, so the
+//! bucket's range ends where its sites actually switched. The stamps,
+//! not the arrival times of control messages, decide every boundary:
+//! deterministic count, for one, answers under fixed-latency delivery
+//! exactly as under lock-step (`tests/windowed.rs`). Messages for
+//! already-digested or expired epochs are dropped.
 //!
-//! On the thread-per-site `ChannelRuntime` two transport-level fairness
-//! mechanisms keep bucket content aligned with recorded ranges, so the
-//! windowed `ε` bound holds there too (no protocol messages are added —
-//! deterministic runs are bit-identical to before):
-//!
-//! * **Out-of-band control delivery.** `Seal`s reach a site ahead of its
-//!   queued elements (coordinator→site traffic bypasses the data queue),
-//!   so a site stops feeding the old epoch as soon as the seal is
-//!   *sent*, not after it drains a backlog. [`WinUp::Tick`] and
-//!   [`WinUp::SealAck`] are flagged [`Words::urgent`] and jump the
-//!   coordinator's report backlog on a priority lane (one FIFO lane, so
-//!   a site's ticks still precede its later ack — ranges never close
-//!   ahead of the heartbeats that define them).
-//! * **Credit cap.** A site may run at most `SITE_CREDIT` unprocessed
-//!   up-messages ahead of the coordinator; with one heartbeat per
-//!   `tick_every` elements this caps the elements a site can absorb
-//!   between heartbeat acknowledgements even if the OS starves the
-//!   coordinator thread.
-//!
-//! The residual skew is the in-flight window (messages physically on the
-//! wire), a few elements per site rather than a queue's worth — within
-//! the `granularity/2` heartbeat slack already budgeted above.
+//! On the real transports (the thread-per-site `ChannelRuntime`, the
+//! in-process halves, TCP) `Seal`s travel the site's control lane,
+//! drained before every element, so a site switches as soon as the seal
+//! is *sent*, not after it drains a data backlog. What remains is the
+//! heartbeat clock's lag: a site's ticks queue behind its reports. On
+//! in-process links the per-site credit (`SITE_CREDIT` unapplied ups)
+//! bounds each site's lag by `SITE_CREDIT · tick_every` elements —
+//! `SITE_CREDIT · granularity / 2` in total, which is `W` at the default
+//! granularity — even if the OS starves the coordinator thread; over
+//! TCP the sockets' window is the backpressure. A lagging clock moves
+//! the window cut back (answers cover more than the last `W`), never
+//! the bucket boundaries.
 //!
 //! ## Example
 //!
@@ -453,12 +442,13 @@ pub enum WinUp<U> {
     /// Heartbeat: the site absorbed another `tick` local elements. The
     /// coordinator's only source of global stream progress.
     Tick,
-    /// The site has switched to epoch `epoch` (second phase of the seal
-    /// handshake). The coordinator closes the previous epoch's bucket
-    /// once all `k` acks are in.
+    /// The site has switched to the next epoch (second phase of the seal
+    /// handshake). At most one seal is in flight and links are
+    /// exactly-once, so the ack needs no epoch tag. The coordinator
+    /// closes the previous epoch's bucket at the sum of the `k` stamps.
     SealAck {
-        /// The epoch the site switched to.
-        epoch: u64,
+        /// Elements the site had consumed when it switched.
+        at: u64,
     },
     /// A message of the inner protocol, tagged with its epoch.
     Inner {
@@ -479,25 +469,15 @@ impl<U: Words> Words for WinUp<U> {
             WinUp::Inner { msg, .. } => 1 + msg.words(),
         }
     }
-
-    /// Heartbeats and seal acks are control-plane: the coordinator's
-    /// reconstructed clock (and with it every bucket boundary) is only
-    /// as fresh as their delivery, so a queue-jumping transport (the
-    /// channel runtime's priority lane) must move them ahead of ordinary
-    /// reports. Inner messages are data-plane. Urgency shares one FIFO
-    /// lane, so a site's `Tick`s still precede its later `SealAck`.
-    fn urgent(&self) -> bool {
-        matches!(self, WinUp::Tick | WinUp::SealAck { .. })
-    }
 }
 
 impl<U: Encode> Encode for WinUp<U> {
     fn encode(&self, w: &mut impl WireSink) {
         match self {
             WinUp::Tick => w.put_u8(0),
-            WinUp::SealAck { epoch } => {
+            WinUp::SealAck { at } => {
                 w.put_u8(1);
-                w.put_varint(*epoch);
+                w.put_varint(*at);
             }
             WinUp::Inner { epoch, msg } => {
                 w.put_u8(2);
@@ -512,7 +492,7 @@ impl<U: Decode> Decode for WinUp<U> {
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         match r.u8()? {
             0 => Ok(WinUp::Tick),
-            1 => Ok(WinUp::SealAck { epoch: r.varint()? }),
+            1 => Ok(WinUp::SealAck { at: r.varint()? }),
             2 => Ok(WinUp::Inner {
                 epoch: r.varint()?,
                 msg: U::decode(r)?,
@@ -546,15 +526,6 @@ impl<D: Words> Words for WinDown<D> {
             WinDown::Seal { .. } => 1,
             WinDown::Inner { msg, .. } => 1 + msg.words(),
         }
-    }
-
-    /// A `Seal` is the control-plane message whose timeliness decides
-    /// how far a site keeps feeding the old epoch. (The channel runtime
-    /// already ships *all* coordinator→site traffic out-of-band, ahead
-    /// of queued elements; the classification is for transports that
-    /// distinguish per message.)
-    fn urgent(&self) -> bool {
-        matches!(self, WinDown::Seal { .. })
     }
 }
 
@@ -661,7 +632,7 @@ impl<P: EpochProtocol> Windowed<P> {
 }
 
 /// Site state of [`Windowed`]: the live epoch's inner site plus the
-/// heartbeat counter.
+/// count of elements consumed (the heartbeat clock and the seal stamp).
 pub struct WinSite<P: EpochProtocol> {
     proto: P,
     me: SiteId,
@@ -669,7 +640,7 @@ pub struct WinSite<P: EpochProtocol> {
     tick_every: u64,
     epoch: u64,
     sub: P::Site,
-    since_tick: u64,
+    fed: u64,
     /// Scratch buffer for the inner site's outgoing messages.
     sub_out: Outbox<<P::Site as Site>::Up>,
 }
@@ -698,9 +669,8 @@ impl<P: EpochProtocol> Site for WinSite<P> {
     fn on_item(&mut self, item: &Self::Item, out: &mut Outbox<Self::Up>) {
         self.sub.on_item(item, &mut self.sub_out);
         self.forward(out);
-        self.since_tick += 1;
-        if self.since_tick >= self.tick_every {
-            self.since_tick = 0;
+        self.fed += 1;
+        if self.fed.is_multiple_of(self.tick_every) {
             out.send(WinUp::Tick);
         }
     }
@@ -708,16 +678,11 @@ impl<P: EpochProtocol> Site for WinSite<P> {
     fn on_message(&mut self, msg: &Self::Down, out: &mut Outbox<Self::Up>) {
         match msg {
             WinDown::Seal { next } => {
-                // `>` guards against duplicated/reordered seals under
-                // off-model delivery; the heartbeat counter carries over
-                // (global progress does not reset with the epoch).
-                if *next > self.epoch {
-                    self.epoch = *next;
-                    self.sub = sub_site(&self.proto, self.master_seed, *next, self.me);
-                }
-                // Always ack: the coordinator counts k acks per seal,
-                // and an unacked duplicate would stall sealing forever.
-                out.send(WinUp::SealAck { epoch: *next });
+                // The consumed count carries over: global progress does
+                // not reset with the epoch.
+                self.epoch = *next;
+                self.sub = sub_site(&self.proto, self.master_seed, *next, self.me);
+                out.send(WinUp::SealAck { at: self.fed });
             }
             WinDown::Inner { epoch, msg } => {
                 if *epoch == self.epoch {
@@ -731,8 +696,8 @@ impl<P: EpochProtocol> Site for WinSite<P> {
     }
 
     fn space_words(&self) -> u64 {
-        // Inner site + epoch index, heartbeat counter, tick parameter,
-        // and the factory handle.
+        // Inner site + epoch index, consumed count, tick parameter, and
+        // the factory handle.
         self.sub.space_words() + 4
     }
 }
@@ -793,11 +758,12 @@ pub struct WinCoord<P: EpochProtocol> {
     granularity: u64,
     tick_every: u64,
     /// Global element count as reconstructed from heartbeats (lags the
-    /// truth by < `k · tick_every`).
+    /// truth by < `k · tick_every` once they are delivered).
     n_approx: u64,
     /// Live epoch index.
     epoch: u64,
-    /// `n_approx` when the live epoch opened.
+    /// Stream position where the live epoch opened: the previous seal's
+    /// summed stamps.
     epoch_start: u64,
     live: P::Coord,
     /// The next epoch's inner coordinator while a seal handshake is in
@@ -806,18 +772,10 @@ pub struct WinCoord<P: EpochProtocol> {
     /// Outstanding [`WinUp::SealAck`]s for the in-flight seal (0 = no
     /// seal in flight).
     await_acks: usize,
-    /// `n_approx` when the in-flight seal was initiated — the position
-    /// the sealed bucket closes at. Ticks arriving *during* the
-    /// handshake are almost entirely elements that already-switched
-    /// sites fed to the **next** epoch (a site stops feeding the old
-    /// epoch the moment the out-of-band `Seal` reaches it, within one
-    /// element); closing the bucket at the later completion-time
-    /// `n_approx` would stretch its range over that next-epoch mass,
-    /// systematically aging recent elements — a windowed *overcount*
-    /// that grows with ingest speed. Under instant (lock-step) delivery
-    /// no tick can land mid-handshake, so this equals `n_approx` at
-    /// completion and the bookkeeping is unchanged there.
+    /// `n_approx` when the last seal was initiated: the seal cadence.
     seal_start: u64,
+    /// Sum of the in-flight seal's stamps received so far.
+    seal_at: u64,
     /// Closed buckets, oldest first; spans are non-increasing toward the
     /// back by the EH merge rule.
     closed: VecDeque<Bucket<P>>,
@@ -899,31 +857,24 @@ impl<P: EpochProtocol> WinCoord<P> {
         out
     }
 
-    /// Phase one of a seal: announce the next epoch and start counting
-    /// acks. The live coordinator keeps absorbing its epoch's messages
-    /// until every site has switched.
-    fn initiate_seal(&mut self, net: &mut Net<WinDown<<P::Site as Site>::Down>>) {
-        debug_assert_eq!(self.await_acks, 0);
+    /// Phase one of a seal, once the heartbeat clock has advanced a
+    /// granularity past the last one and no seal is in flight: announce
+    /// the next epoch and start counting acks. The live coordinator keeps
+    /// absorbing its epoch's messages until every site has switched.
+    fn seal_if_due(&mut self, net: &mut Net<WinDown<<P::Site as Site>::Down>>) {
+        if self.await_acks > 0 || self.n_approx - self.seal_start < self.granularity {
+            return;
+        }
         let next = self.epoch + 1;
         self.next_live = Some(sub_coord(&self.proto, self.master_seed, next));
         self.await_acks = self.proto.k();
         self.seal_start = self.n_approx;
+        self.seal_at = 0;
         net.broadcast(WinDown::Seal { next });
     }
 
     /// Phase two, on the `k`-th ack: close the sealed epoch's bucket at
-    /// the heartbeat position where the seal was *initiated*
-    /// ([`WinCoord::seal_start`]). Ticks that landed during the
-    /// handshake are (within one element per site — seals travel
-    /// out-of-band, ahead of queued data) elements the switched sites
-    /// fed to the next epoch, so the new epoch's range opens back at
-    /// `seal_start` to sit under that mass. Closing at completion-time
-    /// `n_approx` instead — the previous behavior — stretched the
-    /// finished bucket's range over the next epoch's early mass, so
-    /// window cuts prorated recent elements as if they were old: a
-    /// systematic windowed overcount proportional to how many elements
-    /// the transport moves per seal round-trip, which a fast lock-free
-    /// ingest path turns from noise into an ε-budget-breaking bias.
+    /// the summed stamps and open the next epoch's range there.
     fn complete_seal(&mut self) {
         let finished = std::mem::replace(
             &mut self.live,
@@ -933,7 +884,7 @@ impl<P: EpochProtocol> WinCoord<P> {
         );
         self.closed.push_back(Bucket {
             start: self.epoch_start,
-            end: self.seal_start,
+            end: self.seal_at,
             span: 1,
             state: BucketState::Open {
                 epoch: self.epoch,
@@ -941,12 +892,7 @@ impl<P: EpochProtocol> WinCoord<P> {
             },
         });
         self.epoch += 1;
-        // The new epoch's range opens at the seal position, under the
-        // elements its sites have been feeding since they switched. The
-        // next seal initiates at the next boundary-crossing tick (the
-        // handshake ticks count toward it, keeping the seal cadence at
-        // one per `granularity` of clock advance).
-        self.epoch_start = self.seal_start;
+        self.epoch_start = self.seal_at;
         self.expire();
         self.compact();
     }
@@ -1114,20 +1060,25 @@ impl<P: EpochProtocol> Coordinator for WinCoord<P> {
                 }
                 // Digested or expired epoch: dropped.
             }
-            WinUp::SealAck { epoch } => {
-                if self.await_acks > 0 && *epoch == self.epoch + 1 {
+            WinUp::SealAck { at } => {
+                // Every ack answers the one seal in flight; an ack with
+                // none in flight is a misbehaving peer's, dropped.
+                if self.await_acks > 0 {
+                    self.seal_at = self.seal_at.saturating_add(*at);
                     self.await_acks -= 1;
                     if self.await_acks == 0 {
                         self.complete_seal();
+                        // Ticks applied while a lagging site held the
+                        // handshake open may already span the next epoch;
+                        // its seal cannot wait for a tick that may never
+                        // come (every site may have finished its stream).
+                        self.seal_if_due(net);
                     }
                 }
-                // Acks for anything else are stale duplicates: dropped.
             }
             WinUp::Tick => {
                 self.n_approx += self.tick_every;
-                if self.await_acks == 0 && self.n_approx - self.epoch_start >= self.granularity {
-                    self.initiate_seal(net);
-                }
+                self.seal_if_due(net);
             }
         }
     }
@@ -1149,7 +1100,7 @@ impl<P: EpochProtocol> Protocol for Windowed<P> {
             tick_every: self.tick_every(),
             epoch: 0,
             sub: sub_site(&self.inner, master_seed, 0, me),
-            since_tick: 0,
+            fed: 0,
             sub_out: Outbox::new(),
         }
     }
@@ -1168,6 +1119,7 @@ impl<P: EpochProtocol> Protocol for Windowed<P> {
             next_live: None,
             await_acks: 0,
             seal_start: 0,
+            seal_at: 0,
             closed: VecDeque::new(),
             sub_net: Net::new(),
         }
@@ -1282,6 +1234,42 @@ mod tests {
         // Heartbeat clock tracks the true count within k·tick + slack.
         let n = c.n_approx() as f64;
         assert!((n - 50_000.0).abs() <= 64.0, "n_approx {n}");
+    }
+
+    #[test]
+    fn a_boundary_crossed_during_a_handshake_seals_when_it_completes() {
+        // k = 2, granularity 8, one tick per 2 elements. Site 0 crosses
+        // the first boundary, acks the seal and feeds on past the next
+        // one; site 1 lags and acks last, having fed nothing. The next
+        // seal must start on that ack: no further tick may ever come.
+        let proto =
+            Windowed::with_granularity(RandomizedCount::new(TrackingConfig::new(2, 0.2)), 64, 8);
+        let mut c = proto.build_coord(5);
+        let mut net = Net::new();
+        let seals = |net: &mut Net<_>| {
+            let downs: Vec<_> = net.drain().map(|(_, d)| d).collect();
+            downs
+                .iter()
+                .filter(|d| matches!(d, WinDown::Seal { .. }))
+                .count()
+        };
+        for _ in 0..4 {
+            c.on_message(0, &WinUp::Tick, &mut net);
+        }
+        assert_eq!(seals(&mut net), 1, "the first boundary seals");
+        c.on_message(0, &WinUp::SealAck { at: 8 }, &mut net);
+        for _ in 0..4 {
+            c.on_message(0, &WinUp::Tick, &mut net);
+        }
+        assert_eq!(seals(&mut net), 0, "no second seal while one is in flight");
+        c.on_message(1, &WinUp::SealAck { at: 0 }, &mut net);
+        assert_eq!(c.epoch(), 1);
+        assert_eq!(c.bucket_count(), 1);
+        assert_eq!(
+            seals(&mut net),
+            1,
+            "the crossed boundary seals at completion"
+        );
     }
 
     #[test]

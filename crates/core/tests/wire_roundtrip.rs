@@ -239,7 +239,7 @@ proptest! {
     #[test]
     fn windowed_up(m in prop_oneof![
         Just(WinUp::Tick),
-        any::<u64>().prop_map(|epoch| WinUp::SealAck { epoch }),
+        any::<u64>().prop_map(|at| WinUp::SealAck { at }),
         (any::<u64>(), freq_up()).prop_map(|(epoch, msg)| WinUp::Inner { epoch, msg }),
     ]) {
         roundtrip(&m);

@@ -30,25 +30,6 @@ pub trait Words: Encode + Clone + Send + Sync + 'static {
     /// message (signals cost one word).
     fn words(&self) -> u64;
 
-    /// Whether this message is control-plane traffic that a transport may
-    /// deliver *out of band*, ahead of queued data-plane messages.
-    ///
-    /// The deterministic executors ignore this (delivery there is instant
-    /// or policy-scheduled, so there is no queue to jump); the
-    /// thread-per-site [`ChannelRuntime`] routes urgent site→coordinator
-    /// messages through a priority lane drained before ordinary reports.
-    /// Urgency never changes a message's [`Words::words`] cost — it is a
-    /// scheduling hint, not a protocol change. FIFO order is preserved
-    /// *among* urgent messages (they share one lane), so e.g. a windowed
-    /// site's `Tick`s still precede its later `SealAck`.
-    ///
-    /// Default `false`: almost all messages are data-plane.
-    ///
-    /// [`ChannelRuntime`]: ../runtime/struct.ChannelRuntime.html
-    fn urgent(&self) -> bool {
-        false
-    }
-
     /// Measured size of this message in **bytes** under the wire codec:
     /// [`crate::wire::measured`], the message's own [`Encode`] run
     /// against a counting sink. Like [`Words::words`], a pure function of

@@ -52,7 +52,7 @@
 //! wait for the consumer — calls `wake()` unconditionally and ends a
 //! nap at once.
 //! A consumer that parks on the cell directly ([`WakeCell::park_while`],
-//! e.g. the coordinator's up lanes) never raises a watermark and is
+//! e.g. the coordinator's up lane) never raises a watermark and is
 //! woken by every push.
 //!
 //! **No lost wakeup.** The watermark is one more Dekker pair in front

@@ -11,8 +11,8 @@
 //! The runtime is a composition, not an implementation of either role:
 //! each site thread owns a [`SiteHalf`], the coordinator thread owns the
 //! [`CoordHalf`], and they talk over [`in_process_links`] — the site
-//! step, the apply loop, urgent routing, the fairness credit, snapshot
-//! publication, the quiesce barrier and all word/byte accounting are
+//! step, the apply loop, the fairness credit, snapshot publication,
+//! the quiesce barrier and all word/byte accounting are
 //! [`crate::transport`]'s (see its module docs for the delivery,
 //! fairness and deadlock-freedom arguments). What this module adds:
 //!
@@ -58,7 +58,7 @@
 //! credit releases, `quiesce` and `shutdown` wake a napping site at
 //! once ([`crate::ring`]'s module docs have the protocol and its
 //! lost-wakeup argument). The coordinator never naps: it parks while
-//! its up lanes and command lane are empty, and every send wakes it.
+//! its up lane and command lane are empty, and every send wakes it.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::sync_channel;
@@ -455,7 +455,6 @@ impl<P: Protocol> Drop for ChannelRuntime<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::message::{Encode, Words};
     use crate::net::{Net, Outbox};
     use crate::protocol::Coordinator;
     use crate::ring::wait_until;
@@ -765,115 +764,6 @@ mod tests {
         assert_eq!(stats.broadcast_events, 1);
         assert_eq!(stats.down_msgs, 4);
         assert_eq!(stats.up_msgs, 5);
-    }
-
-    #[test]
-    fn urgent_ups_jump_the_report_backlog() {
-        // A site reports every item on the data-plane lane and sends one
-        // urgent marker after report 60 (below SITE_CREDIT, so the
-        // credit cap never pauses the site before the marker is out).
-        // The coordinator stalls 100ms on the FIRST report, during which
-        // the site queues the other 59 reports and the marker: FIFO
-        // delivery would process the marker after all 60 reports,
-        // priority delivery processes it as soon as the stall ends. The
-        // only way to miss the margin is the site thread taking > 100ms
-        // for ~60 trivial items — orders of magnitude of slack, where
-        // the earlier backlog-pinning design raced against the OS
-        // scheduler.
-        struct USite {
-            sent: u64,
-        }
-        #[derive(Clone)]
-        enum UUp {
-            Report,
-            Marker,
-        }
-        impl Words for UUp {
-            fn words(&self) -> u64 {
-                1
-            }
-            fn urgent(&self) -> bool {
-                matches!(self, UUp::Marker)
-            }
-        }
-        impl Encode for UUp {
-            fn encode(&self, w: &mut impl crate::wire::WireSink) {
-                w.put_u8(u8::from(self.urgent()));
-            }
-        }
-        impl Site for USite {
-            type Item = u64;
-            type Up = UUp;
-            type Down = u64;
-            fn on_item(&mut self, _: &u64, out: &mut Outbox<UUp>) {
-                self.sent += 1;
-                out.send(UUp::Report);
-                if self.sent == 60 {
-                    out.send(UUp::Marker);
-                }
-            }
-            fn on_message(&mut self, _: &u64, _: &mut Outbox<UUp>) {}
-            fn space_words(&self) -> u64 {
-                1
-            }
-        }
-        #[derive(Clone)]
-        struct UCoord {
-            reports_before_marker: Option<u64>,
-            reports: u64,
-        }
-        impl Coordinator for UCoord {
-            type Up = UUp;
-            type Down = u64;
-            fn on_message(&mut self, _: SiteId, m: &UUp, _: &mut Net<u64>) {
-                match m {
-                    UUp::Report => {
-                        self.reports += 1;
-                        // One long stall on the first report: while we
-                        // sleep, the site queues the remaining reports
-                        // (normal lane) and the marker (urgent lane).
-                        if self.reports == 1 {
-                            std::thread::sleep(Duration::from_millis(100));
-                        }
-                    }
-                    UUp::Marker => {
-                        self.reports_before_marker.get_or_insert(self.reports);
-                    }
-                }
-            }
-        }
-        struct U;
-        impl Protocol for U {
-            type Site = USite;
-            type Coord = UCoord;
-            fn k(&self) -> usize {
-                1
-            }
-            fn build_site(&self, _: u64, _: SiteId) -> USite {
-                USite { sent: 0 }
-            }
-            fn build_coord(&self, _: u64) -> UCoord {
-                UCoord {
-                    reports_before_marker: None,
-                    reports: 0,
-                }
-            }
-        }
-        let rt = ChannelRuntime::new(&U, 0);
-        for i in 0..200u64 {
-            rt.feed(0, i);
-        }
-        rt.quiesce();
-        let (seen, total) = rt.with_coord(|c| (c.reports_before_marker, c.reports));
-        assert_eq!(total, 200);
-        let seen = seen.expect("marker processed");
-        // FIFO delivery would give exactly 60 (the marker behind every
-        // report sent before it); the priority lane delivers it right
-        // after the stall, having overtaken the queued backlog.
-        assert!(
-            seen < 30,
-            "urgent marker did not overtake the report backlog ({seen})"
-        );
     }
 
     #[test]

@@ -7,12 +7,12 @@
 //!
 //! * [`SiteHalf`] — one site's step: control drained before every
 //!   element (a pending broadcast or seal overtakes queued data), the
-//!   link's fairness gate honored, ups flushed with urgent routing
-//!   ([`Words::urgent`]), words *and* bytes charged on send.
-//! * [`CoordHalf`] — the coordinator's apply loop: events taken urgent
-//!   lane first, each up applied through the shared coordinator step
-//!   ([`CoordCore::apply`]: a broadcast charges `k ×`) with its downs put
-//!   on the link, live-query snapshots published on one cadence
+//!   link's fairness gate honored, ups flushed in order, words *and*
+//!   bytes charged on send.
+//! * [`CoordHalf`] — the coordinator's apply loop: events taken in
+//!   arrival order off one up lane, each up applied through the shared
+//!   coordinator step ([`CoordCore::apply`]: a broadcast charges `k ×`)
+//!   with its downs put on the link, live-query snapshots published on one cadence
 //!   ([`CoordHalf::query_handle`]), and the ping/pong quiesce barrier
 //!   ([`CoordHalf::quiesce`]).
 //!
@@ -26,32 +26,29 @@
 //!   it adds only the data rings that carry elements to the sites.
 //! * **Sockets** ([`TcpSiteLink`] / [`TcpCoordLink`]): `std::net`
 //!   TCP streams carrying length-prefixed frames
-//!   ([`crate::wire::write_frame`]). Each site opens **two** streams —
-//!   an ordinary lane and an urgent lane, so heartbeats overtake report
-//!   backlogs across the process boundary just as they overtake queue
-//!   backlogs inside one — and the coordinator runs one reader thread
-//!   per stream plus one writer thread per peer (a slow site's TCP
-//!   window can never block the coordinator's apply loop; downs queue
-//!   in the writer's unbounded buffer instead). Every frame is encoded
-//!   whole — header, then payload — into a reused buffer
-//!   ([`crate::wire::encode_frame_into`]) and leaves in one `write_all`,
-//!   so under `TCP_NODELAY` it is one segment. Every reader thread, on
-//!   both ends, reads through a `BufReader` into one reused payload
-//!   buffer ([`crate::wire::read_frame_into`]), so a header, its payload
-//!   and a run of small frames arrive in one `recv`.
+//!   ([`crate::wire::write_frame`]). Each site opens one stream, and
+//!   the coordinator runs one reader and one writer thread per site (a
+//!   slow site's TCP window can never block the coordinator's apply
+//!   loop; downs queue in the writer's unbounded buffer instead). Every
+//!   frame is encoded whole — header, then payload — into a reused
+//!   buffer ([`crate::wire::encode_frame_into`]) and leaves in one
+//!   `write_all`, so under `TCP_NODELAY` it is one segment. Every reader
+//!   thread, on both ends, reads through a `BufReader` into one reused
+//!   payload buffer ([`crate::wire::read_frame_into`]), so a header, its
+//!   payload and a run of small frames arrive in one `recv`.
 //!
-//! Both implementations share their lanes. Each coordinator link
-//! receives on the same pair of urgent-first lock-free queues on the
-//! coordinator thread's [`WakeCell`], and each site link on the same
-//! control lane: one lock-free queue on the site thread's cell. In
-//! process the coordinator link sends into that lane; over TCP the
-//! site's reader thread does, and its sender, dropped when the stream
-//! ends, wakes a parked site to report the link gone. What remains of
-//! `std::sync::mpsc` is coordinator-side: the writer threads' queues and
-//! the spent frame buffers they hand back.
+//! Both implementations share their lanes: one lock-free queue on the
+//! receiving thread's [`WakeCell`]. Each coordinator link receives
+//! every site's ups on one such up lane, and each site link its downs
+//! on its own control lane. In process the coordinator link sends into
+//! the control lane; over TCP the site's reader thread does, and its
+//! sender, dropped when the stream ends, wakes a parked site to report
+//! the link gone. What remains of `std::sync::mpsc` is coordinator-side:
+//! the writer threads' queues and the spent frame buffers they hand
+//! back.
 //!
 //! Links are reliable — every message is delivered **exactly once**,
-//! FIFO per lane and sender; the only nondeterminism is cross-site
+//! FIFO per sender and direction; the only nondeterminism is cross-site
 //! interleaving. Faults (loss, duplication, stragglers, churn) live in
 //! the deterministic event executor ([`crate::exec::event`]).
 //!
@@ -59,11 +56,11 @@
 //!
 //! ```text
 //! kind  dir          payload
-//! HELLO site→coord   varint site_id, varint lane (0 data, 1 urgent)
-//! UP    site→coord   Encode-d up message (either stream)
-//! DOWN  coord→site   Encode-d down message (data stream)
+//! HELLO site→coord   varint site_id
+//! UP    site→coord   Encode-d up message
+//! DOWN  coord→site   Encode-d down message
 //! PING  coord→site   varint nonce            (quiesce probe)
-//! PONG  site→coord   varint nonce            (sent on BOTH streams)
+//! PONG  site→coord   varint nonce            (quiesce answer)
 //! EOS   site→coord   —                       (local stream exhausted)
 //! STOP  coord→site   —                       (shut down)
 //! ```
@@ -71,15 +68,15 @@
 //! ## The quiesce barrier
 //!
 //! [`CoordHalf::quiesce`] runs rounds of a ping/pong handshake. A round
-//! pings every site and waits for each site's pong on *both* lanes.
-//! Per-lane FIFO gives the fencing: the ping queues behind every down
-//! already sent to that site, so the site has applied them (and shipped
-//! any replies) before it pongs; the pong queues behind every up the
-//! site sent on that lane, so the coordinator has applied those before
-//! counting the pong. If a round completes without the coordinator
-//! applying any new up or emitting any new down, nothing is in flight —
-//! the system is exactly where a lock-step execution that processed the
-//! same per-site sequences would be. Protocols whose answers are
+//! pings every site and waits for each site's pong. FIFO links give the
+//! fencing: the ping queues behind every down already sent to that
+//! site, so the site has applied them (and shipped any replies) before
+//! it pongs; the pong queues behind every up the site sent, so the
+//! coordinator has applied those before counting the pong. If a round
+//! completes without the coordinator applying any new up or emitting
+//! any new down, nothing is in flight — the system is exactly where a
+//! lock-step execution that processed the same per-site sequences would
+//! be. Protocols whose answers are
 //! insensitive to cross-site interleaving (e.g. one-way deterministic
 //! count, whose coordinator sums last-per-site reports) therefore
 //! answer **bit-identically** over sockets, in-process links, and the
@@ -89,16 +86,15 @@
 //!
 //! Unchecked, a site thread can absorb its whole backlog before the
 //! coordinator processes one report, with downs queued *behind*
-//! thousands of elements. Whole-stream protocols tolerate that lag;
-//! epoch-based adapters do not — a windowed epoch's *content* could
-//! overrun its recorded heartbeat range. Two transport-level mechanisms
-//! (no protocol message is added, so lock-step/event runs stay
-//! bit-identical) bound the skew:
+//! thousands of elements. Whole-stream protocols tolerate that lag; a
+//! windowed adapter's window cut, which trails the heartbeat clock the
+//! coordinator rebuilds from applied ups, needs it bounded. Two
+//! transport-level mechanisms (no protocol message is added, so
+//! lock-step/event runs stay bit-identical) bound it:
 //!
 //! * **Out-of-band control.** Downs travel their own lane, drained by
-//!   [`SiteHalf::feed`] *before every element*; ups flagged
-//!   [`Words::urgent`] (windowed `Tick`/`SealAck`) travel a priority
-//!   lane the coordinator drains before ordinary reports.
+//!   [`SiteHalf::feed`] *before every element*, so a seal or a new
+//!   round reaches a site's next element, not the end of its backlog.
 //! * **Credit cap** (in-process links; TCP's window is the sockets'
 //!   backpressure). A site has at most [`SITE_CREDIT`] ups outstanding:
 //!   charged in [`SiteLink::send_up`], released when the coordinator
@@ -112,7 +108,7 @@
 //!
 //! * The **coordinator never blocks on a site**: every lane is
 //!   unbounded, so it always makes progress on whatever is queued, and
-//!   it parks only when both up lanes are empty (any up or pong wakes
+//!   it parks only when its up lane is empty (any up or pong wakes
 //!   it). Its wait is the plain spin-then-park of [`WakeCell`]; it
 //!   never naps.
 //! * A **credit-capped site** keeps serving control — pings included, so
@@ -148,7 +144,7 @@ use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use crate::message::{Decode, Encode, Words};
+use crate::message::{Decode, Encode};
 use crate::net::{Dest, Outbox};
 use crate::protocol::{Coordinator, Site, SiteId};
 use crate::ring::{mpsc, MpscReceiver, MpscSender, RingConsumer, WakeCell};
@@ -171,15 +167,6 @@ mod kind {
     pub const STOP: u8 = 6;
 }
 
-/// Stream roles announced by the HELLO frame.
-const LANE_DATA: usize = 0;
-const LANE_URGENT: usize = 1;
-
-/// Every pong is emitted once per lane, so a quiesce round completes a
-/// site after this many pongs (both link implementations have two
-/// site→coordinator lanes).
-const PONGS_PER_SITE: u8 = 2;
-
 /// Upper bound on quiesce rounds before concluding the protocol cannot
 /// settle.
 const MAX_QUIESCE_ROUNDS: u32 = 10_000;
@@ -187,9 +174,10 @@ const MAX_QUIESCE_ROUNDS: u32 = 10_000;
 /// Maximum sent-but-unreceived ups a site may have outstanding on an
 /// in-process link before [`SiteLink::gate`] pauses element processing:
 /// the fairness credit of the module docs. For the windowed adapter
-/// (one heartbeat per `tick_every` elements) it bounds how far a
-/// bucket's content can overrun its recorded heartbeat range even if
-/// the OS starves the coordinator thread.
+/// (one heartbeat per `tick_every` elements) it bounds how far the
+/// heartbeat clock, and with it the window cut, lags a site —
+/// `SITE_CREDIT · tick_every` elements — even if the OS starves the
+/// coordinator thread.
 pub const SITE_CREDIT: u64 = 64;
 
 /// Under sustained load a [`CoordHalf`] with a live-query handle
@@ -219,7 +207,7 @@ pub enum SiteEvent<D> {
 pub enum CoordEvent<U> {
     /// A protocol up message from a site.
     Up(SiteId, U),
-    /// A site's answer to a quiesce probe (one per lane).
+    /// A site's answer to a quiesce probe.
     Pong(SiteId, u64),
     /// The site's local stream is exhausted.
     Eos(SiteId),
@@ -230,14 +218,13 @@ pub enum CoordEvent<U> {
 
 /// Site-side endpoint of a site ↔ coordinator transport.
 ///
-/// Implementations must preserve per-lane FIFO order and route
-/// `urgent` sends out of band relative to ordinary ones (a dedicated
-/// queue in process, a dedicated stream across processes).
+/// Implementations must preserve FIFO order: ups, pongs and the eos
+/// reach the coordinator in the order they were sent.
 pub trait SiteLink<U, D> {
     /// Ship one up message.
-    fn send_up(&mut self, up: U, urgent: bool) -> io::Result<()>;
-    /// Answer a quiesce probe — on **every** lane, so the pong fences
-    /// all previously sent ups.
+    fn send_up(&mut self, up: U) -> io::Result<()>;
+    /// Answer a quiesce probe; the pong follows, and so fences, every
+    /// previously sent up.
     fn pong(&mut self, nonce: u64) -> io::Result<()>;
     /// Announce the local stream is exhausted.
     fn eos(&mut self) -> io::Result<()>;
@@ -256,9 +243,6 @@ pub trait SiteLink<U, D> {
 }
 
 /// Coordinator-side endpoint over all `k` sites.
-///
-/// `recv`/`try_recv` must drain the urgent lane before the ordinary
-/// one.
 pub trait CoordLink<U, D> {
     /// Number of connected sites.
     fn k(&self) -> usize;
@@ -268,97 +252,44 @@ pub trait CoordLink<U, D> {
     fn ping(&mut self, nonce: u64) -> io::Result<()>;
     /// Tell every site to shut down.
     fn stop(&mut self) -> io::Result<()>;
-    /// Non-blocking poll, urgent lane first.
+    /// Non-blocking poll.
     fn try_recv(&mut self) -> Option<CoordEvent<U>>;
-    /// Blocking receive, urgent lane first; `None` when every link is
-    /// gone.
+    /// Blocking receive; `None` when every link is gone.
     fn recv(&mut self) -> Option<CoordEvent<U>>;
 }
 
-/// Sender of one coordinator-inbound lane.
-type LaneTx<U> = MpscSender<CoordEvent<U>>;
-
-/// The coordinator-inbound lanes of either link implementation: an
-/// ordinary and an urgent lock-free queue sharing the coordinator
-/// thread's [`WakeCell`]. The one urgent-first receive body.
-struct UpLanes<U> {
-    ordinary: MpscReceiver<CoordEvent<U>>,
-    urgent: MpscReceiver<CoordEvent<U>>,
-    wake: Arc<WakeCell>,
-}
-
-/// Build the lanes and their (ordinary, urgent) senders.
-fn up_lanes<U>() -> (LaneTx<U>, LaneTx<U>, UpLanes<U>) {
-    let wake = Arc::new(WakeCell::new());
-    let (ordinary_tx, ordinary) = mpsc(Arc::clone(&wake));
-    let (urgent_tx, urgent) = mpsc(Arc::clone(&wake));
-    let lanes = UpLanes {
-        ordinary,
-        urgent,
-        wake,
-    };
-    (ordinary_tx, urgent_tx, lanes)
-}
-
-impl<U> UpLanes<U> {
-    fn try_recv(&mut self) -> Option<CoordEvent<U>> {
-        self.urgent.try_recv().or_else(|| self.ordinary.try_recv())
-    }
-
-    fn recv(&mut self) -> Option<CoordEvent<U>> {
-        while self.park_until(|| false) {
-            if let Some(ev) = self.try_recv() {
-                return Some(ev);
-            }
-        }
-        None
-    }
-
-    /// Spin-then-park the calling (coordinator) thread until an event is
-    /// queued or `ready()` holds; `false` once every sender is gone and
-    /// nothing is left queued. `ready` may only watch state whose
-    /// writers wake [`UpLanes::wake`].
-    fn park_until(&self, ready: impl Fn() -> bool) -> bool {
-        let (urx, orx) = (&self.urgent, &self.ordinary);
-        let idle = || urx.is_empty() && orx.is_empty();
-        let open = || !(urx.is_disconnected() && orx.is_disconnected());
-        // Disconnection first: every send happens before its sender's drop.
-        if !open() && idle() {
-            return false;
-        }
-        self.wake.register();
-        self.wake.park_while(|| idle() && open() && !ready());
-        true
-    }
-}
+/// Sender of the coordinator's up lane.
+type UpTx<U> = MpscSender<CoordEvent<U>>;
 
 /// Sender of one site's control lane.
 type CtrlTx<D> = MpscSender<SiteEvent<D>>;
 
-/// A site's control lane in either link implementation: a lock-free
-/// queue of downs, pings and stops on the site thread's [`WakeCell`].
-/// The one site-side receive body, as [`UpLanes`] is the coordinator's.
-struct CtrlLane<D> {
-    rx: MpscReceiver<SiteEvent<D>>,
+/// An inbound lane of either link implementation: a lock-free queue on
+/// the receiving thread's [`WakeCell`]. The coordinator receives every
+/// site's ups, pongs and eos on one up lane; each site receives its
+/// downs, pings and stop on its own control lane. The one receive body
+/// of both roles.
+struct Lane<T> {
+    rx: MpscReceiver<T>,
 }
 
-/// Build a control lane and its sender.
-fn ctrl_lane<D>() -> (CtrlTx<D>, CtrlLane<D>) {
+/// Build a lane on a fresh wake cell, and its sender.
+fn lane<T>() -> (MpscSender<T>, Lane<T>) {
     let (tx, rx) = mpsc(Arc::new(WakeCell::new()));
-    (tx, CtrlLane { rx })
+    (tx, Lane { rx })
 }
 
-impl<D> CtrlLane<D> {
-    /// The site thread's cell: every send on the lane wakes it.
+impl<T> Lane<T> {
+    /// The receiving thread's cell: every send on the lane wakes it.
     fn wake(&self) -> &Arc<WakeCell> {
         self.rx.wake_cell()
     }
 
-    fn try_recv(&mut self) -> Option<SiteEvent<D>> {
+    fn try_recv(&mut self) -> Option<T> {
         self.rx.try_recv()
     }
 
-    fn recv(&mut self) -> Option<SiteEvent<D>> {
+    fn recv(&mut self) -> Option<T> {
         while self.park_until(|| false) {
             if let Some(ev) = self.rx.try_recv() {
                 return Some(ev);
@@ -378,9 +309,9 @@ impl<D> CtrlLane<D> {
         self.rx.is_empty() && !self.rx.is_disconnected()
     }
 
-    /// Spin-then-park the calling (site) thread until an event is
-    /// queued or `ready()` holds; `false` once the lane is closed.
-    /// `ready` may only watch state whose writers wake the lane's cell.
+    /// Spin-then-park the calling thread until an event is queued or
+    /// `ready()` holds; `false` once the lane is closed. `ready` may only
+    /// watch state whose writers wake the lane's cell.
     fn park_until(&self, ready: impl Fn() -> bool) -> bool {
         if self.closed() {
             return false;
@@ -391,10 +322,10 @@ impl<D> CtrlLane<D> {
         true
     }
 
-    /// [`CtrlLane::park_until`] an element arrives on `data`, a ring
+    /// [`Lane::park_until`] an element arrives on `data`, a ring
     /// built on the lane's cell, through the ring's spin → nap → park
     /// wait.
-    fn park_on<T>(&self, data: &mut RingConsumer<T>) -> bool {
+    fn park_on<E>(&self, data: &mut RingConsumer<E>) -> bool {
         if self.closed() {
             return false;
         }
@@ -428,30 +359,29 @@ impl Credit {
 /// Site end of an in-process link pair (see [`in_process_links`]).
 pub struct InProcSiteLink<U, D> {
     id: SiteId,
-    ordinary_tx: LaneTx<U>,
-    urgent_tx: LaneTx<U>,
-    ctrl: CtrlLane<D>,
+    up_tx: UpTx<U>,
+    ctrl: Lane<SiteEvent<D>>,
     credit: Arc<Credit>,
 }
 
 /// Coordinator end of the in-process links (see [`in_process_links`]).
 pub struct InProcCoordLink<U, D> {
-    lanes: UpLanes<U>,
+    ups: Lane<CoordEvent<U>>,
     ctrl_txs: Vec<CtrlTx<D>>,
     credits: Vec<Arc<Credit>>,
 }
 
 /// Build matched in-process link halves for `k` sites on unbounded
 /// lock-free MPSC lanes with [`WakeCell`] spin-then-park idling: one
-/// ordinary and one urgent site→coordinator lane shared by all sites,
-/// one control lane and one [`SITE_CREDIT`] counter per site.
+/// site→coordinator lane shared by all sites, one control lane and one
+/// [`SITE_CREDIT`] counter per site.
 pub fn in_process_links<U, D>(k: usize) -> (Vec<InProcSiteLink<U, D>>, InProcCoordLink<U, D>) {
-    let (ordinary_tx, urgent_tx, lanes) = up_lanes();
+    let (up_tx, ups) = lane();
     let mut sites = Vec::with_capacity(k);
     let mut ctrl_txs = Vec::with_capacity(k);
     let mut credits = Vec::with_capacity(k);
     for id in 0..k {
-        let (ctrl_tx, ctrl) = ctrl_lane();
+        let (ctrl_tx, ctrl) = lane();
         let credit = Arc::new(Credit {
             outstanding: AtomicU64::new(0),
             site_wake: Arc::clone(ctrl.wake()),
@@ -460,14 +390,13 @@ pub fn in_process_links<U, D>(k: usize) -> (Vec<InProcSiteLink<U, D>>, InProcCoo
         credits.push(Arc::clone(&credit));
         sites.push(InProcSiteLink {
             id,
-            ordinary_tx: ordinary_tx.clone(),
-            urgent_tx: urgent_tx.clone(),
+            up_tx: up_tx.clone(),
             ctrl,
             credit,
         });
     }
     let coord = InProcCoordLink {
-        lanes,
+        ups,
         ctrl_txs,
         credits,
     };
@@ -502,25 +431,19 @@ impl<U, D> InProcSiteLink<U, D> {
 }
 
 impl<U, D> SiteLink<U, D> for InProcSiteLink<U, D> {
-    fn send_up(&mut self, up: U, urgent: bool) -> io::Result<()> {
+    fn send_up(&mut self, up: U) -> io::Result<()> {
         self.credit.outstanding.fetch_add(1, Ordering::SeqCst);
-        let tx = if urgent {
-            &self.urgent_tx
-        } else {
-            &self.ordinary_tx
-        };
-        tx.send(CoordEvent::Up(self.id, up));
+        self.up_tx.send(CoordEvent::Up(self.id, up));
         Ok(())
     }
 
     fn pong(&mut self, nonce: u64) -> io::Result<()> {
-        self.urgent_tx.send(CoordEvent::Pong(self.id, nonce));
-        self.ordinary_tx.send(CoordEvent::Pong(self.id, nonce));
+        self.up_tx.send(CoordEvent::Pong(self.id, nonce));
         Ok(())
     }
 
     fn eos(&mut self) -> io::Result<()> {
-        self.ordinary_tx.send(CoordEvent::Eos(self.id));
+        self.up_tx.send(CoordEvent::Eos(self.id));
         Ok(())
     }
 
@@ -554,7 +477,7 @@ impl<U, D> SiteLink<U, D> for InProcSiteLink<U, D> {
 /// barrier waiting on this site's pong fails instead of hanging.
 impl<U, D> Drop for InProcSiteLink<U, D> {
     fn drop(&mut self) {
-        self.ordinary_tx.send(CoordEvent::Closed(self.id));
+        self.up_tx.send(CoordEvent::Closed(self.id));
     }
 }
 
@@ -563,13 +486,13 @@ impl<U, D> InProcCoordLink<U, D> {
     /// [`InProcSiteLink::wake_cell`]; the channel runtime builds its
     /// command lane on it).
     pub fn wake_cell(&self) -> Arc<WakeCell> {
-        Arc::clone(&self.lanes.wake)
+        Arc::clone(self.ups.wake())
     }
 
     /// [`InProcSiteLink::park_until`] for the coordinator's thread:
     /// `false` once every site end is gone and nothing is left queued.
     pub fn park_until(&self, ready: impl Fn() -> bool) -> bool {
-        self.lanes.park_until(ready)
+        self.ups.park_until(ready)
     }
 
     /// Handing an up to the half releases its sender's credit and wakes
@@ -608,11 +531,11 @@ impl<U, D> CoordLink<U, D> for InProcCoordLink<U, D> {
     }
 
     fn try_recv(&mut self) -> Option<CoordEvent<U>> {
-        self.lanes.try_recv().inspect(|ev| self.release(ev))
+        self.ups.try_recv().inspect(|ev| self.release(ev))
     }
 
     fn recv(&mut self) -> Option<CoordEvent<U>> {
-        self.lanes.recv().inspect(|ev| self.release(ev))
+        self.ups.recv().inspect(|ev| self.release(ev))
     }
 }
 
@@ -620,21 +543,16 @@ impl<U, D> CoordLink<U, D> for InProcCoordLink<U, D> {
 // Socket links: length-prefixed frames over std::net TCP.
 // ---------------------------------------------------------------------
 
-fn hello_payload(site: SiteId, lane: usize) -> Vec<u8> {
-    encode_to_vec(&(site, lane))
-}
-
 fn invalid(msg: impl Into<Box<dyn std::error::Error + Send + Sync>>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg)
 }
 
-/// Site end of the TCP transport: two streams to the coordinator (an
-/// ordinary and an urgent lane), a reader thread decoding inbound
-/// frames off the data stream into the site's control lane.
+/// Site end of the TCP transport: one stream to the coordinator and a
+/// reader thread decoding inbound frames off it into the site's control
+/// lane.
 pub struct TcpSiteLink<U, D> {
-    data_w: TcpStream,
-    urgent_w: TcpStream,
-    ctrl: CtrlLane<D>,
+    stream: TcpStream,
+    ctrl: Lane<SiteEvent<D>>,
     reader: Option<JoinHandle<()>>,
     /// Frame buffer reused by every send.
     frame: Vec<u8>,
@@ -648,23 +566,19 @@ impl<U: Encode, D: Decode + Send + 'static> TcpSiteLink<U, D> {
             .to_socket_addrs()?
             .next()
             .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "no address"))?;
-        let mut data = TcpStream::connect(addr)?;
-        data.set_nodelay(true)?;
-        write_frame(&mut data, kind::HELLO, &hello_payload(id, LANE_DATA))?;
-        let mut urgent = TcpStream::connect(addr)?;
-        urgent.set_nodelay(true)?;
-        write_frame(&mut urgent, kind::HELLO, &hello_payload(id, LANE_URGENT))?;
+        let mut stream = TcpStream::connect(addr)?;
+        stream.set_nodelay(true)?;
+        write_frame(&mut stream, kind::HELLO, &encode_to_vec(&id))?;
 
-        let (tx, ctrl) = ctrl_lane::<D>();
-        let mut read_half = BufReader::new(data.try_clone()?);
+        let (tx, ctrl) = lane();
+        let mut read_half = BufReader::new(stream.try_clone()?);
         // The thread owns the lane's only sender: when it ends, the drop
         // wakes a parked site to find the lane closed.
         let reader = std::thread::spawn(move || {
             let _ = read_downs(&mut read_half, &tx);
         });
         Ok(Self {
-            data_w: data,
-            urgent_w: urgent,
+            stream,
             ctrl,
             reader: Some(reader),
             frame: Vec::new(),
@@ -673,8 +587,8 @@ impl<U: Encode, D: Decode + Send + 'static> TcpSiteLink<U, D> {
     }
 }
 
-/// The site link's reader thread: decode frames off the data stream
-/// into the control lane. Ends on STOP, on a closed or failed stream, on
+/// The site link's reader thread: decode frames off the stream into
+/// the control lane. Ends on STOP, on a closed or failed stream, on
 /// an undecodable or unexpected frame, or when the link is dropped
 /// (which shuts the stream down); the link then reads as gone.
 fn read_downs<D: Decode>(stream: &mut impl Read, tx: &CtrlTx<D>) -> io::Result<()> {
@@ -697,25 +611,19 @@ fn read_downs<D: Decode>(stream: &mut impl Read, tx: &CtrlTx<D>) -> io::Result<(
 /// Every frame is encoded whole into the link's buffer and leaves in
 /// one `write_all`.
 impl<U: Encode, D> SiteLink<U, D> for TcpSiteLink<U, D> {
-    fn send_up(&mut self, up: U, urgent: bool) -> io::Result<()> {
+    fn send_up(&mut self, up: U) -> io::Result<()> {
         encode_frame_into(kind::UP, &up, &mut self.frame)?;
-        let stream = if urgent {
-            &mut self.urgent_w
-        } else {
-            &mut self.data_w
-        };
-        stream.write_all(&self.frame)
+        self.stream.write_all(&self.frame)
     }
 
     fn pong(&mut self, nonce: u64) -> io::Result<()> {
         encode_frame_into(kind::PONG, &nonce, &mut self.frame)?;
-        self.data_w.write_all(&self.frame)?;
-        self.urgent_w.write_all(&self.frame)
+        self.stream.write_all(&self.frame)
     }
 
     fn eos(&mut self) -> io::Result<()> {
         encode_frame_into(kind::EOS, &(), &mut self.frame)?;
-        self.data_w.write_all(&self.frame)
+        self.stream.write_all(&self.frame)
     }
 
     fn try_recv(&mut self) -> Option<SiteEvent<D>> {
@@ -729,8 +637,7 @@ impl<U: Encode, D> SiteLink<U, D> for TcpSiteLink<U, D> {
 
 impl<U, D> Drop for TcpSiteLink<U, D> {
     fn drop(&mut self) {
-        let _ = self.data_w.shutdown(Shutdown::Both);
-        let _ = self.urgent_w.shutdown(Shutdown::Both);
+        let _ = self.stream.shutdown(Shutdown::Both);
         if let Some(h) = self.reader.take() {
             let _ = h.join();
         }
@@ -742,10 +649,10 @@ impl<U, D> Drop for TcpSiteLink<U, D> {
 type WriterCmd = Option<Vec<u8>>;
 
 /// Coordinator end of the TCP transport: per-peer writer threads (a
-/// slow site never blocks the apply loop), one reader thread per
-/// inbound stream feeding the urgent / ordinary lock-free lanes.
+/// slow site never blocks the apply loop) and per-peer reader threads
+/// feeding the one lock-free up lane.
 pub struct TcpCoordLink<U, D> {
-    lanes: UpLanes<U>,
+    ups: Lane<CoordEvent<U>>,
     writers: Vec<Sender<WriterCmd>>,
     /// Frame buffers the writer threads have written out, handed back
     /// for the next frame to encode into (at most one per frame in
@@ -759,43 +666,40 @@ pub struct TcpCoordLink<U, D> {
 }
 
 impl<U: Decode + Send + 'static, D: Encode> TcpCoordLink<U, D> {
-    /// Accept `k` sites (two streams each) on `listener`.
+    /// Accept `k` sites (one stream each) on `listener`.
     ///
-    /// Blocks until all `2k` expected streams have connected and sent
-    /// their HELLO frames. Site ids must be unique and `< k`.
+    /// Blocks until all `k` streams have connected and sent their HELLO
+    /// frames. Site ids must be unique and `< k`.
     pub fn accept(listener: &TcpListener, k: usize) -> io::Result<Self> {
-        // Per site, the [data, urgent] stream pair, filled as HELLOs arrive.
-        let mut streams: Vec<[Option<TcpStream>; 2]> = (0..k).map(|_| [None, None]).collect();
-        let mut pending = 2 * k;
-        while pending > 0 {
+        // Per site, its stream, filled as HELLOs arrive.
+        let mut streams: Vec<Option<TcpStream>> = (0..k).map(|_| None).collect();
+        for _ in 0..k {
             let (mut stream, _) = listener.accept()?;
             stream.set_nodelay(true)?;
             let Some((kind::HELLO, payload)) = read_frame(&mut stream)? else {
                 return Err(invalid("peer did not start with HELLO"));
             };
-            let (site, lane): (usize, usize) = decode_exact(&payload)?;
+            let site: usize = decode_exact(&payload)?;
             let slot = streams
                 .get_mut(site)
-                .and_then(|pair| pair.get_mut(lane))
-                .ok_or_else(|| invalid(format!("no site {site} lane {lane} (k = {k})")))?;
+                .ok_or_else(|| invalid(format!("no site {site} (k = {k})")))?;
             if slot.replace(stream).is_some() {
                 return Err(invalid(format!("duplicate connection for site {site}")));
             }
-            pending -= 1;
         }
 
-        let (ordinary_tx, urgent_tx, lanes) = up_lanes::<U>();
+        let (up_tx, ups) = lane();
         let mut writers = Vec::with_capacity(k);
         let (spent_tx, spent) = channel::<Vec<u8>>();
-        let mut read_halves = Vec::with_capacity(2 * k);
+        let mut read_halves = Vec::with_capacity(k);
         let mut writer_threads = Vec::with_capacity(k);
-        let mut reader_threads = Vec::with_capacity(2 * k);
+        let mut reader_threads = Vec::with_capacity(k);
 
-        for (site, pair) in streams.into_iter().enumerate() {
-            let [data, urgent] = pair.map(|stream| stream.expect("filled above"));
+        for (site, stream) in streams.into_iter().enumerate() {
+            let stream = stream.expect("filled above");
 
             // Per-peer writer thread: downs / pings / stop for this site.
-            let mut write_half = data.try_clone()?;
+            let mut write_half = stream.try_clone()?;
             let (wtx, wrx) = channel::<WriterCmd>();
             writers.push(wtx);
             let spent_tx = spent_tx.clone();
@@ -808,25 +712,20 @@ impl<U: Decode + Send + 'static, D: Encode> TcpCoordLink<U, D> {
                 }
             }));
 
-            // One reader thread per inbound stream, routing into the
-            // urgent / ordinary lane matching the stream's role.
-            for (stream, tx, urgent_lane) in [
-                (data, ordinary_tx.clone(), false),
-                (urgent, urgent_tx.clone(), true),
-            ] {
-                read_halves.push(stream.try_clone()?);
-                let mut read_half = BufReader::new(stream);
-                reader_threads.push(std::thread::spawn(move || {
-                    // Anything but a clean close takes the link down.
-                    if read_ups(&mut read_half, site, urgent_lane, &tx).is_err() {
-                        tx.send(CoordEvent::Closed(site));
-                    }
-                }));
-            }
+            // Per-peer reader thread: ups / pongs / eos into the up lane.
+            read_halves.push(stream.try_clone()?);
+            let mut read_half = BufReader::new(stream);
+            let tx = up_tx.clone();
+            reader_threads.push(std::thread::spawn(move || {
+                // Anything but a clean close takes the link down.
+                if read_ups(&mut read_half, site, &tx).is_err() {
+                    tx.send(CoordEvent::Closed(site));
+                }
+            }));
         }
 
         Ok(Self {
-            lanes,
+            ups,
             writers,
             spent,
             read_halves,
@@ -837,20 +736,15 @@ impl<U: Decode + Send + 'static, D: Encode> TcpCoordLink<U, D> {
     }
 }
 
-/// One coordinator-side reader thread: decode frames off one inbound
-/// stream of `site` into its lane. `Ok` is a clean close (after STOP).
-fn read_ups<U: Decode>(
-    stream: &mut impl Read,
-    site: SiteId,
-    urgent_lane: bool,
-    tx: &LaneTx<U>,
-) -> io::Result<()> {
+/// One coordinator-side reader thread: decode frames off `site`'s
+/// stream into the up lane. `Ok` is a clean close (after STOP).
+fn read_ups<U: Decode>(stream: &mut impl Read, site: SiteId, tx: &UpTx<U>) -> io::Result<()> {
     let mut payload = Vec::new();
     loop {
         tx.send(match read_frame_into(stream, &mut payload)? {
             Some(kind::UP) => CoordEvent::Up(site, decode_exact(&payload)?),
             Some(kind::PONG) => CoordEvent::Pong(site, decode_exact(&payload)?),
-            Some(kind::EOS) if !urgent_lane => CoordEvent::Eos(site),
+            Some(kind::EOS) => CoordEvent::Eos(site),
             None => return Ok(()),
             Some(other) => return Err(invalid(format!("unexpected frame kind {other}"))),
         });
@@ -897,11 +791,11 @@ impl<U, D: Encode> CoordLink<U, D> for TcpCoordLink<U, D> {
     }
 
     fn try_recv(&mut self) -> Option<CoordEvent<U>> {
-        self.lanes.try_recv()
+        self.ups.try_recv()
     }
 
     fn recv(&mut self) -> Option<CoordEvent<U>> {
-        self.lanes.recv()
+        self.ups.recv()
     }
 }
 
@@ -960,6 +854,7 @@ impl<S: Site, L: SiteLink<S::Up, S::Down>> SiteHalf<S, L> {
     }
 
     /// Drain every control message currently queued.
+    #[inline]
     pub fn pump(&mut self) -> io::Result<()> {
         while !self.stopped {
             let Some(ev) = self.link.try_recv() else {
@@ -1013,8 +908,7 @@ impl<S: Site, L: SiteLink<S::Up, S::Down>> SiteHalf<S, L> {
     fn flush(&mut self) -> io::Result<()> {
         for up in self.out.drain() {
             self.stats.charge_up(&up);
-            let urgent = up.urgent();
-            self.link.send_up(up, urgent)?;
+            self.link.send_up(up)?;
         }
         Ok(())
     }
@@ -1045,9 +939,9 @@ pub struct CoordHalf<C: Coordinator, L> {
     core: CoordCore<C>,
     link: L,
     eos: Vec<bool>,
-    /// Current quiesce round and the pongs it has collected per site.
+    /// Current quiesce round and, per site, whether it has ponged it.
     nonce: u64,
-    pongs: Vec<u8>,
+    ponged: Vec<bool>,
 }
 
 impl<C: Coordinator, L: CoordLink<C::Up, C::Down>> CoordHalf<C, L> {
@@ -1059,7 +953,7 @@ impl<C: Coordinator, L: CoordLink<C::Up, C::Down>> CoordHalf<C, L> {
             link,
             eos: vec![false; k],
             nonce: 0,
-            pongs: vec![0; k],
+            ponged: vec![false; k],
         }
     }
 
@@ -1086,11 +980,8 @@ impl<C: Coordinator, L: CoordLink<C::Up, C::Down>> CoordHalf<C, L> {
     fn on_event(&mut self, ev: CoordEvent<C::Up>) -> io::Result<()> {
         match ev {
             CoordEvent::Up(from, up) => self.apply(from, up)?,
-            // Saturating: a peer can send any number of them, and the
-            // barrier compares the count with `PONGS_PER_SITE` only.
-            CoordEvent::Pong(site, nonce) if nonce == self.nonce => {
-                self.pongs[site] = self.pongs[site].saturating_add(1)
-            }
+            // A flag, not a count: a peer can send any number of them.
+            CoordEvent::Pong(site, nonce) if nonce == self.nonce => self.ponged[site] = true,
             // A pong of an earlier round is stale; drop it.
             CoordEvent::Pong(..) => {}
             CoordEvent::Eos(site) => self.eos[site] = true,
@@ -1105,13 +996,13 @@ impl<C: Coordinator, L: CoordLink<C::Up, C::Down>> CoordHalf<C, L> {
     }
 
     /// Apply what is queued, without blocking — at most one credit
-    /// window of events (per site `SITE_CREDIT` ups, a round's two pongs,
-    /// an eos and a close). On in-process links nothing more can have
+    /// window of events (per site `SITE_CREDIT` ups, a round's pong, an
+    /// eos and a close). On in-process links nothing more can have
     /// been outstanding when the call was made, and the bound keeps sites
     /// that refill the lanes as fast as they drain from starving a
     /// caller with other duties (the channel runtime's command lane).
     pub fn pump(&mut self) -> io::Result<()> {
-        for _ in 0..self.eos.len() as u64 * (SITE_CREDIT + 4) {
+        for _ in 0..self.eos.len() as u64 * (SITE_CREDIT + 3) {
             let Some(ev) = self.link.try_recv() else {
                 break;
             };
@@ -1146,8 +1037,8 @@ impl<C: Coordinator, L: CoordLink<C::Up, C::Down>> CoordHalf<C, L> {
     }
 
     /// Distributed quiesce: ping/pong rounds until a round applies no
-    /// new up and emits no new down (see the module docs for why
-    /// per-lane FIFO makes one silent round a settlement proof).
+    /// new up and emits no new down (see the module docs for why FIFO
+    /// links make one silent round a settlement proof).
     /// Returns the number of rounds, or `TimedOut` if the protocol is
     /// still talking after `MAX_QUIESCE_ROUNDS` of them. On return the
     /// live-query snapshot, if any, is the settled state.
@@ -1157,9 +1048,9 @@ impl<C: Coordinator, L: CoordLink<C::Up, C::Down>> CoordHalf<C, L> {
             self.pump()?;
             let before = (self.core.stats().up_msgs, self.core.stats().down_msgs);
             self.nonce += 1;
-            self.pongs.fill(0);
+            self.ponged.fill(false);
             self.link.ping(self.nonce)?;
-            self.run_while(|half| half.pongs.iter().any(|&c| c < PONGS_PER_SITE))?;
+            self.run_while(|half| !half.ponged.iter().all(|&p| p))?;
             if (self.core.stats().up_msgs, self.core.stats().down_msgs) == before {
                 self.core.publish_stale();
                 return Ok(round);
@@ -1213,14 +1104,14 @@ impl<C: Coordinator, L: CoordLink<C::Up, C::Down>> CoordHalf<C, L> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::message::Words;
     use crate::net::Net;
     use crate::protocol::Coordinator;
     use crate::wire::{WireReader, WireSink};
     use std::io::Write;
 
-    /// Echo protocol with an urgent flavor: sites forward each item;
-    /// every 10th up is flagged urgent; the coordinator sums and, every
-    /// 100 applies, broadcasts its apply count — unlike the running sum,
+    /// Echo protocol: sites forward each item; the coordinator sums
+    /// and, every 100 applies, broadcasts its apply count — unlike the running sum,
     /// that does not depend on the interleaving, so down bytes compare
     /// across links.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -1229,10 +1120,6 @@ mod tests {
     impl Words for EchoUp {
         fn words(&self) -> u64 {
             1
-        }
-
-        fn urgent(&self) -> bool {
-            self.0.is_multiple_of(10)
         }
     }
 
@@ -1644,13 +1531,14 @@ mod tests {
 
     #[test]
     fn a_pong_flood_saturates_the_barrier_count() {
-        // Every pong carrying the current nonce counts, and the nonce is
-        // 0 before the first round: a site can send 256 of them without
-        // reading a ping. The count saturates instead of overflowing on
-        // the coordinator's thread, and the run behind the flood settles.
+        // Every pong carrying the current nonce sets its site's barrier
+        // flag, and the nonce is 0 before the first round: a site can
+        // send 256 of them without reading a ping. A flag only saturates
+        // — there is no count to overflow on the coordinator's thread —
+        // and the run behind the flood settles.
         let (mut site_links, coord_link) = in_process_links::<EchoUp, u64>(1);
-        for _ in 0..128 {
-            site_links[0].pong(0).unwrap(); // one pong per lane
+        for _ in 0..256 {
+            site_links[0].pong(0).unwrap();
         }
         let handles = run_sites(site_links, 10);
         let (sum, _) = drive_coord(coord_link);
@@ -1668,29 +1556,27 @@ mod tests {
     // -----------------------------------------------------------------
 
     /// A coordinator link whose only site is a raw peer: it handshakes
-    /// well-formed, then `client` writes what it likes on the data
-    /// stream. Join the peer once the link has seen what the test waits
-    /// for — it keeps both streams open until then.
+    /// well-formed, then `client` writes what it likes on the stream.
+    /// Join the peer once the link has seen what the test waits for — it
+    /// keeps the stream open until then.
     fn link_to_raw_peer(
         client: impl FnOnce(&mut TcpStream) + Send + 'static,
     ) -> (
         TcpCoordLink<EchoUp, u64>,
-        std::thread::JoinHandle<(TcpStream, TcpStream)>,
+        std::thread::JoinHandle<TcpStream>,
     ) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let peer = std::thread::spawn(move || {
-            let mut data = TcpStream::connect(addr).unwrap();
-            write_frame(&mut data, kind::HELLO, &hello_payload(0, LANE_DATA)).unwrap();
-            let mut urgent = TcpStream::connect(addr).unwrap();
-            write_frame(&mut urgent, kind::HELLO, &hello_payload(0, LANE_URGENT)).unwrap();
-            client(&mut data);
-            (data, urgent)
+            let mut stream = TcpStream::connect(addr).unwrap();
+            write_frame(&mut stream, kind::HELLO, &encode_to_vec(&0usize)).unwrap();
+            client(&mut stream);
+            stream
         });
         (TcpCoordLink::accept(&listener, 1).unwrap(), peer)
     }
 
-    /// Let `client` misbehave on the data stream; assert the coordinator
+    /// Let `client` misbehave on the stream; assert the coordinator
     /// observes `Closed(0)`.
     fn expect_closed_after(client: impl FnOnce(&mut TcpStream) + Send + 'static) {
         let (mut link, h) = link_to_raw_peer(client);
@@ -1785,8 +1671,8 @@ mod tests {
     fn a_pong_flood_from_a_peer_does_not_panic_the_coordinator() {
         // 256 PONG frames carrying nonce 0 — the barrier's nonce before
         // its first round, so the peer need not even read a ping — then
-        // EOS. Bytes from a peer must not be able to overflow the
-        // barrier's per-site count on the coordinator's thread.
+        // EOS. Bytes from a peer must not be able to panic the
+        // coordinator's thread through the barrier's per-site flag.
         let (link, h) = link_to_raw_peer(|data| {
             for _ in 0..256 {
                 write_frame(data, kind::PONG, &encode_to_vec(&0u64)).unwrap();

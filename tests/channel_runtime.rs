@@ -176,3 +176,50 @@ fn runtime_and_bare_halves_agree_bit_for_bit() {
     assert!(runtime_stats.up_msgs > 0);
     assert_eq!(runtime_stats.elements, (0..k).map(per_site).sum::<u64>());
 }
+
+/// Windows over sockets: `Windowed<RandomizedCount>` as `SiteHalf`s and
+/// a `CoordHalf` over loopback TCP (k = 4, W = 4 096, 10 000 elements per
+/// site), quiesced, answers the last `W` within ε as a mean over 20
+/// seeds. Each site stamps its seal acks with the elements it consumed,
+/// so a bucket closes where its sites switched however the socket
+/// streams interleave.
+///
+/// Release-gated like the channel runtime's 20-seed window test.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "20 socket runs; covered by release CI")]
+fn windowed_count_over_sockets_mean_error_within_epsilon_over_20_seeds() {
+    use dtrack::core::window::Windowed;
+    use dtrack::sim::{CoordHalf, Protocol, SiteHalf, TcpCoordLink, TcpSiteLink};
+    use dtrack_bench::measure::assert_mean_error_le_eps;
+    use std::net::TcpListener;
+
+    let (k, eps, w, per_site) = (4usize, 0.1, 4_096u64, 10_000u64);
+    let proto = Windowed::new(RandomizedCount::new(TrackingConfig::new(k, eps)), w);
+    assert_mean_error_le_eps("windowed count over sockets", eps, 20, |seed| {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let sites: Vec<_> = (0..k)
+            .map(|id| {
+                let site = proto.build_site(seed, id);
+                std::thread::spawn(move || {
+                    let mut half = SiteHalf::new(site, TcpSiteLink::connect(addr, id).unwrap());
+                    for t in 0..per_site {
+                        half.feed(&t).unwrap();
+                    }
+                    half.finish_stream().unwrap();
+                    half.run_until_stop().unwrap();
+                })
+            })
+            .collect();
+        let link = TcpCoordLink::accept(&listener, k).unwrap();
+        let mut coord = CoordHalf::new(proto.build_coord(seed), link);
+        coord.pump_until_eos().unwrap();
+        coord.quiesce().unwrap();
+        let est = coord.coord().windowed_count();
+        coord.stop().unwrap();
+        for h in sites {
+            h.join().unwrap();
+        }
+        (est - w as f64).abs() / w as f64
+    });
+}
