@@ -30,7 +30,7 @@
 //! the lock-step executor and at the defaults on `event:fixed:8` and
 //! `channel`; each claim's comment gives the measured range.
 
-use dtrack_bench::cli::{arg, banner, exec_arg};
+use dtrack_bench::cli::{arg, banner, claim, exec_arg};
 use dtrack_bench::table::{fmt_num, Table};
 use dtrack_core::count::{RandCountCoord, RandomizedCount};
 use dtrack_core::frequency::{RandFreqCoord, RandomizedFrequency};
@@ -65,12 +65,6 @@ fn main() {
         std::process::exit(1);
     }
     println!("every arm shows the damage the paper predicts ✓");
-}
-
-/// Print an arm's claim with its verdict, and return the verdict.
-fn claim(what: &str, held: bool) -> bool {
-    println!("claim: {what} {}\n", if held { "✓" } else { "✗" });
-    held
 }
 
 /// Arm 1: the two-case estimator of eq. (1) vs the naive one-case form,

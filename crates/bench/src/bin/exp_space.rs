@@ -3,6 +3,9 @@
 //! Table 1 claims: count O(1); frequency NEW `O(1/(ε√k))` — *below* the
 //! streaming lower bound Ω(1/ε), and shrinking as k grows; frequency
 //! deterministic `O(1/ε)`; rank NEW `O(1/(ε√k)·polylog)`; sampling O(1).
+//! The deterministic rank column is this repository's delta-batch arm,
+//! whose site holds an open batch of up to `εn/(2k)` values, `O(εn/k)`,
+//! so it grows with `n` and with ε.
 //!
 //! Usage: `exp_space [N] [SEEDS] [EXEC]`
 

@@ -83,7 +83,7 @@ fn main() {
             "[29]-style det",
         ),
         (exec, Problem::Frequency, Algo::Randomized, "NEW randomized"),
-        (exec, Problem::Rank, Algo::Deterministic, "[6]-style det"),
+        (exec, Problem::Rank, Algo::Deterministic, "delta-batch det"),
         (exec, Problem::Rank, Algo::Randomized, "NEW randomized"),
         (exec, Problem::Rank, Algo::Sampling, "sampling [9]"),
         (

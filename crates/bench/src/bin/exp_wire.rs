@@ -7,8 +7,8 @@
 //! things are worth watching:
 //!
 //! * **bytes/word ratio** — how far below the flat 8 bytes/word the
-//!   codec lands per protocol (small counters varint-pack well; GK/KLL
-//!   summaries benefit from delta runs).
+//!   codec lands per protocol (small counters varint-pack well; rank
+//!   batches and KLL summaries benefit from delta runs).
 //! * **ordering preservation** — the paper's `√k` vs `k` separation is
 //!   proved in words; the binary checks that the *byte* totals preserve
 //!   the randomized-vs-deterministic ordering at the largest swept `k`

@@ -13,10 +13,31 @@
 //! | rank | new | O(1/(ε√k)·polylog) | O(√k/ε·logN·polylog) |
 //! | all | sampling \[9\] | O(1) | O(1/ε²·logN) |
 //!
+//! The deterministic rank row is this repository's delta-batch tracker
+//! (`dtrack_core::rank::DeterministicRank`), `O(min(n, k/ε²·logN))`
+//! words and `O(εn/k)` space per site, not \[29\]'s splitter tree.
+//!
 //! Usage: `table1 [N] [K] [EPS] [SEEDS] [EXEC]`
 //! (`EXEC` picks the executor + delivery policy, e.g. `event:random:1:32`)
+//!
+//! The binary asserts the table's headline ordering: for each problem,
+//! the NEW randomized row costs fewer words than the deterministic row,
+//! or it exits 1 naming the problems where it does not. At the defaults
+//! it holds with a wide margin (count 14 848 < 40 640, frequency
+//! 48 856 < 600 262, rank 224 739 < 1 600 256). Where it stops holding,
+//! measured on the lock-step executor:
+//!
+//! * count fails at `k = 8` for every `N` from 20 000 to 2 000 000
+//!   (3 416 > 3 064 words at `table1 20000 8`, 6 979 > 6 752 at
+//!   `table1 2000000 8`) and holds from `k = 16`: at `√k ≈ 3` the
+//!   randomized protocol's per-round terms outweigh its `√k` saving;
+//! * rank fails at `k = 8` for `N ≤ 10 000` (48 608 > 38 136 words),
+//!   where the deterministic arm ships single-element batches at 3–5
+//!   words per element, and is near parity at `table1 20000 8`
+//!   (66 106 < 69 544);
+//! * frequency held at every `(N, k)` tried.
 
-use dtrack_bench::cli::{arg, banner, exec_arg};
+use dtrack_bench::cli::{arg, banner, claim, exec_arg};
 use dtrack_bench::measure::{median_run, run, Algo, Problem};
 use dtrack_bench::table::{fmt_num, Table};
 
@@ -49,7 +70,7 @@ fn main() {
         (Problem::Frequency, Algo::Deterministic, "[29]-style det"),
         (Problem::Frequency, Algo::Randomized, "NEW randomized"),
         (Problem::Frequency, Algo::Sampling, "sampling [9]"),
-        (Problem::Rank, Algo::Deterministic, "[6]-style det"),
+        (Problem::Rank, Algo::Deterministic, "delta-batch det"),
         (Problem::Rank, Algo::Randomized, "NEW randomized"),
         (Problem::Rank, Algo::Sampling, "sampling [9]"),
     ];
@@ -58,6 +79,8 @@ fn main() {
     // so it has no tree composition — under a +tree scenario its rows
     // are skipped (with a note) rather than aborting the whole table.
     let mut skipped_sampling = false;
+    // Per problem: (deterministic words, randomized words).
+    let mut words = [(0u64, 0u64); 3];
     for (problem, algo, label) in rows {
         if exec.tree.is_some() && algo == Algo::Sampling {
             skipped_sampling = true;
@@ -69,6 +92,12 @@ fn main() {
         };
         let r = median_run(seeds, |s| run(exec, problem, algo, k, eps, rows_n, s));
         let cs = r.cost();
+        let slot = &mut words[problem as usize];
+        match algo {
+            Algo::Deterministic => slot.0 = cs.total_words(),
+            Algo::Randomized => slot.1 = cs.total_words(),
+            Algo::Sampling => {}
+        }
         t.row([
             problem.to_string(),
             label.to_string(),
@@ -92,5 +121,23 @@ fn main() {
             "note: sampling [9] rows skipped — the continuous-sampling \
              baseline has no tree composition (drop +tree to include them)."
         );
+    }
+
+    println!();
+    let problems = [Problem::Count, Problem::Frequency, Problem::Rank];
+    let failed: Vec<String> = problems
+        .into_iter()
+        .filter(|&p| {
+            let (det, rand) = words[p as usize];
+            !claim(
+                &format!("{p}: NEW randomized {rand} words < deterministic {det} words"),
+                rand < det,
+            )
+        })
+        .map(|p| p.to_string())
+        .collect();
+    if !failed.is_empty() {
+        eprintln!("table1 ordering FAILED: {}", failed.join(", "));
+        std::process::exit(1);
     }
 }

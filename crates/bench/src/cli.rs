@@ -45,3 +45,10 @@ pub fn banner(name: &str, detail: &str) {
     println!("{detail}");
     println!();
 }
+
+/// Print a claim with its verdict and return the verdict, so a binary
+/// can assert several claims and exit 1 naming the ones that failed.
+pub fn claim(what: &str, held: bool) -> bool {
+    println!("claim: {what} {}\n", if held { "✓" } else { "✗" });
+    held
+}

@@ -7,7 +7,8 @@
 //! sites." The broadcast value `n̄` is always a constant-factor
 //! approximation of the true `n`, costs `O(k logN)` communication in
 //! total, and divides the execution into `O(logN)` rounds. All three
-//! randomized protocols embed this component; it is factored out here as
+//! randomized protocols embed this component, and so do the
+//! deterministic frequency and rank baselines; it is factored out here as
 //! a pair of plain state machines that the protocols drive from their
 //! message handlers, plus the broadcast itself, [`NewRound`].
 
@@ -16,8 +17,8 @@ use dtrack_sim::{Decode, Encode, Words};
 
 /// The coordinator's round broadcast of a new `n̄` — the whole down
 /// vocabulary of every protocol built on this tracker (randomized count,
-/// frequency and rank, and the deterministic frequency baseline): one
-/// word, one varint.
+/// frequency and rank, and the deterministic frequency and rank
+/// baselines): one word, one varint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NewRound {
     /// The new coarse estimate of `n`.

@@ -12,7 +12,7 @@
 //! | [`frequency::RandomizedFrequency`] | §3.1, Thm 3.1 | `O(√k/ε·logN)` | `O(1/(ε√k))` |
 //! | [`frequency::DeterministicFrequency`] | \[29\]-style baseline | `Θ(k/ε·logN)` | `O(1/ε)` |
 //! | [`rank::RandomizedRank`] | §4, Thm 4.1 | `O(√k/ε·logN·polylog)` | `O(1/(ε√k)·polylog)` |
-//! | [`rank::DeterministicRank`] | \[6\]-style baseline | `O(k/ε²·logN)` | `O(1/ε·log n)` |
+//! | [`rank::DeterministicRank`] | delta-batch baseline | `O(min(n, k/ε²·logN))` | `O(εn/k)` |
 //! | [`sampling::ContinuousSampling`] | \[9\] baseline | `O(1/ε²·logN)` | `O(1)` |
 //!
 //! All protocols implement the [`dtrack_sim::Protocol`] trait and run on

@@ -1,19 +1,79 @@
-//! Deterministic rank-tracking baseline ([6]-style, Cormode et al.).
+//! Deterministic rank-tracking baseline: ε-quantised delta batches.
 //!
-//! Per round, each site maintains a Greenwald–Khanna summary (error ε/4)
-//! over its round-local elements and re-ships the whole summary whenever
-//! its round-local count grows by a `(1+ε/4)` factor. The coordinator
-//! sums, per site and round, the latest summary's rank estimate. Error
-//! budget: GK truncation ≤ εn/4 plus un-shipped growth ≤ εn/4 per site
-//! aggregate. Communication is `O(k/ε²·logN·log(εn))` words — the cost
-//! the paper attributes to [6] ("O(k/ε²·logN) under certain inputs") and
-//! the natural deterministic comparator for Theorem 4.1's `√k/ε·logN`.
+//! The deterministic comparator for Theorem 4.1's randomized tracker.
+//! Every site reports each element once, inside a batch of the elements
+//! it received since its last report, and the coordinator keeps every
+//! point it is sent.
+//!
+//! # Algorithm
+//!
+//! * **Rounds.** The coarse tracker ([`crate::coarse`]) broadcasts
+//!   [`NewRound`] with `n̄`, the sum of the sites' last doubling reports.
+//!   That sum never exceeds the true count, so `n̄ ≤ n` at every site at
+//!   every instant, and a stale `n̄` is only ever too small.
+//! * **Site.** It buffers arriving elements in an open batch whose cap
+//!   is `max(1, ⌊ε·n̄/(2k)⌋)` (1 before the first broadcast). When the
+//!   batch holds `cap` elements the site sorts them, cuts the sorted
+//!   batch of `b` elements into consecutive blocks of
+//!   `s = max(1, ⌊ε·b⌋)` (the last block may be shorter), and sends one
+//!   [`DetRankUp::Summary`] with a tuple `(block's middle element, block
+//!   size, 0)` per block. Then it clears the batch. A new round changes
+//!   only the cap; the open batch is not flushed.
+//! * **Coordinator.** It keeps every point `(v, g)` it received in
+//!   value-sorted runs with prefix weights. A new run is merged into the
+//!   previous one while it is at least half that run's size, so there are
+//!   `O(log P)` runs over `P` points. `rank(x)` is the sum over runs of
+//!   the weight of the points below `x`: one binary search per run.
+//!
+//! # Guarantee
+//!
+//! At any instant, for every `x`, `|estimate_rank(x) − rank(x)| ≤ εn`.
+//! The error has two parts.
+//!
+//! 1. **Unreported elements.** A site's open batch holds at most
+//!    `cap − 1` elements. With `cap = 1` that is none; otherwise
+//!    `cap = ⌊ε·n̄/(2k)⌋ ≤ εn/(2k)`, because the site's `n̄ ≤ n`. Over `k`
+//!    sites, at most `εn/2` elements are unreported, and each moves a
+//!    rank by at most one.
+//! 2. **Quantisation.** The elements of a sorted batch below `x` are a
+//!    prefix of it, so every block but the one holding that prefix's end
+//!    counts exactly. That block has `m ≤ s` elements, `j` of them below
+//!    `x`; it counts `m` if its middle element (index `⌊m/2⌋`) is below
+//!    `x`, which means `j > ⌊m/2⌋`, and 0 otherwise, which means
+//!    `j ≤ ⌊m/2⌋`. Either way it errs by at most `⌊m/2⌋ ≤ ⌊s/2⌋`, which is
+//!    0 when `s = 1` and at most `ε·b/2` otherwise. Batches partition the
+//!    reported elements, so together they err by at most `εn/2`.
+//!
+//! This holds deterministically on the lock-step executor, where every
+//! message is applied before the next element arrives. On threaded
+//! executors a batch in flight is unreported for as long as it travels,
+//! on top of part 1; the bound holds again at every quiesced cut.
+//!
+//! # Cost
+//!
+//! A batch of `b` elements costs `2 + 3⌈b/s⌉` words. While `ε·cap < 2`
+//! blocks are single elements, and a batch costs at most 5 words per
+//! element. Once `s ≥ 2`, `s ≥ ε·b/2`, so a batch has at most `2/ε + 1`
+//! tuples. A round holds fewer than `3n̄` elements (it ends once the
+//! reported counts double `n̄`, and each under-reports its site by less
+//! than 2×), so it ships `O(k/ε)` full batches. A round therefore costs
+//! about `min(5 × its elements, (2k/ε)(2 + 3/ε))` words, and over the
+//! coarse tracker's `O(log N)` rounds the total is
+//! `O(min(n, k/ε²·log N))`.
+//!
+//! # Space
+//!
+//! * Site: the open batch, at most `cap − 1 ≤ εn/(2k)` values, so
+//!   `O(εn/k)`. (A Greenwald–Khanna summary would hold
+//!   `O(1/ε·log εn)`, but it must be re-shipped whole to stay current.)
+//! * Coordinator: every point it received,
+//!   `O(min(n, k/ε²·log N))` values and prefix weights.
 
 use dtrack_sim::wire::{WireError, WireReader, WireSink};
 use dtrack_sim::{Coordinator, Decode, Encode, Net, Outbox, Protocol, Site, SiteId, Words};
-use dtrack_sketch::gk::{GkSummary, GkTuple};
+use dtrack_sketch::gk::GkTuple;
 
-use crate::coarse::{CoarseCoord, CoarseSite};
+use crate::coarse::{CoarseCoord, CoarseSite, NewRound};
 use crate::config::TrackingConfig;
 
 /// Site → coordinator messages.
@@ -21,13 +81,16 @@ use crate::config::TrackingConfig;
 pub enum DetRankUp {
     /// Coarse-tracker doubling report.
     Coarse(u64),
-    /// Full refresh of this site's summary for the current round.
+    /// One batch of the elements the site received since its last
+    /// report, as weighted points.
     Summary {
-        /// Round index the summary belongs to.
+        /// Round broadcasts the site had seen when it sent the batch.
         round: u32,
-        /// Elements summarized (round-local count).
+        /// Elements in the batch; the tuple weights `g` sum to it (the
+        /// decoder rejects a message where they do not).
         n_local: u64,
-        /// GK tuples (3 words each on the wire).
+        /// Value-sorted `(v, g, delta)` tuples (3 words each on the
+        /// wire); the batch protocol sends `delta = 0`.
         tuples: Vec<GkTuple>,
     },
 }
@@ -41,9 +104,8 @@ impl Words for DetRankUp {
     }
 }
 
-// GK tuples are encoded columnar: the tuple values `v` form a sorted
-// run (a GK summary invariant), so they delta-compress; `g` and `delta`
-// are small by construction (≤ 2εn_local) and follow as plain varints.
+// Tuples are encoded columnar: the tuple values `v` form a sorted run,
+// so they delta-compress; `g` and `delta` follow as plain varints.
 // `GkTuple` lives in `dtrack-sketch`, which does not depend on
 // `dtrack-sim`, so the fields are serialized inline here rather than
 // via an `Encode` impl on the sketch type.
@@ -72,6 +134,9 @@ impl Encode for DetRankUp {
     }
 }
 
+/// A `Summary` whose tuple weights do not sum to `n_local` is
+/// [`WireError::Inconsistent`]: the coordinator adds the weights into
+/// its answers and `n_local` into its reported total, and trusts both.
 impl Decode for DetRankUp {
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         match r.u8()? {
@@ -81,10 +146,15 @@ impl Decode for DetRankUp {
                 let n_local = r.varint()?;
                 let values = r.delta_run()?;
                 let mut tuples = Vec::with_capacity(values.len());
+                let mut weight = 0u64;
                 for v in values {
                     let g = r.varint()?;
                     let delta = r.varint()?;
+                    weight = weight.checked_add(g).ok_or(WireError::Inconsistent)?;
                     tuples.push(GkTuple { v, g, delta });
+                }
+                if weight != n_local {
+                    return Err(WireError::Inconsistent);
                 }
                 Ok(DetRankUp::Summary {
                     round,
@@ -94,37 +164,6 @@ impl Decode for DetRankUp {
             }
             t => Err(WireError::BadTag(t)),
         }
-    }
-}
-
-/// Coordinator → site messages.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DetRankDown {
-    /// Broadcast of a new coarse estimate (starts a new round).
-    NewRound {
-        /// Round index.
-        round: u32,
-    },
-}
-
-impl Words for DetRankDown {
-    fn words(&self) -> u64 {
-        1
-    }
-}
-
-impl Encode for DetRankDown {
-    fn encode(&self, w: &mut impl WireSink) {
-        let DetRankDown::NewRound { round } = self;
-        w.put_varint(u64::from(*round));
-    }
-}
-
-impl Decode for DetRankDown {
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(DetRankDown::NewRound {
-            round: r.varint_u32()?,
-        })
     }
 }
 
@@ -141,15 +180,14 @@ impl DeterministicRank {
     }
 }
 
-/// Site state: per-round GK summary plus the reporting threshold.
+/// Site state: the open batch and its cap.
 #[derive(Debug, Clone)]
 pub struct DetRankSite {
     cfg: TrackingConfig,
     coarse: CoarseSite,
     round: u32,
-    gk: GkSummary,
-    round_count: u64,
-    next_report: u64,
+    cap: usize,
+    batch: Vec<u64>,
 }
 
 impl DetRankSite {
@@ -158,9 +196,30 @@ impl DetRankSite {
             cfg,
             coarse: CoarseSite::new(),
             round: 0,
-            gk: GkSummary::new(cfg.epsilon / 4.0),
-            round_count: 0,
-            next_report: 1,
+            cap: 1,
+            batch: Vec::new(),
+        }
+    }
+
+    /// Sort the full batch, quantise it into blocks of `⌊ε·b⌋` and empty it.
+    fn ship(&mut self) -> DetRankUp {
+        self.batch.sort_unstable();
+        let b = self.batch.len();
+        let s = ((self.cfg.epsilon * b as f64) as usize).max(1);
+        let tuples = self
+            .batch
+            .chunks(s)
+            .map(|block| GkTuple {
+                v: block[block.len() / 2],
+                g: block.len() as u64,
+                delta: 0,
+            })
+            .collect();
+        self.batch.clear();
+        DetRankUp::Summary {
+            round: self.round,
+            n_local: b as u64,
+            tuples,
         }
     }
 }
@@ -168,167 +227,169 @@ impl DetRankSite {
 impl Site for DetRankSite {
     type Item = u64;
     type Up = DetRankUp;
-    type Down = DetRankDown;
+    type Down = NewRound;
 
     fn on_item(&mut self, item: &u64, out: &mut Outbox<DetRankUp>) {
-        self.gk.insert(*item);
-        self.round_count += 1;
-        if self.round_count >= self.next_report {
-            self.next_report =
-                ((self.round_count as f64) * (1.0 + self.cfg.epsilon / 4.0)).ceil() as u64;
-            self.gk.compress();
-            out.send(DetRankUp::Summary {
-                round: self.round,
-                n_local: self.round_count,
-                tuples: self.gk.tuples().to_vec(),
-            });
+        self.batch.push(*item);
+        if self.batch.len() >= self.cap {
+            out.send(self.ship());
         }
         if let Some(r) = self.coarse.on_item() {
             out.send(DetRankUp::Coarse(r));
         }
     }
 
-    fn on_message(&mut self, msg: &DetRankDown, out: &mut Outbox<DetRankUp>) {
-        let DetRankDown::NewRound { round } = msg;
-        // Final flush of the closing round so nothing is left unreported.
-        if self.round_count > 0 {
-            self.gk.compress();
-            out.send(DetRankUp::Summary {
-                round: self.round,
-                n_local: self.round_count,
-                tuples: self.gk.tuples().to_vec(),
-            });
-        }
-        self.round = *round;
-        self.gk = GkSummary::new(self.cfg.epsilon / 4.0);
-        self.round_count = 0;
-        self.next_report = 1;
+    fn on_message(&mut self, msg: &NewRound, _out: &mut Outbox<DetRankUp>) {
+        self.round += 1;
+        let k = self.cfg.k as f64;
+        self.cap = ((self.cfg.epsilon * msg.n_bar as f64 / (2.0 * k)) as usize).max(1);
     }
 
     fn space_words(&self) -> u64 {
-        self.gk.space_words() + 8
+        self.batch.len() as u64 + 4
     }
 }
 
-/// A frozen GK summary at the coordinator.
+/// Value-sorted points with prefix weights.
 #[derive(Debug, Clone)]
-struct SummaryView {
-    n_local: u64,
-    tuples: Vec<GkTuple>,
+struct SortedRun {
+    values: Vec<u64>,
+    /// `below[i]` is the weight of `values[..i]`; one longer than `values`.
+    below: Vec<u64>,
 }
 
-impl SummaryView {
-    /// Midpoint rank estimate from the tuples (same logic as
-    /// [`GkSummary::estimate_rank`]).
-    fn estimate_rank(&self, x: u64) -> f64 {
-        if self.tuples.is_empty() {
-            return 0.0;
+impl SortedRun {
+    /// Build from value-sorted `(v, g)` points.
+    fn from_sorted(points: impl ExactSizeIterator<Item = (u64, u64)>) -> Self {
+        let mut values = Vec::with_capacity(points.len());
+        let mut below = Vec::with_capacity(points.len() + 1);
+        let mut total = 0;
+        below.push(total);
+        for (v, g) in points {
+            total += g;
+            values.push(v);
+            below.push(total);
         }
-        let i = self.tuples.partition_point(|t| t.v < x);
-        if i == 0 {
-            return 0.0;
+        Self { values, below }
+    }
+
+    fn len(&self) -> usize {
+        self.values.len()
+    }
+
+    fn points(&self) -> impl ExactSizeIterator<Item = (u64, u64)> + '_ {
+        let weights = self.below.windows(2).map(|w| w[1] - w[0]);
+        self.values.iter().copied().zip(weights)
+    }
+
+    /// Total weight of the points with value below `x`.
+    fn weight_below(&self, x: u64) -> u64 {
+        self.below[self.values.partition_point(|&v| v < x)]
+    }
+
+    /// The sorted union of two runs.
+    fn merged(&self, other: &SortedRun) -> SortedRun {
+        let mut merged = Vec::with_capacity(self.len() + other.len());
+        let (mut a, mut b) = (self.points().peekable(), other.points().peekable());
+        loop {
+            let next = match (a.peek(), b.peek()) {
+                (Some(p), Some(q)) if p.0 <= q.0 => a.next(),
+                (_, Some(_)) => b.next(),
+                _ => a.next(),
+            };
+            match next {
+                Some(point) => merged.push(point),
+                None => break,
+            }
         }
-        let rmin: u64 = self.tuples[..i].iter().map(|t| t.g).sum();
-        if i == self.tuples.len() {
-            return self.n_local as f64;
-        }
-        let hi = (rmin + self.tuples[i].g + self.tuples[i].delta).saturating_sub(1);
-        (rmin + hi.max(rmin)) as f64 / 2.0
+        SortedRun::from_sorted(merged.into_iter())
     }
 }
 
-/// Coordinator state: latest summary per (site, round).
+/// Coordinator state: every point received, in sorted runs.
 #[derive(Debug, Clone)]
 pub struct DetRankCoord {
     coarse: CoarseCoord,
-    /// `summaries[site]` maps round → latest view for that round.
-    summaries: Vec<Vec<Option<SummaryView>>>,
+    /// Runs from oldest (largest) to newest; each holds fewer than half
+    /// the points of the one before it, so there are `O(log P)` runs.
+    runs: Vec<SortedRun>,
+    reported: u64,
 }
 
 impl DetRankCoord {
     fn new(cfg: TrackingConfig) -> Self {
         Self {
             coarse: CoarseCoord::new(cfg.k),
-            summaries: vec![Vec::new(); cfg.k],
+            runs: Vec::new(),
+            reported: 0,
         }
     }
 
     /// The tracked estimate of `rank(x)` (within `±εn` deterministically).
     pub fn estimate_rank(&self, x: u64) -> f64 {
-        self.summaries
-            .iter()
-            .flat_map(|rounds| rounds.iter().flatten())
-            .map(|s| s.estimate_rank(x))
-            .sum()
+        self.runs.iter().map(|r| r.weight_below(x)).sum::<u64>() as f64
     }
 
-    /// Sum of all summarized local counts (≈ n up to unreported growth).
+    /// Elements reported so far (`n` less the sites' open batches).
     pub fn reported_total(&self) -> u64 {
-        self.summaries
-            .iter()
-            .flat_map(|rounds| rounds.iter().flatten())
-            .map(|s| s.n_local)
-            .sum()
+        self.reported
+    }
+
+    fn absorb(&mut self, mut run: SortedRun) {
+        while let Some(prev) = self.runs.last() {
+            if 2 * run.len() < prev.len() {
+                break;
+            }
+            run = prev.merged(&run);
+            self.runs.pop();
+        }
+        self.runs.push(run);
     }
 }
 
 impl Coordinator for DetRankCoord {
     type Up = DetRankUp;
-    type Down = DetRankDown;
+    type Down = NewRound;
 
-    fn on_message(&mut self, from: SiteId, msg: &DetRankUp, net: &mut Net<DetRankDown>) {
+    fn on_message(&mut self, from: SiteId, msg: &DetRankUp, net: &mut Net<NewRound>) {
         match msg {
             DetRankUp::Coarse(ni) => {
-                if self.coarse.on_report(from, *ni).is_some() {
-                    net.broadcast(DetRankDown::NewRound {
-                        round: self.coarse.round(),
-                    });
+                if let Some(n_bar) = self.coarse.on_report(from, *ni) {
+                    net.broadcast(NewRound { n_bar });
                 }
             }
             DetRankUp::Summary {
-                round,
-                n_local,
-                tuples,
+                n_local, tuples, ..
             } => {
-                let rounds = &mut self.summaries[from];
-                while rounds.len() <= *round as usize {
-                    rounds.push(None);
+                self.reported += n_local;
+                if !tuples.is_empty() {
+                    self.absorb(SortedRun::from_sorted(tuples.iter().map(|t| (t.v, t.g))));
                 }
-                rounds[*round as usize] = Some(SummaryView {
-                    n_local: *n_local,
-                    tuples: tuples.clone(),
-                });
             }
         }
     }
 }
 
-/// A closed epoch digests each retained GK summary into weighted value
-/// points `(v, g)`: the prefix-sum of `g` below `x` is GK's certified
-/// minimum rank `rmin(x)`, within `ε/4·n_local` of the summary's
-/// midpoint estimate (the `delta` halves are dropped — a one-sided
-/// truncation already inside the GK error budget).
+/// A closed epoch's digest is every point the coordinator holds.
 impl crate::window::EpochProtocol for DeterministicRank {
     type Digest = crate::window::WeightedValues;
 
     fn digest(coord: &DetRankCoord) -> Self::Digest {
-        let mut points = Vec::new();
-        for s in coord
-            .summaries
+        let points = coord
+            .runs
             .iter()
-            .flat_map(|rounds| rounds.iter().flatten())
-        {
-            points.extend(s.tuples.iter().map(|t| (t.v, t.g as f64)));
-        }
+            .flat_map(SortedRun::points)
+            .map(|(v, g)| (v, g as f64))
+            .collect();
         crate::window::WeightedValues::from_points(points)
     }
 }
 
-/// Tree aggregation: each level re-runs the GK-based deterministic tracker with its
+/// Tree aggregation: each level re-runs the batch tracker with its
 /// share of the error budget; an aggregator replays its digest's CDF
 /// growth as value copies (CDF-matching greedy — see
-/// `crate::topology::CdfCursor`; repeated values are fine, the
-/// receiving summaries handle duplicates by design).
+/// `crate::topology::CdfCursor`; repeated values are fine, a batch
+/// quantises duplicates like any other values).
 impl dtrack_sim::exec::topology::TreeProtocol for DeterministicRank {
     type Cursor = crate::topology::CdfCursor;
 
@@ -365,27 +426,126 @@ mod tests {
     use dtrack_sim::Runner;
     use dtrack_workload::items::DistinctSeq;
 
+    /// Arrival orders of the values `0..n`, each as `(site, value)` at
+    /// time `t`.
+    #[derive(Debug, Clone, Copy)]
+    enum Order {
+        Ascending,
+        Descending,
+        /// Scrambled values, every one of them at site 0.
+        OneSiteTakesAll,
+        /// Alternately the smallest and the largest value not yet sent.
+        Zigzag,
+        /// Scrambled values at scrambled sites.
+        Scrambled,
+    }
+
+    impl Order {
+        const ALL: [Order; 5] = [
+            Order::Ascending,
+            Order::Descending,
+            Order::OneSiteTakesAll,
+            Order::Zigzag,
+            Order::Scrambled,
+        ];
+
+        fn arrival(self, t: u64, n: u64, k: usize) -> (usize, u64) {
+            // A prime above every n used here, so `t ↦ t·P mod n` is a
+            // bijection of 0..n.
+            const P: u64 = 2_654_435_761;
+            let round_robin = (t % k as u64) as usize;
+            match self {
+                Order::Ascending => (round_robin, t),
+                Order::Descending => (round_robin, n - 1 - t),
+                Order::OneSiteTakesAll => (0, t * P % n),
+                Order::Zigzag => (
+                    round_robin,
+                    if t.is_multiple_of(2) {
+                        t / 2
+                    } else {
+                        n - 1 - t / 2
+                    },
+                ),
+                Order::Scrambled => ((t.wrapping_mul(P) >> 7) as usize % k, t * P % n),
+            }
+        }
+    }
+
+    /// Counts of the values `0..n` seen so far (a Fenwick tree): exact
+    /// ranks and quantiles in `O(log n)`.
+    struct Seen(Vec<u64>);
+
+    impl Seen {
+        fn insert(&mut self, v: u64) {
+            let mut i = v as usize + 1;
+            while i < self.0.len() {
+                self.0[i] += 1;
+                i += i & i.wrapping_neg();
+            }
+        }
+
+        /// Values seen that are below `x`.
+        fn rank(&self, x: u64) -> u64 {
+            let (mut i, mut sum) = (x as usize, 0);
+            while i > 0 {
+                sum += self.0[i];
+                i &= i - 1;
+            }
+            sum
+        }
+
+        /// The smallest seen value with exactly `r` seen values below it.
+        fn select(&self, r: u64) -> u64 {
+            let (mut pos, mut left) = (0usize, r);
+            let mut step = (self.0.len() - 1).next_power_of_two();
+            while step > 0 {
+                if pos + step < self.0.len() && self.0[pos + step] <= left {
+                    pos += step;
+                    left -= self.0[pos];
+                }
+                step /= 2;
+            }
+            pos as u64
+        }
+    }
+
+    /// The guarantee as stated in the module docs: seven quantiles, every
+    /// 997 elements, within `εn` under five arrival orders.
     #[test]
     fn error_within_epsilon_at_many_times() {
-        let (k, eps, n) = (4, 0.1, 30_000u64);
-        let proto = DeterministicRank::new(TrackingConfig::new(k, eps));
-        let mut r = Runner::new(&proto, 0);
-        let seq = DistinctSeq::new(8);
-        let mut all: Vec<u64> = Vec::new();
-        for t in 0..n {
-            let v = seq.value_at(t);
-            r.feed((t % k as u64) as usize, &v);
-            all.push(v);
-            if t % 2_003 == 2_002 {
-                let mut sorted = all.clone();
-                sorted.sort_unstable();
-                let x = sorted[sorted.len() / 2];
-                let truth = sorted.partition_point(|&v| v < x) as f64;
-                let est = r.coord().estimate_rank(x);
-                assert!(
-                    (est - truth).abs() <= eps * all.len() as f64 + 2.0,
-                    "t={t} est={est} truth={truth}"
-                );
+        let configs: [(usize, f64, u64); 5] = [
+            (2, 0.05, 200_000),
+            (4, 0.1, 30_000),
+            (16, 0.05, 60_000),
+            (64, 0.01, 65_536),
+            (2, 0.01, 1 << 20),
+        ];
+        for (k, eps, n) in configs {
+            for order in Order::ALL {
+                let proto = DeterministicRank::new(TrackingConfig::new(k, eps));
+                let mut r = Runner::new(&proto, 0);
+                let mut seen = Seen(vec![0; n as usize + 1]);
+                let mut worst = 0.0f64;
+                for t in 0..n {
+                    let (site, v) = order.arrival(t, n, k);
+                    r.feed(site, &v);
+                    seen.insert(v);
+                    if t % 997 != 996 {
+                        continue;
+                    }
+                    let m = t + 1;
+                    for q in 1..=7 {
+                        let x = seen.select(m * q / 8);
+                        let truth = seen.rank(x) as f64;
+                        let err = (r.coord().estimate_rank(x) - truth).abs();
+                        worst = worst.max(err / m as f64);
+                        assert!(
+                            err <= eps * m as f64,
+                            "{order:?} k={k} ε={eps} t={t} x={x} err={err}"
+                        );
+                    }
+                }
+                assert!(worst <= eps, "{order:?} k={k} ε={eps}: {worst}");
             }
         }
     }
@@ -421,5 +581,21 @@ mod tests {
         let w4 = words_at(4);
         let w64 = words_at(64);
         assert!(w64 > 3.0 * w4, "w4={w4} w64={w64}");
+    }
+
+    /// Once batches are long enough to quantise (`ε·cap ≥ 2`), an element
+    /// costs a fraction of a word: re-shipping whole summaries cost tens
+    /// of words per element here.
+    #[test]
+    fn quantized_batches_ship_fewer_words_than_elements() {
+        let (k, eps, n) = (2, 0.05, 200_000u64);
+        let proto = DeterministicRank::new(TrackingConfig::new(k, eps));
+        let mut r = Runner::new(&proto, 0);
+        let seq = DistinctSeq::new(11);
+        for t in 0..n {
+            r.feed((t % k as u64) as usize, &seq.value_at(t));
+        }
+        let words = r.stats().total_words();
+        assert!(words < n / 2, "{words} words for {n} elements");
     }
 }

@@ -110,8 +110,8 @@ impl ItemCursor {
 /// mass at existing support values even when the digest's fractional
 /// weights (summary points at weight `2^ℓ`, tail samples at `1/p`)
 /// never individually round to integers. Duplicate emissions of one
-/// value are fine: the receiving sites feed GK/KLL summaries, which
-/// handle repeated values by design.
+/// value are fine: the receiving sites feed KLL summaries or sorted
+/// batches, which handle repeated values by design.
 ///
 /// Like the other cursors this floors monotonically: where the digest
 /// CDF has wiggled below what was already replayed, nothing is emitted

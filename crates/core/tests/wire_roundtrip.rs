@@ -5,14 +5,15 @@
 //! would carry. `wire_bytes` is a counting pass over the same `Encode`
 //! impl that `encode_to_vec` stores (`dtrack_sim::wire::measured`, the
 //! trait's default, which no message overrides), so the equality is
-//! checked for all 13 codecs: the 12 protocol message types below plus
+//! checked for all 12 codecs: the 11 protocol message types below plus
 //! the scalar / tuple / `Vec` / `Option` building blocks ad-hoc messages
 //! are made of.
 //!
-//! The generators respect the encoders' structural invariants — GK
+//! The generators respect the codecs' structural invariants — GK
 //! tuple values and KLL level items are sorted (both codecs
-//! delta-compress sorted runs) — because the protocols only ever ship
-//! such values; arbitrary *bytes* are exercised separately by the
+//! delta-compress sorted runs), and a rank batch's tuple weights sum to
+//! its count (its decoder checks that) — because the protocols only ever
+//! ship such values; arbitrary *bytes* are exercised separately by the
 //! corruption suites in `dtrack_sim::wire` and the transport framing
 //! tests.
 //!
@@ -24,10 +25,10 @@
 use dtrack_core::coarse::NewRound;
 use dtrack_core::count::{CountUp, DetCountUp};
 use dtrack_core::frequency::{DetFreqUp, FreqUp};
-use dtrack_core::rank::{DetRankDown, DetRankUp, RankUp};
+use dtrack_core::rank::{DetRankUp, RankUp};
 use dtrack_core::sampling::{LevelDown, SampleUp};
 use dtrack_core::window::{WinDown, WinUp};
-use dtrack_sim::wire::{decode_exact, encode_to_vec};
+use dtrack_sim::wire::{decode_exact, encode_to_vec, WireError};
 use dtrack_sim::{Decode, Encode, Words};
 use dtrack_sketch::gk::GkTuple;
 use dtrack_sketch::KllSummary;
@@ -86,14 +87,14 @@ fn det_rank_up() -> impl Strategy<Value = DetRankUp> {
                 .map(|(v, (g, delta))| GkTuple { v, g, delta })
                 .collect::<Vec<_>>()
         });
+    // The decoder rejects a summary whose weights do not sum to
+    // `n_local`, so the generator keeps `Σg = n_local`.
     prop_oneof![
         any::<u64>().prop_map(DetRankUp::Coarse),
-        (any::<u32>(), any::<u64>(), tuples).prop_map(|(round, n_local, tuples)| {
-            DetRankUp::Summary {
-                round,
-                n_local,
-                tuples,
-            }
+        (any::<u32>(), tuples).prop_map(|(round, tuples)| DetRankUp::Summary {
+            round,
+            n_local: tuples.iter().map(|t| t.g).sum(),
+            tuples,
         }),
     ]
 }
@@ -189,7 +190,7 @@ proptest! {
 
     /// The coarse tracker's round broadcast: the one down message of
     /// randomized count, frequency and rank and of deterministic
-    /// frequency.
+    /// frequency and rank.
     #[test]
     fn rand_count_down(n_bar in any::<u64>()) {
         roundtrip(&NewRound { n_bar });
@@ -213,9 +214,22 @@ proptest! {
         roundtrip(&m);
     }
 
+    /// A summary whose `n_local` no longer matches its tuple weights is
+    /// rejected as inconsistent, not handed to a coordinator.
     #[test]
-    fn det_rank_down(round in any::<u32>()) {
-        roundtrip(&DetRankDown::NewRound { round });
+    fn det_rank_up_rejects_a_changed_count(m in det_rank_up(), shift in 1u64..1 << 20) {
+        if let DetRankUp::Summary { round, n_local, tuples } = m {
+            let changed = DetRankUp::Summary {
+                round,
+                n_local: n_local.wrapping_add(shift),
+                tuples,
+            };
+            let bytes = encode_to_vec(&changed);
+            prop_assert_eq!(
+                decode_exact::<DetRankUp>(&bytes),
+                Err(WireError::Inconsistent)
+            );
+        }
     }
 
     #[test]

@@ -62,6 +62,9 @@ pub enum WireError {
     BadTag(u8),
     /// Bytes remained after the value was fully decoded.
     Trailing(usize),
+    /// The decoded fields contradict each other (e.g. a rank batch whose
+    /// tuple weights do not sum to its element count).
+    Inconsistent,
 }
 
 impl std::fmt::Display for WireError {
@@ -71,6 +74,7 @@ impl std::fmt::Display for WireError {
             WireError::Overflow => write!(f, "varint overflow or field out of range"),
             WireError::BadTag(t) => write!(f, "unknown message tag {t:#04x}"),
             WireError::Trailing(n) => write!(f, "{n} trailing bytes after value"),
+            WireError::Inconsistent => write!(f, "decoded fields contradict each other"),
         }
     }
 }
@@ -352,7 +356,7 @@ pub fn decode_exact<T: Decode>(bytes: &[u8]) -> Result<T, WireError> {
 // ---------------------------------------------------------------------
 
 /// Hard cap on one frame's payload. Generously above any real message
-/// (the largest — a full GK summary refresh — is a few hundred KB at
+/// (the largest — a rank protocol's summary — is a few hundred KB at
 /// extreme parameters), small enough that a corrupt length prefix is
 /// rejected instead of driving an absurd allocation.
 pub const MAX_FRAME_LEN: usize = 1 << 24;

@@ -223,7 +223,7 @@ mod tests {
 
         /// In-place `compress` yields exactly the reference's tuples on
         /// the states an arbitrary stream reaches, called as often as
-        /// every insert (`DetRankSite` compresses before every report).
+        /// every insert.
         #[test]
         fn in_place_compress_matches_reference(
             stream in proptest::collection::vec(any::<u64>(), 0..600),

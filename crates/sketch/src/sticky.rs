@@ -47,6 +47,10 @@ impl StickyCounters {
     }
 
     /// Process one element.
+    // `#[inline]`: this is the frequency sites' per-element step; without
+    // the hint, whether it inlines into `RandFreqSite::on_item` depends on
+    // how the calling crate's codegen units happen to be partitioned.
+    #[inline]
     pub fn observe<R: Rng>(&mut self, item: u64, rng: &mut R) -> StickyEvent {
         self.n += 1;
         if let Some(c) = self.counters.get_mut(&item) {
