@@ -3,13 +3,58 @@
 //! §1.2 median-boosting claim (correct at *all* times).
 //!
 //! Usage: `exp_accuracy [N] [K] [EPS] [SEEDS] [EXEC]`
-//! (`EXEC` accepts fault suffixes on event modes, e.g.
+//! (defaults `400000 16 0.02 400 lockstep`, ≈ 15 s in release; `EXEC`
+//! accepts fault suffixes on event modes, e.g.
 //! `event+loss:0.05+dup:0.05+churn` — the accuracy table then measures
 //! the guarantees over lossy, duplicating, churning links.)
+//!
+//! The per-instant guarantee is checked, and the binary exits 1 naming
+//! every row that misses it. A row holds when its hits — the runs with
+//! err ≤ εn among the `SEEDS` independent ones — clear a one-sided
+//! binomial margin over `p₀ = 0.9`:
+//!
+//! `hits ≥ SEEDS·p₀ + z·√(SEEDS·p₀·(1 − p₀))`, `z = 1.645`,
+//!
+//! the normal-approximation test that rejects "P ≤ 0.9" at 5 %. At the
+//! default 400 seeds that is 370 hits (0.925), at 200 seeds 187 (0.935),
+//! and at 40 seeds all 40, so pass ≥ 200 seeds for a check that can
+//! hold. The default leaves room: at 200 seeds count NEW reads 188, one
+//! hit above its bar; at 400 it reads 379. The rows:
+//!
+//! * `count NEW`, `rank NEW` and `sampling [9]` are checked;
+//! * `frequency NEW (1 probe)` is an *expected failure*: it reads
+//!   0.87 at the defaults, under 0.9, until ROADMAP direction 15's
+//!   frequency slice calibrates that protocol's constants; it prints,
+//!   and exits 0 either way;
+//! * `frequency NEW (max/25)` is informational: it is the maximum over
+//!   25 probes, a union the per-query guarantee does not speak about;
+//! * the boosting panel is informational.
 
-use dtrack_bench::cli::{arg, banner, exec_arg};
+use dtrack_bench::cli::{arg, banner, claim, exec_arg};
 use dtrack_bench::measure::{count_boosted_max_error, run, Algo, Problem, Run};
 use dtrack_bench::table::Table;
+
+/// The per-instant success probability Theorems 2.1, 3.1 and 4.1 claim.
+const P0: f64 = 0.9;
+/// One-sided 5 % standard-normal quantile.
+const Z: f64 = 1.645;
+
+/// Fewest hits out of `trials` runs that clear the binomial margin.
+fn hits_needed(trials: usize) -> usize {
+    let t = trials as f64;
+    (t * P0 + Z * (t * P0 * (1.0 - P0)).sqrt()).ceil() as usize
+}
+
+/// What a row's hit count is held to.
+#[derive(Clone, Copy)]
+enum Check {
+    /// The paper's per-instant claim: exit 1 if it misses the margin.
+    Claim,
+    /// Known to miss the margin until the named work lands.
+    ExpectedFailure(&'static str),
+    /// Printed only.
+    Info,
+}
 
 fn quantiles(mut v: Vec<f64>) -> (f64, f64, f64) {
     v.sort_by(|a, b| a.partial_cmp(b).unwrap());
@@ -21,24 +66,36 @@ fn main() {
     let n: u64 = arg(0, 400_000);
     let k: usize = arg(1, 16);
     let eps: f64 = arg(2, 0.02);
-    let seeds: u64 = arg(3, 40);
+    let seeds: u64 = arg(3, 400);
     let exec = exec_arg(4);
     banner(
         "ACC — error distributions over independent runs",
         &format!("N={n}, k={k}, eps={eps}, seeds={seeds}, exec={exec}"),
     );
 
-    let mut t = Table::new(["problem", "err/eps·n p50", "p90", "p99", "P[err<=eps·n]"]);
-    let mut push = |name: &str, errs: Vec<f64>| {
-        let frac_ok = errs.iter().filter(|&&e| e <= eps).count() as f64 / errs.len() as f64;
+    let mut t = Table::new([
+        "problem",
+        "err/eps·n p50",
+        "p90",
+        "p99",
+        "P[err<=eps·n]",
+        "hits",
+    ]);
+    let needed = hits_needed(seeds as usize);
+    // (row, hits, check) for the verdicts after the table.
+    let mut verdicts = Vec::new();
+    let mut push = |name: &'static str, errs: Vec<f64>, check: Check| {
+        let hits = errs.iter().filter(|&&e| e <= eps).count();
         let (p50, p90, p99) = quantiles(errs);
         t.row([
             name.to_string(),
             format!("{:.2}", p50 / eps),
             format!("{:.2}", p90 / eps),
             format!("{:.2}", p99 / eps),
-            format!("{:.2}", frac_ok),
+            format!("{:.2}", hits as f64 / seeds as f64),
+            format!("{hits}/{seeds}"),
         ]);
+        verdicts.push((name, hits, check));
     };
 
     let runs = |problem: Problem, algo: Algo, n: u64| -> Vec<Run> {
@@ -50,6 +107,7 @@ fn main() {
     push(
         "count NEW",
         errs(&runs(Problem::Count, Algo::Randomized, n)),
+        Check::Claim,
     );
     // One set of frequency runs, read two ways: the per-query error on
     // the hottest item (what Theorem 3.1's per-instant 0.9 speaks about)
@@ -58,11 +116,14 @@ fn main() {
     push(
         "frequency NEW (1 probe)",
         freq.iter().map(|r| r.errs[0]).collect(),
+        Check::ExpectedFailure("ROADMAP direction 15, frequency slice"),
     );
-    push("frequency NEW (max/25)", errs(&freq));
+    push("frequency NEW (max/25)", errs(&freq), Check::Info);
+    // Rank's error is the maximum over the nine deciles.
     push(
         "rank NEW",
         errs(&runs(Problem::Rank, Algo::Randomized, n.min(200_000))),
+        Check::Claim,
     );
     // Neither the sampling baseline (raw samples, no mergeable digest)
     // nor the replicated boosting stack composes through a tree; under
@@ -72,6 +133,7 @@ fn main() {
         push(
             "sampling [9]",
             errs(&runs(Problem::Count, Algo::Sampling, n)),
+            Check::Claim,
         );
     }
     t.print();
@@ -81,24 +143,52 @@ fn main() {
             "note: sampling [9] row and boosting panel skipped — neither \
              composes through +tree (drop the suffix to include them)."
         );
-        println!("paper predicts: P[err<=eps·n] ≥ 0.9 per instant.");
-        return;
+    } else {
+        println!();
+        println!("-- median boosting (§1.2): max error over the whole run --");
+        let copies = 9;
+        let checkpoints: Vec<u64> = (1..=100).map(|i| i * (n / 100)).collect();
+        let mut t2 = Table::new(["copies", "seed", "max err/(eps·n) over run"]);
+        for seed in 0..seeds.min(5) {
+            let worst = count_boosted_max_error(exec, k, eps, n, copies, seed, &checkpoints);
+            t2.row([
+                copies.to_string(),
+                seed.to_string(),
+                format!("{:.2}", worst / eps),
+            ]);
+        }
+        t2.print();
+        println!();
+        println!("paper predicts: boosted max ≤ 1 (informational).");
     }
 
     println!();
-    println!("-- median boosting (§1.2): max error over the whole run --");
-    let copies = 9;
-    let checkpoints: Vec<u64> = (1..=100).map(|i| i * (n / 100)).collect();
-    let mut t2 = Table::new(["copies", "seed", "max err/(eps·n) over run"]);
-    for seed in 0..seeds.min(5) {
-        let worst = count_boosted_max_error(exec, k, eps, n, copies, seed, &checkpoints);
-        t2.row([
-            copies.to_string(),
-            seed.to_string(),
-            format!("{:.2}", worst / eps),
-        ]);
-    }
-    t2.print();
+    println!(
+        "paper predicts: P[err<=eps·n] ≥ {P0} per instant; a row holds at \
+         hits ≥ {needed}/{seeds} (one-sided binomial margin, z = {Z})."
+    );
     println!();
-    println!("paper predicts: P[err<=eps·n] ≥ 0.9 per instant; boosted max ≤ 1.");
+    let mut failed = Vec::new();
+    for (name, hits, check) in verdicts {
+        let held = hits >= needed;
+        match check {
+            Check::Claim => {
+                if !claim(&format!("{name}: {hits} ≥ {needed} hits"), held) {
+                    failed.push(name);
+                }
+            }
+            Check::ExpectedFailure(until) if held => println!(
+                "note: {name} ({hits} ≥ {needed} hits) now holds; its expected \
+                 failure ({until}) can become a claim\n"
+            ),
+            Check::ExpectedFailure(until) => {
+                println!("expected failure: {name}: {hits} < {needed} hits, until {until}\n")
+            }
+            Check::Info => {}
+        }
+    }
+    if !failed.is_empty() {
+        eprintln!("accuracy claims FAILED: {}", failed.join(", "));
+        std::process::exit(1);
+    }
 }

@@ -24,17 +24,18 @@
 //! the NEW randomized row costs fewer words than the deterministic row,
 //! or it exits 1 naming the problems where it does not. At the defaults
 //! it holds with a wide margin (count 14 848 < 40 640, frequency
-//! 48 856 < 600 262, rank 224 739 < 1 600 256). Where it stops holding,
+//! 48 856 < 600 262, rank 161 490 < 1 600 256). Where it stops holding,
 //! measured on the lock-step executor:
 //!
 //! * count fails at `k = 8` for every `N` from 20 000 to 2 000 000
 //!   (3 416 > 3 064 words at `table1 20000 8`, 6 979 > 6 752 at
 //!   `table1 2000000 8`) and holds from `k = 16`: at `√k ≈ 3` the
 //!   randomized protocol's per-round terms outweigh its `√k` saving;
-//! * rank fails at `k = 8` for `N ≤ 10 000` (48 608 > 38 136 words),
-//!   where the deterministic arm ships single-element batches at 3–5
-//!   words per element, and is near parity at `table1 20000 8`
-//!   (66 106 < 69 544);
+//! * rank fails at `k = 8` for `N ≤ 7 000` (28 846 > 28 408 words) and
+//!   at `k = 16` for `N = 5 000` (26 104 > 24 416), where the
+//!   deterministic arm ships single-element batches at 3–5 words per
+//!   element; it holds at `table1 8000 8` (31 465 < 31 808) and
+//!   `table1 20000 8` (41 238 < 69 544);
 //! * frequency held at every `(N, k)` tried.
 
 use dtrack_bench::cli::{arg, banner, claim, exec_arg};

@@ -17,9 +17,66 @@
 //! covering the partial tail block with the Horvitz–Thompson `c/p`
 //! sample estimate. Per-chunk variance is `O(b²)`, over ≤ 2k chunks per
 //! round `O((εn̄)²)`, geometrically decaying across rounds — total
-//! variance `O((εn)²)` (the constants below are tuned so the *measured*
-//! standard deviation is ≲ εn; the paper itself rescales ε by a constant
-//! to reach its stated 0.9 success probability).
+//! variance `O((εn)²)`.
+//!
+//! ## Error budget and calibration
+//!
+//! Theorem 4.1's target: `|rank̂(x) − rank(x)| ≤ εn` with probability
+//! ≥ 0.9 at any fixed time. The estimate is unbiased; its variance has
+//! two independent parts per chunk (`b = εn̄/√k`, `h` the tree height):
+//!
+//! * **tail** — the partial block, fewer than `b` elements, is covered by
+//!   Horvitz–Thompson samples at rate `p = C_P·√k/(εn̄)`, so it adds
+//!   less than `b/p = (εn̄)²/(C_P·k)`;
+//! * **nodes** — a prefix of `q` full blocks is at most `h + 1`
+//!   canonical nodes. A level-ℓ node holds `2^ℓ·b` elements in a sketch
+//!   of error `e_ℓ = 2^{−ℓ}/(C_E·√h)`, and `KllSketch::with_error`
+//!   keeps the sd within `e·m` over `m` elements, so a node adds at most
+//!   `b²/(C_E²·h)` and a prefix at most `(1 + 1/h)·b²/C_E²`.
+//!
+//! A round has at most `2k` chunks and `k·b² = (εn̄)²`, so it adds at
+//! most `2(εn̄)²·(1/C_P + (1 + 1/h)/C_E²)`; `n̄` at least doubles from
+//! round to round, so the earlier rounds add a geometric tail. The words follow
+//! the same split. A sample costs 2 words, at `C_P·√k/ε` samples a round
+//! in expectation. A level-ℓ node's summary holds `O(2^ℓ·C_E·√h)` items
+//! and a chunk has one such node per `2^ℓ` blocks, so each tree level
+//! costs `O(C_E·√h)` items per block. But a summary never holds more
+//! than its node's elements, nor fewer than KLL's floor of 8 items per
+//! sketch level, so below `C_E ≈ 1` it stops shrinking. At k 64, ε 0.01,
+//! n 2²⁰ summaries are 84 % of the words at the calibrated constants,
+//! and halving `C_E` again saves 1.5 %.
+//!
+//! The bound is loose: Chebyshev on it would need constants ten times
+//! larger than the measured target needs. So `(C_P, C_E)` is the
+//! cheapest pair tried that meets the target, with margin, on every cell
+//! of a lock-step grid: k ∈ {4, 16, 64, 256} × ε ∈ {0.01, 0.02, 0.05} ×
+//! n ∈ {10⁵, 135 004, 1.5·10⁵, 10⁶}, 200 seeds a cell, on `exp_accuracy`'s
+//! rank workload, plus n = 2¹⁷·{1.005, 1.05, 1.1, 1.2, 1.3} on the four
+//! hardest (k, ε). The statistic is the max |error| over the 9 deciles.
+//! A cell passes at ≥ 187 of 200 runs within εn: the one-sided binomial
+//! margin `0.9·N + 1.645·√(0.09·N)` that `exp_accuracy` also applies.
+//! The n values put every k at round phases n/n̄ of 1.53, 1.03, 1.14 and
+//! 1.91. Just after a round starts is the hardest time: the new round's
+//! tails are sampled at half the rate, under a budget that has barely
+//! grown. Not every pair ran every cell: the phase scan ran on (4, 1)
+//! only; (8, 4) and (4, 0.5) ran the two round-start n only; (2, 1)
+//! ran 10⁵, 1.5·10⁵ and 10⁶.
+//!
+//! | `(C_P, C_E)` | worst cell: runs within εn | guard p99, mid-round | guard runs within εn, round start | words, k 64, ε 0.01, n 2²⁰ (mean of 6 seeds) |
+//! |---|---|---|---|---|
+//! | (8, 4) | 199 | 0.45 εn: budget not spent | 200 | 547 079 |
+//! | (4, 2) | 193 | 0.70 εn | 195 | 405 209 |
+//! | **(4, 1)** | 190 | 0.64 εn | 194 | 374 783 |
+//! | (4, 0.5) | 176: fails | 0.68 εn | 184: fails | 369 064 |
+//! | (3, 1) | 181: fails | 0.73 εn | 185: fails | 361 904 |
+//! | (2, 1) | 165: fails | 0.96 εn | 174: fails | 348 412 |
+//!
+//! The guard columns are the release-gated test
+//! `calibration_meets_the_target_and_spends_the_budget`, on one stream
+//! at k 64, ε 0.02, n 400 000 (mid-round) and k 64, ε 0.01, n 150 000
+//! (round start). Each cell must meet the margin, read p99 ≥ 0.6 εn and
+//! show no decile bias beyond 3 standard errors. (8, 4) fails the p99
+//! check mid-round; the cheaper pairs miss the margin at round start.
 //!
 //! ## Answering
 //!
@@ -54,10 +111,12 @@ use dtrack_sketch::kll::{KllSketch, KllSummary};
 use crate::coarse::{CoarseCoord, CoarseSite, NewRound};
 use crate::config::TrackingConfig;
 
-/// Sampling-rate safety factor: `p = min(1, C_P·√k/(εn̄))`.
-const C_P: f64 = 8.0;
-/// Sketch-error safety divisor: `e_ℓ = 2^{−ℓ}/(C_E·√h)`.
-const C_E: f64 = 4.0;
+/// Sampling-rate factor: `p = min(1, C_P·√k/(εn̄))`. Calibrated with
+/// `C_E` to Theorem 4.1's 0.9 (module docs, "Error budget and
+/// calibration").
+const C_P: f64 = 4.0;
+/// Sketch-error divisor: `e_ℓ = 2^{−ℓ}/(C_E·√h)`.
+const C_E: f64 = 1.0;
 
 /// Site → coordinator messages.
 #[derive(Debug, Clone, PartialEq)]
@@ -769,10 +828,80 @@ mod tests {
         assert!(ok >= 17, "ok {ok}/{reps}");
     }
 
+    /// Fewest hits out of `trials` runs that show `P[hit] ≥ 0.9` with a
+    /// one-sided binomial margin, `trials·0.9 + z·√(trials·0.9·0.1)` with
+    /// `z = 1.645`: the normal-approximation test that rejects "P ≤ 0.9"
+    /// at 5 %, the margin `exp_accuracy` holds its rows to.
+    fn hits_needed(trials: usize) -> usize {
+        let t = trials as f64;
+        (t * 0.9 + 1.645 * (t * 0.9 * 0.1).sqrt()).ceil() as usize
+    }
+
+    /// Theorem 4.1's target held from both sides, over 200 protocol seeds
+    /// on one stream per cell: the max-decile error is within εn often
+    /// enough, by the binomial margin; the budget is spent, p99 ≥ 0.6 εn;
+    /// and no decile's mean signed error is more than 3 standard errors
+    /// from 0. The first cell (k 64, ε 0.02, n 400 000) sits mid-round:
+    /// the constants `(C_P, C_E) = (8, 4)` read p99 0.45 εn there and
+    /// fail. The second (k 64, ε 0.01, n 150 000) sits just after a
+    /// round starts, the hardest time: half the calibrated `C_P`, (2, 1),
+    /// reads 174 of 200 runs within εn there and fails.
+    #[test]
+    #[cfg_attr(
+        debug_assertions,
+        ignore = "400 runs of up to 400 000 elements; runs in release CI"
+    )]
+    fn calibration_meets_the_target_and_spends_the_budget() {
+        for (k, eps, n) in [(64usize, 0.02, 400_000usize), (64, 0.01, 150_000)] {
+            let at = format!("k {k}, ε {eps}, n {n}");
+            let proto = RandomizedRank::new(TrackingConfig::new(k, eps));
+            let seq = DistinctSeq::new(42);
+            let batch: Vec<(usize, u64)> = (0..n as u64)
+                .map(|t| ((t % k as u64) as usize, seq.value_at(t)))
+                .collect();
+            let mut sorted: Vec<u64> = batch.iter().map(|&(_, v)| v).collect();
+            sorted.sort_unstable();
+            let budget = eps * n as f64;
+            // `signed[d]`: (rank̂ − rank)/εn at decile d + 1, one per seed.
+            let mut signed = vec![Vec::new(); 9];
+            let mut worst = Vec::new();
+            for seed in 0..200 {
+                let mut r = Runner::new(&proto, seed);
+                r.feed_batch(&batch);
+                let mut max = 0.0f64;
+                for (d, errs) in signed.iter_mut().enumerate() {
+                    let i = (d + 1) * n / 10;
+                    let err = (r.coord().estimate_rank(sorted[i]) - i as f64) / budget;
+                    errs.push(err);
+                    max = max.max(err.abs());
+                }
+                worst.push(max);
+            }
+            let hits = worst.iter().filter(|&&e| e <= 1.0).count();
+            let needed = hits_needed(worst.len());
+            assert!(hits >= needed, "{at}: {hits}/200 within εn, need {needed}");
+            worst.sort_by(f64::total_cmp);
+            let p99 = worst[worst.len() * 99 / 100];
+            assert!(p99 >= 0.6, "{at}: p99 {p99:.2} εn, the budget is not spent");
+            for (d, errs) in signed.iter().enumerate() {
+                let m = errs.len() as f64;
+                let mean = errs.iter().sum::<f64>() / m;
+                let var = errs.iter().map(|e| (e - mean).powi(2)).sum::<f64>() / (m - 1.0);
+                let se = (var / m).sqrt();
+                assert!(
+                    mean.abs() <= 3.0 * se,
+                    "{at}, decile {}: mean signed error {mean:.4} εn, SE {se:.4}",
+                    d + 1
+                );
+            }
+        }
+    }
+
     /// Every site's peak space, the `CommStats` totals and three quantile
-    /// answers, recorded before `KllSketch` counted its stored items
-    /// instead of summing its levels — peak space reads that count after
-    /// every element.
+    /// answers. First recorded before `KllSketch` counted its stored items
+    /// instead of summing its levels (peak space reads that count after
+    /// every element); re-recorded when `C_P` / `C_E` were calibrated to
+    /// Theorem 4.1's 0.9.
     #[test]
     fn runner_peaks_totals_and_quantiles_match_recorded_goldens() {
         struct Golden {
@@ -790,37 +919,37 @@ mod tests {
         let goldens = [
             Golden {
                 k: 8, eps: 0.05, seed: 3,
-                comm: [4542, 27074, 180347, 128, 128, 216, 16, 40000],
-                peaks: &[460, 425, 439, 413, 447, 458, 465, 444],
-                quantiles: [1958344393634046235, 9329155607145175042, 16704413843525444589],
+                comm: [3091, 18590, 109060, 128, 128, 216, 16, 40000],
+                peaks: &[213, 209, 207, 204, 206, 211, 205, 208],
+                quantiles: [1817386404873260210, 9097340047507447630, 16511439237792368911],
             },
             Golden {
                 k: 8, eps: 0.05, seed: 4,
-                comm: [4506, 27038, 180288, 128, 128, 216, 16, 40000],
-                peaks: &[451, 430, 434, 422, 426, 462, 407, 417],
-                quantiles: [1840142148977441632, 9325276211501398518, 16424177248946521940],
+                comm: [3081, 18582, 109006, 128, 128, 216, 16, 40000],
+                peaks: &[202, 205, 211, 216, 207, 216, 208, 217],
+                quantiles: [1889391126023239946, 9352881200160300595, 16776418564675424325],
             },
             Golden {
                 k: 64, eps: 0.01, seed: 3,
-                comm: [33920, 189320, 1227796, 1024, 1024, 1728, 16, 40000],
+                comm: [25803, 135937, 766979, 1024, 1024, 1728, 16, 40000],
                 peaks: &[
-                    245, 244, 245, 245, 245, 244, 246, 246, 247, 244, 245, 245, 245, 245, 244, 247,
-                    247, 246, 246, 244, 246, 246, 244, 244, 245, 246, 244, 246, 245, 245, 246, 246,
-                    246, 244, 245, 245, 245, 244, 243, 244, 244, 243, 245, 245, 245, 247, 245, 245,
-                    247, 246, 243, 246, 245, 245, 245, 246, 245, 246, 245, 245, 244, 245, 246, 244,
+                    133, 135, 133, 133, 133, 135, 135, 133, 136, 135, 133, 133, 134, 133, 134, 133,
+                    133, 133, 131, 133, 130, 134, 131, 133, 136, 136, 133, 135, 134, 133, 132, 135,
+                    134, 129, 133, 133, 134, 134, 134, 134, 132, 133, 133, 134, 132, 135, 132, 133,
+                    138, 135, 132, 134, 134, 135, 133, 129, 131, 134, 134, 133, 133, 136, 135, 133,
                 ],
-                quantiles: [1826824579103462659, 9225524594886175651, 16598701226638215882],
+                quantiles: [1878155160777490289, 9162816141160057310, 16580392505403175200],
             },
             Golden {
                 k: 64, eps: 0.01, seed: 4,
-                comm: [33889, 189255, 1227330, 1024, 1024, 1728, 16, 40000],
+                comm: [25763, 135734, 765355, 1024, 1024, 1728, 16, 40000],
                 peaks: &[
-                    244, 244, 243, 244, 244, 244, 246, 245, 244, 246, 244, 245, 245, 244, 244, 245,
-                    245, 246, 246, 244, 244, 246, 246, 245, 245, 244, 247, 244, 244, 245, 246, 245,
-                    245, 246, 245, 245, 244, 243, 245, 246, 244, 244, 247, 245, 245, 246, 245, 246,
-                    246, 244, 246, 246, 246, 246, 244, 246, 246, 245, 245, 245, 246, 244, 245, 247,
+                    136, 136, 134, 130, 133, 133, 133, 133, 133, 134, 132, 133, 137, 133, 134, 134,
+                    133, 133, 133, 133, 133, 135, 131, 131, 133, 133, 134, 132, 135, 134, 134, 135,
+                    134, 133, 134, 132, 135, 132, 135, 133, 134, 136, 135, 133, 134, 138, 133, 132,
+                    131, 132, 133, 134, 137, 132, 129, 132, 131, 134, 135, 133, 134, 132, 134, 131,
                 ],
-                quantiles: [1863583928379885077, 9217481989985940495, 16591628470648924857],
+                quantiles: [1807404102151136792, 9223584897064287389, 16626590028909800067],
             },
         ];
         for g in goldens {

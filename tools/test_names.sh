@@ -6,7 +6,9 @@
 # `doc` for a doctest; a doctest's `(line N)` is dropped, so editing the
 # text above one does not rename it. Run it on a `git clone` of the
 # parent and on the change, and `diff` the two: a line only the parent
-# has is a test the change lost — the "test floor" ROADMAP names.
+# has is a test the change lost — the "test floor" ROADMAP names. A test
+# removed or renamed on purpose is listed, with its reason, in
+# tools/tests_removed.json.
 #
 #   tools/test_names.sh [ROOT]     ROOT defaults to the repository this script is in
 #
