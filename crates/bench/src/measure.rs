@@ -678,7 +678,13 @@ mod tests {
     // the tree; errors 0.0227 → 0.0343 and 0.0121 → 0.0253, inside ε);
     // its windowed row did not move: each epoch instance tracks
     // W/32 = 64 elements, where the sampling rate is 1 and every node
-    // summary is exact at either pair of constants.
+    // summary is exact at either pair of constants. When words came to
+    // be counted by the codec, the six rank rows' bytes fell (a batch
+    // stopped sending its count, which the tuple weights sum to, and a
+    // KLL summary its element count, which nothing read) and the
+    // frequency/Randomized window row's words fell 38 760 → 37 905 (a
+    // wrapped `VirtualSplit` costs its epoch tag alone); msgs, err and
+    // every other cell are the parent's.
     const PIN_AT: (usize, f64, u64, u64) = (4, 0.1, 6_000, 7);
     const PIN_WINDOW: u64 = 2_048;
 
@@ -704,28 +710,28 @@ mod tests {
     const PINS: [(Problem, Algo, Shape, u64, u64, u64, u64); 24] = [
         (Problem::Count, Algo::Randomized, Flat, 395, 395, 901, 0x3fa72015d867c3ed),
         (Problem::Frequency, Algo::Randomized, Flat, 639, 658, 1416, 0x3fb70a3d70a3d70a),
-        (Problem::Rank, Algo::Randomized, Flat, 1027, 5646, 32968, 0x3fa194237fa89e56),
+        (Problem::Rank, Algo::Randomized, Flat, 1027, 5646, 32628, 0x3fa194237fa89e56),
         (Problem::Count, Algo::Deterministic, Flat, 232, 232, 332, 0x3facac083126e979),
         (Problem::Frequency, Algo::Deterministic, Flat, 1132, 2172, 3616, 0x3f996de8ca11bfd4),
-        (Problem::Rank, Algo::Deterministic, Flat, 720, 11712, 40856, 0x3fa078263ab596df),
+        (Problem::Rank, Algo::Deterministic, Flat, 720, 11712, 40232, 0x3fa078263ab596df),
         (Problem::Count, Algo::Sampling, Flat, 2003, 3994, 5857, 0x3f9f671529a485cd),
         (Problem::Frequency, Algo::Sampling, Flat, 2004, 3996, 4683, 0x3f826e978d4fdf3b),
         (Problem::Rank, Algo::Sampling, Flat, 2003, 3994, 20879, 0x3facac083126e979),
         (Problem::Count, Algo::Randomized, Window, 12189, 22886, 42740, 0x3f8ff00000000000),
-        (Problem::Frequency, Algo::Randomized, Window, 20018, 38760, 77649, 0x3f72187a63f3c2d0),
-        (Problem::Rank, Algo::Randomized, Window, 23996, 103460, 362024, 0x3f79800000000000),
+        (Problem::Frequency, Algo::Randomized, Window, 20018, 37905, 77649, 0x3f72187a63f3c2d0),
+        (Problem::Rank, Algo::Randomized, Window, 23996, 103460, 351904, 0x3f79800000000000),
         (Problem::Count, Algo::Deterministic, Window, 6372, 11252, 17220, 0x3fac800000000000),
         (Problem::Frequency, Algo::Deterministic, Window, 11451, 27410, 48176, 0x3f6521a8496f2be0),
-        (Problem::Rank, Algo::Deterministic, Window, 11996, 46500, 122945, 0x3f79800000000000),
+        (Problem::Rank, Algo::Deterministic, Window, 11996, 46500, 116945, 0x3f79800000000000),
         (Problem::Count, Algo::Sampling, Window, 7492, 19492, 32452, 0x3f80000000000000),
         (Problem::Frequency, Algo::Sampling, Window, 7492, 19492, 28592, 0x3f6521a8496f2be0),
         (Problem::Rank, Algo::Sampling, Window, 7492, 19492, 77557, 0x3f79800000000000),
         (Problem::Count, Algo::Randomized, InTree, 877, 877, 2094, 0x3f90624dd2f1a9fc),
         (Problem::Frequency, Algo::Randomized, InTree, 2213, 2488, 5357, 0x3fbf0fb38a94d243),
-        (Problem::Rank, Algo::Randomized, InTree, 3526, 20325, 116340, 0x3f99e3c646397acb),
+        (Problem::Rank, Algo::Randomized, InTree, 3526, 20325, 114975, 0x3f99e3c646397acb),
         (Problem::Count, Algo::Deterministic, InTree, 628, 628, 950, 0x3f9999999999999a),
         (Problem::Frequency, Algo::Deterministic, InTree, 3283, 6430, 10881, 0x3f8e098ead65b7a3),
-        (Problem::Rank, Algo::Deterministic, InTree, 1867, 36553, 128504, 0x3f9194237fa89e61),
+        (Problem::Rank, Algo::Deterministic, InTree, 1867, 36553, 126779, 0x3f9194237fa89e61),
     ];
 
     #[test]

@@ -13,7 +13,7 @@
 //! message handlers, plus the broadcast itself, [`NewRound`].
 
 use dtrack_sim::wire::{WireError, WireReader, WireSink};
-use dtrack_sim::{Decode, Encode, Words};
+use dtrack_sim::{Decode, Encode};
 
 /// The coordinator's round broadcast of a new `n̄` — the whole down
 /// vocabulary of every protocol built on this tracker (randomized count,
@@ -23,12 +23,6 @@ use dtrack_sim::{Decode, Encode, Words};
 pub struct NewRound {
     /// The new coarse estimate of `n`.
     pub n_bar: u64,
-}
-
-impl Words for NewRound {
-    fn words(&self) -> u64 {
-        1
-    }
 }
 
 impl Encode for NewRound {

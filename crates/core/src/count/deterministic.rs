@@ -7,19 +7,13 @@
 //! the randomized protocol beats by `√k`.
 
 use dtrack_sim::wire::{WireError, WireReader, WireSink};
-use dtrack_sim::{Coordinator, Decode, Encode, Net, Outbox, Protocol, Site, SiteId, Words};
+use dtrack_sim::{Coordinator, Decode, Encode, Net, Outbox, Protocol, Site, SiteId};
 
 use crate::config::TrackingConfig;
 
 /// Site → coordinator message: the current local counter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DetCountUp(pub u64);
-
-impl Words for DetCountUp {
-    fn words(&self) -> u64 {
-        1
-    }
-}
 
 impl Encode for DetCountUp {
     fn encode(&self, w: &mut impl WireSink) {

@@ -15,7 +15,7 @@ use rand::Rng;
 
 use dtrack_sim::rng::{flip, rng_from_seed, site_seed, GeometricSkips};
 use dtrack_sim::wire::{WireError, WireReader, WireSink};
-use dtrack_sim::{Coordinator, Decode, Encode, Net, Outbox, Protocol, Site, SiteId, Words};
+use dtrack_sim::{Coordinator, Decode, Encode, Net, Outbox, Protocol, Site, SiteId};
 
 use crate::coarse::{CoarseCoord, CoarseSite, NewRound};
 use crate::config::TrackingConfig;
@@ -29,12 +29,6 @@ pub enum CountUp {
     Report(u64),
     /// Re-thinned `n̄ᵢ` after a `p`-halving; 0 means "treat as absent".
     Adjusted(u64),
-}
-
-impl Words for CountUp {
-    fn words(&self) -> u64 {
-        1
-    }
 }
 
 impl Encode for CountUp {

@@ -14,7 +14,7 @@
 //! optimal `O(1/ε)` per site.
 
 use dtrack_sim::wire::{WireError, WireReader, WireSink};
-use dtrack_sim::{Coordinator, Decode, Encode, Net, Outbox, Protocol, Site, SiteId, Words};
+use dtrack_sim::{Coordinator, Decode, Encode, Net, Outbox, Protocol, Site, SiteId};
 use dtrack_sketch::hash::FastMap;
 
 use crate::coarse::{CoarseCoord, CoarseSite, NewRound};
@@ -27,15 +27,6 @@ pub enum DetFreqUp {
     Coarse(u64),
     /// Counter refresh: `item → value` (0 retracts an evicted counter).
     Counter(u64, u64),
-}
-
-impl Words for DetFreqUp {
-    fn words(&self) -> u64 {
-        match self {
-            DetFreqUp::Coarse(_) => 1,
-            DetFreqUp::Counter(_, _) => 2,
-        }
-    }
 }
 
 impl Encode for DetFreqUp {

@@ -22,7 +22,7 @@ use rand::rngs::SmallRng;
 
 use dtrack_sim::rng::{flip, rng_from_seed, site_seed};
 use dtrack_sim::wire::{WireError, WireReader, WireSink};
-use dtrack_sim::{Coordinator, Decode, Encode, Net, Outbox, Protocol, Site, SiteId, Words};
+use dtrack_sim::{Coordinator, Decode, Encode, Net, Outbox, Protocol, Site, SiteId};
 use dtrack_sketch::hash::FastMap;
 use dtrack_sketch::sticky::{StickyCounters, StickyEvent};
 
@@ -50,15 +50,6 @@ pub enum FreqUp {
     /// at broadcast time), which keeps the estimator correct even when
     /// communication is not instant (the channel runtime).
     RoundAck(u64),
-}
-
-impl Words for FreqUp {
-    fn words(&self) -> u64 {
-        match self {
-            FreqUp::CounterUpdate(_, _) => 2,
-            _ => 1,
-        }
-    }
 }
 
 impl Encode for FreqUp {

@@ -70,7 +70,7 @@
 //!   `O(min(n, k/ε²·log N))` values and prefix weights.
 
 use dtrack_sim::wire::{WireError, WireReader, WireSink};
-use dtrack_sim::{Coordinator, Decode, Encode, Net, Outbox, Protocol, Site, SiteId, Words};
+use dtrack_sim::{Coordinator, Decode, Encode, Net, Outbox, Protocol, Site, SiteId};
 use dtrack_sketch::gk::GkTuple;
 
 use crate::coarse::{CoarseCoord, CoarseSite, NewRound};
@@ -86,22 +86,13 @@ pub enum DetRankUp {
     Summary {
         /// Round broadcasts the site had seen when it sent the batch.
         round: u32,
-        /// Elements in the batch; the tuple weights `g` sum to it (the
-        /// decoder rejects a message where they do not).
+        /// Elements in the batch: the sum of the tuple weights `g`. It is
+        /// not sent; the decoder sums the weights.
         n_local: u64,
-        /// Value-sorted `(v, g, delta)` tuples (3 words each on the
-        /// wire); the batch protocol sends `delta = 0`.
+        /// Value-sorted `(v, g, delta)` tuples; the batch protocol sends
+        /// `delta = 0`.
         tuples: Vec<GkTuple>,
     },
-}
-
-impl Words for DetRankUp {
-    fn words(&self) -> u64 {
-        match self {
-            DetRankUp::Coarse(_) => 1,
-            DetRankUp::Summary { tuples, .. } => 2 + 3 * tuples.len() as u64,
-        }
-    }
 }
 
 // Tuples are encoded columnar: the tuple values `v` form a sorted run,
@@ -116,14 +107,9 @@ impl Encode for DetRankUp {
                 w.put_u8(0);
                 w.put_varint(*n);
             }
-            DetRankUp::Summary {
-                round,
-                n_local,
-                tuples,
-            } => {
+            DetRankUp::Summary { round, tuples, .. } => {
                 w.put_u8(1);
                 w.put_varint(u64::from(*round));
-                w.put_varint(*n_local);
                 w.put_delta_run(tuples.iter().map(|t| t.v));
                 for t in tuples {
                     w.put_varint(t.g);
@@ -134,27 +120,22 @@ impl Encode for DetRankUp {
     }
 }
 
-/// A `Summary` whose tuple weights do not sum to `n_local` is
-/// [`WireError::Inconsistent`]: the coordinator adds the weights into
-/// its answers and `n_local` into its reported total, and trusts both.
+/// A `Summary`'s `n_local` is its tuple weights' sum; a sum past `u64`
+/// is [`WireError::Overflow`].
 impl Decode for DetRankUp {
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         match r.u8()? {
             0 => Ok(DetRankUp::Coarse(r.varint()?)),
             1 => {
                 let round = r.varint_u32()?;
-                let n_local = r.varint()?;
                 let values = r.delta_run()?;
                 let mut tuples = Vec::with_capacity(values.len());
-                let mut weight = 0u64;
+                let mut n_local = 0u64;
                 for v in values {
                     let g = r.varint()?;
                     let delta = r.varint()?;
-                    weight = weight.checked_add(g).ok_or(WireError::Inconsistent)?;
+                    n_local = n_local.checked_add(g).ok_or(WireError::Overflow)?;
                     tuples.push(GkTuple { v, g, delta });
-                }
-                if weight != n_local {
-                    return Err(WireError::Inconsistent);
                 }
                 Ok(DetRankUp::Summary {
                     round,

@@ -104,7 +104,7 @@ use rand::Rng;
 
 use dtrack_sim::rng::{flip, rng_from_seed, site_seed};
 use dtrack_sim::wire::{WireError, WireReader, WireSink};
-use dtrack_sim::{Coordinator, Decode, Encode, Net, Outbox, Protocol, Site, SiteId, Words};
+use dtrack_sim::{Coordinator, Decode, Encode, Net, Outbox, Protocol, Site, SiteId};
 use dtrack_sketch::hash::FastMap;
 use dtrack_sketch::kll::{KllSketch, KllSummary};
 
@@ -151,23 +151,10 @@ pub enum RankUp {
     },
 }
 
-impl Words for RankUp {
-    fn words(&self) -> u64 {
-        match self {
-            RankUp::Coarse(_) => 1,
-            RankUp::ChunkStart { .. } => 2,
-            RankUp::Sample { .. } => 2,
-            RankUp::Summary { summary, .. } => 2 + summary.words(),
-        }
-    }
-}
-
 // A `KllSummary` is serialized inline (it lives in `dtrack-sketch`,
-// which does not depend on `dtrack-sim`): varint `n`, varint level
-// count, then one delta run per level — each level's items are sorted
-// (a KLL invariant), so they gap-compress. The accounting mirrors
-// `KllSummary::words` = stored + levels + 1: one varint per stored
-// item/level-length/`n`.
+// which does not depend on `dtrack-sim`): varint level count, then one
+// delta run per level — each level's items are sorted (a KLL
+// invariant), so they gap-compress.
 impl Encode for RankUp {
     fn encode(&self, w: &mut impl WireSink) {
         match self {
@@ -193,7 +180,6 @@ impl Encode for RankUp {
                 w.put_u8(3);
                 w.put_varint(u64::from(*chunk));
                 w.put_varint(u64::from(*level));
-                w.put_varint(summary.n);
                 w.put_varint(summary.levels.len() as u64);
                 for items in &summary.levels {
                     w.put_delta_run(items.iter().copied());
@@ -218,7 +204,6 @@ impl Decode for RankUp {
             3 => {
                 let chunk = r.varint_u32()?;
                 let level = r.varint_u32()?;
-                let n = r.varint()?;
                 let num_levels = r.varint()?;
                 // Each level costs ≥ 1 byte (its run length varint).
                 if num_levels > r.remaining() as u64 {
@@ -231,7 +216,7 @@ impl Decode for RankUp {
                 Ok(RankUp::Summary {
                     chunk,
                     level,
-                    summary: KllSummary { levels, n },
+                    summary: KllSummary { levels },
                 })
             }
             t => Err(WireError::BadTag(t)),
@@ -901,7 +886,9 @@ mod tests {
     /// answers. First recorded before `KllSketch` counted its stored items
     /// instead of summing its levels (peak space reads that count after
     /// every element); re-recorded when `C_P` / `C_E` were calibrated to
-    /// Theorem 4.1's 0.9.
+    /// Theorem 4.1's 0.9, and the up bytes again when words came to be
+    /// counted by the codec and a summary stopped sending its element
+    /// count.
     #[test]
     fn runner_peaks_totals_and_quantiles_match_recorded_goldens() {
         struct Golden {
@@ -919,19 +906,19 @@ mod tests {
         let goldens = [
             Golden {
                 k: 8, eps: 0.05, seed: 3,
-                comm: [3091, 18590, 109060, 128, 128, 216, 16, 40000],
+                comm: [3091, 18590, 107844, 128, 128, 216, 16, 40000],
                 peaks: &[213, 209, 207, 204, 206, 211, 205, 208],
                 quantiles: [1817386404873260210, 9097340047507447630, 16511439237792368911],
             },
             Golden {
                 k: 8, eps: 0.05, seed: 4,
-                comm: [3081, 18582, 109006, 128, 128, 216, 16, 40000],
+                comm: [3081, 18582, 107790, 128, 128, 216, 16, 40000],
                 peaks: &[202, 205, 211, 216, 207, 216, 208, 217],
                 quantiles: [1889391126023239946, 9352881200160300595, 16776418564675424325],
             },
             Golden {
                 k: 64, eps: 0.01, seed: 3,
-                comm: [25803, 135937, 766979, 1024, 1024, 1728, 16, 40000],
+                comm: [25803, 135937, 756803, 1024, 1024, 1728, 16, 40000],
                 peaks: &[
                     133, 135, 133, 133, 133, 135, 135, 133, 136, 135, 133, 133, 134, 133, 134, 133,
                     133, 133, 131, 133, 130, 134, 131, 133, 136, 136, 133, 135, 134, 133, 132, 135,
@@ -942,7 +929,7 @@ mod tests {
             },
             Golden {
                 k: 64, eps: 0.01, seed: 4,
-                comm: [25763, 135734, 765355, 1024, 1024, 1728, 16, 40000],
+                comm: [25763, 135734, 755179, 1024, 1024, 1728, 16, 40000],
                 peaks: &[
                     136, 136, 134, 130, 133, 133, 133, 133, 133, 134, 132, 133, 137, 133, 134, 134,
                     133, 133, 133, 133, 133, 135, 131, 131, 133, 133, 134, 132, 135, 134, 134, 135,

@@ -18,7 +18,7 @@ use rand::Rng;
 
 use dtrack_sim::rng::{rng_from_seed, site_seed};
 use dtrack_sim::wire::{WireError, WireReader, WireSink};
-use dtrack_sim::{Coordinator, Decode, Encode, Net, Outbox, Protocol, Site, SiteId, Words};
+use dtrack_sim::{Coordinator, Decode, Encode, Net, Outbox, Protocol, Site, SiteId};
 
 use crate::config::TrackingConfig;
 
@@ -32,12 +32,6 @@ pub struct SampleUp {
     pub item: u64,
     /// Its geometric level.
     pub level: u32,
-}
-
-impl Words for SampleUp {
-    fn words(&self) -> u64 {
-        2
-    }
 }
 
 impl Encode for SampleUp {
@@ -59,12 +53,6 @@ impl Decode for SampleUp {
 /// Coordinator → site message: the new global level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LevelDown(pub u32);
-
-impl Words for LevelDown {
-    fn words(&self) -> u64 {
-        1
-    }
-}
 
 impl Encode for LevelDown {
     fn encode(&self, w: &mut impl WireSink) {

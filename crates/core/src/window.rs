@@ -137,7 +137,7 @@ use std::collections::VecDeque;
 
 use dtrack_sim::rng::instance_seed;
 use dtrack_sim::wire::{WireError, WireReader, WireSink};
-use dtrack_sim::{Coordinator, Decode, Encode, Net, Outbox, Protocol, Site, SiteId, Words};
+use dtrack_sim::{Coordinator, Decode, Encode, Net, Outbox, Protocol, Site, SiteId};
 
 /// Maximum closed buckets per span class before the two oldest merge.
 ///
@@ -459,18 +459,6 @@ pub enum WinUp<U> {
     },
 }
 
-impl<U: Words> Words for WinUp<U> {
-    fn words(&self) -> u64 {
-        match self {
-            WinUp::Tick => 1,
-            WinUp::SealAck { .. } => 1,
-            // +1 for the epoch tag: windowing's per-message overhead is
-            // charged honestly.
-            WinUp::Inner { msg, .. } => 1 + msg.words(),
-        }
-    }
-}
-
 impl<U: Encode> Encode for WinUp<U> {
     fn encode(&self, w: &mut impl WireSink) {
         match self {
@@ -518,15 +506,6 @@ pub enum WinDown<D> {
         /// The inner message.
         msg: D,
     },
-}
-
-impl<D: Words> Words for WinDown<D> {
-    fn words(&self) -> u64 {
-        match self {
-            WinDown::Seal { .. } => 1,
-            WinDown::Inner { msg, .. } => 1 + msg.words(),
-        }
-    }
 }
 
 impl<D: Encode> Encode for WinDown<D> {
@@ -1130,8 +1109,9 @@ impl<P: EpochProtocol> Protocol for Windowed<P> {
 mod tests {
     use super::*;
     use crate::count::RandomizedCount;
+    use crate::frequency::FreqUp;
     use crate::TrackingConfig;
-    use dtrack_sim::Runner;
+    use dtrack_sim::{Runner, Words};
 
     #[test]
     fn item_counts_merge_and_lookup() {
@@ -1215,6 +1195,16 @@ mod tests {
             }
             .words(),
             2
+        );
+        // A wrapped signal costs the tag alone: the signal carries no
+        // field, and the message already costs a word.
+        assert_eq!(
+            WinUp::Inner {
+                epoch: 9,
+                msg: FreqUp::VirtualSplit
+            }
+            .words(),
+            1
         );
     }
 

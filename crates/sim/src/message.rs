@@ -2,56 +2,49 @@
 //!
 //! The paper (§1.1) measures communication in *words*: "we assume that any
 //! integer less than N, as well as an element from the stream, can fit in
-//! one word". Every message type a protocol exchanges implements [`Words`]
-//! so the runtimes can charge the exact cost.
-//!
-//! Next to the abstract word model sits the concrete byte codec
-//! ([`crate::wire`]): every message also implements [`Encode`] (a
-//! supertrait of [`Words`]) and, to ship over a socket, [`Decode`];
-//! [`Words::wire_bytes`] is the codec's measured length, so executors
-//! charge bytes alongside words. The two accountings are structurally
-//! aligned (one varint per word-model integer, one varint length prefix
-//! per length word), so `bytes / (8·words)` ratios isolate pure
-//! encoding compression.
+//! one word". A message describes itself once, in its [`Encode`] impl,
+//! and the codec ([`crate::wire`]) counts both costs from that one
+//! description: a word per integer or double it writes, and the bytes a
+//! socket would carry. Every such message is a [`Words`], so the
+//! runtimes can charge the exact cost, and to ship over a socket it also
+//! implements [`Decode`].
 
-/// Size of a message payload in machine words, per the paper's cost model.
+/// Size of a message in machine words, per the paper's cost model, and
+/// in bytes under the wire codec — both counted by the codec.
 ///
-/// Implementations should count one word per integer / element carried.
-/// A message with no payload (a pure signal) still costs one word — the
-/// lower bounds in the paper count *messages*, so nothing is free.
-///
-/// The supertraits are what the executors do with a message: encode it
-/// (byte accounting, sockets), clone it (a broadcast is one copy per
-/// site), and move or share it across threads (the channel runtime's
-/// lanes; snapshot readers of a coordinator that keeps messages, like
-/// the windowed adapter's scratch [`Net`](crate::net::Net)).
+/// Implemented for every [`Encode`] type the executors can carry. The
+/// supertraits are what the executors do with a message: encode it
+/// (accounting, sockets), clone it (a broadcast is one copy per site),
+/// and move or share it across threads (the channel runtime's lanes;
+/// snapshot readers of a coordinator that keeps messages, like the
+/// windowed adapter's scratch [`Net`](crate::net::Net)).
 pub trait Words: Encode + Clone + Send + Sync + 'static {
-    /// Number of words this value occupies on the wire. Must be ≥ 1 for a
-    /// message (signals cost one word).
-    fn words(&self) -> u64;
+    /// Words this message costs: one per varint, zig-zag integer or
+    /// `f64` its [`Encode`] writes, none for a tag byte, and at least 1
+    /// (a pure signal still costs a word — the paper's lower bounds
+    /// count *messages*, so nothing is free).
+    fn words(&self) -> u64 {
+        crate::wire::words_and_bytes(self).0
+    }
 
     /// Measured size of this message in **bytes** under the wire codec:
-    /// [`crate::wire::measured`], the message's own [`Encode`] run
-    /// against a counting sink. Like [`Words::words`], a pure function of
-    /// the value, never of transport state.
+    /// [`crate::wire::measured`]. Like [`Words::words`], a pure function
+    /// of the value, never of transport state.
     fn wire_bytes(&self) -> u64 {
         crate::wire::measured(self)
     }
 }
 
-/// Serialize a message into the byte codec (see [`crate::wire`]).
-///
-/// Implementations must mirror the type's [`Words`] accounting
-/// structurally: one varint (or fixed field) per word-model integer,
-/// one varint length prefix per length word, one tag byte per enum
-/// dispatch. `encode ∘ decode = id` is property-tested for every
+impl<T: Encode + Clone + Send + Sync + 'static> Words for T {}
+
+/// Serialize a message into the byte codec (see [`crate::wire`]): the
+/// one description of a message, from which [`Words`] counts its words
+/// and bytes. `encode ∘ decode = id` is property-tested for every
 /// protocol message type (`crates/core/tests/wire_roundtrip.rs`).
 ///
 /// `encode` is generic over its [`WireSink`](crate::wire::WireSink):
-/// the one description of a message serves both the byte writer and
-/// the counter behind [`crate::wire::measured`], each compiled for its
-/// own sink (so `Encode` is not object-safe — nothing needs `dyn
-/// Encode`).
+/// the byte writer and the counter each compile their own instance (so
+/// `Encode` is not object-safe — nothing needs `dyn Encode`).
 pub trait Encode {
     /// Append this value's encoding to `w`.
     fn encode(&self, w: &mut impl crate::wire::WireSink);
@@ -66,68 +59,8 @@ pub trait Decode: Sized {
     fn decode(r: &mut crate::wire::WireReader<'_>) -> Result<Self, crate::wire::WireError>;
 }
 
-impl Words for u64 {
-    fn words(&self) -> u64 {
-        1
-    }
-}
-
-impl Words for u32 {
-    fn words(&self) -> u64 {
-        1
-    }
-}
-
-impl Words for usize {
-    fn words(&self) -> u64 {
-        1
-    }
-}
-
-impl Words for i64 {
-    fn words(&self) -> u64 {
-        1
-    }
-}
-
-impl Words for f64 {
-    fn words(&self) -> u64 {
-        1
-    }
-}
-
-/// A pure signal: one word and no payload bytes — on a framed transport
-/// its entire cost is the frame header, charged by the transport.
-impl Words for () {
-    fn words(&self) -> u64 {
-        1
-    }
-}
-
-impl<A: Words, B: Words> Words for (A, B) {
-    fn words(&self) -> u64 {
-        self.0.words() + self.1.words()
-    }
-}
-
-impl<T: Words> Words for Vec<T> {
-    fn words(&self) -> u64 {
-        // A length word plus the payload; an empty vector is still a signal.
-        1 + self.iter().map(Words::words).sum::<u64>()
-    }
-}
-
-impl<T: Words> Words for Option<T> {
-    fn words(&self) -> u64 {
-        match self {
-            Some(v) => v.words(),
-            None => 1,
-        }
-    }
-}
-
-// Byte-codec impls for the scalar building blocks, mirroring the word
-// accounting one varint (or fixed-width field) per word.
+// Byte-codec impls for the scalar building blocks: one varint (or
+// fixed-width `f64`) each, so one word each.
 
 impl Encode for u64 {
     fn encode(&self, w: &mut impl crate::wire::WireSink) {
@@ -294,12 +227,10 @@ mod tests {
         assert_eq!(None::<u64>.words(), 1);
     }
 
-    /// The `1 + Σ` word accounting for `Vec<T>` and the codec's
-    /// length-prefixed encoding are the *same shape*: one length word ↔
-    /// one varint length prefix, then the elements. Checked three ways —
-    /// measured bytes equal the real encoded length, the prefix is
-    /// exactly the length varint (encoded bytes minus encoded elements),
-    /// and both accountings decompose identically.
+    /// A `Vec<T>` is its length prefix, one varint and so one word, then
+    /// its elements. Checked three ways — measured bytes equal the real
+    /// encoded length, the prefix is exactly the length varint (encoded
+    /// bytes minus encoded elements), and words decompose as `1 + Σ`.
     #[test]
     fn vec_words_and_wire_length_prefix_agree() {
         let cases: Vec<Vec<u64>> = vec![

@@ -2,6 +2,7 @@
 
 use crate::message::Words;
 use crate::net::Dest;
+use crate::wire::words_and_bytes;
 
 /// Exact communication statistics for one protocol execution.
 ///
@@ -70,11 +71,13 @@ impl CommStats {
         }
     }
 
-    /// Charge one site → coordinator message.
+    /// Charge one site → coordinator message. Its words and bytes come
+    /// from one encoder pass ([`words_and_bytes`]).
     pub fn charge_up<M: Words>(&mut self, msg: &M) {
+        let (words, bytes) = words_and_bytes(msg);
         self.up_msgs += 1;
-        self.up_words += msg.words();
-        self.up_bytes += msg.wire_bytes();
+        self.up_words += words;
+        self.up_bytes += bytes;
     }
 
     /// Charge one coordinator → site send among `k` sites: a unicast
@@ -84,9 +87,10 @@ impl CommStats {
             self.broadcast_events += 1;
         }
         let copies = dest.targets(k).len() as u64;
+        let (words, bytes) = words_and_bytes(msg);
         self.down_msgs += copies;
-        self.down_words += copies * msg.words();
-        self.down_bytes += copies * msg.wire_bytes();
+        self.down_words += copies * words;
+        self.down_bytes += copies * bytes;
     }
 
     /// Accumulate another run's statistics (e.g. independent copies used

@@ -1104,7 +1104,6 @@ impl<C: Coordinator, L: CoordLink<C::Up, C::Down>> CoordHalf<C, L> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::message::Words;
     use crate::net::Net;
     use crate::protocol::Coordinator;
     use crate::wire::{WireReader, WireSink};
@@ -1116,12 +1115,6 @@ mod tests {
     /// across links.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
     struct EchoUp(u64);
-
-    impl Words for EchoUp {
-        fn words(&self) -> u64 {
-            1
-        }
-    }
 
     impl Encode for EchoUp {
         fn encode(&self, w: &mut impl WireSink) {

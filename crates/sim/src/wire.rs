@@ -1,10 +1,10 @@
 //! Byte-accurate wire format for protocol messages.
 //!
 //! The paper's cost model charges communication in *words* ([`Words`]);
-//! this module gives every message a concrete byte encoding so the same
-//! runs can also be measured in bytes — the number a deployment's
-//! network bill is actually denominated in. The codec is deliberately
-//! dependency-free and stable:
+//! this module gives every message a concrete byte encoding, which
+//! counts those words and measures the same runs in bytes — the number
+//! a deployment's network bill is actually denominated in. The codec is
+//! deliberately dependency-free and stable:
 //!
 //! * **LEB128 varints** for unsigned integers: 7 bits per byte, high
 //!   bit = continuation. Small counters (the overwhelming majority of
@@ -27,22 +27,15 @@
 //!
 //! An `encode` writes to any [`WireSink`]. There are two: [`WireWriter`]
 //! stores the bytes (frames, tests), and a private counter behind
-//! [`measured`] adds up their lengths without storing anything — that
-//! count is what every executor charges as a message's bytes, once per
-//! message. Because the sink is a type parameter rather than a run-time
-//! flag, the counting instance of an `encode` compiles to a length sum
-//! kept in a register, and because both sinks run the same `encode`,
-//! the count cannot drift from the bytes.
-//!
-//! ## Relation to the word model
-//!
-//! The byte codec mirrors the word accounting structurally: wherever
-//! [`Words`] charges a length word for a `Vec` (`1 + Σ` — see
-//! `Words for Vec<T>`), the codec writes exactly one varint length
-//! prefix; wherever a message costs one word per integer, the codec
-//! writes one varint per integer. Ratios of `bytes / (8 · words)` are
-//! therefore interpretable per message: they measure varint + delta
-//! compression, never a change in what is sent.
+//! [`measured`] and [`words_and_bytes`] adds up their lengths without
+//! storing anything. In the same pass it counts the message's *fields*,
+//! one per varint, zig-zag integer or `f64` and none for a tag byte:
+//! that is the message's size in the paper's words (§1.1: one word per
+//! integer or stream element). Every executor charges a message its
+//! words and bytes from that one pass. Because the sink is a type
+//! parameter rather than a run-time flag, the counting instance of an
+//! `encode` compiles to two sums kept in registers, and because both
+//! sinks run the same `encode`, neither count can drift from the bytes.
 //!
 //! [`Words`]: crate::message::Words
 
@@ -62,9 +55,6 @@ pub enum WireError {
     BadTag(u8),
     /// Bytes remained after the value was fully decoded.
     Trailing(usize),
-    /// The decoded fields contradict each other (e.g. a rank batch whose
-    /// tuple weights do not sum to its element count).
-    Inconsistent,
 }
 
 impl std::fmt::Display for WireError {
@@ -74,7 +64,6 @@ impl std::fmt::Display for WireError {
             WireError::Overflow => write!(f, "varint overflow or field out of range"),
             WireError::BadTag(t) => write!(f, "unknown message tag {t:#04x}"),
             WireError::Trailing(n) => write!(f, "{n} trailing bytes after value"),
-            WireError::Inconsistent => write!(f, "decoded fields contradict each other"),
         }
     }
 }
@@ -110,9 +99,7 @@ pub trait WireSink {
     }
 
     /// A **sorted** run of values as a varint length, the first value
-    /// verbatim, then successive deltas. The words model charges the
-    /// same sequence `1 + len` words (length + one word per value);
-    /// this is its byte-exact mirror with gap compression.
+    /// verbatim, then successive deltas: `1 + len` fields.
     ///
     /// Debug-asserts sortedness — an unsorted run would still round-trip
     /// through [`WireReader::delta_run`] only if non-decreasing.
@@ -192,25 +179,31 @@ impl WireSink for WireWriter {
     }
 }
 
-/// The counting [`WireSink`] behind [`measured`]: stores nothing, and
-/// its running total is exactly the length [`WireWriter`] would reach.
+/// The counting [`WireSink`] behind [`measured`] and [`words_and_bytes`]:
+/// stores nothing; `bytes` is exactly the length [`WireWriter`] would
+/// reach, `fields` the varints and doubles written (tag bytes are free).
 #[derive(Debug, Default)]
-struct ByteCount(usize);
+struct Tally {
+    bytes: u64,
+    fields: u64,
+}
 
-impl WireSink for ByteCount {
+impl WireSink for Tally {
     #[inline]
     fn put_u8(&mut self, _b: u8) {
-        self.0 += 1;
+        self.bytes += 1;
     }
 
     #[inline]
     fn put_varint(&mut self, v: u64) {
-        self.0 += varint_len(v) as usize;
+        self.bytes += varint_len(v);
+        self.fields += 1;
     }
 
     #[inline]
     fn put_f64(&mut self, _v: f64) {
-        self.0 += 8;
+        self.bytes += 8;
+        self.fields += 1;
     }
 }
 
@@ -321,20 +314,30 @@ pub fn encode_to_vec<T: Encode + ?Sized>(v: &T) -> Vec<u8> {
     w.buf
 }
 
-/// Measured wire size of `v` in bytes under the byte codec. This is
-/// what [`Words::wire_bytes`] defaults to — no message overrides it —
-/// and what the byte columns in `CommStats` accumulate.
-///
-/// `v`'s own [`Encode`] impl run against the counting sink instead of
-/// [`WireWriter`]: nothing is stored or allocated, each varint costs
-/// one [`varint_len`], and the result is the length [`encode_to_vec`]
-/// would produce because it is the same code that produces it.
+/// `v`'s own [`Encode`] run once against the counting sink: nothing is
+/// stored or allocated, each varint costs one [`varint_len`], and the
+/// length is the one [`encode_to_vec`] would produce because it is the
+/// same code that produces it.
+fn tally<T: Encode + ?Sized>(v: &T) -> Tally {
+    let mut tally = Tally::default();
+    v.encode(&mut tally);
+    tally
+}
+
+/// Measured wire size of `v` in bytes under the byte codec: what
+/// [`Words::wire_bytes`] returns.
 ///
 /// [`Words::wire_bytes`]: crate::message::Words::wire_bytes
 pub fn measured<T: Encode + ?Sized>(v: &T) -> u64 {
-    let mut count = ByteCount::default();
-    v.encode(&mut count);
-    count.0 as u64
+    tally(v).bytes
+}
+
+/// `v`'s size as `(words, bytes)` from one encoder pass: the fields it
+/// writes, at least 1 (a pure signal still costs a word), and its
+/// measured length. What [`CommStats`](crate::CommStats) charges.
+pub fn words_and_bytes<T: Encode + ?Sized>(v: &T) -> (u64, u64) {
+    let t = tally(v);
+    (t.fields.max(1), t.bytes)
 }
 
 /// Number of bytes the varint encoding of `v` occupies (1–10).
@@ -539,7 +542,7 @@ mod tests {
         macro_rules! agree {
             ($what:expr, |$w:ident| $put:expr) => {{
                 let mut bytes = WireWriter::new();
-                let mut count = ByteCount::default();
+                let mut count = Tally::default();
                 // Twice: lengths must accumulate, not overwrite.
                 for _ in 0..2 {
                     {
@@ -551,10 +554,10 @@ mod tests {
                         $put;
                     }
                 }
-                assert_eq!(count.0, bytes.as_bytes().len(), "{}", $what);
+                assert_eq!(count.bytes, bytes.len() as u64, "{}", $what);
             }};
         }
-        assert_eq!(ByteCount::default().0, WireWriter::new().len(), "nothing");
+        assert_eq!(Tally::default().bytes, 0, "nothing");
         for b in [0u8, 0x7F, 0x80, 0xFF] {
             agree!("put_u8", |w| w.put_u8(b));
         }

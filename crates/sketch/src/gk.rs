@@ -173,7 +173,7 @@ impl GkSummary {
         Some(best)
     }
 
-    /// The stored tuples, for serialization (3 words each on the wire).
+    /// The stored tuples, for serialization.
     pub fn tuples(&self) -> &[GkTuple] {
         &self.tuples
     }
