@@ -10,19 +10,17 @@
 //!
 //! * [`measure_cells`] runs the protocol matrix through
 //!   [`measure::run`](crate::measure::run), each scenario once per seed
-//!   — the seven Table-1 protocol cells on their standard workloads, two
-//!   sliding-window cells (count and frequency, lock-step executor) and
-//!   one windowed cell on the *channel* runtime — and records the
-//!   **median words** per scenario.
+//!   — the seven Table-1 protocol cells on their standard workloads and
+//!   two sliding-window cells (count and frequency), all on the
+//!   lock-step executor — and records the **median words** per scenario.
 //! * [`measure_topology_cells`] runs the hierarchical-topology panel:
 //!   the randomized count protocol on the flat star vs a binary
 //!   depth-4 aggregation tree, recording root-load words **per level**
 //!   (`topology/*` cells). Advisory by design — the panel watches the
 //!   per-level load profile, not single words.
 //! * Each [`Cell`] is `exact` or not. Lock-step words are deterministic
-//!   given the seed set, so the comparator treats any drift as a **hard**
-//!   regression. The channel cell's words depend on thread interleaving,
-//!   so a single median would be a pretense of precision: the cell
+//!   given the seed set, so the comparator treats any drift in a
+//!   [`measure_cells`] cell as a **hard** regression. A topology cell
 //!   records a words **distribution** (min/median/max over
 //!   [`INEXACT_SEEDS`] seeds) and the comparator checks the current
 //!   median against that recorded range. Its drift is **advisory** —
@@ -37,7 +35,7 @@
 //! rewrites `BENCH_baseline.json`; `… -- --check` exits non-zero on hard
 //! findings only.
 
-use dtrack_sim::{ExecConfig, ExecMode, TreeSpec};
+use dtrack_sim::{ExecConfig, TreeSpec};
 
 use crate::measure::{median, run, Algo, Problem};
 
@@ -67,7 +65,7 @@ impl Params {
     }
 }
 
-/// Seeds measured for inexact (thread-timed) cells: enough to record a
+/// Seeds measured for inexact (topology) cells: enough to record a
 /// meaningful min/median/max words distribution, independent of the
 /// (smaller) exact-cell seed count.
 pub const INEXACT_SEEDS: u64 = 5;
@@ -79,9 +77,9 @@ pub struct Cell {
     pub id: String,
     /// Median total words over the seed set.
     pub words: u64,
-    /// Whether `words` is deterministic given the seed set (true for
-    /// every lock-step cell). Exact cells fail the check on any word
-    /// drift; inexact cells (the channel-runtime cell) record a words
+    /// Whether `words` is gated exactly (true for every
+    /// [`measure_cells`] cell). Exact cells fail the check on any word
+    /// drift; inexact cells (the topology panel) record a words
     /// distribution and are compared against it advisorily.
     pub exact: bool,
     /// Minimum words over the seed set. Only meaningful (persisted,
@@ -107,12 +105,9 @@ fn cell(id: String, exact: bool, words: Vec<u64>) -> Cell {
 }
 
 /// Run the protocol matrix and return one word cell per scenario: the
-/// seven Table-1 protocol cells, two sliding-window cells on the
-/// lock-step executor, and the same windowed count on the channel
-/// runtime. Lock-step cells are `exact`: they run `p.seeds` seeds and
-/// gate on the median words. The channel cell is not: it runs
-/// `max(p.seeds, INEXACT_SEEDS)` seeds and records the min/max of its
-/// words distribution.
+/// seven Table-1 protocol cells and two sliding-window cells, all on
+/// the lock-step executor. Every cell is `exact`: it runs `p.seeds`
+/// seeds and gates on the median words.
 pub fn measure_cells(p: Params) -> Vec<Cell> {
     use Algo::{Deterministic, Randomized, Sampling};
     use Problem::{Count, Frequency, Rank};
@@ -124,12 +119,6 @@ pub fn measure_cells(p: Params) -> Vec<Cell> {
     // coordinator-local, so its words are exactly the pre-correction
     // words.
     let windowed = lockstep.windowed(p.n / 4);
-    // The same windowed count on the thread-per-site channel runtime —
-    // the measurement-grade concurrent path. Thread interleaving makes
-    // its word count non-deterministic, so the cell is advisory: it
-    // guards against order-of-magnitude communication blowups (e.g. a
-    // seal storm), not single words.
-    let channel = ExecConfig::channel().windowed(p.n / 4);
     let scenarios = [
         ("count/deterministic", lockstep, Count, Deterministic),
         ("count/randomized", lockstep, Count, Randomized),
@@ -145,25 +134,18 @@ pub fn measure_cells(p: Params) -> Vec<Cell> {
         ("rank/randomized", lockstep, Rank, Randomized),
         ("count/windowed", windowed, Count, Randomized),
         ("frequency/windowed", windowed, Frequency, Randomized),
-        ("window/channel", channel, Count, Randomized),
     ];
     scenarios
         .into_iter()
         .map(|(id, exec, problem, algo)| {
-            let exact = exec.mode == ExecMode::LockStep;
-            let seeds = if exact {
-                p.seeds
-            } else {
-                p.seeds.max(INEXACT_SEEDS)
-            };
-            let words = (0..seeds)
+            let words = (0..p.seeds)
                 .map(|seed| {
                     run(exec, problem, algo, p.k, p.eps, p.n, seed)
                         .cost()
                         .total_words()
                 })
                 .collect();
-            cell(id.to_string(), exact, words)
+            cell(id.to_string(), true, words)
         })
         .collect()
 }
@@ -381,8 +363,7 @@ pub struct Comparison {
     /// unknown cell. CI fails on any of these.
     pub hard: Vec<String>,
     /// Advisory signals — a median outside the recorded range on an
-    /// inexact cell (thread-timed words, `topology/*`).
-    /// Printed, never failing.
+    /// inexact cell (`topology/*`). Printed, never failing.
     pub advisory: Vec<String>,
 }
 
@@ -399,12 +380,10 @@ impl Comparison {
 ///   seed set, so *any* drift is a hard finding — more communication is
 ///   a regression, less is an improvement worth re-baselining; either
 ///   way the baseline must be regenerated deliberately.
-/// * **Inexact cells** (channel runtime): words drift with thread
-///   timing, so the baseline records a distribution, not a point. The
-///   current median is compared against the recorded `[min, max]` range
-///   widened by ±`loose_word_tol` (relative) on each edge; outside that
-///   it is reported advisorily. (A median pretending to be exact was
-///   the old behavior — a thread-timed cell never deserves a hard gate.)
+/// * **Inexact cells** (`topology/*`): the baseline records a
+///   distribution, not a point. The current median is compared against
+///   the recorded `[min, max]` range widened by ±`loose_word_tol`
+///   (relative) on each edge; outside that it is reported advisorily.
 pub fn compare(baseline: &[Cell], current: &[Cell], loose_word_tol: f64) -> Comparison {
     let mut out = Comparison::default();
     for b in baseline {
@@ -471,7 +450,7 @@ mod tests {
                 words_max: 99,
             },
             Cell {
-                id: "window/channel".into(),
+                id: "topology/leaf".into(),
                 words: 5000,
                 exact: false,
                 words_min: 4600,
@@ -534,7 +513,7 @@ mod tests {
         assert!(c.hard[0].contains("count/randomized"));
         assert_eq!(c.advisory.len(), 1, "{c:?}");
         assert!(
-            c.advisory[0].contains("window/channel") && c.advisory[0].contains("recorded range")
+            c.advisory[0].contains("topology/leaf") && c.advisory[0].contains("recorded range")
         );
     }
 
@@ -621,29 +600,15 @@ mod tests {
         };
         let a = measure_cells(p);
         let b = measure_cells(p);
-        assert_eq!(a.len(), 10);
-        assert_eq!(a.iter().filter(|c| !c.exact).count(), 1);
+        assert_eq!(a.len(), 9);
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.id, y.id);
-            if x.exact {
-                assert_eq!(x.words, y.words, "{}", x.id);
-                // Degenerate only because this test runs seeds = 1; with
-                // more seeds exact cells still measure a per-seed spread
-                // (unpersisted — their gate is the median alone).
-                assert_eq!((x.words_min, x.words_max), (x.words, x.words), "{}", x.id);
-            } else {
-                // Thread-timed cell: same order of magnitude, not equal.
-                let ratio = x.words as f64 / y.words.max(1) as f64;
-                assert!((0.2..5.0).contains(&ratio), "{}: {ratio}", x.id);
-                assert!(
-                    x.words_min <= x.words && x.words <= x.words_max,
-                    "{}: median {} outside own range [{}, {}]",
-                    x.id,
-                    x.words,
-                    x.words_min,
-                    x.words_max
-                );
-            }
+            assert!(x.exact, "{}: every matrix cell is gated exactly", x.id);
+            assert_eq!(x.words, y.words, "{}", x.id);
+            // Degenerate only because this test runs seeds = 1; with
+            // more seeds exact cells still measure a per-seed spread
+            // (unpersisted — their gate is the median alone).
+            assert_eq!((x.words_min, x.words_max), (x.words, x.words), "{}", x.id);
         }
     }
 }

@@ -30,7 +30,7 @@
 //! the lock-step executor and at the defaults on `event:fixed:8` and
 //! `channel`; each claim's comment gives the measured range.
 
-use dtrack_bench::cli::{arg, banner, claim, exec_arg};
+use dtrack_bench::cli::{arg, banner, conclude, exec_arg, Verdict};
 use dtrack_bench::table::{fmt_num, Table};
 use dtrack_core::count::{RandCountCoord, RandomizedCount};
 use dtrack_core::frequency::{RandFreqCoord, RandomizedFrequency};
@@ -50,26 +50,19 @@ fn main() {
     );
 
     let arms = [
-        ("1", ablate_count_estimator(exec, n, seeds)),
-        ("2", ablate_frequency_estimator(exec, n, seeds)),
-        ("3", ablate_rethinning(n, seeds)),
-        ("4", ablate_rank_tree(exec, n.min(100_000), seeds.min(10))),
-        (
-            "5",
-            ablate_windowed_digest(exec, n.min(40_000), seeds.max(20)),
-        ),
+        ablate_count_estimator(exec, n, seeds),
+        ablate_frequency_estimator(exec, n, seeds),
+        ablate_rethinning(n, seeds),
+        ablate_rank_tree(exec, n.min(100_000), seeds.min(10)),
+        ablate_windowed_digest(exec, n.min(40_000), seeds.max(20)),
     ];
-    let failed: Vec<&str> = arms.iter().filter(|a| !a.1).map(|a| a.0).collect();
-    if !failed.is_empty() {
-        eprintln!("ablation claims FAILED: arm {}", failed.join(", arm "));
-        std::process::exit(1);
-    }
+    conclude("ablation", &arms);
     println!("every arm shows the damage the paper predicts ✓");
 }
 
 /// Arm 1: the two-case estimator of eq. (1) vs the naive one-case form,
 /// on a workload with many near-silent sites (99% of traffic at site 0).
-fn ablate_count_estimator(exec: ExecConfig, n: u64, seeds: u64) -> bool {
+fn ablate_count_estimator(exec: ExecConfig, n: u64, seeds: u64) -> Verdict {
     let (k, eps) = (64, 0.02);
     let cfg = TrackingConfig::new(k, eps);
     let mut two_case = 0.0;
@@ -105,15 +98,15 @@ fn ablate_count_estimator(exec: ExecConfig, n: u64, seeds: u64) -> bool {
     t.print();
     println!("(paper: naive form is biased by Θ(1/p) per silent site)");
     // Measured: +3.51 to +3.58 eps·n.
-    claim(
-        "the naive estimator's bias exceeds eps·n",
+    Verdict::claim(
+        "arm 1: the naive estimator's bias exceeds eps·n".into(),
         naive / seeds as f64 > eps * n as f64,
     )
 }
 
 /// Arm 2: the unbiased eq. (4) estimator vs the biased eq. (2) form, on
 /// a workload of many items each with frequency Θ(εn/√k).
-fn ablate_frequency_estimator(exec: ExecConfig, n: u64, seeds: u64) -> bool {
+fn ablate_frequency_estimator(exec: ExecConfig, n: u64, seeds: u64) -> Verdict {
     let (k, eps) = (16, 0.05);
     let cfg = TrackingConfig::new(k, eps);
     let domain = 24u64; // per-site item frequency ≈ 1/(2p): peak-bias regime
@@ -152,8 +145,8 @@ fn ablate_frequency_estimator(exec: ExecConfig, n: u64, seeds: u64) -> bool {
     println!("(paper: eq. (2) bias is Θ(εn/√k) per site when f = Θ(εn/√k))");
     // Measured: eq. (2) reads 0.09 to 0.11 eps·n above eq. (4), which
     // reads −0.02 to +0.05.
-    claim(
-        "eq. (2) is biased above eq. (4) by > 0.05 eps·n",
+    Verdict::claim(
+        "arm 2: eq. (2) is biased above eq. (4) by > 0.05 eps·n".into(),
         (naive - unbiased) / den > 0.05 * eps * n as f64,
     )
 }
@@ -166,7 +159,7 @@ fn ablate_frequency_estimator(exec: ExecConfig, n: u64, seeds: u64) -> bool {
 /// corrected arm's residual is bounded by the window machinery's
 /// heartbeat slack (≈ granularity/2 elements, pro-rated by the item's
 /// rate), not by the digests.
-fn ablate_windowed_digest(exec: ExecConfig, n: u64, seeds: u64) -> bool {
+fn ablate_windowed_digest(exec: ExecConfig, n: u64, seeds: u64) -> Verdict {
     use dtrack_bench::measure::{windowed_frequency_bias, WINDOWED_BIAS_DOMAIN};
     let (k, eps) = (8, 0.1);
     let w = (n / 4).max(2);
@@ -194,8 +187,8 @@ fn ablate_windowed_digest(exec: ExecConfig, n: u64, seeds: u64) -> bool {
     println!("the live estimator's unbiasedness, bucket by bucket)");
     // Measured: flattened minus corrected is 0.070 (channel) to 0.099
     // eps·W.
-    claim(
-        "flattened digests are biased above corrected ones by > 0.05 eps·W",
+    Verdict::claim(
+        "arm 5: flattened digests are biased above corrected ones by > 0.05 eps·W".into(),
         uncorrected - corrected > 0.05 * eps * w as f64,
     )
 }
@@ -203,7 +196,7 @@ fn ablate_windowed_digest(exec: ExecConfig, n: u64, seeds: u64) -> bool {
 /// Arm 3: the p-halving re-thinning step vs keeping stale n̄ᵢ. Probes
 /// coordinator state after every element, so it always runs on the
 /// in-process lock-step executor.
-fn ablate_rethinning(n: u64, seeds: u64) -> bool {
+fn ablate_rethinning(n: u64, seeds: u64) -> Verdict {
     let (k, eps) = (16, 0.05);
     let cfg = TrackingConfig::new(k, eps);
     // Mean |error| sampled 20 elements after each round boundary — the
@@ -249,8 +242,8 @@ fn ablate_rethinning(n: u64, seeds: u64) -> bool {
     t.print();
     println!("(stale n̄ᵢ under a halved p is misread by the eq.-(1) estimator)");
     // Measured: 2.0× to 2.3× the re-thinned error.
-    claim(
-        "stale n̄ᵢ err more than 1.5× the re-thinned ones after boundaries",
+    Verdict::claim(
+        "arm 3: stale n̄ᵢ err more than 1.5× the re-thinned ones after boundaries".into(),
         mean(&without) > 1.5 * mean(&with),
     )
 }
@@ -259,7 +252,7 @@ fn ablate_rethinning(n: u64, seeds: u64) -> bool {
 /// at the protocol's own rate `p = C·√k/(εn̄)`: the words drop (no
 /// summaries) but the variance jumps from O((εn)²) to n/p = Θ(εn²/√k) —
 /// the tree is what turns a sample into an ε-guarantee.
-fn ablate_rank_tree(exec: ExecConfig, n: u64, seeds: u64) -> bool {
+fn ablate_rank_tree(exec: ExecConfig, n: u64, seeds: u64) -> Verdict {
     let (k, eps) = (16, 0.01);
     let cfg = TrackingConfig::new(k, eps);
     let seq = DistinctSeq::new(33);
@@ -314,8 +307,8 @@ fn ablate_rank_tree(exec: ExecConfig, n: u64, seeds: u64) -> bool {
     t.print();
     println!("(the tree's summaries are what turn a Θ(√k/(εn)) sample into an εn guarantee)");
     // Measured: 5.9× (channel) to 9.9× the tree's RMSE.
-    claim(
-        "samples-only rank RMSE is above 3× the tree's",
+    Verdict::claim(
+        "arm 4: samples-only rank RMSE is above 3× the tree's".into(),
         samp_rmse > 3.0 * tree_rmse,
     )
 }

@@ -30,7 +30,7 @@
 //!   25 probes, a union the per-query guarantee does not speak about;
 //! * the boosting panel is informational.
 
-use dtrack_bench::cli::{arg, banner, claim, exec_arg};
+use dtrack_bench::cli::{arg, banner, conclude, exec_arg, Check, Verdict};
 use dtrack_bench::measure::{count_boosted_max_error, run, Algo, Problem, Run};
 use dtrack_bench::table::Table;
 
@@ -43,17 +43,6 @@ const Z: f64 = 1.645;
 fn hits_needed(trials: usize) -> usize {
     let t = trials as f64;
     (t * P0 + Z * (t * P0 * (1.0 - P0)).sqrt()).ceil() as usize
-}
-
-/// What a row's hit count is held to.
-#[derive(Clone, Copy)]
-enum Check {
-    /// The paper's per-instant claim: exit 1 if it misses the margin.
-    Claim,
-    /// Known to miss the margin until the named work lands.
-    ExpectedFailure(&'static str),
-    /// Printed only.
-    Info,
 }
 
 fn quantiles(mut v: Vec<f64>) -> (f64, f64, f64) {
@@ -82,9 +71,9 @@ fn main() {
         "hits",
     ]);
     let needed = hits_needed(seeds as usize);
-    // (row, hits, check) for the verdicts after the table.
     let mut verdicts = Vec::new();
-    let mut push = |name: &'static str, errs: Vec<f64>, check: Check| {
+    // A row without a check is printed only.
+    let mut push = |name: &'static str, errs: Vec<f64>, check: Option<Check>| {
         let hits = errs.iter().filter(|&&e| e <= eps).count();
         let (p50, p90, p99) = quantiles(errs);
         t.row([
@@ -95,7 +84,10 @@ fn main() {
             format!("{:.2}", hits as f64 / seeds as f64),
             format!("{hits}/{seeds}"),
         ]);
-        verdicts.push((name, hits, check));
+        let held = hits >= needed;
+        let cmp = if held { "≥" } else { "<" };
+        let what = format!("{name}: {hits} {cmp} {needed} hits");
+        verdicts.extend(check.map(|check| Verdict { what, held, check }));
     };
 
     let runs = |problem: Problem, algo: Algo, n: u64| -> Vec<Run> {
@@ -107,7 +99,7 @@ fn main() {
     push(
         "count NEW",
         errs(&runs(Problem::Count, Algo::Randomized, n)),
-        Check::Claim,
+        Some(Check::Claim),
     );
     // One set of frequency runs, read two ways: the per-query error on
     // the hottest item (what Theorem 3.1's per-instant 0.9 speaks about)
@@ -116,14 +108,16 @@ fn main() {
     push(
         "frequency NEW (1 probe)",
         freq.iter().map(|r| r.errs[0]).collect(),
-        Check::ExpectedFailure("ROADMAP direction 15, frequency slice"),
+        Some(Check::ExpectedFailure(
+            "ROADMAP direction 15, frequency slice",
+        )),
     );
-    push("frequency NEW (max/25)", errs(&freq), Check::Info);
+    push("frequency NEW (max/25)", errs(&freq), None);
     // Rank's error is the maximum over the nine deciles.
     push(
         "rank NEW",
         errs(&runs(Problem::Rank, Algo::Randomized, n.min(200_000))),
-        Check::Claim,
+        Some(Check::Claim),
     );
     // Neither the sampling baseline (raw samples, no mergeable digest)
     // nor the replicated boosting stack composes through a tree; under
@@ -133,7 +127,7 @@ fn main() {
         push(
             "sampling [9]",
             errs(&runs(Problem::Count, Algo::Sampling, n)),
-            Check::Claim,
+            Some(Check::Claim),
         );
     }
     t.print();
@@ -168,27 +162,5 @@ fn main() {
          hits ≥ {needed}/{seeds} (one-sided binomial margin, z = {Z})."
     );
     println!();
-    let mut failed = Vec::new();
-    for (name, hits, check) in verdicts {
-        let held = hits >= needed;
-        match check {
-            Check::Claim => {
-                if !claim(&format!("{name}: {hits} ≥ {needed} hits"), held) {
-                    failed.push(name);
-                }
-            }
-            Check::ExpectedFailure(until) if held => println!(
-                "note: {name} ({hits} ≥ {needed} hits) now holds; its expected \
-                 failure ({until}) can become a claim\n"
-            ),
-            Check::ExpectedFailure(until) => {
-                println!("expected failure: {name}: {hits} < {needed} hits, until {until}\n")
-            }
-            Check::Info => {}
-        }
-    }
-    if !failed.is_empty() {
-        eprintln!("accuracy claims FAILED: {}", failed.join(", "));
-        std::process::exit(1);
-    }
+    conclude("accuracy", &verdicts);
 }

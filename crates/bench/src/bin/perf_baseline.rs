@@ -6,22 +6,22 @@
 //! * `perf_baseline --check` — re-run the matrix and compare: **word
 //!   drift on an exact (lock-step) cell fails the build** (exit 1 — words
 //!   there are deterministic given the seed set, so any drift is a real
-//!   behavior change). The thread-timed `window/channel` cell records a
-//!   words *distribution* (min/median/max over ≥ 5 seeds) rather than
-//!   pretending its median is exact; its current median is checked
-//!   against the recorded range (advisory: printed, never failing).
+//!   behavior change).
 //!
 //! Any other argument prints usage and exits 2 before anything is
 //! measured or written — a typo must not overwrite the committed gate.
 //!
 //! The advisory hierarchical-topology panel rides along in both modes
 //! (`topology/*` cells: flat-star vs binary-tree root-load words per
-//! level). Codec bytes are not cells here: `measure`'s tests pin them
-//! exactly per scenario, and the benchmark gates `bytes_per_kelem`.
+//! level). Each records a words *distribution* (min/median/max over
+//! ≥ 5 seeds), and `--check` compares the current median against the
+//! recorded range (advisory: printed, never failing). Codec bytes are
+//! not cells here: `measure`'s tests pin them exactly per scenario, and
+//! the benchmark gates `bytes_per_kelem`.
 //!
-//! Every number here is a count, identical on every machine (only the
-//! `window/channel` line can differ between two runs); seconds, rates and
-//! latencies are measured by `bash benchmark/run.sh`.
+//! Every number here is a count, identical on every machine and every
+//! run; seconds, rates and latencies are measured by `bash
+//! benchmark/run.sh`.
 //!
 //! The baseline path defaults to `BENCH_baseline.json` in the current
 //! directory; override with the `BENCH_BASELINE` environment variable.

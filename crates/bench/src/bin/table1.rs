@@ -38,7 +38,7 @@
 //!   `table1 20000 8` (41 238 < 69 544);
 //! * frequency held at every `(N, k)` tried.
 
-use dtrack_bench::cli::{arg, banner, claim, exec_arg};
+use dtrack_bench::cli::{arg, banner, conclude, exec_arg, Verdict};
 use dtrack_bench::measure::{median_run, run, Algo, Problem};
 use dtrack_bench::table::{fmt_num, Table};
 
@@ -125,20 +125,15 @@ fn main() {
     }
 
     println!();
-    let problems = [Problem::Count, Problem::Frequency, Problem::Rank];
-    let failed: Vec<String> = problems
+    let verdicts: Vec<Verdict> = [Problem::Count, Problem::Frequency, Problem::Rank]
         .into_iter()
-        .filter(|&p| {
+        .map(|p| {
             let (det, rand) = words[p as usize];
-            !claim(
-                &format!("{p}: NEW randomized {rand} words < deterministic {det} words"),
-                rand < det,
-            )
+            let held = rand < det;
+            let cmp = if held { "<" } else { "≥" };
+            let what = format!("{p}: NEW randomized {rand} words {cmp} deterministic {det} words");
+            Verdict::claim(what, held)
         })
-        .map(|p| p.to_string())
         .collect();
-    if !failed.is_empty() {
-        eprintln!("table1 ordering FAILED: {}", failed.join(", "));
-        std::process::exit(1);
-    }
+    conclude("table1 ordering", &verdicts);
 }

@@ -40,7 +40,7 @@ use dtrack_workload::items::{DistinctSeq, ItemGen, ZipfItems};
 use dtrack_workload::{RoundRobin, SiteAssign, UniformSites, Workload};
 
 /// Which function of the stream is tracked (the paper's §2–§4).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Problem {
     /// §2: the number of elements, over a round-robin stream; error
     /// `|n̂ − n|/n`.
@@ -55,7 +55,7 @@ pub enum Problem {
 }
 
 /// Which algorithm tracks it (the paper's Table 1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Algo {
     /// The paper's randomized protocol (Theorems 2.1 / 3.1 / 4.1).
     Randomized,
