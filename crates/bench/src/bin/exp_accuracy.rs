@@ -144,7 +144,7 @@ fn main() {
         let checkpoints: Vec<u64> = (1..=100).map(|i| i * (n / 100)).collect();
         let mut t2 = Table::new(["copies", "seed", "max err/(eps·n) over run"]);
         for seed in 0..seeds.min(5) {
-            let worst = count_boosted_max_error(exec, k, eps, n, copies, seed, &checkpoints);
+            let worst = count_boosted_max_error(exec, k, eps, copies, seed, &checkpoints);
             t2.row([
                 copies.to_string(),
                 seed.to_string(),

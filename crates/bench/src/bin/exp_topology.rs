@@ -11,7 +11,8 @@
 //! frequency and rank at smaller k — and **asserts** the headline
 //! claim: at the largest k, the depth-2 tree's root load is strictly
 //! below the flat star's, or it exits 1 naming each count protocol
-//! where it is not.
+//! where it is not. Each row's median tree error is printed and held
+//! below 1 (a sanity bound; `tests/conformance.rs` checks accuracy).
 //!
 //! Per-tree shape: fanout = ⌈√k⌉, depth = 2 (balanced two-level tree);
 //! per-level protocols run at ε/2 (see `dtrack_sim::exec::topology` for
@@ -34,7 +35,6 @@ struct Row {
     algo: String,
     flat_words: f64,
     tree_words: f64,
-    flat_root: f64,
     tree_root: f64,
     err: f64,
 }
@@ -46,9 +46,10 @@ impl Row {
             self.algo.clone(),
             fmt_num(self.flat_words),
             fmt_num(self.tree_words),
-            fmt_num(self.flat_root),
+            fmt_num(self.flat_words),
             fmt_num(self.tree_root),
-            format!("{:.2}x", self.flat_root / self.tree_root.max(1.0)),
+            format!("{:.2}x", self.flat_words / self.tree_root.max(1.0)),
+            format!("{:.4}", self.err),
         ]);
     }
 }
@@ -63,20 +64,12 @@ fn section(title: &str, rows: &[Row]) {
         "flat-root",
         "tree-root",
         "root-gain",
+        "tree-err",
     ]);
     for r in rows {
         r.print_into(&mut t);
     }
     t.print();
-    for r in rows {
-        assert!(
-            r.err.is_finite() && r.err < 1.0,
-            "{}/k={}: tree error {} out of range",
-            r.algo,
-            r.k,
-            r.err
-        );
-    }
     println!();
 }
 
@@ -126,7 +119,7 @@ fn main() {
             rank_n,
         ),
     ];
-    let mut count_rows = Vec::new();
+    let (mut count_rows, mut verdicts) = (Vec::new(), Vec::new());
     for (problem, title, short, ks, eps, n) in sections {
         let mut rows = Vec::new();
         for &k in ks {
@@ -146,13 +139,20 @@ fn main() {
                     algo: format!("{short}-{suffix}"),
                     flat_words,
                     tree_words: median(tree.iter().map(|r| r.cost().total_words())) as f64,
-                    flat_root: flat_words,
                     tree_root: median(tree.iter().map(Run::root_words)) as f64,
                     err: errs[errs.len() / 2],
                 });
             }
         }
         section(title, &rows);
+        // A sanity bound: the table is about load, not accuracy.
+        verdicts.extend(rows.iter().map(|r| {
+            let what = format!(
+                "{} at k={}: median tree error {:.4} < 1",
+                r.algo, r.k, r.err
+            );
+            Verdict::claim(what, r.err.is_finite() && r.err < 1.0)
+        }));
         if problem == Problem::Count {
             count_rows = rows;
         }
@@ -161,17 +161,13 @@ fn main() {
     // The headline claim, asserted: at the largest k the depth-2 root
     // load is strictly below the flat star's, for both count protocols.
     let k_max = 4096;
-    let verdicts: Vec<Verdict> = count_rows
-        .iter()
-        .filter(|r| r.k == k_max)
-        .map(|r| {
-            let (tree, flat) = (fmt_num(r.tree_root), fmt_num(r.flat_root));
-            let what = format!(
-                "{} at k={k_max}: depth-2 root load {tree} < flat star's {flat}",
-                r.algo
-            );
-            Verdict::claim(what, r.tree_root < r.flat_root)
-        })
-        .collect();
+    verdicts.extend(count_rows.iter().filter(|r| r.k == k_max).map(|r| {
+        let (tree, flat) = (fmt_num(r.tree_root), fmt_num(r.flat_words));
+        let what = format!(
+            "{} at k={k_max}: depth-2 root load {tree} < flat star's {flat}",
+            r.algo
+        );
+        Verdict::claim(what, r.tree_root < r.flat_words)
+    }));
     conclude("topology", &verdicts);
 }

@@ -10,12 +10,9 @@
 //! each measured against its own truth (whole-stream error over `n`,
 //! windowed error over the exact last-`W` answer, normalized by `W`).
 //!
-//! A second panel measures the **windowed rare-item bias**: mean
-//! *signed* `windowed_frequency` error over ≥ 20 seeds for the real
-//! digests (per-epoch `−d/p` correction terms carried through the
-//! digest layer) vs the fully-flattened ablation arm (tracked table
-//! only, every correction term dropped) — the windowed analogue of
-//! `exp_ablation` arm 2.
+//! The windowed rare-item bias of the digest layer is `exp_ablation`'s
+//! checked arm 5; windowed accuracy on every executor, bias included, is
+//! the conformance matrix's (`tests/conformance.rs`).
 //!
 //! Usage: `exp_window [N] [K] [EPS] [W] [SEEDS] [EXEC]`
 //! (`EXEC` picks the executor + delivery policy and optional link
@@ -23,11 +20,8 @@
 //! `event+loss:0.05+dup:0.05+churn`; the window is added on top of it.)
 
 use dtrack_bench::cli::{arg, banner, exec_arg};
-use dtrack_bench::measure::{
-    median_run, run, windowed_frequency_bias, Algo, Problem, WINDOWED_BIAS_DOMAIN,
-};
+use dtrack_bench::measure::{median_run, run, Algo, Problem};
 use dtrack_bench::table::{fmt_num, Table};
-use dtrack_sim::ExecConfig;
 
 fn main() {
     let n: u64 = arg(0, 200_000);
@@ -64,14 +58,6 @@ fn main() {
         "err/W(window)",
     ]);
 
-    // Fixed cross-check row, independent of the EXEC argument: the
-    // windowed randomized count on the *channel* runtime. Since the
-    // transport grew its fairness mechanisms (out-of-band seal
-    // delivery + per-site credit cap) this row's err/W meets the
-    // same ε target as the deterministic executors — compare it
-    // against the "NEW randomized" row above to see the real-thread
-    // path holding the bound.
-    let channel = ExecConfig::channel();
     let rows = [
         (exec, Problem::Count, Algo::Deterministic, "trivial (det)"),
         (exec, Problem::Count, Algo::Randomized, "NEW randomized"),
@@ -86,12 +72,6 @@ fn main() {
         (exec, Problem::Rank, Algo::Deterministic, "delta-batch det"),
         (exec, Problem::Rank, Algo::Randomized, "NEW randomized"),
         (exec, Problem::Rank, Algo::Sampling, "sampling [9]"),
-        (
-            channel,
-            Problem::Count,
-            Algo::Randomized,
-            "NEW rand @channel",
-        ),
     ];
 
     for (exec, problem, algo, label) in rows {
@@ -114,43 +94,9 @@ fn main() {
     }
     t.print();
 
-    // Windowed-bias panel: the digest-layer ablation, at the same
-    // discipline as the whole-stream estimator's (exp_ablation arm 2) —
-    // mean *signed* rare-item error over ≥ 20 seeds, corrected digests
-    // (per-epoch −d/p terms carried) vs the fully-flattened ablation
-    // digests (every correction term dropped).
-    let bias_seeds = seeds.max(20);
-    let (bk, beps) = (8usize, 0.1f64);
-    let bn = n.min(40_000);
-    let bw = (bn / 4).max(2);
-    let bias =
-        |corrected| windowed_frequency_bias(exec.windowed(bw), corrected, bk, beps, bn, bias_seeds);
-    let (corrected, uncorrected) = (bias(true), bias(false));
-    let mut bt = Table::new(["windowed digest", "mean signed rare-item err", "× (eps·W)"]);
-    for (name, bias) in [
-        ("with −d/p corrections", corrected),
-        ("flattened (no −d/p)", uncorrected),
-    ] {
-        bt.row([
-            name.to_string(),
-            fmt_num(bias),
-            format!("{:+.3}", bias / (beps * bw as f64)),
-        ]);
-    }
-    println!();
-    println!(
-        "-- windowed rare-item bias (k={bk}, eps={beps}, W={bw}, \
-         {WINDOWED_BIAS_DOMAIN} rare items, {bias_seeds} seeds) --"
-    );
-    bt.print();
-
     println!();
     println!("expected shapes: windowing pays an overhead factor (epoch restarts re-enter");
     println!("each protocol's warm-up rounds, plus heartbeat/seal/ack traffic), in exchange");
     println!("for answers that track the last W elements instead of the whole stream;");
-    println!("windowed errors are measured against the exact sliding-window truth;");
-    println!("the @channel row runs on real threads and — with the transport's");
-    println!("fairness mechanisms — meets the same windowed error target;");
-    println!("the bias panel shows corrected digests centering mean signed rare-item");
-    println!("error at ~0 while the flattened (no −d/p) ablation arm sits above it.");
+    println!("windowed errors are measured against the exact sliding-window truth.");
 }

@@ -109,9 +109,15 @@ pub struct Run {
     /// What the fault layer injected and absorbed; `None` when the
     /// scenario has no fault suffix.
     pub faults: Option<FaultStats>,
-    /// The estimate at each probe, before normalising (`errs` are
-    /// `|answer − truth|` over `n`, or over `W` under `+window:W`).
+    /// The estimate at each probe at the end of the stream, before
+    /// normalising (`errs` are `|answer − truth|` over `n`, or over
+    /// `min(n, W)` under `+window:W`).
     pub answers: Vec<f64>,
+    /// Per checkpoint, in order: the elements fed before it, and per
+    /// probe the **signed** error `(answer − truth)/norm` against the
+    /// exact answer at that cut. The last checkpoint is the end of the
+    /// stream, so `errs` are its absolute values.
+    pub signed: Vec<(u64, Vec<f64>)>,
 }
 
 impl Run {
@@ -122,6 +128,12 @@ impl Run {
         let mut cost = self.stats.clone();
         self.internal.iter().for_each(|l| cost.merge(l));
         cost
+    }
+
+    /// The final answers and every checkpoint's errors, bit for bit.
+    pub fn answer_bits(&self) -> Vec<u64> {
+        let cuts = self.signed.iter().flat_map(|(_, errs)| errs);
+        Vec::from_iter(self.answers.iter().chain(cuts).map(|a| a.to_bits()))
     }
 
     /// Peak resident words over all sites — the paper's space per site.
@@ -142,28 +154,36 @@ impl Run {
 
 /// Two runs are equal when the protocol observed the same run: the same
 /// accounting, per-site space peaks and internal boundaries, and the
-/// same answers bit for bit (the cost and the errors derive from these).
+/// same answers and checkpoint errors bit for bit (the cost and the
+/// errors derive from these).
 /// `faults` is the fault layer's own record and is left out, so a
 /// `+dup` run equals its base exactly when every duplicate was dropped
 /// before a protocol saw it.
 impl PartialEq for Run {
     fn eq(&self, other: &Self) -> bool {
-        let bits = |r: &Run| r.answers.iter().map(|a| a.to_bits()).collect::<Vec<_>>();
         (&self.stats, &self.peaks, &self.internal) == (&other.stats, &other.peaks, &other.internal)
-            && bits(self) == bits(other)
+            && self.answer_bits() == other.answer_bits()
     }
 }
 
-/// What one run feeds and asks: the `(site, item)` batch, and per probe
-/// the query point with its exact answer.
-type Asked = (Vec<(usize, u64)>, Vec<(u64, f64)>);
+/// What one checkpoint asks: the number of elements fed before it, and
+/// per probe the query point with its exact answer.
+type Cut = (u64, Vec<(u64, f64)>);
 
-/// The standard workload of `problem` and its exact answers over the
-/// whole stream — or, under `window: Some(w)`, over the last `w`
-/// arrivals, which is all `+window` changes on the scoring side (the
-/// stream itself is the same, so whole-stream and windowed rows of one
-/// table measure the same arrivals).
-fn workload(problem: Problem, k: usize, n: u64, seed: u64, window: Option<u64>) -> Asked {
+/// The standard workload of `problem` up to the last checkpoint of `at`,
+/// and per checkpoint `t` its probes' exact answers over the first `t`
+/// arrivals — or, under `window: Some(w)`, over their last `w`, which is
+/// all `+window` changes on the scoring side (the stream itself is the
+/// same, so whole-stream and windowed rows of one table measure the
+/// same arrivals).
+fn workload(
+    problem: Problem,
+    k: usize,
+    seed: u64,
+    window: Option<u64>,
+    at: &[u64],
+) -> (Vec<(usize, u64)>, Vec<Cut>) {
+    let n = *at.last().expect("≥ 1 checkpoint");
     let batch: Vec<(usize, u64)> = match problem {
         Problem::Count => (0..n).map(|t| ((t % k as u64) as usize, t)).collect(),
         Problem::Frequency => Workload::new(
@@ -186,41 +206,46 @@ fn workload(problem: Problem, k: usize, n: u64, seed: u64, window: Option<u64>) 
                 .collect()
         }
     };
-    let scored = &batch[window.map_or(0, |w| batch.len().saturating_sub(w as usize))..];
-    let probes = match problem {
-        Problem::Count => vec![(0, scored.len() as f64)],
-        Problem::Frequency => {
-            let mut exact = ExactCounts::new();
-            scored.iter().for_each(|&(_, item)| exact.observe(item));
-            // The 20 globally hottest zipf items plus 5 absent ones.
-            (0..20u64)
-                .chain(2_000_000..2_000_005)
-                .map(|j| (j, exact.frequency(j) as f64))
-                .collect()
-        }
-        Problem::Rank => {
-            let mut exact = ExactRanks::new();
-            scored.iter().for_each(|&(_, item)| exact.insert(item));
-            (1..10)
-                .map(|d| {
-                    let x = exact.quantile(d as f64 / 10.0).expect("non-empty stream");
-                    (x, exact.rank(x) as f64)
-                })
-                .collect()
+    let probes = |t: u64| {
+        let scored = &batch[window.map_or(0, |w| t.saturating_sub(w)) as usize..t as usize];
+        match problem {
+            Problem::Count => vec![(0, scored.len() as f64)],
+            Problem::Frequency => {
+                let mut exact = ExactCounts::new();
+                scored.iter().for_each(|&(_, item)| exact.observe(item));
+                // The 20 globally hottest zipf items plus 5 absent ones.
+                (0..20u64)
+                    .chain(2_000_000..2_000_005)
+                    .map(|j| (j, exact.frequency(j) as f64))
+                    .collect()
+            }
+            Problem::Rank => {
+                let mut exact = ExactRanks::new();
+                scored.iter().for_each(|&(_, item)| exact.insert(item));
+                (1..10)
+                    .map(|d| {
+                        let x = exact.quantile(d as f64 / 10.0).expect("non-empty prefix");
+                        (x, exact.rank(x) as f64)
+                    })
+                    .collect()
+            }
         }
     };
-    (batch, probes)
+    let cuts = at.iter().map(|&t| (t, probes(t))).collect();
+    (batch, cuts)
 }
 
 /// The measured body, generic over the (already shaped) protocol: build
-/// the scenario's executor, feed the batch, quiesce, ask `est` at every
-/// point. The [`Run`] comes back unscored (`err` 0, no `errs`).
+/// the scenario's executor, then per checkpoint feed the batch up to it,
+/// quiesce, ask `est` at every probe and score the answers against the
+/// exact ones, normalised by the elements scored (`t`, or `min(t, W)`
+/// under `+window:W`). The last checkpoint is the end of the stream.
 fn drive<P>(
     exec: ExecConfig,
     proto: &P,
     seed: u64,
-    batch: Vec<(usize, u64)>,
-    points: Vec<u64>,
+    mut batch: Vec<(usize, u64)>,
+    cuts: Vec<Cut>,
     est: fn(&P::Coord, u64) -> f64,
     loads: fn(&P::Coord) -> Vec<CommStats>,
 ) -> Run
@@ -229,19 +254,34 @@ where
     P::Site: Site<Item = u64>,
 {
     let mut ex = exec.mode.build(proto, seed);
-    ex.feed_batch(batch);
-    ex.quiesce();
-    let (answers, internal) =
-        ex.query(move |c| (points.iter().map(|&x| est(c, x)).collect(), loads(c)));
+    let (mut fed, mut answers, mut internal) = (0, Vec::new(), Vec::new());
+    let mut signed: Vec<(u64, Vec<f64>)> = Vec::with_capacity(cuts.len());
+    for (t, probes) in cuts {
+        let rest = batch.split_off((t - fed) as usize);
+        ex.feed_batch(std::mem::replace(&mut batch, rest));
+        fed = t;
+        ex.quiesce();
+        let points: Vec<u64> = probes.iter().map(|&(x, _)| x).collect();
+        (answers, internal) =
+            ex.query(move |c| (points.iter().map(|&x| est(c, x)).collect(), loads(c)));
+        let norm = exec.window.map_or(t, |w| w.min(t)) as f64;
+        let errs = answers
+            .iter()
+            .zip(&probes)
+            .map(|(a, (_, truth))| (a - truth) / norm);
+        signed.push((t, errs.collect()));
+    }
     let space = ex.space();
+    let errs: Vec<f64> = signed[signed.len() - 1].1.iter().map(|e| e.abs()).collect();
     Run {
-        err: 0.0,
-        errs: Vec::new(),
+        err: errs.iter().copied().reduce(f64::max).expect("≥ 1 probe"),
+        errs,
         internal,
         stats: ex.stats(),
         peaks: (0..ex.k()).map(|site| space.peak(site)).collect(),
         faults: ex.fault_stats().cloned(),
         answers,
+        signed,
     }
 }
 
@@ -288,18 +328,8 @@ macro_rules! drive_shaped {
 }
 
 /// Run `algo` on `problem`'s standard workload (see [`Problem`]) of `n`
-/// elements over `k` sites under the scenario `exec`, and score it.
-///
-/// Under `+window:W` the protocol tracks, and is scored on, the last
-/// `W` arrivals (errors normalized by `W`); under `+tree:F[:D]` it is
-/// answered at the tree root and [`Run::cost`] includes every internal
-/// boundary.
-///
-/// # Panics
-///
-/// Panics on `+tree` combined with `+window`, and on `+tree` with
-/// [`Algo::Sampling`] (no `TreeProtocol` impl) — shapes the run cannot
-/// honour are refused, not silently dropped.
+/// elements over `k` sites under the scenario `exec`, and score it: the
+/// special case of [`run_checkpoints`] with one checkpoint, at `n`.
 pub fn run(
     exec: ExecConfig,
     problem: Problem,
@@ -309,41 +339,58 @@ pub fn run(
     n: u64,
     seed: u64,
 ) -> Run {
+    run_checkpoints(exec, problem, algo, k, eps, &[n], seed)
+}
+
+/// Run `algo` on the first `n` elements of `problem`'s standard workload,
+/// `n` the last of `at` (increasing element counts), and score it at
+/// every checkpoint in `at`: feed up to it, quiesce, ask, and compare
+/// with the exact answers over that prefix ([`Run::signed`]).
+///
+/// Under `+window:W` the protocol tracks, and is scored on, the last
+/// `W` arrivals of each prefix (errors normalized by `min(t, W)`); under
+/// `+tree:F[:D]` it is answered at the tree root and [`Run::cost`]
+/// includes every internal boundary.
+///
+/// # Panics
+///
+/// Panics on `+tree` combined with `+window`, and on `+tree` with
+/// [`Algo::Sampling`] (no `TreeProtocol` impl) — shapes the run cannot
+/// honour are refused, not silently dropped.
+pub fn run_checkpoints(
+    exec: ExecConfig,
+    problem: Problem,
+    algo: Algo,
+    k: usize,
+    eps: f64,
+    at: &[u64],
+    seed: u64,
+) -> Run {
     let cfg = TrackingConfig::new(k, eps);
-    let (batch, probes) = workload(problem, k, n, seed, exec.window);
-    let points: Vec<u64> = probes.iter().map(|&(x, _)| x).collect();
+    let (batch, cuts) = workload(problem, k, seed, exec.window, at);
     macro_rules! per_algo {
         ($rand:ident, $det:ident, $est:expr) => {
             match algo {
                 Algo::Randomized => {
-                    drive_shaped!(tree: exec, $rand::new(cfg), seed, batch, points, $est)
+                    drive_shaped!(tree: exec, $rand::new(cfg), seed, batch, cuts, $est)
                 }
                 Algo::Deterministic => {
-                    drive_shaped!(tree: exec, $det::new(cfg), seed, batch, points, $est)
+                    drive_shaped!(tree: exec, $det::new(cfg), seed, batch, cuts, $est)
                 }
                 Algo::Sampling => {
-                    drive_shaped!(exec, ContinuousSampling::new(cfg), seed, batch, points, $est)
+                    drive_shaped!(exec, ContinuousSampling::new(cfg), seed, batch, cuts, $est)
                 }
             }
         };
     }
-    let mut r = match problem {
+    match problem {
         Problem::Count => per_algo!(RandomizedCount, DeterministicCount, |c, _| c.count()),
         Problem::Frequency => {
             per_algo!(RandomizedFrequency, DeterministicFrequency, |c, j| c
                 .frequency(j))
         }
         Problem::Rank => per_algo!(RandomizedRank, DeterministicRank, |c, x| c.rank(x)),
-    };
-    let norm = exec.window.unwrap_or(n) as f64;
-    r.errs = r
-        .answers
-        .iter()
-        .zip(&probes)
-        .map(|(est, (_, truth))| (est - truth).abs() / norm)
-        .collect();
-    r.err = r.errs.iter().copied().reduce(f64::max).expect("≥ 1 probe");
-    r
+    }
 }
 
 /// Upper median (`sorted[len / 2]`) of a seed set's samples — the
@@ -362,73 +409,34 @@ pub fn median_run(seeds: u64, run_seed: impl Fn(u64) -> Run) -> Run {
     runs.swap_remove(runs.len() / 2)
 }
 
-/// The acceptance form of an ε bound: the mean of `metric(seed)` over
-/// seeds `0..seeds` must be at most `eps` (one seed's deviation is the
-/// protocol's own randomness; the mean isolates bias). Panics naming
-/// `name`, the mean, the bound and every seed's value, worst first — so
-/// a failure in a CI log names the seeds to replay.
-pub fn assert_mean_error_le_eps(name: &str, eps: f64, seeds: u64, metric: impl Fn(u64) -> f64) {
-    let mut errs: Vec<(u64, f64)> = (0..seeds).map(|seed| (seed, metric(seed))).collect();
-    let mean = errs.iter().map(|&(_, err)| err).sum::<f64>() / seeds as f64;
-    errs.sort_by(|a, b| b.1.total_cmp(&a.1));
-    assert!(
-        mean <= eps,
-        "{name}: mean error {mean:.4} over {seeds} seeds exceeds eps {eps}; \
-         per seed, worst first: {}",
-        errs.iter()
-            .map(|(seed, err)| format!("seed {seed} = {err:.4}"))
-            .collect::<Vec<_>>()
-            .join(", ")
-    );
-}
-
-/// Relative count error `|n̂ − t|/t` at each of `checkpoints` (element
-/// counts `t`, increasing) of a round-robin stream — the loop behind
-/// [`count_boosted_max_error`]. Each checkpoint forces a quiesce, so the
-/// queried state is a consistent cut even under delayed delivery.
-fn checkpoint_errors<P>(
-    exec: ExecConfig,
-    proto: &P,
-    n: u64,
-    seed: u64,
-    checkpoints: &[u64],
-    est: fn(&P::Coord) -> f64,
-) -> Vec<f64>
-where
-    P: Protocol,
-    P::Site: Site<Item = u64>,
-{
-    let k = proto.k() as u64;
-    let mut ex = exec.build(proto, seed);
-    let mut out = Vec::with_capacity(checkpoints.len());
-    for t in 0..n {
-        ex.feed((t % k) as usize, t);
-        while out.len() < checkpoints.len() && t + 1 == checkpoints[out.len()] {
-            ex.quiesce();
-            let est: f64 = ex.query(est);
-            out.push((est - (t + 1) as f64).abs() / (t + 1) as f64);
-        }
-    }
-    out
-}
-
 /// Median-boosted randomized count tracking: returns the *maximum*
-/// relative error over all checkpoints (the all-times guarantee).
+/// relative error over all `checkpoints` (the all-times guarantee) of a
+/// round-robin stream that ends at the last of them.
+///
+/// # Panics
+///
+/// Panics on a `+window` or `+tree` scenario: the boosted stack runs flat.
 pub fn count_boosted_max_error(
     exec: ExecConfig,
     k: usize,
     eps: f64,
-    n: u64,
     copies: usize,
     seed: u64,
     checkpoints: &[u64],
 ) -> f64 {
+    assert!(exec.window.is_none() && exec.tree.is_none(), "{exec}");
     let proto = Replicated::new(RandomizedCount::new(TrackingConfig::new(k, eps)), copies);
-    checkpoint_errors(exec, &proto, n, seed, checkpoints, |c| {
-        c.median_by(CountQuery::count)
-    })
-    .into_iter()
-    .fold(0.0, f64::max)
+    let (batch, cuts) = workload(Problem::Count, k, seed, None, checkpoints);
+    let r = drive(
+        exec,
+        &proto,
+        seed,
+        batch,
+        cuts,
+        |c, _| c.median_by(CountQuery::count),
+        |_| Vec::new(),
+    );
+    r.signed.iter().map(|(_, e)| e[0].abs()).fold(0.0, f64::max)
 }
 
 /// Number of rare probe items in the [`windowed_frequency_bias`]
@@ -486,7 +494,7 @@ pub fn windowed_frequency_bias(
     let batch: Vec<(usize, u64)> = (0..n)
         .map(|t| ((t % k as u64) as usize, windowed_bias_item(t)))
         .collect();
-    let rare: Vec<u64> = (1..=domain).collect();
+    let rare: Vec<Cut> = vec![(n, (1..=domain).map(|j| (j, truth)).collect())];
     let mut signed = 0.0;
     for seed in 0..seeds {
         let (batch, rare) = (batch.clone(), rare.clone());
@@ -515,14 +523,6 @@ mod tests {
     ];
 
     const ALGOS: [Algo; 3] = [Algo::Randomized, Algo::Deterministic, Algo::Sampling];
-
-    /// A failed ε bound names every seed's value, worst first, so the
-    /// log of a failing run says which seeds to replay.
-    #[test]
-    #[should_panic(expected = "worst first: seed 2 = 0.9000, seed 0 = 0.3000, seed 1 = 0.0000")]
-    fn a_failed_mean_bound_lists_the_seeds_worst_first() {
-        assert_mean_error_le_eps("toy", 0.1, 3, |seed| [0.3, 0.0, 0.9][seed as usize]);
-    }
 
     #[test]
     fn count_runs_all_algos_on_all_executors() {
@@ -642,17 +642,22 @@ mod tests {
     #[cfg_attr(debug_assertions, ignore = "slow in debug; runs in release CI")]
     fn boosted_error_is_small_at_all_checkpoints() {
         let checkpoints: Vec<u64> = (1..20).map(|i| i * 1000).collect();
-        let worst =
-            count_boosted_max_error(ExecConfig::lockstep(), 8, 0.15, 20_000, 7, 11, &checkpoints);
+        let worst = count_boosted_max_error(ExecConfig::lockstep(), 8, 0.15, 7, 11, &checkpoints);
         assert!(worst <= 0.15, "worst {worst}");
     }
 
     #[test]
     fn trace_has_checkpoint_arity() {
-        let proto = RandomizedCount::new(TrackingConfig::new(4, 0.2));
         let cps = [100, 1000, 5000];
-        let t = checkpoint_errors(ExecConfig::lockstep(), &proto, 5000, 5, &cps, |c| c.count());
-        assert_eq!(t.len(), 3);
+        let (flat, count) = (ExecConfig::lockstep(), Problem::Count);
+        let r = run_checkpoints(flat, count, Algo::Randomized, 4, 0.2, &cps, 5);
+        let at: Vec<u64> = r.signed.iter().map(|&(t, _)| t).collect();
+        assert_eq!(at, cps);
+        assert_eq!(
+            r.errs,
+            [r.signed[2].1[0].abs()],
+            "the last cut is the end of the stream"
+        );
     }
 
     // The fold's own proof. `run` replaced nine per-cell functions
@@ -844,23 +849,23 @@ mod tests {
     fn checkpoint_and_bias_harnesses_match_the_parent_bit_for_bit() {
         // Recorded from the parent's `windowed_frequency_bias`,
         // `count_error_trace` (the checkpoint loop over each count
-        // protocol) and `count_boosted_max_error`.
+        // protocol, per-element feeds; now the checkpointed driver's
+        // absolute errors) and `count_boosted_max_error`.
         let flat = ExecConfig::lockstep();
         let bias =
             |corrected| windowed_frequency_bias(flat.windowed(2_000), corrected, 8, 0.1, 8_000, 3);
         assert_eq!(bias(true).to_bits(), 0xbfcd097b425ed0ab);
         assert_eq!(bias(false).to_bits(), 0x3ff7555555555550);
-        let (cfg, cps) = (TrackingConfig::new(4, 0.2), [100, 1000, 5000]);
-        macro_rules! trace {
-            ($proto:expr) => {
-                checkpoint_errors(flat, &$proto, 5000, 5, &cps, |c| c.count())
-                    .iter()
-                    .map(|e| e.to_bits())
-                    .collect::<Vec<_>>()
-            };
-        }
+        let cps = [100, 1000, 5000];
+        let trace = |algo| {
+            let r = run_checkpoints(flat, Problem::Count, algo, 4, 0.2, &cps, 5);
+            r.signed
+                .iter()
+                .map(|(_, e)| e[0].abs().to_bits())
+                .collect::<Vec<_>>()
+        };
         assert_eq!(
-            trace!(RandomizedCount::new(cfg)),
+            trace(Algo::Randomized),
             [
                 4589708452245819884,
                 4597634787589991956,
@@ -868,7 +873,7 @@ mod tests {
             ]
         );
         assert_eq!(
-            trace!(DeterministicCount::new(cfg)),
+            trace(Algo::Deterministic),
             [
                 4593311331947716280,
                 4594500282249342091,
@@ -876,10 +881,10 @@ mod tests {
             ]
         );
         assert_eq!(
-            trace!(ContinuousSampling::new(cfg)),
+            trace(Algo::Sampling),
             [0, 4582574750436065018, 4583497087639750495]
         );
-        let boosted = count_boosted_max_error(flat, 8, 0.15, 5_000, 5, 11, &cps);
+        let boosted = count_boosted_max_error(flat, 8, 0.15, 5, 11, &cps);
         assert_eq!(boosted.to_bits(), 0x3fa26e978d4fdf3b);
     }
 }

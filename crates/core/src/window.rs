@@ -74,10 +74,10 @@
 //! arm — all correction terms dropped, not just the live-segment ones —
 //! to show the worst-case damage.)
 //!
-//! With the default `granularity = W/32` the total stays within the
-//! configured `ε` on the standard workloads, as a mean over ≥ 20 seeds —
-//! pinned by the windowed accuracy tests for the lock-step and event
-//! executors, for real threads, and over sockets.
+//! With the default `granularity = W/32` the mean error stays within `ε`
+//! over ≥ 20 seeds on lock-step, real threads and sockets (the windowed
+//! tests); off lock-step, randomized count reads biased: +1.3 ε under
+//! fixed-latency delivery (ROADMAP 1(a); `tests/conformance.rs`).
 //!
 //! ## Off-model behavior
 //!

@@ -2,6 +2,8 @@
 //! site, real message passing, quiesce-then-query. Verifies the protocols
 //! don't secretly depend on the lock-step scheduler.
 
+mod matrix;
+
 use dtrack::core::count::RandomizedCount;
 use dtrack::core::frequency::RandomizedFrequency;
 use dtrack::core::rank::RandomizedRank;
@@ -190,12 +192,11 @@ fn runtime_and_bare_halves_agree_bit_for_bit() {
 fn windowed_count_over_sockets_mean_error_within_epsilon_over_20_seeds() {
     use dtrack::core::window::Windowed;
     use dtrack::sim::{CoordHalf, Protocol, SiteHalf, TcpCoordLink, TcpSiteLink};
-    use dtrack_bench::measure::assert_mean_error_le_eps;
     use std::net::TcpListener;
 
     let (k, eps, w, per_site) = (4usize, 0.1, 4_096u64, 10_000u64);
     let proto = Windowed::new(RandomizedCount::new(TrackingConfig::new(k, eps)), w);
-    assert_mean_error_le_eps("windowed count over sockets", eps, 20, |seed| {
+    matrix::assert_mean_error_le_eps("windowed count over sockets", eps, 20, |seed| {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let sites: Vec<_> = (0..k)

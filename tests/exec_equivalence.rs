@@ -2,6 +2,10 @@
 //! `(Problem, Algo)` rows of `dtrack_bench::measure::run` (each row's
 //! standard workload, fed, quiesced and asked):
 //!
+//! Guarantees 1 and 2 are rows of the conformance matrix's table
+//! (`tests/conformance.rs`); each test here keeps its name as a filter
+//! over it.
+//!
 //! 1. For every row, the lock-step `Runner` (batched ingest) and the
 //!    `EventRuntime` under the instant `DeliveryPolicy` (per-element
 //!    ingest) produce **identical** `CommStats`, per-site space peaks,
@@ -18,6 +22,8 @@
 //!    links — for a toy protocol that mixes unicasts, broadcasts and
 //!    replies to broadcasts.
 
+mod matrix;
+
 use dtrack::core::count::RandomizedCount;
 use dtrack::core::TrackingConfig;
 use dtrack::sim::exec::{DeliveryPolicy, EventRuntime};
@@ -26,7 +32,8 @@ use dtrack::sim::{
     in_process_links, CommStats, CoordHalf, Coordinator, Net, Outbox, Protocol, Runner, Site,
     SiteHalf, SiteId, Words,
 };
-use dtrack_bench::measure::{rows, run, Algo, Problem, Run};
+use dtrack_bench::measure::{run, Algo, Problem, Run};
+use matrix::{check, DC, DF, DR, RC, RF, RR};
 
 const K: usize = 8;
 const N: u64 = 6_000;
@@ -35,22 +42,6 @@ const SEED: u64 = 42;
 /// `row` under the scenario `spec`, at the suite's k, ε = 0.1 and `n`.
 fn at(spec: &str, (problem, algo): (Problem, Algo), n: u64, seed: u64) -> Run {
     run(spec.parse().unwrap(), problem, algo, K, 0.1, n, seed)
-}
-
-/// Guarantees 1 and 2 on each of `rows`.
-fn assert_rows_agree(rows: impl IntoIterator<Item = (Problem, Algo)>) {
-    for row in rows {
-        let lockstep = at("lockstep", row, N, SEED);
-        assert_eq!(lockstep, at("event", row, N, SEED), "{row:?}: runs differ");
-        let finite = lockstep.answers.iter().all(|a| a.is_finite());
-        assert!(finite, "{row:?}: answers not finite");
-        let delayed = |seed| at("event:random:1:32", row, N, seed);
-        assert_eq!(
-            delayed(SEED),
-            delayed(SEED),
-            "{row:?}: same seed, different run"
-        );
-    }
 }
 
 /// Different master seeds produce visibly different randomized runs —
@@ -79,38 +70,38 @@ fn different_seeds_differ_under_random_delay() {
 
 #[test]
 fn randomized_count_equivalence() {
-    assert_rows_agree([(Problem::Count, Algo::Randomized)]);
+    check(|c| c.test == "equivalence" && c.row == RC);
 }
 
 #[test]
 fn deterministic_count_equivalence() {
-    assert_rows_agree([(Problem::Count, Algo::Deterministic)]);
+    check(|c| c.test == "equivalence" && c.row == DC);
 }
 
 #[test]
 fn randomized_frequency_equivalence() {
-    assert_rows_agree([(Problem::Frequency, Algo::Randomized)]);
+    check(|c| c.test == "equivalence" && c.row == RF);
 }
 
 #[test]
 fn deterministic_frequency_equivalence() {
-    assert_rows_agree([(Problem::Frequency, Algo::Deterministic)]);
+    check(|c| c.test == "equivalence" && c.row == DF);
 }
 
 #[test]
 fn randomized_rank_equivalence() {
-    assert_rows_agree([(Problem::Rank, Algo::Randomized)]);
+    check(|c| c.test == "equivalence" && c.row == RR);
 }
 
 #[test]
 fn deterministic_rank_equivalence() {
-    assert_rows_agree([(Problem::Rank, Algo::Deterministic)]);
+    check(|c| c.test == "equivalence" && c.row == DR);
 }
 
 /// One protocol, all three problems.
 #[test]
 fn continuous_sampling_equivalence() {
-    assert_rows_agree(rows().filter(|&(_, algo)| algo == Algo::Sampling));
+    check(|c| c.test == "equivalence" && c.row.1 == Algo::Sampling);
 }
 
 /// `run` feeds the `Runner` through its batched fast path and the
@@ -122,10 +113,7 @@ fn continuous_sampling_equivalence() {
 /// grows monotonically between sends).
 #[test]
 fn feed_batch_equals_event_runtime_per_element() {
-    for row in rows() {
-        let batched = at("lockstep", row, N + 3, 7);
-        assert_eq!(batched, at("event", row, N + 3, 7), "{row:?}");
-    }
+    check(|c| c.test == "feed_batch");
 }
 
 /// Adversarial reorder is deterministic without a seed: two runs agree,

@@ -22,9 +22,15 @@
 //!    plus `Windowed<P>` meet the mean-error-≤-ε acceptance bound under
 //!    `+loss:0.05+dup:0.05+churn:0.1`, and under each fault alone.
 //!
+//! The seed loops of layers 2 and 3 are rows of the conformance
+//! matrix's table (`tests/conformance.rs`); each test here keeps its
+//! name as a filter over it.
+//!
 //! Plus the ingest-side loop: `AdaptiveSites` driven by the event
 //! runtime's observed per-link latency routes away from a `+straggle`
 //! link (the mpudp explore/exploit pattern, end to end).
+
+mod matrix;
 
 use dtrack::core::count::{DeterministicCount, RandomizedCount};
 use dtrack::core::frequency::RandomizedFrequency;
@@ -33,7 +39,8 @@ use dtrack::core::TrackingConfig;
 use dtrack::sim::exec::{DeliveryPolicy, EventRuntime};
 use dtrack::sim::{CommStats, ExecConfig, FaultPlan, FaultStats, Protocol, Site, Tree, TreeSpec};
 use dtrack::workload::{AdaptiveSites, SiteAssign, UniformSites, Workload, ZipfItems};
-use dtrack_bench::measure::{assert_mean_error_le_eps, rows, run, Algo, Problem};
+use dtrack_bench::measure::Algo;
+use matrix::{check, DC, DF, DR, RC, RF, RR};
 
 const K: usize = 8;
 
@@ -208,10 +215,10 @@ fn empty_fault_plan_is_bit_identical_to_with_policy() {
 
 /// The headline idempotence property: turning `+dup` on — alone or on
 /// top of other faults — leaves every protocol observable
-/// **bit-identical** (`Run` equality: CommStats, space peaks, answers),
-/// because the endpoint's sequence-number dedup discards every
-/// duplicate before the protocol sees it. Checked for every row `run`
-/// builds and `Windowed<P>`; `window` is the scenario's window suffix.
+/// **bit-identical** (`Run` equality: CommStats, space peaks, answers
+/// at every checkpoint), because the endpoint's sequence-number dedup
+/// discards every duplicate before the protocol sees it. Checked for
+/// every row `run` builds and `Windowed<P>`, against four bases.
 ///
 /// Pairings are chosen so the only difference between the two runs is
 /// `+dup` itself: under order-preserving policies (`Instant`,
@@ -219,70 +226,47 @@ fn empty_fault_plan_is_bit_identical_to_with_policy() {
 /// all; under the reordering `RandomDelay` policy the base plan is
 /// already active (the fault layer's hold-back buffer upgrades links
 /// to FIFO, so layer-vs-no-layer is not an apples-to-apples pair
-/// there).
-fn assert_dup_invisible(rows: impl IntoIterator<Item = (Problem, Algo)>, window: &str) {
-    for (problem, algo) in rows {
-        let at = |spec: String| run(spec.parse().unwrap(), problem, algo, K, 0.1, 6_000, 42);
-        for base in [
-            "event",
-            "event:fixed:3",
-            "event:random:0:8+straggle:2",
-            "event:random:0:8+straggle:2+loss:0.1",
-        ] {
-            let base = format!("{base}{window}");
-            assert_eq!(
-                at(base.clone()),
-                at(format!("{base}+dup:0.3")),
-                "{base}: duplicates changed an observable of {problem}/{algo:?}"
-            );
-        }
-        // The duplicates really were injected and dropped.
-        let dup_only = at(format!("event:random:0:8{window}+dup:0.3"));
-        let fs = dup_only.faults.expect("a +dup run has a fault layer");
-        assert!(fs.duplicates > 0, "no duplicates injected: {fs:?}");
-        assert_eq!(fs.duplicates, fs.dup_dropped, "{fs:?}");
-    }
-}
-
+/// there). Every `+dup` run must also have injected duplicates and
+/// dropped them all.
 #[test]
 fn dup_bit_identical_randomized_count() {
-    assert_dup_invisible([(Problem::Count, Algo::Randomized)], "");
+    check(|c| c.test == "dup" && c.row == RC);
 }
 
 #[test]
 fn dup_bit_identical_deterministic_count() {
-    assert_dup_invisible([(Problem::Count, Algo::Deterministic)], "");
+    check(|c| c.test == "dup" && c.row == DC);
 }
 
 #[test]
 fn dup_bit_identical_randomized_frequency() {
-    assert_dup_invisible([(Problem::Frequency, Algo::Randomized)], "");
+    check(|c| c.test == "dup" && c.row == RF);
 }
 
 #[test]
 fn dup_bit_identical_deterministic_frequency() {
-    assert_dup_invisible([(Problem::Frequency, Algo::Deterministic)], "");
+    check(|c| c.test == "dup" && c.row == DF);
 }
 
 #[test]
 fn dup_bit_identical_randomized_rank() {
-    assert_dup_invisible([(Problem::Rank, Algo::Randomized)], "");
+    check(|c| c.test == "dup" && c.row == RR);
 }
 
 #[test]
 fn dup_bit_identical_deterministic_rank() {
-    assert_dup_invisible([(Problem::Rank, Algo::Deterministic)], "");
+    check(|c| c.test == "dup" && c.row == DR);
 }
 
 /// One protocol, all three problems.
 #[test]
 fn dup_bit_identical_continuous_sampling() {
-    assert_dup_invisible(rows().filter(|&(_, algo)| algo == Algo::Sampling), "");
+    check(|c| c.test == "dup" && c.row.1 == Algo::Sampling);
 }
 
 #[test]
 fn dup_bit_identical_windowed() {
-    assert_dup_invisible([(Problem::Count, Algo::Randomized)], "+window:2048");
+    check(|c| c.test == "dup_windowed");
 }
 
 /// Every faulty run is bit-for-bit reproducible from its master seed,
@@ -374,21 +358,7 @@ fn adaptive_assignment_routes_around_a_straggler_link() {
     ignore = "20-seed release-gated acceptance suite; covered by release CI"
 )]
 fn all_protocols_meet_epsilon_under_the_acceptance_fault_mix() {
-    let exec: ExecConfig = "event+loss:0.05+dup:0.05+churn:0.1".parse().unwrap();
-    let (eps, seeds, n, rank_n) = (0.1, 20, 30_000u64, 8_000u64);
-    for algo in [Algo::Deterministic, Algo::Randomized, Algo::Sampling] {
-        assert_mean_error_le_eps(&format!("count/{algo:?}"), eps, seeds, |seed| {
-            run(exec, Problem::Count, algo, K, eps, n, seed).err
-        });
-    }
-    for algo in [Algo::Deterministic, Algo::Randomized] {
-        assert_mean_error_le_eps(&format!("frequency/{algo:?}"), eps, seeds, |seed| {
-            run(exec, Problem::Frequency, algo, K, eps, n, seed).errs[0]
-        });
-        assert_mean_error_le_eps(&format!("rank/{algo:?}"), eps, seeds, |seed| {
-            run(exec, Problem::Rank, algo, K, eps, rank_n, seed).err
-        });
-    }
+    check(|c| c.test == "all_protocols_meet_epsilon_under_the_acceptance_fault_mix");
 }
 
 /// `Windowed<P>` meets the same bound under the acceptance mix — the
@@ -399,32 +369,7 @@ fn all_protocols_meet_epsilon_under_the_acceptance_fault_mix() {
     ignore = "20-seed release-gated acceptance suite; covered by release CI"
 )]
 fn windowed_meets_epsilon_under_the_acceptance_fault_mix() {
-    let exec: ExecConfig = "event+loss:0.05+dup:0.05+churn:0.1".parse().unwrap();
-    let (eps, seeds, n, w) = (0.1, 20, 30_000u64, 6_144u64);
-    assert_mean_error_le_eps("windowed count", eps, seeds, |seed| {
-        run(
-            exec.windowed(w),
-            Problem::Count,
-            Algo::Randomized,
-            K,
-            eps,
-            n,
-            seed,
-        )
-        .err
-    });
-    assert_mean_error_le_eps("windowed frequency", eps, seeds, |seed| {
-        run(
-            exec.windowed(w),
-            Problem::Frequency,
-            Algo::Randomized,
-            K,
-            eps,
-            n,
-            seed,
-        )
-        .err
-    });
+    check(|c| c.test == "windowed_meets_epsilon_under_the_acceptance_fault_mix");
 }
 
 /// Each fault alone also stays within ε (a fault combination could mask
@@ -435,19 +380,5 @@ fn windowed_meets_epsilon_under_the_acceptance_fault_mix() {
     ignore = "20-seed release-gated acceptance suite; covered by release CI"
 )]
 fn each_single_fault_meets_epsilon() {
-    let (eps, seeds, n) = (0.1, 20, 30_000u64);
-    for spec in [
-        "event+loss:0.05",
-        "event+dup:0.05",
-        "event+churn:0.1",
-        "event+straggle:32",
-    ] {
-        let exec: ExecConfig = spec.parse().unwrap();
-        assert_mean_error_le_eps(&format!("{spec} count"), eps, seeds, |seed| {
-            run(exec, Problem::Count, Algo::Randomized, K, eps, n, seed).err
-        });
-        assert_mean_error_le_eps(&format!("{spec} frequency"), eps, seeds, |seed| {
-            run(exec, Problem::Frequency, Algo::Randomized, K, eps, n, seed).errs[0]
-        });
-    }
+    check(|c| c.test == "each_single_fault_meets_epsilon");
 }

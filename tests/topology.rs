@@ -17,12 +17,19 @@
 //!    rank meet the mean-error-≤-ε acceptance bound at depth 2 and at
 //!    depth 4 (binary tree) — the per-level ε/d split composes to the
 //!    whole-tree budget like the module docs claim.
+//!
+//! The seed loops of layers 1 and 3 are rows of the conformance
+//! matrix's table (`tests/conformance.rs`); each test here keeps its
+//! name as a filter over it.
+
+mod matrix;
 
 use dtrack::core::count::{DeterministicCount, RandomizedCount};
 use dtrack::core::TrackingConfig;
 use dtrack::sim::exec::DeliveryPolicy;
 use dtrack::sim::{ExecConfig, Protocol, Runner, Tree, TreeCoord, TreeSpec};
-use dtrack_bench::measure::{assert_mean_error_le_eps, rows, run, Algo, Problem};
+use dtrack_bench::measure::{run, Algo, Problem};
+use matrix::check;
 
 const K: usize = 8;
 const N: u64 = 6_000;
@@ -37,16 +44,7 @@ const SEED: u64 = 42;
 /// degenerate shape: depth 1, no aggregators, no root load.
 #[test]
 fn depth1_tree_is_bit_identical_to_flat() {
-    for (problem, algo) in rows().filter(|&(_, algo)| algo != Algo::Sampling) {
-        for exec in ["lockstep", "event"] {
-            let at = |spec: &str| run(spec.parse().unwrap(), problem, algo, K, 0.1, N, SEED);
-            assert_eq!(
-                at(&format!("{exec}+tree:4:1")),
-                at(exec),
-                "{exec}: depth-1 {problem}/{algo:?} differs from flat"
-            );
-        }
-    }
+    check(|c| c.test == "depth1");
     let depth1 = Tree::new(
         RandomizedCount::new(TrackingConfig::new(K, 0.1)),
         TreeSpec::new(4).with_depth(1),
@@ -229,19 +227,7 @@ fn depth2_randomness_is_independent_of_flat() {
     ignore = "20-seed release-gated acceptance suite; covered by release CI"
 )]
 fn tree_protocols_meet_epsilon_at_depth_2() {
-    let exec = ExecConfig::lockstep().with_tree(TreeSpec::new(4).with_depth(2));
-    let (k, eps, seeds, n, rank_n) = (16, 0.1, 20, 30_000u64, 8_000u64);
-    for algo in [Algo::Deterministic, Algo::Randomized] {
-        assert_mean_error_le_eps(&format!("tree count/{algo:?}"), eps, seeds, |seed| {
-            run(exec, Problem::Count, algo, k, eps, n, seed).err
-        });
-        assert_mean_error_le_eps(&format!("tree frequency/{algo:?}"), eps, seeds, |seed| {
-            run(exec, Problem::Frequency, algo, k, eps, n, seed).err
-        });
-        assert_mean_error_le_eps(&format!("tree rank/{algo:?}"), eps, seeds, |seed| {
-            run(exec, Problem::Rank, algo, k, eps, rank_n, seed).err
-        });
-    }
+    check(|c| c.test == "tree_protocols_meet_epsilon_at_depth_2");
 }
 
 /// The same statement at depth 4 (binary tree over k = 16): four
@@ -256,32 +242,7 @@ fn tree_protocols_meet_epsilon_at_depth_2() {
     ignore = "20-seed release-gated acceptance suite; covered by release CI"
 )]
 fn tree_protocols_meet_epsilon_at_depth_4() {
-    let exec = ExecConfig::lockstep().with_tree(TreeSpec::new(2).with_depth(4));
-    let (k, eps, seeds, n) = (16, 0.1, 20, 30_000u64);
-    let budget = (1.0_f64 + eps / 4.0).powi(4) - 1.0;
-    for algo in [Algo::Deterministic, Algo::Randomized] {
-        assert_mean_error_le_eps(
-            &format!("deep tree count/{algo:?}"),
-            budget,
-            seeds,
-            |seed| run(exec, Problem::Count, algo, k, eps, n, seed).err,
-        );
-    }
-    assert_mean_error_le_eps("deep tree frequency/Randomized", budget, seeds, |seed| {
-        run(exec, Problem::Frequency, Algo::Randomized, k, eps, n, seed).err
-    });
-    assert_mean_error_le_eps("deep tree rank/Deterministic", budget, seeds, |seed| {
-        run(
-            exec,
-            Problem::Rank,
-            Algo::Deterministic,
-            k,
-            eps,
-            8_000,
-            seed,
-        )
-        .err
-    });
+    check(|c| c.test == "tree_protocols_meet_epsilon_at_depth_4");
 }
 
 /// Tree runs under the acceptance fault mix (`+loss+dup+churn` on the
@@ -293,15 +254,7 @@ fn tree_protocols_meet_epsilon_at_depth_4() {
     ignore = "20-seed release-gated acceptance suite; covered by release CI"
 )]
 fn tree_meets_epsilon_under_the_acceptance_fault_mix() {
-    let exec: ExecConfig = "event+loss:0.05+dup:0.05+churn:0.1".parse().unwrap();
-    let exec = exec.with_tree(TreeSpec::new(4).with_depth(2));
-    let (k, eps, seeds, n) = (16, 0.1, 20, 30_000u64);
-    assert_mean_error_le_eps("faulty tree count", eps, seeds, |seed| {
-        run(exec, Problem::Count, Algo::Randomized, k, eps, n, seed).err
-    });
-    assert_mean_error_le_eps("faulty tree frequency", eps, seeds, |seed| {
-        run(exec, Problem::Frequency, Algo::Randomized, k, eps, n, seed).err
-    });
+    check(|c| c.test == "tree_meets_epsilon_under_the_acceptance_fault_mix");
 }
 
 /// What the topology is *for*, asserted as a test and not only in

@@ -1,10 +1,17 @@
 //! Integration tests for the sliding-window subsystem
 //! (`dtrack_core::window`): accuracy against the exact sliding-window
-//! truth (seed-averaged, per the ROADMAP's seed-sensitivity guidance) on
-//! the deterministic executors *and* the concurrent channel runtime
-//! (whose transport-level fairness mechanisms earn it the same ε bound),
+//! truth (seed-averaged, per the ROADMAP's seed-sensitivity guidance),
 //! bit-exact equivalence across the deterministic executors, behavior on
-//! drifting workloads, and an O(k) epoch-seal construction guard.
+//! drifting workloads, and an O(k) epoch-seal construction guard. The
+//! mean-error bounds hold on lock-step, and on the channel runtime at
+//! its row's setting; they are not a bias check. The conformance matrix
+//! (`tests/conformance.rs`) is: it reads windowed randomized count
+//! biased off lock-step, +1.3 ε on single-threaded fixed-latency event
+//! executors and +0.3 ε on the channel runtime, an expected failure
+//! naming ROADMAP direction 1(a). The seed loops are rows of that
+//! matrix's table; each test here keeps its name as a filter over it.
+
+mod matrix;
 
 use dtrack::core::count::RandomizedCount;
 use dtrack::core::frequency::RandomizedFrequency;
@@ -14,71 +21,23 @@ use dtrack::core::TrackingConfig;
 use dtrack::sim::exec::{DeliveryPolicy, EventRuntime};
 use dtrack::sim::{ExecConfig, ExecMode, FaultPlan, Protocol, Runner};
 use dtrack::workload::scenarios;
-use dtrack_bench::measure::{
-    assert_mean_error_le_eps, rows, run, windowed_frequency_bias, Algo, Problem, Run,
-    WINDOWED_BIAS_DOMAIN,
-};
+use dtrack_bench::measure::{run, windowed_frequency_bias, Algo, Problem, WINDOWED_BIAS_DOMAIN};
+use matrix::{check, RC};
 
 /// **Acceptance criterion**: `Windowed<RandomizedCount>` answers over
 /// the last `W` items are within the configured ε of an exact sliding
-/// counter, as a mean over ≥ 20 seeds (single-seed deviations are the
-/// protocol's own randomness; the mean isolates the adapter's bias).
+/// counter, as a mean over ≥ 20 seeds.
 #[test]
 fn windowed_count_mean_error_within_epsilon_over_20_seeds() {
-    let (k, eps, n, w) = (8, 0.1, 30_000u64, 6_144u64);
-    // After n ≥ W elements the exact sliding-window count is exactly W.
-    assert_mean_error_le_eps("windowed count", eps, 20, |seed| {
-        let exec = ExecConfig::lockstep().windowed(w);
-        run(exec, Problem::Count, Algo::Randomized, k, eps, n, seed).err
-    });
+    check(|c| c.test == "windowed_count_mean_error_within_epsilon_over_20_seeds");
 }
 
-/// The adapter is unbiased mid-stream too, not just at the end: check
-/// the mean error at several checkpoints (windows partially filled and
-/// fully rolled over). A run of `t` elements is the first `t` of the
-/// stream, so each checkpoint is its own run.
+/// The adapter tracks mid-stream too, not just at the end: the mean
+/// error at checkpoints with the window partially filled and fully
+/// rolled over, each scored against `min(t, W)`.
 #[test]
 fn windowed_count_tracks_at_checkpoints() {
-    let (k, eps, w) = (4, 0.15, 4_096u64);
-    let exec = ExecConfig::lockstep().windowed(w);
-    for t in [2_048u64, 8_192, 20_000] {
-        let truth = t.min(w) as f64;
-        assert_mean_error_le_eps(&format!("checkpoint {t}"), 1.5 * eps, 20, |seed| {
-            let r = run(
-                exec,
-                Problem::Count,
-                Algo::Randomized,
-                k,
-                eps,
-                t,
-                100 + seed,
-            );
-            (r.answers[0] - truth).abs() / truth
-        });
-    }
-}
-
-/// `row` under `lockstep+window:2048` and `{event}+window:2048` (k = 8,
-/// n = 12 000), seen through `view`: with the identity, identical
-/// accounting, space peaks and windowed answers, bit for bit — the exec
-/// layer's equivalence guarantee must survive the window adapter's epoch
-/// machinery (seals, acks, rebuilt inner instances).
-fn windowed_lockstep_equals_event<T: PartialEq + std::fmt::Debug>(
-    event: &str,
-    row: (Problem, Algo),
-    eps: f64,
-    seed: u64,
-    view: impl Fn(Run) -> T,
-) {
-    let at = |mode: &str| {
-        let exec = format!("{mode}+window:2048").parse().unwrap();
-        run(exec, row.0, row.1, 8, eps, 12_000, seed)
-    };
-    let lockstep = at("lockstep");
-    let finite = lockstep.answers.iter().all(|a| a.is_finite());
-    assert!(finite, "{row:?}: non-finite answer");
-    let differ = format!("{row:?} seed {seed}: windowed runs differ under {event}");
-    assert_eq!(view(lockstep), view(at(event)), "{differ}");
+    check(|c| c.test == "windowed_count_tracks_at_checkpoints");
 }
 
 /// **Acceptance criterion**: bit-identical windowed answers across
@@ -86,7 +45,7 @@ fn windowed_lockstep_equals_event<T: PartialEq + std::fmt::Debug>(
 /// window state, which `Run` does not carry.
 #[test]
 fn windowed_count_equivalence_across_deterministic_executors() {
-    windowed_lockstep_equals_event("event", (Problem::Count, Algo::Randomized), 0.1, 42, |r| r);
+    check(|c| c.test == "windowed_equivalence" && c.row == RC);
     let proto = Windowed::new(RandomizedCount::new(TrackingConfig::new(8, 0.1)), 2_048);
     let state = |mode: ExecMode| {
         let mut ex = mode.build(&proto, 42);
@@ -100,9 +59,7 @@ fn windowed_count_equivalence_across_deterministic_executors() {
 
 #[test]
 fn windowed_sampling_equivalence_across_deterministic_executors() {
-    for row in rows().filter(|&(_, algo)| algo == Algo::Sampling) {
-        windowed_lockstep_equals_event("event", row, 0.15, 42, |r| r);
-    }
+    check(|c| c.test == "windowed_equivalence" && c.row.1 == Algo::Sampling);
 }
 
 /// A windowed answer does not depend on when the control plane
@@ -115,11 +72,7 @@ fn windowed_sampling_equivalence_across_deterministic_executors() {
 /// the position its site switched at.)
 #[test]
 fn windowed_answers_do_not_depend_on_control_plane_latency() {
-    let answers = |r: Run| r.answers.iter().map(|a| a.to_bits()).collect::<Vec<_>>();
-    for seed in 0..20 {
-        let row = (Problem::Count, Algo::Deterministic);
-        windowed_lockstep_equals_event("event:fixed:8", row, 0.1, seed, answers);
-    }
+    check(|c| c.test == "control_plane");
 }
 
 /// Same-seed replay under a seeded random-delay policy is bit-exact,
@@ -224,26 +177,19 @@ fn windowed_rank_matches_closed_form_on_climbing_values() {
 }
 
 /// **Acceptance criterion**: the *channel* runtime — real threads, real
-/// in-flight messages — meets the same ε bound as the deterministic
-/// executors, as a mean over ≥ 20 seeds, for the randomized and the
-/// deterministic inner count. Buckets close at the positions the sites
-/// stamp into their seal acks, so their ranges hold exactly their
-/// content; the transport's out-of-band seals and per-site credit cap
-/// (see `dtrack_sim::transport`) bound how far the window cut lags.
+/// in-flight messages — meets the same mean-error bound as lock-step,
+/// over 20 seeds, for the randomized and the deterministic inner count.
+/// Buckets close at the positions the sites stamp into their seal acks,
+/// so their ranges hold exactly their content; the transport's
+/// out-of-band seals and per-site credit cap (see
+/// `dtrack_sim::transport`) bound how far the window cut lags.
 ///
 /// Release-gated: 40 threaded runs are slow in debug; the release CI
 /// step covers it. A single-seed smoke below keeps debug coverage.
 #[test]
 #[cfg_attr(debug_assertions, ignore = "40 threaded runs; covered by release CI")]
 fn windowed_count_channel_mean_error_within_epsilon_over_20_seeds() {
-    let (k, eps, n, w) = (8, 0.1, 30_000u64, 6_144u64);
-    for algo in [Algo::Randomized, Algo::Deterministic] {
-        let name = format!("windowed channel-runtime count ({algo:?})");
-        assert_mean_error_le_eps(&name, eps, 20, |seed| {
-            let exec = ExecConfig::channel().windowed(w);
-            run(exec, Problem::Count, algo, k, eps, n, seed).err
-        });
-    }
+    check(|c| c.test == "windowed_count_channel_mean_error_within_epsilon_over_20_seeds");
 }
 
 /// Single-seed debug smoke of the same scenario: runs in the fast suite

@@ -7,8 +7,9 @@
 # lines containing the word `unsafe` (not the `unsafe_code` of a lint
 # attribute), the surface ROADMAP direction 7 has to model-check. Then
 # the test code, counted the same way: the in-file test modules the
-# first table skips, the integration suites under `tests/`, and those
-# under `crates/*/tests/`. The numbers ROADMAP's "refactors carry their
+# first table skips, the integration suites under `tests/` (with the
+# shared modules one directory down, e.g. `tests/matrix/mod.rs`), and
+# those under `crates/*/tests/`. The numbers ROADMAP's "refactors carry their
 # own proof" asks a simplification PR to state, parent and change.
 #
 #   tools/loc.sh [ROOT]     ROOT defaults to the repository this script is in
@@ -57,7 +58,7 @@ printf '%-26s %7s %7s\n' 'test code' lines code
 printf '%-26s %7d %7d\n' 'in-file test modules' "$mod_lines" "$mod_code"
 test_lines=$mod_lines test_code=$mod_code
 shopt -s nullglob
-for suite in 'tests/*.rs' 'crates/*/tests/*.rs'; do
+for suite in 'tests/*.rs' 'tests/*/*.rs' 'crates/*/tests/*.rs'; do
     # Unquoted on purpose: the glob expands here, one directory level.
     # shellcheck disable=SC2086
     read -r _ _ _ tlines tcode < <(printf '%s\0' $suite | count 1)
